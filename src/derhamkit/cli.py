@@ -4,8 +4,12 @@ Usage:
     derhamkit list
     derhamkit verify <suite> [--p P] [--n N] [--m M] [--k K] [--r-max R]
                      [--cases C] [--power POW] [--max-degree D]
-                     [--max-rank RK] [--weight-bound W] [--seed S]
+                     [--max-rank RK] [--rank RANK] [--weight-bound W]
+                     [--window-top T] [--f POLY] [--seed S]
                      [--json PATH] [--allow-truncated]
+
+The parameter flags are generated from the suite schemas (`derhamkit list`
+shows them); a suite rejects a flag it does not declare.
 
 Exit codes: 0 all cases pass (truncated evidence counts as failure unless
 --allow-truncated), 1 failures, 2 usage errors.
@@ -18,20 +22,10 @@ import sys
 
 from .suites import SUITES, list_suites, run_suite
 
-_FLAG_TO_PARAM = {
-    "p": "p",
-    "n": "n",
-    "m": "m",
-    "k": "k",
-    "r_max": "r_max",
-    "cases": "cases",
-    "power": "power",
-    "max_degree": "max_degree",
-    "max_rank": "max_rank",
-    "weight_bound": "weight_bound",
-    "f": "f",
-    "rank": "rank",
-}
+
+def _suite_params() -> dict:
+    """Every suite parameter name with its type, from the suite schemas."""
+    return {k: t for desc in SUITES.values() for (k, t, _) in desc.params}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,18 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run one suite and report")
     verify.add_argument("suite")
-    verify.add_argument("--p", type=int)
-    verify.add_argument("--n", type=int)
-    verify.add_argument("--m", type=int)
-    verify.add_argument("--k", type=int)
-    verify.add_argument("--r-max", dest="r_max", type=int)
-    verify.add_argument("--cases", type=int)
-    verify.add_argument("--power", type=int)
-    verify.add_argument("--max-degree", dest="max_degree", type=int)
-    verify.add_argument("--max-rank", dest="max_rank", type=int)
-    verify.add_argument("--weight-bound", dest="weight_bound", type=int)
-    verify.add_argument("--f", type=str)
-    verify.add_argument("--rank", type=int)
+    for name, typ in _suite_params().items():
+        verify.add_argument("--" + name.replace("_", "-"), dest=name, type=typ)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--json", dest="json_path")
     verify.add_argument("--allow-truncated", action="store_true")
@@ -79,14 +63,14 @@ def main(argv=None) -> int:
         return 2
     known = {k for (k, _, _) in SUITES[args.suite].params}
     params = {}
-    for flag, pname in _FLAG_TO_PARAM.items():
-        value = getattr(args, flag, None)
+    for name in _suite_params():
+        value = getattr(args, name)
         if value is not None:
-            if pname not in known:
-                print(f"suite {args.suite!r} does not accept --{flag.replace('_', '-')}",
+            if name not in known:
+                print(f"suite {args.suite!r} does not accept --{name.replace('_', '-')}",
                       file=sys.stderr)
                 return 2
-            params[pname] = value
+            params[name] = value
     try:
         report = run_suite(args.suite, params, seed=args.seed)
     except (ValueError, KeyError) as exc:

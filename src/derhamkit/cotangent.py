@@ -43,6 +43,7 @@ from .exactlin import (
     v_int,
 )
 from .polyalg import AlgebraMap, Poly, PolyAlgebra
+from .upoly import gcd_degree, rem, trim
 
 __all__ = [
     "AlgebraPresentation",
@@ -130,9 +131,7 @@ class AlgebraPresentation:
             if self.free_rank < 1:
                 raise ValueError("free shape needs at least one variable")
             return
-        coeffs = [c % self.ring.modulus for c in self.f_coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
+        coeffs = trim(c % self.ring.modulus for c in self.f_coeffs)
         if len(coeffs) < 2:
             raise ValueError("f must have degree >= 1 (and be nonzero)")
         object.__setattr__(self, "f_coeffs", tuple(coeffs))
@@ -159,20 +158,12 @@ class AlgebraPresentation:
     @property
     def is_unramified(self) -> bool:
         """f separable mod p, so the target is finite etale over k."""
-        return self.shape == "hypersurface" and _is_separable_mod_p(self.f_coeffs, self.ring.p)
+        return (self.shape == "hypersurface"
+                and gcd_degree(self.f_coeffs, self.fprime_coeffs(), self.ring.p) == 0)
 
     def reduce_mod_f(self, coeffs: list[int]) -> list[int]:
         """Coefficients reduced modulo f in the power basis of the quotient."""
-        m = self.ring.modulus
-        d = self.degree
-        lead_inv = pow(self.f_coeffs[-1], -1, m)
-        out = [c % m for c in coeffs]
-        for k in range(len(out) - 1, d - 1, -1):
-            if out[k]:
-                q = (out[k] * lead_inv) % m
-                for j, c in enumerate(self.f_coeffs):
-                    out[k - d + j] = (out[k - d + j] - q * c) % m
-        return [out[k] if k < len(out) else 0 for k in range(d)]
+        return rem(coeffs, self.f_coeffs, self.ring.modulus)
 
     def fprime_coeffs(self) -> list[int]:
         return [(k * c) % self.ring.modulus for k, c in enumerate(self.f_coeffs)][1:]
@@ -193,33 +184,6 @@ class AlgebraPresentation:
             return AlgebraPresentation(ring, "free", data.get("var", "x"), free_rank=data["rank"])
         return AlgebraPresentation(ring, data["shape"], data.get("var", "x"),
                                    tuple(_parse_poly_string(data["f"])))
-
-
-def _is_separable_mod_p(coeffs, p: int) -> bool:
-    f = [c % p for c in coeffs]
-    fp = [(k * c) % p for k, c in enumerate(f)][1:]
-    return _poly_gcd_deg(f, fp, p) == 0
-
-
-def _poly_gcd_deg(a, b, p: int) -> int:
-    def trim(u):
-        while u and u[-1] % p == 0:
-            u.pop()
-        return u
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            q = (a[-1] * inv) % p
-            shift = len(a) - len(b)
-            for j, c in enumerate(b):
-                a[shift + j] = (a[shift + j] - q * c) % p
-            a = trim(a)
-            if not a:
-                break
-        a, b = b, a
-    return len(a) - 1 if a else -1
 
 
 # ---------------------------------------------------------------------------

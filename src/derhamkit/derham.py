@@ -44,7 +44,9 @@ from .exactlin import (
     v_int,
 )
 from .pdpow import PDAlgebra, pd_filtration, derived_power
-from .polyalg import graded_slice_basis
+from .polyalg import DifferentialForm, apply_map_form, graded_slice_basis
+from .simplex import shuffle_product
+from .upoly import mul, rem
 
 __all__ = [
     "FilteredDeRhamComplex",
@@ -427,10 +429,10 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
 
     # explicit map to A/(f^2): theta reduces Q_0 = k[x] mod f^2, and the
     # derivation sends g dt_1 to (g at t_1 = 0) * f mod f^2
-    f2 = _poly_mult(pres.f_coeffs, pres.f_coeffs, m)
+    f2 = mul(pres.f_coeffs, pres.f_coeffs, m)
 
     def reduce_f2(coeffs):
-        return _reduce_mod(coeffs, f2, m)
+        return rem(coeffs, f2, m)
 
     def phi_vector(n0_vec: np.ndarray, w: int) -> np.ndarray:
         """Image in the weight-w slice of A/(f^2) (power basis x^w if w < 2d)."""
@@ -452,7 +454,7 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
                     if e[1] != 0:
                         continue
                     coeffs = [0] * e[0] + [c]
-                    prod = _poly_mult(coeffs, list(pres.f_coeffs), m)
+                    prod = mul(coeffs, pres.f_coeffs, m)
                     red = reduce_f2(prod)
                     if w < 2 * d and w < len(red):
                         out[0] = (out[0] + red[w]) % m
@@ -551,10 +553,10 @@ class _H0Multiplier:
     """Shuffle multiplication on degree-0 slice vectors.
 
     A degree-0 element decomposes into forms u_i in Omega^i(Q_i); the
-    product of u_i and v_j is the signed shuffle sum over (i, j)-shuffles
-    of wedges of degenerated forms, with the Koszul sign (-1)^{form * simp}
-    for crossing the bidegrees, landing in Omega^{i+j}(Q_{i+j}).  Columns
-    at or above the Hodge cut are dropped (multiplication in the quotient).
+    product of u_i and v_j is the shuffle product of the simplicial algebra
+    of forms, times the Koszul sign (-1)^{i j} for crossing the bidegrees,
+    landing in Omega^{i+j}(Q_{i+j}).  Columns at or above the Hodge cut are
+    dropped (multiplication in the quotient).
     """
 
     def __init__(self, f: FilteredDeRhamComplex):
@@ -562,8 +564,6 @@ class _H0Multiplier:
         self.ring = f.ring
 
     def _split(self, vec: np.ndarray, w: int):
-        from .polyalg import DifferentialForm
-
         lay, _ = self.f.layout(0, w)
         blocks: dict[int, DifferentialForm] = {}
         for (j, i, off) in lay:
@@ -577,10 +577,11 @@ class _H0Multiplier:
                 blocks[i] = DifferentialForm(self.f.res.algebra(j), i, terms)
         return blocks
 
-    def multiply(self, u: np.ndarray, wu: int, v: np.ndarray, wv: int):
-        from .polyalg import DifferentialForm, apply_map_form, wedge
-        from .simplex import shuffles
+    def degeneracy_element(self, n: int, k: int, form: DifferentialForm) -> DifferentialForm:
+        """Shuffle-product protocol: apply s_k at level n."""
+        return apply_map_form(self.f.res.degeneracy(n, k), form)
 
+    def multiply(self, u: np.ndarray, wu: int, v: np.ndarray, wv: int):
         w = wu + wv
         if w > self.f.weight_bound:
             return None
@@ -594,74 +595,25 @@ class _H0Multiplier:
                 index[(j, i, entry)] = off + pos
         m = self.ring.modulus
 
-        def degeneracy_chain(form: DifferentialForm, start_level: int, indices):
-            cur = form
-            level = start_level
-            for k in indices:
-                cur = apply_map_form(self.f.res.degeneracy(level, k), cur)
-                level += 1
-            return cur
-
         for i1, form1 in bu.items():
             for i2, form2 in bv.items():
                 col = i1 + i2
                 if col >= self.f.hodge_cut or col * self.f.pres.degree > w:
                     continue
-                acc = None
-                for mu, nu, sgn in shuffles(i1, i2):
-                    a = degeneracy_chain(form1, i1, nu)
-                    b = degeneracy_chain(form2, i2, mu)
-                    term = wedge(a, b)
-                    koszul = -1 if (i1 * i2) % 2 else 1
-                    term = term.scale(sgn * koszul)
-                    acc = term if acc is None else acc + term
-                if acc is None:
-                    continue
-                for (e, wdg), c in acc.terms.items():
+                prod = shuffle_product(form1, i1, form2, i2, self)
+                if (i1 * i2) % 2:
+                    prod = -prod
+                for (e, wdg), c in prod.terms.items():
                     key = (col, col, (e, wdg))
                     if key in index:
                         out[index[key]] = (out[index[key]] + c) % m
         return out
 
 
-def _coerce(form, target_alg):
-    """Re-embed a form into an algebra with more t-variables (prefix match)."""
-    if form.algebra == target_alg:
-        return form
-    from .polyalg import DifferentialForm
-
-    pad = target_alg.nvars - form.algebra.nvars
-    terms = {}
-    for (e, wdg), c in form.terms.items():
-        terms[(tuple(e) + (0,) * pad, wdg)] = c
-    return DifferentialForm(target_alg, form.degree, terms)
-
-
 def h0_shuffle_product(f: FilteredDeRhamComplex, u: np.ndarray, wu: int,
                        v: np.ndarray, wv: int):
     """Product of two degree-0 slice vectors; None above the weight bound."""
     return _H0Multiplier(f).multiply(u, wu, v, wv)
-
-
-def _poly_mult(a, b, m):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x % m:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    return out
-
-
-def _reduce_mod(coeffs, mod_poly, m):
-    out = [c % m for c in coeffs]
-    d = len(mod_poly) - 1
-    lead_inv = pow(mod_poly[-1] % m, -1, m)
-    for k in range(len(out) - 1, d - 1, -1):
-        if out[k]:
-            q = (out[k] * lead_inv) % m
-            for j, c in enumerate(mod_poly):
-                out[k - d + j] = (out[k - d + j] - q * c) % m
-    return out[:d] + [0] * max(0, d - len(out))
 
 
 # ---------------------------------------------------------------------------

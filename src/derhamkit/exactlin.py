@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .upoly import trim
+
 __all__ = [
     "ModRing",
     "ZZ",
@@ -36,6 +38,7 @@ __all__ = [
     "module_invariants",
     "padic_valuation",
     "resultant",
+    "bareiss_det",
 ]
 
 
@@ -270,11 +273,6 @@ def smith_normal_form(matrix, want_vinv: bool = False):
     if want_vinv:
         return a, u, v, vinv
     return a, u, v
-
-
-def smith_diagonal(matrix) -> list[int]:
-    s, _, _ = smith_normal_form(matrix)
-    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +632,7 @@ def padic_valuation(q, p: int) -> PAdicValue:
     return PAdicValue(p, Fraction(v_int(abs(num), p) - v_int(den, p)))
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
+def bareiss_det(m: list[list[int]]) -> int:
     """Fraction-free exact determinant of an integer matrix."""
     n = len(m)
     if n == 0:
@@ -663,8 +661,8 @@ def resultant(f: Sequence[int], g: Sequence[int]) -> int:
     Polynomials are coefficient lists, constant term first.  Exact for any
     size thanks to big-int arithmetic.
     """
-    f = _trim(list(f))
-    g = _trim(list(g))
+    f = trim(f)
+    g = trim(g)
     if not f or not g:
         raise ValueError("resultant of the zero polynomial")
     dm, dn = len(f) - 1, len(g) - 1
@@ -682,10 +680,4 @@ def resultant(f: Sequence[int], g: Sequence[int]) -> int:
     for i in range(dm):
         for j, c in enumerate(grev):
             syl[dn + i][i + j] = c
-    return _bareiss_det(syl)
-
-
-def _trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+    return bareiss_det(syl)

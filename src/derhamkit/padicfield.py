@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import PAdicValue, is_prime, resultant, smith_normal_form, v_int
+from .upoly import gcd_degree, rem
 from .witt import cyclotomic_polynomial_ppower
 
 __all__ = [
@@ -70,14 +71,13 @@ def eisenstein_extension(p: int, f_coeffs) -> MonogenicExtension:
 
 
 def unramified_extension(p: int, f_coeffs) -> MonogenicExtension:
-    from .cotangent import _is_separable_mod_p
-
     f = tuple(int(c) for c in f_coeffs)
     if f[-1] != 1:
         raise ValueError("minimal polynomials are monic")
-    if not _is_separable_mod_p(f, p):
+    ext = MonogenicExtension(p, f, "unramified")
+    if gcd_degree(f, ext.fprime(), p) != 0:
         raise ValueError("unramified flavor needs f separable mod p")
-    return MonogenicExtension(p, f, "unramified")
+    return ext
 
 
 def different_valuation(ext: MonogenicExtension) -> PAdicValue:
@@ -104,7 +104,7 @@ def omega_invariants(ext: MonogenicExtension, precision: int):
     rows = []
     for a in range(d):
         coeffs = [0] * a + ext.fprime()
-        rows.append(_reduce_int_poly(coeffs, ext.f_coeffs))
+        rows.append(rem(coeffs, ext.f_coeffs))
     s, _, _ = smith_normal_form(rows)
     lengths = []
     for i in range(d):
@@ -118,18 +118,6 @@ def omega_invariants(ext: MonogenicExtension, precision: int):
             )
         lengths.append(v)
     return sum(lengths), sorted(lengths)
-
-
-def _reduce_int_poly(coeffs, f_coeffs):
-    """Reduce an integer polynomial modulo monic f over Z."""
-    out = list(coeffs)
-    d = len(f_coeffs) - 1
-    for k in range(len(out) - 1, d - 1, -1):
-        c = out[k]
-        if c:
-            for j, fc in enumerate(f_coeffs):
-                out[k - d + j] -= c * fc
-    return [out[k] if k < len(out) else 0 for k in range(d)]
 
 
 @dataclass

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .complexes import GradedSliceComplex, HomologyReport, homology_report, slice_homology
-from .exactlin import ModRing, howell_form, mzeros, mmul, quotient_invariants
+from .exactlin import ModRing, bareiss_det, howell_form, mzeros, mmul, quotient_invariants
 from .simplex import SimplicialModule, kan_transform, normalized_complex
 
 __all__ = [
@@ -305,21 +305,6 @@ def gamma_matrix(phi: np.ndarray, n: int, ring: ModRing) -> np.ndarray:
     return out
 
 
-def _det_rows(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det_rows(minor)
-    return total
-
-
 def wedge_matrix(phi: np.ndarray, n: int, ring: ModRing) -> np.ndarray:
     """Matrix of wedge^n(phi): entries are n x n minors."""
     r, s = phi.shape
@@ -330,7 +315,7 @@ def wedge_matrix(phi: np.ndarray, n: int, ring: ModRing) -> np.ndarray:
     for a, rowset in enumerate(src):
         for b, colset in enumerate(tgt):
             sub = [[rows[i][j] for j in colset] for i in rowset]
-            out[a, b] = _det_rows(sub) % ring.modulus
+            out[a, b] = bareiss_det(sub) % ring.modulus
     return out
 
 
@@ -530,7 +515,7 @@ def _wedge_rows(rows: list[np.ndarray], rg: int, ring: ModRing) -> np.ndarray:
     out = mzeros(1, comb(rg, k))[0]
     for b, colset in enumerate(itertools.combinations(range(rg), k)):
         sub = [[int(r[j]) for j in colset] for r in rows]
-        out[b] = _det_rows(sub) % ring.modulus
+        out[b] = bareiss_det(sub) % ring.modulus
     return out
 
 

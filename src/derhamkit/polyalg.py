@@ -241,6 +241,10 @@ class DifferentialForm:
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
         return self + (-other)
 
+    def __mul__(self, other: "DifferentialForm") -> "DifferentialForm":
+        """Wedge product, so forms follow the product protocol of ``Poly``."""
+        return wedge(self, other)
+
     def scale(self, c: int) -> "DifferentialForm":
         return DifferentialForm(self.algebra, self.degree, {k: c * v for k, v in self.terms.items()})
 

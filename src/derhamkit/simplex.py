@@ -39,6 +39,7 @@ __all__ = [
     "normalized_complex",
     "unnormalized_complex",
     "kan_transform",
+    "kan_block",
     "diagonal",
     "double_kan",
     "shuffle_product",
@@ -326,6 +327,23 @@ def normalized_complex(x: SimplicialModule, with_basis: bool = False):
 # Kan transform
 
 
+@lru_cache(maxsize=None)
+def kan_block(eta: MonotoneMap, alpha: MonotoneMap) -> tuple[tuple[int, ...], str] | None:
+    """Kan block rule for summand eta: [n] ->> [p] under a monotone alpha.
+
+    Factor eta o alpha = mono o eta'.  The block is the identity into
+    summand eta' when mono is the identity ("id"), (-1)^p d: C_p -> C_{p-1}
+    into summand eta' when mono is the last face [p-1] -> [p] ("d"), and
+    zero otherwise (None).  Returns (eta'.values, kind) or None.
+    """
+    eta2, mono = epi_mono_factorize(eta.compose(alpha))
+    if mono.is_identity:
+        return eta2.values, "id"
+    if mono.source == eta.target - 1 and mono.values == tuple(range(eta.target)):
+        return eta2.values, "d"
+    return None
+
+
 def _kan_blocks(n: int, dims_of_p) -> list[tuple[MonotoneMap, int, int]]:
     """Summand layout of K(C)_n: (surjection, p, offset); identity first."""
     out = []
@@ -343,11 +361,8 @@ def _kan_blocks(n: int, dims_of_p) -> list[tuple[MonotoneMap, int, int]]:
 def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> SimplicialModule:
     """Quasi-inverse to the normalized complex.
 
-    K(C)_n sums C_p over monotone surjections [n] ->> [p].  For a monotone
-    alpha and summand label eta, write eta o alpha = mono o eta'; the block
-    is the identity into summand eta' when mono is the identity, and
-    (-1)^p d: C_p -> C_{p-1} into summand eta' when mono is the last face
-    [p-1] -> [p]; otherwise zero.
+    K(C)_n sums C_p over monotone surjections [n] ->> [p]; each block of
+    the action of a monotone map follows ``kan_block``.
     """
     if c.n_min < 0:
         raise ValueError("Kan transform needs a complex concentrated in degrees >= 0")
@@ -358,7 +373,6 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
     faces = {}
     degens = {}
     labels = {}
-    last_face_cache = {p: MonotoneMap.face(p, p) for p in range(1, d_max + 1)}
 
     for w in c.weights():
         def cdim(p):
@@ -366,29 +380,24 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
 
         layout = {n: _kan_blocks(n, cdim) for n in range(d_max + 1)}
         sizes = {n: sum(cdim(p) for (_, p, _) in layout[n]) for n in range(d_max + 1)}
-        index = {n: {eta.values: (p, off) for (eta, p, off) in layout[n]} for n in range(d_max + 1)}
+        index = {n: {eta.values: off for (eta, _, off) in layout[n]} for n in range(d_max + 1)}
         for n in range(d_max + 1):
             if sizes[n]:
                 dims[(n, w)] = sizes[n]
                 labels[(n, w)] = [(eta.values, p) for (eta, p, _) in layout[n] for _ in range(cdim(p))]
 
         def block_action(n: int, alpha: MonotoneMap) -> np.ndarray:
-            m_target = alpha.source
-            out = mzeros(sizes[n], sizes.get(m_target, 0))
+            out = mzeros(sizes[n], sizes.get(alpha.source, 0))
             for (eta, p, off) in layout[n]:
-                comp = eta.compose(alpha)
-                eta2, mono = epi_mono_factorize(comp)
-                if mono.is_identity:
-                    tgt = index[m_target].get(eta2.values)
-                    if tgt and tgt[0] == p:
-                        off2 = tgt[1]
-                        out[off : off + cdim(p), off2 : off2 + cdim(p)] += midentity(cdim(p))
-                elif p >= 1 and mono.values == last_face_cache[p].values and mono.source == p - 1:
-                    tgt = index[m_target].get(eta2.values)
-                    if tgt and tgt[0] == p - 1:
-                        off2 = tgt[1]
-                        sign = -1 if p % 2 else 1
-                        out[off : off + cdim(p), off2 : off2 + cdim(p - 1)] += sign * c.diff(p, w)
+                rule = kan_block(eta, alpha)
+                if rule is None:
+                    continue
+                label, kind = rule
+                off2 = index[alpha.source].get(label)
+                if off2 is None:
+                    continue
+                blk = midentity(cdim(p)) if kind == "id" else (-1) ** p * c.diff(p, w)
+                out[off : off + blk.shape[0], off2 : off2 + blk.shape[1]] += blk
             return out % ring.modulus
 
         for n in range(1, d_max + 1):
@@ -482,27 +491,6 @@ class BisimplicialModule:
                             if (hv != vh).any():
                                 raise ValueError(f"h/v faces do not commute at {(p, q, i, j, w)}")
 
-    def double_complex(self):
-        """Unnormalized double complex with the (-1)^p vertical twist left to
-        the total-complex builder (raw commuting differentials here)."""
-        from .complexes import DoubleComplex
-
-        terms = dict(self.dims)
-        horiz = {}
-        vert = {}
-        for (p, q, w), dim in self.dims.items():
-            if p >= 1:
-                d = mzeros(dim, self.dim(p - 1, q, w))
-                for i in range(p + 1):
-                    d = d + ((-1) ** i) * self.hface(p, q, i, w)
-                horiz[(p, q, w)] = d % self.ring.modulus
-            if q >= 1:
-                d = mzeros(dim, self.dim(p, q - 1, w))
-                for i in range(q + 1):
-                    d = d + ((-1) ** i) * self.vface(p, q, i, w)
-                vert[(p, q, w)] = d % self.ring.modulus
-        return DoubleComplex(self.ring, terms, horiz, vert)
-
 
 def diagonal(b: BisimplicialModule) -> SimplicialModule:
     """X_n = B_{n,n} with d_i = d_i^h d_i^v and s_i = s_i^h s_i^v."""
@@ -559,43 +547,29 @@ def double_kan(dc, p_max: int, q_max: int) -> BisimplicialModule:
                                 off += d
                 layout[(m, n)] = blocks
                 sizes[(m, n)] = off
-                index[(m, n)] = {(e.values, r.values): (p, q, o) for (e, r, p, q, o) in blocks}
+                index[(m, n)] = {(e.values, r.values): o for (e, r, _, _, o) in blocks}
                 if off:
                     dims[(m, n, w)] = off
-
-        def one_factor(eta, alpha, p):
-            """Kan block data in one direction: (eta', kind) with kind in
-            {"id", "d", None}."""
-            comp = eta.compose(alpha)
-            eta2, mono = epi_mono_factorize(comp)
-            if mono.is_identity:
-                return eta2, "id"
-            if p >= 1 and mono.source == p - 1 and mono.values == MonotoneMap.face(p, p).values:
-                return eta2, "d"
-            return None, None
 
         def build(m, n, alpha, horizontal: bool):
             tgt_mn = (alpha.source, n) if horizontal else (m, alpha.source)
             out = mzeros(sizes[(m, n)], sizes.get(tgt_mn, 0))
             for (eta, rho, p, q, off) in layout[(m, n)]:
-                if horizontal:
-                    eta2, kind = one_factor(eta, alpha, p)
-                    if kind is None:
-                        continue
-                    p2, q2 = (p, q) if kind == "id" else (p - 1, q)
-                    key = (eta2.values, rho.values)
-                    blk = midentity(ddim(p, q)) if kind == "id" else ((-1) ** p) * dc.h(p, q, w)
+                rule = kan_block(eta if horizontal else rho, alpha)
+                if rule is None:
+                    continue
+                label, kind = rule
+                key = (label, rho.values) if horizontal else (eta.values, label)
+                o2 = index[tgt_mn].get(key)
+                if o2 is None:
+                    continue
+                if kind == "id":
+                    blk = midentity(ddim(p, q))
+                elif horizontal:
+                    blk = (-1) ** p * dc.h(p, q, w)
                 else:
-                    rho2, kind = one_factor(rho, alpha, q)
-                    if kind is None:
-                        continue
-                    p2, q2 = (p, q) if kind == "id" else (p, q - 1)
-                    key = (eta.values, rho2.values)
-                    blk = midentity(ddim(p, q)) if kind == "id" else ((-1) ** q) * dc.v(p, q, w)
-                tgt = index[tgt_mn].get(key)
-                if tgt and (tgt[0], tgt[1]) == (p2, q2) and blk.size:
-                    o2 = tgt[2]
-                    out[off : off + blk.shape[0], o2 : o2 + blk.shape[1]] += blk
+                    blk = (-1) ** q * dc.v(p, q, w)
+                out[off : off + blk.shape[0], o2 : o2 + blk.shape[1]] += blk
             return out % ring.modulus
 
         for m in range(p_max + 1):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import upoly
 from .exactlin import ModRing, is_prime
 
 __all__ = [
@@ -177,25 +178,11 @@ class QuotientRing:
     def __init__(self, ring: ModRing, g_coeffs):
         self.ring = ring
         self.m = ring.modulus
-        g = [c % self.m for c in g_coeffs]
-        while len(g) > 1 and g[-1] == 0:
-            g.pop()
-        if g[-1] != 1:
+        g = upoly.trim(c % self.m for c in g_coeffs)
+        if not g or g[-1] != 1:
             raise ValueError("modulus polynomial must be monic")
         self.g = tuple(g)
         self.deg = len(g) - 1
-        # reduction table for x^j, j = deg .. 2 deg - 2
-        self._red = {}
-        cur = [(-c) % self.m for c in g[:-1]]  # x^deg
-        self._red[self.deg] = tuple(cur)
-        for j in range(self.deg + 1, 2 * self.deg - 1):
-            nxt = [0] + cur[:-1] if self.deg > 1 else [0]
-            if self.deg > 1 and cur[-1]:
-                lead = cur[-1]
-                nxt = [(nxt[t] + lead * self._red[self.deg][t]) % self.m for t in range(self.deg)]
-                nxt = [(x + y) % self.m for x, y in zip([0] + cur[:-1], [lead * c % self.m for c in self._red[self.deg]])]
-            self._red[j] = tuple(x % self.m for x in nxt)
-            cur = list(self._red[j])
         self.zero = (0,) * self.deg
         one = [0] * self.deg
         one[0] = 1 % self.m
@@ -209,36 +196,10 @@ class QuotientRing:
         return self.m ** self.deg
 
     def element(self, coeffs) -> tuple:
-        out = [c % self.m for c in coeffs]
-        while len(out) > self.deg:
-            # long reduction for arbitrary-degree input
-            k = len(out) - 1
-            lead = out.pop()
-            if lead:
-                red = self._power_reduction(k)
-                for t in range(self.deg):
-                    out[t] = (out[t] + lead * red[t]) % self.m
-        out += [0] * (self.deg - len(out))
-        return tuple(out)
-
-    def _power_reduction(self, k: int) -> tuple:
-        if k < self.deg:
-            e = [0] * self.deg
-            e[k] = 1
-            return tuple(e)
-        if k in self._red:
-            return self._red[k]
-        prev = self._power_reduction(k - 1)
-        shifted = [0] + list(prev[:-1])
-        lead = prev[-1]
-        if lead:
-            base = self._power_reduction(self.deg)
-            shifted = [(shifted[t] + lead * base[t]) % self.m for t in range(self.deg)]
-        self._red[k] = tuple(x % self.m for x in shifted)
-        return self._red[k]
+        return tuple(upoly.rem(coeffs, self.g, self.m))
 
     def x_power(self, k: int) -> tuple:
-        return self._power_reduction(k) if k >= self.deg else self.element([0] * k + [1])
+        return self.element([0] * k + [1])
 
     def add(self, a, b):
         return tuple((x + y) % self.m for x, y in zip(a, b))
@@ -252,27 +213,10 @@ class QuotientRing:
 
     def _build_table(self):
         elems = list(self.enumerate())
-        index = {e: k for k, e in enumerate(elems)}
-        table = {}
-        for a in elems:
-            for b in elems:
-                table[(a, b)] = self._mul_raw(a, b)
-        self._table = table
+        self._table = {(a, b): self._mul_raw(a, b) for a in elems for b in elems}
 
     def _mul_raw(self, a, b):
-        conv = [0] * (2 * self.deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] = (conv[i + j] + x * y) % self.m
-        out = list(conv[: self.deg])
-        for j in range(self.deg, len(conv)):
-            if conv[j]:
-                red = self._power_reduction(j)
-                for t in range(self.deg):
-                    out[t] = (out[t] + conv[j] * red[t]) % self.m
-        return tuple(out)
+        return tuple(upoly.rem(upoly.mul(a, b, self.m), self.g, self.m))
 
     def mul(self, a, b):
         if self._table is not None:

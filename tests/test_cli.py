@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from derhamkit.cli import main
+from derhamkit.cli import build_parser, main
 from derhamkit.suites import list_suites, run_suite
 
 
@@ -46,6 +46,17 @@ def test_usage_errors():
     assert main(["verify", "no-such-suite"]) == 2
     # flag not accepted by the suite
     assert main(["verify", "different-valuation", "--m", "3"]) == 2
+
+
+_SCHEMA_FLAGS = [(d.name, k, t) for d in list_suites() for (k, t, _) in d.params]
+
+
+@pytest.mark.parametrize("suite,param,typ", _SCHEMA_FLAGS,
+                         ids=[f"{s}-{k}" for (s, k, _) in _SCHEMA_FLAGS])
+def test_verify_accepts_every_schema_parameter(suite, param, typ):
+    value = "x^3" if typ is str else "1"
+    args = build_parser().parse_args(["verify", suite, "--" + param.replace("_", "-"), value])
+    assert getattr(args, param) == typ(value)
 
 
 def test_unknown_parameter_via_api():

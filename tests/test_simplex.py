@@ -177,6 +177,29 @@ def test_eilenberg_zilber_small():
                 assert lhs == rhs
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_double_kan_matches_kan_transform_on_a_row_and_a_column(seed):
+    rng = random.Random(seed)
+    ring = (ModRing(2, 2), ModRing(3, 1))[seed % 2]
+    c = random_complex(ring, rng, max_degree=3, max_rank=3, weight_choices=(0, 1))
+    d_max = c.n_max + 1
+    k = kan_transform(c, d_max=d_max)
+    row = double_kan(DoubleComplex(ring, {(p, 0, w): d for (p, w), d in c.dims.items()},
+                                   {(p, 0, w): c.diff(p, w) for (p, w) in c.diffs}, {}),
+                     d_max, 0)
+    col = double_kan(DoubleComplex(ring, {(0, q, w): d for (q, w), d in c.dims.items()},
+                                   {}, {(0, q, w): c.diff(q, w) for (q, w) in c.diffs}),
+                     0, d_max)
+    assert row.dims == {(n, 0, w): d for (n, w), d in k.dims.items()}
+    assert col.dims == {(0, n, w): d for (n, w), d in k.dims.items()}
+    for (n, i, w) in k.faces:
+        assert np.array_equal(row.hface(n, 0, i, w), k.face(n, i, w))
+        assert np.array_equal(col.vface(0, n, i, w), k.face(n, i, w))
+    for (n, i, w) in k.degens:
+        assert np.array_equal(row.hdegen(n, 0, i, w), k.degen(n, i, w))
+        assert np.array_equal(col.vdegen(0, n, i, w), k.degen(n, i, w))
+
+
 def test_diagonal_trivial_cases():
     ring = ModRing(2, 1)
     zero = DoubleComplex(ring, {}, {}, {})
