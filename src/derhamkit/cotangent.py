@@ -488,7 +488,8 @@ def verify_nonzerodivisor(pres: AlgebraPresentation, weight_bound: int) -> None:
     """Multiplication by f on k[x] must be injective up to the weight bound."""
     d = pres.degree
     rows = []
-    for a in range(max(weight_bound - d, 0) + 1):
+    # f * x^a for a <= weight_bound - d; none when weight_bound < deg f
+    for a in range(weight_bound - d + 1):
         row = [0] * (weight_bound + 1)
         for k, c in enumerate(pres.f_coeffs):
             if a + k <= weight_bound:

@@ -7,7 +7,8 @@ membership, p-adic valuations and resultants.
 
 Conventions: module elements are *row* vectors; a homomorphism is a matrix
 ``M`` of shape (source dim, target dim) acting by ``v @ M``.  Matrices over
-Z/p^n are numpy int64 arrays with entries reduced to [0, p^n); matrices over
+Z/p^n are numpy int64 arrays with entries reduced to [0, p^n), and p^n is
+below 2^31 so that a product of two residues fits in int64; matrices over
 Z are plain lists of Python ints (arbitrary precision).
 """
 
@@ -69,6 +70,10 @@ class ModRing:
             raise ValueError(f"modulus base {self.p} is not prime")
         if self.n < 1:
             raise ValueError("exponent must be >= 1")
+        # the numpy kernels multiply two residues in int64: m^2 must fit
+        if self.p ** self.n >= 2 ** 31:
+            raise ValueError(f"modulus {self.p}^{self.n} is not below 2^31, "
+                             "the largest the int64 kernels handle exactly")
 
     @property
     def modulus(self) -> int:
@@ -286,6 +291,22 @@ def howell_form(matrix, ring: ModRing, transform: bool = False):
     above a pivot are reduced mod the pivot, and the span property holds
     (every span element supported on columns >= c lies in the span of the
     rows with pivot column >= c).  Zero rows are dropped.
+
+    Forward elimination is sparse.  Each row is a ``{col: value}`` dict of
+    Python ints kept in the bucket of its leading column, so column ``c``
+    visits only the rows that are nonzero there.  Eliminating a row costs
+    O(nnz(pivot) + nnz(row)), after which the row moves to the bucket of
+    its new leading column.  The pivot of column ``c`` is a row of minimal
+    valuation at ``c``; ties go to the lowest rank, where input rows rank by
+    index and stabilization rows follow in the order they were created.  The
+    pivot is scaled by a unit so that its entry becomes p^v, and when v > 0
+    the stabilization row p^(n-v) * pivot, which is zero at ``c``, joins
+    the rows still to be reduced.  Back-reduction takes the pivots in
+    increasing column order and reduces the entries above each one modulo
+    it, as one numpy update of the dense output restricted to the rows
+    whose quotient is nonzero.  A pivot row is zero left of its pivot, so
+    later steps never disturb already-reduced columns.  These rules fix H
+    and T completely, not just up to the canonical span.
     """
     m = ring.modulus
     p = ring.p
@@ -293,95 +314,75 @@ def howell_form(matrix, ring: ModRing, transform: bool = False):
     if a.ndim == 1:
         a = a.reshape(1, -1)
     rows, cols = a.shape
-    if transform:
-        t = midentity(rows)
-    else:
-        t = None
 
-    work = a.copy()
-    # Stabilization rows p^(n-v) * r enter lazily during elimination.
-    extra: list[np.ndarray] = []
-    extra_t: list[np.ndarray] = []
+    # buckets[c]: (rank, row, transform row) for each row leading at column c
+    buckets: list[list] = [[] for _ in range(cols)]
+    sparse: list[dict] = [{} for _ in range(rows)]
+    nz_r, nz_c = np.nonzero(a)
+    for i, j, x in zip(nz_r.tolist(), nz_c.tolist(), a[nz_r, nz_c].tolist()):
+        sparse[i][j] = x
+    for i, row in enumerate(sparse):
+        if row:
+            buckets[min(row)].append((i, row, {i: 1} if transform else None))
+    next_rank = rows
 
-    pivots: list[tuple[int, int]] = []  # (col, row index in out lists)
-    out_rows: list[np.ndarray] = []
-    out_t: list[np.ndarray] = []
+    def subtract(row: dict, q: int, tail) -> None:  # row -= q * tail, mod m
+        for j, x in tail:
+            y = (row.get(j, 0) - q * x) % m
+            if y:
+                row[j] = y
+            else:
+                row.pop(j, None)
 
-    def val(x: int) -> int:
-        return ring.val(int(x))
-
-    active = list(range(rows))
-    avail = [work[i].copy() for i in active]
-    avail_t = [t[i].copy() for i in active] if transform else [None] * rows
-
-    col = 0
-    while col < cols:
-        # choose among available rows one with minimal valuation at this col
-        best = None
-        bestv = ring.n + 1
-        for idx, r in enumerate(avail):
-            x = int(r[col])
-            if x % m != 0:
-                v = val(x)
-                if v < bestv:
-                    bestv = v
-                    best = idx
-        if best is None:
-            col += 1
+    pivots: list[tuple[int, dict, dict | None]] = []  # (col, row, transform row)
+    for col in range(cols):
+        bucket = buckets[col]
+        if not bucket:
             continue
-        piv = avail.pop(best)
-        piv_t = avail_t.pop(best)
-        # normalize pivot entry to p^v
-        x = int(piv[col])
-        unit = x // (p ** bestv)
-        inv = ring.unit_inverse(unit)
-        piv = (piv * inv) % m
+        best = min(bucket, key=lambda e: (ring.val(e[1][col]), e[0]))
+        _, piv, piv_t = best
+        v = ring.val(piv[col])
+        pe = p ** v
+        inv = ring.unit_inverse(piv[col] // pe)
+        piv = {j: x * inv % m for j, x in piv.items()}
+        tail = [(j, x) for j, x in piv.items() if j != col]
         if transform:
-            piv_t = (piv_t * inv) % m
-        # eliminate this column from the remaining rows (their valuation >= bestv)
-        pe = p ** bestv
-        for idx in range(len(avail)):
-            x = int(avail[idx][col])
-            if x % m != 0:
-                q = x // pe
-                avail[idx] = (avail[idx] - q * piv) % m
-                if transform:
-                    avail_t[idx] = (avail_t[idx] - q * piv_t) % m
-        # stabilization: if pivot is not a unit, p^(n-v)*row has support to the right
-        if bestv > 0:
-            srow = (piv * (p ** (ring.n - bestv))) % m
-            if srow.any():
-                avail.append(srow)
-                if transform:
-                    avail_t.append((piv_t * (p ** (ring.n - bestv))) % m)
-                else:
-                    avail_t.append(None)
-        out_rows.append(piv)
-        out_t.append(piv_t)
-        pivots.append((col, len(out_rows) - 1))
-        col += 1
+            piv_t = {j: x * inv % m for j, x in piv_t.items()}
+            tail_t = list(piv_t.items())
+        # every other row here has valuation >= v at col, so q * pe is exact
+        for entry in bucket:
+            if entry is best:
+                continue
+            _, row, row_t = entry
+            q = row.pop(col) // pe
+            subtract(row, q, tail)
+            if transform:
+                subtract(row_t, q, tail_t)
+            if row:
+                buckets[min(row)].append(entry)
+        if v > 0:
+            s = p ** (ring.n - v)
+            srow = {j: y for j, x in piv.items() if (y := x * s % m)}
+            if srow:
+                srow_t = {j: y for j, x in piv_t.items() if (y := x * s % m)} if transform else None
+                buckets[min(srow)].append((next_rank, srow, srow_t))
+                next_rank += 1
+        pivots.append((col, piv, piv_t))
 
-    if not out_rows:
-        h = mzeros(0, cols)
-        return (h, mzeros(0, rows)) if transform else h
-
-    h = np.vstack(out_rows) % m
-    tt = np.vstack(out_t) % m if transform else None
-
-    # Back-reduce entries above each pivot modulo the pivot value, in
-    # increasing column order: a pivot row is zero left of its pivot, so
-    # later steps never disturb already-reduced columns.  (Above-pivot
-    # entries stay nonzero here, unlike the field case, so bottom-up
-    # ordering would clobber earlier columns.)
-    for col, ridx in pivots:
-        pe = int(h[ridx][col])
-        for i in range(ridx):
-            x = int(h[i][col])
-            q = x // pe
-            if q:
-                h[i] = (h[i] - q * h[ridx]) % m
-                if transform:
-                    tt[i] = (tt[i] - q * tt[ridx]) % m
+    h = mzeros(len(pivots), cols)
+    tt = mzeros(len(pivots), rows) if transform else None
+    for k, (_, row, row_t) in enumerate(pivots):
+        h[k, list(row)] = list(row.values())
+        if transform:
+            tt[k, list(row_t)] = list(row_t.values())
+    for k, (col, _, _) in enumerate(pivots):
+        q = h[:k, col] // h[k, col]
+        above = np.flatnonzero(q)
+        if above.size:
+            q = q[above, None]
+            h[above] = (h[above] - q * h[k]) % m
+            if transform:
+                tt[above] = (tt[above] - q * tt[k]) % m
     return (h, tt) if transform else h
 
 

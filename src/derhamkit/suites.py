@@ -95,7 +95,7 @@ class SuiteReport:
 
     def exit_code(self, allow_truncated: bool = False) -> int:
         s = self.summary
-        if s["fail"]:
+        if not self.cases or s["fail"]:
             return 1
         if s["truncated"] and not allow_truncated:
             return 1
@@ -522,6 +522,10 @@ SUITES = {
 }
 
 
+# parameters that count cases or steps; below 1 a suite would run no cases
+COUNT_PARAMS = frozenset({"cases", "r_max"})
+
+
 def list_suites() -> list[SuiteDescriptor]:
     return [SUITES[k] for k in sorted(SUITES)]
 
@@ -539,6 +543,8 @@ def run_suite(name: str, params: dict | None = None, seed: int = 0) -> SuiteRepo
         params.setdefault(k, default)
         if not isinstance(params[k], t):
             raise ValueError(f"parameter {k!r} must be {t.__name__}")
+        if k in COUNT_PARAMS and params[k] < 1:
+            raise ValueError(f"parameter {k!r} must be at least 1, got {params[k]}")
     rng = random.Random(seed)
     t0 = time.monotonic()
     cases = desc.runner(params, rng)

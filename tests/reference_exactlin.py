@@ -1,0 +1,121 @@
+"""Dense Howell-form kernel kept as the reference for ``exactlin.howell_form``.
+
+This is the O(rows * cols)-per-column elimination that ``exactlin`` used
+before its sparse rewrite, unchanged.  The tests require the library kernel
+to return exactly the same ``H`` and ``T`` (not merely the same canonical
+span) on every matrix they try, because ``T`` feeds ``solve_in_span`` and
+everything built on it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from derhamkit.exactlin import ModRing, midentity, mzeros
+
+
+def howell_form(matrix, ring: ModRing, transform: bool = False):
+    """Howell canonical form of the row span of ``matrix`` over Z/p^n.
+
+    Returns H (and T with T @ matrix = H when ``transform``).  H satisfies:
+    echelon shape, each pivot is p^v (monic up to normalization), entries
+    above a pivot are reduced mod the pivot, and the span property holds
+    (every span element supported on columns >= c lies in the span of the
+    rows with pivot column >= c).  Zero rows are dropped.
+    """
+    m = ring.modulus
+    p = ring.p
+    a = np.asarray(matrix, dtype=np.int64) % m
+    if a.ndim == 1:
+        a = a.reshape(1, -1)
+    rows, cols = a.shape
+    if transform:
+        t = midentity(rows)
+    else:
+        t = None
+
+    work = a.copy()
+    # Stabilization rows p^(n-v) * r enter lazily during elimination.
+    extra: list[np.ndarray] = []
+    extra_t: list[np.ndarray] = []
+
+    pivots: list[tuple[int, int]] = []  # (col, row index in out lists)
+    out_rows: list[np.ndarray] = []
+    out_t: list[np.ndarray] = []
+
+    def val(x: int) -> int:
+        return ring.val(int(x))
+
+    active = list(range(rows))
+    avail = [work[i].copy() for i in active]
+    avail_t = [t[i].copy() for i in active] if transform else [None] * rows
+
+    col = 0
+    while col < cols:
+        # choose among available rows one with minimal valuation at this col
+        best = None
+        bestv = ring.n + 1
+        for idx, r in enumerate(avail):
+            x = int(r[col])
+            if x % m != 0:
+                v = val(x)
+                if v < bestv:
+                    bestv = v
+                    best = idx
+        if best is None:
+            col += 1
+            continue
+        piv = avail.pop(best)
+        piv_t = avail_t.pop(best)
+        # normalize pivot entry to p^v
+        x = int(piv[col])
+        unit = x // (p ** bestv)
+        inv = ring.unit_inverse(unit)
+        piv = (piv * inv) % m
+        if transform:
+            piv_t = (piv_t * inv) % m
+        # eliminate this column from the remaining rows (their valuation >= bestv)
+        pe = p ** bestv
+        for idx in range(len(avail)):
+            x = int(avail[idx][col])
+            if x % m != 0:
+                q = x // pe
+                avail[idx] = (avail[idx] - q * piv) % m
+                if transform:
+                    avail_t[idx] = (avail_t[idx] - q * piv_t) % m
+        # stabilization: if pivot is not a unit, p^(n-v)*row has support to the right
+        if bestv > 0:
+            srow = (piv * (p ** (ring.n - bestv))) % m
+            if srow.any():
+                avail.append(srow)
+                if transform:
+                    avail_t.append((piv_t * (p ** (ring.n - bestv))) % m)
+                else:
+                    avail_t.append(None)
+        out_rows.append(piv)
+        out_t.append(piv_t)
+        pivots.append((col, len(out_rows) - 1))
+        col += 1
+
+    if not out_rows:
+        h = mzeros(0, cols)
+        return (h, mzeros(0, rows)) if transform else h
+
+    h = np.vstack(out_rows) % m
+    tt = np.vstack(out_t) % m if transform else None
+
+    # Back-reduce entries above each pivot modulo the pivot value, in
+    # increasing column order: a pivot row is zero left of its pivot, so
+    # later steps never disturb already-reduced columns.  (Above-pivot
+    # entries stay nonzero here, unlike the field case, so bottom-up
+    # ordering would clobber earlier columns.)
+    for col, ridx in pivots:
+        pe = int(h[ridx][col])
+        for i in range(ridx):
+            x = int(h[i][col])
+            q = x // pe
+            if q:
+                h[i] = (h[i] - q * h[ridx]) % m
+                if transform:
+                    tt[i] = (tt[i] - q * tt[ridx]) % m
+    return (h, tt) if transform else h

@@ -110,3 +110,29 @@ def test_truncated_evidence_exit_semantics():
     assert rep.summary == {"pass": 0, "fail": 0, "truncated": 1}
     assert rep.exit_code(allow_truncated=False) == 1
     assert rep.exit_code(allow_truncated=True) == 0
+
+
+@pytest.mark.parametrize("suite,flag,value", [
+    ("dold-kan-roundtrip", "--cases", "0"),
+    ("koszul-gamma", "--cases", "-3"),
+    ("different-valuation", "--r-max", "0"),
+])
+def test_count_parameters_below_one_are_usage_errors(suite, flag, value, capsys):
+    param = flag[2:].replace("-", "_")
+    with pytest.raises(ValueError, match=param):
+        run_suite(suite, {param: int(value)})
+    assert main(["verify", suite, flag, value]) == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_report_without_cases_fails():
+    from derhamkit.suites import SuiteReport
+
+    rep = SuiteReport("synthetic", {}, 0, [], 0)
+    assert rep.exit_code() == 1
+    assert rep.exit_code(allow_truncated=True) == 1
+
+
+def test_modulus_too_large_is_a_usage_error(capsys):
+    assert main(["verify", "dold-kan-roundtrip", "--p", "2", "--n", "40", "--cases", "1"]) == 2
+    assert "2^31" in capsys.readouterr().err

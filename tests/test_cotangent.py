@@ -87,6 +87,23 @@ def test_nonzerodivisor_check_passes_units():
     verify_nonzerodivisor(AlgebraPresentation(Z4, "quotient", "x", (0, 0, 3)), 6)
 
 
+def test_nonzerodivisor_check_below_deg_f_has_nothing_to_check():
+    # no multiple f * x^a has weight <= bound < deg f, so there is no witness
+    for bound in range(3):
+        verify_nonzerodivisor(AlgebraPresentation(Z4, "quotient", "x", (0, 0, 0, 1)), bound)
+    verify_nonzerodivisor(AlgebraPresentation(F2, "quotient", "x", (0, 1)), 0)
+    # the zero divisor 2x^2 over Z/4 is still caught once the bound reaches deg f
+    with pytest.raises(ValueError, match="zero divisor"):
+        verify_nonzerodivisor(AlgebraPresentation(Z4, "quotient", "x", (0, 0, 2)), 2)
+
+
+def test_drpd_modp_runs_at_weight_bound_below_deg_f():
+    from derhamkit.suites import run_suite
+
+    rep = run_suite("drpd-modp", {"weight_bound": 0})
+    assert rep.cases and rep.exit_code() == 0
+
+
 def test_kaehler_presentations():
     # F_3[x]/(x^3) over F_3: relation 3 x^2 dx vanishes -> free rank 1, length 3
     kp = kaehler_presentation(AlgebraPresentation(F3, "hypersurface", "x", (0, 0, 0, 1)))

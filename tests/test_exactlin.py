@@ -6,6 +6,9 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_exactlin import howell_form as reference_howell_form
 
 from derhamkit.exactlin import (
     ZZ,
@@ -311,3 +314,108 @@ def test_local_smith_matches_integer_smith():
             factors, v, vinv = local_smith(rel if rel.size else np.zeros((0, cols), dtype=np.int64),
                                            ring, want_transform=True)
             assert ((v @ vinv) % m == np.eye(cols, dtype=np.int64)).all()
+
+
+# ---------------------------------------------------------------------------
+# the sparse Howell kernel against the dense reference, output for output
+
+KERNEL_RINGS = [ModRing(2, 1), ModRing(3, 1), ModRing(5, 1), ModRing(2, 2),
+                ModRing(2, 3), ModRing(3, 2), ModRing(3, 3)]
+
+
+def _assert_same_howell(matrix, ring):
+    """H and T equal the reference exactly (shape, dtype, entries); T A = H."""
+    for transform in (False, True):
+        got = howell_form(matrix, ring, transform=transform)
+        want = reference_howell_form(matrix, ring, transform=transform)
+        got, want = (got, want) if transform else ((got,), (want,))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert (g == w).all()
+    h, t = got
+    a = np.asarray(matrix, dtype=np.int64) % ring.modulus
+    if a.ndim == 1:
+        a = a.reshape(1, -1)
+    assert ((t @ a) % ring.modulus == h).all()
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_howell_form_matches_dense_reference_on_random_matrices(ring):
+    m = ring.modulus
+    rng = np.random.default_rng(1000 + m)
+    for density in (0.01, 0.05, 0.2, 0.5, 1.0):
+        for _ in range(12):
+            rows, cols = (int(x) for x in rng.integers(1, 13, size=2))
+            entries = rng.integers(-2 * m, 2 * m, size=(rows, cols))
+            mask = rng.random((rows, cols)) < density
+            mat = entries * mask
+            if rows >= 3:  # duplicate rows and multiples of one row
+                mat[1] = mat[0]
+                mat[2] = (ring.p * mat[0]) % m
+            _assert_same_howell(mat, ring)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_howell_form_matches_dense_reference_on_edge_cases(ring):
+    m = ring.modulus
+    cases = [
+        np.zeros((0, 4), dtype=np.int64),
+        np.zeros((3, 0), dtype=np.int64),
+        np.zeros((0, 0), dtype=np.int64),
+        np.zeros((4, 5), dtype=np.int64),
+        np.array([3, -1, 0, m, -m - 2]),  # 1-D input, negative entries
+        [[0, 0, 0], [-1, -2, -3], [0, 0, 0], [-1, -2, -3]],  # zero and duplicate rows
+        [[ring.p, 0, 1], [ring.p, 0, 1], [0, ring.p, ring.p]],
+        [[m - 1] * 6] * 4,
+        np.eye(5, dtype=np.int64) * ring.p,
+    ]
+    for mat in cases:
+        _assert_same_howell(mat, ring)
+
+
+def _matrices(max_rows=5, max_cols=5):
+    return st.sampled_from(KERNEL_RINGS).flatmap(
+        lambda ring: st.tuples(
+            st.just(ring),
+            st.integers(1, max_rows).flatmap(lambda r: st.integers(1, max_cols).flatmap(
+                lambda c: st.lists(st.lists(st.integers(0, ring.modulus - 1), min_size=c, max_size=c),
+                                   min_size=r, max_size=r)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(), st.randoms(use_true_random=False))
+def test_howell_form_invariant_under_unimodular_row_operations(ring_mat, rnd):
+    ring, mat = ring_mat
+    m = ring.modulus
+    a = np.array(mat, dtype=np.int64)
+    b = a.copy()
+    rows = b.shape[0]
+    for _ in range(10):
+        i, j = rnd.randrange(rows), rnd.randrange(rows)
+        op = rnd.randrange(3)
+        if op == 0 and i != j:
+            b[i] = (b[i] + rnd.randrange(m) * b[j]) % m
+        elif op == 1:
+            b[i] = (b[i] * (rnd.randrange(m // ring.p) * ring.p + 1)) % m  # a unit
+        else:
+            b[[i, j]] = b[[j, i]]
+    h, hb = howell_form(a, ring), howell_form(b, ring)
+    assert h.shape == hb.shape and (h == hb).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_left_kernel_annihilates(ring_mat):
+    ring, mat = ring_mat
+    a = np.array(mat, dtype=np.int64)
+    ker = left_kernel(a, ring)
+    assert ker.shape[1] == a.shape[0]
+    assert not ((ker @ a) % ring.modulus).any()
+
+
+def test_modring_rejects_moduli_beyond_int64_products():
+    for p, n in ((2, 30), (3, 19)):
+        assert ModRing(p, n).modulus < 2 ** 31
+    for p, n in ((2, 31), (3, 20)):
+        with pytest.raises(ValueError, match="2\\^31"):
+            ModRing(p, n)
