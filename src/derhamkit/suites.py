@@ -411,11 +411,16 @@ def run_witt_layer(params, rng):
 
 def run_theta_epsilon(params, rng):
     model = CyclotomicModel(params["p"], params["m"], params["n"], params["k"])
-    rep = ker_theta_report(model, check_hom_pairs=True)
+    rep = ker_theta_report(model)
+    d = (model.p - 1) * model.p ** (model.m - 1)  # rank of O over Z/p^n
+    closed = {"tilt": model.p ** d, "witt": model.p ** (d * model.n),
+              "o_mod_p^n": model.p ** (model.n * d), "kernel": rep.sizes["kernel"]}
+    expected = ", ".join(f"{k}={v}" for k, v in sorted(closed.items()))
     sizes = ", ".join(f"{k}={v}" for k, v in sorted(rep.sizes.items()))
     cases = [
-        _case("model-enumerated-sizes", sizes, sizes, ok=True),
-        _case("theta-is-ring-hom", "all enumerated pairs", "ok", ok=True),
+        _case("model-enumerated-sizes", expected, sizes),
+        _case("theta-is-ring-hom", "all enumerated pairs", "ok" if rep.theta_is_ring_hom else "violated",
+              ok=rep.theta_is_ring_hom),
         _case("theta-epsilon", "1", "1" if rep.theta_epsilon_is_one else "other",
               ok=rep.theta_epsilon_is_one),
         _case("theta-xi", "0", "0" if rep.theta_xi_zero else "other", ok=rep.theta_xi_zero),

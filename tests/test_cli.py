@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -136,3 +137,11 @@ def test_report_without_cases_fails():
 def test_modulus_too_large_is_a_usage_error(capsys):
     assert main(["verify", "dold-kan-roundtrip", "--p", "2", "--n", "40", "--cases", "1"]) == 2
     assert "2^31" in capsys.readouterr().err
+
+
+def test_oversized_witt_carrier_is_a_usage_error(capsys):
+    # W_2 of the 256-element tilt has 2^16 elements: 2^32 pairs, never walked
+    start = time.perf_counter()
+    assert main(["verify", "theta-epsilon", "--p", "2", "--m", "4", "--n", "2", "--k", "2"]) == 2
+    assert "2^12" in capsys.readouterr().err
+    assert time.perf_counter() - start < 30

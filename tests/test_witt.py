@@ -1,10 +1,15 @@
 """Witt vectors, structure polynomials, tilts, theta and its kernel."""
 
+import functools
+import itertools
 import random
 
 import pytest
+import reference_witt
 
+from derhamkit import suites, witt
 from derhamkit.exactlin import ModRing
+from derhamkit.suites import run_suite
 from derhamkit.witt import (
     CyclotomicModel,
     QuotientRing,
@@ -14,6 +19,7 @@ from derhamkit.witt import (
     epsilon_root_witt,
     epsilon_witt,
     generator_ring_homomorphisms,
+    is_ring_map,
     ker_theta_report,
     lift_homomorphism,
     structure_polynomials,
@@ -278,3 +284,96 @@ def test_theta_model_odd_prime():
     xi = xi_cyclotomic(w, t)
     assert theta_map(xi, model) == o.zero  # 1 + zeta_3 + zeta_3^2 = 0
     assert theta_map(eps - w.one, model) == o.zero
+
+
+class _MemoizedBase:
+    """A base ring's own zero, one, add, mul and scale, memoized so that the
+    reference can run on every pair of a Witt carrier in a few seconds."""
+
+    def __init__(self, base):
+        self.zero, self.one = base.zero, base.one
+        self.add, self.mul, self.scale = (functools.cache(op) for op in (base.add, base.mul, base.scale))
+
+
+def _assert_matches_reference(w, index_pairs):
+    """WittVector +, * and negation, and the pair tables, equal the tuple
+    reference on the given pairs of enumeration positions."""
+    t = w.table()
+    base = _MemoizedBase(w.base)
+    elems = list(w.enumerate())
+    add_pos, mul_pos = w.pair_tables
+    for i, j in index_pairs:
+        a, b = elems[i], elems[j]
+        ref_add = reference_witt.witt_op(base, t.add, a, b)
+        ref_mul = reference_witt.witt_op(base, t.mul, a, b)
+        assert (a + b).coords == ref_add == elems[add_pos[i, j]].coords
+        assert (a * b).coords == ref_mul == elems[mul_pos[i, j]].coords
+    for i in {i for pair in index_pairs for i in pair}:
+        assert (-elems[i]).coords == reference_witt.witt_op(base, t.neg, elems[i])
+
+
+def test_coded_arithmetic_matches_reference_on_every_pair_of_w2_f4():
+    f4 = QuotientRing(ModRing(2, 1), (1, 1, 1))
+    w = WittRing(2, 2, f4)
+    _assert_matches_reference(w, list(itertools.product(range(16), repeat=2)))
+
+
+def test_coded_arithmetic_matches_reference_on_every_pair_of_w2_tilt():
+    w = WittRing(2, 2, tilt_ring(CyclotomicModel(2, 3, 2, 2)))
+    _assert_matches_reference(w, list(itertools.product(range(256), repeat=2)))
+
+
+def test_coded_arithmetic_matches_reference_on_seeded_pairs_of_w3_z8():
+    w = WittRing(2, 3, plain_ring(2, 3))
+    rng = random.Random(11)
+    _assert_matches_reference(w, [(rng.randrange(512), rng.randrange(512)) for _ in range(200)])
+
+
+def test_is_ring_map_rejects_an_additive_map_that_is_not_multiplicative():
+    f2 = plain_ring(2, 1)
+    w = WittRing(2, 2, f2)
+    z4 = plain_ring(2, 2)
+    phi = brute_force_ring_isomorphism(w, z4)
+    images = [phi[x.coords] for x in w.enumerate()]
+    assert is_ring_map(w, images, z4)
+    tripled = [z4.scale(3, y) for y in images]  # 3 phi(1) * 3 phi(1) = 1 != 3 phi(1)
+    assert not is_ring_map(w, tripled, z4)
+
+
+def test_carriers_above_the_coding_bound_are_rejected():
+    big = QuotientRing(ModRing(2, 1), (0,) * 13 + (1,))  # F_2[x]/(x^13), 8192 elements
+    w = WittRing(2, 1, big)
+    with pytest.raises(ValueError, match="2\\^12"):
+        w.one + w.one
+    z128 = plain_ring(2, 7)
+    with pytest.raises(ValueError, match="2\\^12"):
+        WittRing(2, 2, z128).pair_tables
+    assert WittRing(2, 1, z128).pair_tables[0].shape == (128, 128)
+
+
+def test_theta_epsilon_reports_a_non_homomorphism_as_a_failed_case(monkeypatch):
+    theta = witt.theta_map
+
+    def squared(w, model, lift=None):  # multiplicative, but not additive in O/4
+        o = model.ring_o()
+        return o.mul(theta(w, model, lift), theta(w, model, lift))
+
+    monkeypatch.setattr(witt, "theta_map", squared)
+    rep = run_suite("theta-epsilon", {"p": 2, "m": 3, "n": 2, "k": 2}, seed=1)
+    status = {case.name: case.status for case in rep.cases}
+    assert status["theta-is-ring-hom"] == "fail"
+    assert rep.exit_code() == 1
+
+
+def test_theta_epsilon_checks_the_enumerated_sizes_against_closed_forms(monkeypatch):
+    report = suites.ker_theta_report
+
+    def miscounted(model):
+        rep = report(model)
+        rep.sizes["tilt"] -= 1
+        return rep
+
+    monkeypatch.setattr(suites, "ker_theta_report", miscounted)
+    rep = run_suite("theta-epsilon", {"p": 2, "m": 3, "n": 2, "k": 2}, seed=1)
+    sizes = next(case for case in rep.cases if case.name == "model-enumerated-sizes")
+    assert sizes.status == "fail" and "tilt=16" in sizes.expected and "tilt=15" in sizes.computed
