@@ -143,7 +143,7 @@ class SliceQuotient:
         all_factors, vmod, vinv = local_smith(rel if rel.size else mzeros(0, u), ring,
                                               want_transform=True)
         keep = [j for j, d in enumerate(all_factors) if d > 1]
-        gen_reps = (vinv[keep] @ hk) % m if keep else mzeros(0, amb)
+        gen_reps = mmul(vinv[keep], hk, ring) if keep else mzeros(0, amb)
         return SliceQuotient(ring, amb, hk, [all_factors[j] for j in keep], gen_reps, vmod, all_factors)
 
     @property
@@ -164,7 +164,7 @@ class SliceQuotient:
         c = solve_in_span(np.asarray(vector) % self.ring.modulus, self.cycles, self.ring)
         if c is None:
             return None
-        y = (c @ self._vmat) % self.ring.modulus
+        y = mmul(c, self._vmat, self.ring)
         keep = [j for j, d in enumerate(self._all_factors) if d > 1]
         return tuple(int(y[j]) % self._all_factors[j] for j in keep)
 

@@ -38,6 +38,7 @@ from .exactlin import (
     ModRing,
     howell_form,
     left_kernel,
+    mmul,
     mzeros,
     quotient_invariants,
     span_contains,
@@ -725,7 +726,7 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
         phi_m = np.vstack(phi_rows) if phi_rows else mzeros(0, 0)
         # relations map to boundaries
         for row in rel:
-            vec = (row @ phi_m) % m if phi_m.size else mzeros(1, 0)[0]
+            vec = mmul(row, phi_m, ring)
             if q.coords(vec) is None or not q.is_zero_class(vec):
                 iso_ok = False
         # surjectivity: images of pd basis classes generate H_0 slice
@@ -846,8 +847,8 @@ def _cycle_intersection(total: GradedSliceComplex, fil_rows: np.ndarray, n: int,
     d = total.diff(n, w)
     if d.shape[1] == 0:
         return fil_rows
-    composite = (fil_rows @ d) % total.ring.modulus
+    composite = mmul(fil_rows, d, total.ring)
     ker = left_kernel(composite, total.ring)
     if ker.shape[0] == 0:
         return mzeros(0, fil_rows.shape[1])
-    return howell_form((ker @ fil_rows) % total.ring.modulus, total.ring)
+    return howell_form(mmul(ker, fil_rows, total.ring), total.ring)

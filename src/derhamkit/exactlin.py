@@ -175,12 +175,20 @@ def midentity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 def mmul(a: np.ndarray, b: np.ndarray, ring: ModRing) -> np.ndarray:
-    # int64 overflow guard: entries < m, inner dim k: need k*(m-1)^2 < 2^63
+    """``(a @ b) mod m`` as int64, exact for entries of absolute value < m.
+
+    With inner dimension k, every partial sum is below k*(m-1)^2 in absolute
+    value.  Below 2^53 that is an exact float64 integer in any summation
+    order, so the product runs through BLAS; below 2^62 it runs in int64;
+    above that in Python integers.  ``a`` may be a single row vector.
+    """
     m = ring.modulus
-    if a.shape[1] * (m - 1) * (m - 1) >= 2 ** 62:
-        prod = (a.astype(object) @ b.astype(object)) % m
-        return np.asarray(prod, dtype=np.int64)
-    return (a @ b) % m
+    bound = a.shape[-1] * (m - 1) * (m - 1)
+    if bound < 2 ** 53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % m
+    if bound < 2 ** 62:
+        return (a @ b) % m
+    return np.asarray((a.astype(object) @ b.astype(object)) % m, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +575,7 @@ def local_smith(matrix: np.ndarray, ring: ModRing, want_transform: bool = False)
             a[:, t + 1 :] = (a[:, t + 1 :] - a[:, [t]] * q[None, :]) % m
             if want_transform:
                 v_mat[:, t + 1 :] = (v_mat[:, t + 1 :] - v_mat[:, [t]] * q[None, :]) % m
-                vinv[t] = (vinv[t] + q @ vinv[t + 1 :]) % m
+                vinv[t] = (vinv[t] + mmul(q, vinv[t + 1 :], ring)) % m
         pivot_vals.append(val)
         t += 1
     factors = [p ** v for v in pivot_vals] + [m] * (cols - len(pivot_vals))

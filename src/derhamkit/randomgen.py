@@ -13,7 +13,7 @@ import random
 import numpy as np
 
 from .complexes import GradedSliceComplex
-from .exactlin import ModRing, mzeros
+from .exactlin import ModRing, mmul, mzeros
 
 __all__ = ["random_complex", "random_invertible"]
 
@@ -23,7 +23,6 @@ def random_invertible(dim: int, ring: ModRing, rng: random.Random) -> tuple[np.n
     m = ring.modulus
     q = np.eye(dim, dtype=np.int64)
     qinv = np.eye(dim, dtype=np.int64)
-    units = [u for u in range(1, m) if u % ring.p != 0]
     for _ in range(3 * dim):
         kind = rng.randrange(3)
         if dim < 2 and kind != 1:
@@ -35,7 +34,10 @@ def random_invertible(dim: int, ring: ModRing, rng: random.Random) -> tuple[np.n
             qinv[:, j] = (qinv[:, j] - c * qinv[:, i]) % m
         elif kind == 1:
             i = rng.randrange(dim)
-            u = rng.choice(units)
+            # the k-th unit in increasing order, drawn as choice() would
+            # draw from the list of all m - m/p units
+            k = rng.randrange(m - m // ring.p)
+            u = k + k // (ring.p - 1) + 1
             q[i] = (q[i] * u) % m
             qinv[:, i] = (qinv[:, i] * pow(u, -1, m)) % m
         else:
@@ -99,7 +101,7 @@ def random_complex(ring: ModRing, rng: random.Random, max_degree: int, max_rank:
         qinv = qs[(n, w)][1]
         lower = qs.get((n - 1, w))
         right = lower[0] if lower else np.eye(mat.shape[1], dtype=np.int64)
-        new_diffs[(n, w)] = (qinv @ mat @ right) % m
+        new_diffs[(n, w)] = mmul(mmul(qinv, mat, ring), right, ring)
 
     cx = GradedSliceComplex(ring, 0, max_degree, dims, new_diffs)
     cx.validate()

@@ -283,8 +283,8 @@ def run_koszul_gamma(params, rng):
             c = rng.randint(1, 2)
             f = a + c
             q, qinv = random_invertible(f, ring, rng)
-            u = (np.hstack([np.eye(a, dtype=np.int64), np.zeros((a, c), dtype=np.int64)]) @ q) % ring.modulus
-            v = (qinv @ np.vstack([np.zeros((a, c), dtype=np.int64), np.eye(c, dtype=np.int64)])) % ring.modulus
+            # u = [I_a | 0] q and v = q^-1 [0 ; I_c]: a split short exact sequence
+            u, v = q[:a], qinv[:, a:]
             ok = True
             for nn in (1, 2, 3):
                 _, exact = koszul_gamma_complex(u, v, nn, ring)

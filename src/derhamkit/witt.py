@@ -216,16 +216,12 @@ class QuotientRing:
         for coeffs in itertools.product(range(self.m), repeat=self.deg):
             yield tuple(coeffs)
 
-    def frobenius_bijective(self) -> bool:
-        if self.ring.n != 1:
-            return False
-        seen = {self.power(a, self.ring.p) for a in self.enumerate()}
-        return len(seen) == self.size
-
     def frobenius_inverse_table(self) -> dict:
-        if not self.frobenius_bijective():
+        """{a^p: a} over all elements; ValueError unless a -> a^p is a bijection."""
+        table = {self.power(a, self.ring.p): a for a in self.enumerate()}
+        if len(table) != self.size:
             raise ValueError("Frobenius is not bijective on this ring")
-        return {self.power(a, self.ring.p): a for a in self.enumerate()}
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +359,11 @@ def lift_homomorphism(phi, source: QuotientRing, witt: WittRing, target: Quotien
     picks lifts (defaults to the coefficientwise lift).  Returns a function
     on Witt vectors; the formula is sum_i p^i tau(Frob^{-i} a_i) with
     tau(r) = lift(phi(r^{p^{-(n-1)}}))^{p^(n-1)}, which stabilizes because
-    lifts differing mod p have equal p^j-th powers mod p^(j+1).
+    lifts differing mod p have equal p^j-th powers mod p^(j+1).  Raises
+    ValueError when Frobenius is not bijective on R.
     """
     n = witt.length
     p = witt.p
-    if not source.frobenius_bijective():
-        raise ValueError("Frobenius is not surjective on the represented elements")
     frob_inv = source.frobenius_inverse_table()
 
     def inv_frob(a, times):
@@ -531,7 +526,9 @@ class TiltRing:
     """All depth-k compatible p-power sequences in O/p, componentwise ring.
 
     The deepest entry determines the sequence (x_i = x_k^{p^(k-i)}), so the
-    carrier is in bijection with O/p.  The same-depth Frobenius is the
+    carrier is in bijection with O/p.  Frobenius is a ring map of O/p, so
+    the ring operations act on deepest entries only and look the whole
+    sequence up in a table built once.  The same-depth Frobenius is the
     componentwise p-th power (not injective here: the model is not
     perfect); the depth-raising Frobenius T_k -> T_{k+1} prepends x_0^p and
     is a bijection with inverse the left shift.
@@ -544,32 +541,33 @@ class TiltRing:
             raise ValueError("tilt enumeration bound exceeded")
         self.p = model.p
         self.k = model.k
-        self.zero = self._from_deepest(self.omodp.zero)
-        self.one = self._from_deepest(self.omodp.one)
+        # deepest entry -> whole sequence, in the enumeration order of O/p
+        self._sequence = {z: self._from_deepest(z) for z in self.omodp.enumerate()}
+        self.zero = self._sequence[self.omodp.zero]
+        self.one = self._sequence[self.omodp.one]
 
     def _from_deepest(self, z) -> tuple:
         entries = [self.omodp.power(z, self.p ** (self.k - i)) for i in range(self.k)] + [z]
         return tuple(entries)
 
     def enumerate(self):
-        for z in self.omodp.enumerate():
-            yield self._from_deepest(z)
+        yield from self._sequence.values()
 
     @property
     def size(self) -> int:
         return self.omodp.size
 
     def add(self, a, b):
-        return tuple(self.omodp.add(x, y) for x, y in zip(a, b))
+        return self._sequence[self.omodp.add(a[-1], b[-1])]
 
     def mul(self, a, b):
-        return tuple(self.omodp.mul(x, y) for x, y in zip(a, b))
+        return self._sequence[self.omodp.mul(a[-1], b[-1])]
 
     def scale(self, c, a):
-        return tuple(self.omodp.scale(c, x) for x in a)
+        return self._sequence[self.omodp.scale(c, a[-1])]
 
     def power(self, a, k: int):
-        return tuple(self.omodp.power(x, k) for x in a)
+        return self._sequence[self.omodp.power(a[-1], k)]
 
     def raise_frobenius_bijective(self) -> bool:
         """The depth-raising Frobenius T_{k-1}... -> T_k is a bijection."""

@@ -145,3 +145,8 @@ def test_oversized_witt_carrier_is_a_usage_error(capsys):
     assert main(["verify", "theta-epsilon", "--p", "2", "--m", "4", "--n", "2", "--k", "2"]) == 2
     assert "2^12" in capsys.readouterr().err
     assert time.perf_counter() - start < 30
+
+
+def test_dold_kan_roundtrip_at_the_largest_odd_modulus(capsys):
+    assert main(["verify", "dold-kan-roundtrip", "--p", "3", "--n", "19", "--cases", "3"]) == 0
+    assert "6 pass, 0 fail" in capsys.readouterr().out

@@ -16,6 +16,7 @@ from derhamkit.exactlin import (
     ModulePresentation,
     howell_form,
     left_kernel,
+    mmul,
     module_invariants,
     normal_form,
     padic_valuation,
@@ -419,3 +420,81 @@ def test_modring_rejects_moduli_beyond_int64_products():
     for p, n in ((2, 31), (3, 20)):
         with pytest.raises(ValueError, match="2\\^31"):
             ModRing(p, n)
+
+
+# ---------------------------------------------------------------------------
+# mmul against the object-dtype reference, output for output
+
+MMUL_RINGS = [ModRing(2, 1), ModRing(3, 1), ModRing(2, 2), ModRing(3, 2), ModRing(3, 3),
+              ModRing(2, 20), ModRing(3, 12), ModRing(3, 19)]
+
+
+def _assert_mmul_exact(a, b, ring):
+    got = mmul(a, b, ring)
+    want = (a.astype(object) @ b.astype(object)) % ring.modulus
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert (got == want).all()
+
+
+@pytest.mark.parametrize("ring", MMUL_RINGS, ids=str)
+def test_mmul_matches_object_reference_on_random_and_worst_case_matrices(ring):
+    m = ring.modulus
+    rng = np.random.default_rng(2000 + ring.p * 100 + ring.n)
+    for rows, k, cols in ((1, 1, 1), (3, 7, 2), (12, 40, 9), (30, 64, 25)):
+        _assert_mmul_exact(rng.integers(0, m, size=(rows, k)), rng.integers(0, m, size=(k, cols)), ring)
+        _assert_mmul_exact(np.full((rows, k), m - 1), np.full((k, cols), m - 1), ring)
+        _assert_mmul_exact(rng.integers(0, m, size=k), rng.integers(0, m, size=(k, cols)), ring)
+
+
+def _path_edges():
+    """(ring, k) with k the least inner dimension where k (m-1)^2 reaches
+    2^53 or 2^62.  Edges above 2^16 are left out: up to Z/27 they lie beyond
+    10^12, so every product there takes the float64 path."""
+    for ring in MMUL_RINGS + [ModRing(3, 16), ModRing(2, 25)]:
+        for bound in (2 ** 53, 2 ** 62):
+            edge = -(-bound // (ring.modulus - 1) ** 2)
+            if edge <= 2 ** 16:
+                yield pytest.param(ring, edge, id=f"{ring}-k{edge}")
+
+
+@pytest.mark.parametrize("ring,edge", _path_edges())
+def test_mmul_is_exact_on_both_sides_of_each_path_bound(ring, edge):
+    m = ring.modulus
+    for k in (edge - 1, edge):  # all entries m - 1: the largest partial sums
+        _assert_mmul_exact(np.full((2, k), m - 1), np.full((k, 3), m - 1), ring)
+
+
+@pytest.mark.parametrize("ring", MMUL_RINGS, ids=str)
+def test_mmul_on_empty_shapes(ring):
+    for rows, k, cols in ((0, 4, 3), (3, 4, 0), (2, 0, 3), (0, 0, 0)):
+        _assert_mmul_exact(np.zeros((rows, k), dtype=np.int64), np.zeros((k, cols), dtype=np.int64), ring)
+
+
+def test_mmul_row_vector_does_not_overflow():
+    ring = ModRing(3, 19)
+    m = ring.modulus
+    row, col = np.full(8, m - 1, dtype=np.int64), np.full((8, 1), m - 1, dtype=np.int64)
+    assert mmul(row, col, ring).tolist() == [8]  # 8 (m-1)^2 = 8 mod m; int64 @ wraps
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 31, 251, 65521)
+
+
+@st.composite
+def _mmul_operands(draw):
+    p = draw(st.sampled_from(_PRIMES))
+    n = draw(st.integers(1, max(1, int(30 / np.log2(p)))))
+    ring = ModRing(p, n)
+    m = ring.modulus
+    rows, k, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    entries = st.integers(-(m - 1), m - 1)
+    a = np.array(draw(st.lists(entries, min_size=rows * k, max_size=rows * k)), dtype=np.int64)
+    b = np.array(draw(st.lists(entries, min_size=k * cols, max_size=k * cols)), dtype=np.int64)
+    return ring, a.reshape(rows, k), b.reshape(k, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mmul_operands())
+def test_mmul_matches_object_reference_property(operands):
+    ring, a, b = operands
+    _assert_mmul_exact(a, b, ring)

@@ -377,3 +377,48 @@ def test_theta_epsilon_checks_the_enumerated_sizes_against_closed_forms(monkeypa
     rep = run_suite("theta-epsilon", {"p": 2, "m": 3, "n": 2, "k": 2}, seed=1)
     sizes = next(case for case in rep.cases if case.name == "model-enumerated-sizes")
     assert sizes.status == "fail" and "tilt=16" in sizes.expected and "tilt=15" in sizes.computed
+
+
+def test_non_perfect_source_raises_once_frobenius_is_tabulated():
+    notperf = QuotientRing(ModRing(2, 1), (0, 0, 1))  # F_2[x]/(x^2): Frobenius kills x
+    with pytest.raises(ValueError, match="not bijective"):
+        notperf.frobenius_inverse_table()
+    assert len(QuotientRing(ModRing(2, 1), (1, 1, 1)).frobenius_inverse_table()) == 4
+
+
+def test_lift_homomorphism_computes_the_source_frobenius_once(monkeypatch):
+    f4 = QuotientRing(ModRing(2, 1), (1, 1, 1))
+    s = QuotientRing(ModRing(2, 2), (1, 1, 1))
+    calls = []
+    power = QuotientRing.power
+    monkeypatch.setattr(QuotientRing, "power", lambda self, a, k: calls.append(self) or power(self, a, k))
+    lift_homomorphism(lambda r: r, f4, WittRing(2, 2, f4), s, lambda a: tuple(c % 2 for c in a))
+    assert sum(ring is f4 for ring in calls) == f4.size
+
+
+def _assert_tilt_ops_componentwise(t, a, b):
+    o = t.omodp
+    assert t.add(a, b) == tuple(o.add(x, y) for x, y in zip(a, b))
+    assert t.mul(a, b) == tuple(o.mul(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("model", [CyclotomicModel(2, 2, 1, 1), CyclotomicModel(2, 3, 2, 2)], ids=str)
+def test_tilt_operations_match_componentwise_on_every_pair(model):
+    t = tilt_ring(model)
+    elems = list(t.enumerate())
+    assert len(set(elems)) == t.size and all(t.validate(e) for e in elems)
+    for a in elems:
+        for b in elems:
+            _assert_tilt_ops_componentwise(t, a, b)
+        for c in range(-2, 5):
+            assert t.scale(c, a) == tuple(t.omodp.scale(c, x) for x in a)
+        for k in range(6):
+            assert t.power(a, k) == tuple(t.omodp.power(x, k) for x in a)
+
+
+def test_tilt_operations_match_componentwise_on_seeded_pairs_of_odd_tilt():
+    t = tilt_ring(CyclotomicModel(3, 2, 1, 1))
+    elems = list(t.enumerate())
+    rng = random.Random(5)
+    for _ in range(500):
+        _assert_tilt_ops_componentwise(t, rng.choice(elems), rng.choice(elems))
