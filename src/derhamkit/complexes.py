@@ -6,28 +6,30 @@ slice.  Degrees outside the stored window are structurally zero; a separate
 trust window marks where homology is honest (truncated resolutions trust one
 degree less than they store).
 
+Homology is taken on the unit-contracted complex (:func:`reduce_complex`),
+with representatives and coordinates carried back to the original basis.
+
 Homological (lower) indexing throughout; cohomological objects are stored
 negated.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .exactlin import (
     ModRing,
     howell_form,
-    invariant_factors_from_relations,
     left_kernel,
     local_smith,
     mzeros,
     mmul,
     solve_in_span,
-    span_contains,
     v_int,
 )
 
@@ -36,6 +38,8 @@ __all__ = [
     "DoubleComplex",
     "HomologyReport",
     "SliceQuotient",
+    "Contraction",
+    "reduce_complex",
     "slice_homology",
     "homology_report",
     "total_complex",
@@ -56,6 +60,8 @@ class GradedSliceComplex:
     diffs: dict  # (degree, weight) -> matrix C_{n,w} -> C_{n-1,w}
     labels: dict = field(default_factory=dict)  # optional (degree, weight) -> list
     trusted: tuple[int, int] | None = None  # degrees with honest homology
+    # weight -> Contraction, made by the first homology_quotient call there
+    _contractions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.trusted is None:
@@ -116,6 +122,11 @@ class SliceQuotient:
     ``factors[j]`` > 1 is the order of the j-th cyclic generator whose
     ambient row vector is ``gen_reps[j]``; ``coords`` projects any cycle to
     its coordinate tuple (each entry taken modulo its factor).
+
+    A quotient taken on a contracted slice (see :func:`homology_quotient`)
+    keeps ``cycles`` in the contracted basis and ``_to_contracted``, which
+    maps an ambient vector into it (None for a non-cycle); ``gen_reps`` and
+    ``ambient_dim`` are those of the original slice.
     """
 
     ring: ModRing
@@ -125,6 +136,7 @@ class SliceQuotient:
     gen_reps: np.ndarray
     _vmat: np.ndarray  # coordinate-change matrix mod p^n (u x u)
     _all_factors: list[int]  # length u, including trivial 1s
+    _to_contracted: Callable[[np.ndarray], np.ndarray | None] | None = None
 
     @staticmethod
     def from_cycles_boundaries(cycles, boundaries, ring: ModRing) -> "SliceQuotient":
@@ -158,10 +170,14 @@ class SliceQuotient:
 
     def coords(self, vector: np.ndarray) -> tuple[int, ...] | None:
         """Coordinates of a cycle's class, or None if not a stored cycle."""
-        if self.ambient_dim == 0 or self.cycles.shape[0] == 0:
-            v = np.asarray(vector)
-            return () if (not v.size or not (v % self.ring.modulus).any()) else None
-        c = solve_in_span(np.asarray(vector) % self.ring.modulus, self.cycles, self.ring)
+        v = np.asarray(vector, dtype=np.int64) % self.ring.modulus
+        if self._to_contracted is not None:
+            v = self._to_contracted(v)
+            if v is None:
+                return None
+        if self.cycles.shape[0] == 0:
+            return None if v.any() else ()
+        c = solve_in_span(v, self.cycles, self.ring)
         if c is None:
             return None
         y = mmul(c, self._vmat, self.ring)
@@ -175,6 +191,184 @@ class SliceQuotient:
         return all(x == 0 for x in c)
 
 
+# ---------------------------------------------------------------------------
+# unit-pivot contraction
+
+
+@dataclass
+class Contraction:
+    """One weight of a complex with its unit pivots cancelled.
+
+    A unit entry phi = d_n(b)_a splits off the contractible piece
+    b -> d_n(b) (the Gaussian elimination lemma: Bar-Natan, arXiv
+    math/0606318; Skoeldberg, Trans. AMS 358, 2006).  What is left has the
+    basis elements ``keep[n]`` (original indices, ascending) in degree n
+    and the differentials ``diffs[n]`` between them.  ``project`` (f: C ->
+    C') and ``lift`` (g: C' -> C) are chain maps with f g = id and g f
+    homotopic to id, so they are inverse isomorphisms on homology.
+
+    Cancelling (b, a), with gamma the rest of column a and delta the rest
+    of row b of d_n, changes d_n on the survivors to eps - gamma phi^-1
+    delta; f subtracts u_a phi^-1 delta from a degree-(n-1) vector and g
+    sets the b coordinate of a degree-n vector to -phi^-1 (v . gamma).
+    ``_f_steps[k]`` and ``_g_steps[k]`` hold (index, phi^-1, indices,
+    values) for the cancellations whose a, respectively b, lies in degree k,
+    in the order they were made.
+    """
+
+    ring: ModRing
+    dims: dict  # degree -> dimension of the original slice
+    keep: dict  # degree -> ascending int64 array of surviving indices
+    diffs: dict  # degree -> contracted d_n (rows keep[n], columns keep[n-1]), nonzero only
+    _f_steps: dict
+    _g_steps: dict
+
+    def dim(self, n: int) -> int:
+        keep = self.keep.get(n)
+        return 0 if keep is None else len(keep)
+
+    def diff(self, n: int) -> np.ndarray:
+        d = self.diffs.get(n)
+        return d if d is not None else mzeros(self.dim(n), self.dim(n - 1))
+
+    def project(self, n: int, vectors: np.ndarray) -> np.ndarray:
+        """f on degree-n row vectors (one vector or a matrix of rows)."""
+        m = self.ring.modulus
+        v = np.array(vectors, dtype=np.int64) % m
+        single = v.ndim == 1
+        if single:
+            v = v.reshape(1, -1)
+        for a, inv, idx, vals in self._f_steps.get(n, ()):
+            c = v[:, a] * inv % m
+            if c.any():
+                v[:, idx] = (v[:, idx] - c[:, None] * vals) % m
+        out = v[:, self.keep[n]] if n in self.keep else v[:, :0]
+        return out[0] if single else out
+
+    def lift(self, n: int, vectors: np.ndarray) -> np.ndarray:
+        """g on a matrix of degree-n rows of the contracted complex."""
+        m = self.ring.modulus
+        small = np.asarray(vectors, dtype=np.int64)
+        out = mzeros(small.shape[0], self.dims.get(n, 0))
+        if not small.shape[0]:
+            return out
+        out[:, self.keep[n]] = small
+        for b, inv, idx, vals in reversed(self._g_steps.get(n, ())):
+            if idx.size:
+                out[:, b] = -mmul(out[:, idx], vals, self.ring) * inv % m
+        return out
+
+    def quotient(self, n: int) -> SliceQuotient:
+        """cycles/boundaries of degree n of the contracted complex."""
+        dim = self.dim(n)
+        if dim == 0:
+            return SliceQuotient.from_cycles_boundaries(mzeros(0, 0), mzeros(0, 0), self.ring)
+        d_here = self.diff(n)
+        cycles = left_kernel(d_here, self.ring) if d_here.any() else np.eye(dim, dtype=np.int64)
+        return SliceQuotient.from_cycles_boundaries(
+            cycles if cycles.shape[0] else mzeros(0, dim), self.diff(n + 1), self.ring
+        )
+
+
+def reduce_complex(cx: GradedSliceComplex, weight: int) -> Contraction:
+    """Cancel unit pivots of the differentials of ``cx`` at one weight.
+
+    The differentials are sparse ``{column: value}`` rows throughout, so no
+    slice is made dense.  Pivot rule: the shortest row that holds a unit
+    (ties to the lower degree, then the lower row index), and in it the
+    unit whose column has the fewest nonzeros (ties to the lower column).
+    Cancelling (b, a) updates each other row x with an entry at a by
+    x - gamma_x phi^-1 d(b), at a cost of about |column a| x |row b|, and
+    drops row b and column a of d_n, row a of d_(n-1) and column b of
+    d_(n+1).  Every row that changes is queued again, so the loop ends
+    only when no differential has a unit entry left: over F_p every
+    contracted differential is zero, over Z/p^n every entry left is
+    divisible by p.
+    """
+    ring = cx.ring
+    m, p = ring.modulus, ring.p
+    dims = {n: cx.dim(n, weight) for n in cx.degrees() if cx.dim(n, weight)}
+    rows: dict = {n: {} for n in dims}  # degree -> row -> {column: value}
+    cols: dict = {n: {} for n in dims}  # degree -> column -> rows nonzero there
+    heap = []  # (row length, degree, row), one entry per length a row has had
+    for n in dims:
+        d = cx.diffs.get((n, weight))
+        if d is None:
+            continue
+        rn, cn = rows[n], cols[n]
+        r_idx, c_idx = np.nonzero(d)
+        for b, a, x in zip(r_idx.tolist(), c_idx.tolist(), d[r_idx, c_idx].tolist()):
+            rn.setdefault(b, {})[a] = x
+            cn.setdefault(a, set()).add(b)
+        heap.extend((len(row), n, b) for b, row in rn.items())
+    heapq.heapify(heap)
+
+    def touched(n: int, x: int) -> None:
+        row = rows[n][x]
+        if row:
+            heapq.heappush(heap, (len(row), n, x))
+        else:
+            del rows[n][x]
+
+    dropped = {n: set() for n in dims}
+    f_steps: dict = {}
+    g_steps: dict = {}
+    while heap:
+        length, n, b = heapq.heappop(heap)
+        rn, cn = rows[n], cols[n]
+        delta = rn.get(b)  # row b, then the rest of it once a is popped
+        if delta is None or len(delta) != length:
+            continue
+        a = min((c for c, x in delta.items() if x % p), key=lambda c: (len(cn[c]), c),
+                default=None)
+        if a is None:
+            continue
+        inv = pow(delta.pop(a), -1, m)
+        del rn[b]
+        for e in delta:
+            cn[e].discard(b)
+        gamma_rows = sorted(cn.pop(a) - {b})
+        gamma = [rn[x].pop(a) for x in gamma_rows]
+        for x, gx in zip(gamma_rows, gamma):
+            row = rn[x]
+            c = gx * inv % m
+            for e, de in delta.items():
+                y = (row.get(e, 0) - c * de) % m
+                if y:
+                    if e not in row:
+                        cn[e].add(x)
+                    row[e] = y
+                elif e in row:
+                    del row[e]
+                    cn[e].discard(x)
+            touched(n, x)
+        # a and b leave the neighbouring differentials with the cancelled pair
+        for e in rows[n - 1].pop(a, {}):
+            cols[n - 1][e].discard(a)
+        for y in cols.get(n + 1, {}).pop(b, ()):
+            del rows[n + 1][y][b]
+            touched(n + 1, y)
+        dropped[n].add(b)
+        dropped[n - 1].add(a)
+        f_steps.setdefault(n - 1, []).append(
+            (a, inv, np.fromiter(delta, np.int64, len(delta)),
+             np.fromiter(delta.values(), np.int64, len(delta))))
+        g_steps.setdefault(n, []).append(
+            (b, inv, np.array(gamma_rows, dtype=np.int64), np.array(gamma, dtype=np.int64)))
+
+    keep = {n: np.array(sorted(set(range(dim)) - dropped[n]), dtype=np.int64)
+            for n, dim in dims.items()}
+    diffs = {}
+    for n, rn in rows.items():
+        if not rn:
+            continue
+        bs, as_, xs = zip(*((b, a, x) for b, row in rn.items() for a, x in row.items()))
+        out = mzeros(len(keep[n]), len(keep[n - 1]))
+        out[np.searchsorted(keep[n], bs), np.searchsorted(keep[n - 1], as_)] = xs
+        diffs[n] = out
+    return Contraction(ring, dims, keep, diffs, f_steps, g_steps)
+
+
 def slice_homology(cx: GradedSliceComplex, degree: int, weight: int) -> list[int]:
     """Invariant factors of H_degree at one weight slice."""
     if not cx.in_trust_window(degree):
@@ -183,18 +377,29 @@ def slice_homology(cx: GradedSliceComplex, degree: int, weight: int) -> list[int
 
 
 def homology_quotient(cx: GradedSliceComplex, degree: int, weight: int) -> SliceQuotient:
-    d_here = cx.diff(degree, weight)
+    """H_degree at one weight, computed on the contracted complex.
+
+    The contraction of each weight is made once per complex and reused
+    across degrees.  ``gen_reps`` are lifted through g, so they are cycles
+    of ``cx``; ``coords`` tests that a vector is a cycle of ``cx`` and
+    reads the coordinates of its image under f.
+    """
     dim_here = cx.dim(degree, weight)
     if dim_here == 0:
         return SliceQuotient.from_cycles_boundaries(mzeros(0, 0), mzeros(0, 0), cx.ring)
-    if d_here.shape[1] == 0:
-        cycles = np.eye(dim_here, dtype=np.int64)
-    else:
-        cycles = left_kernel(d_here, cx.ring)
-    boundaries = cx.diff(degree + 1, weight)
-    return SliceQuotient.from_cycles_boundaries(
-        cycles if cycles.shape[0] else mzeros(0, dim_here), boundaries, cx.ring
-    )
+    red = cx._contractions.get(weight)
+    if red is None:
+        red = cx._contractions[weight] = reduce_complex(cx, weight)
+    small = red.quotient(degree)
+    d_here = cx.diff(degree, weight)
+
+    def to_contracted(v: np.ndarray) -> np.ndarray | None:
+        if d_here.shape[1] and mmul(v, d_here, cx.ring).any():
+            return None
+        return red.project(degree, v)
+
+    return replace(small, ambient_dim=dim_here, gen_reps=red.lift(degree, small.gen_reps),
+                   _to_contracted=to_contracted)
 
 
 @dataclass

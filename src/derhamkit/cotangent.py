@@ -218,6 +218,7 @@ class FreeSimplicialResolution:
         self._certificate: AcyclicityCertificate | None = None
         self._alg_cache: dict[int, PolyAlgebra] = {}
         self._ftab_cache: dict = {}
+        self._slice_cache: dict = {}
 
     # -- simplicial algebra structure
 
@@ -305,7 +306,12 @@ class FreeSimplicialResolution:
     # -- slice bases of Q_n (graded flavor)
 
     def q_slice(self, n: int, w: int) -> list[tuple[int, ...]]:
-        return self.algebra(n).monomials_of_weight(w)
+        """Monomial basis of the weight-w slice of Q_n (cached; do not mutate)."""
+        key = (n, w)
+        basis = self._slice_cache.get(key)
+        if basis is None:
+            basis = self._slice_cache[key] = self.algebra(n).monomials_of_weight(w)
+        return basis
 
     def q_face_matrix(self, n: int, i: int, w: int) -> np.ndarray:
         src = self.q_slice(n, w)

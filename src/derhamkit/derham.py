@@ -89,7 +89,7 @@ class FilteredDeRhamComplex:
         self._block_cache: dict = {}
         self._face_cache: dict = {}
         self._matrix_cache: dict = {}
-        self.total = self._assemble(hodge_cut)
+        self.total = self._assemble()
 
     # -- block bases
 
@@ -191,11 +191,14 @@ class FilteredDeRhamComplex:
 
     # -- total complexes
 
-    def _assemble(self, cut: int) -> GradedSliceComplex:
-        lo, hi = self.window
-        n_min = lo - 1 if cut > 1 else lo
-        n_min = max(n_min, -(cut - 1))
-        n_max = hi + 1
+    def _n_min(self, cut: int) -> int:
+        lo = self.window[0]
+        return max(lo - 1 if cut > 1 else lo, -(cut - 1))
+
+    def _assemble(self) -> GradedSliceComplex:
+        cut = self.hodge_cut
+        n_min = self._n_min(cut)
+        n_max = self.window[1] + 1
         dims = {}
         diffs = {}
         for w in range(self.weight_bound + 1):
@@ -217,7 +220,7 @@ class FilteredDeRhamComplex:
                         h = self.horizontal_matrix(j, i, w)
                         o2 = tgt_off[(j - 1, i)]
                         dmat[off : off + rows, o2 : o2 + h.shape[1]] += h
-                    if (j, i + 1) in tgt_off and i + 1 < cut:
+                    if (j, i + 1) in tgt_off:
                         v = self.vertical_matrix(j, i, w)
                         o2 = tgt_off[(j, i + 1)]
                         sgn = -1 if j % 2 else 1
@@ -228,12 +231,24 @@ class FilteredDeRhamComplex:
         return cx
 
     def quotient_complex(self, level: int) -> GradedSliceComplex:
-        """The truncation modelling L-Omega / F^level (columns i < level)."""
+        """The truncation modelling L-Omega / F^level (columns i < level).
+
+        F^level, the columns i >= level, is a subcomplex of ``total``, and
+        each slice lists its blocks by increasing i, so the quotient is the
+        leading corner of every slice and differential of ``total``.
+        """
         if level > self.hodge_cut:
             raise ValueError(f"level {level} above the built Hodge cut {self.hodge_cut}")
         if level == self.hodge_cut:
             return self.total
-        return self._assemble(level)
+        n_min = self._n_min(level)
+        dims = {}
+        for (n, w) in self.total.dims:
+            if n >= n_min and (size := self.layout(n, w, level)[1]):
+                dims[(n, w)] = size
+        diffs = {(n, w): d[: dims[(n, w)], : dims[(n - 1, w)]]
+                 for (n, w), d in self.total.diffs.items() if (n, w) in dims and (n - 1, w) in dims}
+        return GradedSliceComplex(self.ring, n_min, self.total.n_max, dims, diffs, trusted=self.window)
 
     def quotient_map(self, level_hi: int, level_lo: int, n: int, w: int) -> np.ndarray:
         """Projection matrix between the degree-n slices of the level

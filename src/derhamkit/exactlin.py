@@ -79,10 +79,6 @@ class ModRing:
     def modulus(self) -> int:
         return self.p ** self.n
 
-    @property
-    def is_field(self) -> bool:
-        return self.n == 1
-
     def reduce(self, a: int) -> int:
         return a % self.modulus
 
@@ -438,12 +434,11 @@ def left_kernel(matrix: np.ndarray, ring: ModRing) -> np.ndarray:
     rows, cols = a.shape
     if rows == 0:
         return mzeros(0, 0)
-    aug = np.hstack([a, midentity(rows)])
-    h = howell_form(aug, ring)
-    ker = [r[cols:] for r in h if not r[:cols].any()]
-    if not ker:
-        return mzeros(0, rows)
-    return howell_form(np.vstack(ker), ring)
+    # The rows of the Howell form of [A | I] that vanish on A are already the
+    # Howell form of their span, the kernel: the span property of the whole
+    # form restricts to the columns right of A.
+    h = howell_form(np.hstack([a, midentity(rows)]), ring)
+    return h[~h[:, :cols].any(axis=1), cols:]
 
 
 def express_in_basis(vectors: np.ndarray, basis: np.ndarray, ring: ModRing) -> np.ndarray:

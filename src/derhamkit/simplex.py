@@ -77,14 +77,6 @@ class MonotoneMap:
     def is_identity(self) -> bool:
         return self.source == self.target and self.values == tuple(range(self.source + 1))
 
-    @property
-    def is_surjective(self) -> bool:
-        return set(self.values) == set(range(self.target + 1))
-
-    @property
-    def is_injective(self) -> bool:
-        return len(set(self.values)) == self.source + 1
-
     @staticmethod
     def identity(n: int) -> "MonotoneMap":
         return MonotoneMap(n, n, tuple(range(n + 1)))

@@ -1,10 +1,11 @@
-"""Dense Howell-form kernel kept as the reference for ``exactlin.howell_form``.
+"""Earlier ``exactlin`` kernels kept as references for the library ones.
 
-This is the O(rows * cols)-per-column elimination that ``exactlin`` used
-before its sparse rewrite, unchanged.  The tests require the library kernel
-to return exactly the same ``H`` and ``T`` (not merely the same canonical
-span) on every matrix they try, because ``T`` feeds ``solve_in_span`` and
-everything built on it.
+``howell_form`` is the O(rows * cols)-per-column dense elimination that
+``exactlin`` used before its sparse rewrite, unchanged.  The tests require
+the library kernel to return exactly the same ``H`` and ``T`` (not merely
+the same canonical span) on every matrix they try, because ``T`` feeds
+``solve_in_span`` and everything built on it.  ``left_kernel`` is the
+two-pass kernel the library replaced by one pass.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from derhamkit.exactlin import ModRing, midentity, mzeros
+from derhamkit.exactlin import howell_form as library_howell_form
 
 
 def howell_form(matrix, ring: ModRing, transform: bool = False):
@@ -119,3 +121,21 @@ def howell_form(matrix, ring: ModRing, transform: bool = False):
                 if transform:
                     tt[i] = (tt[i] - q * tt[ridx]) % m
     return (h, tt) if transform else h
+
+
+def left_kernel(matrix, ring: ModRing) -> np.ndarray:
+    """``exactlin.left_kernel`` as it was before it dropped its second
+    Howell pass: the kernel rows of the Howell form of [A | I], reduced
+    again."""
+    a = np.asarray(matrix, dtype=np.int64) % ring.modulus
+    if a.ndim == 1:
+        a = a.reshape(1, -1)
+    rows, cols = a.shape
+    if rows == 0:
+        return mzeros(0, 0)
+    aug = np.hstack([a, midentity(rows)])
+    h = library_howell_form(aug, ring)
+    ker = [r[cols:] for r in h if not r[:cols].any()]
+    if not ker:
+        return mzeros(0, rows)
+    return library_howell_form(np.vstack(ker), ring)

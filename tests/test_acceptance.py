@@ -51,6 +51,10 @@ def test_criterion_06_derived_derham_pd_mod_p():
     _run(6, "drpd-modp", {"weight_bound": 5}, limit=60)
 
 
+def test_criterion_06_reaches_weight_bound_6():
+    _run(6, "drpd-modp", {"weight_bound": 6}, limit=60)
+
+
 def test_criterion_07_derived_derham_pd_mod_pn():
     _run(7, "drpd-envelope", {"weight_bound": 4})
 

@@ -1,0 +1,203 @@
+"""Homology on the unit-contracted complex against the full-slice reference.
+
+Invariant factors are canonical, so ``homology_quotient`` must return the
+reference factor list exactly on every slice.  Representatives and
+coordinates are not canonical; they are checked through the contract of
+``SliceQuotient``: every ``gen_reps[j]`` is a cycle of the original complex
+with coordinates the j-th unit tuple, every boundary has the zero class,
+and the reference generators map onto the quotient.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_complexes
+import derhamkit.complexes as complexes
+import derhamkit.derham as derham
+from derhamkit.complexes import GradedSliceComplex, homology_quotient, reduce_complex
+from derhamkit.exactlin import ModRing, mmul, quotient_invariants
+from derhamkit.randomgen import random_complex
+from derhamkit.suites import run_suite
+
+RINGS = [ModRing(2, 1), ModRing(3, 1), ModRing(2, 2), ModRing(2, 3), ModRing(3, 2), ModRing(3, 3)]
+
+
+def assert_slice_matches_reference(cx, n, w):
+    ring = cx.ring
+    q = homology_quotient(cx, n, w)
+    ref = reference_complexes.homology_quotient(cx, n, w)
+    assert q.factors == ref.factors
+    k = len(q.factors)
+    dim = cx.dim(n, w)
+    assert q.gen_reps.shape == ((k, dim) if dim else (0, 0))
+    d_here = cx.diff(n, w)
+    if k and d_here.shape[1]:
+        assert not mmul(q.gen_reps, d_here, ring).any()
+    for j, rep in enumerate(q.gen_reps):
+        assert q.coords(rep) == tuple(int(i == j) for i in range(k))
+    for row in cx.diff(n + 1, w):
+        assert q.is_zero_class(row)
+    # the reference generators have coordinates and generate the quotient
+    coords = [q.coords(rep) for rep in ref.gen_reps]
+    assert all(c is not None for c in coords)
+    if k:
+        relations = np.diag(q.factors).astype(np.int64)
+        gens = np.array(coords, dtype=np.int64).reshape(-1, k)
+        assert quotient_invariants(np.eye(k, dtype=np.int64), np.vstack([gens, relations]), ring) == []
+
+
+def assert_complex_matches_reference(cx):
+    for w in cx.weights():
+        for n in cx.degrees():
+            assert_slice_matches_reference(cx, n, w)
+
+
+@st.composite
+def _complexes(draw):
+    ring = draw(st.sampled_from(RINGS))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    max_degree = draw(st.integers(1, 4))
+    max_rank = draw(st.integers(1, 6))
+    return random_complex(ring, random.Random(seed), max_degree, max_rank, weight_choices=(0, 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_complexes())
+def test_contracted_homology_matches_reference_on_random_complexes(cx):
+    assert_complex_matches_reference(cx)
+
+
+def _sparse_complex(ring, rng):
+    """Sum of free modules and pieces R --lam--> R, put in a new basis by a
+    few elementary changes, so rows of every length occur in every degree
+    (a dense change of basis, as in ``random_complex``, makes all rows
+    long)."""
+    m = ring.modulus
+    top = rng.randint(1, 4)
+    dims = [rng.randint(0, 2) for _ in range(top + 1)]
+    arrows = []
+    for _ in range(rng.randint(1, 7)):
+        n = rng.randint(1, top)
+        arrows.append((n, dims[n], dims[n - 1], rng.randrange(1, m)))
+        dims[n] += 1
+        dims[n - 1] += 1
+    diffs = {n: np.zeros((dims[n], dims[n - 1]), dtype=np.int64) for n in range(1, top + 1)}
+    for n, i, j, lam in arrows:
+        diffs[n][i, j] = lam
+    for _ in range(rng.randint(0, 3 * sum(dims))):
+        # new basis e_i + c e_j of C_k: row op on d_k, column op on d_(k+1)
+        k = rng.randint(0, top)
+        if dims[k] < 2:
+            continue
+        i, j = rng.sample(range(dims[k]), 2)
+        c = rng.randrange(1, m)
+        if k in diffs:
+            diffs[k][i] = (diffs[k][i] + c * diffs[k][j]) % m
+        if k + 1 in diffs:
+            diffs[k + 1][:, j] = (diffs[k + 1][:, j] - c * diffs[k + 1][:, i]) % m
+    cx = GradedSliceComplex(ring, 0, top, {(n, 0): d for n, d in enumerate(dims)},
+                            {(n, 0): d for n, d in diffs.items()})
+    cx.validate()
+    return cx
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RINGS), st.integers(0, 2 ** 32 - 1))
+def test_contracted_homology_matches_reference_on_sparse_complexes(ring, seed):
+    assert_complex_matches_reference(_sparse_complex(ring, random.Random(seed)))
+
+
+def test_pivot_row_with_a_longer_row_below():
+    # d_2(b) = a + a2 is shorter than d_1(a) = c1 + c2 + c3, so (b, a) is
+    # cancelled first and row a of d_1 must leave with it: H_1 = 0, H_0 = F_2^2
+    ring = ModRing(2, 1)
+    cx = GradedSliceComplex(ring, 0, 2, {(0, 0): 3, (1, 0): 2, (2, 0): 1},
+                            {(2, 0): np.array([[1, 1]]), (1, 0): np.array([[1, 1, 1], [1, 1, 1]])})
+    cx.validate()
+    assert [homology_quotient(cx, n, 0).factors for n in range(3)] == [[2, 2], [], []]
+    assert_complex_matches_reference(cx)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_reduction_maps_are_inverse_chain_maps(ring):
+    m = ring.modulus
+    rng = np.random.default_rng(ring.modulus)
+    for seed in range(8):
+        cx = random_complex(ring, random.Random(seed), 4, 5, weight_choices=(0, 1))
+        for w in cx.weights():
+            red = reduce_complex(cx, w)
+            for n in cx.degrees():
+                dim, small = cx.dim(n, w), red.dim(n)
+                # f g = id on the contracted complex
+                eye = np.eye(small, dtype=np.int64)
+                assert (red.project(n, red.lift(n, eye)) == eye).all()
+                if not dim or not cx.dim(n - 1, w):
+                    continue
+                d, d_small = cx.diff(n, w), red.diff(n)
+                assert d_small.shape == (small, red.dim(n - 1))
+                # f and g commute with the differentials
+                v = rng.integers(0, m, size=(3, dim))
+                assert (red.project(n - 1, mmul(v, d, ring))
+                        == mmul(red.project(n, v), d_small, ring)).all()
+                u = rng.integers(0, m, size=(3, small))
+                assert (mmul(red.lift(n, u), d, ring)
+                        == red.lift(n - 1, mmul(u, d_small, ring))).all()
+                # no unit entry is left
+                assert not (d_small % ring.p).any()
+
+
+def test_contraction_is_made_once_per_weight():
+    ring = ModRing(3, 2)
+    cx = random_complex(ring, random.Random(5), 4, 5, weight_choices=(0, 1))
+    for w in cx.weights():
+        homology_quotient(cx, 0, w)
+        first = cx._contractions[w]
+        for n in cx.degrees():
+            homology_quotient(cx, n, w)
+        assert cx._contractions[w] is first
+
+
+def test_coords_rejects_non_cycles():
+    ring = ModRing(2, 2)
+    # 0 -> R --1--> R -> 0: contracts to nothing; only 0 is a degree-1 cycle
+    cx = GradedSliceComplex(ring, 0, 1, {(0, 0): 1, (1, 0): 1}, {(1, 0): np.array([[1]])})
+    q = homology_quotient(cx, 1, 0)
+    assert q.factors == [] and q.gen_reps.shape == (0, 1)
+    assert q.coords(np.array([0])) == ()
+    assert q.coords(np.array([2])) is None
+    with pytest.raises(ValueError):
+        q.is_zero_class(np.array([1]))
+
+
+# Suites at reduced parameters, with every homology_quotient call checked
+# against the reference as it happens.
+SUITE_CALLS = [
+    ("drpd-modp", {"weight_bound": 3}),
+    ("drpd-envelope", {"weight_bound": 3}),
+    ("universal-thickening", {}),
+    ("cotangent-regular", {}),
+    ("koszul-gamma", {"cases": 5}),
+    ("quillen-shift", {"power": 2}),
+    ("dold-kan-roundtrip", {"cases": 5, "max_degree": 3, "max_rank": 3}),
+    ("eilenberg-zilber", {"cases": 2}),
+]
+
+
+@pytest.mark.parametrize("name,params", SUITE_CALLS, ids=[c[0] for c in SUITE_CALLS])
+def test_suite_slices_match_reference(monkeypatch, name, params):
+    seen = []
+
+    def checked(cx, n, w):
+        assert_slice_matches_reference(cx, n, w)
+        seen.append((n, w))
+        return homology_quotient(cx, n, w)
+
+    monkeypatch.setattr(complexes, "homology_quotient", checked)
+    monkeypatch.setattr(derham, "homology_quotient", checked)
+    report = run_suite(name, params, seed=1)
+    assert report.summary["fail"] == 0
+    assert seen

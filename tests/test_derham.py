@@ -276,14 +276,30 @@ def test_hodge_quotient_maps_are_chain_maps():
     from derhamkit.exactlin import mmul
 
     f = build_derham(pres_x(Z4), hodge_cut=4, window=(0, 1), weight_bound=3)
-    for hi, lo in ((4, 3), (3, 2), (4, 1)):
+    for hi, lo in ((4, 3), (3, 2), (4, 1), (2, 1), (4, 0)):
         chi = f.quotient_complex(hi)
         clo = f.quotient_complex(lo)
         for w in range(4):
-            for n in (0, 1):
+            for n in range(f.total.n_min, f.total.n_max + 1):
                 pr_n = f.quotient_map(hi, lo, n, w)
                 pr_n1 = f.quotient_map(hi, lo, n - 1, w)
-                lhs = mmul(chi.diff(n, w), pr_n1, Z4) if chi.diff(n, w).size else None
-                rhs = mmul(pr_n, clo.diff(n, w), Z4) if pr_n.size else None
-                if lhs is not None and rhs is not None:
-                    assert (lhs == rhs).all()
+                assert pr_n.shape == (chi.dim(n, w), clo.dim(n, w))
+                lhs = mmul(chi.diff(n, w), pr_n1, Z4)
+                rhs = mmul(pr_n, clo.diff(n, w), Z4)
+                assert lhs.shape == rhs.shape and (lhs == rhs).all()
+
+
+@pytest.mark.parametrize("ring", [Z4, ModRing(3, 1)], ids=str)
+def test_hodge_quotient_complex_equals_the_build_at_that_cut(ring):
+    # F^level is a subcomplex, so the quotient restricted from the top cut
+    # is the complex a build at hodge_cut = level assembles
+    f = build_derham(pres_x(ring), hodge_cut=4, window=(0, 1), weight_bound=4)
+    for level in range(1, 4):
+        got = f.quotient_complex(level)
+        want = build_derham(pres_x(ring), hodge_cut=level, window=(0, 1), weight_bound=4).total
+        assert (got.n_min, got.n_max, got.trusted) == (want.n_min, want.n_max, want.trusted)
+        assert got.dims == want.dims
+        assert got.diffs.keys() == want.diffs.keys()
+        for key, d in want.diffs.items():
+            assert (got.diffs[key] == d).all()
+        got.validate()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_exactlin import howell_form as reference_howell_form
+from reference_exactlin import left_kernel as reference_left_kernel
 
 from derhamkit.exactlin import (
     ZZ,
@@ -340,8 +341,7 @@ def _assert_same_howell(matrix, ring):
     assert ((t @ a) % ring.modulus == h).all()
 
 
-@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
-def test_howell_form_matches_dense_reference_on_random_matrices(ring):
+def _random_reference_matrices(ring):
     m = ring.modulus
     rng = np.random.default_rng(1000 + m)
     for density in (0.01, 0.05, 0.2, 0.5, 1.0):
@@ -353,13 +353,12 @@ def test_howell_form_matches_dense_reference_on_random_matrices(ring):
             if rows >= 3:  # duplicate rows and multiples of one row
                 mat[1] = mat[0]
                 mat[2] = (ring.p * mat[0]) % m
-            _assert_same_howell(mat, ring)
+            yield mat
 
 
-@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
-def test_howell_form_matches_dense_reference_on_edge_cases(ring):
+def _edge_case_matrices(ring):
     m = ring.modulus
-    cases = [
+    return [
         np.zeros((0, 4), dtype=np.int64),
         np.zeros((3, 0), dtype=np.int64),
         np.zeros((0, 0), dtype=np.int64),
@@ -370,8 +369,29 @@ def test_howell_form_matches_dense_reference_on_edge_cases(ring):
         [[m - 1] * 6] * 4,
         np.eye(5, dtype=np.int64) * ring.p,
     ]
-    for mat in cases:
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_howell_form_matches_dense_reference_on_random_matrices(ring):
+    for mat in _random_reference_matrices(ring):
         _assert_same_howell(mat, ring)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_howell_form_matches_dense_reference_on_edge_cases(ring):
+    for mat in _edge_case_matrices(ring):
+        _assert_same_howell(mat, ring)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_left_kernel_is_a_howell_fixed_point_equal_to_the_two_pass_kernel(ring):
+    for mat in [*_random_reference_matrices(ring), *_edge_case_matrices(ring)]:
+        ker = left_kernel(mat, ring)
+        want = reference_left_kernel(mat, ring)
+        assert ker.shape == want.shape and ker.dtype == want.dtype
+        assert (ker == want).all()
+        if ker.shape[0]:
+            assert (howell_form(ker, ring) == ker).all()
 
 
 def _matrices(max_rows=5, max_cols=5):
@@ -498,3 +518,69 @@ def _mmul_operands(draw):
 def test_mmul_matches_object_reference_property(operands):
     ring, a, b = operands
     _assert_mmul_exact(a, b, ring)
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form and resultants against sympy
+
+
+def _random_integer_matrix(rng, rows, cols, bound):
+    return [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_smith_normal_form_matches_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_smith
+
+    rng = random.Random(500 + seed)
+    for k in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = _random_integer_matrix(rng, rows, cols, 10 ** 12 if k % 8 == 0 else 30)
+        if k % 5 == 0 and rows > 1:  # rank deficiency
+            a[-1] = [2 * x for x in a[0]]
+        s, u, v, vinv = smith_normal_form(a, want_vinv=True)
+        am, sm, um, vm = (sympy.Matrix(x) for x in (a, s, u, v))
+        assert um * am * vm == sm
+        assert abs(um.det()) == 1 and abs(vm.det()) == 1
+        assert vm * sympy.Matrix(vinv) == sympy.eye(cols)
+        assert all(s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+        want = sympy_smith(am, domain=sympy.ZZ)
+        assert [s[i][i] for i in range(min(rows, cols))] == \
+            [abs(want[i, i]) for i in range(min(rows, cols))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_resultant_matches_sympy_sylvester_determinant(seed):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    x = sympy.symbols("x")
+    rng = random.Random(600 + seed)
+    for k in range(40):
+        bound = 10 ** 9 if k % 8 == 0 else 9
+        f, g = ([rng.randint(-bound, bound) for _ in range(rng.randint(2, 7))] for _ in range(2))
+        f[-1] = f[-1] or 1
+        g[-1] = g[-1] or -1
+        fx, gx = (sympy.Poly(c[::-1], x).as_expr() for c in (f, g))
+        got = resultant(f, g)
+        assert got == sylvester(fx, gx, x, 1).det()
+        # sympy.resultant (1.14) returns the opposite sign on some of these
+        # inputs, e.g. Res(8x - 5, 5x^3 - 5x^2 + 7x + 8) = 5961 = 8^3 g(5/8)
+        # against its -5961, so only the absolute value is compared with it
+        assert abs(got) == abs(sympy.resultant(fx, gx, x))
+
+
+def test_resultant_of_a_linear_polynomial_is_a_root_evaluation():
+    # Res(b + a x, g) = a^deg(g) * g(-b/a), the definition by roots
+    rng = random.Random(31)
+    for _ in range(60):
+        a = rng.choice([k for k in range(-9, 10) if k])
+        b = rng.randint(-9, 9)
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+        g[-1] = g[-1] or 1
+        root = Fraction(-b, a)
+        value = a ** (len(g) - 1) * sum(c * root ** i for i, c in enumerate(g))
+        assert resultant([b, a], g) == value
+    assert resultant([-5, 8], [8, 7, -5, 5]) == 5961
