@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -75,7 +76,7 @@ class ModRing:
             raise ValueError(f"modulus {self.p}^{self.n} is not below 2^31, "
                              "the largest the int64 kernels handle exactly")
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return self.p ** self.n
 
@@ -395,31 +396,37 @@ def solve_in_span(vector: np.ndarray, rows: np.ndarray, ring: ModRing):
 
     ``rows`` need not be canonical; a Howell pass with transform is used.
     """
+    return _span_solver(rows, ring)(vector)
+
+
+def _span_solver(rows: np.ndarray, ring: ModRing):
+    """One Howell pass over ``rows``; returns ``solve(vector)``, which gives
+    coefficients c with c @ rows == vector, or None if not in the span."""
     m = ring.modulus
     rows = np.asarray(rows, dtype=np.int64) % m
-    v = np.asarray(vector, dtype=np.int64).reshape(-1) % m
-    if rows.shape[0] == 0:
-        return mzeros(1, 0)[0] if not v.any() else None
     h, t = howell_form(rows, ring, transform=True)
-    coeff = mzeros(1, rows.shape[0])[0]
-    rem = v.copy()
-    p = ring.p
-    for ridx in range(h.shape[0]):
-        lead = int(np.nonzero(h[ridx])[0][0]) if h[ridx].any() else None
-        if lead is None:
-            continue
-        x = int(rem[lead])
-        if x == 0:
-            continue
-        pe = int(h[ridx][lead])  # p^v
-        if x % pe != 0:
+    pivots = []  # (row, leading column, pivot p^v); Howell rows are nonzero
+    for ridx, row in enumerate(h):
+        lead = int(np.flatnonzero(row)[0])
+        pivots.append((ridx, lead, int(row[lead])))
+
+    def solve(vector):
+        rem = np.asarray(vector, dtype=np.int64).reshape(-1) % m
+        coeff = mzeros(1, rows.shape[0])[0]
+        for ridx, lead, pe in pivots:
+            x = int(rem[lead])
+            if x == 0:
+                continue
+            if x % pe != 0:
+                return None
+            q = x // pe
+            rem = (rem - q * h[ridx]) % m
+            coeff = (coeff + q * t[ridx]) % m
+        if rem.any():
             return None
-        q = x // pe
-        rem = (rem - q * h[ridx]) % m
-        coeff = (coeff + q * t[ridx]) % m
-    if rem.any():
-        return None
-    return coeff
+        return coeff
+
+    return solve
 
 
 def span_contains(vector: np.ndarray, rows: np.ndarray, ring: ModRing) -> bool:
@@ -446,9 +453,10 @@ def express_in_basis(vectors: np.ndarray, basis: np.ndarray, ring: ModRing) -> n
     vec = np.asarray(vectors, dtype=np.int64)
     if vec.ndim == 1:
         vec = vec.reshape(1, -1)
+    solve = _span_solver(basis, ring)
     outs = []
     for v in vec:
-        c = solve_in_span(v, basis, ring)
+        c = solve(v)
         if c is None:
             raise ValueError("vector not in span of the given basis")
         outs.append(c)

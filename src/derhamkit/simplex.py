@@ -18,16 +18,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .complexes import GradedSliceComplex
+from .complexes import DoubleComplex, GradedSliceComplex
 from .exactlin import (
     ModRing,
     express_in_basis,
+    howell_form,
     left_kernel,
     midentity,
     minimal_generators,
     mmul,
     mzeros,
-    span_contains,
 )
 
 __all__ = [
@@ -292,9 +292,9 @@ def normalized_complex(x: SimplicialModule, with_basis: bool = False):
                 stacked = np.hstack([x.face(n, i, w) for i in range(n)])
                 ker = left_kernel(stacked, ring)
                 rows = minimal_generators(ker, ring)
-                for kr in ker:
-                    if not span_contains(kr, rows, ring) and kr.any():
-                        raise AssertionError("normalized slice is not free (invalid simplicial input)")
+                # ker is a Howell basis, so the rows span it iff they have it as Howell form
+                if not np.array_equal(howell_form(rows, ring), ker):
+                    raise AssertionError("normalized slice is not free (invalid simplicial input)")
             basis[(n, w)] = rows
             if rows.shape[0]:
                 dims[(n, w)] = rows.shape[0]
@@ -419,14 +419,28 @@ def complexes_equal(c1: GradedSliceComplex, c2: GradedSliceComplex) -> bool:
 
 @dataclass
 class BisimplicialModule:
-    ring: ModRing
+    """Double Kan transform of a double complex; maps are built on request.
+
+    X_{m,n} sums D_{p,q} over pairs of surjections eta: [m] ->> [p] and
+    rho: [n] ->> [q].  ``layout[(m, n, w)]`` lists the summands as
+    (eta, rho, p, q, offset), and ``index[(m, n, w)]`` finds an offset by
+    (eta.values, rho.values).  A horizontal operator acts on eta and a
+    vertical one on rho by ``kan_block``, so each summand goes to at most one
+    summand, by the identity or by (-1)^p D_h, resp. (-1)^q D_v.  No map is
+    stored: ``hface`` and the others assemble it from that rule when called.
+    """
+
+    dc: DoubleComplex
     p_max: int
     q_max: int
-    dims: dict  # (p, q, w) -> int
-    hfaces: dict  # (p, q, i, w) -> X_{p,q} -> X_{p-1,q}
-    vfaces: dict  # (p, q, i, w) -> X_{p,q} -> X_{p,q-1}
-    hdegens: dict = field(default_factory=dict)
-    vdegens: dict = field(default_factory=dict)
+    dims: dict  # (m, n, w) -> int
+    layout: dict  # (m, n, w) -> [(eta, rho, p, q, offset)]
+    index: dict  # (m, n, w) -> {(eta.values, rho.values): offset}
+    _blocks: dict = field(init=False, default_factory=dict, repr=False)  # see _block
+
+    @property
+    def ring(self) -> ModRing:
+        return self.dc.ring
 
     def dim(self, p, q, w):
         return self.dims.get((p, q, w), 0)
@@ -434,23 +448,91 @@ class BisimplicialModule:
     def weights(self):
         return sorted({w for (_, _, w) in self.dims})
 
-    def _get(self, table, p, q, i, w, rows, cols):
-        d = table.get((p, q, i, w))
-        if d is not None:
-            return np.asarray(d, dtype=np.int64) % self.ring.modulus
-        return mzeros(rows, cols)
-
     def hface(self, p, q, i, w):
-        return self._get(self.hfaces, p, q, i, w, self.dim(p, q, w), self.dim(p - 1, q, w))
+        return self._operator(p, q, i, w, horizontal=True, face=True)
 
     def vface(self, p, q, i, w):
-        return self._get(self.vfaces, p, q, i, w, self.dim(p, q, w), self.dim(p, q - 1, w))
+        return self._operator(p, q, i, w, horizontal=False, face=True)
 
     def hdegen(self, p, q, i, w):
-        return self._get(self.hdegens, p, q, i, w, self.dim(p, q, w), self.dim(p + 1, q, w))
+        return self._operator(p, q, i, w, horizontal=True, face=False)
 
     def vdegen(self, p, q, i, w):
-        return self._get(self.vdegens, p, q, i, w, self.dim(p, q, w), self.dim(p, q + 1, w))
+        return self._operator(p, q, i, w, horizontal=False, face=False)
+
+    def _operator(self, m, n, i, w, horizontal: bool, face: bool) -> np.ndarray:
+        """d_i or s_i in one direction on X_{m,n}; zero outside the window."""
+        k, top = (m, self.p_max) if horizontal else (n, self.q_max)
+        k2 = k - 1 if face else k + 1
+        target = (k2, n, w) if horizontal else (m, k2, w)
+        out = mzeros(self.dim(m, n, w), self.dim(*target))
+        if not (0 <= i <= k and 0 <= k2 <= top):
+            return out
+        alpha = MonotoneMap.face(k, i) if face else MonotoneMap.degeneracy(k, i)
+        index = self.index.get(target, {})
+        for (eta, rho, p, q, off) in self.layout.get((m, n, w), ()):
+            rule = kan_block(eta if horizontal else rho, alpha)
+            if rule is None:
+                continue
+            label, kind = rule
+            off2 = index.get((label, rho.values) if horizontal else (eta.values, label))
+            if off2 is not None:
+                self._put(out, off, off2, p, q, w, "" if kind == "id" else "h" if horizontal else "v")
+        return out
+
+    def _diagonal_operator(self, n: int, alpha: MonotoneMap, w: int) -> np.ndarray:
+        """alpha acting vertically, then horizontally: X_{n,n} -> X_{k,k}.
+
+        The vertical rule sends a summand (eta, rho, p, q) to at most one
+        summand (eta, rho', p, q') of X_{n,k}, and the horizontal rule sends
+        that to at most one summand (eta', rho', p', q') of X_{k,k}, so the
+        block is I, (-1)^q D_v, (-1)^p D_h or (-1)^q D_v (-1)^p D_h.  This is
+        the product of the two maps, block by block, without building either.
+        """
+        k = alpha.source
+        out = mzeros(self.dim(n, n, w), self.dim(k, k, w))
+        index = self.index.get((k, k, w), {})
+        for (eta, rho, p, q, off) in self.layout.get((n, n, w), ()):
+            rule_v = kan_block(rho, alpha)
+            rule_h = kan_block(eta, alpha)
+            if rule_v is None or rule_h is None:
+                continue
+            (rho2, kind_v), (eta2, kind_h) = rule_v, rule_h
+            off2 = index.get((eta2, rho2))
+            if off2 is not None:
+                kind = ("v" if kind_v == "d" else "") + ("h" if kind_h == "d" else "")
+                self._put(out, off, off2, p, q, w, kind)
+        return out
+
+    def _put(self, out: np.ndarray, off: int, off2: int, p: int, q: int, w: int, kind: str) -> None:
+        """Write the block leaving a summand D_{p,q} at (off, off2): I_d when
+        ``kind`` is empty, as one strided slice of the flat array, else ``_block``."""
+        if kind:
+            blk = self._block(p, q, w, kind)
+            out[off : off + blk.shape[0], off2 : off2 + blk.shape[1]] = blk
+        else:
+            step = out.shape[1] + 1
+            start = off * out.shape[1] + off2
+            out.reshape(-1)[start : start + self.dc.dim(p, q, w) * step : step] = 1
+
+    def _block(self, p: int, q: int, w: int, kind: str) -> np.ndarray:
+        """The non-identity block leaving the summands of D_{p,q}, reduced.
+
+        "h" is (-1)^p D_h, "v" is (-1)^q D_v and "vh" is (-1)^q D_v followed
+        by (-1)^p D_h from D_{p,q-1}.  Each is computed once per (p, q, w).
+        """
+        key = (p, q, w, kind)
+        blk = self._blocks.get(key)
+        if blk is None:
+            m = self.ring.modulus
+            if kind == "h":
+                blk = (-1) ** p * self.dc.h(p, q, w) % m
+            elif kind == "v":
+                blk = (-1) ** q * self.dc.v(p, q, w) % m
+            else:
+                blk = mmul(self._block(p, q, w, "v"), self._block(p, q - 1, w, "h"), self.ring)
+            self._blocks[key] = blk
+        return blk
 
     def validate(self) -> None:
         """Row/column simplicial identities plus horizontal-vertical commutation."""
@@ -476,16 +558,24 @@ class BisimplicialModule:
                 col.validate()
             for p in range(1, self.p_max + 1):
                 for q in range(1, self.q_max + 1):
+                    hf = [self.hface(p, q, i, w) for i in range(p + 1)]
+                    hf_below = [self.hface(p, q - 1, i, w) for i in range(p + 1)]
+                    vf = [self.vface(p, q, j, w) for j in range(q + 1)]
+                    vf_left = [self.vface(p - 1, q, j, w) for j in range(q + 1)]
                     for i in range(p + 1):
                         for j in range(q + 1):
-                            hv = mmul(self.hface(p, q, i, w), self.vface(p - 1, q, j, w), r)
-                            vh = mmul(self.vface(p, q, j, w), self.hface(p, q - 1, i, w), r)
+                            hv = mmul(hf[i], vf_left[j], r)
+                            vh = mmul(vf[j], hf_below[i], r)
                             if (hv != vh).any():
                                 raise ValueError(f"h/v faces do not commute at {(p, q, i, j, w)}")
 
 
 def diagonal(b: BisimplicialModule) -> SimplicialModule:
-    """X_n = B_{n,n} with d_i = d_i^h d_i^v and s_i = s_i^h s_i^v."""
+    """X_n = B_{n,n} with d_i = d_i^h d_i^v and s_i = s_i^h s_i^v.
+
+    Each operator is composed summand by summand from the two Kan rules; no
+    face or degeneracy of ``b`` is built.
+    """
     if b.p_max != b.q_max:
         raise ValueError("diagonal needs a square window")
     n_max = b.p_max
@@ -495,89 +585,43 @@ def diagonal(b: BisimplicialModule) -> SimplicialModule:
     for w in b.weights():
         for n in range(1, n_max + 1):
             for i in range(n + 1):
-                faces[(n, i, w)] = mmul(b.vface(n, n, i, w), b.hface(n, n - 1, i, w), b.ring)
+                faces[(n, i, w)] = b._diagonal_operator(n, MonotoneMap.face(n, i), w)
         for n in range(n_max):
             for i in range(n + 1):
-                degens[(n, i, w)] = mmul(b.vdegen(n, n, i, w), b.hdegen(n, n + 1, i, w), b.ring)
+                degens[(n, i, w)] = b._diagonal_operator(n, MonotoneMap.degeneracy(n, i), w)
     return SimplicialModule(b.ring, n_max, dims, faces, degens)
 
 
 def double_kan(dc, p_max: int, q_max: int) -> BisimplicialModule:
     """Kan transform in both directions of a double complex with commuting
-    differentials: X_{m,n} = sum over pairs of surjections of D_{p,q}."""
-    from .complexes import DoubleComplex
+    differentials: X_{m,n} = sum over pairs of surjections of D_{p,q}.
 
+    Validates ``dc`` and lays out the summands; maps are built on request.
+    """
     assert isinstance(dc, DoubleComplex)
     dc.validate()
-    ring = dc.ring
-    weights = sorted({w for (_, _, w) in dc.terms})
     dims = {}
-    hfaces = {}
-    vfaces = {}
-    hdegens = {}
-    vdegens = {}
-
-    for w in weights:
-        def ddim(p, q):
-            return dc.dim(p, q, w)
-
-        layout = {}
-        sizes = {}
-        index = {}
+    layout = {}
+    index = {}
+    for w in sorted({w for (_, _, w) in dc.terms}):
         for m in range(p_max + 1):
             for n in range(q_max + 1):
                 blocks = []
                 off = 0
                 for p in range(m, -1, -1):
                     for q in range(n, -1, -1):
-                        d = ddim(p, q)
+                        d = dc.dim(p, q, w)
                         if d == 0:
                             continue
                         for eta in monotone_surjections(m, p):
                             for rho in monotone_surjections(n, q):
                                 blocks.append((eta, rho, p, q, off))
                                 off += d
-                layout[(m, n)] = blocks
-                sizes[(m, n)] = off
-                index[(m, n)] = {(e.values, r.values): o for (e, r, _, _, o) in blocks}
+                layout[(m, n, w)] = blocks
+                index[(m, n, w)] = {(e.values, r.values): o for (e, r, _, _, o) in blocks}
                 if off:
                     dims[(m, n, w)] = off
-
-        def build(m, n, alpha, horizontal: bool):
-            tgt_mn = (alpha.source, n) if horizontal else (m, alpha.source)
-            out = mzeros(sizes[(m, n)], sizes.get(tgt_mn, 0))
-            for (eta, rho, p, q, off) in layout[(m, n)]:
-                rule = kan_block(eta if horizontal else rho, alpha)
-                if rule is None:
-                    continue
-                label, kind = rule
-                key = (label, rho.values) if horizontal else (eta.values, label)
-                o2 = index[tgt_mn].get(key)
-                if o2 is None:
-                    continue
-                if kind == "id":
-                    blk = midentity(ddim(p, q))
-                elif horizontal:
-                    blk = (-1) ** p * dc.h(p, q, w)
-                else:
-                    blk = (-1) ** q * dc.v(p, q, w)
-                out[off : off + blk.shape[0], o2 : o2 + blk.shape[1]] += blk
-            return out % ring.modulus
-
-        for m in range(p_max + 1):
-            for n in range(q_max + 1):
-                for i in range(m + 1):
-                    if m >= 1:
-                        hfaces[(m, n, i, w)] = build(m, n, MonotoneMap.face(m, i), True)
-                    if m < p_max:
-                        hdegens[(m, n, i, w)] = build(m, n, MonotoneMap.degeneracy(m, i), True)
-                for i in range(n + 1):
-                    if n >= 1:
-                        vfaces[(m, n, i, w)] = build(m, n, MonotoneMap.face(n, i), False)
-                    if n < q_max:
-                        vdegens[(m, n, i, w)] = build(m, n, MonotoneMap.degeneracy(n, i), False)
-
-    return BisimplicialModule(ring, p_max, q_max, dims, hfaces, vfaces, hdegens, vdegens)
+    return BisimplicialModule(dc, p_max, q_max, dims, layout, index)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,180 @@
+"""Eager bisimplicial modules kept as the reference for ``simplex``.
+
+This is the ``double_kan``/``diagonal`` pair ``simplex`` used before its
+bisimplicial modules became rule-based: every horizontal and vertical face
+and degeneracy in the window is built up front as a dense matrix, and the
+diagonal multiplies the stored maps.  The tests require the library's
+on-request maps and its block-composed diagonal to equal these exactly.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from derhamkit.exactlin import ModRing, midentity, mmul, mzeros
+from derhamkit.simplex import MonotoneMap, SimplicialModule, kan_block, monotone_surjections
+
+
+@dataclass
+class BisimplicialModule:
+    ring: ModRing
+    p_max: int
+    q_max: int
+    dims: dict  # (p, q, w) -> int
+    hfaces: dict  # (p, q, i, w) -> X_{p,q} -> X_{p-1,q}
+    vfaces: dict  # (p, q, i, w) -> X_{p,q} -> X_{p,q-1}
+    hdegens: dict = field(default_factory=dict)
+    vdegens: dict = field(default_factory=dict)
+
+    def dim(self, p, q, w):
+        return self.dims.get((p, q, w), 0)
+
+    def weights(self):
+        return sorted({w for (_, _, w) in self.dims})
+
+    def _get(self, table, p, q, i, w, rows, cols):
+        d = table.get((p, q, i, w))
+        if d is not None:
+            return np.asarray(d, dtype=np.int64) % self.ring.modulus
+        return mzeros(rows, cols)
+
+    def hface(self, p, q, i, w):
+        return self._get(self.hfaces, p, q, i, w, self.dim(p, q, w), self.dim(p - 1, q, w))
+
+    def vface(self, p, q, i, w):
+        return self._get(self.vfaces, p, q, i, w, self.dim(p, q, w), self.dim(p, q - 1, w))
+
+    def hdegen(self, p, q, i, w):
+        return self._get(self.hdegens, p, q, i, w, self.dim(p, q, w), self.dim(p + 1, q, w))
+
+    def vdegen(self, p, q, i, w):
+        return self._get(self.vdegens, p, q, i, w, self.dim(p, q, w), self.dim(p, q + 1, w))
+
+    def validate(self) -> None:
+        """Row/column simplicial identities plus horizontal-vertical commutation."""
+        r = self.ring
+        for w in self.weights():
+            for q in range(self.q_max + 1):
+                row = SimplicialModule(
+                    r,
+                    self.p_max,
+                    {(p, 0): self.dim(p, q, w) for p in range(self.p_max + 1)},
+                    {(p, i, 0): self.hface(p, q, i, w) for p in range(1, self.p_max + 1) for i in range(p + 1)},
+                    {(p, i, 0): self.hdegen(p, q, i, w) for p in range(self.p_max) for i in range(p + 1)},
+                )
+                row.validate()
+            for p in range(self.p_max + 1):
+                col = SimplicialModule(
+                    r,
+                    self.q_max,
+                    {(q, 0): self.dim(p, q, w) for q in range(self.q_max + 1)},
+                    {(q, i, 0): self.vface(p, q, i, w) for q in range(1, self.q_max + 1) for i in range(q + 1)},
+                    {(q, i, 0): self.vdegen(p, q, i, w) for q in range(self.q_max) for i in range(q + 1)},
+                )
+                col.validate()
+            for p in range(1, self.p_max + 1):
+                for q in range(1, self.q_max + 1):
+                    for i in range(p + 1):
+                        for j in range(q + 1):
+                            hv = mmul(self.hface(p, q, i, w), self.vface(p - 1, q, j, w), r)
+                            vh = mmul(self.vface(p, q, j, w), self.hface(p, q - 1, i, w), r)
+                            if (hv != vh).any():
+                                raise ValueError(f"h/v faces do not commute at {(p, q, i, j, w)}")
+
+
+def diagonal(b: BisimplicialModule) -> SimplicialModule:
+    """X_n = B_{n,n} with d_i = d_i^h d_i^v and s_i = s_i^h s_i^v."""
+    if b.p_max != b.q_max:
+        raise ValueError("diagonal needs a square window")
+    n_max = b.p_max
+    dims = {(n, w): b.dim(n, n, w) for n in range(n_max + 1) for w in b.weights() if b.dim(n, n, w)}
+    faces = {}
+    degens = {}
+    for w in b.weights():
+        for n in range(1, n_max + 1):
+            for i in range(n + 1):
+                faces[(n, i, w)] = mmul(b.vface(n, n, i, w), b.hface(n, n - 1, i, w), b.ring)
+        for n in range(n_max):
+            for i in range(n + 1):
+                degens[(n, i, w)] = mmul(b.vdegen(n, n, i, w), b.hdegen(n, n + 1, i, w), b.ring)
+    return SimplicialModule(b.ring, n_max, dims, faces, degens)
+
+
+def double_kan(dc, p_max: int, q_max: int) -> BisimplicialModule:
+    """Kan transform in both directions of a double complex with commuting
+    differentials: X_{m,n} = sum over pairs of surjections of D_{p,q}."""
+    from derhamkit.complexes import DoubleComplex
+
+    assert isinstance(dc, DoubleComplex)
+    dc.validate()
+    ring = dc.ring
+    weights = sorted({w for (_, _, w) in dc.terms})
+    dims = {}
+    hfaces = {}
+    vfaces = {}
+    hdegens = {}
+    vdegens = {}
+
+    for w in weights:
+        def ddim(p, q):
+            return dc.dim(p, q, w)
+
+        layout = {}
+        sizes = {}
+        index = {}
+        for m in range(p_max + 1):
+            for n in range(q_max + 1):
+                blocks = []
+                off = 0
+                for p in range(m, -1, -1):
+                    for q in range(n, -1, -1):
+                        d = ddim(p, q)
+                        if d == 0:
+                            continue
+                        for eta in monotone_surjections(m, p):
+                            for rho in monotone_surjections(n, q):
+                                blocks.append((eta, rho, p, q, off))
+                                off += d
+                layout[(m, n)] = blocks
+                sizes[(m, n)] = off
+                index[(m, n)] = {(e.values, r.values): o for (e, r, _, _, o) in blocks}
+                if off:
+                    dims[(m, n, w)] = off
+
+        def build(m, n, alpha, horizontal: bool):
+            tgt_mn = (alpha.source, n) if horizontal else (m, alpha.source)
+            out = mzeros(sizes[(m, n)], sizes.get(tgt_mn, 0))
+            for (eta, rho, p, q, off) in layout[(m, n)]:
+                rule = kan_block(eta if horizontal else rho, alpha)
+                if rule is None:
+                    continue
+                label, kind = rule
+                key = (label, rho.values) if horizontal else (eta.values, label)
+                o2 = index[tgt_mn].get(key)
+                if o2 is None:
+                    continue
+                if kind == "id":
+                    blk = midentity(ddim(p, q))
+                elif horizontal:
+                    blk = (-1) ** p * dc.h(p, q, w)
+                else:
+                    blk = (-1) ** q * dc.v(p, q, w)
+                out[off : off + blk.shape[0], o2 : o2 + blk.shape[1]] += blk
+            return out % ring.modulus
+
+        for m in range(p_max + 1):
+            for n in range(q_max + 1):
+                for i in range(m + 1):
+                    if m >= 1:
+                        hfaces[(m, n, i, w)] = build(m, n, MonotoneMap.face(m, i), True)
+                    if m < p_max:
+                        hdegens[(m, n, i, w)] = build(m, n, MonotoneMap.degeneracy(m, i), True)
+                for i in range(n + 1):
+                    if n >= 1:
+                        vfaces[(m, n, i, w)] = build(m, n, MonotoneMap.face(n, i), False)
+                    if n < q_max:
+                        vdegens[(m, n, i, w)] = build(m, n, MonotoneMap.degeneracy(n, i), False)
+
+    return BisimplicialModule(ring, p_max, q_max, dims, hfaces, vfaces, hdegens, vdegens)

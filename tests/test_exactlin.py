@@ -15,6 +15,7 @@ from derhamkit.exactlin import (
     ZZ,
     ModRing,
     ModulePresentation,
+    express_in_basis,
     howell_form,
     left_kernel,
     mmul,
@@ -432,6 +433,39 @@ def test_left_kernel_annihilates(ring_mat):
     ker = left_kernel(a, ring)
     assert ker.shape[1] == a.shape[0]
     assert not ((ker @ a) % ring.modulus).any()
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_express_in_basis_equals_row_by_row_solve_in_span(ring):
+    m = ring.modulus
+    rng = np.random.default_rng(2000 + m)
+    for basis in [*_random_reference_matrices(ring), *_edge_case_matrices(ring)]:
+        b = np.asarray(basis, dtype=np.int64) % m
+        if b.ndim == 1:
+            b = b.reshape(1, -1)
+        vectors = (rng.integers(0, m, size=(4, b.shape[0])) @ b) % m
+        got = express_in_basis(vectors, b, ring)
+        want = np.vstack([solve_in_span(v, b, ring) for v in vectors])
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert (got == want).all()
+
+
+def test_express_in_basis_rejects_a_vector_outside_the_span():
+    ring = ModRing(2, 2)
+    basis = np.array([[2, 0], [0, 1]])
+    assert (express_in_basis(np.array([[2, 3]]), basis, ring) == [[1, 3]]).all()
+    for outside in ([1, 0], [3, 1]):
+        with pytest.raises(ValueError, match="not in span"):
+            express_in_basis(np.array([[2, 1], outside]), basis, ring)
+
+
+def test_modring_modulus_is_computed_once_and_keeps_equality_on_p_and_n():
+    ring = ModRing(3, 2)
+    assert "modulus" not in vars(ring)
+    assert ring.modulus == 9 and vars(ring)["modulus"] == 9
+    fresh = ModRing(3, 2)
+    assert ring == fresh and hash(ring) == hash(fresh)
+    assert ring != ModRing(3, 1) and ModRing(3, 1).modulus == 3
 
 
 def test_modring_rejects_moduli_beyond_int64_products():

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+import reference_simplex
 
 from derhamkit.complexes import (
     DoubleComplex,
@@ -11,10 +12,11 @@ from derhamkit.complexes import (
     slice_homology,
     total_complex,
 )
-from derhamkit.exactlin import ModRing
+from derhamkit.exactlin import ModRing, mmul
 from derhamkit.randomgen import random_complex
 from derhamkit.simplex import (
     MonotoneMap,
+    SimplicialModule,
     complexes_equal,
     diagonal,
     double_kan,
@@ -132,27 +134,50 @@ def test_homotopy_invariance_of_knk():
 
 
 def tensor_double_complex(c1, c2, ring):
+    """D_{p,q,w} = sum over u + v = w of C1_{p,u} (x) C2_{q,v}, d_h = d (x) 1, d_v = 1 (x) d."""
+    m = ring.modulus
     terms = {}
-    horiz = {}
-    vert = {}
+    parts = {}  # (p, q, w) -> {(u, v): offset}
     for p in c1.degrees():
         for q in c2.degrees():
             for u in c1.weights():
                 for v in c2.weights():
                     d1, d2 = c1.dim(p, u), c2.dim(q, v)
                     if d1 and d2:
-                        terms[(p, q, u + v)] = terms.get((p, q, u + v), 0) + d1 * d2
-    # single-weight inputs keep the block structure trivial
-    assert len(c1.weights()) <= 1 and len(c2.weights()) <= 1
-    u = c1.weights()[0] if c1.weights() else 0
-    v = c2.weights()[0] if c2.weights() else 0
-    w = u + v
-    for (p, q, _) in terms:
-        if (p - 1, q, w) in terms:
-            horiz[(p, q, w)] = np.kron(c1.diff(p, u), np.eye(c2.dim(q, v), dtype=np.int64)) % ring.modulus
-        if (p, q - 1, w) in terms:
-            vert[(p, q, w)] = np.kron(np.eye(c1.dim(p, u), dtype=np.int64), c2.diff(q, v)) % ring.modulus
+                        key = (p, q, u + v)
+                        parts.setdefault(key, {})[(u, v)] = terms.get(key, 0)
+                        terms[key] = terms.get(key, 0) + d1 * d2
+    horiz = {}
+    vert = {}
+    for (p, q, w), offsets in parts.items():
+        for target, table, step in (((p - 1, q, w), horiz, 0), ((p, q - 1, w), vert, 1)):
+            if target not in terms:
+                continue
+            mat = np.zeros((terms[(p, q, w)], terms[target]), dtype=np.int64)
+            for (u, v), off in offsets.items():
+                off2 = parts[target].get((u, v))
+                if off2 is None:
+                    continue
+                if step == 0:
+                    blk = np.kron(c1.diff(p, u), np.eye(c2.dim(q, v), dtype=np.int64))
+                else:
+                    blk = np.kron(np.eye(c1.dim(p, u), dtype=np.int64), c2.diff(q, v))
+                mat[off : off + blk.shape[0], off2 : off2 + blk.shape[1]] = blk
+            table[(p, q, w)] = mat % m
     return DoubleComplex(ring, terms, horiz, vert)
+
+
+def eilenberg_zilber_double_complexes(seed=1, cases=10):
+    """The double complexes the ``eilenberg-zilber`` suite draws at its defaults."""
+    rng = random.Random(seed)
+    ring = ModRing(2, 2)
+    out = []
+    while len(out) < cases:
+        c1 = random_complex(ring, rng, 2, 2)
+        c2 = random_complex(ring, rng, 2, 2)
+        if c1.dims and c2.dims:
+            out.append(tensor_double_complex(c1, c2, ring))
+    return out
 
 
 def test_eilenberg_zilber_small():
@@ -211,6 +236,88 @@ def test_diagonal_trivial_cases():
     assert all(d.dim(n, 0) == 1 for n in range(4))
 
 
+def _random_double_complexes(seed):
+    """Seeded double complexes: single- and multi-weight, with empty summands."""
+    rng = random.Random(seed)
+    ring = (ModRing(2, 2), ModRing(3, 1), ModRing(3, 2))[seed % 3]
+    weights = ((0,), (0, 1))[seed % 2]
+    c1 = random_complex(ring, rng, max_degree=2, max_rank=2, weight_choices=weights)
+    c2 = random_complex(ring, rng, max_degree=2, max_rank=2, weight_choices=weights)
+    # degrees 0 and 2 only: every D_{1,q} is an empty summand
+    gap = GradedSliceComplex(ring, 0, 2, {(0, 0): 1, (2, 0): 2}, {})
+    return [tensor_double_complex(c1, c2, ring), tensor_double_complex(gap, c2, ring),
+            tensor_double_complex(c1, gap, ring), DoubleComplex(ring, {}, {}, {})]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bisimplicial_maps_equal_the_eager_reference(seed):
+    for dc in _random_double_complexes(seed):
+        weights = sorted({w for (_, _, w) in dc.terms}) + [7]
+        for p_max, q_max in ((4, 4), (3, 1), (0, 2)):
+            x = double_kan(dc, p_max, q_max)
+            ref = reference_simplex.double_kan(dc, p_max, q_max)
+            assert x.dims == ref.dims
+            # one step past the window on each side, where both give zero maps
+            for m in range(-1, p_max + 2):
+                for n in range(-1, q_max + 2):
+                    for w in weights:
+                        for i in range(-1, max(m, n) + 2):
+                            for name in ("hface", "vface", "hdegen", "vdegen"):
+                                got = getattr(x, name)(m, n, i, w)
+                                want = getattr(ref, name)(m, n, i, w)
+                                assert got.shape == want.shape and got.dtype == want.dtype
+                                assert (got == want).all(), (name, m, n, i, w)
+
+
+def test_multi_weight_inputs_reach_several_weights():
+    dcs = [_random_double_complexes(seed)[0] for seed in range(1, 6, 2)]
+    assert any(len({w for (_, _, w) in dc.terms}) > 1 for dc in dcs)
+
+
+def test_diagonal_equals_the_eager_reference_on_the_eilenberg_zilber_cases():
+    for dc in eilenberg_zilber_double_complexes(seed=1):
+        x = double_kan(dc, 5, 5)
+        got = diagonal(x)
+        ref = reference_simplex.double_kan(dc, 5, 5)
+        assert got.dims == {(n, w): ref.dim(n, n, w) for (n, n2, w) in ref.dims if n == n2}
+        assert got.faces.keys() == {(n, i, w) for n in range(1, 6) for i in range(n + 1) for w in ref.weights()}
+        assert got.degens.keys() == {(n, i, w) for n in range(5) for i in range(n + 1) for w in ref.weights()}
+        for (n, i, w), face in got.faces.items():
+            want = mmul(ref.vface(n, n, i, w), ref.hface(n, n - 1, i, w), dc.ring)
+            assert face.shape == want.shape and (face == want).all()
+        for (n, i, w), degen in got.degens.items():
+            want = mmul(ref.vdegen(n, n, i, w), ref.hdegen(n, n + 1, i, w), dc.ring)
+            assert degen.shape == want.shape and (degen == want).all()
+
+
+def test_validate_catches_one_vertical_block_with_the_wrong_sign():
+    ring = ModRing(3, 1)
+    c = GradedSliceComplex(ring, 0, 1, {(0, 0): 1, (1, 0): 1}, {(1, 0): np.array([[1]])})
+    double_kan(tensor_double_complex(c, c, ring), 2, 2).validate()
+    dc = tensor_double_complex(c, c, ring)
+    x = double_kan(dc, 2, 2)  # no map is built yet, so x reads the flipped block
+    # -d_v(1, 1) still squares to zero but no longer commutes with d_h
+    dc.vert[(1, 1, 0)] = (-dc.vert[(1, 1, 0)]) % ring.modulus
+    with pytest.raises(ValueError, match="do not commute"):
+        double_kan(dc, 2, 2)
+    with pytest.raises(ValueError, match="h/v faces do not commute"):
+        x.validate()
+
+
+def test_diagonal_of_the_largest_eilenberg_zilber_case_peaks_below_64_mb():
+    import tracemalloc
+
+    dc = max(eilenberg_zilber_double_complexes(seed=1), key=lambda d: sum(d.terms.values()))
+    tracemalloc.start()
+    try:
+        diag = diagonal(double_kan(dc, 5, 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert diag.dim(5, 0) == 810
+    assert peak < 64 * 2 ** 20
+
+
 def test_shuffle_counts_and_signs():
     assert sum(1 for _ in shuffles(2, 1)) == 3
     assert sum(1 for _ in shuffles(0, 3)) == 1
@@ -235,6 +342,15 @@ def test_augmentation_well_defined():
     proj = np.array([[2]])  # Z/4 -> (2)/(0) ~ Z/2 embedded as multiples of 2
     rows = y.augmentation_rows(proj, 0)
     assert len(rows) == 4
+
+
+def test_normalized_complex_rejects_a_slice_that_is_not_free():
+    # over Z/4, ker d_0 = 2 Z/4 is not free: its only generator vanishes mod 2
+    ring = ModRing(2, 2)
+    x = SimplicialModule(ring, 1, {(0, 0): 1, (1, 0): 1},
+                         {(1, 0, 0): np.array([[2]]), (1, 1, 0): np.array([[1]])}, {})
+    with pytest.raises(AssertionError, match="not free"):
+        normalized_complex(x)
 
 
 def test_normalized_with_basis_inclusion():
