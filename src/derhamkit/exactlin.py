@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .upoly import trim
+from .upoly import rem, trim
 
 __all__ = [
     "ModRing",
@@ -40,7 +40,6 @@ __all__ = [
     "module_invariants",
     "padic_valuation",
     "resultant",
-    "bareiss_det",
 ]
 
 
@@ -644,52 +643,28 @@ def padic_valuation(q, p: int) -> PAdicValue:
     return PAdicValue(p, Fraction(v_int(abs(num), p) - v_int(den, p)))
 
 
-def bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free exact determinant of an integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def resultant(f: Sequence[int], g: Sequence[int]) -> int:
-    """Res(f, g) of integer polynomials via the Sylvester determinant.
+    """Res(f, g) of integer polynomials, exact.
 
-    Polynomials are coefficient lists, constant term first.  Exact for any
-    size thanks to big-int arithmetic.
+    Polynomials are coefficient lists, constant term first.  Computed by
+    the Euclidean remainder sequence over Q: with r = f mod g,
+    Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r), and
+    Res(f, c) = c^(deg f) for a constant c.
     """
-    f = trim(f)
-    g = trim(g)
+    f = [Fraction(c) for c in trim(f)]
+    g = [Fraction(c) for c in trim(g)]
     if not f or not g:
         raise ValueError("resultant of the zero polynomial")
-    dm, dn = len(f) - 1, len(g) - 1
-    if dm == 0:
-        return f[0] ** dn
-    if dn == 0:
-        return g[0] ** dm
-    size = dm + dn
-    syl = [[0] * size for _ in range(size)]
-    frev = f[::-1]  # leading first
-    grev = g[::-1]
-    for i in range(dn):
-        for j, c in enumerate(frev):
-            syl[i][i + j] = c
-    for i in range(dm):
-        for j, c in enumerate(grev):
-            syl[dn + i][i + j] = c
-    return bareiss_det(syl)
+    res = Fraction(1)
+    while len(g) > 1:
+        lead = g[-1]
+        r = trim(rem(f, [c / lead for c in g]))
+        if not r:
+            return 0
+        if (len(f) - 1) * (len(g) - 1) % 2:
+            res = -res
+        res *= lead ** (len(f) - len(r))
+        f, g = g, r
+    res *= g[0] ** (len(f) - 1)
+    assert res.denominator == 1
+    return res.numerator

@@ -82,7 +82,11 @@ def unramified_extension(p: int, f_coeffs) -> MonogenicExtension:
 
 def different_valuation(ext: MonogenicExtension) -> PAdicValue:
     """v(f'(b)) = v_p(Res(f, f')) / [L : Q_p], exact."""
-    res = resultant(list(ext.f_coeffs), ext.fprime())
+    return _different_from_resultant(ext, resultant(list(ext.f_coeffs), ext.fprime()))
+
+
+def _different_from_resultant(ext: MonogenicExtension, res: int) -> PAdicValue:
+    """v(f'(b)) from res = Res(f, f')."""
     if res == 0:
         raise ValueError("inseparable polynomial: the different is undefined")
     if res in (1, -1):
@@ -142,7 +146,8 @@ def fontaine_annihilator_check(p: int, r: int) -> AnnihilatorCheck:
     """
     ext = cyclotomic_extension(p, r)
     expected = Fraction(r) - Fraction(1, p - 1)
-    via_diff = different_valuation(ext).value
+    plain = resultant(list(ext.f_coeffs), ext.fprime())
+    via_diff = _different_from_resultant(ext, plain).value
 
     # v(zeta_p - 1) from the norm in Q_p(zeta_p): Res(Phi_p, x - 1) = Phi_p(1) = p
     phi_p = cyclotomic_polynomial_ppower(p, 1)
@@ -152,7 +157,6 @@ def fontaine_annihilator_check(p: int, r: int) -> AnnihilatorCheck:
 
     # dlog vs d: multiply the annihilator generator by the unit zeta
     shifted = resultant(list(ext.f_coeffs), [0] + ext.fprime())
-    plain = resultant(list(ext.f_coeffs), ext.fprime())
     dlog_same = _vp_or_zero(shifted, p) == _vp_or_zero(plain, p)
 
     ok = via_diff == expected and via_unif == expected and dlog_same

@@ -13,6 +13,7 @@ depends on exact valuations, so nothing is reduced early.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .complexes import GradedSliceComplex, HomologyReport, homology_report, slice_homology
-from .exactlin import ModRing, bareiss_det, howell_form, mzeros, mmul, quotient_invariants
+from .exactlin import ModRing, howell_form, mzeros, mmul, quotient_invariants
 from .simplex import SimplicialModule, kan_transform, normalized_complex
 
 __all__ = [
@@ -305,18 +306,56 @@ def gamma_matrix(phi: np.ndarray, n: int, ring: ModRing) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _minor_plan(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index plan for the k-subsets of range(size) in ``itertools.combinations``
+    order: ``elems[c, t]`` is the t-th element of subset c and ``rest[c, t]``
+    the position of subset c without it among the (k-1)-subsets."""
+    subsets = list(itertools.combinations(range(size), k))
+    index = {sub: i for i, sub in enumerate(itertools.combinations(range(size), k - 1))}
+    elems = np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
+    rest = np.array([[index[sub[:t] + sub[t + 1:]] for t in range(k)] for sub in subsets],
+                    dtype=np.intp).reshape(len(subsets), k)
+    elems.flags.writeable = rest.flags.writeable = False  # shared by every caller
+    return elems, rest
+
+
 def wedge_matrix(phi: np.ndarray, n: int, ring: ModRing) -> np.ndarray:
-    """Matrix of wedge^n(phi): entries are n x n minors."""
+    """Matrix of wedge^n(phi): entries are the n x n minors, row and column
+    sets in ``itertools.combinations`` order.
+
+    All k x k minors come from the (k-1) x (k-1) ones by Laplace expansion
+    along the first row, k = 1..n, one numpy gather per column position.
+    Only row sets that are suffixes of an n-set are kept: the k-subsets of
+    range(r) with least element >= n - k, a tail of the combinations order.
+    Entries are reduced into [0, m) first; m < 2^31 keeps each product of
+    an entry and a minor below 2^62.
+    """
+    if n < 0:
+        raise ValueError(f"wedge power must be non-negative, got {n}")
+    m = ring.modulus
     r, s = phi.shape
-    src = list(itertools.combinations(range(r), n))
-    tgt = list(itertools.combinations(range(s), n))
-    out = mzeros(len(src), len(tgt))
-    rows = [[int(x) for x in phi[j]] for j in range(r)]
-    for a, rowset in enumerate(src):
-        for b, colset in enumerate(tgt):
-            sub = [[rows[i][j] for j in colset] for i in rowset]
-            out[a, b] = bareiss_det(sub) % ring.modulus
-    return out
+    if n > min(r, s):
+        return mzeros(comb(r, n), comb(s, n))
+    a = (np.asarray(phi) % m).astype(np.int64)
+    minors = np.ones((1, 1), dtype=np.int64)
+    for k in range(1, n + 1):
+        row_elems, row_rest = _minor_plan(r, k)
+        col_elems, col_rest = _minor_plan(s, k)
+        first = comb(r, k) - comb(r - n + k, k)
+        # the kept (k-1)-sets start at this position among all of them
+        below = comb(r, k - 1) - comb(r - n + k - 1, k - 1)
+        lead = a[row_elems[first:, 0]]
+        tails = minors[row_rest[first:, 0] - below]
+        nxt = np.zeros((lead.shape[0], col_elems.shape[0]), dtype=np.int64)
+        for t in range(k):
+            term = lead[:, col_elems[:, t]] * tails[:, col_rest[:, t]] % m
+            if t % 2:
+                nxt -= term
+            else:
+                nxt += term
+        minors = nxt % m
+    return minors
 
 
 def _weighted_slots(x: SimplicialModule, n: int) -> list[tuple[int, int]]:
@@ -511,12 +550,8 @@ def koszul_gamma_complex(u: np.ndarray, v: np.ndarray, n: int, ring: ModRing):
 def _wedge_rows(rows: list[np.ndarray], rg: int, ring: ModRing) -> np.ndarray:
     """Wedge of explicit row vectors as a vector over the standard basis of
     wedge^len(rows) of the ambient rank-rg module."""
-    k = len(rows)
-    out = mzeros(1, comb(rg, k))[0]
-    for b, colset in enumerate(itertools.combinations(range(rg), k)):
-        sub = [[int(r[j]) for j in colset] for r in rows]
-        out[b] = bareiss_det(sub) % ring.modulus
-    return out
+    stacked = np.array(rows, dtype=np.int64).reshape(len(rows), rg)
+    return wedge_matrix(stacked, len(rows), ring)[0]
 
 
 @dataclass

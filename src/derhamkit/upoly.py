@@ -30,8 +30,9 @@ def mul(a, b, m: int) -> list[int]:
 def rem(a, f, m: int | None = None) -> list[int]:
     """Remainder of ``a`` modulo ``f`` as exactly deg f coefficients.
 
-    Over Z/m the leading coefficient of f must be a unit mod m; over Z
-    (``m=None``) f must be monic.  Shorter inputs are zero-padded.
+    Over Z/m the leading coefficient of f must be a unit mod m; over Z or
+    Q (``m=None``, int or ``Fraction`` coefficients) f must be monic.
+    Shorter inputs are zero-padded.
     """
     d = len(f) - 1
     if m is None:

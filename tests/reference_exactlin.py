@@ -5,14 +5,22 @@
 the library kernel to return exactly the same ``H`` and ``T`` (not merely
 the same canonical span) on every matrix they try, because ``T`` feeds
 ``solve_in_span`` and everything built on it.  ``left_kernel`` is the
-two-pass kernel the library replaced by one pass.
+two-pass kernel the library replaced by one pass.  ``bareiss_det``,
+``resultant`` (the Sylvester determinant) and ``wedge_matrix`` (one
+determinant per pair of row and column sets) are the library's earlier
+per-entry determinant routes, replaced by the Euclidean remainder sequence
+and one Laplace recursion over all minors.
 """
 
 from __future__ import annotations
 
+import itertools
+from typing import Sequence
+
 import numpy as np
 
 from derhamkit.exactlin import ModRing, midentity, mzeros
+from derhamkit.upoly import trim
 from derhamkit.exactlin import howell_form as library_howell_form
 
 
@@ -139,3 +147,68 @@ def left_kernel(matrix, ring: ModRing) -> np.ndarray:
     if not ker:
         return mzeros(0, rows)
     return library_howell_form(np.vstack(ker), ring)
+
+
+def bareiss_det(m: list[list[int]]) -> int:
+    """Fraction-free exact determinant of an integer matrix."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def resultant(f: Sequence[int], g: Sequence[int]) -> int:
+    """Res(f, g) of integer polynomials via the Sylvester determinant.
+
+    Polynomials are coefficient lists, constant term first.  Exact for any
+    size thanks to big-int arithmetic.
+    """
+    f = trim(f)
+    g = trim(g)
+    if not f or not g:
+        raise ValueError("resultant of the zero polynomial")
+    dm, dn = len(f) - 1, len(g) - 1
+    if dm == 0:
+        return f[0] ** dn
+    if dn == 0:
+        return g[0] ** dm
+    size = dm + dn
+    syl = [[0] * size for _ in range(size)]
+    frev = f[::-1]  # leading first
+    grev = g[::-1]
+    for i in range(dn):
+        for j, c in enumerate(frev):
+            syl[i][i + j] = c
+    for i in range(dm):
+        for j, c in enumerate(grev):
+            syl[dn + i][i + j] = c
+    return bareiss_det(syl)
+
+
+def wedge_matrix(phi: np.ndarray, n: int, ring: ModRing) -> np.ndarray:
+    """Matrix of wedge^n(phi): entries are n x n minors."""
+    r, s = phi.shape
+    src = list(itertools.combinations(range(r), n))
+    tgt = list(itertools.combinations(range(s), n))
+    out = mzeros(len(src), len(tgt))
+    rows = [[int(x) for x in phi[j]] for j in range(r)]
+    for a, rowset in enumerate(src):
+        for b, colset in enumerate(tgt):
+            sub = [[rows[i][j] for j in colset] for i in rowset]
+            out[a, b] = bareiss_det(sub) % ring.modulus
+    return out

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_exactlin import howell_form as reference_howell_form
 from reference_exactlin import left_kernel as reference_left_kernel
+from reference_exactlin import resultant as reference_resultant
 
 from derhamkit.exactlin import (
     ZZ,
@@ -28,6 +29,7 @@ from derhamkit.exactlin import (
     solve_in_span,
     span_contains,
 )
+from derhamkit.padicfield import cyclotomic_polynomial_ppower
 
 
 def gcd_reduction_diagonal(matrix):
@@ -604,6 +606,70 @@ def test_resultant_matches_sympy_sylvester_determinant(seed):
         # inputs, e.g. Res(8x - 5, 5x^3 - 5x^2 + 7x + 8) = 5961 = 8^3 g(5/8)
         # against its -5961, so only the absolute value is compared with it
         assert abs(got) == abs(sympy.resultant(fx, gx, x))
+
+
+def _int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_int_poly(rng, degree, bound):
+    coeffs = [rng.randint(-bound, bound) for _ in range(degree + 1)]
+    coeffs[-1] = coeffs[-1] or rng.choice([-1, 1])
+    return coeffs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_resultant_matches_sylvester_reference(seed):
+    rng = random.Random(700 + seed)
+    for k in range(120):
+        bound = 10 ** 15 if k % 6 == 0 else 9
+        f = _random_int_poly(rng, rng.randint(0, 8), bound)
+        g = _random_int_poly(rng, rng.randint(0, 8), bound)
+        shape = k % 5
+        if shape == 1:  # zero constant terms, on one side or both
+            f = [0] + f
+            if rng.random() < 0.5:
+                g = [0] + g
+        elif shape == 2:  # a common factor: Res = 0
+            h = _random_int_poly(rng, rng.randint(1, 3), 9)
+            f, g = _int_poly_mul(f, h), _int_poly_mul(g, h)
+        elif shape == 3:  # a constant on either side
+            if rng.random() < 0.5:
+                f = [rng.choice([-1, 1]) * rng.randint(1, bound)]
+            else:
+                g = [rng.choice([-1, 1]) * rng.randint(1, bound)]
+        got = resultant(f, g)
+        assert type(got) is int
+        assert got == reference_resultant(f, g), (f, g)
+        if shape == 2:
+            assert got == 0
+
+
+def test_resultant_edge_cases():
+    assert resultant([0, 1], [0, 0, 3]) == 0
+    assert resultant([7], [-2]) == 1
+    assert resultant([-2], [1, 2, 3]) == 4
+    assert resultant([1, 2, 3], [-2]) == 4
+    # trailing zeros are not part of the degree
+    assert resultant([1, 1, 1, 0, 0], [1, 2, 0]) == 3
+    for f, g in (([], [1, 1]), ([0, 0], [1]), ([1, 1], [0])):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            resultant(f, g)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_resultant_of_cyclotomic_and_derivative_closed_form(p):
+    # |Res(Phi_{p^r}, Phi_{p^r}')| = |disc Phi_{p^r}| = p^(p^(r-1) (pr - r - 1))
+    for r in (1, 2, 3):
+        phi = cyclotomic_polynomial_ppower(p, r)
+        dphi = [i * c for i, c in enumerate(phi)][1:]
+        got = resultant(phi, dphi)
+        assert type(got) is int
+        assert abs(got) == p ** (p ** (r - 1) * (p * r - r - 1))
 
 
 def test_resultant_of_a_linear_polynomial_is_a_root_evaluation():

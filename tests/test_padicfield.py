@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from derhamkit.padicfield import (
+    AnnihilatorCheck,
     cyclotomic_extension,
     different_valuation,
     eisenstein_extension,
@@ -77,6 +78,15 @@ def test_fontaine_annihilator():
     assert chk.ok and chk.expected == 0
     chk = fontaine_annihilator_check(2, 2)
     assert chk.ok and chk.expected == 1
+
+
+def test_fontaine_annihilator_agrees_with_different_valuation():
+    for p in (2, 3, 5):
+        for r in (1, 2, 3):
+            expected = Fraction(r) - Fraction(1, p - 1)
+            via_diff = different_valuation(cyclotomic_extension(p, r)).value
+            assert fontaine_annihilator_check(p, r) == \
+                AnnihilatorCheck(p, r, expected, via_diff, expected, True, True)
 
 
 def test_lengths_grow_with_level():
