@@ -18,18 +18,19 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .exactlin import (
     ModRing,
+    _span_solver,
     howell_form,
     left_kernel,
     local_smith,
     mzeros,
     mmul,
-    solve_in_span,
     v_int,
 )
 
@@ -140,10 +141,17 @@ class SliceQuotient:
 
     @staticmethod
     def from_cycles_boundaries(cycles, boundaries, ring: ModRing) -> "SliceQuotient":
+        """cycles/boundaries from a Howell basis of the cycles.
+
+        ``cycles`` must already be in Howell form (as ``left_kernel``
+        returns it; an identity matrix or a matrix with no rows also is):
+        it is stored and used as is, without another Howell pass.
+        ``boundaries`` are rows inside the span of ``cycles``.
+        """
         m = ring.modulus
-        hk = howell_form(cycles, ring)
+        hk = np.asarray(cycles, dtype=np.int64)
         u = hk.shape[0]
-        amb = hk.shape[1] if u else (np.asarray(cycles).shape[1] if np.asarray(cycles).size else 0)
+        amb = hk.shape[1] if u else 0
         b = np.asarray(boundaries, dtype=np.int64).reshape(-1, amb) % m if amb else mzeros(0, 0)
         if u == 0:
             if b.size and b.any():
@@ -177,12 +185,16 @@ class SliceQuotient:
                 return None
         if self.cycles.shape[0] == 0:
             return None if v.any() else ()
-        c = solve_in_span(v, self.cycles, self.ring)
+        c = self._solve_in_cycles(v)
         if c is None:
             return None
         y = mmul(c, self._vmat, self.ring)
         keep = [j for j, d in enumerate(self._all_factors) if d > 1]
         return tuple(int(y[j]) % self._all_factors[j] for j in keep)
+
+    @cached_property
+    def _solve_in_cycles(self) -> Callable[[np.ndarray], np.ndarray | None]:
+        return _span_solver(self.cycles, self.ring)
 
     def is_zero_class(self, vector: np.ndarray) -> bool:
         c = self.coords(vector)

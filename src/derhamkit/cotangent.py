@@ -34,6 +34,7 @@ from .complexes import (
 from .exactlin import (
     ModRing,
     ModulePresentation,
+    _span_solver,
     howell_form,
     left_kernel,
     module_invariants,
@@ -631,10 +632,9 @@ class FiniteBModule:
         self.x_action = np.asarray(self.x_action, dtype=np.int64).reshape(self.gens, self.gens) % m
         if self.relations.shape[0]:
             moved = mmul(self.relations, self.x_action, self.ring)
+            solve = _span_solver(self.relations, self.ring)
             for row in moved:
-                from .exactlin import span_contains
-
-                if row.any() and not span_contains(row, self.relations, self.ring):
+                if row.any() and solve(row) is None:
                     raise ValueError("x action does not preserve the relations")
 
     def poly_action(self, coeffs) -> np.ndarray:

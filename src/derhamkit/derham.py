@@ -36,12 +36,12 @@ from .cotangent import (
 )
 from .exactlin import (
     ModRing,
+    _span_solver,
     howell_form,
     left_kernel,
     mmul,
     mzeros,
     quotient_invariants,
-    span_contains,
     v_int,
 )
 from .pdpow import PDAlgebra, pd_filtration, derived_power
@@ -524,9 +524,9 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
             # everything above the B range must come from the ideal part
             fil = f.filtration_coordinates(1, 0, w)
             bnd = f.total.diff(1, w)
-            span = np.vstack([fil, bnd]) if bnd.size else fil
+            solve = _span_solver(np.vstack([fil, bnd]) if bnd.size else fil, ring)
             for rep in q.gen_reps:
-                if not span_contains(rep, span, ring):
+                if solve(rep) is None:
                     surj_ok = False
 
     # square-zero: products of ideal classes vanish (the product of two
@@ -557,12 +557,10 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
 
 def _ideal_reps(q: SliceQuotient, fil_rows: np.ndarray, boundaries: np.ndarray, ring: ModRing):
     """Generator representatives lying in the filtration-1 part of the slice."""
-    out = []
-    span = np.vstack([fil_rows, boundaries]) if boundaries.size else fil_rows
-    for rep in q.gen_reps:
-        if fil_rows.shape[0] and span_contains(rep, span, ring):
-            out.append(rep)
-    return out
+    if not (fil_rows.shape[0] and q.gen_reps.shape[0]):
+        return []
+    solve = _span_solver(np.vstack([fil_rows, boundaries]) if boundaries.size else fil_rows, ring)
+    return [rep for rep in q.gen_reps if solve(rep) is not None]
 
 
 class _H0Multiplier:

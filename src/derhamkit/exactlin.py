@@ -33,7 +33,6 @@ __all__ = [
     "normal_form",
     "howell_form",
     "left_kernel",
-    "span_contains",
     "solve_in_span",
     "express_in_basis",
     "quotient_invariants",
@@ -296,27 +295,64 @@ def howell_form(matrix, ring: ModRing, transform: bool = False):
     (every span element supported on columns >= c lies in the span of the
     rows with pivot column >= c).  Zero rows are dropped.
 
-    Forward elimination is sparse.  Each row is a ``{col: value}`` dict of
-    Python ints kept in the bucket of its leading column, so column ``c``
-    visits only the rows that are nonzero there.  Eliminating a row costs
-    O(nnz(pivot) + nnz(row)), after which the row moves to the bucket of
-    its new leading column.  The pivot of column ``c`` is a row of minimal
-    valuation at ``c``; ties go to the lowest rank, where input rows rank by
-    index and stabilization rows follow in the order they were created.  The
-    pivot is scaled by a unit so that its entry becomes p^v, and when v > 0
-    the stabilization row p^(n-v) * pivot, which is zero at ``c``, joins
-    the rows still to be reduced.  Back-reduction takes the pivots in
-    increasing column order and reduces the entries above each one modulo
-    it, as one numpy update of the dense output restricted to the rows
-    whose quotient is nonzero.  A pivot row is zero left of its pivot, so
-    later steps never disturb already-reduced columns.  These rules fix H
-    and T completely, not just up to the canonical span.
+    Forward elimination is ``_eliminate``.  Back-reduction takes the pivots
+    in increasing column order and reduces the entries above each one
+    modulo it, as one numpy update of the dense output restricted to the
+    rows whose quotient is nonzero.  A pivot row is zero left of its pivot,
+    so later steps never disturb already-reduced columns.  These rules fix
+    H and T completely, not just up to the canonical span.
+    """
+    m = ring.modulus
+    a = _reduced_rows(matrix, m)
+    rows, cols = a.shape
+    pivots = _eliminate(a, ring, transform)
+
+    h = mzeros(len(pivots), cols)
+    tt = mzeros(len(pivots), rows) if transform else None
+    for k, (_, row, row_t) in enumerate(pivots):
+        h[k, list(row)] = list(row.values())
+        if transform:
+            tt[k, list(row_t)] = list(row_t.values())
+    for k, (col, _, _) in enumerate(pivots):
+        q = h[:k, col] // h[k, col]
+        above = np.flatnonzero(q)
+        if above.size:
+            q = q[above, None]
+            h[above] = (h[above] - q * h[k]) % m
+            if transform:
+                tt[above] = (tt[above] - q * tt[k]) % m
+    return (h, tt) if transform else h
+
+
+def _reduced_rows(matrix, m: int) -> np.ndarray:
+    a = np.asarray(matrix, dtype=np.int64) % m
+    return a.reshape(1, -1) if a.ndim == 1 else a
+
+
+def _eliminate(a: np.ndarray, ring: ModRing, transform: bool, kernel: list | None = None):
+    """Sparse forward elimination of the rows of ``a`` (reduced mod p^n).
+
+    Returns the pivots as (col, row, transform row) in increasing column
+    order; rows are ``{col: value}`` dicts of Python ints, and transform
+    rows (None unless ``transform``) give each row in terms of the rows of
+    ``a``.  Each row is kept in the bucket of its leading column, so column
+    ``c`` visits only the rows that are nonzero there.  Eliminating a row
+    costs O(nnz(pivot) + nnz(row)), after which the row moves to the bucket
+    of its new leading column.  The pivot of column ``c`` is a row of
+    minimal valuation at ``c``; ties go to the lowest rank, where input rows
+    rank by index and stabilization rows follow in the order they were
+    created.  The pivot is scaled by a unit so that its entry becomes p^v,
+    and when v > 0 the stabilization row p^(n-v) * pivot, which is zero at
+    ``c``, joins the rows still to be reduced.
+
+    With a ``kernel`` list (and ``transform``), the transform of every row
+    that is or becomes zero, and of every stabilization row that is zero
+    while its transform is not, is appended to it as a dict.  Those are the
+    rows of the Howell form of [a | I] that vanish on ``a``, before that
+    form eliminates them, so they span the left kernel of ``a``.
     """
     m = ring.modulus
     p = ring.p
-    a = np.asarray(matrix, dtype=np.int64) % m
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
     rows, cols = a.shape
 
     # buckets[c]: (rank, row, transform row) for each row leading at column c
@@ -328,6 +364,8 @@ def howell_form(matrix, ring: ModRing, transform: bool = False):
     for i, row in enumerate(sparse):
         if row:
             buckets[min(row)].append((i, row, {i: 1} if transform else None))
+        elif kernel is not None:
+            kernel.append({i: 1})
     next_rank = rows
 
     def subtract(row: dict, q: int, tail) -> None:  # row -= q * tail, mod m
@@ -364,30 +402,20 @@ def howell_form(matrix, ring: ModRing, transform: bool = False):
                 subtract(row_t, q, tail_t)
             if row:
                 buckets[min(row)].append(entry)
+            elif kernel is not None and row_t:
+                kernel.append(row_t)
         if v > 0:
             s = p ** (ring.n - v)
             srow = {j: y for j, x in piv.items() if (y := x * s % m)}
-            if srow:
+            if srow or kernel is not None:
                 srow_t = {j: y for j, x in piv_t.items() if (y := x * s % m)} if transform else None
-                buckets[min(srow)].append((next_rank, srow, srow_t))
-                next_rank += 1
+                if srow:
+                    buckets[min(srow)].append((next_rank, srow, srow_t))
+                    next_rank += 1
+                elif srow_t:
+                    kernel.append(srow_t)
         pivots.append((col, piv, piv_t))
-
-    h = mzeros(len(pivots), cols)
-    tt = mzeros(len(pivots), rows) if transform else None
-    for k, (_, row, row_t) in enumerate(pivots):
-        h[k, list(row)] = list(row.values())
-        if transform:
-            tt[k, list(row_t)] = list(row_t.values())
-    for k, (col, _, _) in enumerate(pivots):
-        q = h[:k, col] // h[k, col]
-        above = np.flatnonzero(q)
-        if above.size:
-            q = q[above, None]
-            h[above] = (h[above] - q * h[k]) % m
-            if transform:
-                tt[above] = (tt[above] - q * tt[k]) % m
-    return (h, tt) if transform else h
+    return pivots
 
 
 def solve_in_span(vector: np.ndarray, rows: np.ndarray, ring: ModRing):
@@ -428,23 +456,24 @@ def _span_solver(rows: np.ndarray, ring: ModRing):
     return solve
 
 
-def span_contains(vector: np.ndarray, rows: np.ndarray, ring: ModRing) -> bool:
-    return solve_in_span(vector, rows, ring) is not None
-
-
 def left_kernel(matrix: np.ndarray, ring: ModRing) -> np.ndarray:
-    """Howell basis of {v : v @ matrix == 0} over Z/p^n."""
-    a = np.asarray(matrix, dtype=np.int64) % ring.modulus
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    rows, cols = a.shape
+    """Howell basis of {v : v @ matrix == 0} over Z/p^n.
+
+    Read off the transform of the forward elimination of ``matrix``: the
+    transforms of the rows whose part in ``matrix`` vanishes span the
+    kernel (see ``_eliminate``), and their Howell form is its canonical
+    basis, the same rows the Howell form of [A | I] has right of A.
+    """
+    a = _reduced_rows(matrix, ring.modulus)
+    rows = a.shape[0]
     if rows == 0:
         return mzeros(0, 0)
-    # The rows of the Howell form of [A | I] that vanish on A are already the
-    # Howell form of their span, the kernel: the span property of the whole
-    # form restricts to the columns right of A.
-    h = howell_form(np.hstack([a, midentity(rows)]), ring)
-    return h[~h[:, :cols].any(axis=1), cols:]
+    gens: list[dict] = []
+    _eliminate(a, ring, transform=True, kernel=gens)
+    k = mzeros(len(gens), rows)
+    for r, row_t in enumerate(gens):
+        k[r, list(row_t)] = list(row_t.values())
+    return howell_form(k, ring)
 
 
 def express_in_basis(vectors: np.ndarray, basis: np.ndarray, ring: ModRing) -> np.ndarray:
@@ -469,24 +498,38 @@ def minimal_generators(rows: np.ndarray, ring: ModRing) -> np.ndarray:
 
     Rows whose mod-p reductions are linearly independent generate by
     Nakayama; the caller is responsible for the span actually being free
-    (true for normalized parts of simplicial modules).
+    (true for normalized parts of simplicial modules).  A row is kept when
+    its reduction is independent of those of the rows kept before it.
     """
     m = ring.modulus
     rows = np.asarray(rows, dtype=np.int64) % m
     if rows.shape[0] == 0:
         return rows
-    fp = ModRing(ring.p, 1)
+    return rows[_independent_mod_p(rows % ring.p, ModRing(ring.p, 1))]
+
+
+def _independent_mod_p(rows: np.ndarray, fp: ModRing) -> list[int]:
+    """Indices of the rows over F_p that are independent of the rows before
+    them, by one incremental reduced echelon form: each row is reduced by
+    the kept rows in one product, and a kept row clears its pivot column
+    from the others."""
+    p = fp.p
     chosen: list[int] = []
-    basis_fp: list[np.ndarray] = []
-    for i in range(rows.shape[0]):
-        red = rows[i] % ring.p
-        if not red.any():
+    basis = mzeros(0, rows.shape[1])  # reduced echelon form of the kept rows
+    pivots: list[int] = []
+    for i, row in enumerate(rows):
+        if pivots:
+            row = (row - mmul(row[pivots], basis, fp)) % p
+        nz = np.flatnonzero(row)
+        if not nz.size:
             continue
-        if basis_fp and span_contains(red, np.vstack(basis_fp), fp):
-            continue
+        col = int(nz[0])
+        row = row * pow(int(row[col]), -1, p) % p
+        basis = (basis - np.outer(basis[:, col], row)) % p
+        basis = np.vstack([basis, row])
+        pivots.append(col)
         chosen.append(i)
-        basis_fp.append(red)
-    return rows[chosen]
+    return chosen
 
 
 # ---------------------------------------------------------------------------

@@ -350,11 +350,36 @@ def _kan_blocks(n: int, dims_of_p) -> list[tuple[MonotoneMap, int, int]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _kan_plan(n: int, i: int, face: bool) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...], str], ...]:
+    """The nonzero blocks of alpha = d_i or s_i on K(C)_n, for any C:
+    (eta.values, p, eta'.values, kind) for every surjection eta: [n] ->> [p],
+    p = n..0, whose ``kan_block`` is not zero."""
+    alpha = MonotoneMap.face(n, i) if face else MonotoneMap.degeneracy(n, i)
+    out = []
+    for p in range(n, -1, -1):
+        for eta in monotone_surjections(n, p):
+            rule = kan_block(eta, alpha)
+            if rule is not None:
+                out.append((eta.values, p, *rule))
+    return tuple(out)
+
+
+def _put_identity(out: np.ndarray, off: int, off2: int, d: int) -> None:
+    """Write I_d at (off, off2) of ``out`` as one strided slice of the flat array."""
+    step = out.shape[1] + 1
+    start = off * out.shape[1] + off2
+    out.reshape(-1)[start : start + d * step : step] = 1
+
+
 def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> SimplicialModule:
     """Quasi-inverse to the normalized complex.
 
     K(C)_n sums C_p over monotone surjections [n] ->> [p]; each block of
-    the action of a monotone map follows ``kan_block``.
+    the action of a monotone map follows ``kan_block``, through the plan
+    ``_kan_plan`` that does not depend on C.  A summand goes to at most one
+    summand, so every block is written once: I as a strided diagonal, or
+    (-1)^p d_p, reduced once per (p, w).
     """
     if c.n_min < 0:
         raise ValueError("Kan transform needs a complex concentrated in degrees >= 0")
@@ -367,37 +392,37 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
     labels = {}
 
     for w in c.weights():
-        def cdim(p):
-            return c.dim(p, w)
-
-        layout = {n: _kan_blocks(n, cdim) for n in range(d_max + 1)}
-        sizes = {n: sum(cdim(p) for (_, p, _) in layout[n]) for n in range(d_max + 1)}
+        cdim = [c.dim(p, w) for p in range(d_max + 1)]
+        layout = {n: _kan_blocks(n, cdim.__getitem__) for n in range(d_max + 1)}
+        sizes = {n: sum(cdim[p] for (_, p, _) in layout[n]) for n in range(d_max + 1)}
         index = {n: {eta.values: off for (eta, _, off) in layout[n]} for n in range(d_max + 1)}
         for n in range(d_max + 1):
             if sizes[n]:
                 dims[(n, w)] = sizes[n]
-                labels[(n, w)] = [(eta.values, p) for (eta, p, _) in layout[n] for _ in range(cdim(p))]
+                labels[(n, w)] = [(eta.values, p) for (eta, p, _) in layout[n] for _ in range(cdim[p])]
+        signed = {p: (-1) ** p * c.diff(p, w) % ring.modulus for p in range(1, d_max + 1)}
 
-        def block_action(n: int, alpha: MonotoneMap) -> np.ndarray:
-            out = mzeros(sizes[n], sizes.get(alpha.source, 0))
-            for (eta, p, off) in layout[n]:
-                rule = kan_block(eta, alpha)
-                if rule is None:
+        def block_action(n: int, i: int, face: bool) -> np.ndarray:
+            n2 = n - 1 if face else n + 1
+            out = mzeros(sizes[n], sizes[n2])
+            source, target = index[n], index[n2]
+            for eta, p, eta2, kind in _kan_plan(n, i, face):
+                off, off2 = source.get(eta), target.get(eta2)
+                if off is None or off2 is None:
                     continue
-                label, kind = rule
-                off2 = index[alpha.source].get(label)
-                if off2 is None:
-                    continue
-                blk = midentity(cdim(p)) if kind == "id" else (-1) ** p * c.diff(p, w)
-                out[off : off + blk.shape[0], off2 : off2 + blk.shape[1]] += blk
-            return out % ring.modulus
+                if kind == "id":
+                    _put_identity(out, off, off2, cdim[p])
+                else:
+                    blk = signed[p]
+                    out[off : off + blk.shape[0], off2 : off2 + blk.shape[1]] = blk
+            return out
 
         for n in range(1, d_max + 1):
             for i in range(n + 1):
-                faces[(n, i, w)] = block_action(n, MonotoneMap.face(n, i))
+                faces[(n, i, w)] = block_action(n, i, face=True)
         for n in range(d_max):
             for i in range(n + 1):
-                degens[(n, i, w)] = block_action(n, MonotoneMap.degeneracy(n, i))
+                degens[(n, i, w)] = block_action(n, i, face=False)
 
     return SimplicialModule(ring, d_max, dims, faces, degens, labels)
 
@@ -511,9 +536,7 @@ class BisimplicialModule:
             blk = self._block(p, q, w, kind)
             out[off : off + blk.shape[0], off2 : off2 + blk.shape[1]] = blk
         else:
-            step = out.shape[1] + 1
-            start = off * out.shape[1] + off2
-            out.reshape(-1)[start : start + self.dc.dim(p, q, w) * step : step] = 1
+            _put_identity(out, off, off2, self.dc.dim(p, q, w))
 
     def _block(self, p: int, q: int, w: int, kind: str) -> np.ndarray:
         """The non-identity block leaving the summands of D_{p,q}, reduced.

@@ -5,11 +5,16 @@
 the library kernel to return exactly the same ``H`` and ``T`` (not merely
 the same canonical span) on every matrix they try, because ``T`` feeds
 ``solve_in_span`` and everything built on it.  ``left_kernel`` is the
-two-pass kernel the library replaced by one pass.  ``bareiss_det``,
-``resultant`` (the Sylvester determinant) and ``wedge_matrix`` (one
-determinant per pair of row and column sets) are the library's earlier
-per-entry determinant routes, replaced by the Euclidean remainder sequence
-and one Laplace recursion over all minors.
+two-pass kernel the library replaced by one pass, and
+``augmented_left_kernel`` that one pass, a Howell form of the dense
+[A | I], before the library read the kernel off the elimination's
+transform.  ``minimal_generator_indices`` is ``minimal_generators`` before
+its incremental F_p echelon, one span test per row (the library's former
+``span_contains``, spelled out), returning the indices of the rows it
+keeps.  ``bareiss_det``, ``resultant`` (the Sylvester determinant) and
+``wedge_matrix`` (one determinant per pair of row and column sets) are the
+library's earlier per-entry determinant routes, replaced by the Euclidean
+remainder sequence and one Laplace recursion over all minors.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 from derhamkit.exactlin import ModRing, midentity, mzeros
 from derhamkit.upoly import trim
 from derhamkit.exactlin import howell_form as library_howell_form
+from derhamkit.exactlin import solve_in_span as library_solve_in_span
 
 
 def howell_form(matrix, ring: ModRing, transform: bool = False):
@@ -147,6 +153,46 @@ def left_kernel(matrix, ring: ModRing) -> np.ndarray:
     if not ker:
         return mzeros(0, rows)
     return library_howell_form(np.vstack(ker), ring)
+
+
+def augmented_left_kernel(matrix: np.ndarray, ring: ModRing) -> np.ndarray:
+    """Howell basis of {v : v @ matrix == 0} over Z/p^n."""
+    a = np.asarray(matrix, dtype=np.int64) % ring.modulus
+    if a.ndim == 1:
+        a = a.reshape(1, -1)
+    rows, cols = a.shape
+    if rows == 0:
+        return mzeros(0, 0)
+    # The rows of the Howell form of [A | I] that vanish on A are already the
+    # Howell form of their span, the kernel: the span property of the whole
+    # form restricts to the columns right of A.
+    h = library_howell_form(np.hstack([a, midentity(rows)]), ring)
+    return h[~h[:, :cols].any(axis=1), cols:]
+
+
+def minimal_generator_indices(rows: np.ndarray, ring: ModRing) -> list[int]:
+    """Select a minimal generating family from ``rows`` for a free summand.
+
+    Rows whose mod-p reductions are linearly independent generate by
+    Nakayama; the caller is responsible for the span actually being free
+    (true for normalized parts of simplicial modules).
+    """
+    m = ring.modulus
+    rows = np.asarray(rows, dtype=np.int64) % m
+    if rows.shape[0] == 0:
+        return []
+    fp = ModRing(ring.p, 1)
+    chosen: list[int] = []
+    basis_fp: list[np.ndarray] = []
+    for i in range(rows.shape[0]):
+        red = rows[i] % ring.p
+        if not red.any():
+            continue
+        if basis_fp and library_solve_in_span(red, np.vstack(basis_fp), fp) is not None:
+            continue
+        chosen.append(i)
+        basis_fp.append(red)
+    return chosen
 
 
 def bareiss_det(m: list[list[int]]) -> int:

@@ -1,10 +1,12 @@
-"""Eager bisimplicial modules kept as the reference for ``simplex``.
+"""Earlier ``simplex`` constructions kept as references for the library ones.
 
-This is the ``double_kan``/``diagonal`` pair ``simplex`` used before its
+``double_kan``/``diagonal`` are the pair ``simplex`` used before its
 bisimplicial modules became rule-based: every horizontal and vertical face
 and degeneracy in the window is built up front as a dense matrix, and the
-diagonal multiplies the stored maps.  The tests require the library's
-on-request maps and its block-composed diagonal to equal these exactly.
+diagonal multiplies the stored maps.  ``kan_transform`` is the Kan
+transform before it read its blocks from a memoized plan: it asks
+``kan_block`` for every summand and adds one dense identity per identity
+block.  The tests require the library's versions to equal these exactly.
 """
 
 from __future__ import annotations
@@ -13,8 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from derhamkit.complexes import GradedSliceComplex
 from derhamkit.exactlin import ModRing, midentity, mmul, mzeros
-from derhamkit.simplex import MonotoneMap, SimplicialModule, kan_block, monotone_surjections
+from derhamkit.simplex import (
+    MonotoneMap,
+    SimplicialModule,
+    _kan_blocks,
+    kan_block,
+    monotone_surjections,
+)
 
 
 @dataclass
@@ -178,3 +187,55 @@ def double_kan(dc, p_max: int, q_max: int) -> BisimplicialModule:
                         vdegens[(m, n, i, w)] = build(m, n, MonotoneMap.degeneracy(n, i), False)
 
     return BisimplicialModule(ring, p_max, q_max, dims, hfaces, vfaces, hdegens, vdegens)
+
+
+def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> SimplicialModule:
+    """Quasi-inverse to the normalized complex.
+
+    K(C)_n sums C_p over monotone surjections [n] ->> [p]; each block of
+    the action of a monotone map follows ``kan_block``.
+    """
+    if c.n_min < 0:
+        raise ValueError("Kan transform needs a complex concentrated in degrees >= 0")
+    if d_max is None:
+        d_max = c.n_max
+    ring = c.ring
+    dims = {}
+    faces = {}
+    degens = {}
+    labels = {}
+
+    for w in c.weights():
+        def cdim(p):
+            return c.dim(p, w)
+
+        layout = {n: _kan_blocks(n, cdim) for n in range(d_max + 1)}
+        sizes = {n: sum(cdim(p) for (_, p, _) in layout[n]) for n in range(d_max + 1)}
+        index = {n: {eta.values: off for (eta, _, off) in layout[n]} for n in range(d_max + 1)}
+        for n in range(d_max + 1):
+            if sizes[n]:
+                dims[(n, w)] = sizes[n]
+                labels[(n, w)] = [(eta.values, p) for (eta, p, _) in layout[n] for _ in range(cdim(p))]
+
+        def block_action(n: int, alpha: MonotoneMap) -> np.ndarray:
+            out = mzeros(sizes[n], sizes.get(alpha.source, 0))
+            for (eta, p, off) in layout[n]:
+                rule = kan_block(eta, alpha)
+                if rule is None:
+                    continue
+                label, kind = rule
+                off2 = index[alpha.source].get(label)
+                if off2 is None:
+                    continue
+                blk = midentity(cdim(p)) if kind == "id" else (-1) ** p * c.diff(p, w)
+                out[off : off + blk.shape[0], off2 : off2 + blk.shape[1]] += blk
+            return out % ring.modulus
+
+        for n in range(1, d_max + 1):
+            for i in range(n + 1):
+                faces[(n, i, w)] = block_action(n, MonotoneMap.face(n, i))
+        for n in range(d_max):
+            for i in range(n + 1):
+                degens[(n, i, w)] = block_action(n, MonotoneMap.degeneracy(n, i))
+
+    return SimplicialModule(ring, d_max, dims, faces, degens, labels)

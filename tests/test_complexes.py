@@ -98,6 +98,27 @@ def test_slice_quotient_representatives_and_coords():
     assert cs == tuple((a + b) % d for a, b, d in zip(ca, cb, q.factors))
 
 
+def test_slice_quotient_coords_solve_through_one_solver_per_quotient(monkeypatch):
+    from derhamkit import complexes, exactlin
+
+    built = []
+
+    def counting_solver(rows, ring):
+        built.append(rows.shape)
+        return exactlin._span_solver(rows, ring)
+
+    monkeypatch.setattr(complexes, "_span_solver", counting_solver)
+    ring = ModRing(3, 2)
+    cx = GradedSliceComplex(ring, 0, 1, {(0, 0): 2, (1, 0): 1}, {(1, 0): np.array([[3, 0]])})
+    q = homology_quotient(cx, 0, 0)
+    assert sorted(q.factors) == [3, 9]
+    a, b = (tuple(q.coords(rep)) for rep in q.gen_reps)
+    assert q.coords((q.gen_reps[0] + 2 * q.gen_reps[1]) % 9) == tuple(
+        (x + 2 * y) % d for x, y, d in zip(a, b, q.factors))
+    assert q.coords(np.array([3, 0])) == (0, 0)
+    assert built == [(2, 2)]
+
+
 def test_total_complex_one_column():
     ring = ModRing(2, 2)
     dc = DoubleComplex(

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_exactlin import augmented_left_kernel
 from reference_exactlin import howell_form as reference_howell_form
 from reference_exactlin import left_kernel as reference_left_kernel
+from reference_exactlin import minimal_generator_indices
 from reference_exactlin import resultant as reference_resultant
 
 from derhamkit.exactlin import (
@@ -19,6 +21,7 @@ from derhamkit.exactlin import (
     express_in_basis,
     howell_form,
     left_kernel,
+    minimal_generators,
     mmul,
     module_invariants,
     normal_form,
@@ -27,8 +30,8 @@ from derhamkit.exactlin import (
     resultant,
     smith_normal_form,
     solve_in_span,
-    span_contains,
 )
+from derhamkit.exactlin import _independent_mod_p
 from derhamkit.padicfield import cyclotomic_polynomial_ppower
 
 
@@ -117,7 +120,7 @@ def test_howell_certificates_and_span():
         # span property: random combinations lie in the span
         for _ in range(5):
             c = np.array([rng.randrange(9) for _ in range(rows)])
-            assert span_contains((c @ m) % 9, h, ring)
+            assert solve_in_span((c @ m) % 9, h, ring) is not None
 
 
 def test_howell_rejects_composite_modulus():
@@ -140,7 +143,7 @@ def test_left_kernel():
             for v in np.ndindex(*(4,) * rows):
                 v = np.array(v)
                 if not ((v @ m) % 4).any():
-                    assert span_contains(v, k, ring) if k.shape[0] else not v.any()
+                    assert solve_in_span(v, k, ring) is not None if k.shape[0] else not v.any()
 
 
 def test_solve_in_span():
@@ -292,7 +295,7 @@ def test_howell_span_property():
                 start = nz[0]
                 tail_rows = [r for r in h if (not r.any()) or np.nonzero(r)[0][0] >= start]
                 if tail_rows:
-                    assert span_contains(v, np.vstack(tail_rows), ring)
+                    assert solve_in_span(v, np.vstack(tail_rows), ring) is not None
                 else:
                     assert False, "span element escapes all pivot tails"
 
@@ -435,6 +438,69 @@ def test_left_kernel_annihilates(ring_mat):
     ker = left_kernel(a, ring)
     assert ker.shape[1] == a.shape[0]
     assert not ((ker @ a) % ring.modulus).any()
+
+
+def _kernel_inputs(ring):
+    """Seeded and edge-case matrices, plus rows that the elimination turns
+    to zero (duplicates, p-multiples, p^(n-1)-multiples) and columns whose
+    pivots are not units, so that kernel vectors come from eliminated rows,
+    from zero input rows and from stabilization rows."""
+    m, p = ring.modulus, ring.p
+    yield from _random_reference_matrices(ring)
+    yield from _edge_case_matrices(ring)
+    top = p ** (ring.n - 1)
+    yield np.zeros((2, 3), dtype=np.int64)
+    yield [[p, 0], [0, p], [p, p], [0, 0]]
+    yield [[top, 1, 0], [0, top, top], [top, 1, 0], [0, 0, 0], [2 * top, 2, 0]]
+    yield np.full((1, 0), 0, dtype=np.int64)
+    yield np.zeros(0, dtype=np.int64)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_left_kernel_read_off_the_transform_equals_the_augmented_kernel(ring):
+    for mat in _kernel_inputs(ring):
+        ker = left_kernel(mat, ring)
+        want = augmented_left_kernel(mat, ring)
+        assert ker.shape == want.shape and ker.dtype == want.dtype
+        assert (ker == want).all()
+
+
+@st.composite
+def _valued_matrices(draw):
+    """Matrices of 0..6 rows and columns whose entries are p^k * x, so that
+    every valuation occurs, over each of the kernel rings."""
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.tuples(st.integers(0, ring.n), st.integers(0, ring.modulus - 1)).map(
+        lambda e: ring.p ** e[0] * e[1] % ring.modulus)
+    mat = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return ring, np.array(mat, dtype=np.int64).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valued_matrices())
+def test_left_kernel_equals_the_augmented_kernel_property(ring_mat):
+    ring, a = ring_mat
+    ker = left_kernel(a, ring)
+    want = augmented_left_kernel(a, ring)
+    assert ker.shape == want.shape and ker.dtype == want.dtype
+    assert (ker == want).all()
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_minimal_generators_keep_the_rows_the_per_row_reference_keeps(ring):
+    m = ring.modulus
+    for mat in _kernel_inputs(ring):
+        a = np.asarray(mat, dtype=np.int64) % m
+        if a.ndim == 1:
+            a = a.reshape(1, -1)
+        if not a.shape[0]:
+            continue
+        want = minimal_generator_indices(a, ring)
+        assert _independent_mod_p(a % ring.p, ModRing(ring.p, 1)) == want
+        got = minimal_generators(a, ring)
+        assert got.shape == (len(want), a.shape[1]) and got.dtype == a.dtype
+        assert (got == a[want]).all()
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)

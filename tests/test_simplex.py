@@ -318,6 +318,78 @@ def test_diagonal_of_the_largest_eilenberg_zilber_case_peaks_below_64_mb():
     assert peak < 64 * 2 ** 20
 
 
+def test_normalized_complex_of_the_largest_eilenberg_zilber_diagonal_peaks_below_32_mb():
+    import tracemalloc
+
+    dc = max(eilenberg_zilber_double_complexes(seed=1), key=lambda d: sum(d.terms.values()))
+    diag = diagonal(double_kan(dc, 5, 5))
+    tracemalloc.start()
+    try:
+        n = normalized_complex(diag)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert diag.dim(5, 0) == 810 and n.dims
+    assert peak < 32 * 2 ** 20
+
+
+def _kan_inputs(seed):
+    """Seeded multi-weight complexes, one with empty degrees in the middle."""
+    rng = random.Random(seed)
+    ring = (ModRing(2, 2), ModRing(3, 1), ModRing(3, 2))[seed % 3]
+    c = random_complex(ring, rng, max_degree=3, max_rank=3, weight_choices=(0, 1, 2))
+    gap = GradedSliceComplex(ring, 0, 4, {(0, 0): 1, (2, 0): 2, (3, 0): 1, (4, 1): 2, (1, 1): 1},
+                             {(3, 0): np.array([[1, ring.modulus - 1]])})
+    return [c, gap]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kan_transform_equals_the_reference(seed):
+    for c in _kan_inputs(seed):
+        for d_max in (c.n_max, c.n_max + 2):
+            got = kan_transform(c, d_max=d_max)
+            want = reference_simplex.kan_transform(c, d_max=d_max)
+            assert got.d_max == want.d_max and got.dims == want.dims and got.labels == want.labels
+            for name in ("faces", "degens"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.keys() == b.keys()
+                for key in a:
+                    assert a[key].shape == b[key].shape and a[key].dtype == b[key].dtype
+                    assert (a[key] == b[key]).all(), (name, key)
+
+
+def test_kan_inputs_have_several_weights_and_empty_degrees():
+    for seed in range(6):
+        c, gap = _kan_inputs(seed)
+        assert gap.dim(1, 0) == 0 and gap.dim(3, 1) == 0
+    assert any(len(_kan_inputs(seed)[0].weights()) > 1 for seed in range(6))
+
+
+def test_minimal_generators_keep_the_reference_rows_on_every_dold_kan_call(monkeypatch):
+    from reference_exactlin import minimal_generator_indices
+
+    from derhamkit import simplex
+    from derhamkit.exactlin import _independent_mod_p
+    from derhamkit.suites import run_suite
+
+    calls = []
+    library = simplex.minimal_generators
+
+    def checked(rows, ring):
+        want = minimal_generator_indices(rows, ring)
+        if rows.shape[0]:
+            assert _independent_mod_p(rows % ring.p, ModRing(ring.p, 1)) == want
+        out = library(rows, ring)
+        assert (out == np.asarray(rows)[want]).all()
+        calls.append(len(want))
+        return out
+
+    monkeypatch.setattr(simplex, "minimal_generators", checked)
+    report = run_suite("dold-kan-roundtrip", {"cases": 20, "max_degree": 5, "max_rank": 3}, seed=1)
+    assert report.summary["fail"] == 0
+    assert len(calls) > 100
+
+
 def test_shuffle_counts_and_signs():
     assert sum(1 for _ in shuffles(2, 1)) == 3
     assert sum(1 for _ in shuffles(0, 3)) == 1
