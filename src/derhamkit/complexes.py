@@ -1,9 +1,10 @@
 """Weight-sliced chain complexes, total complexes and homology.
 
 A :class:`GradedSliceComplex` stores, per homological degree, a weight-graded
-free module over Z/p^n together with one differential matrix per weight
-slice.  Degrees outside the stored window are structurally zero; a separate
-trust window marks where homology is honest (truncated resolutions trust one
+free module over Z/p^n together with one sparse differential (a :class:`Coo`
+triple) per weight slice; dense matrices are built only on request.
+Degrees outside the stored window are structurally zero; a separate trust
+window marks where homology is honest (truncated resolutions trust one
 degree less than they store).
 
 Homology is taken on the unit-contracted complex (:func:`reduce_complex`),
@@ -19,7 +20,7 @@ import heapq
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .exactlin import (
 )
 
 __all__ = [
+    "Coo",
     "GradedSliceComplex",
     "DoubleComplex",
     "HomologyReport",
@@ -52,13 +54,54 @@ class WindowError(ValueError):
     pass
 
 
+class Coo(NamedTuple):
+    """A slice differential as int64 triples: entry ``vals[k]`` at
+    (``rows[k]``, ``cols[k]``).  A complex stores them in row-major order
+    with every value in [1, p^n); the shape comes from its ``dims``."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def coo_reduced(rows, cols, vals, ncols: int, m: int) -> Coo:
+    """Sum repeated positions, reduce mod m and drop zeros, in row-major order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.int64) % m
+    if cols.size and (cols.min() < 0 or cols.max() >= ncols):
+        raise ValueError(f"column index outside a slice of {ncols} columns")
+    key = rows * ncols + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)  # first entry of each position
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(vals[order], starts) % m if starts.size else vals[:0]
+    nz = sums != 0
+    key = key[starts[nz]]
+    return Coo(key // max(ncols, 1), key % max(ncols, 1), sums[nz])
+
+
+def coo_product(a: Coo, b: Coo, ncols: int, m: int) -> Coo:
+    """a b mod m, joined on the middle index; ``b`` in row-major order.
+    Each product is reduced before the sums, so nothing leaves int64."""
+    lo = np.searchsorted(b.rows, a.cols)
+    counts = np.searchsorted(b.rows, a.cols, side="right") - lo
+    left = np.repeat(np.arange(a.vals.size), counts)
+    right = np.arange(left.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return coo_reduced(a.rows[left], b.cols[right], a.vals[left] * b.vals[right] % m, ncols, m)
+
+
 @dataclass
 class GradedSliceComplex:
     ring: ModRing
     n_min: int
     n_max: int
     dims: dict  # (degree, weight) -> int
-    diffs: dict  # (degree, weight) -> matrix C_{n,w} -> C_{n-1,w}
+    # (degree, weight) -> Coo of C_{n,w} -> C_{n-1,w}, nonzero only; the
+    # constructor also takes dense matrices and unreduced triples
+    diffs: dict
     labels: dict = field(default_factory=dict)  # optional (degree, weight) -> list
     trusted: tuple[int, int] | None = None  # degrees with honest homology
     # weight -> Contraction, made by the first homology_quotient call there
@@ -70,10 +113,15 @@ class GradedSliceComplex:
         self.dims = {k: v for k, v in self.dims.items() if v}
         clean = {}
         m = self.ring.modulus
-        for k, mtx in self.diffs.items():
-            a = np.asarray(mtx, dtype=np.int64) % m
-            if a.size and a.any():
-                clean[k] = a
+        for (n, w), mtx in self.diffs.items():
+            if isinstance(mtx, tuple):
+                coo = coo_reduced(*mtx, self.dim(n - 1, w), m)
+            else:
+                a = np.asarray(mtx, dtype=np.int64) % m
+                rows, cols = np.nonzero(a)
+                coo = Coo(rows, cols, a[rows, cols])
+            if coo.vals.size:
+                clean[(n, w)] = coo
         self.diffs = clean
 
     def dim(self, n: int, w: int) -> int:
@@ -86,19 +134,20 @@ class GradedSliceComplex:
         return range(self.n_min, self.n_max + 1)
 
     def diff(self, n: int, w: int) -> np.ndarray:
+        """The dense reduced int64 matrix of d: C_{n,w} -> C_{n-1,w}."""
+        out = mzeros(self.dim(n, w), self.dim(n - 1, w))
         d = self.diffs.get((n, w))
         if d is not None:
-            return d
-        return mzeros(self.dim(n, w), self.dim(n - 1, w))
+            out[d.rows, d.cols] = d.vals
+        return out
 
     def validate(self) -> None:
         """Assert d o d == 0 on every slice."""
-        for (n, w) in list(self.dims):
-            d1 = self.diff(n, w)
-            d0 = self.diff(n - 1, w)
-            if d1.size and d0.size:
-                if mmul(d1, d0, self.ring).any():
-                    raise ValueError(f"d^2 != 0 at degree {n}, weight {w}")
+        m = self.ring.modulus
+        for (n, w) in self.dims:
+            d1, d0 = self.diffs.get((n, w)), self.diffs.get((n - 1, w))
+            if d1 is not None and d0 is not None and coo_product(d1, d0, self.dim(n - 2, w), m).vals.size:
+                raise ValueError(f"d^2 != 0 at degree {n}, weight {w}")
 
     def in_trust_window(self, n: int) -> bool:
         return self.trusted[0] <= n <= self.trusted[1]
@@ -308,8 +357,7 @@ def reduce_complex(cx: GradedSliceComplex, weight: int) -> Contraction:
         if d is None:
             continue
         rn, cn = rows[n], cols[n]
-        r_idx, c_idx = np.nonzero(d)
-        for b, a, x in zip(r_idx.tolist(), c_idx.tolist(), d[r_idx, c_idx].tolist()):
+        for b, a, x in zip(d.rows.tolist(), d.cols.tolist(), d.vals.tolist()):
             rn.setdefault(b, {})[a] = x
             cn.setdefault(a, set()).add(b)
         heap.extend((len(row), n, b) for b, row in rn.items())
@@ -403,11 +451,15 @@ def homology_quotient(cx: GradedSliceComplex, degree: int, weight: int) -> Slice
     if red is None:
         red = cx._contractions[weight] = reduce_complex(cx, weight)
     small = red.quotient(degree)
-    d_here = cx.diff(degree, weight)
+    d_here = cx.diffs.get((degree, weight))
+    m = cx.ring.modulus
 
     def to_contracted(v: np.ndarray) -> np.ndarray | None:
-        if d_here.shape[1] and mmul(v, d_here, cx.ring).any():
-            return None
+        if d_here is not None:
+            vd = coo_reduced(np.zeros_like(d_here.cols), d_here.cols, v[d_here.rows] * d_here.vals,
+                             cx.dim(degree - 1, weight), m)
+            if vd.vals.size:
+                return None
         return red.project(degree, v)
 
     return replace(small, ambient_dim=dim_here, gen_reps=red.lift(degree, small.gen_reps),

@@ -43,7 +43,7 @@ from .exactlin import (
     quotient_invariants,
     v_int,
 )
-from .polyalg import AlgebraMap, Poly, PolyAlgebra
+from .polyalg import AlgebraMap, Poly, PolyAlgebra, exponent_rows, row_positions
 from .upoly import gcd_degree, rem, trim
 
 __all__ = [
@@ -219,7 +219,6 @@ class FreeSimplicialResolution:
         self._certificate: AcyclicityCertificate | None = None
         self._alg_cache: dict[int, PolyAlgebra] = {}
         self._ftab_cache: dict = {}
-        self._slice_cache: dict = {}
 
     # -- simplicial algebra structure
 
@@ -285,70 +284,59 @@ class FreeSimplicialResolution:
         self._ftab_cache[key] = table
         return table
 
-    def face_monomial(self, n: int, i: int, expts: tuple[int, ...]):
-        """Image of a Q_n monomial under face i: (coefficient, exponents in
-        Q_{n-1}) or None; single-monomial because f is a monomial."""
+    def face_exponents(self, n: int, i: int, expts: np.ndarray):
+        """Images of Q_n monomials (the rows of ``expts``) under face i,
+        each a single monomial because f is: (mask of the rows that
+        survive, exponent rows in Q_{n-1}, coefficients), the last two
+        given for every row.  The exponents are ``expts`` times the face
+        variable table; a row dies when a variable sent to 0 occurs in it,
+        and its coefficient is c^k for t_1 -> c x^d occurring k times."""
         table = self.face_variable_table(n, i)
-        out = [0] * n  # Q_{n-1} has n variables (x, t_1..t_{n-1})
-        coeff = 1
         m = self.ring.modulus
-        for s, k in enumerate(expts):
-            if k == 0:
-                continue
-            entry = table[s]
+        move = np.zeros((n + 1, n), dtype=np.int64)  # Q_{n-1} has x, t_1..t_{n-1}
+        dead = np.zeros(n + 1, dtype=bool)
+        coeff = np.ones(len(expts), dtype=np.int64)
+        for s, entry in enumerate(table):
             if entry is None:
-                return None
+                dead[s] = True
+                continue
             tgt, c, power = entry
+            move[s, tgt] = power
             if c != 1:
-                coeff = (coeff * pow(c, k, m)) % m
-            out[tgt] += k * power
-        return coeff, tuple(out)
+                k = expts[:, s]
+                powers = np.array([pow(c, e, m) for e in range(int(k.max(initial=0)) + 1)], dtype=np.int64)
+                coeff = coeff * powers[k] % m
+        return ~(expts[:, dead] > 0).any(axis=1), expts @ move, coeff
 
     # -- slice bases of Q_n (graded flavor)
 
-    def q_slice(self, n: int, w: int) -> list[tuple[int, ...]]:
-        """Monomial basis of the weight-w slice of Q_n (cached; do not mutate)."""
-        key = (n, w)
-        basis = self._slice_cache.get(key)
-        if basis is None:
-            basis = self._slice_cache[key] = self.algebra(n).monomials_of_weight(w)
-        return basis
-
-    def q_face_matrix(self, n: int, i: int, w: int) -> np.ndarray:
-        src = self.q_slice(n, w)
-        tgt = self.q_slice(n - 1, w)
-        tindex = {e: k for k, e in enumerate(tgt)}
-        out = mzeros(len(src), len(tgt))
-        if self.graded:
-            for a, e in enumerate(src):
-                hit = self.face_monomial(n, i, e)
-                if hit is not None:
-                    c, e2 = hit
-                    out[a, tindex[e2]] = c % self.ring.modulus
-            return out
-        phi = self.face(n, i)
-        for a, e in enumerate(src):
-            img = phi(Poly(self.algebra(n), {e: 1}))
-            for e2, c in img.terms.items():
-                out[a, tindex[e2]] = c
-        return out
+    def q_slice(self, n: int, w: int) -> tuple[tuple[int, ...], ...]:
+        """Monomial basis of the weight-w slice of Q_n."""
+        return self.algebra(n).monomials_of_weight(w)
 
     def chain_complex(self, weight_bound: int | None = None) -> GradedSliceComplex:
-        """C(Q_.) per weight slice; graded flavor only (slices are exact)."""
+        """C(Q_.) per weight slice; graded flavor only (slices are exact).
+
+        Each differential is one triple: the signed face images of a whole
+        slice, located in the target slice by ``row_positions``."""
         if not self.graded:
             raise ValueError("slice chain complex needs the weight-graded flavor")
         wb = self.weight_bound if weight_bound is None else weight_bound
         dims = {}
         diffs = {}
         for w in range(wb + 1):
-            for n in range(self.d_max + 1):
-                dims[(n, w)] = len(self.q_slice(n, w))
+            exps = [exponent_rows(self.q_slice(n, w), n + 1) for n in range(self.d_max + 1)]
+            for n, e in enumerate(exps):
+                dims[(n, w)] = len(e)
             for n in range(1, self.d_max + 1):
-                d = mzeros(dims[(n, w)], dims[(n - 1, w)])
+                rows, images, vals = [], [], []
                 for i in range(n + 1):
-                    sign = -1 if i % 2 else 1
-                    d = d + sign * self.q_face_matrix(n, i, w)
-                diffs[(n, w)] = d % self.ring.modulus
+                    alive, img, coeff = self.face_exponents(n, i, exps[n])
+                    rows.append(np.flatnonzero(alive))
+                    images.append(img[alive])
+                    vals.append(-coeff[alive] if i % 2 else coeff[alive])
+                cols, found = row_positions(exps[n - 1], np.concatenate(images))
+                diffs[(n, w)] = (np.concatenate(rows)[found], cols[found], np.concatenate(vals)[found])
         cx = GradedSliceComplex(self.ring, 0, self.d_max, dims, diffs,
                                 trusted=(0, self.d_max - 1))
         cx.validate()

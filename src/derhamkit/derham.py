@@ -20,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import (
+    Coo,
     GradedSliceComplex,
     HomologyReport,
     SliceQuotient,
+    coo_reduced,
     homology_quotient,
     homology_report,
     slice_homology,
@@ -45,7 +47,7 @@ from .exactlin import (
     v_int,
 )
 from .pdpow import PDAlgebra, pd_filtration, derived_power
-from .polyalg import DifferentialForm, apply_map_form, graded_slice_basis
+from .polyalg import DifferentialForm, apply_map_form, exponent_rows, graded_slice_basis, row_positions
 from .simplex import shuffle_product
 from .upoly import mul, rem
 
@@ -87,8 +89,7 @@ class FilteredDeRhamComplex:
             raise ValueError("resolution failed its acyclicity certificate")
         self.certificate = cert
         self._block_cache: dict = {}
-        self._face_cache: dict = {}
-        self._matrix_cache: dict = {}
+        self._matrix_cache: dict = {}  # ("h" or "v", j, i, w) -> Coo
         self.total = self._assemble()
 
     # -- block bases
@@ -122,72 +123,79 @@ class FilteredDeRhamComplex:
 
     # -- differentials on blocks
 
-    def _face_images(self, j: int, k: int):
-        """Images of the t-variable indices 1..j under face k at level j:
-        None means the wedge factor dies (t -> f has df = 0, or t -> 0)."""
-        key = (j, k)
-        if key not in self._face_cache:
-            images = {}
-            for s in range(1, j + 1):
-                if s == k == j:
-                    images[s] = None
-                elif s <= k and s != j:
-                    images[s] = s
-                else:
-                    images[s] = None if s - 1 == 0 else s - 1
-            self._face_cache[key] = images
-        return self._face_cache[key]
+    def _block_rows(self, j: int, i: int, w: int) -> np.ndarray:
+        """``block_basis(j, i, w)`` as int64 rows: the i wedge indices, then
+        the j + 1 exponents."""
+        key = ("rows", j, i, w)
+        if key not in self._block_cache:
+            basis = self.block_basis(j, i, w)
+            self._block_cache[key] = exponent_rows([wdg + e for e, wdg in basis], i + j + 1)
+        return self._block_cache[key]
 
-    def horizontal_matrix(self, j: int, i: int, w: int) -> np.ndarray:
+    @staticmethod
+    def _wedge_face(j: int, k: int) -> np.ndarray:
+        """Images of the t-variable indices 1..j under face k at level j,
+        indexed by the variable; -1 means the wedge factor dies (t -> f has
+        df = 0, or t -> 0)."""
+        images = np.full(j + 1, -1, dtype=np.int64)
+        for s in range(1, j + 1):
+            if s <= k and s != j:
+                images[s] = s
+            elif s > 1 and not s == k == j:
+                images[s] = s - 1
+        return images
+
+    def horizontal_matrix(self, j: int, i: int, w: int) -> Coo:
         """Alternating face sum Omega^i(Q_j) -> Omega^i(Q_{j-1}) on slice w."""
         ckey = ("h", j, i, w)
         if ckey in self._matrix_cache:
             return self._matrix_cache[ckey]
-        src = self.block_basis(j, i, w)
-        tgt = self.block_basis(j - 1, i, w)
-        tindex = {t: a for a, t in enumerate(tgt)}
-        out = mzeros(len(src), len(tgt))
+        src = self._block_rows(j, i, w)
+        tgt = self._block_rows(j - 1, i, w)
+        rows, images, vals = [], [], []
         for k in range(j + 1):
-            sign = -1 if k % 2 else 1
-            images = self._face_images(j, k)
-            for a, (e, wdg) in enumerate(src):
-                mapped = [images[s] for s in wdg]
-                if any(s is None for s in mapped):
-                    continue
-                if len(set(mapped)) != len(mapped):
-                    continue  # repeated wedge factor
-                hit = self.res.face_monomial(j, k, e)
-                if hit is None:
-                    continue
-                c, e2 = hit
-                key = (e2, tuple(mapped))
-                if key in tindex:
-                    out[a, tindex[key]] = (out[a, tindex[key]] + sign * c) % self.ring.modulus
+            mapped = self._wedge_face(j, k)[src[:, :i]]
+            alive, e2, coeff = self.res.face_exponents(j, k, src[:, i:])
+            # a wedge factor that dies or repeats kills the form
+            keep = alive & (mapped > 0).all(axis=1) & (np.diff(mapped, axis=1) > 0).all(axis=1)
+            rows.append(np.flatnonzero(keep))
+            images.append(np.hstack([mapped[keep], e2[keep]]))
+            vals.append(-coeff[keep] if k % 2 else coeff[keep])
+        out = self._locate(rows, images, vals, tgt)
         self._matrix_cache[ckey] = out
         return out
 
-    def vertical_matrix(self, j: int, i: int, w: int) -> np.ndarray:
+    def vertical_matrix(self, j: int, i: int, w: int) -> Coo:
         """Relative exterior derivative Omega^i(Q_j) -> Omega^{i+1}(Q_j)."""
         ckey = ("v", j, i, w)
         if ckey in self._matrix_cache:
             return self._matrix_cache[ckey]
-        src = self.block_basis(j, i, w)
-        tgt = self.block_basis(j, i + 1, w)
-        tindex = {t: a for a, t in enumerate(tgt)}
-        out = mzeros(len(src), len(tgt))
-        for a, (e, wdg) in enumerate(src):
-            for s in range(1, j + 1):
-                if e[s] == 0 or s in wdg:
-                    continue
-                pos = sum(1 for q in wdg if q < s)
-                sign = (-1) ** pos
-                e2 = list(e)
-                e2[s] -= 1
-                key = (tuple(e2), wdg[:pos] + (s,) + wdg[pos:])
-                if key in tindex:
-                    out[a, tindex[key]] = (out[a, tindex[key]] + sign * e[s]) % self.ring.modulus
+        src = self._block_rows(j, i, w)
+        tgt = self._block_rows(j, i + 1, w)
+        wdg, e = src[:, :i], src[:, i:]
+        rows, images, vals = [], [], []
+        for s in range(1, j + 1):
+            keep = np.flatnonzero((e[:, s] > 0) & ~(wdg == s).any(axis=1))
+            # d(t_s) moves past the wedge factors below s
+            sign = 1 - 2 * ((wdg[keep] < s).sum(axis=1) % 2)
+            e2 = e[keep]
+            e2[:, s] -= 1
+            wdg2 = np.sort(np.hstack([wdg[keep], np.full((len(keep), 1), s)]), axis=1)
+            rows.append(keep)
+            images.append(np.hstack([wdg2, e2]))
+            vals.append(sign * e[keep, s])
+        out = self._locate(rows, images, vals, tgt)
         self._matrix_cache[ckey] = out
         return out
+
+    def _locate(self, rows: list, images: list, vals: list, tgt: np.ndarray) -> Coo:
+        """One triple from per-term source rows, image rows and values:
+        images are found among the rows of ``tgt`` and repeats summed."""
+        if not rows:
+            return Coo(*(np.zeros(0, dtype=np.int64),) * 3)
+        cols, found = row_positions(tgt, np.concatenate(images))
+        return coo_reduced(np.concatenate(rows)[found], cols[found], np.concatenate(vals)[found],
+                           len(tgt), self.ring.modulus)
 
     # -- total complexes
 
@@ -196,6 +204,8 @@ class FilteredDeRhamComplex:
         return max(lo - 1 if cut > 1 else lo, -(cut - 1))
 
     def _assemble(self) -> GradedSliceComplex:
+        """The total complex: each differential is the concatenation of the
+        horizontal and vertical block triples, moved to their offsets."""
         cut = self.hodge_cut
         n_min = self._n_min(cut)
         n_max = self.window[1] + 1
@@ -208,24 +218,20 @@ class FilteredDeRhamComplex:
                 if total:
                     dims[(n, w)] = total
             for n in range(n_min + 1, n_max + 1):
-                src_total = dims.get((n, w), 0)
-                tgt_total = dims.get((n - 1, w), 0)
-                if not src_total or not tgt_total:
+                if not dims.get((n, w)) or not dims.get((n - 1, w)):
                     continue
                 tgt_off = {(j, i): off for (j, i, off) in lay[n - 1]}
-                dmat = mzeros(src_total, tgt_total)
+                parts = []
                 for (j, i, off) in lay[n]:
-                    rows = len(self.block_basis(j, i, w))
                     if (j - 1, i) in tgt_off:
                         h = self.horizontal_matrix(j, i, w)
-                        o2 = tgt_off[(j - 1, i)]
-                        dmat[off : off + rows, o2 : o2 + h.shape[1]] += h
+                        parts.append((h.rows + off, h.cols + tgt_off[(j - 1, i)], h.vals))
                     if (j, i + 1) in tgt_off:
                         v = self.vertical_matrix(j, i, w)
-                        o2 = tgt_off[(j, i + 1)]
-                        sgn = -1 if j % 2 else 1
-                        dmat[off : off + rows, o2 : o2 + v.shape[1]] += sgn * v
-                diffs[(n, w)] = dmat % self.ring.modulus
+                        parts.append((v.rows + off, v.cols + tgt_off[(j, i + 1)],
+                                      -v.vals if j % 2 else v.vals))
+                if parts:
+                    diffs[(n, w)] = tuple(np.concatenate(part) for part in zip(*parts))
         cx = GradedSliceComplex(self.ring, n_min, n_max, dims, diffs, trusted=self.window)
         cx.validate()
         return cx
@@ -246,8 +252,11 @@ class FilteredDeRhamComplex:
         for (n, w) in self.total.dims:
             if n >= n_min and (size := self.layout(n, w, level)[1]):
                 dims[(n, w)] = size
-        diffs = {(n, w): d[: dims[(n, w)], : dims[(n - 1, w)]]
-                 for (n, w), d in self.total.diffs.items() if (n, w) in dims and (n - 1, w) in dims}
+        diffs = {}
+        for (n, w), d in self.total.diffs.items():
+            if (n, w) in dims and (n - 1, w) in dims:
+                corner = (d.rows < dims[(n, w)]) & (d.cols < dims[(n - 1, w)])
+                diffs[(n, w)] = Coo(d.rows[corner], d.cols[corner], d.vals[corner])
         return GradedSliceComplex(self.ring, n_min, self.total.n_max, dims, diffs, trusted=self.window)
 
     def quotient_map(self, level_hi: int, level_lo: int, n: int, w: int) -> np.ndarray:

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .exactlin import ModRing
 
@@ -29,6 +31,8 @@ __all__ = [
     "wedge",
     "graded_slice_basis",
     "monomial_count",
+    "exponent_rows",
+    "row_positions",
 ]
 
 
@@ -38,6 +42,8 @@ class PolyAlgebra:
     variables: tuple[str, ...]
     weights: tuple[int, ...]
     base_var: str | None = None
+    # (w, allowed) -> monomials_of_weight(w, allowed)
+    _monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
@@ -74,9 +80,14 @@ class PolyAlgebra:
     def monomial_weight(self, expts: Sequence[int]) -> int:
         return sum(e * w for e, w in zip(expts, self.weights))
 
-    def monomials_of_weight(self, w: int, allowed: Sequence[int] | None = None) -> list[tuple[int, ...]]:
+    def monomials_of_weight(self, w: int, allowed: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
         """All exponent tuples of weight w (graded-lex order), optionally
-        restricted to a subset of variable indices."""
+        restricted to a subset of variable indices; computed once per
+        algebra and (w, allowed)."""
+        key = (w, None if allowed is None else tuple(allowed))
+        cached = self._monomials.get(key)
+        if cached is not None:
+            return cached
         idxs = list(range(self.nvars)) if allowed is None else list(allowed)
         out: list[tuple[int, ...]] = []
 
@@ -94,7 +105,8 @@ class PolyAlgebra:
 
         rec(0, w, [])
         out.sort(reverse=True)
-        return out
+        self._monomials[key] = tuple(out)
+        return self._monomials[key]
 
     def to_json(self) -> str:
         data = {
@@ -416,3 +428,36 @@ def monomial_count(weights: Sequence[int], weight: int) -> int:
         for t in range(w, weight + 1):
             dp[t] += dp[t - w]
     return dp[weight]
+
+
+def exponent_rows(entries: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
+    """Equal-length integer tuples as the rows of an int64 array (width
+    columns, also when there are no rows)."""
+    return np.array(entries, dtype=np.int64).reshape(len(entries), width)
+
+
+# keys stay below this, so key * radix + digit never leaves int64
+_KEY_LIMIT = 1 << 62
+
+
+def row_positions(table: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the rows of ``rows`` sit among the distinct rows of ``table``
+    (nonnegative int64 arrays of the same width): positions, and a mask of
+    the rows found (a position is meaningless where the mask is False).
+
+    Rows are compared through one integer key each, read column by column
+    in mixed radix, so key order is lexicographic row order; when the next
+    digit could overflow, the keys are first replaced by their ranks."""
+    both = np.concatenate([table, rows])
+    keys = np.zeros(len(both), dtype=np.int64)
+    for col in both.T:
+        radix = int(col.max(initial=0)) + 1
+        if int(keys.max(initial=0)) >= _KEY_LIMIT // radix:
+            keys = np.unique(keys, return_inverse=True)[1].reshape(-1).astype(np.int64)
+        keys = keys * radix + col
+    tkeys, rkeys = keys[: len(table)], keys[len(table):]
+    if not len(table):
+        return np.zeros(len(rows), dtype=np.int64), np.zeros(len(rows), dtype=bool)
+    order = np.argsort(tkeys)
+    at = np.minimum(np.searchsorted(tkeys[order], rkeys), len(table) - 1)
+    return order[at], tkeys[order[at]] == rkeys

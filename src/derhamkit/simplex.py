@@ -164,6 +164,18 @@ class SimplicialModule:
 
     def __post_init__(self):
         self.dims = {k: v for k, v in self.dims.items() if v}
+        self.faces = {k: self._frozen(d) for k, d in self.faces.items()}
+        self.degens = {k: self._frozen(d) for k, d in self.degens.items()}
+
+    def _frozen(self, d) -> np.ndarray:
+        """``d`` reduced once, as a read-only array: ``face`` and ``degen``
+        hand out the stored array, so a caller writing into it raises.  A
+        reduced int64 input is not copied (the builders make them)."""
+        m = self.ring.modulus
+        a = np.asarray(d, dtype=np.int64)
+        a = a % m if a.size and (a.min() < 0 or a.max() >= m) else a.view()
+        a.flags.writeable = False
+        return a
 
     def dim(self, n: int, w: int) -> int:
         return self.dims.get((n, w), 0)
@@ -174,13 +186,13 @@ class SimplicialModule:
     def face(self, n: int, i: int, w: int) -> np.ndarray:
         d = self.faces.get((n, i, w))
         if d is not None:
-            return np.asarray(d, dtype=np.int64) % self.ring.modulus
+            return d
         return mzeros(self.dim(n, w), self.dim(n - 1, w))
 
     def degen(self, n: int, i: int, w: int) -> np.ndarray:
         d = self.degens.get((n, i, w))
         if d is not None:
-            return np.asarray(d, dtype=np.int64) % self.ring.modulus
+            return d
         return mzeros(self.dim(n, w), self.dim(n + 1, w))
 
     def validate(self) -> None:
@@ -378,8 +390,8 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
     K(C)_n sums C_p over monotone surjections [n] ->> [p]; each block of
     the action of a monotone map follows ``kan_block``, through the plan
     ``_kan_plan`` that does not depend on C.  A summand goes to at most one
-    summand, so every block is written once: I as a strided diagonal, or
-    (-1)^p d_p, reduced once per (p, w).
+    summand, so every block is written once: (-1)^p d_p, reduced once per
+    (p, w), or I, all identity blocks of an operator in one indexed write.
     """
     if c.n_min < 0:
         raise ValueError("Kan transform needs a complex concentrated in degrees >= 0")
@@ -406,15 +418,19 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
             n2 = n - 1 if face else n + 1
             out = mzeros(sizes[n], sizes[n2])
             source, target = index[n], index[n2]
+            ones = []  # flat positions of the diagonals of all identity blocks
+            step = sizes[n2] + 1
             for eta, p, eta2, kind in _kan_plan(n, i, face):
                 off, off2 = source.get(eta), target.get(eta2)
                 if off is None or off2 is None:
                     continue
                 if kind == "id":
-                    _put_identity(out, off, off2, cdim[p])
+                    start = off * sizes[n2] + off2
+                    ones.extend(range(start, start + cdim[p] * step, step))
                 else:
                     blk = signed[p]
                     out[off : off + blk.shape[0], off2 : off2 + blk.shape[1]] = blk
+            out.reshape(-1)[ones] = 1
             return out
 
         for n in range(1, d_max + 1):

@@ -318,13 +318,23 @@ def run_drpd_modp(params, rng):
             dim = sum(len(e["factors"]) for (deg, _), e in rep.entries.items() if deg == 0)
             cases.append(_case(f"p{p}-dim-H0-mod-F{i}", str(i), str(dim)))
         full = hodge_quotient_homology(f, wb + 1, degrees=range(top + 1))
-        slices_ok = all(full.factors(0, w) == [p] for w in range(wb + 1))
-        higher_ok = all(not full.factors(n, w) for n in range(1, top + 1) for w in range(wb + 1))
+        bad = _first_mismatch(full, [((0, w), [p]) for w in range(wb + 1)])
         cases.append(_case(f"p{p}-weight-slices", "one-dimensional for w <= " + str(wb),
-                           "ok" if slices_ok else "mismatch", ok=slices_ok))
+                           "ok" if bad is None else "mismatch " + bad, ok=bad is None))
+        bad = _first_mismatch(full, [((n, w), []) for n in range(1, top + 1) for w in range(wb + 1)])
         cases.append(_case(f"p{p}-higher-vanishing", f"H_1..H_{top} = 0 in window",
-                           "ok" if higher_ok else "nonzero", ok=higher_ok))
+                           "ok" if bad is None else "nonzero " + bad, ok=bad is None))
     return cases
+
+
+def _first_mismatch(report, expected) -> str | None:
+    """The first ((degree, weight), factors) in ``expected`` that ``report``
+    does not match, named with both factor lists; None if all match."""
+    for (n, w), want in expected:
+        got = report.factors(n, w)
+        if got != want:
+            return f"at (degree {n}, weight {w}): expected {want}, computed {got}"
+    return None
 
 
 def run_drpd_envelope(params, rng):

@@ -1,0 +1,113 @@
+"""Dense de Rham blocks kept as the reference for
+``derham.FilteredDeRhamComplex``.
+
+This is how the de Rham builder made its differentials before they were
+assembled as triples: each horizontal (alternating face sum) and vertical
+(relative exterior derivative) block as a dense matrix, filled basis element
+by basis element, and every total differential as one dense matrix with the
+blocks added at their offsets.  ``assemble`` returns the dense ``dims`` and
+``diffs`` the old code handed to ``GradedSliceComplex``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from derhamkit.derham import FilteredDeRhamComplex
+from derhamkit.exactlin import mzeros
+
+import reference_cotangent
+
+
+def face_images(j: int, k: int) -> dict:
+    """Images of the t-variable indices 1..j under face k at level j:
+    None means the wedge factor dies (t -> f has df = 0, or t -> 0)."""
+    images = {}
+    for s in range(1, j + 1):
+        if s == k == j:
+            images[s] = None
+        elif s <= k and s != j:
+            images[s] = s
+        else:
+            images[s] = None if s - 1 == 0 else s - 1
+    return images
+
+
+def horizontal_matrix(f: FilteredDeRhamComplex, j: int, i: int, w: int) -> np.ndarray:
+    """Alternating face sum Omega^i(Q_j) -> Omega^i(Q_{j-1}) on slice w."""
+    src = f.block_basis(j, i, w)
+    tgt = f.block_basis(j - 1, i, w)
+    tindex = {t: a for a, t in enumerate(tgt)}
+    out = mzeros(len(src), len(tgt))
+    for k in range(j + 1):
+        sign = -1 if k % 2 else 1
+        images = face_images(j, k)
+        for a, (e, wdg) in enumerate(src):
+            mapped = [images[s] for s in wdg]
+            if any(s is None for s in mapped):
+                continue
+            if len(set(mapped)) != len(mapped):
+                continue  # repeated wedge factor
+            hit = reference_cotangent.face_monomial(f.res, j, k, e)
+            if hit is None:
+                continue
+            c, e2 = hit
+            key = (e2, tuple(mapped))
+            if key in tindex:
+                out[a, tindex[key]] = (out[a, tindex[key]] + sign * c) % f.ring.modulus
+    return out
+
+
+def vertical_matrix(f: FilteredDeRhamComplex, j: int, i: int, w: int) -> np.ndarray:
+    """Relative exterior derivative Omega^i(Q_j) -> Omega^{i+1}(Q_j)."""
+    src = f.block_basis(j, i, w)
+    tgt = f.block_basis(j, i + 1, w)
+    tindex = {t: a for a, t in enumerate(tgt)}
+    out = mzeros(len(src), len(tgt))
+    for a, (e, wdg) in enumerate(src):
+        for s in range(1, j + 1):
+            if e[s] == 0 or s in wdg:
+                continue
+            pos = sum(1 for q in wdg if q < s)
+            sign = (-1) ** pos
+            e2 = list(e)
+            e2[s] -= 1
+            key = (tuple(e2), wdg[:pos] + (s,) + wdg[pos:])
+            if key in tindex:
+                out[a, tindex[key]] = (out[a, tindex[key]] + sign * e[s]) % f.ring.modulus
+    return out
+
+
+def assemble(f: FilteredDeRhamComplex, cut: int | None = None):
+    """(dims, diffs) of the total complex below the Hodge cut, dense."""
+    cut = f.hodge_cut if cut is None else cut
+    n_min = f._n_min(cut)
+    n_max = f.window[1] + 1
+    dims = {}
+    diffs = {}
+    for w in range(f.weight_bound + 1):
+        lay = {}
+        for n in range(n_min, n_max + 1):
+            lay[n], total = f.layout(n, w, cut)
+            if total:
+                dims[(n, w)] = total
+        for n in range(n_min + 1, n_max + 1):
+            src_total = dims.get((n, w), 0)
+            tgt_total = dims.get((n - 1, w), 0)
+            if not src_total or not tgt_total:
+                continue
+            tgt_off = {(j, i): off for (j, i, off) in lay[n - 1]}
+            dmat = mzeros(src_total, tgt_total)
+            for (j, i, off) in lay[n]:
+                rows = len(f.block_basis(j, i, w))
+                if (j - 1, i) in tgt_off:
+                    h = horizontal_matrix(f, j, i, w)
+                    o2 = tgt_off[(j - 1, i)]
+                    dmat[off : off + rows, o2 : o2 + h.shape[1]] += h
+                if (j, i + 1) in tgt_off:
+                    v = vertical_matrix(f, j, i, w)
+                    o2 = tgt_off[(j, i + 1)]
+                    sgn = -1 if j % 2 else 1
+                    dmat[off : off + rows, o2 : o2 + v.shape[1]] += sgn * v
+            diffs[(n, w)] = dmat % f.ring.modulus
+    return dims, diffs

@@ -4,9 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from derhamkit.exactlin import ModRing
 from derhamkit.complexes import (
+    Coo,
     CompareReport,
     DoubleComplex,
     GradedSliceComplex,
@@ -262,3 +266,56 @@ def test_devissage_probe_mod_p_reduction():
     cx = GradedSliceComplex(ring, 0, 1, {(0, 0): 1, (1, 0): 1}, {(1, 0): np.array([[2]])})
     red = GradedSliceComplex(fp, 0, 1, {(0, 0): 1, (1, 0): 1}, {(1, 0): np.array([[0]])})
     assert slice_homology(red, 0, 0) and slice_homology(cx, 0, 0)
+
+
+@pytest.mark.parametrize("form", ["dense", "triples"])
+def test_validate_raises_on_one_planted_entry(form):
+    # over Z/4 every product below is a multiple of 4 or cancels, except the
+    # planted one; sums of reduced products must be reduced again
+    ring = ModRing(2, 2)
+    d2 = np.array([[2, 2, 1], [1, 1, 0]])
+    d1 = np.array([[2, 1], [2, 3], [0, 0]])
+    dims = {(2, 0): 2, (1, 0): 3, (0, 0): 2}
+
+    def as_form(a):
+        if form == "dense":
+            return a
+        r, c = np.nonzero(a)
+        return Coo(r[::-1], c[::-1], a[r, c][::-1])  # any order is accepted
+
+    GradedSliceComplex(ring, 0, 2, dims, {(2, 0): as_form(d2), (1, 0): as_form(d1)}).validate()
+    planted = d1.copy()
+    planted[2, 1] = 1  # d2 d1 gains exactly the entry (0, 1)
+    cx = GradedSliceComplex(ring, 0, 2, dims, {(2, 0): as_form(d2), (1, 0): as_form(planted)})
+    with pytest.raises(ValueError, match=r"^d\^2 != 0 at degree 2, weight 0$"):
+        cx.validate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]), st.integers(0, 6), st.integers(0, 6),
+       st.data())
+def test_dense_to_triples_to_diff_is_the_identity(pn, rows, cols, data):
+    ring = ModRing(*pn)
+    a = data.draw(arrays(np.int64, (rows, cols), elements=st.integers(0, ring.modulus - 1)))
+    dims = {(1, 0): rows, (0, 0): cols}
+    cx = GradedSliceComplex(ring, 0, 1, dims, {(1, 0): a})
+    got = cx.diff(1, 0)
+    assert got.dtype == np.int64 and got.shape == a.shape
+    assert np.array_equal(got, a)
+    if a.any():
+        d = cx.diffs[(1, 0)]
+        assert d.vals.min() >= 1 and d.vals.max() < ring.modulus
+        assert np.all(np.diff(d.rows * max(cols, 1) + d.cols) > 0)  # row-major, no repeats
+        # the stored triple, fed back in, gives the same complex
+        assert np.array_equal(GradedSliceComplex(ring, 0, 1, dims, {(1, 0): d}).diff(1, 0), a)
+    else:
+        assert (1, 0) not in cx.diffs
+
+
+def test_triples_sum_repeated_positions():
+    ring = ModRing(3, 1)
+    coo = Coo(np.array([1, 0, 1, 1]), np.array([0, 1, 0, 1]), np.array([2, 4, 2, -1]))
+    cx = GradedSliceComplex(ring, 0, 1, {(1, 0): 2, (0, 0): 2}, {(1, 0): coo})
+    assert cx.diff(1, 0).tolist() == [[0, 1], [1, 2]]
+    with pytest.raises(ValueError, match="outside a slice of 2 columns"):
+        GradedSliceComplex(ring, 0, 1, {(1, 0): 2, (0, 0): 2}, {(1, 0): Coo(*np.array([[0], [2], [1]]))})

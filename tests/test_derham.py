@@ -1,8 +1,12 @@
 """Filtered de Rham complexes: Hodge quotients, graded pieces, thickenings,
 divided-power envelope comparisons, and the shuffle ring structure."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from derhamkit import complexes
 from derhamkit.complexes import homology_quotient, slice_homology
 from derhamkit.cotangent import AlgebraPresentation, DepthError
 from derhamkit.derham import (
@@ -13,8 +17,12 @@ from derhamkit.derham import (
     pd_envelope_report,
     universal_thickening,
 )
-from derhamkit.exactlin import ModRing
+from derhamkit.exactlin import ModRing, mzeros
 from derhamkit.pdpow import derived_power
+from derhamkit.suites import run_suite
+
+import reference_cotangent
+import reference_derham
 
 F2 = ModRing(2, 1)
 F3 = ModRing(3, 1)
@@ -300,6 +308,57 @@ def test_hodge_quotient_complex_equals_the_build_at_that_cut(ring):
         assert (got.n_min, got.n_max, got.trusted) == (want.n_min, want.n_max, want.trusted)
         assert got.dims == want.dims
         assert got.diffs.keys() == want.diffs.keys()
-        for key, d in want.diffs.items():
-            assert (got.diffs[key] == d).all()
+        for key in want.diffs:
+            assert (got.diff(*key) == want.diff(*key)).all()
         got.validate()
+
+
+@pytest.mark.parametrize("ring", [F2, F3, Z4, ModRing(3, 2)], ids=str)
+@pytest.mark.parametrize("f_coeffs", [(0, 1), (0, 0, 1), (0, 0, 0, 1)], ids=["x", "x^2", "x^3"])
+def test_derham_triples_equal_the_dense_reference(ring, f_coeffs):
+    pres = AlgebraPresentation(ring, "quotient", "x", f_coeffs)
+    for wb in range(6):
+        f = build_derham(pres, hodge_cut=wb + 1, window=(0, 1), weight_bound=wb)
+        for level in range(1, wb + 2):  # level wb + 1 is the total complex
+            cx = f.quotient_complex(level)
+            dims, diffs = reference_derham.assemble(f, level)
+            reference_cotangent.assert_diffs_equal(cx, dims, diffs, range(cx.n_min - 1, cx.n_max + 2),
+                                                   range(wb + 2))
+        blocks = {"h": reference_derham.horizontal_matrix, "v": reference_derham.vertical_matrix}
+        for (kind, j, i, w), coo in f._matrix_cache.items():
+            want = blocks[kind](f, j, i, w)
+            got = mzeros(*want.shape)
+            got[coo.rows, coo.cols] = coo.vals
+            assert np.array_equal(got, want), (kind, j, i, w)
+
+
+def test_build_derham_weight_bound_6_peak_memory():
+    # the dense assembly this replaced peaked near 1 GB at this size
+    tracemalloc.start()
+    try:
+        build_derham(pres_x(F3), hodge_cut=7, window=(0, 2), weight_bound=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_drpd_modp_failure_names_its_slice(monkeypatch):
+    honest = complexes.slice_homology
+
+    def perturbed(cx, degree, weight):
+        fac = honest(cx, degree, weight)
+        if (degree, weight) == (0, 2):
+            return fac + [cx.ring.p]
+        if (degree, weight) == (1, 1):
+            return [cx.ring.p]
+        return fac
+
+    monkeypatch.setattr(complexes, "slice_homology", perturbed)
+    report = run_suite("drpd-modp", {"weight_bound": 3, "window_top": 1}, seed=1)
+    cases = {c.name: c for c in report.cases}
+    slices, higher = cases["p3-weight-slices"], cases["p3-higher-vanishing"]
+    assert slices.status == higher.status == "fail"
+    assert slices.computed == "mismatch at (degree 0, weight 2): expected [3], computed [3, 3]"
+    assert higher.computed == "nonzero at (degree 1, weight 1): expected [], computed [3]"
+    assert report.exit_code() == 1

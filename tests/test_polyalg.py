@@ -1,6 +1,9 @@
 """Polynomial algebras, de Rham differential, wedge products, slice bases."""
 
+import itertools
 import random
+
+import numpy as np
 
 from derhamkit.exactlin import ModRing
 from derhamkit.polyalg import (
@@ -10,8 +13,10 @@ from derhamkit.polyalg import (
     PolyAlgebra,
     apply_map,
     derham_d,
+    exponent_rows,
     graded_slice_basis,
     monomial_count,
+    row_positions,
     wedge,
 )
 
@@ -164,3 +169,41 @@ def test_algebra_json_external_format():
     literal = '{"coeff":{"p":2,"n":2},"vars":[{"name":"x","weight":1}], "base_var":"x"}'
     alg = PolyAlgebra.from_json(literal)
     assert alg.ring == Z4 and alg.variables == ("x",) and alg.base_var == "x"
+
+
+def test_monomials_of_weight_is_memoized_in_graded_lex_order():
+    alg = PolyAlgebra(F5, ("x", "s", "t"), (1, 2, 2))
+    for w in range(7):
+        for allowed in (None, (0, 2), [1]):
+            idxs = range(3) if allowed is None else allowed
+            brute = sorted((e for e in itertools.product(range(w + 1), repeat=3)
+                            if alg.monomial_weight(e) == w
+                            and all(e[i] == 0 for i in range(3) if i not in idxs)), reverse=True)
+            got = alg.monomials_of_weight(w, allowed)
+            assert isinstance(got, tuple) and list(got) == brute
+            assert alg.monomials_of_weight(w, allowed) is got
+
+
+def test_row_positions_finds_rows_also_past_the_int64_key_range():
+    # rows that differ only in their first column, six columns of radix 2^40:
+    # mixed-radix keys would need 240 bits, and wrapped int64 keys would
+    # drop the first column, so the keys are ranked between columns
+    rng = np.random.default_rng(5)
+    for scale in (3, 2**40):
+        prefixes = rng.choice(scale, size=min(scale, 20), replace=False)
+        suffixes = np.unique(rng.integers(0, scale, size=(15, 5)), axis=0)
+        suffixes[0] = scale - 1
+        table = np.array([[a, *b] for a in prefixes for b in suffixes], dtype=np.int64)
+        rng.shuffle(table)
+        absent = table[:40].copy()
+        absent[:20, 0] = scale  # a new first column
+        absent[20:, 3] = scale  # a new later column
+        rows = np.concatenate([table[rng.integers(0, len(table), 200)], absent])
+        index = {tuple(r): k for k, r in enumerate(table.tolist())}
+        pos, found = row_positions(table, rows)
+        for r, k, hit in zip(rows.tolist(), pos.tolist(), found.tolist()):
+            assert hit == (tuple(r) in index)
+            if hit:
+                assert k == index[tuple(r)]
+    pos, found = row_positions(exponent_rows([], 2), exponent_rows([(1, 2)], 2))
+    assert not found.any()

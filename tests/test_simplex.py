@@ -441,3 +441,16 @@ def test_normalized_with_basis_inclusion():
         for i in range(n):
             assert not mmul(rows, x.face(n, i, w), ring).any()
         assert data.complex.dim(n, w) == rows.shape[0]
+
+
+def test_stored_maps_are_reduced_once_and_read_only():
+    ring = ModRing(3, 1)
+    x = SimplicialModule(ring, 1, {(0, 0): 1, (1, 0): 1},
+                         {(1, 0, 0): np.array([[4]]), (1, 1, 0): np.array([[-2]])},
+                         {(0, 0, 0): np.array([[1]])})
+    assert x.face(1, 0, 0).tolist() == [[1]] and x.face(1, 1, 0).tolist() == [[1]]
+    assert x.face(1, 0, 0) is x.face(1, 0, 0)
+    k = kan_transform(_kan_inputs(0)[0])
+    for mat in (x.face(1, 1, 0), x.degen(0, 0, 0), k.face(*next(iter(k.faces)))):
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] = 0
