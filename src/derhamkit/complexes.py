@@ -549,8 +549,11 @@ class DoubleComplex:
 
 
 def total_complex(dc: DoubleComplex) -> GradedSliceComplex:
-    """Direct-sum total complex with the (-1)^p vertical sign twist."""
-    dc.validate()
+    """Direct-sum total complex with the (-1)^p vertical sign twist.
+
+    ``dc`` is not validated on its own: with the twist, d∘d of the total
+    complex is zero exactly when the rows and columns square to zero and
+    the two directions commute, and that check runs on the result."""
     ring = dc.ring
     if not dc.terms:
         return GradedSliceComplex(ring, 0, 0, {}, {})
@@ -598,7 +601,7 @@ def total_complex(dc: DoubleComplex) -> GradedSliceComplex:
     try:
         tot.validate()
     except ValueError as exc:
-        raise ValueError(f"sign-rule violation in double complex input: {exc}") from exc
+        raise ValueError(f"not a double complex (d_h^2, d_v^2 or d_h d_v - d_v d_h is nonzero): {exc}") from exc
     return tot
 
 

@@ -191,6 +191,30 @@ class AlgebraPresentation:
 # the resolution
 
 
+def degenerate_rows(expts: np.ndarray, wedges: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the degenerate basis elements x^a t^b dt_I of Q_n, given as
+    exponent rows (x first, then t_1..t_n) and, for forms, rows of wedge
+    indices I: those in which some t_s, 1 <= s <= n, occurs neither in the
+    exponent nor under d.  These span the images of the degeneracies."""
+    missing = expts[:, 1:] == 0
+    if wedges is not None and wedges.size:
+        missing[np.arange(len(wedges))[:, None], wedges - 1] = False
+    return missing.any(axis=1)
+
+
+def nondegenerate_positions(table: np.ndarray, images: np.ndarray,
+                            form_degree: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``row_positions`` of images among the rows of a nondegenerate basis
+    (the ``form_degree`` wedge indices, then the exponents).  An image that
+    is not found must be degenerate, and is zero in C/D; a nondegenerate
+    one raises, so that a missing basis element cannot pass as the quotient."""
+    cols, found = row_positions(table, images)
+    lost = images[~found]
+    if not degenerate_rows(lost[:, form_degree:], lost[:, :form_degree]).all():
+        raise AssertionError("a nondegenerate image is missing from the target basis")
+    return cols, found
+
+
 @dataclass
 class AcyclicityCertificate:
     kind: str  # "exact-slices" or "associated-graded"
@@ -310,32 +334,42 @@ class FreeSimplicialResolution:
 
     # -- slice bases of Q_n (graded flavor)
 
-    def q_slice(self, n: int, w: int) -> tuple[tuple[int, ...], ...]:
-        """Monomial basis of the weight-w slice of Q_n."""
-        return self.algebra(n).monomials_of_weight(w)
+    def q_slice(self, n: int, w: int) -> list[tuple[int, ...]]:
+        """Nondegenerate monomial basis of the weight-w slice of Q_n:
+        t_1...t_n times each monomial of weight w - n deg f."""
+        return self.algebra(n).monomials_containing(w, range(1, n + 1))
 
     def chain_complex(self, weight_bound: int | None = None) -> GradedSliceComplex:
-        """C(Q_.) per weight slice; graded flavor only (slices are exact).
+        """N(Q_.) = C(Q_.)/D per weight slice; graded flavor only (slices
+        are exact).
 
-        Each differential is one triple: the signed face images of a whole
-        slice, located in the target slice by ``row_positions``."""
+        The degenerate monomials D span an acyclic subcomplex, so the
+        quotient has the homology of C(Q_.) (Dold-Kan normalization).  Each
+        differential is one triple: the signed face images of a whole slice,
+        located among the nondegenerate monomials of the target slice; an
+        image that is not found is degenerate and dropped."""
         if not self.graded:
             raise ValueError("slice chain complex needs the weight-graded flavor")
         wb = self.weight_bound if weight_bound is None else weight_bound
         dims = {}
         diffs = {}
         for w in range(wb + 1):
-            exps = [exponent_rows(self.q_slice(n, w), n + 1) for n in range(self.d_max + 1)]
-            for n, e in enumerate(exps):
+            # nondegenerate slices vanish above simplicial degree w / deg f
+            exps = []
+            for n in range(self.d_max + 1):
+                e = exponent_rows(self.q_slice(n, w), n + 1)
+                if not len(e):
+                    break
+                exps.append(e)
                 dims[(n, w)] = len(e)
-            for n in range(1, self.d_max + 1):
+            for n in range(1, len(exps)):
                 rows, images, vals = [], [], []
                 for i in range(n + 1):
                     alive, img, coeff = self.face_exponents(n, i, exps[n])
                     rows.append(np.flatnonzero(alive))
                     images.append(img[alive])
                     vals.append(-coeff[alive] if i % 2 else coeff[alive])
-                cols, found = row_positions(exps[n - 1], np.concatenate(images))
+                cols, found = nondegenerate_positions(exps[n - 1], np.concatenate(images))
                 diffs[(n, w)] = (np.concatenate(rows)[found], cols[found], np.concatenate(vals)[found])
         cx = GradedSliceComplex(self.ring, 0, self.d_max, dims, diffs,
                                 trusted=(0, self.d_max - 1))

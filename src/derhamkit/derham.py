@@ -8,6 +8,13 @@ derivative twisted by (-1)^j.  The Hodge level cut m keeps columns i < m,
 modelling the quotient by F^m; with weight(x) = 1 and weight(t) = deg f all
 slices are finite and exact.
 
+Every block is built on its nondegenerate forms only.  The degenerate forms
+(some t_s occurring neither in the exponent nor under d) span an acyclic
+sub-double-complex D that respects the Hodge columns, so the quotient by D
+computes the same homology (Dold-Kan normalization; Weibel, An Introduction
+to Homological Algebra, 8.3.7-8.3.8), and a weight-w slice has no blocks
+above simplicial degree w / deg f.
+
 The Hodge-completed object is only ever handled as the family of finite
 levels with compatible quotient maps, never as an inverse limit.
 """
@@ -33,7 +40,9 @@ from .cotangent import (
     AlgebraPresentation,
     DepthError,
     FreeSimplicialResolution,
+    degenerate_rows,
     kaehler_presentation,
+    nondegenerate_positions,
     verify_nonzerodivisor,
 )
 from .exactlin import (
@@ -47,7 +56,7 @@ from .exactlin import (
     v_int,
 )
 from .pdpow import PDAlgebra, pd_filtration, derived_power
-from .polyalg import DifferentialForm, apply_map_form, exponent_rows, graded_slice_basis, row_positions
+from .polyalg import DifferentialForm, apply_map_form, exponent_rows, graded_slice_basis
 from .simplex import shuffle_product
 from .upoly import mul, rem
 
@@ -104,10 +113,16 @@ class FilteredDeRhamComplex:
         return out
 
     def block_basis(self, j: int, i: int, w: int) -> list:
+        """Nondegenerate basis of the weight-w slice of Omega^i(Q_j): every
+        t_s occurs in the exponent or under d.  It is empty when j deg f > w."""
         key = (j, i, w)
         if key not in self._block_cache:
-            alg = self.res.algebra(j)
-            self._block_cache[key] = graded_slice_basis(alg, i, w, wedge_vars=range(1, j + 1))
+            if j * self.pres.degree > w:
+                self._block_cache[key] = []
+            else:
+                t_vars = range(1, j + 1)
+                self._block_cache[key] = graded_slice_basis(self.res.algebra(j), i, w,
+                                                            wedge_vars=t_vars, occurring=t_vars)
         return self._block_cache[key]
 
     def layout(self, n: int, w: int, cut: int | None = None):
@@ -161,7 +176,7 @@ class FilteredDeRhamComplex:
             rows.append(np.flatnonzero(keep))
             images.append(np.hstack([mapped[keep], e2[keep]]))
             vals.append(-coeff[keep] if k % 2 else coeff[keep])
-        out = self._locate(rows, images, vals, tgt)
+        out = self._locate(rows, images, vals, tgt, i)
         self._matrix_cache[ckey] = out
         return out
 
@@ -184,16 +199,17 @@ class FilteredDeRhamComplex:
             rows.append(keep)
             images.append(np.hstack([wdg2, e2]))
             vals.append(sign * e[keep, s])
-        out = self._locate(rows, images, vals, tgt)
+        out = self._locate(rows, images, vals, tgt, i + 1)
         self._matrix_cache[ckey] = out
         return out
 
-    def _locate(self, rows: list, images: list, vals: list, tgt: np.ndarray) -> Coo:
+    def _locate(self, rows: list, images: list, vals: list, tgt: np.ndarray, form_degree: int) -> Coo:
         """One triple from per-term source rows, image rows and values:
-        images are found among the rows of ``tgt`` and repeats summed."""
+        images are found among the rows of ``tgt`` and repeats summed.  An
+        image not found is degenerate, zero in the normalized complex."""
         if not rows:
             return Coo(*(np.zeros(0, dtype=np.int64),) * 3)
-        cols, found = row_positions(tgt, np.concatenate(images))
+        cols, found = nondegenerate_positions(tgt, np.concatenate(images), form_degree)
         return coo_reduced(np.concatenate(rows)[found], cols[found], np.concatenate(vals)[found],
                            len(tgt), self.ring.modulus)
 
@@ -579,7 +595,9 @@ class _H0Multiplier:
     product of u_i and v_j is the shuffle product of the simplicial algebra
     of forms, times the Koszul sign (-1)^{i j} for crossing the bidegrees,
     landing in Omega^{i+j}(Q_{i+j}).  Columns at or above the Hodge cut are
-    dropped (multiplication in the quotient).
+    dropped (multiplication in the quotient), and so are degenerate terms:
+    shuffle products send degenerate forms to degenerate ones, so dropping
+    them is the product of the normalized complex.
     """
 
     def __init__(self, f: FilteredDeRhamComplex):
@@ -630,6 +648,8 @@ class _H0Multiplier:
                     key = (col, col, (e, wdg))
                     if key in index:
                         out[index[key]] = (out[index[key]] + c) % m
+                    elif not degenerate_rows(exponent_rows([e], col + 1), exponent_rows([wdg], col))[0]:
+                        raise AssertionError(f"shuffle product term {(e, wdg)} is nondegenerate but not in the basis")
         return out
 
 

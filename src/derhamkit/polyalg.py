@@ -81,32 +81,38 @@ class PolyAlgebra:
         return sum(e * w for e, w in zip(expts, self.weights))
 
     def monomials_of_weight(self, w: int, allowed: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
-        """All exponent tuples of weight w (graded-lex order), optionally
-        restricted to a subset of variable indices; computed once per
-        algebra and (w, allowed)."""
+        """All exponent tuples of weight w in reverse graded-lex order
+        (descending as tuples), optionally restricted to a subset of
+        variable indices; computed once per algebra and (w, allowed)."""
         key = (w, None if allowed is None else tuple(allowed))
         cached = self._monomials.get(key)
         if cached is not None:
             return cached
-        idxs = list(range(self.nvars)) if allowed is None else list(allowed)
-        out: list[tuple[int, ...]] = []
-
-        def rec(pos: int, remaining: int, acc: list[int]):
-            if pos == len(idxs):
-                if remaining == 0:
-                    e = [0] * self.nvars
-                    for k, i in enumerate(idxs):
-                        e[i] = acc[k]
-                    out.append(tuple(e))
-                return
-            wt = self.weights[idxs[pos]]
-            for c in range(remaining // wt + 1):
-                rec(pos + 1, remaining - c * wt, acc + [c])
-
-        rec(0, w, [])
-        out.sort(reverse=True)
-        self._monomials[key] = tuple(out)
+        free = set(range(self.nvars) if allowed is None else allowed)
+        # tails[r]: the exponents of the variables from position k on with
+        # weight r, in descending order, built from the last variable back;
+        # a variable outside ``allowed`` only takes exponent 0
+        tails = [[()]] + [[] for _ in range(w)]
+        for k in range(self.nvars - 1, -1, -1):
+            wt = self.weights[k] if k in free else w + 1
+            tails = [[(c,) + t for c in range(r // wt, -1, -1) for t in tails[r - c * wt]]
+                     if k or r == w else [] for r in range(w + 1)]
+        self._monomials[key] = tuple(tails[w]) if w >= 0 else ()
         return self._monomials[key]
+
+    def monomials_containing(self, w: int, occurring: Iterable[int]) -> list[tuple[int, ...]]:
+        """The monomials of weight w in which every variable of ``occurring``
+        has a positive exponent: their product times each monomial of the
+        remaining weight, in the order of ``monomials_of_weight``."""
+        bump = [0] * self.nvars
+        for i in occurring:
+            bump[i] = 1
+        rest = self.monomial_weight(bump)
+        if rest > w:
+            return []
+        if not rest:
+            return list(self.monomials_of_weight(w))
+        return [tuple(a + b for a, b in zip(e, bump)) for e in self.monomials_of_weight(w - rest)]
 
     def to_json(self) -> str:
         data = {
@@ -401,12 +407,14 @@ def _merge_wedges(w1: tuple[int, ...], w2: tuple[int, ...]) -> tuple[int, tuple[
 
 
 def graded_slice_basis(algebra: PolyAlgebra, form_degree: int, weight: int,
-                       wedge_vars: Sequence[int] | None = None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+                       wedge_vars: Sequence[int] | None = None,
+                       occurring: Sequence[int] = ()) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Ordered basis of weight-``weight`` degree-``form_degree`` forms.
 
     Each entry is (exponent tuple, wedge index tuple).  ``wedge_vars``
     restricts which variables may appear under d (relative forms); the
-    monomial part always ranges over all variables.
+    monomial part always ranges over all variables.  Every variable of
+    ``occurring`` must appear in the exponent or under d.
     """
     idxs = list(range(algebra.nvars)) if wedge_vars is None else list(wedge_vars)
     out = []
@@ -414,7 +422,7 @@ def graded_slice_basis(algebra: PolyAlgebra, form_degree: int, weight: int,
         wcost = sum(algebra.weights[j] for j in combo)
         if wcost > weight:
             continue
-        for e in algebra.monomials_of_weight(weight - wcost):
+        for e in algebra.monomials_containing(weight - wcost, set(occurring).difference(combo)):
             out.append((e, combo))
     out.sort(key=lambda t: (t[1], tuple(-x for x in t[0])))
     return out

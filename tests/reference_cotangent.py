@@ -1,12 +1,17 @@
-"""Dense resolution differentials kept as the reference for
-``cotangent.FreeSimplicialResolution.chain_complex``.
+"""References for ``cotangent.FreeSimplicialResolution.chain_complex``.
 
-This is how the resolution built its slice differentials before they were
-assembled as triples: one dense matrix per face, looked up monomial by
-monomial, summed with alternating signs.  It returns the dense ``dims`` and
-``diffs`` the old code handed to ``GradedSliceComplex``, and
-``assert_diffs_equal`` requires ``diff()`` of the library's complex to
-equal such matrices in shape, dtype and every entry.
+Dense differentials: this is how the resolution built its slice
+differentials before they were assembled as triples: one dense matrix per
+face, looked up monomial by monomial, summed with alternating signs.  It
+returns the dense ``dims`` and ``diffs`` the old code handed to
+``GradedSliceComplex``, and ``assert_diffs_equal`` requires ``diff()`` of
+the library's complex to equal such matrices in shape, dtype and every
+entry.  It runs on the library's nondegenerate bases, and drops a face
+image that is not among them only after checking that it is degenerate.
+
+``UnnormalizedResolution`` is the resolution as it was before its slices
+were normalized: the same builder on every monomial of each slice, the
+degenerate ones included, so the complex is C(Q_.) and not C(Q_.)/D.
 """
 
 from __future__ import annotations
@@ -16,6 +21,19 @@ import numpy as np
 from derhamkit.cotangent import FreeSimplicialResolution
 from derhamkit.exactlin import mzeros
 from derhamkit.polyalg import Poly
+
+
+def is_degenerate(expts: tuple[int, ...], wedge: tuple[int, ...] = ()) -> bool:
+    """Some t_s of Q_n (exponent index s >= 1) occurs neither in the
+    exponent nor under d, so the element lies in the image of a degeneracy."""
+    return any(k == 0 and s not in wedge for s, k in enumerate(expts) if s >= 1)
+
+
+class UnnormalizedResolution(FreeSimplicialResolution):
+    """C(Q_.) with every monomial of each slice, degenerate ones included."""
+
+    def q_slice(self, n: int, w: int):
+        return self.algebra(n).monomials_of_weight(w)
 
 
 def face_monomial(res: FreeSimplicialResolution, n: int, i: int, expts: tuple[int, ...]):
@@ -48,13 +66,19 @@ def q_face_matrix(res: FreeSimplicialResolution, n: int, i: int, w: int) -> np.n
             hit = face_monomial(res, n, i, e)
             if hit is not None:
                 c, e2 = hit
-                out[a, tindex[e2]] = c % res.ring.modulus
+                if e2 in tindex:
+                    out[a, tindex[e2]] = c % res.ring.modulus
+                else:
+                    assert is_degenerate(e2), (n, i, e, e2)
         return out
     phi = res.face(n, i)
     for a, e in enumerate(src):
         img = phi(Poly(res.algebra(n), {e: 1}))
         for e2, c in img.terms.items():
-            out[a, tindex[e2]] = c
+            if e2 in tindex:
+                out[a, tindex[e2]] = c
+            else:
+                assert is_degenerate(e2), (n, i, e, e2)
     return out
 
 

@@ -6,17 +6,45 @@ assembled as triples: each horizontal (alternating face sum) and vertical
 (relative exterior derivative) block as a dense matrix, filled basis element
 by basis element, and every total differential as one dense matrix with the
 blocks added at their offsets.  ``assemble`` returns the dense ``dims`` and
-``diffs`` the old code handed to ``GradedSliceComplex``.
+``diffs`` the old code handed to ``GradedSliceComplex``.  It runs on the
+library's nondegenerate block bases, and drops an image that is not among
+them only after checking that it is degenerate.
+
+``UnnormalizedDeRham`` is the builder as it was before its blocks were
+normalized: the same assembly on every form of each block, degenerate ones
+included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from derhamkit.cotangent import AlgebraPresentation, FreeSimplicialResolution
 from derhamkit.derham import FilteredDeRhamComplex
 from derhamkit.exactlin import mzeros
+from derhamkit.polyalg import graded_slice_basis
 
 import reference_cotangent
+
+
+class UnnormalizedDeRham(FilteredDeRhamComplex):
+    """The total complex with every form of each block, degenerate ones
+    included."""
+
+    def block_basis(self, j: int, i: int, w: int) -> list:
+        key = (j, i, w)
+        if key not in self._block_cache:
+            self._block_cache[key] = graded_slice_basis(self.res.algebra(j), i, w,
+                                                        wedge_vars=range(1, j + 1))
+        return self._block_cache[key]
+
+
+def build_unnormalized(pres: AlgebraPresentation, hodge_cut: int, window: tuple[int, int],
+                       weight_bound: int) -> UnnormalizedDeRham:
+    """``derham.build_derham`` with unnormalized blocks, at the same depth."""
+    depth = window[1] + 1 + min(hodge_cut - 1, weight_bound // pres.degree)
+    res = FreeSimplicialResolution(pres, depth, weight_bound)
+    return UnnormalizedDeRham(res, hodge_cut, window, weight_bound)
 
 
 def face_images(j: int, k: int) -> dict:
@@ -55,6 +83,8 @@ def horizontal_matrix(f: FilteredDeRhamComplex, j: int, i: int, w: int) -> np.nd
             key = (e2, tuple(mapped))
             if key in tindex:
                 out[a, tindex[key]] = (out[a, tindex[key]] + sign * c) % f.ring.modulus
+            else:
+                assert reference_cotangent.is_degenerate(*key), (j, k, e, key)
     return out
 
 
@@ -75,6 +105,8 @@ def vertical_matrix(f: FilteredDeRhamComplex, j: int, i: int, w: int) -> np.ndar
             key = (tuple(e2), wdg[:pos] + (s,) + wdg[pos:])
             if key in tindex:
                 out[a, tindex[key]] = (out[a, tindex[key]] + sign * e[s]) % f.ring.modulus
+            else:
+                assert reference_cotangent.is_degenerate(*key), (j, e, key)
     return out
 
 

@@ -58,11 +58,11 @@ def test_criterion_06_reaches_weight_bound_6():
     _run(6, "drpd-modp", {"weight_bound": 6}, limit=60)
 
 
-def test_criterion_06_reaches_weight_bound_7():
+def _reach_criterion_06(weight_bound):
     # a child process, so that its peak RSS is its own (os.wait4)
     t0 = time.perf_counter()
     proc = subprocess.Popen(
-        [sys.executable, "-m", "derhamkit.cli", "verify", "drpd-modp", "--weight-bound", "7"],
+        [sys.executable, "-m", "derhamkit.cli", "verify", "drpd-modp", "--weight-bound", str(weight_bound)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
     out = proc.stdout.read()
@@ -71,11 +71,19 @@ def test_criterion_06_reaches_weight_bound_7():
     proc.returncode = os.waitstatus_to_exitcode(status)
     elapsed = time.perf_counter() - t0
     peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
-    print(f"criterion  6 drpd-modp weight bound 7: exit {proc.returncode}, "
+    print(f"criterion  6 drpd-modp weight bound {weight_bound}: exit {proc.returncode}, "
           f"{elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")
     assert proc.returncode == 0 and " 0 fail," in out, out
     assert elapsed < 60, f"{elapsed:.1f}s exceeds 60s"
     assert peak_mb < 1024, f"peak RSS {peak_mb:.0f} MB exceeds 1 GB"
+
+
+def test_criterion_06_reaches_weight_bound_7():
+    _reach_criterion_06(7)
+
+
+def test_criterion_06_reaches_weight_bound_9():
+    _reach_criterion_06(9)
 
 
 def test_criterion_07_derived_derham_pd_mod_pn():

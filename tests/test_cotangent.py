@@ -15,6 +15,7 @@ from derhamkit.cotangent import (
     bar_resolution,
     base_change_resolution,
     cotangent_homology,
+    degenerate_rows,
     ext1_cotangent,
     kaehler_presentation,
     poly_from_coeffs,
@@ -22,7 +23,7 @@ from derhamkit.cotangent import (
     transitivity_report,
     verify_nonzerodivisor,
 )
-from derhamkit.polyalg import Poly
+from derhamkit.polyalg import Poly, exponent_rows, graded_slice_basis
 from derhamkit.simplex import shuffle_product
 
 import reference_cotangent
@@ -272,3 +273,74 @@ def test_chain_complex_triples_equal_the_dense_reference(ring, f_coeffs):
     for wb in range(6):
         dims, diffs = reference_cotangent.chain_complex(res, wb)
         reference_cotangent.assert_diffs_equal(res.chain_complex(wb), dims, diffs, range(-1, 8), range(wb + 2))
+
+
+Z9 = ModRing(3, 2)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_q_slice_is_the_nondegenerate_part_of_the_full_slice(degree):
+    res = FreeSimplicialResolution(AlgebraPresentation(F2, "quotient", "x", (0,) * degree + (1,)), 7, 9)
+    for n in range(8):
+        for w in range(10):
+            full = res.algebra(n).monomials_of_weight(w)
+            want = [e for e in full if not reference_cotangent.is_degenerate(e)]
+            assert res.q_slice(n, w) == want, (n, w)
+            assert (len(want) > 0) == (n * degree <= w)
+
+
+def test_degenerate_rows_agrees_with_the_reference_on_every_form():
+    res = FreeSimplicialResolution(AlgebraPresentation(F2, "quotient", "x", (0, 1)), 5, 5)
+    for j in range(6):
+        for i in range(j + 1):
+            for w in range(6):
+                basis = graded_slice_basis(res.algebra(j), i, w, wedge_vars=range(1, j + 1))
+                mask = degenerate_rows(exponent_rows([e for e, _ in basis], j + 1),
+                                       exponent_rows([wdg for _, wdg in basis], i))
+                assert mask.tolist() == [reference_cotangent.is_degenerate(e, wdg) for e, wdg in basis]
+
+
+def _slice_mismatches(cx, ref, degrees, weights):
+    return [(n, w) for n in degrees for w in weights if slice_homology(cx, n, w) != slice_homology(ref, n, w)]
+
+
+@pytest.mark.parametrize("ring", [F2, F3, Z4, Z9], ids=str)
+@pytest.mark.parametrize("f_coeffs", [(0, 1), (0, 0, 1), (0, 0, 0, 1), (0, 0, -1)],
+                         ids=["x", "x^2", "x^3", "-x^2"])
+def test_normalized_resolution_has_the_slice_homology_of_the_unnormalized_reference(ring, f_coeffs):
+    # a weight-w slice does not depend on the weight bound, so the reference
+    # at bound 6 serves every bound 0..6
+    pres = AlgebraPresentation(ring, "quotient", "x", f_coeffs)
+    ref = reference_cotangent.UnnormalizedResolution(pres, 7, 6).chain_complex()
+    res = FreeSimplicialResolution(pres, 7, 6)
+    for wb in range(7):
+        cx = res.chain_complex(wb)
+        assert cx.weights() == list(range(wb + 1))
+        assert _slice_mismatches(cx, ref, range(7), range(wb + 1)) == []
+    assert res.certify().ok
+    assert reference_cotangent.UnnormalizedResolution(pres, 7, 6).certify().ok
+
+
+def test_a_kept_degenerate_monomial_or_a_dropped_nondegenerate_one_is_caught(monkeypatch):
+    pres = AlgebraPresentation(F3, "quotient", "x", (0, 1))
+    ref = reference_cotangent.UnnormalizedResolution(pres, 5, 4).chain_complex()
+    honest = FreeSimplicialResolution.q_slice
+
+    def patched(change):
+        def q_slice(self, n, w):
+            return change(n, w, honest(self, n, w))
+        monkeypatch.setattr(FreeSimplicialResolution, "q_slice", q_slice)
+        return FreeSimplicialResolution(pres, 5, 4).chain_complex()
+
+    assert _slice_mismatches(patched(lambda n, w, b: b), ref, range(4), range(5)) == []
+    # x^2 in Q_1 is degenerate (s_0 of x^2): kept, it is a cycle that no
+    # nondegenerate element of Q_2 bounds
+    kept = patched(lambda n, w, b: b + [(2, 0)] if (n, w) == (1, 2) else b)
+    assert _slice_mismatches(kept, ref, range(4), range(5)) == [(1, 2)]
+    # t_1 t_2 t_3 is the only nondegenerate monomial of Q_3 at weight 3;
+    # dropped, the cycle it bounded in degree 2 survives
+    dropped = patched(lambda n, w, b: [e for e in b if e != (0, 1, 1, 1)])
+    assert _slice_mismatches(dropped, ref, range(4), range(5)) == [(2, 3)]
+    # dropped from a target slice, its preimages' faces cannot be located
+    with pytest.raises(AssertionError, match="nondegenerate image"):
+        patched(lambda n, w, b: [e for e in b if e != (1, 1)])

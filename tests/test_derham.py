@@ -362,3 +362,101 @@ def test_drpd_modp_failure_names_its_slice(monkeypatch):
     assert slices.computed == "mismatch at (degree 0, weight 2): expected [3], computed [3, 3]"
     assert higher.computed == "nonzero at (degree 1, weight 1): expected [], computed [3]"
     assert report.exit_code() == 1
+
+
+Z9 = ModRing(3, 2)
+
+
+@pytest.mark.parametrize("f_coeffs", [(0, 1), (0, 0, 1)], ids=["x", "x^2"])
+def test_block_basis_is_the_nondegenerate_part_of_the_full_block(f_coeffs):
+    pres = AlgebraPresentation(F2, "quotient", "x", f_coeffs)
+    f = build_derham(pres, hodge_cut=7, window=(0, 1), weight_bound=6)
+    ref = reference_derham.build_unnormalized(pres, hodge_cut=7, window=(0, 1), weight_bound=6)
+    for j in range(f.res.d_max + 1):
+        for i in range(j + 1):
+            for w in range(7):
+                want = [b for b in ref.block_basis(j, i, w) if not reference_cotangent.is_degenerate(*b)]
+                assert f.block_basis(j, i, w) == want, (j, i, w)
+                assert (len(want) > 0) == (j * pres.degree <= w)
+
+
+def _hodge_mismatches(f, ref, weights):
+    """(level, degree, weight) where a Hodge quotient of ``f`` and of the
+    reference have different slice homology, degrees 0 and 1."""
+    out = []
+    for level in range(1, f.hodge_cut + 1):
+        cx, rcx = f.quotient_complex(level), ref.quotient_complex(level)
+        out += [(level, n, w) for n in (0, 1) for w in weights
+                if slice_homology(cx, n, w) != slice_homology(rcx, n, w)]
+    return out
+
+
+@pytest.mark.parametrize("ring", [F2, F3, Z4, Z9], ids=str)
+@pytest.mark.parametrize("f_coeffs", [(0, 1), (0, 0, 1), (0, 0, 0, 1)], ids=["x", "x^2", "x^3"])
+def test_hodge_quotients_have_the_slice_homology_of_the_unnormalized_reference(ring, f_coeffs):
+    # the weight-w slices of the level-L quotient are the same in every build
+    # at weight bound >= w and Hodge cut >= L (higher columns are empty at
+    # weight w), so the reference at bound 6, cut 7 serves every bound 0..6
+    pres = AlgebraPresentation(ring, "quotient", "x", f_coeffs)
+    ref = reference_derham.build_unnormalized(pres, hodge_cut=7, window=(0, 1), weight_bound=6)
+    for wb in range(7):
+        f = build_derham(pres, hodge_cut=wb + 1, window=(0, 1), weight_bound=wb)
+        assert _hodge_mismatches(f, ref, range(wb + 1)) == [], wb
+
+
+def test_a_kept_degenerate_form_or_a_dropped_nondegenerate_one_is_caught(monkeypatch):
+    from derhamkit.derham import FilteredDeRhamComplex
+
+    pres = pres_x(F3)
+    ref = reference_derham.build_unnormalized(pres, hodge_cut=5, window=(0, 1), weight_bound=4)
+    honest = FilteredDeRhamComplex.block_basis
+
+    def patched(change):
+        def block_basis(self, j, i, w):
+            return change(j, i, w, honest(self, j, i, w))
+        monkeypatch.setattr(FilteredDeRhamComplex, "block_basis", block_basis)
+        return build_derham(pres, hodge_cut=5, window=(0, 1), weight_bound=4)
+
+    assert _hodge_mismatches(patched(lambda j, i, w, b: b), ref, range(5)) == []
+    every_level = [(level, 1, 2) for level in range(1, 6)]
+    # x^2 in Q_1 is degenerate: kept, it is a degree-1 cycle nothing bounds
+    kept = patched(lambda j, i, w, b: b + [((2, 0), ())] if (j, i, w) == (1, 0, 2) else b)
+    assert _hodge_mismatches(kept, ref, range(5)) == every_level
+    # t_1 t_2 in Q_2 sits in the top degree; dropped, it bounds nothing
+    dropped = patched(lambda j, i, w, b: [e for e in b if e != ((0, 1, 1), ())])
+    assert _hodge_mismatches(dropped, ref, range(5)) == every_level
+    # x t_1 in Q_1 is a face image of t_1 t_2: dropped, the image is lost
+    with pytest.raises(AssertionError, match="nondegenerate image"):
+        patched(lambda j, i, w, b: [e for e in b if e != ((1, 1), ())])
+
+
+def test_h0_product_raises_on_a_nondegenerate_term_outside_the_basis(monkeypatch):
+    # every form of Omega^j(Q_j) has all of dt_1..dt_j, so degree 0 has no
+    # degenerate forms and a product term missing from the basis is a bug
+    from derhamkit import derham
+    from derhamkit.polyalg import DifferentialForm
+
+    f = build_derham(pres_x(Z4), hodge_cut=2, window=(0, 1), weight_bound=2)
+    one = f.basis_vector(0, 0, 0, 0, ((0,), ()))
+    omega = f.basis_vector(0, 1, 1, 1, ((0, 0), (1,)))
+    assert (h0_shuffle_product(f, one, 0, omega, 1) == omega).all()
+    honest = derham.shuffle_product
+    stray = DifferentialForm(f.res.algebra(1), 1, {((3, 0), (1,)): 1})  # weight 4, not 1
+    monkeypatch.setattr(derham, "shuffle_product", lambda *args: honest(*args) + stray)
+    with pytest.raises(AssertionError, match="nondegenerate"):
+        h0_shuffle_product(f, one, 0, omega, 1)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_hodge_quotients_above_the_prime(p):
+    # weight bound p + 1: the divided power gamma_p(t) = t^p / p! is in play
+    wb = p + 1
+    ring = ModRing(p, 1)
+    f = build_derham(pres_x(ring), hodge_cut=wb + 1, window=(0, 2), weight_bound=wb)
+    for i in range(1, wb + 1):
+        rep = hodge_quotient_homology(f, i, degrees=[0])
+        assert sum(len(e["factors"]) for e in rep.entries.values()) == i
+    full = hodge_quotient_homology(f, wb + 1, degrees=range(3))
+    for w in range(wb + 1):
+        assert full.factors(0, w) == [p]
+        assert full.factors(1, w) == full.factors(2, w) == []

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 
 from derhamkit.exactlin import ModRing
 from derhamkit.polyalg import (
@@ -19,6 +20,8 @@ from derhamkit.polyalg import (
     row_positions,
     wedge,
 )
+
+import reference_polyalg
 
 F5 = ModRing(5, 1)
 Z4 = ModRing(2, 2)
@@ -159,8 +162,6 @@ def test_algebra_json_roundtrip():
 
 
 def test_weight_zero_variable_rejected():
-    import pytest
-
     with pytest.raises(ValueError):
         PolyAlgebra(F5, ("x",), (0,))
 
@@ -182,6 +183,29 @@ def test_monomials_of_weight_is_memoized_in_graded_lex_order():
             got = alg.monomials_of_weight(w, allowed)
             assert isinstance(got, tuple) and list(got) == brute
             assert alg.monomials_of_weight(w, allowed) is got
+
+
+@pytest.mark.parametrize("weights", [(), (1,), (2, 3, 1), (1, 2, 2, 2), (1, 3, 3, 3, 3), (1,) * 7])
+def test_monomials_of_weight_equals_the_recursive_reference(weights):
+    alg = PolyAlgebra(F5, tuple(f"v{i}" for i in range(len(weights))), weights)
+    subsets = [None, tuple(reversed(range(len(weights))))]
+    subsets += [c for k in range(len(weights) + 1) for c in itertools.combinations(range(len(weights)), k)]
+    for w in range(-1, 9):
+        for allowed in subsets:
+            want = reference_polyalg.monomials_of_weight(alg, w, allowed)
+            assert alg.monomials_of_weight(w, allowed) == want, (w, allowed)
+
+
+def test_monomials_containing_and_slice_bases_with_occurring_variables():
+    alg = PolyAlgebra(F5, ("x", "s", "t"), (1, 2, 3))
+    for w in range(12):
+        for occurring in ((), (1,), (2,), (1, 2), (0, 1, 2)):
+            want = [e for e in alg.monomials_of_weight(w) if all(e[i] for i in occurring)]
+            assert alg.monomials_containing(w, occurring) == want
+            for degree in range(3):
+                full = graded_slice_basis(alg, degree, w, wedge_vars=(1, 2))
+                assert graded_slice_basis(alg, degree, w, wedge_vars=(1, 2), occurring=occurring) == [
+                    (e, wdg) for e, wdg in full if all(e[i] or i in wdg for i in occurring)]
 
 
 def test_row_positions_finds_rows_also_past_the_int64_key_range():

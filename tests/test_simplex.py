@@ -454,3 +454,37 @@ def test_stored_maps_are_reduced_once_and_read_only():
     for mat in (x.face(1, 1, 0), x.degen(0, 0, 0), k.face(*next(iter(k.faces)))):
         with pytest.raises(ValueError, match="read-only"):
             mat[0, 0] = 0
+
+
+def _square(ring, corner):
+    """A 2x2 double complex of rank-one terms, all maps 1 except the vertical
+    one out of (1, 1), which is ``corner``; it commutes only for corner 1."""
+    return DoubleComplex(
+        ring,
+        {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (1, 1, 0): 1},
+        {(1, 0, 0): np.array([[1]]), (1, 1, 0): np.array([[1]])},
+        {(0, 1, 0): np.array([[1]]), (1, 1, 0): np.array([[corner]])},
+    )
+
+
+def test_a_double_complex_is_validated_once_and_an_invalid_one_raises_at_both_entry_points(monkeypatch):
+    ring = ModRing(2, 1)
+    bad = _square(ring, 0)
+    with pytest.raises(ValueError, match="do not commute"):
+        double_kan(bad, 2, 2)
+    # the total complex's own d∘d check sees the same fault
+    with pytest.raises(ValueError, match=r"not a double complex .* d\^2 != 0 at degree 2, weight 0"):
+        total_complex(bad)
+    column = DoubleComplex(ring, {(0, q, 0): 1 for q in range(3)}, {},
+                           {(0, 1, 0): np.array([[1]]), (0, 2, 0): np.array([[1]])})
+    with pytest.raises(ValueError, match=r"vertical d\^2 != 0"):
+        double_kan(column, 0, 2)
+    with pytest.raises(ValueError, match=r"not a double complex .* d\^2 != 0"):
+        total_complex(column)
+    checks = []
+    honest = DoubleComplex.validate
+    monkeypatch.setattr(DoubleComplex, "validate", lambda self: checks.append(self) or honest(self))
+    good = _square(ring, 1)
+    double_kan(good, 2, 2)
+    total_complex(good)
+    assert checks == [good]
