@@ -85,9 +85,7 @@ class FilteredDeRhamComplex:
         self.hodge_cut = hodge_cut
         self.window = window
         self.weight_bound = weight_bound
-        d = res.pres.degree
-        max_col = min(hodge_cut - 1, weight_bound // d)
-        needed_depth = window[1] + 1 + max_col
+        needed_depth = _resolution_depth(res.pres, hodge_cut, window, weight_bound)
         if res.d_max < needed_depth:
             raise DepthError(
                 f"resolution depth {res.d_max} insufficient: need {needed_depth} "
@@ -317,17 +315,20 @@ class FilteredDeRhamComplex:
         raise KeyError(f"block ({j}, {i}) absent from degree {n} weight {w}")
 
 
+def _resolution_depth(pres: AlgebraPresentation, hodge_cut: int, window: tuple[int, int],
+                      weight_bound: int) -> int:
+    """Simplicial depth the de Rham complex needs: one past the window top,
+    plus its last Hodge column, below the cut and at most weight_bound / deg f."""
+    return window[1] + 1 + min(hodge_cut - 1, weight_bound // pres.degree)
+
+
 def build_derham(pres: AlgebraPresentation, hodge_cut: int, window: tuple[int, int],
-                 weight_bound: int, depth: int | None = None) -> FilteredDeRhamComplex:
+                 weight_bound: int) -> FilteredDeRhamComplex:
     """Assemble the filtered de Rham complex for B = k[x]/(f) over k[x]."""
     if pres.shape != "quotient":
         raise ValueError("the de Rham builder expects the quotient shape")
     verify_nonzerodivisor(pres, weight_bound)
-    d = pres.degree
-    max_col = min(hodge_cut - 1, weight_bound // d)
-    needed = window[1] + 1 + max_col
-    depth = needed if depth is None else depth
-    res = FreeSimplicialResolution(pres, depth, weight_bound)
+    res = FreeSimplicialResolution(pres, _resolution_depth(pres, hodge_cut, window, weight_bound), weight_bound)
     return FilteredDeRhamComplex(res, hodge_cut, window, weight_bound)
 
 

@@ -499,37 +499,14 @@ def minimal_generators(rows: np.ndarray, ring: ModRing) -> np.ndarray:
     Rows whose mod-p reductions are linearly independent generate by
     Nakayama; the caller is responsible for the span actually being free
     (true for normalized parts of simplicial modules).  A row is kept when
-    its reduction is independent of those of the rows kept before it.
+    its reduction is independent of those of the rows kept before it: the
+    kept rows are the pivot columns of the transpose over F_p.
     """
     m = ring.modulus
     rows = np.asarray(rows, dtype=np.int64) % m
     if rows.shape[0] == 0:
         return rows
-    return rows[_independent_mod_p(rows % ring.p, ModRing(ring.p, 1))]
-
-
-def _independent_mod_p(rows: np.ndarray, fp: ModRing) -> list[int]:
-    """Indices of the rows over F_p that are independent of the rows before
-    them, by one incremental reduced echelon form: each row is reduced by
-    the kept rows in one product, and a kept row clears its pivot column
-    from the others."""
-    p = fp.p
-    chosen: list[int] = []
-    basis = mzeros(0, rows.shape[1])  # reduced echelon form of the kept rows
-    pivots: list[int] = []
-    for i, row in enumerate(rows):
-        if pivots:
-            row = (row - mmul(row[pivots], basis, fp)) % p
-        nz = np.flatnonzero(row)
-        if not nz.size:
-            continue
-        col = int(nz[0])
-        row = row * pow(int(row[col]), -1, p) % p
-        basis = (basis - np.outer(basis[:, col], row)) % p
-        basis = np.vstack([basis, row])
-        pivots.append(col)
-        chosen.append(i)
-    return chosen
+    return rows[[c for c, _, _ in _eliminate(rows.T % ring.p, ModRing(ring.p, 1), False)]]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import numpy as np
 
 from .complexes import GradedSliceComplex, HomologyReport, homology_report, slice_homology
 from .exactlin import ModRing, howell_form, mzeros, mmul, quotient_invariants
+from .polyalg import _insert_index
 from .simplex import SimplicialModule, kan_transform, normalized_complex
 
 __all__ = [
@@ -466,13 +467,6 @@ def derived_power(c: GradedSliceComplex, functor: str, n: int,
 # Koszul complex between Gamma and wedge
 
 
-def _wedge_insert(subset: tuple[int, ...], k: int) -> tuple[int, tuple[int, ...] | None]:
-    if k in subset:
-        return 1, None
-    pos = sum(1 for j in subset if j < k)
-    return (-1) ** pos, subset[:pos] + (k,) + subset[pos:]
-
-
 def koszul_gamma_complex(u: np.ndarray, v: np.ndarray, n: int, ring: ModRing):
     """The complex 0 -> Gamma^n(E) -> Gamma^n(F) -> Gamma^{n-1}(F) (x) G ->
     ... -> wedge^n(G) -> 0 for E --u--> F --v--> G with v o u = 0.
@@ -530,7 +524,7 @@ def koszul_gamma_complex(u: np.ndarray, v: np.ndarray, n: int, ring: ModRing):
                     coeff = vrows[l][k]
                     if coeff == 0:
                         continue
-                    sign, s2 = _wedge_insert(s, k)
+                    sign, s2 = _insert_index(s, k)
                     if s2 is None:
                         continue
                     b = tindex[(tuple(m2), s2)]

@@ -3,11 +3,17 @@
 Simplicial modules are stored with explicit face/degeneracy matrices per
 degree and weight slice; the action of an arbitrary monotone map is derived
 from its epi-mono factorization into generators.  The normalized complex
-takes kernels of the first n faces with differential (-1)^n d_n; the Kan
-transform sums chain terms over monotone surjections, acting by the
-identity when the injective factor is trivial and by (-1)^p d when it is
-the last face.  With these conventions the roundtrip normalized(kan(C)) is
-the identity on the nose, degreewise and on differentials.
+takes kernels of the first n faces with differential (-1)^n d_n.
+
+There is one Kan operator.  The double Kan transform of a double complex
+sums D_{p,q} over pairs of monotone surjections [m] ->> [p], [n] ->> [q];
+a face or degeneracy moves each summand to at most one summand, by the
+identity when the injective factor is trivial and by the signed
+differential when it is the last face (``kan_block``, read through the
+memoized ``_kan_plan``).  The Kan transform K(C) is the row q = 0 of the
+double Kan transform of C, and the diagonal composes the two directions
+block by block.  With these conventions the roundtrip normalized(kan(C))
+is the identity on the nose, degreewise and on differentials.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -331,7 +338,6 @@ def normalized_complex(x: SimplicialModule, with_basis: bool = False):
 # Kan transform
 
 
-@lru_cache(maxsize=None)
 def kan_block(eta: MonotoneMap, alpha: MonotoneMap) -> tuple[tuple[int, ...], str] | None:
     """Kan block rule for summand eta: [n] ->> [p] under a monotone alpha.
 
@@ -348,99 +354,43 @@ def kan_block(eta: MonotoneMap, alpha: MonotoneMap) -> tuple[tuple[int, ...], st
     return None
 
 
-def _kan_blocks(n: int, dims_of_p) -> list[tuple[MonotoneMap, int, int]]:
-    """Summand layout of K(C)_n: (surjection, p, offset); identity first."""
-    out = []
-    offset = 0
-    for p in range(n, -1, -1):
-        d = dims_of_p(p)
-        if d == 0:
-            continue
-        for eta in monotone_surjections(n, p):
-            out.append((eta, p, offset))
-            offset += d
-    return out
-
-
 @lru_cache(maxsize=None)
-def _kan_plan(n: int, i: int, face: bool) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...], str], ...]:
-    """The nonzero blocks of alpha = d_i or s_i on K(C)_n, for any C:
-    (eta.values, p, eta'.values, kind) for every surjection eta: [n] ->> [p],
-    p = n..0, whose ``kan_block`` is not zero."""
+def _kan_plan(n: int, i: int, face: bool) -> MappingProxyType:
+    """The ``kan_block`` rule of alpha = d_i or s_i on the summands of K_n,
+    for any input: eta.values -> (eta'.values, kind) for every surjection
+    eta: [n] ->> [p] whose block is not zero.  Read-only, as it is shared."""
     alpha = MonotoneMap.face(n, i) if face else MonotoneMap.degeneracy(n, i)
-    out = []
+    plan = {}
     for p in range(n, -1, -1):
         for eta in monotone_surjections(n, p):
             rule = kan_block(eta, alpha)
             if rule is not None:
-                out.append((eta.values, p, *rule))
-    return tuple(out)
-
-
-def _put_identity(out: np.ndarray, off: int, off2: int, d: int) -> None:
-    """Write I_d at (off, off2) of ``out`` as one strided slice of the flat array."""
-    step = out.shape[1] + 1
-    start = off * out.shape[1] + off2
-    out.reshape(-1)[start : start + d * step : step] = 1
+                plan[eta.values] = rule
+    return MappingProxyType(plan)
 
 
 def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> SimplicialModule:
-    """Quasi-inverse to the normalized complex.
+    """Quasi-inverse to the normalized complex: the row q = 0 of the double
+    Kan transform of C, with C placed as the row q = 0 of a double complex.
 
-    K(C)_n sums C_p over monotone surjections [n] ->> [p]; each block of
-    the action of a monotone map follows ``kan_block``, through the plan
-    ``_kan_plan`` that does not depend on C.  A summand goes to at most one
-    summand, so every block is written once: (-1)^p d_p, reduced once per
-    (p, w), or I, all identity blocks of an operator in one indexed write.
+    K(C)_n sums C_p over monotone surjections [n] ->> [p], and d_i, s_i act
+    by the rule of ``kan_block``.  C is validated as that double complex, so
+    a C with d∘d != 0 raises ValueError.
     """
     if c.n_min < 0:
         raise ValueError("Kan transform needs a complex concentrated in degrees >= 0")
     if d_max is None:
         d_max = c.n_max
-    ring = c.ring
-    dims = {}
-    faces = {}
-    degens = {}
-    labels = {}
-
-    for w in c.weights():
-        cdim = [c.dim(p, w) for p in range(d_max + 1)]
-        layout = {n: _kan_blocks(n, cdim.__getitem__) for n in range(d_max + 1)}
-        sizes = {n: sum(cdim[p] for (_, p, _) in layout[n]) for n in range(d_max + 1)}
-        index = {n: {eta.values: off for (eta, _, off) in layout[n]} for n in range(d_max + 1)}
-        for n in range(d_max + 1):
-            if sizes[n]:
-                dims[(n, w)] = sizes[n]
-                labels[(n, w)] = [(eta.values, p) for (eta, p, _) in layout[n] for _ in range(cdim[p])]
-        signed = {p: (-1) ** p * c.diff(p, w) % ring.modulus for p in range(1, d_max + 1)}
-
-        def block_action(n: int, i: int, face: bool) -> np.ndarray:
-            n2 = n - 1 if face else n + 1
-            out = mzeros(sizes[n], sizes[n2])
-            source, target = index[n], index[n2]
-            ones = []  # flat positions of the diagonals of all identity blocks
-            step = sizes[n2] + 1
-            for eta, p, eta2, kind in _kan_plan(n, i, face):
-                off, off2 = source.get(eta), target.get(eta2)
-                if off is None or off2 is None:
-                    continue
-                if kind == "id":
-                    start = off * sizes[n2] + off2
-                    ones.extend(range(start, start + cdim[p] * step, step))
-                else:
-                    blk = signed[p]
-                    out[off : off + blk.shape[0], off2 : off2 + blk.shape[1]] = blk
-            out.reshape(-1)[ones] = 1
-            return out
-
-        for n in range(1, d_max + 1):
-            for i in range(n + 1):
-                faces[(n, i, w)] = block_action(n, i, face=True)
-        for n in range(d_max):
-            for i in range(n + 1):
-                degens[(n, i, w)] = block_action(n, i, face=False)
-
-    return SimplicialModule(ring, d_max, dims, faces, degens, labels)
+    dc = DoubleComplex(c.ring, {(p, 0, w): d for (p, w), d in c.dims.items()},
+                       {(p, 0, w): c.diff(p, w) for (p, w) in c.diffs}, {})
+    row = double_kan(dc, d_max, 0)
+    dims = {(n, w): d for (n, _, w), d in row.dims.items()}
+    labels = {(n, w): [(eta.values, p) for (eta, _, p, _, _) in row.layout[(n, 0, w)] for _ in range(c.dim(p, w))]
+              for (n, w) in dims}
+    weights = c.weights()
+    faces = {(n, i, w): row.hface(n, 0, i, w) for w in weights for n in range(1, d_max + 1) for i in range(n + 1)}
+    degens = {(n, i, w): row.hdegen(n, 0, i, w) for w in weights for n in range(d_max) for i in range(n + 1)}
+    return SimplicialModule(c.ring, d_max, dims, faces, degens, labels)
 
 
 def complexes_equal(c1: GradedSliceComplex, c2: GradedSliceComplex) -> bool:
@@ -466,9 +416,10 @@ class BisimplicialModule:
     rho: [n] ->> [q].  ``layout[(m, n, w)]`` lists the summands as
     (eta, rho, p, q, offset), and ``index[(m, n, w)]`` finds an offset by
     (eta.values, rho.values).  A horizontal operator acts on eta and a
-    vertical one on rho by ``kan_block``, so each summand goes to at most one
-    summand, by the identity or by (-1)^p D_h, resp. (-1)^q D_v.  No map is
-    stored: ``hface`` and the others assemble it from that rule when called.
+    vertical one on rho by the plan ``_kan_plan``, so each summand goes to at
+    most one summand, by the identity or by (-1)^p D_h, resp. (-1)^q D_v.  No
+    map is stored: ``hface`` and the others assemble it from that rule when
+    called.
     """
 
     dc: DoubleComplex
@@ -490,69 +441,55 @@ class BisimplicialModule:
         return sorted({w for (_, _, w) in self.dims})
 
     def hface(self, p, q, i, w):
-        return self._operator(p, q, i, w, horizontal=True, face=True)
+        return self._operator(p, q, i, w, True, "h")
 
     def vface(self, p, q, i, w):
-        return self._operator(p, q, i, w, horizontal=False, face=True)
+        return self._operator(p, q, i, w, True, "v")
 
     def hdegen(self, p, q, i, w):
-        return self._operator(p, q, i, w, horizontal=True, face=False)
+        return self._operator(p, q, i, w, False, "h")
 
     def vdegen(self, p, q, i, w):
-        return self._operator(p, q, i, w, horizontal=False, face=False)
+        return self._operator(p, q, i, w, False, "v")
 
-    def _operator(self, m, n, i, w, horizontal: bool, face: bool) -> np.ndarray:
-        """d_i or s_i in one direction on X_{m,n}; zero outside the window."""
-        k, top = (m, self.p_max) if horizontal else (n, self.q_max)
-        k2 = k - 1 if face else k + 1
-        target = (k2, n, w) if horizontal else (m, k2, w)
-        out = mzeros(self.dim(m, n, w), self.dim(*target))
-        if not (0 <= i <= k and 0 <= k2 <= top):
-            return out
-        alpha = MonotoneMap.face(k, i) if face else MonotoneMap.degeneracy(k, i)
-        index = self.index.get(target, {})
-        for (eta, rho, p, q, off) in self.layout.get((m, n, w), ()):
-            rule = kan_block(eta if horizontal else rho, alpha)
-            if rule is None:
-                continue
-            label, kind = rule
-            off2 = index.get((label, rho.values) if horizontal else (eta.values, label))
-            if off2 is not None:
-                self._put(out, off, off2, p, q, w, "" if kind == "id" else "h" if horizontal else "v")
-        return out
+    def _operator(self, m, n, i, w, face: bool, directions: str) -> np.ndarray:
+        """d_i or s_i on X_{m,n} in the ``directions`` "h", "v" or "hv" (the
+        diagonal: vertically, then horizontally); zero outside the window.
 
-    def _diagonal_operator(self, n: int, alpha: MonotoneMap, w: int) -> np.ndarray:
-        """alpha acting vertically, then horizontally: X_{n,n} -> X_{k,k}.
-
-        The vertical rule sends a summand (eta, rho, p, q) to at most one
-        summand (eta, rho', p, q') of X_{n,k}, and the horizontal rule sends
-        that to at most one summand (eta', rho', p', q') of X_{k,k}, so the
-        block is I, (-1)^q D_v, (-1)^p D_h or (-1)^q D_v (-1)^p D_h.  This is
-        the product of the two maps, block by block, without building either.
+        The plan sends each summand (eta, rho, p, q) to at most one summand,
+        rho alone vertically and then eta alone horizontally, so the block is
+        I, (-1)^p D_h, (-1)^q D_v or (-1)^q D_v (-1)^p D_h: the product of
+        the two maps, block by block, without building either.  All identity
+        blocks are written in one indexed assignment of the flat array.
         """
-        k = alpha.source
-        out = mzeros(self.dim(n, n, w), self.dim(k, k, w))
-        index = self.index.get((k, k, w), {})
-        for (eta, rho, p, q, off) in self.layout.get((n, n, w), ()):
-            rule_v = kan_block(rho, alpha)
-            rule_h = kan_block(eta, alpha)
-            if rule_v is None or rule_h is None:
+        step = -1 if face else 1
+        h, v = "h" in directions, "v" in directions
+        target = (m + step * h, n + step * v, w)
+        cols = self.dim(*target)
+        out = mzeros(self.dim(m, n, w), cols)
+        if not (0 <= i <= (m if h else n) and 0 <= target[0] <= self.p_max and 0 <= target[1] <= self.q_max):
+            return out
+        plan = _kan_plan(m if h else n, i, face)
+        index = self.index.get(target, {})
+        ones = []  # flat positions of the diagonals of all identity blocks
+        for (eta, rho, p, q, off) in self.layout.get((m, n, w), ()):
+            rule_h = plan.get(eta.values) if h else (eta.values, "id")
+            rule_v = plan.get(rho.values) if v else (rho.values, "id")
+            if rule_h is None or rule_v is None:
                 continue
-            (rho2, kind_v), (eta2, kind_h) = rule_v, rule_h
+            (eta2, kind_h), (rho2, kind_v) = rule_h, rule_v
             off2 = index.get((eta2, rho2))
-            if off2 is not None:
-                kind = ("v" if kind_v == "d" else "") + ("h" if kind_h == "d" else "")
-                self._put(out, off, off2, p, q, w, kind)
+            if off2 is None:
+                continue
+            kind = ("v" if kind_v == "d" else "") + ("h" if kind_h == "d" else "")
+            if kind:
+                blk = self._block(p, q, w, kind)
+                out[off : off + blk.shape[0], off2 : off2 + blk.shape[1]] = blk
+            else:
+                start = off * cols + off2
+                ones.extend(range(start, start + self.dc.dim(p, q, w) * (cols + 1), cols + 1))
+        out.reshape(-1)[ones] = 1
         return out
-
-    def _put(self, out: np.ndarray, off: int, off2: int, p: int, q: int, w: int, kind: str) -> None:
-        """Write the block leaving a summand D_{p,q} at (off, off2): I_d when
-        ``kind`` is empty, as one strided slice of the flat array, else ``_block``."""
-        if kind:
-            blk = self._block(p, q, w, kind)
-            out[off : off + blk.shape[0], off2 : off2 + blk.shape[1]] = blk
-        else:
-            _put_identity(out, off, off2, self.dc.dim(p, q, w))
 
     def _block(self, p: int, q: int, w: int, kind: str) -> np.ndarray:
         """The non-identity block leaving the summands of D_{p,q}, reduced.
@@ -619,15 +556,11 @@ def diagonal(b: BisimplicialModule) -> SimplicialModule:
         raise ValueError("diagonal needs a square window")
     n_max = b.p_max
     dims = {(n, w): b.dim(n, n, w) for n in range(n_max + 1) for w in b.weights() if b.dim(n, n, w)}
-    faces = {}
-    degens = {}
-    for w in b.weights():
-        for n in range(1, n_max + 1):
-            for i in range(n + 1):
-                faces[(n, i, w)] = b._diagonal_operator(n, MonotoneMap.face(n, i), w)
-        for n in range(n_max):
-            for i in range(n + 1):
-                degens[(n, i, w)] = b._diagonal_operator(n, MonotoneMap.degeneracy(n, i), w)
+    weights = b.weights()
+    faces = {(n, i, w): b._operator(n, n, i, w, True, "hv")
+             for w in weights for n in range(1, n_max + 1) for i in range(n + 1)}
+    degens = {(n, i, w): b._operator(n, n, i, w, False, "hv")
+              for w in weights for n in range(n_max) for i in range(n + 1)}
     return SimplicialModule(b.ring, n_max, dims, faces, degens)
 
 

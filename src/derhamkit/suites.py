@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -158,20 +159,30 @@ def run_dold_kan(params, rng):
                                weight_choices=(0, 1))
             x = kan_transform(c, d_max=c.n_max + 1)
             n = normalized_complex(x)
-            round_ok = all(n.dim(*k) == v for k, v in c.dims.items()) and all(
-                (n.diff(*k) == c.diff(*k)).all() for k in set(c.diffs) | {kk for kk in n.diffs if kk[0] <= c.n_max}
-            )
+            bad = _first_differing_slice(n, c)
             u = unnormalized_complex(x)
-            hom_ok = True
-            for deg in range(c.n_max + 1):
-                for w in set(n.weights()) | set(u.weights()):
-                    if slice_homology(n, deg, w) != slice_homology(u, deg, w):
-                        hom_ok = False
+            weights = sorted(set(n.weights()) | set(u.weights()))
+            keys = [(deg, w) for deg in range(c.n_max + 1) for w in weights]
+            bad_h = _first_mismatch(partial(slice_homology, n),
+                                    [(k, slice_homology(u, *k)) for k in keys])
             cases.append(_case(f"{ring}-case{t:02d}-roundtrip", "N(K(C)) = C",
-                               "equal" if round_ok else "mismatch", ok=round_ok))
+                               "equal" if bad is None else "mismatch " + bad, ok=bad is None))
             cases.append(_case(f"{ring}-case{t:02d}-homology", "H(N) = H(C)",
-                               "equal" if hom_ok else "mismatch", ok=hom_ok))
+                               "equal" if bad_h is None else "mismatch " + bad_h, ok=bad_h is None))
     return cases
+
+
+def _first_differing_slice(got, want) -> str | None:
+    """The first (degree, weight) up to the top degree of ``want`` where the
+    complex ``got`` has another dimension or differential, named with both;
+    None if they agree there."""
+    for (n, w) in sorted(k for k in set(got.dims) | set(want.dims) if k[0] <= want.n_max):
+        if got.dim(n, w) != want.dim(n, w):
+            return f"at (degree {n}, weight {w}): expected dim {want.dim(n, w)}, computed dim {got.dim(n, w)}"
+        a, b = got.diff(n, w), want.diff(n, w)
+        if not np.array_equal(a, b):
+            return f"at (degree {n}, weight {w}): expected differential {b.tolist()}, computed {a.tolist()}"
+    return None
 
 
 def run_eilenberg_zilber(params, rng):
@@ -206,14 +217,11 @@ def run_eilenberg_zilber(params, rng):
         diag = diagonal(x)
         ncx = normalized_complex(diag)
         tot = total_complex(dc)
-        ok = True
-        for deg in range(5):
-            lhs = slice_homology(ncx, deg, w)
-            rhs = slice_homology(tot, deg, w) if tot.n_min <= deg <= tot.n_max else []
-            if lhs != rhs:
-                ok = False
+        bad = _first_mismatch(partial(slice_homology, ncx),
+                              [((deg, w), slice_homology(tot, deg, w) if tot.n_min <= deg <= tot.n_max else [])
+                               for deg in range(5)])
         cases.append(_case(f"bisimplicial-{made:02d}", "pi_n(diag) = H_n(Tot), n <= 4",
-                           "equal" if ok else "mismatch", ok=ok))
+                           "equal" if bad is None else "mismatch " + bad, ok=bad is None))
     return cases
 
 
@@ -318,20 +326,21 @@ def run_drpd_modp(params, rng):
             dim = sum(len(e["factors"]) for (deg, _), e in rep.entries.items() if deg == 0)
             cases.append(_case(f"p{p}-dim-H0-mod-F{i}", str(i), str(dim)))
         full = hodge_quotient_homology(f, wb + 1, degrees=range(top + 1))
-        bad = _first_mismatch(full, [((0, w), [p]) for w in range(wb + 1)])
+        bad = _first_mismatch(full.factors, [((0, w), [p]) for w in range(wb + 1)])
         cases.append(_case(f"p{p}-weight-slices", "one-dimensional for w <= " + str(wb),
                            "ok" if bad is None else "mismatch " + bad, ok=bad is None))
-        bad = _first_mismatch(full, [((n, w), []) for n in range(1, top + 1) for w in range(wb + 1)])
+        bad = _first_mismatch(full.factors, [((n, w), []) for n in range(1, top + 1) for w in range(wb + 1)])
         cases.append(_case(f"p{p}-higher-vanishing", f"H_1..H_{top} = 0 in window",
                            "ok" if bad is None else "nonzero " + bad, ok=bad is None))
     return cases
 
 
-def _first_mismatch(report, expected) -> str | None:
-    """The first ((degree, weight), factors) in ``expected`` that ``report``
-    does not match, named with both factor lists; None if all match."""
+def _first_mismatch(factors, expected) -> str | None:
+    """The first ((degree, weight), factors) in ``expected`` that
+    ``factors(degree, weight)`` does not match, named with both factor
+    lists; None if all match."""
     for (n, w), want in expected:
-        got = report.factors(n, w)
+        got = factors(n, w)
         if got != want:
             return f"at (degree {n}, weight {w}): expected {want}, computed {got}"
     return None

@@ -4,7 +4,8 @@
 bisimplicial modules became rule-based: every horizontal and vertical face
 and degeneracy in the window is built up front as a dense matrix, and the
 diagonal multiplies the stored maps.  ``kan_transform`` is the Kan
-transform before it read its blocks from a memoized plan: it asks
+transform from before it became the row q = 0 of the double Kan
+transform: it lays out its own summands (``_kan_blocks``), asks
 ``kan_block`` for every summand and adds one dense identity per identity
 block.  The tests require the library's versions to equal these exactly.
 """
@@ -12,6 +13,7 @@ block.  The tests require the library's versions to equal these exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,10 +22,26 @@ from derhamkit.exactlin import ModRing, midentity, mmul, mzeros
 from derhamkit.simplex import (
     MonotoneMap,
     SimplicialModule,
-    _kan_blocks,
     kan_block,
     monotone_surjections,
 )
+
+# these references ask for the same blocks many times over
+kan_block = lru_cache(maxsize=None)(kan_block)
+
+
+def _kan_blocks(n: int, dims_of_p) -> list[tuple[MonotoneMap, int, int]]:
+    """Summand layout of K(C)_n: (surjection, p, offset); identity first."""
+    out = []
+    offset = 0
+    for p in range(n, -1, -1):
+        d = dims_of_p(p)
+        if d == 0:
+            continue
+        for eta in monotone_surjections(n, p):
+            out.append((eta, p, offset))
+            offset += d
+    return out
 
 
 @dataclass

@@ -369,7 +369,6 @@ def test_minimal_generators_keep_the_reference_rows_on_every_dold_kan_call(monke
     from reference_exactlin import minimal_generator_indices
 
     from derhamkit import simplex
-    from derhamkit.exactlin import _independent_mod_p
     from derhamkit.suites import run_suite
 
     calls = []
@@ -377,8 +376,6 @@ def test_minimal_generators_keep_the_reference_rows_on_every_dold_kan_call(monke
 
     def checked(rows, ring):
         want = minimal_generator_indices(rows, ring)
-        if rows.shape[0]:
-            assert _independent_mod_p(rows % ring.p, ModRing(ring.p, 1)) == want
         out = library(rows, ring)
         assert (out == np.asarray(rows)[want]).all()
         calls.append(len(want))
@@ -488,3 +485,103 @@ def test_a_double_complex_is_validated_once_and_an_invalid_one_raises_at_both_en
     double_kan(good, 2, 2)
     total_complex(good)
     assert checks == [good]
+
+
+def _perturb_homology(monkeypatch, builder, degree):
+    """Make ``suites.slice_homology`` report one extra factor p at ``degree``
+    on the complexes that ``suites.<builder>`` returns; returns the
+    (weight, honest factors) of each perturbed slice, in call order."""
+    from derhamkit import suites
+
+    built, seen = [], []
+    honest_build, honest = getattr(suites, builder), suites.slice_homology
+
+    def recorded(*args):
+        cx = honest_build(*args)
+        built.append(cx)
+        return cx
+
+    def perturbed(cx, deg, w):
+        fac = honest(cx, deg, w)
+        if deg == degree and any(cx is b for b in built):
+            seen.append((w, fac))
+            return fac + [cx.ring.p]
+        return fac
+
+    monkeypatch.setattr(suites, builder, recorded)
+    monkeypatch.setattr(suites, "slice_homology", perturbed)
+    return seen
+
+
+def test_dold_kan_homology_failure_names_its_slice(monkeypatch):
+    from derhamkit.suites import run_suite
+
+    seen = _perturb_homology(monkeypatch, "normalized_complex", 1)
+    report = run_suite("dold-kan-roundtrip", {"cases": 1, "max_degree": 2, "p": 3, "n": 1}, seed=1)
+    cases = {c.name: c for c in report.cases}
+    (w, fac) = seen[0]
+    assert cases["F_3-case00-roundtrip"].status == "pass"
+    homology = cases["F_3-case00-homology"]
+    assert homology.status == "fail" and report.exit_code() == 1
+    assert homology.computed == f"mismatch at (degree 1, weight {w}): expected {fac}, computed {fac + [3]}"
+
+
+def test_dold_kan_roundtrip_failure_names_the_differing_differential(monkeypatch):
+    from derhamkit import suites
+
+    honest = suites.normalized_complex
+    changed = []
+
+    def perturbed(x):
+        n = honest(x)
+        (deg, w) = key = min(k for k in n.dims if k[0] >= 1 and n.dim(k[0] - 1, k[1]))
+        d = n.diff(deg, w)
+        d[0, 0] = (d[0, 0] + 1) % n.ring.modulus
+        changed.append((key, n.diff(deg, w).tolist(), d.tolist()))
+        return GradedSliceComplex(n.ring, n.n_min, n.n_max, n.dims, {**n.diffs, key: d})
+
+    monkeypatch.setattr(suites, "normalized_complex", perturbed)
+    report = suites.run_suite("dold-kan-roundtrip", {"cases": 1, "max_degree": 2, "p": 3, "n": 1}, seed=1)
+    ((deg, w), want, got), = changed
+    case = next(c for c in report.cases if c.name == "F_3-case00-roundtrip")
+    assert case.status == "fail"
+    assert case.computed == (f"mismatch at (degree {deg}, weight {w}): "
+                             f"expected differential {want}, computed {got}")
+
+
+def test_eilenberg_zilber_failure_names_its_slice(monkeypatch):
+    from derhamkit.suites import run_suite
+
+    seen = _perturb_homology(monkeypatch, "total_complex", 2)
+    report = run_suite("eilenberg-zilber", {"cases": 1}, seed=1)
+    (case,) = report.cases
+    (w, fac) = seen[0]
+    assert case.status == "fail" and report.exit_code() == 1
+    assert case.computed == f"mismatch at (degree 2, weight {w}): expected {fac + [2]}, computed {fac}"
+
+
+def test_the_kan_plan_is_the_kan_block_rule_on_every_surjection():
+    from derhamkit.simplex import _kan_plan, kan_block
+
+    for n in range(6):
+        for face in (True, False):
+            if face and n == 0:
+                continue
+            for i in range(n + 1):
+                alpha = MonotoneMap.face(n, i) if face else MonotoneMap.degeneracy(n, i)
+                plan = _kan_plan(n, i, face)
+                etas = [eta for p in range(n + 1) for eta in monotone_surjections(n, p)]
+                assert set(plan) <= {eta.values for eta in etas}
+                for eta in etas:
+                    assert plan.get(eta.values) == kan_block(eta, alpha), (n, i, face, eta)
+                assert _kan_plan(n, i, face) is plan
+                with pytest.raises(TypeError):
+                    plan[etas[0].values] = None
+
+
+def test_kan_transform_rejects_a_complex_whose_differential_does_not_square_to_zero():
+    ring = ModRing(3, 1)
+    c = GradedSliceComplex(ring, 0, 2, {(0, 0): 1, (1, 0): 1, (2, 0): 1},
+                           {(1, 0): np.array([[1]]), (2, 0): np.array([[1]])})
+    with pytest.raises(ValueError, match=r"horizontal d\^2 != 0 at \(2, 0, 0\)"):
+        kan_transform(c)
