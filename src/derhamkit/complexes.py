@@ -7,6 +7,11 @@ Degrees outside the stored window are structurally zero; a separate trust
 window marks where homology is honest (truncated resolutions trust one
 degree less than they store).
 
+A :class:`DoubleComplex` stores its blocks as triples in the same way, and
+:func:`total_complex` is the one place that knows how blocks are ordered,
+offset and signed: it concatenates the block triples and checks the result
+once for d o d = 0, which is the whole double-complex check.
+
 Homology is taken on the unit-contracted complex (:func:`reduce_complex`),
 with representatives and coordinates carried back to the original basis.
 
@@ -17,6 +22,7 @@ negated.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -27,7 +33,7 @@ import numpy as np
 from .exactlin import (
     ModRing,
     _span_solver,
-    howell_form,
+    howell_form,  # noqa: F401 -- perfbench/tests reaches the kernel through this module
     left_kernel,
     local_smith,
     mzeros,
@@ -68,10 +74,13 @@ def coo_reduced(rows, cols, vals, ncols: int, m: int) -> Coo:
     """Sum repeated positions, reduce mod m and drop zeros, in row-major order."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.int64) % m
     if cols.size and (cols.min() < 0 or cols.max() >= ncols):
         raise ValueError(f"column index outside a slice of {ncols} columns")
-    key = rows * ncols + cols
+    return _summed(rows * ncols + cols, np.asarray(vals, dtype=np.int64) % m, ncols, m)
+
+
+def _summed(key: np.ndarray, vals: np.ndarray, ncols: int, m: int) -> Coo:
+    """Reduced ``vals`` at the row-major positions ``key``, summed mod m."""
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.ones(key.size, dtype=bool)  # first entry of each position
@@ -88,9 +97,36 @@ def coo_product(a: Coo, b: Coo, ncols: int, m: int) -> Coo:
     Each product is reduced before the sums, so nothing leaves int64."""
     lo = np.searchsorted(b.rows, a.cols)
     counts = np.searchsorted(b.rows, a.cols, side="right") - lo
+    ends = np.cumsum(counts)
+    if not ends.size or not ends[-1]:
+        return Coo(*(counts[:0],) * 3)
     left = np.repeat(np.arange(a.vals.size), counts)
-    right = np.arange(left.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return coo_reduced(a.rows[left], b.cols[right], a.vals[left] * b.vals[right] % m, ncols, m)
+    right = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
+    return _summed(a.rows[left] * ncols + b.cols[right], a.vals[left] * b.vals[right] % m, ncols, m)
+
+
+def _coos(blocks: dict, ncols: Callable[..., int], m: int) -> dict:
+    """Dense matrices or (unreduced) triples as reduced Coo triples, nonzero
+    only; ``ncols(*key)`` is the column count of the block at ``key``."""
+    out = {}
+    for key, mtx in blocks.items():
+        if isinstance(mtx, tuple):
+            coo = coo_reduced(*mtx, ncols(*key), m)
+        else:
+            a = np.asarray(mtx, dtype=np.int64) % m
+            rows, cols = np.nonzero(a)
+            coo = Coo(rows, cols, a[rows, cols])
+        if coo.vals.size:
+            out[key] = coo
+    return out
+
+
+def coo_dense(d: Coo | None, nrows: int, ncols: int) -> np.ndarray:
+    """The dense reduced int64 matrix of a triple (zero for None)."""
+    out = mzeros(nrows, ncols)
+    if d is not None:
+        out[d.rows, d.cols] = d.vals
+    return out
 
 
 @dataclass
@@ -111,18 +147,7 @@ class GradedSliceComplex:
         if self.trusted is None:
             self.trusted = (self.n_min, self.n_max)
         self.dims = {k: v for k, v in self.dims.items() if v}
-        clean = {}
-        m = self.ring.modulus
-        for (n, w), mtx in self.diffs.items():
-            if isinstance(mtx, tuple):
-                coo = coo_reduced(*mtx, self.dim(n - 1, w), m)
-            else:
-                a = np.asarray(mtx, dtype=np.int64) % m
-                rows, cols = np.nonzero(a)
-                coo = Coo(rows, cols, a[rows, cols])
-            if coo.vals.size:
-                clean[(n, w)] = coo
-        self.diffs = clean
+        self.diffs = _coos(self.diffs, lambda n, w: self.dim(n - 1, w), self.ring.modulus)
 
     def dim(self, n: int, w: int) -> int:
         return self.dims.get((n, w), 0)
@@ -135,19 +160,24 @@ class GradedSliceComplex:
 
     def diff(self, n: int, w: int) -> np.ndarray:
         """The dense reduced int64 matrix of d: C_{n,w} -> C_{n-1,w}."""
-        out = mzeros(self.dim(n, w), self.dim(n - 1, w))
-        d = self.diffs.get((n, w))
-        if d is not None:
-            out[d.rows, d.cols] = d.vals
-        return out
+        return coo_dense(self.diffs.get((n, w)), self.dim(n, w), self.dim(n - 1, w))
 
     def validate(self) -> None:
         """Assert d o d == 0 on every slice."""
+        bad = self._nonzero_square()
+        if bad is not None:
+            raise ValueError(f"d^2 != 0 at degree {bad[0]}, weight {bad[1]}")
+
+    def _nonzero_square(self) -> tuple[int, int, Coo] | None:
+        """(n, w, d_n d_{n-1}) for the first slice where d o d != 0, or None."""
         m = self.ring.modulus
         for (n, w) in self.dims:
             d1, d0 = self.diffs.get((n, w)), self.diffs.get((n - 1, w))
-            if d1 is not None and d0 is not None and coo_product(d1, d0, self.dim(n - 2, w), m).vals.size:
-                raise ValueError(f"d^2 != 0 at degree {n}, weight {w}")
+            if d1 is not None and d0 is not None:
+                square = coo_product(d1, d0, self.dim(n - 2, w), m)
+                if square.vals.size:
+                    return n, w, square
+        return None
 
     def in_trust_window(self, n: int) -> bool:
         return self.trusted[0] <= n <= self.trusted[1]
@@ -510,10 +540,12 @@ def homology_report(cx: GradedSliceComplex, degrees: Iterable[int] | None = None
 class DoubleComplex:
     """First-quadrant-style double complex with commuting differentials.
 
-    ``horiz[(p, q, w)]`` maps (p, q) -> (p-1, q); ``vert[(p, q, w)]`` maps
-    (p, q) -> (p, q-1).  The rows/columns must each square to zero and the
-    two directions must commute; the total complex then twists the vertical
-    differential by (-1)^p.
+    ``horiz[(p, q, w)]`` maps (p, q) -> (p-1, q) and ``vert[(p, q, w)]`` maps
+    (p, q) -> (p, q-1), each stored as a :class:`Coo` triple (the
+    constructor also takes dense matrices and unreduced triples); ``h`` and
+    ``v`` build the dense block on request.  The rows and columns must each
+    square to zero and the two directions must commute; ``validate`` checks
+    that through :func:`total_complex`.
     """
 
     ring: ModRing
@@ -521,88 +553,71 @@ class DoubleComplex:
     horiz: dict
     vert: dict
 
+    def __post_init__(self):
+        m = self.ring.modulus
+        self.horiz = _coos(self.horiz, lambda p, q, w: self.dim(p - 1, q, w), m)
+        self.vert = _coos(self.vert, lambda p, q, w: self.dim(p, q - 1, w), m)
+
     def dim(self, p, q, w):
         return self.terms.get((p, q, w), 0)
 
     def h(self, p, q, w):
-        d = self.horiz.get((p, q, w))
-        return np.asarray(d, dtype=np.int64) % self.ring.modulus if d is not None else mzeros(
-            self.dim(p, q, w), self.dim(p - 1, q, w)
-        )
+        return coo_dense(self.horiz.get((p, q, w)), self.dim(p, q, w), self.dim(p - 1, q, w))
 
     def v(self, p, q, w):
-        d = self.vert.get((p, q, w))
-        return np.asarray(d, dtype=np.int64) % self.ring.modulus if d is not None else mzeros(
-            self.dim(p, q, w), self.dim(p, q - 1, w)
-        )
+        return coo_dense(self.vert.get((p, q, w)), self.dim(p, q, w), self.dim(p, q - 1, w))
 
     def validate(self):
-        for (p, q, w) in self.terms:
-            if mmul(self.h(p, q, w), self.h(p - 1, q, w), self.ring).any():
-                raise ValueError(f"horizontal d^2 != 0 at {(p, q, w)}")
-            if mmul(self.v(p, q, w), self.v(p, q - 1, w), self.ring).any():
-                raise ValueError(f"vertical d^2 != 0 at {(p, q, w)}")
-            hv = mmul(self.h(p, q, w), self.v(p - 1, q, w), self.ring)
-            vh = mmul(self.v(p, q, w), self.h(p, q - 1, w), self.ring)
-            if (hv % self.ring.modulus != vh % self.ring.modulus).any():
-                raise ValueError(f"horizontal and vertical differentials do not commute at {(p, q, w)}")
+        total_complex(self)
 
 
 def total_complex(dc: DoubleComplex) -> GradedSliceComplex:
     """Direct-sum total complex with the (-1)^p vertical sign twist.
 
-    ``dc`` is not validated on its own: with the twist, d∘d of the total
-    complex is zero exactly when the rows and columns square to zero and
-    the two directions commute, and that check runs on the result."""
-    ring = dc.ring
-    if not dc.terms:
-        return GradedSliceComplex(ring, 0, 0, {}, {})
-    degrees = sorted({p + q for (p, q, _) in dc.terms})
-    weights = sorted({w for (_, _, w) in dc.terms})
-    n_min, n_max = degrees[0], degrees[-1]
-
-    def blocks(n, w):
-        return [(p, n - p) for p in sorted({pp for (pp, qq, ww) in dc.terms if pp + qq == n and ww == w})]
-
+    The blocks of a slice follow by ascending p, and each differential is
+    the concatenation of the block triples moved to their offsets.  With the
+    twist, d∘d of the result is zero exactly when d_h^2 = 0, d_v^2 = 0 and
+    d_h d_v = d_v d_h, block by block; that one check runs on the result,
+    and a failure names its kind and the block (p, q, w) it leaves from.
+    """
+    degrees = [p + q for (p, q, _) in dc.terms]
+    offsets = {}  # (p, q, w) -> offset in the slice (p + q, w), nonzero terms only
     dims = {}
-    offsets = {}
-    for w in weights:
-        for n in range(n_min, n_max + 1):
-            off = {}
-            total = 0
-            for (p, q) in blocks(n, w):
-                off[(p, q)] = total
-                total += dc.dim(p, q, w)
-            if total:
-                dims[(n, w)] = total
-                offsets[(n, w)] = off
-
+    for (p, q, w) in sorted(dc.terms, key=lambda t: (t[2], t[0] + t[1], t[0])):
+        if dc.dim(p, q, w):
+            offsets[(p, q, w)] = dims.get((p + q, w), 0)
+            dims[(p + q, w)] = offsets[(p, q, w)] + dc.dim(p, q, w)
     diffs = {}
-    for (n, w), total in dims.items():
-        lower = dims.get((n - 1, w), 0)
-        if lower == 0:
-            continue
-        d = mzeros(total, lower)
-        off_hi = offsets[(n, w)]
-        off_lo = offsets[(n - 1, w)]
-        for (p, q), o in off_hi.items():
-            dh = dc.h(p, q, w)
-            if dh.size and (p - 1, q) in off_lo:
-                o2 = off_lo[(p - 1, q)]
-                d[o : o + dh.shape[0], o2 : o2 + dh.shape[1]] += dh
-            dv = dc.v(p, q, w)
-            if dv.size and (p, q - 1) in off_lo:
-                o2 = off_lo[(p, q - 1)]
-                sign = -1 if p % 2 else 1
-                d[o : o + dv.shape[0], o2 : o2 + dv.shape[1]] += sign * dv
-        diffs[(n, w)] = d % ring.modulus
-
-    tot = GradedSliceComplex(ring, n_min, n_max, dims, diffs)
-    try:
-        tot.validate()
-    except ValueError as exc:
-        raise ValueError(f"not a double complex (d_h^2, d_v^2 or d_h d_v - d_v d_h is nonzero): {exc}") from exc
+    # offsets lists the terms slice by slice, so each slice is one group
+    for key, group in itertools.groupby(offsets.items(), lambda item: (item[0][0] + item[0][1], item[0][2])):
+        parts = []
+        for (p, q, w), off in group:
+            for blocks, target, negate in ((dc.horiz, (p - 1, q, w), False), (dc.vert, (p, q - 1, w), p % 2)):
+                d = blocks.get((p, q, w))
+                if d is not None and target in offsets:
+                    parts.append((d.rows + off, d.cols + offsets[target], -d.vals if negate else d.vals))
+        if parts:
+            diffs[key] = tuple(np.concatenate(part) for part in zip(*parts))
+    tot = GradedSliceComplex(dc.ring, min(degrees, default=0), max(degrees, default=0), dims, diffs)
+    bad = tot._nonzero_square()
+    if bad is not None:
+        raise ValueError(f"not a double complex ({_fault(offsets, *bad)}): "
+                         f"d^2 != 0 at degree {bad[0]}, weight {bad[1]}")
     return tot
+
+
+def _fault(offsets: dict, n: int, w: int, square: Coo) -> str:
+    """The kind and source block of the first nonzero entry of d_n d_{n-1}
+    in a total complex laid out by ``offsets``."""
+
+    def p_at(degree, index):  # p of the block whose slice rows hold ``index``
+        return max((off, p) for (p, q, ww), off in offsets.items()
+                   if p + q == degree and ww == w and off <= index)[1]
+
+    p = p_at(n, square.rows[0])
+    kind = ("vertical d^2 != 0", "horizontal and vertical differentials do not commute",
+            "horizontal d^2 != 0")[p - p_at(n - 2, square.cols[0])]
+    return f"{kind} at {(p, n - p, w)}"
 
 
 # ---------------------------------------------------------------------------
@@ -640,26 +655,3 @@ def compare_homology(cx1: GradedSliceComplex, cx2: GradedSliceComplex,
                 verdicts[(n, w)] = (f1, f2, eq)
     return CompareReport(verdicts, ok)
 
-
-def length_audit(cx: GradedSliceComplex, weight: int) -> bool:
-    """Rank-nullity bookkeeping per weight slice for free Z/p^n terms:
-    sum of term lengths = sum of homology lengths + 2 * sum of image lengths."""
-    ring = cx.ring
-    n_lengths = 0
-    h_lengths = 0
-    im_lengths = 0
-    for n in cx.degrees():
-        n_lengths += cx.dim(n, weight) * ring.n
-        if cx.in_trust_window(n):
-            q = homology_quotient(cx, n, weight)
-            h_lengths += q.length()
-    for n in cx.degrees():
-        d = cx.diff(n, weight)
-        if d.size:
-            im = howell_form(d, ring)
-            for row in im:
-                lead = row[np.nonzero(row)[0][0]] if row.any() else 0
-                if lead:
-                    im_lengths += ring.n - v_int(int(lead), ring.p)
-    # only meaningful when the trust window covers the whole support
-    return n_lengths == h_lengths + 2 * im_lengths

@@ -2,11 +2,13 @@
 
 The total complex of the de Rham complexes of a free simplicial resolution
 Q_n = k[x][t_1..t_n] of B = k[x]/(f), relative to A = k[x].  The block
-Omega^i(Q_j) sits in homological degree j - i; the horizontal differential
-is the alternating face sum and the vertical one is the relative exterior
-derivative twisted by (-1)^j.  The Hodge level cut m keeps columns i < m,
-modelling the quotient by F^m; with weight(x) = 1 and weight(t) = deg f all
-slices are finite and exact.
+Omega^i(Q_j) sits at (p, q) = (j, -i) of a double complex, in homological
+degree j - i; the horizontal differential is the alternating face sum and
+the vertical one is the relative exterior derivative, which
+``complexes.total_complex`` twists by (-1)^j when it assembles the block
+triples.  The Hodge level cut m keeps columns i < m, modelling the
+quotient by F^m; with weight(x) = 1 and weight(t) = deg f all slices are
+finite and exact.
 
 Every block is built on its nondegenerate forms only.  The degenerate forms
 (some t_s occurring neither in the exponent nor under d) span an acyclic
@@ -28,6 +30,7 @@ import numpy as np
 
 from .complexes import (
     Coo,
+    DoubleComplex,
     GradedSliceComplex,
     HomologyReport,
     SliceQuotient,
@@ -35,6 +38,7 @@ from .complexes import (
     homology_quotient,
     homology_report,
     slice_homology,
+    total_complex,
 )
 from .cotangent import (
     AlgebraPresentation,
@@ -218,36 +222,18 @@ class FilteredDeRhamComplex:
         return max(lo - 1 if cut > 1 else lo, -(cut - 1))
 
     def _assemble(self) -> GradedSliceComplex:
-        """The total complex: each differential is the concatenation of the
-        horizontal and vertical block triples, moved to their offsets."""
+        """The total complex of the block double complex: Omega^i(Q_j) at
+        (p, q) = (j, -i), so the vertical twist is (-1)^j and each slice
+        lists its blocks by increasing i, as ``layout`` does."""
         cut = self.hodge_cut
-        n_min = self._n_min(cut)
-        n_max = self.window[1] + 1
-        dims = {}
-        diffs = {}
-        for w in range(self.weight_bound + 1):
-            lay = {}
-            for n in range(n_min, n_max + 1):
-                lay[n], total = self.layout(n, w, cut)
-                if total:
-                    dims[(n, w)] = total
-            for n in range(n_min + 1, n_max + 1):
-                if not dims.get((n, w)) or not dims.get((n - 1, w)):
-                    continue
-                tgt_off = {(j, i): off for (j, i, off) in lay[n - 1]}
-                parts = []
-                for (j, i, off) in lay[n]:
-                    if (j - 1, i) in tgt_off:
-                        h = self.horizontal_matrix(j, i, w)
-                        parts.append((h.rows + off, h.cols + tgt_off[(j - 1, i)], h.vals))
-                    if (j, i + 1) in tgt_off:
-                        v = self.vertical_matrix(j, i, w)
-                        parts.append((v.rows + off, v.cols + tgt_off[(j, i + 1)],
-                                      -v.vals if j % 2 else v.vals))
-                if parts:
-                    diffs[(n, w)] = tuple(np.concatenate(part) for part in zip(*parts))
-        cx = GradedSliceComplex(self.ring, n_min, n_max, dims, diffs, trusted=self.window)
-        cx.validate()
+        n_min, n_max = self._n_min(cut), self.window[1] + 1
+        terms = {(j, -i, w): len(self.block_basis(j, i, w))
+                 for w in range(self.weight_bound + 1) for n in range(n_min, n_max + 1)
+                 for (j, i, _) in self.layout(n, w, cut)[0]}
+        horiz = {(j, q, w): self.horizontal_matrix(j, -q, w) for (j, q, w) in terms if (j - 1, q, w) in terms}
+        vert = {(j, q, w): self.vertical_matrix(j, -q, w) for (j, q, w) in terms if (j, q - 1, w) in terms}
+        cx = total_complex(DoubleComplex(self.ring, terms, horiz, vert))
+        cx.n_min, cx.n_max, cx.trusted = n_min, n_max, self.window
         return cx
 
     def quotient_complex(self, level: int) -> GradedSliceComplex:
@@ -389,7 +375,7 @@ def graded_piece_report(f: FilteredDeRhamComplex, level: int) -> GradedPieceRepo
         for j in range(level + 1, f.res.d_max + 1):
             if dims.get((j - level, w)) and dims.get((j - level - 1, w)):
                 diffs[(j - level, w)] = f.horizontal_matrix(j, level, w)
-    column = GradedSliceComplex(ring, 0 if level else 0, f.res.d_max - level, dims, diffs,
+    column = GradedSliceComplex(ring, 0, f.res.d_max - level, dims, diffs,
                                 trusted=(0, f.res.d_max - level - 1))
     column.validate()
 

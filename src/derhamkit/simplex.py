@@ -371,18 +371,18 @@ def _kan_plan(n: int, i: int, face: bool) -> MappingProxyType:
 
 def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> SimplicialModule:
     """Quasi-inverse to the normalized complex: the row q = 0 of the double
-    Kan transform of C, with C placed as the row q = 0 of a double complex.
+    Kan transform of C, with the triples of C as its horizontal blocks.
 
     K(C)_n sums C_p over monotone surjections [n] ->> [p], and d_i, s_i act
     by the rule of ``kan_block``.  C is validated as that double complex, so
-    a C with d∘d != 0 raises ValueError.
+    a C with d∘d != 0 raises ValueError naming the block where it fails.
     """
     if c.n_min < 0:
         raise ValueError("Kan transform needs a complex concentrated in degrees >= 0")
     if d_max is None:
         d_max = c.n_max
     dc = DoubleComplex(c.ring, {(p, 0, w): d for (p, w), d in c.dims.items()},
-                       {(p, 0, w): c.diff(p, w) for (p, w) in c.diffs}, {})
+                       {(p, 0, w): d for (p, w), d in c.diffs.items()}, {})
     row = double_kan(dc, d_max, 0)
     dims = {(n, w): d for (n, _, w), d in row.dims.items()}
     labels = {(n, w): [(eta.values, p) for (eta, _, p, _, _) in row.layout[(n, 0, w)] for _ in range(c.dim(p, w))]

@@ -1,14 +1,16 @@
 """Graded slice complexes: homology, total complexes, comparison reports."""
 
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+import reference_complexes
 
-from derhamkit.exactlin import ModRing
+from derhamkit.exactlin import ModRing, howell_form, v_int
 from derhamkit.complexes import (
     Coo,
     CompareReport,
@@ -19,7 +21,6 @@ from derhamkit.complexes import (
     compare_homology,
     homology_quotient,
     homology_report,
-    length_audit,
     slice_homology,
     total_complex,
 )
@@ -178,47 +179,136 @@ def kunneth_dims(c1, c2, n, w, ring):
     return out
 
 
-def test_total_complex_kunneth_over_field():
+def kunneth_cases():
+    """(c1, c2, weight, tensor double complex) for the single-weight pairs
+    of six seeded draws of complexes over F_5."""
     ring = ModRing(5, 1)
     rng = random.Random(12)
+    out = []
     for _ in range(6):
         c1 = random_complex(ring, rng, max_degree=2, max_rank=2)
         c2 = random_complex(ring, rng, max_degree=2, max_rank=2)
-        # tensor double complex
-        terms = {}
-        horiz = {}
-        vert = {}
-        for p in c1.degrees():
-            for q in c2.degrees():
-                for u in c1.weights():
-                    for v in c2.weights():
-                        d1 = c1.dim(p, u)
-                        d2 = c2.dim(q, v)
-                        if d1 and d2:
-                            w = u + v
-                            key = (p, q, w)
-                            terms[key] = terms.get(key, 0) + d1 * d2
-        # build with explicit per-weight block structure: simpler to tensor one
-        # weight at a time; here both complexes are generated single-weighted
         if len(c1.weights()) != 1 or len(c2.weights()) != 1:
             continue
-        u = c1.weights()[0]
-        v = c2.weights()[0]
+        (u,), (v,) = c1.weights(), c2.weights()
         w = u + v
-        terms = {}
-        for p in c1.degrees():
-            for q in c2.degrees():
-                if c1.dim(p, u) and c2.dim(q, v):
-                    terms[(p, q, w)] = c1.dim(p, u) * c2.dim(q, v)
-        for (p, q, _), dim in terms.items():
+        terms = {(p, q, w): c1.dim(p, u) * c2.dim(q, v)
+                 for p in c1.degrees() for q in c2.degrees() if c1.dim(p, u) and c2.dim(q, v)}
+        horiz = {}
+        vert = {}
+        for (p, q, _) in terms:
             if (p - 1, q, w) in terms:
                 horiz[(p, q, w)] = np.kron(c1.diff(p, u), np.eye(c2.dim(q, v), dtype=np.int64)) % 5
             if (p, q - 1, w) in terms:
                 vert[(p, q, w)] = np.kron(np.eye(c1.dim(p, u), dtype=np.int64), c2.diff(q, v)) % 5
-        dc = DoubleComplex(ring, terms, horiz, vert)
+        out.append((c1, c2, w, DoubleComplex(ring, terms, horiz, vert)))
+    return out
+
+
+def test_total_complex_kunneth_over_field():
+    cases = kunneth_cases()
+    assert cases
+    for c1, c2, w, dc in cases:
         tot = total_complex(dc)
         for n in range(tot.n_min, tot.n_max + 1):
-            assert len(slice_homology(tot, n, w)) == kunneth_dims(c1, c2, n, w, ring)
+            assert len(slice_homology(tot, n, w)) == kunneth_dims(c1, c2, n, w, dc.ring)
+
+
+def _double_complexes():
+    """The Kuenneth cases, the eilenberg-zilber suite's double complexes at
+    seed 1 and the seeded ones of ``test_simplex`` (several weights, empty
+    summands and the empty double complex)."""
+    from test_simplex import _random_double_complexes, eilenberg_zilber_double_complexes
+
+    return ([dc for *_, dc in kunneth_cases()] + eilenberg_zilber_double_complexes(seed=1)
+            + [dc for seed in range(6) for dc in _random_double_complexes(seed)])
+
+
+def _as_unreduced_triples(dc):
+    """``dc`` rebuilt from its blocks as triples in reverse order with the
+    values shifted by -p^n, so the constructor has to reduce them."""
+    m = dc.ring.modulus
+
+    def triples(blocks):
+        return {key: Coo(d.rows[::-1], d.cols[::-1], d.vals[::-1] - m) for key, d in blocks.items()}
+
+    return DoubleComplex(dc.ring, dict(dc.terms), triples(dc.horiz), triples(dc.vert))
+
+
+@pytest.mark.parametrize("form", ["dense", "triples"])
+def test_total_complex_equals_the_dense_reference(form):
+    cases = _double_complexes()
+    assert any(not dc.terms for dc in cases)
+    assert any(len({w for (_, _, w) in dc.terms}) > 1 for dc in cases)
+    for dense in cases:
+        dc = dense if form == "dense" else _as_unreduced_triples(dense)
+        for (p, q, w) in dc.terms:
+            assert np.array_equal(dc.h(p, q, w), dense.h(p, q, w))
+            assert np.array_equal(dc.v(p, q, w), dense.v(p, q, w))
+        reference_complexes.validate_double_complex(dc)
+        got = total_complex(dc)
+        want = reference_complexes.total_complex(dc)
+        assert (got.n_min, got.n_max, got.trusted) == (want.n_min, want.n_max, want.trusted)
+        assert list(got.dims.items()) == list(want.dims.items())
+        assert got.diffs.keys() == want.diffs.keys()
+        for (n, w) in got.dims:
+            assert np.array_equal(got.diff(n, w), want.diff(n, w)), (n, w)
+
+
+# kind, the blocks (p, q) made the identity at weight 1, the block named
+FAULTS = [
+    ("horizontal d^2 != 0", {"h": [(2, 1), (1, 1)]}, (2, 1, 1)),
+    ("vertical d^2 != 0", {"v": [(1, 2), (1, 1)]}, (1, 2, 1)),
+    ("horizontal and vertical differentials do not commute", {"h": [(2, 2)], "v": [(1, 2)]}, (2, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("form", ["dense", "triples"])
+@pytest.mark.parametrize("kind, planted, block", FAULTS)
+def test_each_fault_raises_at_both_entry_points_naming_its_kind_and_block(kind, planted, block, form):
+    from derhamkit.simplex import double_kan
+
+    # rank-two terms on a 3 x 3 grid at two weights, all maps zero but the planted ones
+    ring = ModRing(3, 2)
+    terms = {(p, q, w): 2 for p in range(3) for q in range(3) for w in (0, 1)}
+    eye = np.eye(2, dtype=np.int64)
+    one = eye if form == "dense" else Coo(np.array([1, 0]), np.array([1, 0]), np.array([10, 1]))
+    dc = DoubleComplex(ring, terms, *({(p, q, 1): one for (p, q) in planted.get(d, ())} for d in "hv"))
+    named = re.escape(f"{kind} at {block}")
+    degree = block[0] + block[1]
+    with pytest.raises(ValueError, match=named):
+        reference_complexes.validate_double_complex(dc)
+    with pytest.raises(ValueError, match=rf"^not a double complex \({named}\): d\^2 != 0 at degree {degree}, weight 1$"):
+        total_complex(dc)
+    with pytest.raises(ValueError, match=rf"^not a double complex \({named}\)"):
+        double_kan(dc, 2, 2)
+
+
+def test_total_complex_and_the_dense_check_agree_on_planted_entries():
+    rng = random.Random(4)
+    tried = failed = 0
+    for dc in _double_complexes():
+        blocks = [(table, key) for table in (dc.horiz, dc.vert) for key in table]
+        for table, key in rng.sample(blocks, min(len(blocks), 3)):
+            d = table[key]
+            k = rng.randrange(d.vals.size)
+            planted = d._replace(vals=d.vals.copy())
+            planted.vals[k] = (planted.vals[k] + 1) % dc.ring.modulus
+            bad = DoubleComplex(dc.ring, dc.terms, {**dc.horiz, key: planted} if table is dc.horiz else dc.horiz,
+                                {**dc.vert, key: planted} if table is dc.vert else dc.vert)
+            try:
+                reference_complexes.validate_double_complex(bad)
+                want = None
+            except ValueError as exc:
+                want = str(exc)
+            if want is None:
+                total_complex(bad)
+            else:
+                with pytest.raises(ValueError, match=r"^not a double complex \("):
+                    total_complex(bad)
+            tried += 1
+            failed += want is not None
+    assert tried > failed > 0
 
 
 def test_compare_homology_self_and_reports():
@@ -230,6 +320,30 @@ def test_compare_homology_self_and_reports():
     rep.to_json()
     hr = homology_report(cx)
     hr.to_json()
+
+
+def length_audit(cx: GradedSliceComplex, weight: int) -> bool:
+    """Rank-nullity bookkeeping per weight slice for free Z/p^n terms:
+    sum of term lengths = sum of homology lengths + 2 * sum of image lengths."""
+    ring = cx.ring
+    n_lengths = 0
+    h_lengths = 0
+    im_lengths = 0
+    for n in cx.degrees():
+        n_lengths += cx.dim(n, weight) * ring.n
+        if cx.in_trust_window(n):
+            q = homology_quotient(cx, n, weight)
+            h_lengths += q.length()
+    for n in cx.degrees():
+        d = cx.diff(n, weight)
+        if d.size:
+            im = howell_form(d, ring)
+            for row in im:
+                lead = row[np.nonzero(row)[0][0]] if row.any() else 0
+                if lead:
+                    im_lengths += ring.n - v_int(int(lead), ring.p)
+    # only meaningful when the trust window covers the whole support
+    return n_lengths == h_lengths + 2 * im_lengths
 
 
 def test_rank_nullity_audit():

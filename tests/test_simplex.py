@@ -297,7 +297,8 @@ def test_validate_catches_one_vertical_block_with_the_wrong_sign():
     dc = tensor_double_complex(c, c, ring)
     x = double_kan(dc, 2, 2)  # no map is built yet, so x reads the flipped block
     # -d_v(1, 1) still squares to zero but no longer commutes with d_h
-    dc.vert[(1, 1, 0)] = (-dc.vert[(1, 1, 0)]) % ring.modulus
+    d = dc.vert[(1, 1, 0)]
+    dc.vert[(1, 1, 0)] = d._replace(vals=-d.vals % ring.modulus)
     with pytest.raises(ValueError, match="do not commute"):
         double_kan(dc, 2, 2)
     with pytest.raises(ValueError, match="h/v faces do not commute"):
