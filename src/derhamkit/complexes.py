@@ -76,7 +76,14 @@ def coo_reduced(rows, cols, vals, ncols: int, m: int) -> Coo:
     cols = np.asarray(cols, dtype=np.int64)
     if cols.size and (cols.min() < 0 or cols.max() >= ncols):
         raise ValueError(f"column index outside a slice of {ncols} columns")
-    return _summed(rows * ncols + cols, np.asarray(vals, dtype=np.int64) % m, ncols, m)
+    key = rows * ncols + cols
+    vals = np.asarray(vals, dtype=np.int64) % m
+    if (key[1:] > key[:-1]).all():  # already row-major, each position once
+        if vals.all():
+            return Coo(rows, cols, vals)
+        nz = vals.nonzero()[0]
+        return Coo(rows[nz], cols[nz], vals[nz])
+    return _summed(key, vals, ncols, m)
 
 
 def _summed(key: np.ndarray, vals: np.ndarray, ncols: int, m: int) -> Coo:

@@ -378,20 +378,23 @@ def apply_functor_to_module(x: SimplicialModule, functor: str, n: int) -> Simpli
         raise ValueError("functor must be 'gamma' or 'wedge'")
     ring = x.ring
 
-    def flat_matrix(table_get, deg, target_deg):
-        src = _weighted_slots(x, deg)
-        tgt = _weighted_slots(x, target_deg)
-        out = mzeros(len(src), len(tgt))
-        tpos = {(w, k): idx for idx, (w, k) in enumerate(tgt)}
-        row0 = 0
+    offsets = {}  # degree -> (weight -> its first position in _weighted_slots, number of slots)
+    for deg in range(x.d_max + 1):
+        firsts, pos = {}, 0
         for w in sorted({wt for (d, wt) in x.dims if d == deg}):
-            blk = table_get(deg, w)
-            for a in range(blk.shape[0]):
-                for b in range(blk.shape[1]):
-                    if blk[a, b]:
-                        out[row0 + a, tpos[(w, b)]] = blk[a, b]
-            row0 += x.dim(deg, w)
-        return out, src, tgt
+            firsts[w], pos = pos, pos + x.dim(deg, w)
+        offsets[deg] = (firsts, pos)
+
+    def flat_matrix(table, i, deg, target_deg):
+        """The map ``table[(deg, i, w)]`` of every weight w, on the flattened
+        bases: one indexed scatter of the triples."""
+        (src, nsrc), (tgt, ntgt) = offsets[deg], offsets[target_deg]
+        maps = [(table[(deg, i, w)], src[w], tgt.get(w, 0)) for w in src if (deg, i, w) in table]
+        out = mzeros(nsrc, ntgt)
+        if maps:
+            out[np.concatenate([d.rows + r0 for d, r0, _ in maps]),
+                np.concatenate([d.cols + c0 for d, _, c0 in maps])] = np.concatenate([d.vals for d, _, _ in maps])
+        return out
 
     dims: dict = {}
     faces: dict = {}
@@ -439,12 +442,10 @@ def apply_functor_to_module(x: SimplicialModule, functor: str, n: int) -> Simpli
 
     for deg in range(1, x.d_max + 1):
         for i in range(deg + 1):
-            flat, _, _ = flat_matrix(lambda d, w: x.face(d, i, w), deg, deg - 1)
-            resliced(functor_matrix(flat), deg, deg - 1, faces, i)
+            resliced(functor_matrix(flat_matrix(x.faces, i, deg, deg - 1)), deg, deg - 1, faces, i)
     for deg in range(x.d_max):
         for i in range(deg + 1):
-            flat, _, _ = flat_matrix(lambda d, w: x.degen(d, i, w), deg, deg + 1)
-            resliced(functor_matrix(flat), deg, deg + 1, degens, i)
+            resliced(functor_matrix(flat_matrix(x.degens, i, deg, deg + 1)), deg, deg + 1, degens, i)
 
     return SimplicialModule(ring, x.d_max, dims, faces, degens)
 

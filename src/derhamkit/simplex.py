@@ -1,9 +1,13 @@
 """Simplex-category combinatorics and the simplicial-module kernel.
 
-Simplicial modules are stored with explicit face/degeneracy matrices per
-degree and weight slice; the action of an arbitrary monotone map is derived
-from its epi-mono factorization into generators.  The normalized complex
-takes kernels of the first n faces with differential (-1)^n d_n.
+A simplicial module stores its faces per degree and weight slice as sparse
+``Coo`` triples, as the chain complexes of ``complexes`` store their
+differentials; its degeneracies are triples too, and the Kan transform and
+the diagonal build each one only when it is first read.  Dense matrices are
+made on request (``face``, ``degen``).  The action of an arbitrary monotone
+map is derived from its epi-mono factorization into generators.  The
+normalized complex takes kernels of the first n faces with differential
+(-1)^n d_n.
 
 There is one Kan operator.  The double Kan transform of a double complex
 sums D_{p,q} over pairs of monotone surjections [m] ->> [p], [n] ->> [q];
@@ -19,13 +23,22 @@ is the identity on the nose, degreewise and on differentials.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .complexes import DoubleComplex, GradedSliceComplex
+from .complexes import (
+    Coo,
+    DoubleComplex,
+    GradedSliceComplex,
+    _coos,
+    coo_dense,
+    coo_product,
+)
 from .exactlin import (
     ModRing,
     express_in_basis,
@@ -158,31 +171,63 @@ def monotone_surjections(n: int, p: int) -> tuple[MonotoneMap, ...]:
     return tuple(out)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class OnRequest(Mapping):
+    """A read-only mapping whose keys are fixed up front and whose value at a
+    key is ``build(*key)``, made on the first read of that key and kept."""
+
+    def __init__(self, keys: Iterable, build: Callable):
+        self._keys = dict.fromkeys(keys)
+        self._build = build
+        self._built: dict = {}
+
+    def __getitem__(self, key):
+        if key not in self._built:
+            if key not in self._keys:
+                raise KeyError(key)
+            self._built[key] = self._build(*key)
+        return self._built[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 @dataclass
 class SimplicialModule:
-    """Degreewise weight-graded free modules with face/degeneracy matrices."""
+    """Degreewise weight-graded free modules with face and degeneracy maps.
+
+    ``faces[(n, i, w)]`` is d_i: X_{n,w} -> X_{n-1,w} and ``degens[(n, i,
+    w)]`` is s_i: X_{n,w} -> X_{n+1,w}, each a reduced row-major
+    :class:`Coo` triple.  The constructor also takes dense matrices and
+    unreduced triples, and reduces them once, keeping nonzero maps only; a
+    ``degens`` that is an :class:`OnRequest` mapping is kept as it is, so
+    each degeneracy is built when it is first read.  ``face`` and ``degen``
+    build the dense, read-only matrix on request.
+    """
 
     ring: ModRing
     d_max: int
     dims: dict  # (n, w) -> int
-    faces: dict  # (n, i, w) -> matrix X_{n,w} -> X_{n-1,w}
-    degens: dict  # (n, i, w) -> matrix X_{n,w} -> X_{n+1,w}
+    faces: dict  # (n, i, w) -> Coo of X_{n,w} -> X_{n-1,w}
+    degens: Mapping  # (n, i, w) -> Coo of X_{n,w} -> X_{n+1,w}
     labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.dims = {k: v for k, v in self.dims.items() if v}
-        self.faces = {k: self._frozen(d) for k, d in self.faces.items()}
-        self.degens = {k: self._frozen(d) for k, d in self.degens.items()}
-
-    def _frozen(self, d) -> np.ndarray:
-        """``d`` reduced once, as a read-only array: ``face`` and ``degen``
-        hand out the stored array, so a caller writing into it raises.  A
-        reduced int64 input is not copied (the builders make them)."""
         m = self.ring.modulus
-        a = np.asarray(d, dtype=np.int64)
-        a = a % m if a.size and (a.min() < 0 or a.max() >= m) else a.view()
-        a.flags.writeable = False
-        return a
+        self.dims = {k: v for k, v in self.dims.items() if v}
+        self.faces = _coos(self.faces, lambda n, i, w: self.dim(n - 1, w), m)
+        if not isinstance(self.degens, OnRequest):
+            self.degens = _coos(self.degens, lambda n, i, w: self.dim(n + 1, w), m)
 
     def dim(self, n: int, w: int) -> int:
         return self.dims.get((n, w), 0)
@@ -191,47 +236,43 @@ class SimplicialModule:
         return sorted({w for (_, w) in self.dims})
 
     def face(self, n: int, i: int, w: int) -> np.ndarray:
-        d = self.faces.get((n, i, w))
-        if d is not None:
-            return d
-        return mzeros(self.dim(n, w), self.dim(n - 1, w))
+        return _read_only(coo_dense(self.faces.get((n, i, w)), self.dim(n, w), self.dim(n - 1, w)))
 
     def degen(self, n: int, i: int, w: int) -> np.ndarray:
-        d = self.degens.get((n, i, w))
-        if d is not None:
-            return d
-        return mzeros(self.dim(n, w), self.dim(n + 1, w))
+        return _read_only(coo_dense(self.degens.get((n, i, w)), self.dim(n, w), self.dim(n + 1, w)))
 
     def validate(self) -> None:
         """Assert all five simplicial identity families on every slice."""
         r = self.ring
+        # each dense map is read many times below: build it once
+        face, degen = lru_cache(maxsize=None)(self.face), lru_cache(maxsize=None)(self.degen)
         for w in self.weights():
             for n in range(self.d_max + 1):
                 # faces of faces
                 for j in range(n + 1):
                     for i in range(j):
                         if n >= 2:
-                            lhs = mmul(self.face(n, j, w), self.face(n - 1, i, w), r)
-                            rhs = mmul(self.face(n, i, w), self.face(n - 1, j - 1, w), r)
+                            lhs = mmul(face(n, j, w), face(n - 1, i, w), r)
+                            rhs = mmul(face(n, i, w), face(n - 1, j - 1, w), r)
                             if (lhs != rhs).any():
                                 raise ValueError(f"face identity fails at n={n}, i={i}, j={j}, w={w}")
                 if n + 2 <= self.d_max:
                     for j in range(n + 1):
                         for i in range(j + 1):
-                            lhs = mmul(self.degen(n, j, w), self.degen(n + 1, i, w), r)
-                            rhs = mmul(self.degen(n, i, w), self.degen(n + 1, j + 1, w), r)
+                            lhs = mmul(degen(n, j, w), degen(n + 1, i, w), r)
+                            rhs = mmul(degen(n, i, w), degen(n + 1, j + 1, w), r)
                             if (lhs != rhs).any():
                                 raise ValueError(f"degeneracy identity fails at n={n}, i={i}, j={j}, w={w}")
                 if n + 1 <= self.d_max:
                     for j in range(n + 1):
                         for i in range(n + 2):
-                            lhs = mmul(self.degen(n, j, w), self.face(n + 1, i, w), r)
+                            lhs = mmul(degen(n, j, w), face(n + 1, i, w), r)
                             if i == j or i == j + 1:
                                 rhs = midentity(self.dim(n, w))
                             elif i < j:
-                                rhs = mmul(self.face(n, i, w), self.degen(n - 1, j - 1, w), r)
+                                rhs = mmul(face(n, i, w), degen(n - 1, j - 1, w), r)
                             else:
-                                rhs = mmul(self.face(n, i - 1, w), self.degen(n - 1, j, w), r)
+                                rhs = mmul(face(n, i - 1, w), degen(n - 1, j, w), r)
                             if (lhs != rhs).any():
                                 raise ValueError(f"mixed identity fails at n={n}, i={i}, j={j}, w={w}")
 
@@ -269,14 +310,13 @@ class SimplicialModule:
 def unnormalized_complex(x: SimplicialModule) -> GradedSliceComplex:
     """Associated chain complex with d_n = sum (-1)^i d_i."""
     diffs = {}
-    for (n, w), dim in x.dims.items():
-        if n == 0:
-            continue
-        d = mzeros(dim, x.dim(n - 1, w))
-        for i in range(n + 1):
-            sign = -1 if i % 2 else 1
-            d = d + sign * x.face(n, i, w)
-        diffs[(n, w)] = d % x.ring.modulus
+    for (n, w) in x.dims:
+        faces = [(i, x.faces[(n, i, w)]) for i in range(n + 1) if (n, i, w) in x.faces]
+        if n and faces:
+            # the complex sums the signed triples at repeated positions
+            diffs[(n, w)] = (np.concatenate([f.rows for _, f in faces]),
+                             np.concatenate([f.cols for _, f in faces]),
+                             np.concatenate([-f.vals if i % 2 else f.vals for i, f in faces]))
     cx = GradedSliceComplex(x.ring, 0, x.d_max, dict(x.dims), diffs,
                             trusted=(0, max(x.d_max - 1, 0)))
     cx.validate()
@@ -308,7 +348,13 @@ def normalized_complex(x: SimplicialModule, with_basis: bool = False):
             if n == 0:
                 rows = midentity(dim)
             else:
-                stacked = np.hstack([x.face(n, i, w) for i in range(n)])
+                # d_0 ... d_{n-1} side by side, scattered from their triples
+                cols = x.dim(n - 1, w)
+                stacked = mzeros(dim, n * cols)
+                for i in range(n):
+                    f = x.faces.get((n, i, w))
+                    if f is not None:
+                        stacked[f.rows, f.cols + i * cols] = f.vals
                 ker = left_kernel(stacked, ring)
                 rows = minimal_generators(ker, ring)
                 # ker is a Howell basis, so the rows span it iff they have it as Howell form
@@ -376,6 +422,7 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
     K(C)_n sums C_p over monotone surjections [n] ->> [p], and d_i, s_i act
     by the rule of ``kan_block``.  C is validated as that double complex, so
     a C with d∘d != 0 raises ValueError naming the block where it fails.
+    The faces are built here, each degeneracy when it is first read.
     """
     if c.n_min < 0:
         raise ValueError("Kan transform needs a complex concentrated in degrees >= 0")
@@ -388,8 +435,10 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
     labels = {(n, w): [(eta.values, p) for (eta, _, p, _, _) in row.layout[(n, 0, w)] for _ in range(c.dim(p, w))]
               for (n, w) in dims}
     weights = c.weights()
-    faces = {(n, i, w): row.hface(n, 0, i, w) for w in weights for n in range(1, d_max + 1) for i in range(n + 1)}
-    degens = {(n, i, w): row.hdegen(n, 0, i, w) for w in weights for n in range(d_max) for i in range(n + 1)}
+    faces = {(n, i, w): row._operator(n, 0, i, w, True, "h")
+             for w in weights for n in range(1, d_max + 1) for i in range(n + 1)}
+    degens = OnRequest(((n, i, w) for w in weights for n in range(d_max) for i in range(n + 1)),
+                       lambda n, i, w: row._operator(n, 0, i, w, False, "h"))
     return SimplicialModule(c.ring, d_max, dims, faces, degens, labels)
 
 
@@ -441,37 +490,47 @@ class BisimplicialModule:
         return sorted({w for (_, _, w) in self.dims})
 
     def hface(self, p, q, i, w):
-        return self._operator(p, q, i, w, True, "h")
+        return self._dense(p, q, i, w, True, "h")
 
     def vface(self, p, q, i, w):
-        return self._operator(p, q, i, w, True, "v")
+        return self._dense(p, q, i, w, True, "v")
 
     def hdegen(self, p, q, i, w):
-        return self._operator(p, q, i, w, False, "h")
+        return self._dense(p, q, i, w, False, "h")
 
     def vdegen(self, p, q, i, w):
-        return self._operator(p, q, i, w, False, "v")
+        return self._dense(p, q, i, w, False, "v")
 
-    def _operator(self, m, n, i, w, face: bool, directions: str) -> np.ndarray:
+    def _target(self, m, n, w, face: bool, directions: str) -> tuple[int, int, int]:
+        step = -1 if face else 1
+        return (m + step * ("h" in directions), n + step * ("v" in directions), w)
+
+    def _dense(self, m, n, i, w, face: bool, directions: str) -> np.ndarray:
+        """The dense matrix of ``_operator``."""
+        return coo_dense(self._operator(m, n, i, w, face, directions),
+                         self.dim(m, n, w), self.dim(*self._target(m, n, w, face, directions)))
+
+    def _operator(self, m, n, i, w, face: bool, directions: str) -> Coo:
         """d_i or s_i on X_{m,n} in the ``directions`` "h", "v" or "hv" (the
-        diagonal: vertically, then horizontally); zero outside the window.
+        diagonal: vertically, then horizontally) as a reduced row-major
+        triple; zero outside the window.
 
         The plan sends each summand (eta, rho, p, q) to at most one summand,
         rho alone vertically and then eta alone horizontally, so the block is
         I, (-1)^p D_h, (-1)^q D_v or (-1)^q D_v (-1)^p D_h: the product of
-        the two maps, block by block, without building either.  All identity
-        blocks are written in one indexed assignment of the flat array.
+        the two maps, block by block, without building either.  Each other
+        block is a stored triple moved to its offsets, and the entries of all
+        identity blocks are listed together.
         """
-        step = -1 if face else 1
         h, v = "h" in directions, "v" in directions
-        target = (m + step * h, n + step * v, w)
-        cols = self.dim(*target)
-        out = mzeros(self.dim(m, n, w), cols)
+        target = self._target(m, n, w, face, directions)
+        empty = np.zeros(0, dtype=np.int64)
         if not (0 <= i <= (m if h else n) and 0 <= target[0] <= self.p_max and 0 <= target[1] <= self.q_max):
-            return out
+            return Coo(empty, empty, empty)
         plan = _kan_plan(m if h else n, i, face)
         index = self.index.get(target, {})
-        ones = []  # flat positions of the diagonals of all identity blocks
+        parts = []  # the triples of the non-identity blocks, moved to their offsets
+        id_rows, id_cols = [], []  # the entries of all identity blocks
         for (eta, rho, p, q, off) in self.layout.get((m, n, w), ()):
             rule_h = plan.get(eta.values) if h else (eta.values, "id")
             rule_v = plan.get(rho.values) if v else (rho.values, "id")
@@ -484,14 +543,25 @@ class BisimplicialModule:
             kind = ("v" if kind_v == "d" else "") + ("h" if kind_h == "d" else "")
             if kind:
                 blk = self._block(p, q, w, kind)
-                out[off : off + blk.shape[0], off2 : off2 + blk.shape[1]] = blk
+                if blk.vals.size:
+                    parts.append((blk.rows + off, blk.cols + off2, blk.vals))
             else:
-                start = off * cols + off2
-                ones.extend(range(start, start + self.dc.dim(p, q, w) * (cols + 1), cols + 1))
-        out.reshape(-1)[ones] = 1
-        return out
+                size = self.dc.dim(p, q, w)
+                id_rows.extend(range(off, off + size))
+                id_cols.extend(range(off2, off2 + size))
+        if id_rows:
+            parts.append((np.array(id_rows, dtype=np.int64), np.array(id_cols, dtype=np.int64),
+                          np.ones(len(id_rows), dtype=np.int64)))
+        if len(parts) < 2:
+            return Coo(*parts[0]) if parts else Coo(empty, empty, empty)
+        rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
+        if id_rows:
+            # blocks and identities each list their summands in row order
+            order = np.argsort(rows, kind="stable")
+            rows, cols, vals = rows[order], cols[order], vals[order]
+        return Coo(rows, cols, vals)
 
-    def _block(self, p: int, q: int, w: int, kind: str) -> np.ndarray:
+    def _block(self, p: int, q: int, w: int, kind: str) -> Coo:
         """The non-identity block leaving the summands of D_{p,q}, reduced.
 
         "h" is (-1)^p D_h, "v" is (-1)^q D_v and "vh" is (-1)^q D_v followed
@@ -501,12 +571,15 @@ class BisimplicialModule:
         blk = self._blocks.get(key)
         if blk is None:
             m = self.ring.modulus
-            if kind == "h":
-                blk = (-1) ** p * self.dc.h(p, q, w) % m
-            elif kind == "v":
-                blk = (-1) ** q * self.dc.v(p, q, w) % m
+            empty = Coo(*(np.zeros(0, dtype=np.int64),) * 3)
+            if kind == "vh":
+                blk = coo_product(self._block(p, q, w, "v"), self._block(p, q - 1, w, "h"),
+                                  self.dc.dim(p - 1, q - 1, w), m)
             else:
-                blk = mmul(self._block(p, q, w, "v"), self._block(p, q - 1, w, "h"), self.ring)
+                stored, sign = (self.dc.horiz, p) if kind == "h" else (self.dc.vert, q)
+                blk = stored.get((p, q, w), empty)
+                if sign % 2:
+                    blk = blk._replace(vals=m - blk.vals)
             self._blocks[key] = blk
         return blk
 
@@ -550,7 +623,8 @@ def diagonal(b: BisimplicialModule) -> SimplicialModule:
     """X_n = B_{n,n} with d_i = d_i^h d_i^v and s_i = s_i^h s_i^v.
 
     Each operator is composed summand by summand from the two Kan rules; no
-    face or degeneracy of ``b`` is built.
+    face or degeneracy of ``b`` is built.  The faces are built here, each
+    degeneracy when it is first read.
     """
     if b.p_max != b.q_max:
         raise ValueError("diagonal needs a square window")
@@ -559,8 +633,8 @@ def diagonal(b: BisimplicialModule) -> SimplicialModule:
     weights = b.weights()
     faces = {(n, i, w): b._operator(n, n, i, w, True, "hv")
              for w in weights for n in range(1, n_max + 1) for i in range(n + 1)}
-    degens = {(n, i, w): b._operator(n, n, i, w, False, "hv")
-              for w in weights for n in range(n_max) for i in range(n + 1)}
+    degens = OnRequest(((n, i, w) for w in weights for n in range(n_max) for i in range(n + 1)),
+                       lambda n, i, w: b._operator(n, n, i, w, False, "hv"))
     return SimplicialModule(b.ring, n_max, dims, faces, degens)
 
 

@@ -353,20 +353,35 @@ def run_drpd_envelope(params, rng):
     z4 = ModRing(2, 2)
     rep = pd_envelope_report(AlgebraPresentation(z4, "quotient", "x", (0, 1)),
                              weight_bound=params["weight_bound"])
-    slices_ok = all(v[2] and v[0] == [4] for w, v in rep.slice_verdicts.items())
-    cases.append(_case("Z4-x-slices", "(4) per weight", "ok" if slices_ok else "mismatch", ok=slices_ok))
-    fil_ok = all(v[2] for v in rep.filtration_verdicts.values())
+    bad = _first_failing_verdict(rep.slice_verdicts, lambda a, b, eq: eq and a == [4])
+    cases.append(_case("Z4-x-slices", "(4) per weight", "ok" if bad is None else "mismatch " + bad,
+                       ok=bad is None))
+    bad = _first_failing_verdict(rep.filtration_verdicts)
     cases.append(_case("Z4-x-filtration", "Hodge = PD filtration",
-                       "ok" if fil_ok else "mismatch", ok=fil_ok))
+                       "ok" if bad is None else "mismatch " + bad, ok=bad is None))
     cases.append(_case("Z4-x-iso-certified", "certified generator map",
                        "ok" if rep.iso_certified else "failed", ok=rep.iso_certified))
     fstr = params["f"]
     fco = tuple(_parse_poly_string(fstr))
     rep2 = pd_envelope_report(AlgebraPresentation(z4, "quotient", "x", fco),
                               weight_bound=params["weight_bound"])
+    bad = (_first_failing_verdict(rep2.slice_verdicts) or _first_failing_verdict(rep2.filtration_verdicts)
+           or (None if rep2.higher_vanishing else "in higher homology: H_n != 0 for some n >= 1")
+           or (None if rep2.iso_certified else "in the generator map: not a certified isomorphism"))
     cases.append(_case(f"Z4-f-{fstr.replace(' ', '')}-slices", f"A<t>/(t - ({fstr})) slice match",
-                       "ok" if rep2.ok else "mismatch", ok=rep2.ok))
+                       "ok" if bad is None else "mismatch " + bad, ok=bad is None))
     return cases
+
+
+def _first_failing_verdict(verdicts, ok=lambda a, b, eq: eq) -> str | None:
+    """The first weight, or (level, weight), of a ``pd_envelope_report``
+    verdict table whose (de Rham factors, PD factors, equal) fails ``ok``,
+    named with both factor lists; None if all pass."""
+    for key, (a, b, eq) in sorted(verdicts.items()):
+        if not ok(a, b, eq):
+            where = f"(level {key[0]}, weight {key[1]})" if isinstance(key, tuple) else f"weight {key}"
+            return f"at {where}: de Rham {a}, PD envelope {b}"
+    return None
 
 
 def run_universal_thickening(params, rng):

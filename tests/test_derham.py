@@ -160,6 +160,86 @@ def test_pd_envelope_x_squared():
     rep.to_json()
 
 
+def _perturb_envelope(monkeypatch, call, table, key):
+    """Make the ``call``-th ``pd_envelope_report`` of the ``drpd-envelope``
+    suite report one extra factor 2 on the de Rham side at ``key`` of its
+    ``table``; returns the honest (de Rham, PD) factor lists there."""
+    from derhamkit import suites
+
+    honest, reports, seen = suites.pd_envelope_report, [], []
+
+    def perturbed(*args, **kwargs):
+        rep = honest(*args, **kwargs)
+        reports.append(rep)
+        if len(reports) == call:
+            verdicts = getattr(rep, table)
+            a, b, _ = verdicts[key]
+            seen.append((a, b))
+            verdicts[key] = (a + [2], b, False)
+            rep.ok = False
+        return rep
+
+    monkeypatch.setattr(suites, "pd_envelope_report", perturbed)
+    return seen
+
+
+def _envelope_cases():
+    report = run_suite("drpd-envelope", {"weight_bound": 4, "f": "x^2"}, seed=1)
+    assert report.exit_code() == 1
+    return {c.name: c for c in report.cases}
+
+
+def test_drpd_envelope_slice_failure_names_its_weight(monkeypatch):
+    seen = _perturb_envelope(monkeypatch, 1, "slice_verdicts", 2)
+    cases = _envelope_cases()
+    ((a, b),) = seen
+    assert cases["Z4-x-slices"].status == "fail"
+    assert cases["Z4-x-slices"].computed == f"mismatch at weight 2: de Rham {a + [2]}, PD envelope {b}"
+    assert cases["Z4-x-filtration"].computed == "ok" and cases["Z4-f-x^2-slices"].computed == "ok"
+
+
+def test_drpd_envelope_filtration_failure_names_its_level_and_weight(monkeypatch):
+    seen = _perturb_envelope(monkeypatch, 1, "filtration_verdicts", (1, 2))
+    cases = _envelope_cases()
+    ((a, b),) = seen
+    assert cases["Z4-x-filtration"].status == "fail"
+    assert cases["Z4-x-filtration"].computed == (f"mismatch at (level 1, weight 2): "
+                                                 f"de Rham {a + [2]}, PD envelope {b}")
+    assert cases["Z4-x-slices"].computed == "ok" and cases["Z4-f-x^2-slices"].computed == "ok"
+
+
+def test_drpd_envelope_failure_for_f_names_its_weight(monkeypatch):
+    seen = _perturb_envelope(monkeypatch, 2, "slice_verdicts", 3)
+    cases = _envelope_cases()
+    ((a, b),) = seen
+    assert cases["Z4-f-x^2-slices"].status == "fail"
+    assert cases["Z4-f-x^2-slices"].computed == f"mismatch at weight 3: de Rham {a + [2]}, PD envelope {b}"
+    assert cases["Z4-x-slices"].computed == "ok" and cases["Z4-x-filtration"].computed == "ok"
+
+
+@pytest.mark.parametrize("field, where", [
+    ("higher_vanishing", "in higher homology: H_n != 0 for some n >= 1"),
+    ("iso_certified", "in the generator map: not a certified isomorphism"),
+])
+def test_drpd_envelope_failure_for_f_past_its_factor_lists_says_where(monkeypatch, field, where):
+    from derhamkit import suites
+
+    honest, reports = suites.pd_envelope_report, []
+
+    def perturbed(*args, **kwargs):
+        rep = honest(*args, **kwargs)
+        reports.append(rep)
+        if len(reports) == 2:
+            setattr(rep, field, False)
+            rep.ok = False
+        return rep
+
+    monkeypatch.setattr(suites, "pd_envelope_report", perturbed)
+    cases = _envelope_cases()
+    assert cases["Z4-f-x^2-slices"].status == "fail"
+    assert cases["Z4-f-x^2-slices"].computed == "mismatch " + where
+
+
 def test_shuffle_ring_structure_divided_powers():
     f = build_derham(pres_x(Z4), hodge_cut=5, window=(0, 1), weight_bound=4)
     qs = {w: homology_quotient(f.total, 0, w) for w in range(5)}

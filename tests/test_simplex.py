@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 import reference_simplex
+from memory import traced_peak
 
 from derhamkit.complexes import (
     DoubleComplex,
@@ -217,7 +218,8 @@ def test_double_kan_matches_kan_transform_on_a_row_and_a_column(seed):
                      0, d_max)
     assert row.dims == {(n, 0, w): d for (n, w), d in k.dims.items()}
     assert col.dims == {(0, n, w): d for (n, w), d in k.dims.items()}
-    for (n, i, w) in k.faces:
+    # every face, also the zero ones that k does not store
+    for (n, i, w) in [(n, i, w) for w in c.weights() for n in range(1, d_max + 1) for i in range(n + 1)]:
         assert np.array_equal(row.hface(n, 0, i, w), k.face(n, i, w))
         assert np.array_equal(col.vface(0, n, i, w), k.face(n, i, w))
     for (n, i, w) in k.degens:
@@ -280,12 +282,18 @@ def test_diagonal_equals_the_eager_reference_on_the_eilenberg_zilber_cases():
         got = diagonal(x)
         ref = reference_simplex.double_kan(dc, 5, 5)
         assert got.dims == {(n, w): ref.dim(n, n, w) for (n, n2, w) in ref.dims if n == n2}
-        assert got.faces.keys() == {(n, i, w) for n in range(1, 6) for i in range(n + 1) for w in ref.weights()}
+        faces = {(n, i, w) for n in range(1, 6) for i in range(n + 1) for w in ref.weights()}
         assert got.degens.keys() == {(n, i, w) for n in range(5) for i in range(n + 1) for w in ref.weights()}
-        for (n, i, w), face in got.faces.items():
+        nonzero = set()
+        for (n, i, w) in faces:
+            face = got.face(n, i, w)
             want = mmul(ref.vface(n, n, i, w), ref.hface(n, n - 1, i, w), dc.ring)
             assert face.shape == want.shape and (face == want).all()
-        for (n, i, w), degen in got.degens.items():
+            if want.any():
+                nonzero.add((n, i, w))
+        assert got.faces.keys() == nonzero  # a zero face is not stored
+        for (n, i, w) in got.degens:
+            degen = got.degen(n, i, w)
             want = mmul(ref.vdegen(n, n, i, w), ref.hdegen(n, n + 1, i, w), dc.ring)
             assert degen.shape == want.shape and (degen == want).all()
 
@@ -305,33 +313,37 @@ def test_validate_catches_one_vertical_block_with_the_wrong_sign():
         x.validate()
 
 
-def test_diagonal_of_the_largest_eilenberg_zilber_case_peaks_below_64_mb():
-    import tracemalloc
+def _largest_eilenberg_zilber_case():
+    return max(eilenberg_zilber_double_complexes(seed=1), key=lambda d: sum(d.terms.values()))
 
-    dc = max(eilenberg_zilber_double_complexes(seed=1), key=lambda d: sum(d.terms.values()))
-    tracemalloc.start()
-    try:
-        diag = diagonal(double_kan(dc, 5, 5))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+def test_diagonal_of_the_largest_eilenberg_zilber_case_peaks_below_64_mb():
+    dc = _largest_eilenberg_zilber_case()
+    diag, _, peak = traced_peak(lambda: diagonal(double_kan(dc, 5, 5)))
     assert diag.dim(5, 0) == 810
     assert peak < 64 * 2 ** 20
 
 
-def test_normalized_complex_of_the_largest_eilenberg_zilber_diagonal_peaks_below_32_mb():
-    import tracemalloc
+def test_the_largest_eilenberg_zilber_diagonal_holds_below_4_mib_once_built():
+    dc = _largest_eilenberg_zilber_case()
+    diag, held, _ = traced_peak(lambda: diagonal(double_kan(dc, 5, 5)))
+    assert diag.dim(5, 0) == 810
+    assert held < 4 * 2 ** 20
 
-    dc = max(eilenberg_zilber_double_complexes(seed=1), key=lambda d: sum(d.terms.values()))
-    diag = diagonal(double_kan(dc, 5, 5))
-    tracemalloc.start()
-    try:
-        n = normalized_complex(diag)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+def test_normalized_complex_of_the_largest_eilenberg_zilber_diagonal_peaks_below_32_mb():
+    diag = diagonal(double_kan(_largest_eilenberg_zilber_case(), 5, 5))
+    n, _, peak = traced_peak(lambda: normalized_complex(diag))
     assert diag.dim(5, 0) == 810 and n.dims
     assert peak < 32 * 2 ** 20
+
+
+def test_the_eilenberg_zilber_suite_peaks_below_40_mib():
+    from derhamkit.suites import run_suite
+
+    report, _, peak = traced_peak(lambda: run_suite("eilenberg-zilber", {"cases": 10}, seed=1))
+    assert report.summary["fail"] == 0 and len(report.cases) == 10
+    assert peak < 40 * 2 ** 20
 
 
 def _kan_inputs(seed):
@@ -351,12 +363,14 @@ def test_kan_transform_equals_the_reference(seed):
             got = kan_transform(c, d_max=d_max)
             want = reference_simplex.kan_transform(c, d_max=d_max)
             assert got.d_max == want.d_max and got.dims == want.dims and got.labels == want.labels
-            for name in ("faces", "degens"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.keys() == b.keys()
-                for key in a:
-                    assert a[key].shape == b[key].shape and a[key].dtype == b[key].dtype
-                    assert (a[key] == b[key]).all(), (name, key)
+            assert got.faces.keys() == want.faces.keys()
+            assert got.degens.keys() == {(n, i, w) for w in c.weights() for n in range(d_max) for i in range(n + 1)}
+            assert got.degens.keys() >= want.degens.keys()
+            for name, keys in (("face", got.faces.keys()), ("degen", got.degens.keys())):
+                for key in keys:
+                    a, b = getattr(got, name)(*key), getattr(want, name)(*key)
+                    assert a.shape == b.shape and a.dtype == b.dtype
+                    assert (a == b).all(), (name, key)
 
 
 def test_kan_inputs_have_several_weights_and_empty_degrees():
@@ -447,11 +461,65 @@ def test_stored_maps_are_reduced_once_and_read_only():
                          {(1, 0, 0): np.array([[4]]), (1, 1, 0): np.array([[-2]])},
                          {(0, 0, 0): np.array([[1]])})
     assert x.face(1, 0, 0).tolist() == [[1]] and x.face(1, 1, 0).tolist() == [[1]]
-    assert x.face(1, 0, 0) is x.face(1, 0, 0)
+    # the stored triple is reduced once and shared; face() builds a dense copy
+    assert x.faces[(1, 0, 0)].vals.tolist() == [1] and x.faces[(1, 1, 0)].vals.tolist() == [1]
+    assert x.faces[(1, 0, 0)] is x.faces[(1, 0, 0)]
     k = kan_transform(_kan_inputs(0)[0])
     for mat in (x.face(1, 1, 0), x.degen(0, 0, 0), k.face(*next(iter(k.faces)))):
         with pytest.raises(ValueError, match="read-only"):
             mat[0, 0] = 0
+
+
+def _count_operators(monkeypatch):
+    """Record ``face`` of every ``BisimplicialModule._operator`` call."""
+    from derhamkit.simplex import BisimplicialModule
+
+    calls = []
+    honest = BisimplicialModule._operator
+
+    def counted(self, m, n, i, w, face, directions):
+        calls.append(face)
+        return honest(self, m, n, i, w, face, directions)
+
+    monkeypatch.setattr(BisimplicialModule, "_operator", counted)
+    return calls
+
+
+def test_kan_transform_builds_a_degeneracy_only_when_it_is_read(monkeypatch):
+    calls = _count_operators(monkeypatch)
+    c = _kan_inputs(0)[0]
+    d_max = c.n_max + 1
+    k = kan_transform(c, d_max=d_max)
+    keys = [(n, i, w) for w in c.weights() for n in range(d_max) for i in range(n + 1)]
+    assert calls.count(True) == sum(n for w in c.weights() for n in range(2, d_max + 2))
+    assert calls.count(False) == 0
+    # the keys are known up front: listing and membership build nothing
+    assert list(k.degens) == keys and len(k.degens) == len(keys) and keys[-1] in k.degens
+    assert (d_max, 0, c.weights()[0]) not in k.degens
+    assert calls.count(False) == 0
+    want = reference_simplex.kan_transform(c, d_max=d_max)
+    first = k.degens[keys[-1]]
+    assert calls.count(False) == 1
+    assert k.degens[keys[-1]] is first and (k.degen(*keys[-1]) == want.degen(*keys[-1])).all()
+    assert calls.count(False) == 1
+    for key in keys:
+        assert (k.degen(*key) == want.degen(*key)).all(), key
+    assert calls.count(False) == len(keys)
+    with pytest.raises(KeyError):
+        k.degens[(d_max, 0, 0)]
+    with pytest.raises(TypeError):
+        k.degens[keys[0]] = first
+
+
+def test_the_diagonal_builds_a_degeneracy_only_when_it_is_read(monkeypatch):
+    calls = _count_operators(monkeypatch)
+    diag = diagonal(double_kan(_largest_eilenberg_zilber_case(), 5, 5))
+    assert diag.weights() == [0]
+    assert calls.count(True) == sum(n + 1 for n in range(1, 6)) and calls.count(False) == 0
+    normalized_complex(diag)
+    assert calls.count(False) == 0
+    assert diag.degen(4, 2, 0).shape == (diag.dim(4, 0), 810)
+    assert calls.count(False) == 1
 
 
 def _square(ring, corner):
