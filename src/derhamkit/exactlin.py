@@ -8,8 +8,9 @@ membership, p-adic valuations and resultants.
 Conventions: module elements are *row* vectors; a homomorphism is a matrix
 ``M`` of shape (source dim, target dim) acting by ``v @ M``.  Matrices over
 Z/p^n are numpy int64 arrays with entries reduced to [0, p^n), and p^n is
-below 2^31 so that a product of two residues fits in int64; matrices over
-Z are plain lists of Python ints (arbitrary precision).
+below 2^31 so that a product of two residues fits in int64; ``left_kernel``
+also takes a :class:`SparseMatrix` of triples.  Matrices over Z are plain
+lists of Python ints (arbitrary precision).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "normal_form",
     "howell_form",
     "left_kernel",
+    "SparseMatrix",
     "solve_in_span",
     "express_in_basis",
     "quotient_invariants",
@@ -295,6 +297,18 @@ def howell_form(matrix, ring: ModRing, transform: bool = False):
     (every span element supported on columns >= c lies in the span of the
     rows with pivot column >= c).  Zero rows are dropped.
 
+    The rows of ``matrix`` are converted to ``{col: value}`` dicts and go
+    through ``_howell``.
+    """
+    r, c, v, (nrows, ncols) = _triples(matrix, ring.modulus)
+    return _howell(_row_dicts(r, c, v, nrows), ncols, ring, transform)
+
+
+def _howell(rows: list[dict], cols: int, ring: ModRing, transform: bool):
+    """``howell_form`` of the ``cols``-column matrix whose rows are the
+    ``{col: value}`` dicts ``rows`` (reduced mod p^n, zeros absent), which
+    the elimination consumes.
+
     Forward elimination is ``_eliminate``.  Back-reduction takes the pivots
     in increasing column order and reduces the entries above each one
     modulo it, as one numpy update of the dense output restricted to the
@@ -303,12 +317,11 @@ def howell_form(matrix, ring: ModRing, transform: bool = False):
     H and T completely, not just up to the canonical span.
     """
     m = ring.modulus
-    a = _reduced_rows(matrix, m)
-    rows, cols = a.shape
-    pivots = _eliminate(a, ring, transform)
+    nrows = len(rows)
+    pivots = _eliminate(rows, cols, ring, transform)
 
     h = mzeros(len(pivots), cols)
-    tt = mzeros(len(pivots), rows) if transform else None
+    tt = mzeros(len(pivots), nrows) if transform else None
     for k, (_, row, row_t) in enumerate(pivots):
         h[k, list(row)] = list(row.values())
         if transform:
@@ -324,18 +337,57 @@ def howell_form(matrix, ring: ModRing, transform: bool = False):
     return (h, tt) if transform else h
 
 
-def _reduced_rows(matrix, m: int) -> np.ndarray:
-    a = np.asarray(matrix, dtype=np.int64) % m
-    return a.reshape(1, -1) if a.ndim == 1 else a
+class SparseMatrix(NamedTuple):
+    """A ``shape[0]`` x ``shape[1]`` matrix over Z/p^n as int64 triples:
+    ``vals[k]`` at (``rows[k]``, ``cols[k]``), each position at most once,
+    in any order.  ``left_kernel`` takes it in place of a dense matrix."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int]
 
 
-def _eliminate(a: np.ndarray, ring: ModRing, transform: bool, kernel: list | None = None):
-    """Sparse forward elimination of the rows of ``a`` (reduced mod p^n).
+def _triples(matrix, m: int):
+    """The nonzero entries of a dense matrix (a 1-d one is a single row) or
+    of a :class:`SparseMatrix`, reduced mod m, as int64 arrays (rows, cols,
+    vals), and the shape."""
+    if not isinstance(matrix, SparseMatrix):
+        a = np.asarray(matrix, dtype=np.int64) % m
+        a = a.reshape(1, -1) if a.ndim == 1 else a
+        r, c = np.nonzero(a)
+        return r, c, a[r, c], a.shape
+    nrows, ncols = matrix.shape
+    r = np.asarray(matrix.rows, dtype=np.int64)
+    c = np.asarray(matrix.cols, dtype=np.int64)
+    v = np.asarray(matrix.vals, dtype=np.int64) % m
+    if r.size and (r.min() < 0 or r.max() >= nrows or c.min() < 0 or c.max() >= ncols):
+        raise ValueError(f"an entry lies outside the {nrows} x {ncols} matrix")
+    if np.unique(r * ncols + c).size < r.size:
+        raise ValueError("a position of the sparse matrix is given twice")
+    nz = np.flatnonzero(v)
+    return r[nz], c[nz], v[nz], (nrows, ncols)
+
+
+def _row_dicts(r: np.ndarray, c: np.ndarray, v: np.ndarray, nrows: int) -> list[dict]:
+    """The rows of an ``nrows``-row matrix given by its nonzero entries
+    (each position once) as ``{col: value}`` dicts of Python ints."""
+    rows: list[dict] = [{} for _ in range(nrows)]
+    for i, j, x in zip(r.tolist(), c.tolist(), v.tolist()):
+        rows[i][j] = x
+    return rows
+
+
+def _eliminate(rows: list[dict], cols: int, ring: ModRing, transform: bool,
+               kernel: list | None = None):
+    """Sparse forward elimination of ``rows``, the ``{col: value}`` dicts of
+    a ``cols``-column matrix A (values reduced mod p^n, zeros absent); the
+    dicts are consumed.
 
     Returns the pivots as (col, row, transform row) in increasing column
     order; rows are ``{col: value}`` dicts of Python ints, and transform
     rows (None unless ``transform``) give each row in terms of the rows of
-    ``a``.  Each row is kept in the bucket of its leading column, so column
+    A.  Each row is kept in the bucket of its leading column, so column
     ``c`` visits only the rows that are nonzero there.  Eliminating a row
     costs O(nnz(pivot) + nnz(row)), after which the row moves to the bucket
     of its new leading column.  The pivot of column ``c`` is a row of
@@ -348,25 +400,22 @@ def _eliminate(a: np.ndarray, ring: ModRing, transform: bool, kernel: list | Non
     With a ``kernel`` list (and ``transform``), the transform of every row
     that is or becomes zero, and of every stabilization row that is zero
     while its transform is not, is appended to it as a dict.  Those are the
-    rows of the Howell form of [a | I] that vanish on ``a``, before that
-    form eliminates them, so they span the left kernel of ``a``.
+    rows of the Howell form of [A | I] that vanish on A, before that form
+    eliminates them, so they span the left kernel of A.  ``left_kernel``
+    hands it only the rows that its peel keeps (``_unforced_rows``): the
+    others vanish in every kernel vector.
     """
     m = ring.modulus
     p = ring.p
-    rows, cols = a.shape
 
     # buckets[c]: (rank, row, transform row) for each row leading at column c
     buckets: list[list] = [[] for _ in range(cols)]
-    sparse: list[dict] = [{} for _ in range(rows)]
-    nz_r, nz_c = np.nonzero(a)
-    for i, j, x in zip(nz_r.tolist(), nz_c.tolist(), a[nz_r, nz_c].tolist()):
-        sparse[i][j] = x
-    for i, row in enumerate(sparse):
+    for i, row in enumerate(rows):
         if row:
             buckets[min(row)].append((i, row, {i: 1} if transform else None))
         elif kernel is not None:
             kernel.append({i: 1})
-    next_rank = rows
+    next_rank = len(rows)
 
     def subtract(row: dict, q: int, tail) -> None:  # row -= q * tail, mod m
         for j, x in tail:
@@ -456,24 +505,59 @@ def _span_solver(rows: np.ndarray, ring: ModRing):
     return solve
 
 
-def left_kernel(matrix: np.ndarray, ring: ModRing) -> np.ndarray:
-    """Howell basis of {v : v @ matrix == 0} over Z/p^n.
+def left_kernel(matrix, ring: ModRing) -> np.ndarray:
+    """Howell basis of {v : v @ matrix == 0} over Z/p^n, as a dense
+    (kernel rank) x (rows of ``matrix``) array.
 
-    Read off the transform of the forward elimination of ``matrix``: the
-    transforms of the rows whose part in ``matrix`` vanishes span the
-    kernel (see ``_eliminate``), and their Howell form is its canonical
-    basis, the same rows the Howell form of [A | I] has right of A.
+    ``matrix`` is dense or a :class:`SparseMatrix`; both become the same
+    ``{col: value}`` rows.  First the rows that every kernel vector must
+    vanish on are peeled (``_unforced_rows``): a column whose only nonzero
+    entry among the rows still kept is a unit ``A[r, c]`` forces v_r = 0,
+    so row r is dropped, until no column qualifies.  A non-unit singleton
+    forces nothing (over Z/4 a column holding only 2 allows v_r = 2).  The
+    kernel of the kept rows is read off the transform of their forward
+    elimination: the transforms of the rows whose part in A vanishes span
+    it (see ``_eliminate``), and their Howell form is its canonical basis,
+    the same rows the Howell form of [A | I] has right of A.  The peeled
+    rows come back as zero columns, which keeps that form canonical, so
+    the result equals the kernel computed without the peel.
     """
-    a = _reduced_rows(matrix, ring.modulus)
-    rows = a.shape[0]
-    if rows == 0:
+    r, c, v, (nrows, ncols) = _triples(matrix, ring.modulus)
+    if not nrows:
         return mzeros(0, 0)
+    kept = _unforced_rows(r, c, v, nrows, ring.p)
+    renumber = np.cumsum(kept) - 1
+    nkept = int(renumber[-1]) + 1
+    e = np.flatnonzero(kept[r])
     gens: list[dict] = []
-    _eliminate(a, ring, transform=True, kernel=gens)
-    k = mzeros(len(gens), rows)
-    for r, row_t in enumerate(gens):
-        k[r, list(row_t)] = list(row_t.values())
-    return howell_form(k, ring)
+    _eliminate(_row_dicts(renumber[r[e]], c[e], v[e], nkept), ncols, ring, transform=True, kernel=gens)
+    h = _howell(gens, nkept, ring, False)
+    out = mzeros(h.shape[0], nrows)
+    out[:, kept] = h
+    return out
+
+
+def _unforced_rows(r: np.ndarray, c: np.ndarray, v: np.ndarray, nrows: int, p: int) -> np.ndarray:
+    """Mask of the rows that the peel of ``left_kernel`` keeps, given the
+    nonzero entries (r, c, v) of an ``nrows``-row matrix over Z/p^n.
+
+    A column whose only entry among the rows still kept is a unit forces
+    its row to zero in every kernel vector, so that row is dropped.  Each
+    round drops the rows of all such columns at once, then counts the
+    columns again over the rows still kept; it stops when a round drops
+    nothing.  The rows dropped are those of the one-at-a-time peel, since
+    dropping rows only empties columns further.
+    """
+    keep = np.ones(nrows, dtype=bool)
+    unit = v % p != 0
+    while r.size:
+        hit = r[unit & (np.bincount(c)[c] == 1)]
+        if not hit.size:
+            break
+        keep[hit] = False
+        left = keep[r]
+        r, c, unit = r[left], c[left], unit[left]
+    return keep
 
 
 def express_in_basis(vectors: np.ndarray, basis: np.ndarray, ring: ModRing) -> np.ndarray:
@@ -506,7 +590,9 @@ def minimal_generators(rows: np.ndarray, ring: ModRing) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64) % m
     if rows.shape[0] == 0:
         return rows
-    return rows[[c for c, _, _ in _eliminate(rows.T % ring.p, ModRing(ring.p, 1), False)]]
+    fp = ModRing(ring.p, 1)
+    r, c, v, (nrows, ncols) = _triples(rows.T, ring.p)
+    return rows[[col for col, _, _ in _eliminate(_row_dicts(r, c, v, nrows), ncols, fp, False)]]
 
 
 # ---------------------------------------------------------------------------

@@ -400,52 +400,51 @@ def apply_functor_to_module(x: SimplicialModule, functor: str, n: int) -> Simpli
     faces: dict = {}
     degens: dict = {}
 
-    basis_cache: dict[int, tuple] = {}
+    # degree -> (weight, position within its weight) of each functor basis element
+    placed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def functor_basis(slots):
+    def functor_weights(slots):
+        """The weight of each gamma-monomial or wedge of the slots, in basis order."""
         if functor == "gamma":
-            monos = gamma_monomials(len(slots), n)
-            weights = [sum(e * slots[j][0] for j, e in enumerate(m)) for m in monos]
-        else:
-            monos = list(itertools.combinations(range(len(slots)), n))
-            weights = [sum(slots[j][0] for j in m) for m in monos]
-        return monos, weights
+            return [sum(e * slots[j][0] for j, e in enumerate(mono)) for mono in gamma_monomials(len(slots), n)]
+        return [sum(slots[j][0] for j in mono) for mono in itertools.combinations(range(len(slots)), n)]
 
     for deg in range(x.d_max + 1):
-        slots = _weighted_slots(x, deg)
-        monos, weights = functor_basis(slots)
-        basis_cache[deg] = (slots, monos, weights)
-        for w in sorted(set(weights)):
-            cnt = weights.count(w)
-            if cnt:
-                dims[(deg, w)] = cnt
+        weights = functor_weights(_weighted_slots(x, deg))
+        counts: dict[int, int] = {}
+        positions = []
+        for w in weights:
+            positions.append(counts.get(w, 0))
+            counts[w] = positions[-1] + 1
+        placed[deg] = (np.array(weights, dtype=np.int64), np.array(positions, dtype=np.int64))
+        for w in sorted(counts):
+            dims[(deg, w)] = counts[w]
 
     def functor_matrix(flat):
         if functor == "gamma":
             return gamma_matrix(flat, n, ring)
         return wedge_matrix(flat, n, ring)
 
-    def resliced(big, deg_src, deg_tgt, store, idx):
-        slots_s, monos_s, ws_s = basis_cache[deg_src]
-        slots_t, monos_t, ws_t = basis_cache[deg_tgt]
-        for w in sorted(set(ws_s)):
-            rows = [k for k, ww in enumerate(ws_s) if ww == w]
-            cols = [k for k, ww in enumerate(ws_t) if ww == w]
-            if not rows:
-                continue
-            blk = big[np.ix_(rows, cols)] if cols else mzeros(len(rows), 0)
-            # weight preservation: no leakage outside the diagonal blocks
-            other = [k for k in range(len(ws_t)) if ws_t[k] != w]
-            if other and big[np.ix_(rows, other)].any():
-                raise AssertionError("functor image is not weight-preserving")
-            store[(deg_src, idx, w)] = blk
+    def resliced(big, deg_src, deg_tgt, store, kind, idx):
+        """Split the nonzeros of the functor image ``big`` into one triple
+        per weight, re-indexed within the weight of source and target."""
+        (w_src, at_src), (w_tgt, at_tgt) = placed[deg_src], placed[deg_tgt]
+        r, c = np.nonzero(big)
+        w = w_src[r]
+        leak = np.flatnonzero(w != w_tgt[c])
+        if leak.size:
+            raise AssertionError(f"functor image is not weight-preserving at (degree {deg_src}, "
+                                 f"map {kind}_{idx}, weight {w[leak[0]]})")
+        for wt in np.unique(w).tolist():
+            k = np.flatnonzero(w == wt)
+            store[(deg_src, idx, wt)] = (at_src[r[k]], at_tgt[c[k]], big[r[k], c[k]])
 
     for deg in range(1, x.d_max + 1):
         for i in range(deg + 1):
-            resliced(functor_matrix(flat_matrix(x.faces, i, deg, deg - 1)), deg, deg - 1, faces, i)
+            resliced(functor_matrix(flat_matrix(x.faces, i, deg, deg - 1)), deg, deg - 1, faces, "d", i)
     for deg in range(x.d_max):
         for i in range(deg + 1):
-            resliced(functor_matrix(flat_matrix(x.degens, i, deg, deg + 1)), deg, deg + 1, degens, i)
+            resliced(functor_matrix(flat_matrix(x.degens, i, deg, deg + 1)), deg, deg + 1, degens, "s", i)
 
     return SimplicialModule(ring, x.d_max, dims, faces, degens)
 

@@ -6,8 +6,8 @@ differentials; its degeneracies are triples too, and the Kan transform and
 the diagonal build each one only when it is first read.  Dense matrices are
 made on request (``face``, ``degen``).  The action of an arbitrary monotone
 map is derived from its epi-mono factorization into generators.  The
-normalized complex takes kernels of the first n faces with differential
-(-1)^n d_n.
+normalized complex takes kernels of the first n faces, handed to
+``left_kernel`` as triples, with differential (-1)^n d_n.
 
 There is one Kan operator.  The double Kan transform of a double complex
 sums D_{p,q} over pairs of monotone surjections [m] ->> [p], [n] ->> [q];
@@ -41,6 +41,7 @@ from .complexes import (
 )
 from .exactlin import (
     ModRing,
+    SparseMatrix,
     express_in_basis,
     howell_form,
     left_kernel,
@@ -332,52 +333,71 @@ class NormalizedData:
 
 
 def normalized_complex(x: SimplicialModule, with_basis: bool = False):
-    """N X_n = intersection of ker d_i (i < n), differential (-1)^n d_n."""
+    """N X_n = intersection of ker d_i (i < n), differential (-1)^n d_n.
+
+    Each slice X_{n,w} hands the triples of d_0 ... d_{n-1}, side by side
+    (the columns of d_i offset by i * dim X_{n-1,w}), to ``left_kernel`` as
+    one :class:`SparseMatrix`; no dense slice is built.  ``left_kernel``
+    first drops the rows that a column with a single unit entry forces to
+    zero, and most rows go that way: on a Kan transform K(C) it keeps just
+    the rows of the summand C_n, which is N K(C)_n.  The minimal generators
+    of the kernel must span it, or the slice is not free and the input is
+    not simplicial.  The differential is the image of those generators
+    under (-1)^n d_n, taken from the d_n triple, in the basis of the slice
+    below.  Both failures name their slice (degree n, weight w).
+    """
     ring = x.ring
+    m = ring.modulus
     dims = {}
     diffs = {}
     basis: dict = {}
     for w in x.weights():
-        prev_rows = None
         for n in range(x.d_max + 1):
             dim = x.dim(n, w)
             if dim == 0:
                 basis[(n, w)] = mzeros(0, 0)
-                prev_rows = mzeros(0, 0)
                 continue
             if n == 0:
                 rows = midentity(dim)
             else:
-                # d_0 ... d_{n-1} side by side, scattered from their triples
-                cols = x.dim(n - 1, w)
-                stacked = mzeros(dim, n * cols)
-                for i in range(n):
-                    f = x.faces.get((n, i, w))
-                    if f is not None:
-                        stacked[f.rows, f.cols + i * cols] = f.vals
-                ker = left_kernel(stacked, ring)
+                ker = left_kernel(_stacked_faces(x, n, w), ring)
                 rows = minimal_generators(ker, ring)
                 # ker is a Howell basis, so the rows span it iff they have it as Howell form
                 if not np.array_equal(howell_form(rows, ring), ker):
-                    raise AssertionError("normalized slice is not free (invalid simplicial input)")
+                    raise AssertionError(f"normalized slice is not free (invalid simplicial input) "
+                                         f"at (degree {n}, weight {w})")
             basis[(n, w)] = rows
             if rows.shape[0]:
                 dims[(n, w)] = rows.shape[0]
             if n >= 1 and rows.shape[0]:
-                img = mmul(rows, x.face(n, n, w), ring)
-                if n % 2:
-                    img = (-img) % ring.modulus
+                # rows @ (-1)^n d_n: each entry of d_n adds a reduced column
+                img = mzeros(x.dim(n - 1, w), rows.shape[0])
+                d_n = x.faces.get((n, n, w))
+                if d_n is not None:
+                    np.add.at(img, d_n.cols, (rows[:, d_n.rows] * ((-1) ** n * d_n.vals) % m).T)
+                img = img.T % m
                 prev = basis[(n - 1, w)]
                 if prev.shape[0]:
                     diffs[(n, w)] = express_in_basis(img, prev, ring)
                 elif img.any():
-                    raise AssertionError("normalized differential escapes the lower term")
-            prev_rows = rows
+                    raise AssertionError(f"normalized differential escapes the lower term "
+                                         f"at (degree {n}, weight {w})")
     cx = GradedSliceComplex(ring, 0, x.d_max, dims, diffs, trusted=(0, max(x.d_max - 1, 0)))
     cx.validate()
     if with_basis:
         return NormalizedData(cx, basis)
     return cx
+
+
+def _stacked_faces(x: SimplicialModule, n: int, w: int) -> SparseMatrix:
+    """[d_0 | d_1 | ... | d_{n-1}] on X_{n,w}, from the stored triples."""
+    cols = x.dim(n - 1, w)
+    faces = [(i * cols, x.faces[(n, i, w)]) for i in range(n) if (n, i, w) in x.faces]
+    none = np.zeros(0, dtype=np.int64)
+    return SparseMatrix(np.concatenate([none] + [f.rows for _, f in faces]),
+                        np.concatenate([none] + [f.cols + c0 for c0, f in faces]),
+                        np.concatenate([none] + [f.vals for _, f in faces]),
+                        (x.dim(n, w), n * cols))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,12 @@ diagonal multiplies the stored maps.  ``kan_transform`` is the Kan
 transform from before it became the row q = 0 of the double Kan
 transform: it lays out its own summands (``_kan_blocks``), asks
 ``kan_block`` for every summand and adds one dense identity per identity
-block.  The tests require the library's versions to equal these exactly.
+block.  ``normalized_complex`` is the normalized complex from before it
+handed the face triples to ``left_kernel`` as one sparse matrix: it
+scatters d_0 ... d_{n-1} into one dense stacked matrix, takes its kernel
+as a Howell form of the dense [A | I] (no rows are peeled), and maps the
+generators through the dense d_n.  The tests require the library's
+versions to equal these exactly.
 """
 
 from __future__ import annotations
@@ -17,10 +22,21 @@ from functools import lru_cache
 
 import numpy as np
 
+from reference_exactlin import augmented_left_kernel
+
 from derhamkit.complexes import GradedSliceComplex
-from derhamkit.exactlin import ModRing, midentity, mmul, mzeros
+from derhamkit.exactlin import (
+    ModRing,
+    express_in_basis,
+    howell_form,
+    midentity,
+    minimal_generators,
+    mmul,
+    mzeros,
+)
 from derhamkit.simplex import (
     MonotoneMap,
+    NormalizedData,
     SimplicialModule,
     kan_block,
     monotone_surjections,
@@ -257,3 +273,49 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
                 degens[(n, i, w)] = block_action(n, MonotoneMap.degeneracy(n, i))
 
     return SimplicialModule(ring, d_max, dims, faces, degens, labels)
+
+
+def normalized_complex(x: SimplicialModule, with_basis: bool = False):
+    """N X_n = intersection of ker d_i (i < n), differential (-1)^n d_n."""
+    ring = x.ring
+    dims = {}
+    diffs = {}
+    basis: dict = {}
+    for w in x.weights():
+        for n in range(x.d_max + 1):
+            dim = x.dim(n, w)
+            if dim == 0:
+                basis[(n, w)] = mzeros(0, 0)
+                continue
+            if n == 0:
+                rows = midentity(dim)
+            else:
+                # d_0 ... d_{n-1} side by side, scattered from their triples
+                cols = x.dim(n - 1, w)
+                stacked = mzeros(dim, n * cols)
+                for i in range(n):
+                    f = x.faces.get((n, i, w))
+                    if f is not None:
+                        stacked[f.rows, f.cols + i * cols] = f.vals
+                ker = augmented_left_kernel(stacked, ring)
+                rows = minimal_generators(ker, ring)
+                # ker is a Howell basis, so the rows span it iff they have it as Howell form
+                if not np.array_equal(howell_form(rows, ring), ker):
+                    raise AssertionError("normalized slice is not free (invalid simplicial input)")
+            basis[(n, w)] = rows
+            if rows.shape[0]:
+                dims[(n, w)] = rows.shape[0]
+            if n >= 1 and rows.shape[0]:
+                img = mmul(rows, x.face(n, n, w), ring)
+                if n % 2:
+                    img = (-img) % ring.modulus
+                prev = basis[(n - 1, w)]
+                if prev.shape[0]:
+                    diffs[(n, w)] = express_in_basis(img, prev, ring)
+                elif img.any():
+                    raise AssertionError("normalized differential escapes the lower term")
+    cx = GradedSliceComplex(ring, 0, x.d_max, dims, diffs, trusted=(0, max(x.d_max - 1, 0)))
+    cx.validate()
+    if with_basis:
+        return NormalizedData(cx, basis)
+    return cx

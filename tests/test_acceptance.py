@@ -9,12 +9,10 @@ expected or computed value fails here even when every case still passes.
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import time
 
 import pytest
+from memory import run_cli
 
 from derhamkit.suites import run_suite
 
@@ -71,23 +69,12 @@ def test_criterion_06_reaches_weight_bound_6():
 
 
 def _reach_criterion_06(weight_bound):
-    # a child process, so that its peak RSS is its own (os.wait4)
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "derhamkit.cli", "verify", "drpd-modp", "--weight-bound", str(weight_bound)],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    out = proc.stdout.read()
-    proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    elapsed = time.perf_counter() - t0
-    peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
-    print(f"criterion  6 drpd-modp weight bound {weight_bound}: exit {proc.returncode}, "
-          f"{elapsed:.1f}s, peak RSS {peak_mb:.0f} MB")
-    assert proc.returncode == 0 and " 0 fail," in out, out
-    assert elapsed < 60, f"{elapsed:.1f}s exceeds 60s"
-    assert peak_mb < 1024, f"peak RSS {peak_mb:.0f} MB exceeds 1 GB"
+    run = run_cli("verify", "drpd-modp", "--weight-bound", str(weight_bound))
+    print(f"criterion  6 drpd-modp weight bound {weight_bound}: exit {run.returncode}, "
+          f"{run.elapsed:.1f}s, peak RSS {run.peak_mb:.0f} MB")
+    assert run.returncode == 0 and " 0 fail," in run.out, run.out
+    assert run.elapsed < 60, f"{run.elapsed:.1f}s exceeds 60s"
+    assert run.peak_mb < 1024, f"peak RSS {run.peak_mb:.0f} MB exceeds 1 GB"
 
 
 def test_criterion_06_reaches_weight_bound_7():

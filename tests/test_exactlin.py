@@ -14,10 +14,12 @@ from reference_exactlin import left_kernel as reference_left_kernel
 from reference_exactlin import minimal_generator_indices
 from reference_exactlin import resultant as reference_resultant
 
+from derhamkit import exactlin
 from derhamkit.exactlin import (
     ZZ,
     ModRing,
     ModulePresentation,
+    SparseMatrix,
     express_in_basis,
     howell_form,
     left_kernel,
@@ -484,6 +486,84 @@ def test_left_kernel_equals_the_augmented_kernel_property(ring_mat):
     want = augmented_left_kernel(a, ring)
     assert ker.shape == want.shape and ker.dtype == want.dtype
     assert (ker == want).all()
+
+
+# ---------------------------------------------------------------------------
+# left kernels of sparse input, and the peel of forced rows
+
+
+def _peel_cases(ring):
+    """(name, matrix, rows the peel keeps) over ``ring``."""
+    p, u = ring.p, ring.modulus - 1  # u is a unit
+    chain = np.eye(6, 7, dtype=np.int64)  # rows 0-4 a chain; rows 5 and 6 share column 5
+    chain[1:5, :4] += np.eye(4, dtype=np.int64) * u
+    chain = np.vstack([chain, chain[5]])
+    return [
+        ("everything peeled", [[1, 2, 3], [0, u, 1], [0, 0, 1]], []),
+        ("nothing peeled", [[1, 1], [1, u], [u, 1]], [0, 1, 2]),
+        ("a peel chain", chain, [5, 6]),
+        ("zero rows", [[0, 0], [1, 0], [0, 0]], [0, 2]),
+        ("0 x k", np.zeros((0, 3), dtype=np.int64), []),
+        ("k x 0", np.zeros((3, 0), dtype=np.int64), [0, 1, 2]),
+        # over Z/p^n a lone p forces nothing: p^(n-1) (1, -1) is in the kernel
+        ("a non-unit singleton column", [[p, 1], [0, 1]], [0, 1]),
+    ]
+
+
+def _as_sparse(mat, ring, rng) -> SparseMatrix:
+    """``mat`` as a SparseMatrix with its triples shuffled, its values
+    unreduced, and some entries that reduce to zero."""
+    m = ring.modulus
+    a = np.asarray(mat, dtype=np.int64)
+    a = a.reshape(1, -1) if a.ndim == 1 else a
+    r, c = np.nonzero((a % m != 0) | (rng.random(a.shape) < 0.2))
+    v = a[r, c] % m + m * rng.integers(-2, 3, size=r.size)
+    order = rng.permutation(r.size)
+    return SparseMatrix(r[order], c[order], v[order], a.shape)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_left_kernel_of_dense_and_sparse_input_equals_the_two_pass_kernel(ring):
+    rng = np.random.default_rng(ring.modulus)
+    cases = [*_kernel_inputs(ring), *(mat for _, mat, _ in _peel_cases(ring))]
+    for mat in cases:
+        want = reference_left_kernel(mat, ring)
+        for a in (mat, _as_sparse(mat, ring, rng)):
+            ker = left_kernel(a, ring)
+            assert ker.shape == want.shape and ker.dtype == want.dtype
+            assert (ker == want).all()
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_the_peel_drops_just_the_rows_forced_to_zero(ring):
+    for name, mat, kept in _peel_cases(ring):
+        a = np.asarray(mat, dtype=np.int64) % ring.modulus
+        r, c = np.nonzero(a)
+        keep = exactlin._unforced_rows(r, c, a[r, c], a.shape[0], ring.p)
+        assert np.flatnonzero(keep).tolist() == kept, name
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valued_matrices(), st.integers(0, 2 ** 32 - 1))
+def test_left_kernel_of_sparse_input_equals_the_augmented_kernel_property(ring_mat, seed):
+    ring, a = ring_mat
+    ker = left_kernel(_as_sparse(a, ring, np.random.default_rng(seed)), ring)
+    want = augmented_left_kernel(a, ring)
+    assert ker.shape == want.shape and ker.dtype == want.dtype
+    assert (ker == want).all()
+
+
+def test_a_sparse_matrix_with_an_entry_outside_its_shape_or_a_repeated_position_is_rejected():
+    ring = ModRing(3, 1)
+
+    def sparse(rows, cols):
+        return SparseMatrix(np.array(rows), np.array(cols), np.ones(len(rows), dtype=np.int64), (2, 2))
+
+    for rows, cols in (([0, 2], [0, 0]), ([0, 1], [0, 2]), ([-1], [0]), ([0], [-1])):
+        with pytest.raises(ValueError, match="outside the 2 x 2 matrix"):
+            left_kernel(sparse(rows, cols), ring)
+    with pytest.raises(ValueError, match="given twice"):
+        left_kernel(sparse([0, 1, 0], [1, 1, 1]), ring)
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)

@@ -333,6 +333,35 @@ def _checking_wedge(monkeypatch):
     return seen
 
 
+@pytest.mark.parametrize("call,entry,where", [
+    (0, (1, 0), "degree 1, map d_0, weight 1"),
+    (2, (0, 1), "degree 0, map s_0, weight 0"),
+])
+def test_a_functor_image_that_is_not_weight_preserving_names_its_map(monkeypatch, call, entry, where):
+    from derhamkit.simplex import SimplicialModule
+
+    one = np.array([[1]])
+    x = SimplicialModule(F2, 1, {(n, w): 1 for n in (0, 1) for w in (0, 1)},
+                         {(1, i, w): one for i in (0, 1) for w in (0, 1)},
+                         {(0, 0, w): one for w in (0, 1)})
+    fx = pdpow.apply_functor_to_module(x, "wedge", 1)  # wedge^1 is the identity
+    assert fx.dims == x.dims and fx.faces.keys() == x.faces.keys() and fx.degens.keys() == x.degens.keys()
+    made = []
+
+    def leaky(phi, n, ring):
+        # the flattened basis is (weight 0, weight 1): entry (1, 0) maps weight 1 to weight 0
+        out = wedge_matrix(phi, n, ring)
+        if len(made) == call:
+            out[entry] = 1
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(pdpow, "wedge_matrix", leaky)
+    with pytest.raises(AssertionError, match=rf"not weight-preserving at \({where}\)"):
+        pdpow.apply_functor_to_module(x, "wedge", 1)
+    assert len(made) == call + 1
+
+
 def test_quillen_shift_wedges_match_reference(monkeypatch):
     seen = _checking_wedge(monkeypatch)
     report = run_suite("quillen-shift", {"power": 2}, seed=1)

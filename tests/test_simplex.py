@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 import reference_simplex
-from memory import traced_peak
+from memory import run_cli, traced_peak
 
 from derhamkit.complexes import (
     DoubleComplex,
@@ -338,6 +338,28 @@ def test_normalized_complex_of_the_largest_eilenberg_zilber_diagonal_peaks_below
     assert peak < 32 * 2 ** 20
 
 
+def test_normalized_complex_of_the_largest_eilenberg_zilber_diagonal_peaks_below_4_mib():
+    # the stacked faces reach left_kernel as triples, and most rows are peeled
+    diag = diagonal(double_kan(_largest_eilenberg_zilber_case(), 5, 5))
+    n, _, peak = traced_peak(lambda: normalized_complex(diag))
+    assert diag.dim(5, 0) == 810 and n.dims
+    assert peak < 4 * 2 ** 20
+
+
+def test_the_eilenberg_zilber_suite_peaks_below_8_mib():
+    from derhamkit.suites import run_suite
+
+    report, _, peak = traced_peak(lambda: run_suite("eilenberg-zilber", {"cases": 10}, seed=1))
+    assert report.summary["fail"] == 0 and len(report.cases) == 10
+    assert peak < 8 * 2 ** 20
+
+
+def test_verify_eilenberg_zilber_stays_below_45_mb_of_child_rss():
+    run = run_cli("verify", "eilenberg-zilber", "--cases", "10", "--seed", "1")
+    assert run.returncode == 0 and " 0 fail," in run.out, run.out
+    assert run.peak_mb < 45, f"peak RSS {run.peak_mb:.1f} MB"
+
+
 def test_the_eilenberg_zilber_suite_peaks_below_40_mib():
     from derhamkit.suites import run_suite
 
@@ -435,6 +457,94 @@ def test_normalized_complex_rejects_a_slice_that_is_not_free():
                          {(1, 0, 0): np.array([[2]]), (1, 1, 0): np.array([[1]])}, {})
     with pytest.raises(AssertionError, match="not free"):
         normalized_complex(x)
+
+
+def _module_with_faces(ring, dims, faces, w):
+    """A module of one weight ``w`` with the given faces and no degeneracies
+    (``normalized_complex`` reads faces only)."""
+    return SimplicialModule(ring, max(dims), {(n, w): d for n, d in dims.items()},
+                            {(n, i, w): np.array(f) for (n, i), f in faces.items()}, {})
+
+
+def test_normalized_complex_failures_name_their_slice():
+    ring = ModRing(2, 2)
+    # ker d_0 = 2 Z/4 in degree 2 is not free
+    x = _module_with_faces(ring, {0: 1, 1: 1, 2: 1},
+                           {(1, 0): [[0]], (1, 1): [[0]], (2, 0): [[2]], (2, 1): [[0]], (2, 2): [[0]]}, 5)
+    with pytest.raises(AssertionError, match=r"not free .*at \(degree 2, weight 5\)"):
+        normalized_complex(x)
+    # N_1 = ker d_0 = 0 (d_0 is a unit), N_2 = X_2, and d_2 is not zero
+    x = _module_with_faces(ring, {0: 1, 1: 1, 2: 1},
+                           {(1, 0): [[1]], (1, 1): [[0]], (2, 0): [[0]], (2, 1): [[0]], (2, 2): [[1]]}, 3)
+    with pytest.raises(AssertionError, match=r"escapes the lower term at \(degree 2, weight 3\)"):
+        normalized_complex(x)
+
+
+def _modules_normalized_by(monkeypatch, suite, params):
+    """The simplicial modules whose normalized complex ``suite`` takes."""
+    import derhamkit.pdpow
+    import derhamkit.suites
+    from derhamkit.suites import run_suite
+
+    seen = []
+
+    def spy(x, *args, **kwargs):
+        seen.append(x)
+        return normalized_complex(x, *args, **kwargs)
+
+    monkeypatch.setattr(derhamkit.suites, "normalized_complex", spy)
+    monkeypatch.setattr(derhamkit.pdpow, "normalized_complex", spy)
+    assert run_suite(suite, params, seed=1).summary["fail"] == 0
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("suite,params,count", [
+    ("dold-kan-roundtrip", {"cases": 20}, 60),  # Z/4, Z/9 and F_5
+    ("eilenberg-zilber", {"cases": 10}, 10),
+    ("quillen-shift", {"power": 3}, 12),
+])
+def test_normalized_complex_equals_the_reference_on_the_suite_inputs(monkeypatch, suite, params, count):
+    modules = _modules_normalized_by(monkeypatch, suite, params)
+    assert len(modules) == count
+    for x in modules:
+        got = normalized_complex(x, with_basis=True)
+        want = reference_simplex.normalized_complex(x, with_basis=True)
+        assert got.complex.dims == want.complex.dims
+        for key in set(got.complex.dims) | set(got.complex.diffs) | set(want.complex.diffs):
+            assert np.array_equal(got.complex.diff(*key), want.complex.diff(*key)), key
+        assert got.basis.keys() == want.basis.keys()
+        for key, rows in want.basis.items():
+            assert got.basis[key].dtype == rows.dtype and np.array_equal(got.basis[key], rows), key
+
+
+def test_on_a_kan_transform_the_peel_keeps_just_the_rows_of_the_normalized_part(monkeypatch):
+    import derhamkit.exactlin
+    import derhamkit.simplex
+
+    unforced, kernel = derhamkit.exactlin._unforced_rows, derhamkit.simplex.left_kernel
+    kept, ranks = [], []
+
+    def count_kept(*args):
+        out = unforced(*args)
+        kept.append(int(out.sum()))
+        return out
+
+    def count_rank(a, ring):
+        out = kernel(a, ring)
+        ranks.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(derhamkit.exactlin, "_unforced_rows", count_kept)
+    monkeypatch.setattr(derhamkit.simplex, "left_kernel", count_rank)
+    rng = random.Random(3)
+    for ring in (ModRing(2, 2), ModRing(3, 2), ModRing(5, 1)):
+        for _ in range(4):
+            c = random_complex(ring, rng, max_degree=4, max_rank=3, weight_choices=(0, 1))
+            normalized_complex(kan_transform(c, d_max=c.n_max + 1))
+    # N K(C)_n is the summand of the identity surjection, free on the rows
+    # that every face d_0 ... d_{n-1} kills; the peel drops all the others
+    assert kept == ranks and sum(kept) > 0
 
 
 def test_normalized_with_basis_inclusion():
