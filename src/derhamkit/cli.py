@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .suites import SUITES, list_suites, run_suite
+from .suites import MINIMUMS, SUITES, list_suites, run_suite
 
 
 def _suite_params() -> dict:
@@ -52,7 +52,9 @@ def main(argv=None) -> int:
         for desc in list_suites():
             print(f"{desc.name:24} {desc.anchor}")
             if desc.params:
-                schema = ", ".join(f"{k}: {t.__name__} = {d}" for (k, t, d) in desc.params)
+                schema = ", ".join(f"{k}: {t.__name__} = {d}"
+                                   + (f" (>= {MINIMUMS[k]})" if k in MINIMUMS else "")
+                                   for (k, t, d) in desc.params)
                 print(f"{'':24}   parameters: {schema}")
         return 0
     if args.command != "verify":

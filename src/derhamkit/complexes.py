@@ -36,6 +36,7 @@ from .exactlin import (
     howell_form,  # noqa: F401 -- perfbench/tests reaches the kernel through this module
     left_kernel,
     local_smith,
+    midentity,
     mzeros,
     mmul,
     v_int,
@@ -357,12 +358,22 @@ class Contraction:
         return out
 
     def quotient(self, n: int) -> SliceQuotient:
-        """cycles/boundaries of degree n of the contracted complex."""
+        """cycles/boundaries of degree n of the contracted complex.
+
+        When d_n and d_(n+1) are both zero (every contracted differential
+        is, over F_p), H_n is free on the survivors: each factor is p^n and
+        the cycles, representatives and coordinate change are identities,
+        as ``from_cycles_boundaries`` finds them with no elimination run.
+        """
         dim = self.dim(n)
         if dim == 0:
             return SliceQuotient.from_cycles_boundaries(mzeros(0, 0), mzeros(0, 0), self.ring)
-        d_here = self.diff(n)
-        cycles = left_kernel(d_here, self.ring) if d_here.any() else np.eye(dim, dtype=np.int64)
+        d_here = self.diffs.get(n)
+        if d_here is None and n + 1 not in self.diffs:
+            m = self.ring.modulus
+            return SliceQuotient(self.ring, dim, midentity(dim), [m] * dim, midentity(dim),
+                                 midentity(dim), [m] * dim)
+        cycles = left_kernel(d_here, self.ring) if d_here is not None else midentity(dim)
         return SliceQuotient.from_cycles_boundaries(
             cycles if cycles.shape[0] else mzeros(0, dim), self.diff(n + 1), self.ring
         )

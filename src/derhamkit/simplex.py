@@ -340,11 +340,21 @@ def normalized_complex(x: SimplicialModule, with_basis: bool = False):
     one :class:`SparseMatrix`; no dense slice is built.  ``left_kernel``
     first drops the rows that a column with a single unit entry forces to
     zero, and most rows go that way: on a Kan transform K(C) it keeps just
-    the rows of the summand C_n, which is N K(C)_n.  The minimal generators
-    of the kernel must span it, or the slice is not free and the input is
-    not simplicial.  The differential is the image of those generators
-    under (-1)^n d_n, taken from the d_n triple, in the basis of the slice
-    below.  Both failures name their slice (degree n, weight w).
+    the rows of the summand C_n, which is N K(C)_n.
+
+    When every row of the kernel's Howell basis has leading entry 1 (always
+    over F_p, and on every Kan transform), that basis is free and is the
+    basis of the slice as it stands.  Otherwise the minimal generators of
+    the kernel must span it, or the slice is not free and the input is not
+    simplicial; only then do ``minimal_generators`` and the freeness check
+    run.  The differential is the image of the basis under (-1)^n d_n,
+    taken from the d_n triple, in the basis of the slice below.  When that
+    basis has pivots 1, its rows are the unit vectors on the pivot columns,
+    so the coordinates are the pivot columns of the image, checked by one
+    product; otherwise ``express_in_basis`` solves for them.  An image
+    outside the span raises ValueError either way; a slice that is not
+    free, or a differential that escapes the lower term, fails naming its
+    slice (degree n, weight w).
     """
     ring = x.ring
     m = ring.modulus
@@ -352,15 +362,17 @@ def normalized_complex(x: SimplicialModule, with_basis: bool = False):
     diffs = {}
     basis: dict = {}
     for w in x.weights():
+        below = None  # pivot columns of the basis one degree down, if they are all 1
         for n in range(x.d_max + 1):
             dim = x.dim(n, w)
             if dim == 0:
                 basis[(n, w)] = mzeros(0, 0)
+                below = None
                 continue
-            if n == 0:
-                rows = midentity(dim)
-            else:
-                ker = left_kernel(_stacked_faces(x, n, w), ring)
+            rows = midentity(dim) if n == 0 else left_kernel(_stacked_faces(x, n, w), ring)
+            here = _unit_pivots(rows)
+            if here is None:
+                ker = rows
                 rows = minimal_generators(ker, ring)
                 # ker is a Howell basis, so the rows span it iff they have it as Howell form
                 if not np.array_equal(howell_form(rows, ring), ker):
@@ -377,16 +389,31 @@ def normalized_complex(x: SimplicialModule, with_basis: bool = False):
                     np.add.at(img, d_n.cols, (rows[:, d_n.rows] * ((-1) ** n * d_n.vals) % m).T)
                 img = img.T % m
                 prev = basis[(n - 1, w)]
-                if prev.shape[0]:
+                if prev.shape[0] and below is not None:
+                    coords = img[:, below]
+                    if not np.array_equal(mmul(coords, prev, ring), img):
+                        raise ValueError("vector not in span of the given basis")
+                    diffs[(n, w)] = coords
+                elif prev.shape[0]:
                     diffs[(n, w)] = express_in_basis(img, prev, ring)
                 elif img.any():
                     raise AssertionError(f"normalized differential escapes the lower term "
                                          f"at (degree {n}, weight {w})")
+            below = here
     cx = GradedSliceComplex(ring, 0, x.d_max, dims, diffs, trusted=(0, max(x.d_max - 1, 0)))
     cx.validate()
     if with_basis:
         return NormalizedData(cx, basis)
     return cx
+
+
+def _unit_pivots(rows: np.ndarray) -> np.ndarray | None:
+    """The leading column of each row of the Howell basis ``rows`` when
+    every leading entry is 1, else None.  Such a basis is free, and a
+    Howell form is zero above each pivot 1, so its rows restricted to
+    these columns are the identity."""
+    lead = (rows != 0).argmax(axis=1)
+    return lead if (rows[np.arange(rows.shape[0]), lead] == 1).all() else None
 
 
 def _stacked_faces(x: SimplicialModule, n: int, w: int) -> SparseMatrix:

@@ -561,8 +561,9 @@ SUITES = {
 }
 
 
-# parameters that count cases or steps; below 1 a suite would run no cases
-COUNT_PARAMS = frozenset({"cases", "r_max"})
+# the least value of each bounded parameter, in every suite that declares
+# it; below it a suite would check nothing and still pass
+MINIMUMS = {"cases": 1, "r_max": 1, "power": 1, "window_top": 1, "weight_bound": 0}
 
 
 def list_suites() -> list[SuiteDescriptor]:
@@ -582,8 +583,8 @@ def run_suite(name: str, params: dict | None = None, seed: int = 0) -> SuiteRepo
         params.setdefault(k, default)
         if not isinstance(params[k], t):
             raise ValueError(f"parameter {k!r} must be {t.__name__}")
-        if k in COUNT_PARAMS and params[k] < 1:
-            raise ValueError(f"parameter {k!r} must be at least 1, got {params[k]}")
+        if k in MINIMUMS and params[k] < MINIMUMS[k]:
+            raise ValueError(f"parameter {k!r} must be at least {MINIMUMS[k]}, got {params[k]}")
     rng = random.Random(seed)
     t0 = time.monotonic()
     cases = desc.runner(params, rng)

@@ -113,17 +113,29 @@ def test_truncated_evidence_exit_semantics():
     assert rep.exit_code(allow_truncated=True) == 0
 
 
-@pytest.mark.parametrize("suite,flag,value", [
-    ("dold-kan-roundtrip", "--cases", "0"),
-    ("koszul-gamma", "--cases", "-3"),
-    ("different-valuation", "--r-max", "0"),
+@pytest.mark.parametrize("suite,flag,value,least", [
+    ("dold-kan-roundtrip", "--cases", "0", 1),
+    ("koszul-gamma", "--cases", "-3", 1),
+    ("different-valuation", "--r-max", "0", 1),
+    ("quillen-shift", "--power", "0", 1),
+    ("drpd-modp", "--window-top", "0", 1),
+    ("drpd-modp", "--weight-bound", "-1", 0),
+    ("drpd-envelope", "--weight-bound", "-1", 0),
 ])
-def test_count_parameters_below_one_are_usage_errors(suite, flag, value, capsys):
+def test_count_parameters_below_one_are_usage_errors(suite, flag, value, least, capsys):
     param = flag[2:].replace("-", "_")
     with pytest.raises(ValueError, match=param):
         run_suite(suite, {param: int(value)})
     assert main(["verify", suite, flag, value]) == 2
-    assert "at least 1" in capsys.readouterr().err
+    assert f"at least {least}, got {value}" in capsys.readouterr().err
+
+
+def test_every_default_meets_its_minimum():
+    from derhamkit.suites import MINIMUMS
+
+    bounded = [(k, d) for desc in list_suites() for (k, _, d) in desc.params if k in MINIMUMS]
+    assert {k for k, _ in bounded} == MINIMUMS.keys()
+    assert all(d >= MINIMUMS[k] for k, d in bounded)
 
 
 def test_report_without_cases_fails():

@@ -150,6 +150,53 @@ def test_reduction_maps_are_inverse_chain_maps(ring):
                 assert not (d_small % ring.p).any()
 
 
+def _assert_quotients_equal(got, want, vectors):
+    assert got.ring == want.ring and got.ambient_dim == want.ambient_dim
+    assert got._to_contracted is None and want._to_contracted is None
+    for name in ("factors", "_all_factors"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a == b and [type(x) for x in a] == [type(x) for x in b], name
+    for name in ("cycles", "gen_reps", "_vmat"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+    for v in vectors:
+        c = want.coords(v)
+        assert got.coords(v) == c
+        if c is not None:
+            assert got.is_zero_class(v) == want.is_zero_class(v)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_contracted_quotients_equal_the_reference_in_every_field(ring):
+    """``Contraction.quotient`` against the reference quotient of the same
+    contracted complex, with and without the short cut for d_n = d_(n+1) = 0."""
+    m = ring.modulus
+    rng, draw = random.Random(11), np.random.default_rng(11)
+    free = other = 0
+    for k in range(30):
+        cx = (random_complex(ring, rng, 4, 5, weight_choices=(0, 1)) if k % 2
+              else _sparse_complex(ring, rng))
+        for w in cx.weights():
+            red = reduce_complex(cx, w)
+            small = GradedSliceComplex(ring, cx.n_min, cx.n_max, {(n, 0): red.dim(n) for n in cx.degrees()},
+                                       {(n, 0): d for n, d in red.diffs.items()})
+            for n in cx.degrees():
+                got, want = red.quotient(n), reference_complexes.homology_quotient(small, n, 0)
+                dim = red.dim(n)
+                cycles = mmul(draw.integers(0, m, (4, want.cycles.shape[0])), want.cycles, ring) if dim else []
+                vectors = [*cycles, *red.diff(n + 1), *draw.integers(0, m, (4, dim))]
+                _assert_quotients_equal(got, want, vectors)
+                if dim and n not in red.diffs and n + 1 not in red.diffs:
+                    free += 1
+                    arrays = (got.cycles, got.gen_reps, got._vmat)
+                    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
+                    assert got.factors is not got._all_factors
+                elif dim:
+                    other += 1
+    # over F_p no contracted differential is left, so every slice takes the short cut
+    assert free > 0 and (other == 0) == (ring.n == 1)
+
+
 def test_contraction_is_made_once_per_weight():
     ring = ModRing(3, 2)
     cx = random_complex(ring, random.Random(5), 4, 5, weight_choices=(0, 1))

@@ -402,26 +402,38 @@ def test_kan_inputs_have_several_weights_and_empty_degrees():
     assert any(len(_kan_inputs(seed)[0].weights()) > 1 for seed in range(6))
 
 
+def _leading_entries(rows):
+    return [int(row[np.flatnonzero(row)[0]]) for row in rows]
+
+
 def test_minimal_generators_keep_the_reference_rows_on_every_dold_kan_call(monkeypatch):
     from reference_exactlin import minimal_generator_indices
 
     from derhamkit import simplex
+    from derhamkit.exactlin import minimal_generators
     from derhamkit.suites import run_suite
 
-    calls = []
-    library = simplex.minimal_generators
+    kernels = []
+    library = simplex.left_kernel
 
-    def checked(rows, ring):
-        want = minimal_generator_indices(rows, ring)
-        out = library(rows, ring)
-        assert (out == np.asarray(rows)[want]).all()
-        calls.append(len(want))
+    def spy(a, ring):
+        out = library(a, ring)
+        kernels.append((out, ring))
         return out
 
-    monkeypatch.setattr(simplex, "minimal_generators", checked)
+    monkeypatch.setattr(simplex, "left_kernel", spy)
     report = run_suite("dold-kan-roundtrip", {"cases": 20, "max_degree": 5, "max_rank": 3}, seed=1)
     assert report.summary["fail"] == 0
-    assert len(calls) > 100
+    assert len(kernels) > 100
+    unit = 0
+    for ker, ring in kernels:
+        rows = minimal_generators(ker, ring)
+        assert np.array_equal(rows, ker[minimal_generator_indices(ker, ring)])
+        # a kernel with pivots 1 is the basis normalized_complex keeps as it is
+        if all(x == 1 for x in _leading_entries(ker)):
+            unit += 1
+            assert np.array_equal(rows, ker)
+    assert unit > 100
 
 
 def test_shuffle_counts_and_signs():
@@ -499,6 +511,17 @@ def _modules_normalized_by(monkeypatch, suite, params):
     return seen
 
 
+def _assert_normalized_equals_the_reference(x):
+    got = normalized_complex(x, with_basis=True)
+    want = reference_simplex.normalized_complex(x, with_basis=True)
+    assert got.complex.dims == want.complex.dims
+    for key in set(got.complex.dims) | set(got.complex.diffs) | set(want.complex.diffs):
+        assert np.array_equal(got.complex.diff(*key), want.complex.diff(*key)), key
+    assert got.basis.keys() == want.basis.keys()
+    for key, rows in want.basis.items():
+        assert got.basis[key].dtype == rows.dtype and np.array_equal(got.basis[key], rows), key
+
+
 @pytest.mark.parametrize("suite,params,count", [
     ("dold-kan-roundtrip", {"cases": 20}, 60),  # Z/4, Z/9 and F_5
     ("eilenberg-zilber", {"cases": 10}, 10),
@@ -508,14 +531,100 @@ def test_normalized_complex_equals_the_reference_on_the_suite_inputs(monkeypatch
     modules = _modules_normalized_by(monkeypatch, suite, params)
     assert len(modules) == count
     for x in modules:
-        got = normalized_complex(x, with_basis=True)
-        want = reference_simplex.normalized_complex(x, with_basis=True)
-        assert got.complex.dims == want.complex.dims
-        for key in set(got.complex.dims) | set(got.complex.diffs) | set(want.complex.diffs):
-            assert np.array_equal(got.complex.diff(*key), want.complex.diff(*key)), key
-        assert got.basis.keys() == want.basis.keys()
-        for key, rows in want.basis.items():
-            assert got.basis[key].dtype == rows.dtype and np.array_equal(got.basis[key], rows), key
+        _assert_normalized_equals_the_reference(x)
+
+
+def _invertible(ring, rng, k):
+    """A random invertible k x k matrix over ``ring`` and its inverse, as
+    L P U with L, U unit triangular and P a permutation."""
+    m = ring.modulus
+
+    def unit_triangular(lower):
+        nil = np.tril(rng.integers(0, m, (k, k)), -1)
+        nil = nil if lower else nil.T
+        inverse, power = np.eye(k, dtype=np.int64), np.eye(k, dtype=np.int64)
+        for _ in range(1, k):  # (I + N)^-1 = sum of (-N)^j, as N is nilpotent
+            power = mmul(power, -nil % m, ring)
+            inverse = (inverse + power) % m
+        return (np.eye(k, dtype=np.int64) + nil) % m, inverse
+
+    perm = np.eye(k, dtype=np.int64)[rng.permutation(k)]
+    (lo, lo_inv), (up, up_inv) = unit_triangular(True), unit_triangular(False)
+    return mmul(mmul(lo, perm, ring), up, ring), mmul(mmul(up_inv, perm.T, ring), lo_inv, ring)
+
+
+def _in_a_random_basis(x, rng):
+    """``x`` with each slice X_{n,w} in a random basis: a vector v has the
+    new coordinates v P_n^-1, so d_i becomes P_n d_i P_(n-1)^-1 and s_i
+    becomes P_n s_i P_(n+1)^-1.  The result is isomorphic to ``x``, but its
+    normalized kernels need not have pivots 1 over Z/p^n."""
+    ring = x.ring
+    change = {key: _invertible(ring, rng, d) for key, d in x.dims.items()}
+
+    def conjugate(mat, n, k, w):
+        return mmul(mmul(change[(n, w)][0], mat, ring), change[(k, w)][1], ring)
+
+    faces = {(n, i, w): conjugate(x.face(n, i, w), n, n - 1, w)
+             for w in x.weights() for n in range(1, x.d_max + 1) for i in range(n + 1)
+             if x.dim(n, w) and x.dim(n - 1, w)}
+    degens = {(n, i, w): conjugate(x.degen(n, i, w), n, n + 1, w)
+              for w in x.weights() for n in range(x.d_max) for i in range(n + 1)
+              if x.dim(n, w) and x.dim(n + 1, w)}
+    return SimplicialModule(ring, x.d_max, dict(x.dims), faces, degens)
+
+
+@pytest.mark.parametrize("ring", [ModRing(2, 1), ModRing(5, 1), ModRing(2, 2), ModRing(2, 3), ModRing(3, 2)],
+                         ids=str)
+def test_normalized_complex_equals_the_reference_with_and_without_pivots_1(monkeypatch, ring):
+    import derhamkit.simplex
+
+    fallbacks = []
+    library = derhamkit.simplex.minimal_generators
+
+    def spy(rows, r):
+        fallbacks.append(_leading_entries(rows))
+        return library(rows, r)
+
+    monkeypatch.setattr(derhamkit.simplex, "minimal_generators", spy)
+    rng, twist = random.Random(7), np.random.default_rng(7)
+    for _ in range(5):
+        c = random_complex(ring, rng, max_degree=3, max_rank=3)
+        x = kan_transform(c, d_max=c.n_max + 1)
+        before = len(fallbacks)
+        _assert_normalized_equals_the_reference(x)
+        # every kernel of a Kan transform has pivots 1, so no fallback ran
+        assert len(fallbacks) == before
+        y = _in_a_random_basis(x, twist)
+        y.validate()
+        _assert_normalized_equals_the_reference(y)
+    # over F_p every Howell pivot is 1; over Z/p^n the new bases reach the fallback
+    if ring.n == 1:
+        assert fallbacks == []
+    else:
+        assert any(x != 1 for lead in fallbacks for x in lead)
+
+
+def test_a_free_kernel_without_pivots_1_takes_the_minimal_generators():
+    ring = ModRing(2, 2)
+    # ker d_0 = Z/4 (2, 1): free, but its Howell basis (2, 1), (0, 2) has the pivot 2
+    x = _module_with_faces(ring, {0: 1, 1: 2}, {(1, 0): [[1], [2]], (1, 1): [[1], [2]]}, 0)
+    _assert_normalized_equals_the_reference(x)
+    data = normalized_complex(x, with_basis=True)
+    assert data.basis[(1, 0)].tolist() == [[2, 1]]
+
+
+def test_a_differential_that_leaves_a_basis_with_pivots_1_raises():
+    ring = ModRing(2, 2)
+    # N_1 = ker d_0 = Z/4 (1, 0) has pivot 1, N_2 = X_2, and d_2 sends it to (0, 1)
+    faces = {(1, 0): [[0], [1]], (1, 1): [[0], [1]], (2, 0): [[0, 0]], (2, 1): [[0, 0]]}
+    inside = _module_with_faces(ring, {0: 1, 1: 2, 2: 1}, {**faces, (2, 2): [[3, 0]]}, 0)
+    data = normalized_complex(inside, with_basis=True)
+    assert data.basis[(1, 0)].tolist() == [[1, 0]] and data.complex.diff(2, 0).tolist() == [[3]]
+    x = _module_with_faces(ring, {0: 1, 1: 2, 2: 1}, {**faces, (2, 2): [[0, 1]]}, 0)
+    with pytest.raises(ValueError, match="not in span"):
+        normalized_complex(x)
+    with pytest.raises(ValueError, match="not in span"):
+        reference_simplex.normalized_complex(x)
 
 
 def test_on_a_kan_transform_the_peel_keeps_just_the_rows_of_the_normalized_part(monkeypatch):
