@@ -1,13 +1,13 @@
 """Weight-sliced chain complexes, total complexes and homology.
 
 A :class:`GradedSliceComplex` stores, per homological degree, a weight-graded
-free module over Z/p^n together with one sparse differential (a :class:`Coo`
-triple) per weight slice; dense matrices are built only on request.
-Degrees outside the stored window are structurally zero; a separate trust
-window marks where homology is honest (truncated resolutions trust one
-degree less than they store).
+free module over Z/p^n together with one sparse differential (an
+``exactlin.SparseMatrix`` of the slice's shape) per weight slice; dense
+matrices are built only on request.  Degrees outside the stored window are
+structurally zero; a separate trust window marks where homology is honest
+(truncated resolutions trust one degree less than they store).
 
-A :class:`DoubleComplex` stores its blocks as triples in the same way, and
+A :class:`DoubleComplex` stores its blocks in the same way, and
 :func:`total_complex` is the one place that knows how blocks are ordered,
 offset and signed: it concatenates the block triples and checks the result
 once for d o d = 0, which is the whole double-complex check.
@@ -26,24 +26,26 @@ import itertools
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .exactlin import (
     ModRing,
+    SparseMatrix,
     _span_solver,
+    as_sparse,
     howell_form,  # noqa: F401 -- perfbench/tests reaches the kernel through this module
     left_kernel,
     local_smith,
     midentity,
     mzeros,
     mmul,
+    sparse_product,
     v_int,
 )
 
 __all__ = [
-    "Coo",
     "GradedSliceComplex",
     "DoubleComplex",
     "HomologyReport",
@@ -61,79 +63,21 @@ class WindowError(ValueError):
     pass
 
 
-class Coo(NamedTuple):
-    """A slice differential as int64 triples: entry ``vals[k]`` at
-    (``rows[k]``, ``cols[k]``).  A complex stores them in row-major order
-    with every value in [1, p^n); the shape comes from its ``dims``."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-
-def coo_reduced(rows, cols, vals, ncols: int, m: int) -> Coo:
-    """Sum repeated positions, reduce mod m and drop zeros, in row-major order."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if cols.size and (cols.min() < 0 or cols.max() >= ncols):
-        raise ValueError(f"column index outside a slice of {ncols} columns")
-    key = rows * ncols + cols
-    vals = np.asarray(vals, dtype=np.int64) % m
-    if (key[1:] > key[:-1]).all():  # already row-major, each position once
-        if vals.all():
-            return Coo(rows, cols, vals)
-        nz = vals.nonzero()[0]
-        return Coo(rows[nz], cols[nz], vals[nz])
-    return _summed(key, vals, ncols, m)
-
-
-def _summed(key: np.ndarray, vals: np.ndarray, ncols: int, m: int) -> Coo:
-    """Reduced ``vals`` at the row-major positions ``key``, summed mod m."""
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(key.size, dtype=bool)  # first entry of each position
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    sums = np.add.reduceat(vals[order], starts) % m if starts.size else vals[:0]
-    nz = sums != 0
-    key = key[starts[nz]]
-    return Coo(key // max(ncols, 1), key % max(ncols, 1), sums[nz])
-
-
-def coo_product(a: Coo, b: Coo, ncols: int, m: int) -> Coo:
-    """a b mod m, joined on the middle index; ``b`` in row-major order.
-    Each product is reduced before the sums, so nothing leaves int64."""
-    lo = np.searchsorted(b.rows, a.cols)
-    counts = np.searchsorted(b.rows, a.cols, side="right") - lo
-    ends = np.cumsum(counts)
-    if not ends.size or not ends[-1]:
-        return Coo(*(counts[:0],) * 3)
-    left = np.repeat(np.arange(a.vals.size), counts)
-    right = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
-    return _summed(a.rows[left] * ncols + b.cols[right], a.vals[left] * b.vals[right] % m, ncols, m)
-
-
-def _coos(blocks: dict, ncols: Callable[..., int], m: int) -> dict:
-    """Dense matrices or (unreduced) triples as reduced Coo triples, nonzero
-    only; ``ncols(*key)`` is the column count of the block at ``key``."""
+def _slice_maps(maps: dict, shape: Callable[..., tuple[int, int]], m: int) -> dict:
+    """``maps`` (dense or triples) in canonical form, nonzero only; a map not
+    of shape ``shape(*key)``, or with an entry outside it, is an error."""
     out = {}
-    for key, mtx in blocks.items():
-        if isinstance(mtx, tuple):
-            coo = coo_reduced(*mtx, ncols(*key), m)
-        else:
-            a = np.asarray(mtx, dtype=np.int64) % m
-            rows, cols = np.nonzero(a)
-            coo = Coo(rows, cols, a[rows, cols])
-        if coo.vals.size:
-            out[key] = coo
-    return out
-
-
-def coo_dense(d: Coo | None, nrows: int, ncols: int) -> np.ndarray:
-    """The dense reduced int64 matrix of a triple (zero for None)."""
-    out = mzeros(nrows, ncols)
-    if d is not None:
-        out[d.rows, d.cols] = d.vals
+    for key, mtx in maps.items():
+        try:
+            a = as_sparse(mtx, m)
+        except ValueError as err:
+            raise ValueError(f"the map at {key}: {err}") from None
+        want = shape(*key)
+        if a.shape != want:
+            raise ValueError(f"the map at {key} is {a.shape[0]} x {a.shape[1]}, "
+                             f"its slice is {want[0]} x {want[1]}")
+        if a.vals.size:
+            out[key] = a
     return out
 
 
@@ -143,8 +87,8 @@ class GradedSliceComplex:
     n_min: int
     n_max: int
     dims: dict  # (degree, weight) -> int
-    # (degree, weight) -> Coo of C_{n,w} -> C_{n-1,w}, nonzero only; the
-    # constructor also takes dense matrices and unreduced triples
+    # (degree, weight) -> SparseMatrix of C_{n,w} -> C_{n-1,w}, nonzero
+    # only; the constructor also takes dense matrices and triples in any form
     diffs: dict
     labels: dict = field(default_factory=dict)  # optional (degree, weight) -> list
     trusted: tuple[int, int] | None = None  # degrees with honest homology
@@ -155,7 +99,8 @@ class GradedSliceComplex:
         if self.trusted is None:
             self.trusted = (self.n_min, self.n_max)
         self.dims = {k: v for k, v in self.dims.items() if v}
-        self.diffs = _coos(self.diffs, lambda n, w: self.dim(n - 1, w), self.ring.modulus)
+        self.diffs = _slice_maps(self.diffs, lambda n, w: (self.dim(n, w), self.dim(n - 1, w)),
+                                 self.ring.modulus)
 
     def dim(self, n: int, w: int) -> int:
         return self.dims.get((n, w), 0)
@@ -168,7 +113,7 @@ class GradedSliceComplex:
 
     def diff(self, n: int, w: int) -> np.ndarray:
         """The dense reduced int64 matrix of d: C_{n,w} -> C_{n-1,w}."""
-        return coo_dense(self.diffs.get((n, w)), self.dim(n, w), self.dim(n - 1, w))
+        return (self.diffs.get((n, w)) or SparseMatrix(shape=(self.dim(n, w), self.dim(n - 1, w)))).dense()
 
     def validate(self) -> None:
         """Assert d o d == 0 on every slice."""
@@ -176,13 +121,12 @@ class GradedSliceComplex:
         if bad is not None:
             raise ValueError(f"d^2 != 0 at degree {bad[0]}, weight {bad[1]}")
 
-    def _nonzero_square(self) -> tuple[int, int, Coo] | None:
+    def _nonzero_square(self) -> tuple[int, int, SparseMatrix] | None:
         """(n, w, d_n d_{n-1}) for the first slice where d o d != 0, or None."""
-        m = self.ring.modulus
         for (n, w) in self.dims:
             d1, d0 = self.diffs.get((n, w)), self.diffs.get((n - 1, w))
             if d1 is not None and d0 is not None:
-                square = coo_product(d1, d0, self.dim(n - 2, w), m)
+                square = sparse_product(d1, d0, self.ring.modulus)
                 if square.vals.size:
                     return n, w, square
         return None
@@ -318,7 +262,7 @@ class Contraction:
     ring: ModRing
     dims: dict  # degree -> dimension of the original slice
     keep: dict  # degree -> ascending int64 array of surviving indices
-    diffs: dict  # degree -> contracted d_n (rows keep[n], columns keep[n-1]), nonzero only
+    diffs: dict  # degree -> SparseMatrix of the contracted d_n (rows keep[n], columns keep[n-1]), nonzero only
     _f_steps: dict
     _g_steps: dict
 
@@ -327,8 +271,7 @@ class Contraction:
         return 0 if keep is None else len(keep)
 
     def diff(self, n: int) -> np.ndarray:
-        d = self.diffs.get(n)
-        return d if d is not None else mzeros(self.dim(n), self.dim(n - 1))
+        return (self.diffs.get(n) or SparseMatrix(shape=(self.dim(n), self.dim(n - 1)))).dense()
 
     def project(self, n: int, vectors: np.ndarray) -> np.ndarray:
         """f on degree-n row vectors (one vector or a matrix of rows)."""
@@ -471,9 +414,8 @@ def reduce_complex(cx: GradedSliceComplex, weight: int) -> Contraction:
         if not rn:
             continue
         bs, as_, xs = zip(*((b, a, x) for b, row in rn.items() for a, x in row.items()))
-        out = mzeros(len(keep[n]), len(keep[n - 1]))
-        out[np.searchsorted(keep[n], bs), np.searchsorted(keep[n - 1], as_)] = xs
-        diffs[n] = out
+        diffs[n] = as_sparse(SparseMatrix(np.searchsorted(keep[n], bs), np.searchsorted(keep[n - 1], as_),
+                                          np.array(xs, dtype=np.int64), (len(keep[n]), len(keep[n - 1]))), m)
     return Contraction(ring, dims, keep, diffs, f_steps, g_steps)
 
 
@@ -503,11 +445,8 @@ def homology_quotient(cx: GradedSliceComplex, degree: int, weight: int) -> Slice
     m = cx.ring.modulus
 
     def to_contracted(v: np.ndarray) -> np.ndarray | None:
-        if d_here is not None:
-            vd = coo_reduced(np.zeros_like(d_here.cols), d_here.cols, v[d_here.rows] * d_here.vals,
-                             cx.dim(degree - 1, weight), m)
-            if vd.vals.size:
-                return None
+        if d_here is not None and sparse_product(as_sparse(v, m), d_here, m).vals.size:
+            return None  # not a cycle
         return red.project(degree, v)
 
     return replace(small, ambient_dim=dim_here, gen_reps=red.lift(degree, small.gen_reps),
@@ -559,11 +498,11 @@ class DoubleComplex:
     """First-quadrant-style double complex with commuting differentials.
 
     ``horiz[(p, q, w)]`` maps (p, q) -> (p-1, q) and ``vert[(p, q, w)]`` maps
-    (p, q) -> (p, q-1), each stored as a :class:`Coo` triple (the
-    constructor also takes dense matrices and unreduced triples); ``h`` and
-    ``v`` build the dense block on request.  The rows and columns must each
-    square to zero and the two directions must commute; ``validate`` checks
-    that through :func:`total_complex`.
+    (p, q) -> (p, q-1), each stored as a :class:`SparseMatrix` of the shape
+    ``terms`` gives (the constructor also takes dense matrices and triples
+    in any form); ``h`` and ``v`` build the dense block on request.  The
+    rows and columns must each square to zero and the two directions must
+    commute; ``validate`` checks that through :func:`total_complex`.
     """
 
     ring: ModRing
@@ -573,17 +512,17 @@ class DoubleComplex:
 
     def __post_init__(self):
         m = self.ring.modulus
-        self.horiz = _coos(self.horiz, lambda p, q, w: self.dim(p - 1, q, w), m)
-        self.vert = _coos(self.vert, lambda p, q, w: self.dim(p, q - 1, w), m)
+        self.horiz = _slice_maps(self.horiz, lambda p, q, w: (self.dim(p, q, w), self.dim(p - 1, q, w)), m)
+        self.vert = _slice_maps(self.vert, lambda p, q, w: (self.dim(p, q, w), self.dim(p, q - 1, w)), m)
 
     def dim(self, p, q, w):
         return self.terms.get((p, q, w), 0)
 
     def h(self, p, q, w):
-        return coo_dense(self.horiz.get((p, q, w)), self.dim(p, q, w), self.dim(p - 1, q, w))
+        return (self.horiz.get((p, q, w)) or SparseMatrix(shape=(self.dim(p, q, w), self.dim(p - 1, q, w)))).dense()
 
     def v(self, p, q, w):
-        return coo_dense(self.vert.get((p, q, w)), self.dim(p, q, w), self.dim(p, q - 1, w))
+        return (self.vert.get((p, q, w)) or SparseMatrix(shape=(self.dim(p, q, w), self.dim(p, q - 1, w)))).dense()
 
     def validate(self):
         total_complex(self)
@@ -615,7 +554,8 @@ def total_complex(dc: DoubleComplex) -> GradedSliceComplex:
                 if d is not None and target in offsets:
                     parts.append((d.rows + off, d.cols + offsets[target], -d.vals if negate else d.vals))
         if parts:
-            diffs[key] = tuple(np.concatenate(part) for part in zip(*parts))
+            diffs[key] = SparseMatrix(*(np.concatenate(part) for part in zip(*parts)),
+                                      (dims[key], dims[(key[0] - 1, key[1])]))
     tot = GradedSliceComplex(dc.ring, min(degrees, default=0), max(degrees, default=0), dims, diffs)
     bad = tot._nonzero_square()
     if bad is not None:
@@ -624,7 +564,7 @@ def total_complex(dc: DoubleComplex) -> GradedSliceComplex:
     return tot
 
 
-def _fault(offsets: dict, n: int, w: int, square: Coo) -> str:
+def _fault(offsets: dict, n: int, w: int, square: SparseMatrix) -> str:
     """The kind and source block of the first nonzero entry of d_n d_{n-1}
     in a total complex laid out by ``offsets``."""
 

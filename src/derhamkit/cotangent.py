@@ -34,6 +34,7 @@ from .complexes import (
 from .exactlin import (
     ModRing,
     ModulePresentation,
+    SparseMatrix,
     _span_solver,
     howell_form,
     left_kernel,
@@ -370,7 +371,8 @@ class FreeSimplicialResolution:
                     images.append(img[alive])
                     vals.append(-coeff[alive] if i % 2 else coeff[alive])
                 cols, found = nondegenerate_positions(exps[n - 1], np.concatenate(images))
-                diffs[(n, w)] = (np.concatenate(rows)[found], cols[found], np.concatenate(vals)[found])
+                diffs[(n, w)] = SparseMatrix(np.concatenate(rows)[found], cols[found], np.concatenate(vals)[found],
+                                             (len(exps[n]), len(exps[n - 1])))
         cx = GradedSliceComplex(self.ring, 0, self.d_max, dims, diffs,
                                 trusted=(0, self.d_max - 1))
         cx.validate()

@@ -29,12 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import (
-    Coo,
     DoubleComplex,
     GradedSliceComplex,
     HomologyReport,
     SliceQuotient,
-    coo_reduced,
     homology_quotient,
     homology_report,
     slice_homology,
@@ -51,13 +49,14 @@ from .cotangent import (
 )
 from .exactlin import (
     ModRing,
+    SparseMatrix,
     _span_solver,
+    as_sparse,
     howell_form,
     left_kernel,
     mmul,
     mzeros,
     quotient_invariants,
-    v_int,
 )
 from .pdpow import PDAlgebra, pd_filtration, derived_power
 from .polyalg import DifferentialForm, apply_map_form, exponent_rows, graded_slice_basis
@@ -100,7 +99,7 @@ class FilteredDeRhamComplex:
             raise ValueError("resolution failed its acyclicity certificate")
         self.certificate = cert
         self._block_cache: dict = {}
-        self._matrix_cache: dict = {}  # ("h" or "v", j, i, w) -> Coo
+        self._matrix_cache: dict = {}  # ("h" or "v", j, i, w) -> SparseMatrix
         self.total = self._assemble()
 
     # -- block bases
@@ -162,7 +161,7 @@ class FilteredDeRhamComplex:
                 images[s] = s - 1
         return images
 
-    def horizontal_matrix(self, j: int, i: int, w: int) -> Coo:
+    def horizontal_matrix(self, j: int, i: int, w: int) -> SparseMatrix:
         """Alternating face sum Omega^i(Q_j) -> Omega^i(Q_{j-1}) on slice w."""
         ckey = ("h", j, i, w)
         if ckey in self._matrix_cache:
@@ -178,11 +177,11 @@ class FilteredDeRhamComplex:
             rows.append(np.flatnonzero(keep))
             images.append(np.hstack([mapped[keep], e2[keep]]))
             vals.append(-coeff[keep] if k % 2 else coeff[keep])
-        out = self._locate(rows, images, vals, tgt, i)
+        out = self._locate(rows, images, vals, (len(src), len(tgt)), tgt, i)
         self._matrix_cache[ckey] = out
         return out
 
-    def vertical_matrix(self, j: int, i: int, w: int) -> Coo:
+    def vertical_matrix(self, j: int, i: int, w: int) -> SparseMatrix:
         """Relative exterior derivative Omega^i(Q_j) -> Omega^{i+1}(Q_j)."""
         ckey = ("v", j, i, w)
         if ckey in self._matrix_cache:
@@ -201,19 +200,21 @@ class FilteredDeRhamComplex:
             rows.append(keep)
             images.append(np.hstack([wdg2, e2]))
             vals.append(sign * e[keep, s])
-        out = self._locate(rows, images, vals, tgt, i + 1)
+        out = self._locate(rows, images, vals, (len(src), len(tgt)), tgt, i + 1)
         self._matrix_cache[ckey] = out
         return out
 
-    def _locate(self, rows: list, images: list, vals: list, tgt: np.ndarray, form_degree: int) -> Coo:
-        """One triple from per-term source rows, image rows and values:
-        images are found among the rows of ``tgt`` and repeats summed.  An
-        image not found is degenerate, zero in the normalized complex."""
+    def _locate(self, rows: list, images: list, vals: list, shape: tuple[int, int], tgt: np.ndarray,
+                form_degree: int) -> SparseMatrix:
+        """The matrix of ``shape`` from per-term source rows, image rows and
+        values: images are found among the rows of ``tgt`` and repeats
+        summed.  An image not found is degenerate, zero in the normalized
+        complex."""
         if not rows:
-            return Coo(*(np.zeros(0, dtype=np.int64),) * 3)
+            return SparseMatrix(shape=shape)
         cols, found = nondegenerate_positions(tgt, np.concatenate(images), form_degree)
-        return coo_reduced(np.concatenate(rows)[found], cols[found], np.concatenate(vals)[found],
-                           len(tgt), self.ring.modulus)
+        return as_sparse(SparseMatrix(np.concatenate(rows)[found], cols[found], np.concatenate(vals)[found],
+                                      shape), self.ring.modulus)
 
     # -- total complexes
 
@@ -256,7 +257,8 @@ class FilteredDeRhamComplex:
         for (n, w), d in self.total.diffs.items():
             if (n, w) in dims and (n - 1, w) in dims:
                 corner = (d.rows < dims[(n, w)]) & (d.cols < dims[(n - 1, w)])
-                diffs[(n, w)] = Coo(d.rows[corner], d.cols[corner], d.vals[corner])
+                diffs[(n, w)] = SparseMatrix(d.rows[corner], d.cols[corner], d.vals[corner],
+                                             (dims[(n, w)], dims[(n - 1, w)]))
         return GradedSliceComplex(self.ring, n_min, self.total.n_max, dims, diffs, trusted=self.window)
 
     def quotient_map(self, level_hi: int, level_lo: int, n: int, w: int) -> np.ndarray:

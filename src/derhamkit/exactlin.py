@@ -8,9 +8,9 @@ membership, p-adic valuations and resultants.
 Conventions: module elements are *row* vectors; a homomorphism is a matrix
 ``M`` of shape (source dim, target dim) acting by ``v @ M``.  Matrices over
 Z/p^n are numpy int64 arrays with entries reduced to [0, p^n), and p^n is
-below 2^31 so that a product of two residues fits in int64; ``left_kernel``
-also takes a :class:`SparseMatrix` of triples.  Matrices over Z are plain
-lists of Python ints (arbitrary precision).
+below 2^31 so that a product of two residues fits in int64; sparse ones are
+:class:`SparseMatrix` triples in the canonical form ``as_sparse`` makes.
+Matrices over Z are plain lists of Python ints (arbitrary precision).
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ __all__ = [
     "howell_form",
     "left_kernel",
     "SparseMatrix",
+    "as_sparse",
+    "sparse_product",
     "solve_in_span",
     "express_in_basis",
     "quotient_invariants",
@@ -300,8 +302,8 @@ def howell_form(matrix, ring: ModRing, transform: bool = False):
     The rows of ``matrix`` are converted to ``{col: value}`` dicts and go
     through ``_howell``.
     """
-    r, c, v, (nrows, ncols) = _triples(matrix, ring.modulus)
-    return _howell(_row_dicts(r, c, v, nrows), ncols, ring, transform)
+    a = as_sparse(matrix, ring.modulus)
+    return _howell(_row_dicts(a), a.shape[1], ring, transform)
 
 
 def _howell(rows: list[dict], cols: int, ring: ModRing, transform: bool):
@@ -337,43 +339,96 @@ def _howell(rows: list[dict], cols: int, ring: ModRing, transform: bool):
     return (h, tt) if transform else h
 
 
+_NONE = np.zeros(0, dtype=np.int64)
+_NONE.flags.writeable = False
+
+
 class SparseMatrix(NamedTuple):
-    """A ``shape[0]`` x ``shape[1]`` matrix over Z/p^n as int64 triples:
-    ``vals[k]`` at (``rows[k]``, ``cols[k]``), each position at most once,
-    in any order.  ``left_kernel`` takes it in place of a dense matrix."""
+    """A ``shape[0]`` x ``shape[1]`` matrix over Z/p^n as int64 triples,
+    ``vals[k]`` at (``rows[k]``, ``cols[k]``).  Every one the library keeps
+    or returns is in the canonical form ``as_sparse`` makes: values in
+    [1, p^n), each position at most once, row-major.  So equal matrices
+    have equal arrays.  Built directly, it is input to ``as_sparse``, but
+    ``SparseMatrix(shape=shape)`` is the zero matrix."""
 
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    shape: tuple[int, int]
+    rows: np.ndarray = _NONE
+    cols: np.ndarray = _NONE
+    vals: np.ndarray = _NONE
+    shape: tuple[int, int] = (0, 0)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SparseMatrix) and self.shape == other.shape and self.vals.size == other.vals.size
+                and all((x == y).all() for x, y in zip(self[:3], other[:3])))
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def dense(self) -> np.ndarray:
+        """The dense reduced int64 matrix."""
+        out = mzeros(*self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
 
 
-def _triples(matrix, m: int):
-    """The nonzero entries of a dense matrix (a 1-d one is a single row) or
-    of a :class:`SparseMatrix`, reduced mod m, as int64 arrays (rows, cols,
-    vals), and the shape."""
+def as_sparse(matrix, m: int) -> SparseMatrix:
+    """The canonical :class:`SparseMatrix` mod m of a dense matrix (a 1-d
+    one is a single row) or of triples in any order, unreduced, whose
+    repeated positions are summed.  An entry outside the shape is an error."""
     if not isinstance(matrix, SparseMatrix):
         a = np.asarray(matrix, dtype=np.int64) % m
         a = a.reshape(1, -1) if a.ndim == 1 else a
         r, c = np.nonzero(a)
-        return r, c, a[r, c], a.shape
-    nrows, ncols = matrix.shape
+        return SparseMatrix(r, c, a[r, c], a.shape)
+    shape = nrows, ncols = tuple(matrix.shape)
     r = np.asarray(matrix.rows, dtype=np.int64)
     c = np.asarray(matrix.cols, dtype=np.int64)
+    for index, bound, name in ((r, nrows, "row"), (c, ncols, "column")):
+        if index.size and index.view(np.uint64).max() >= bound:  # a negative index wraps above
+            raise ValueError(f"an entry lies outside the {nrows} x {ncols} matrix: "
+                             f"its {name} is outside a slice of {bound} {name}s")
+    key = r * ncols + c
     v = np.asarray(matrix.vals, dtype=np.int64) % m
-    if r.size and (r.min() < 0 or r.max() >= nrows or c.min() < 0 or c.max() >= ncols):
-        raise ValueError(f"an entry lies outside the {nrows} x {ncols} matrix")
-    if np.unique(r * ncols + c).size < r.size:
-        raise ValueError("a position of the sparse matrix is given twice")
-    nz = np.flatnonzero(v)
-    return r[nz], c[nz], v[nz], (nrows, ncols)
+    if (key[1:] > key[:-1]).all():  # already row-major, each position once
+        if v.all():
+            return SparseMatrix(r, c, v, shape)
+        nz = v.nonzero()[0]
+        return SparseMatrix(r[nz], c[nz], v[nz], shape)
+    return _summed(key, v, shape, m)
 
 
-def _row_dicts(r: np.ndarray, c: np.ndarray, v: np.ndarray, nrows: int) -> list[dict]:
-    """The rows of an ``nrows``-row matrix given by its nonzero entries
-    (each position once) as ``{col: value}`` dicts of Python ints."""
-    rows: list[dict] = [{} for _ in range(nrows)]
-    for i, j, x in zip(r.tolist(), c.tolist(), v.tolist()):
+def _summed(key: np.ndarray, vals: np.ndarray, shape: tuple[int, int], m: int) -> SparseMatrix:
+    """The canonical matrix of the reduced ``vals`` at the row-major
+    positions ``key``, summed mod m."""
+    order = key.argsort(kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)  # first entry of each position
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    sums = np.add.reduceat(vals[order], starts) % m if starts.size else vals[:0]
+    nz = sums != 0
+    key = key[starts[nz]]
+    ncols = max(shape[1], 1)
+    return SparseMatrix(key // ncols, key % ncols, sums[nz], shape)
+
+
+def sparse_product(a: SparseMatrix, b: SparseMatrix, m: int) -> SparseMatrix:
+    """a b mod m, joined on the middle index, which needs ``b`` row-major.
+    Each product is reduced before the sums, so nothing leaves int64."""
+    shape = (a.shape[0], b.shape[1])
+    lo = b.rows.searchsorted(a.cols)
+    counts = b.rows.searchsorted(a.cols, side="right") - lo
+    ends = counts.cumsum()
+    if not ends.size or not ends[-1]:
+        return SparseMatrix(shape=shape)
+    left = np.arange(a.vals.size).repeat(counts)
+    right = np.arange(ends[-1]) + (lo - (ends - counts)).repeat(counts)
+    return _summed(a.rows[left] * shape[1] + b.cols[right], a.vals[left] * b.vals[right] % m, shape, m)
+
+
+def _row_dicts(a: SparseMatrix) -> list[dict]:
+    """The rows of ``a`` as ``{col: value}`` dicts of Python ints."""
+    rows: list[dict] = [{} for _ in range(a.shape[0])]
+    for i, j, x in zip(a.rows.tolist(), a.cols.tolist(), a.vals.tolist()):
         rows[i][j] = x
     return rows
 
@@ -522,15 +577,17 @@ def left_kernel(matrix, ring: ModRing) -> np.ndarray:
     rows come back as zero columns, which keeps that form canonical, so
     the result equals the kernel computed without the peel.
     """
-    r, c, v, (nrows, ncols) = _triples(matrix, ring.modulus)
+    a = as_sparse(matrix, ring.modulus)
+    nrows, ncols = a.shape
     if not nrows:
         return mzeros(0, 0)
-    kept = _unforced_rows(r, c, v, nrows, ring.p)
+    kept = _unforced_rows(a.rows, a.cols, a.vals, nrows, ring.p)
     renumber = np.cumsum(kept) - 1
     nkept = int(renumber[-1]) + 1
-    e = np.flatnonzero(kept[r])
+    e = np.flatnonzero(kept[a.rows])
     gens: list[dict] = []
-    _eliminate(_row_dicts(renumber[r[e]], c[e], v[e], nkept), ncols, ring, transform=True, kernel=gens)
+    peeled = SparseMatrix(renumber[a.rows[e]], a.cols[e], a.vals[e], (nkept, ncols))
+    _eliminate(_row_dicts(peeled), ncols, ring, transform=True, kernel=gens)
     h = _howell(gens, nkept, ring, False)
     out = mzeros(h.shape[0], nrows)
     out[:, kept] = h
@@ -591,8 +648,8 @@ def minimal_generators(rows: np.ndarray, ring: ModRing) -> np.ndarray:
     if rows.shape[0] == 0:
         return rows
     fp = ModRing(ring.p, 1)
-    r, c, v, (nrows, ncols) = _triples(rows.T, ring.p)
-    return rows[[col for col, _, _ in _eliminate(_row_dicts(r, c, v, nrows), ncols, fp, False)]]
+    a = as_sparse(rows.T, ring.p)
+    return rows[[col for col, _, _ in _eliminate(_row_dicts(a), a.shape[1], fp, False)]]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .complexes import GradedSliceComplex, HomologyReport, homology_report, slice_homology
-from .exactlin import ModRing, howell_form, mzeros, mmul, quotient_invariants
+from .exactlin import ModRing, SparseMatrix, howell_form, mzeros, mmul, quotient_invariants
 from .polyalg import _insert_index
 from .simplex import SimplicialModule, kan_transform, normalized_complex
 
@@ -437,7 +437,8 @@ def apply_functor_to_module(x: SimplicialModule, functor: str, n: int) -> Simpli
                                  f"map {kind}_{idx}, weight {w[leak[0]]})")
         for wt in np.unique(w).tolist():
             k = np.flatnonzero(w == wt)
-            store[(deg_src, idx, wt)] = (at_src[r[k]], at_tgt[c[k]], big[r[k], c[k]])
+            store[(deg_src, idx, wt)] = SparseMatrix(at_src[r[k]], at_tgt[c[k]], big[r[k], c[k]],
+                                                     (dims[(deg_src, wt)], dims[(deg_tgt, wt)]))
 
     for deg in range(1, x.d_max + 1):
         for i in range(deg + 1):

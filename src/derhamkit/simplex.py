@@ -1,13 +1,14 @@
 """Simplex-category combinatorics and the simplicial-module kernel.
 
-A simplicial module stores its faces per degree and weight slice as sparse
-``Coo`` triples, as the chain complexes of ``complexes`` store their
-differentials; its degeneracies are triples too, and the Kan transform and
-the diagonal build each one only when it is first read.  Dense matrices are
-made on request (``face``, ``degen``).  The action of an arbitrary monotone
-map is derived from its epi-mono factorization into generators.  The
-normalized complex takes kernels of the first n faces, handed to
-``left_kernel`` as triples, with differential (-1)^n d_n.
+A simplicial module stores its faces per degree and weight slice as
+``exactlin.SparseMatrix`` triples, as the chain complexes of ``complexes``
+store their differentials; its degeneracies are triples too, and the Kan
+transform and the diagonal build each one only when it is first read.  The
+identities are checked on the triples; dense matrices are made on request
+(``face``, ``degen``).  The action of an arbitrary monotone map is derived
+from its epi-mono factorization into generators.  The normalized complex
+takes kernels of the first n faces, handed to ``left_kernel`` as triples,
+with differential (-1)^n d_n.
 
 There is one Kan operator.  The double Kan transform of a double complex
 sums D_{p,q} over pairs of monotone surjections [m] ->> [p], [n] ->> [q];
@@ -32,16 +33,14 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .complexes import (
-    Coo,
     DoubleComplex,
     GradedSliceComplex,
-    _coos,
-    coo_dense,
-    coo_product,
+    _slice_maps,
 )
 from .exactlin import (
     ModRing,
     SparseMatrix,
+    as_sparse,
     express_in_basis,
     howell_form,
     left_kernel,
@@ -49,6 +48,7 @@ from .exactlin import (
     minimal_generators,
     mmul,
     mzeros,
+    sparse_product,
 )
 
 __all__ = [
@@ -208,27 +208,27 @@ class SimplicialModule:
     """Degreewise weight-graded free modules with face and degeneracy maps.
 
     ``faces[(n, i, w)]`` is d_i: X_{n,w} -> X_{n-1,w} and ``degens[(n, i,
-    w)]`` is s_i: X_{n,w} -> X_{n+1,w}, each a reduced row-major
-    :class:`Coo` triple.  The constructor also takes dense matrices and
-    unreduced triples, and reduces them once, keeping nonzero maps only; a
-    ``degens`` that is an :class:`OnRequest` mapping is kept as it is, so
-    each degeneracy is built when it is first read.  ``face`` and ``degen``
-    build the dense, read-only matrix on request.
+    w)]`` is s_i: X_{n,w} -> X_{n+1,w}, each a canonical
+    :class:`SparseMatrix`.  The constructor also takes dense matrices and
+    triples in any form, checks their shapes against ``dims`` and keeps the
+    nonzero maps; a ``degens`` that is an :class:`OnRequest` mapping is kept
+    as it is, so each degeneracy is built when it is first read.  ``face``
+    and ``degen`` build the dense, read-only matrix on request.
     """
 
     ring: ModRing
     d_max: int
     dims: dict  # (n, w) -> int
-    faces: dict  # (n, i, w) -> Coo of X_{n,w} -> X_{n-1,w}
-    degens: Mapping  # (n, i, w) -> Coo of X_{n,w} -> X_{n+1,w}
+    faces: dict  # (n, i, w) -> SparseMatrix of X_{n,w} -> X_{n-1,w}
+    degens: Mapping  # (n, i, w) -> SparseMatrix of X_{n,w} -> X_{n+1,w}
     labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = self.ring.modulus
         self.dims = {k: v for k, v in self.dims.items() if v}
-        self.faces = _coos(self.faces, lambda n, i, w: self.dim(n - 1, w), m)
+        self.faces = _slice_maps(self.faces, lambda n, i, w: (self.dim(n, w), self.dim(n - 1, w)), m)
         if not isinstance(self.degens, OnRequest):
-            self.degens = _coos(self.degens, lambda n, i, w: self.dim(n + 1, w), m)
+            self.degens = _slice_maps(self.degens, lambda n, i, w: (self.dim(n, w), self.dim(n + 1, w)), m)
 
     def dim(self, n: int, w: int) -> int:
         return self.dims.get((n, w), 0)
@@ -237,44 +237,51 @@ class SimplicialModule:
         return sorted({w for (_, w) in self.dims})
 
     def face(self, n: int, i: int, w: int) -> np.ndarray:
-        return _read_only(coo_dense(self.faces.get((n, i, w)), self.dim(n, w), self.dim(n - 1, w)))
+        return _read_only(self._face(n, i, w).dense())
 
     def degen(self, n: int, i: int, w: int) -> np.ndarray:
-        return _read_only(coo_dense(self.degens.get((n, i, w)), self.dim(n, w), self.dim(n + 1, w)))
+        return _read_only(self._degen(n, i, w).dense())
+
+    def _face(self, n: int, i: int, w: int) -> SparseMatrix:
+        return self.faces.get((n, i, w)) or SparseMatrix(shape=(self.dim(n, w), self.dim(n - 1, w)))
+
+    def _degen(self, n: int, i: int, w: int) -> SparseMatrix:
+        return self.degens.get((n, i, w)) or SparseMatrix(shape=(self.dim(n, w), self.dim(n + 1, w)))
 
     def validate(self) -> None:
-        """Assert all five simplicial identity families on every slice."""
-        r = self.ring
-        # each dense map is read many times below: build it once
-        face, degen = lru_cache(maxsize=None)(self.face), lru_cache(maxsize=None)(self.degen)
+        """Assert all five simplicial identity families on every slice, by
+        sparse products."""
+        m = self.ring.modulus
+        face, degen = self._face, self._degen
         for w in self.weights():
             for n in range(self.d_max + 1):
                 # faces of faces
                 for j in range(n + 1):
                     for i in range(j):
                         if n >= 2:
-                            lhs = mmul(face(n, j, w), face(n - 1, i, w), r)
-                            rhs = mmul(face(n, i, w), face(n - 1, j - 1, w), r)
-                            if (lhs != rhs).any():
+                            lhs = sparse_product(face(n, j, w), face(n - 1, i, w), m)
+                            rhs = sparse_product(face(n, i, w), face(n - 1, j - 1, w), m)
+                            if lhs != rhs:
                                 raise ValueError(f"face identity fails at n={n}, i={i}, j={j}, w={w}")
                 if n + 2 <= self.d_max:
                     for j in range(n + 1):
                         for i in range(j + 1):
-                            lhs = mmul(degen(n, j, w), degen(n + 1, i, w), r)
-                            rhs = mmul(degen(n, i, w), degen(n + 1, j + 1, w), r)
-                            if (lhs != rhs).any():
+                            lhs = sparse_product(degen(n, j, w), degen(n + 1, i, w), m)
+                            rhs = sparse_product(degen(n, i, w), degen(n + 1, j + 1, w), m)
+                            if lhs != rhs:
                                 raise ValueError(f"degeneracy identity fails at n={n}, i={i}, j={j}, w={w}")
                 if n + 1 <= self.d_max:
+                    identity = as_sparse(midentity(self.dim(n, w)), m)
                     for j in range(n + 1):
                         for i in range(n + 2):
-                            lhs = mmul(degen(n, j, w), face(n + 1, i, w), r)
+                            lhs = sparse_product(degen(n, j, w), face(n + 1, i, w), m)
                             if i == j or i == j + 1:
-                                rhs = midentity(self.dim(n, w))
+                                rhs = identity
                             elif i < j:
-                                rhs = mmul(face(n, i, w), degen(n - 1, j - 1, w), r)
+                                rhs = sparse_product(face(n, i, w), degen(n - 1, j - 1, w), m)
                             else:
-                                rhs = mmul(face(n, i - 1, w), degen(n - 1, j, w), r)
-                            if (lhs != rhs).any():
+                                rhs = sparse_product(face(n, i - 1, w), degen(n - 1, j, w), m)
+                            if lhs != rhs:
                                 raise ValueError(f"mixed identity fails at n={n}, i={i}, j={j}, w={w}")
 
     def action(self, alpha: MonotoneMap, w: int) -> np.ndarray:
@@ -315,9 +322,10 @@ def unnormalized_complex(x: SimplicialModule) -> GradedSliceComplex:
         faces = [(i, x.faces[(n, i, w)]) for i in range(n + 1) if (n, i, w) in x.faces]
         if n and faces:
             # the complex sums the signed triples at repeated positions
-            diffs[(n, w)] = (np.concatenate([f.rows for _, f in faces]),
-                             np.concatenate([f.cols for _, f in faces]),
-                             np.concatenate([-f.vals if i % 2 else f.vals for i, f in faces]))
+            diffs[(n, w)] = SparseMatrix(np.concatenate([f.rows for _, f in faces]),
+                                         np.concatenate([f.cols for _, f in faces]),
+                                         np.concatenate([-f.vals if i % 2 else f.vals for i, f in faces]),
+                                         faces[0][1].shape)
     cx = GradedSliceComplex(x.ring, 0, x.d_max, dict(x.dims), diffs,
                             trusted=(0, max(x.d_max - 1, 0)))
     cx.validate()
@@ -417,14 +425,16 @@ def _unit_pivots(rows: np.ndarray) -> np.ndarray | None:
 
 
 def _stacked_faces(x: SimplicialModule, n: int, w: int) -> SparseMatrix:
-    """[d_0 | d_1 | ... | d_{n-1}] on X_{n,w}, from the stored triples."""
+    """[d_0 | d_1 | ... | d_{n-1}] on X_{n,w}, from the stored triples.
+
+    The faces are canonical and side by side, so their positions are
+    distinct, and a stable sort on the rows makes the whole row-major."""
     cols = x.dim(n - 1, w)
-    faces = [(i * cols, x.faces[(n, i, w)]) for i in range(n) if (n, i, w) in x.faces]
-    none = np.zeros(0, dtype=np.int64)
-    return SparseMatrix(np.concatenate([none] + [f.rows for _, f in faces]),
-                        np.concatenate([none] + [f.cols + c0 for c0, f in faces]),
-                        np.concatenate([none] + [f.vals for _, f in faces]),
-                        (x.dim(n, w), n * cols))
+    faces = [x._face(n, i, w) for i in range(n)]
+    rows = np.concatenate([f.rows for f in faces])
+    order = rows.argsort(kind="stable")
+    return SparseMatrix(rows[order], np.concatenate([f.cols + i * cols for i, f in enumerate(faces)])[order],
+                        np.concatenate([f.vals for f in faces])[order], (x.dim(n, w), n * cols))
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +501,7 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
 
 def complexes_equal(c1: GradedSliceComplex, c2: GradedSliceComplex) -> bool:
     """Literal equality: same slice dimensions and identical matrices."""
-    if c1.ring != c2.ring or c1.dims != c2.dims:
-        return False
-    keys = set(c1.diffs) | set(c2.diffs)
-    for k in keys:
-        if (c1.diff(*k) != c2.diff(*k)).any():
-            return False
-    return True
+    return c1.ring == c2.ring and c1.dims == c2.dims and c1.diffs == c2.diffs
 
 
 # ---------------------------------------------------------------------------
@@ -537,43 +541,39 @@ class BisimplicialModule:
         return sorted({w for (_, _, w) in self.dims})
 
     def hface(self, p, q, i, w):
-        return self._dense(p, q, i, w, True, "h")
+        return self._operator(p, q, i, w, True, "h").dense()
 
     def vface(self, p, q, i, w):
-        return self._dense(p, q, i, w, True, "v")
+        return self._operator(p, q, i, w, True, "v").dense()
 
     def hdegen(self, p, q, i, w):
-        return self._dense(p, q, i, w, False, "h")
+        return self._operator(p, q, i, w, False, "h").dense()
 
     def vdegen(self, p, q, i, w):
-        return self._dense(p, q, i, w, False, "v")
+        return self._operator(p, q, i, w, False, "v").dense()
 
     def _target(self, m, n, w, face: bool, directions: str) -> tuple[int, int, int]:
         step = -1 if face else 1
         return (m + step * ("h" in directions), n + step * ("v" in directions), w)
 
-    def _dense(self, m, n, i, w, face: bool, directions: str) -> np.ndarray:
-        """The dense matrix of ``_operator``."""
-        return coo_dense(self._operator(m, n, i, w, face, directions),
-                         self.dim(m, n, w), self.dim(*self._target(m, n, w, face, directions)))
-
-    def _operator(self, m, n, i, w, face: bool, directions: str) -> Coo:
+    def _operator(self, m, n, i, w, face: bool, directions: str) -> SparseMatrix:
         """d_i or s_i on X_{m,n} in the ``directions`` "h", "v" or "hv" (the
-        diagonal: vertically, then horizontally) as a reduced row-major
-        triple; zero outside the window.
+        diagonal: vertically, then horizontally) as a canonical triple; zero
+        outside the window.
 
         The plan sends each summand (eta, rho, p, q) to at most one summand,
         rho alone vertically and then eta alone horizontally, so the block is
         I, (-1)^p D_h, (-1)^q D_v or (-1)^q D_v (-1)^p D_h: the product of
         the two maps, block by block, without building either.  Each other
         block is a stored triple moved to its offsets, and the entries of all
-        identity blocks are listed together.
+        identity blocks are listed together.  Each row lies in one block, so a
+        stable sort on the rows makes the result row-major.
         """
         h, v = "h" in directions, "v" in directions
         target = self._target(m, n, w, face, directions)
-        empty = np.zeros(0, dtype=np.int64)
+        shape = (self.dim(m, n, w), self.dim(*target))
         if not (0 <= i <= (m if h else n) and 0 <= target[0] <= self.p_max and 0 <= target[1] <= self.q_max):
-            return Coo(empty, empty, empty)
+            return SparseMatrix(shape=shape)
         plan = _kan_plan(m if h else n, i, face)
         index = self.index.get(target, {})
         parts = []  # the triples of the non-identity blocks, moved to their offsets
@@ -600,16 +600,15 @@ class BisimplicialModule:
             parts.append((np.array(id_rows, dtype=np.int64), np.array(id_cols, dtype=np.int64),
                           np.ones(len(id_rows), dtype=np.int64)))
         if len(parts) < 2:
-            return Coo(*parts[0]) if parts else Coo(empty, empty, empty)
+            return SparseMatrix(*parts[0], shape) if parts else SparseMatrix(shape=shape)
         rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
         if id_rows:
-            # blocks and identities each list their summands in row order
             order = np.argsort(rows, kind="stable")
             rows, cols, vals = rows[order], cols[order], vals[order]
-        return Coo(rows, cols, vals)
+        return SparseMatrix(rows, cols, vals, shape)
 
-    def _block(self, p: int, q: int, w: int, kind: str) -> Coo:
-        """The non-identity block leaving the summands of D_{p,q}, reduced.
+    def _block(self, p: int, q: int, w: int, kind: str) -> SparseMatrix:
+        """The non-identity block leaving the summands of D_{p,q}, canonical.
 
         "h" is (-1)^p D_h, "v" is (-1)^q D_v and "vh" is (-1)^q D_v followed
         by (-1)^p D_h from D_{p,q-1}.  Each is computed once per (p, q, w).
@@ -618,13 +617,12 @@ class BisimplicialModule:
         blk = self._blocks.get(key)
         if blk is None:
             m = self.ring.modulus
-            empty = Coo(*(np.zeros(0, dtype=np.int64),) * 3)
             if kind == "vh":
-                blk = coo_product(self._block(p, q, w, "v"), self._block(p, q - 1, w, "h"),
-                                  self.dc.dim(p - 1, q - 1, w), m)
+                blk = sparse_product(self._block(p, q, w, "v"), self._block(p, q - 1, w, "h"), m)
             else:
-                stored, sign = (self.dc.horiz, p) if kind == "h" else (self.dc.vert, q)
-                blk = stored.get((p, q, w), empty)
+                stored, sign, target = ((self.dc.horiz, p, (p - 1, q, w)) if kind == "h"
+                                        else (self.dc.vert, q, (p, q - 1, w)))
+                blk = stored.get((p, q, w), SparseMatrix(shape=(self.dc.dim(p, q, w), self.dc.dim(*target))))
                 if sign % 2:
                     blk = blk._replace(vals=m - blk.vals)
             self._blocks[key] = blk
@@ -633,14 +631,15 @@ class BisimplicialModule:
     def validate(self) -> None:
         """Row/column simplicial identities plus horizontal-vertical commutation."""
         r = self.ring
+        op = self._operator
         for w in self.weights():
             for q in range(self.q_max + 1):
                 row = SimplicialModule(
                     r,
                     self.p_max,
                     {(p, 0): self.dim(p, q, w) for p in range(self.p_max + 1)},
-                    {(p, i, 0): self.hface(p, q, i, w) for p in range(1, self.p_max + 1) for i in range(p + 1)},
-                    {(p, i, 0): self.hdegen(p, q, i, w) for p in range(self.p_max) for i in range(p + 1)},
+                    {(p, i, 0): op(p, q, i, w, True, "h") for p in range(1, self.p_max + 1) for i in range(p + 1)},
+                    {(p, i, 0): op(p, q, i, w, False, "h") for p in range(self.p_max) for i in range(p + 1)},
                 )
                 row.validate()
             for p in range(self.p_max + 1):
@@ -648,21 +647,21 @@ class BisimplicialModule:
                     r,
                     self.q_max,
                     {(q, 0): self.dim(p, q, w) for q in range(self.q_max + 1)},
-                    {(q, i, 0): self.vface(p, q, i, w) for q in range(1, self.q_max + 1) for i in range(q + 1)},
-                    {(q, i, 0): self.vdegen(p, q, i, w) for q in range(self.q_max) for i in range(q + 1)},
+                    {(q, i, 0): op(p, q, i, w, True, "v") for q in range(1, self.q_max + 1) for i in range(q + 1)},
+                    {(q, i, 0): op(p, q, i, w, False, "v") for q in range(self.q_max) for i in range(q + 1)},
                 )
                 col.validate()
             for p in range(1, self.p_max + 1):
                 for q in range(1, self.q_max + 1):
-                    hf = [self.hface(p, q, i, w) for i in range(p + 1)]
-                    hf_below = [self.hface(p, q - 1, i, w) for i in range(p + 1)]
-                    vf = [self.vface(p, q, j, w) for j in range(q + 1)]
-                    vf_left = [self.vface(p - 1, q, j, w) for j in range(q + 1)]
+                    hf = [op(p, q, i, w, True, "h") for i in range(p + 1)]
+                    hf_below = [op(p, q - 1, i, w, True, "h") for i in range(p + 1)]
+                    vf = [op(p, q, j, w, True, "v") for j in range(q + 1)]
+                    vf_left = [op(p - 1, q, j, w, True, "v") for j in range(q + 1)]
                     for i in range(p + 1):
                         for j in range(q + 1):
-                            hv = mmul(hf[i], vf_left[j], r)
-                            vh = mmul(vf[j], hf_below[i], r)
-                            if (hv != vh).any():
+                            hv = sparse_product(hf[i], vf_left[j], r.modulus)
+                            vh = sparse_product(vf[j], hf_below[i], r.modulus)
+                            if hv != vh:
                                 raise ValueError(f"h/v faces do not commute at {(p, q, i, j, w)}")
 
 

@@ -24,7 +24,6 @@ from .complexes import slice_homology, total_complex
 from .cotangent import AlgebraPresentation, cotangent_homology, shortcut_conormal_complex
 from .derham import (
     build_derham,
-    h0_shuffle_product,
     hodge_quotient_homology,
     pd_envelope_report,
     universal_thickening,
@@ -34,7 +33,6 @@ from .padicfield import cyclotomic_extension, different_valuation, omega_invaria
 from .pdpow import derived_power, gamma_monomials, koszul_gamma_complex
 from .randomgen import random_complex, random_invertible
 from .simplex import (
-    complexes_equal,
     diagonal,
     double_kan,
     kan_transform,
@@ -49,7 +47,6 @@ from .witt import (
     generator_ring_homomorphisms,
     ker_theta_report,
     lift_homomorphism,
-    tilt_ring,
 )
 
 __all__ = ["SuiteDescriptor", "SuiteReport", "list_suites", "run_suite", "SUITES"]

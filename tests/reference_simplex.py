@@ -11,8 +11,12 @@ block.  ``normalized_complex`` is the normalized complex from before it
 handed the face triples to ``left_kernel`` as one sparse matrix: it
 scatters d_0 ... d_{n-1} into one dense stacked matrix, takes its kernel
 as a Howell form of the dense [A | I] (no rows are peeled), and maps the
-generators through the dense d_n.  The tests require the library's
-versions to equal these exactly.
+generators through the dense d_n.  ``validate_simplicial`` is
+``SimplicialModule.validate`` from before it checked the identities on
+triples: every face and degeneracy is built dense once and the five
+identity families are checked with ``mmul``.  The tests require the
+library's versions to equal these exactly, and ``validate`` to raise
+exactly when ``validate_simplicial`` does, with the same message.
 """
 
 from __future__ import annotations
@@ -44,6 +48,42 @@ from derhamkit.simplex import (
 
 # these references ask for the same blocks many times over
 kan_block = lru_cache(maxsize=None)(kan_block)
+
+
+def validate_simplicial(self: SimplicialModule) -> None:
+    """Assert all five simplicial identity families on every slice."""
+    r = self.ring
+    # each dense map is read many times below: build it once
+    face, degen = lru_cache(maxsize=None)(self.face), lru_cache(maxsize=None)(self.degen)
+    for w in self.weights():
+        for n in range(self.d_max + 1):
+            # faces of faces
+            for j in range(n + 1):
+                for i in range(j):
+                    if n >= 2:
+                        lhs = mmul(face(n, j, w), face(n - 1, i, w), r)
+                        rhs = mmul(face(n, i, w), face(n - 1, j - 1, w), r)
+                        if (lhs != rhs).any():
+                            raise ValueError(f"face identity fails at n={n}, i={i}, j={j}, w={w}")
+            if n + 2 <= self.d_max:
+                for j in range(n + 1):
+                    for i in range(j + 1):
+                        lhs = mmul(degen(n, j, w), degen(n + 1, i, w), r)
+                        rhs = mmul(degen(n, i, w), degen(n + 1, j + 1, w), r)
+                        if (lhs != rhs).any():
+                            raise ValueError(f"degeneracy identity fails at n={n}, i={i}, j={j}, w={w}")
+            if n + 1 <= self.d_max:
+                for j in range(n + 1):
+                    for i in range(n + 2):
+                        lhs = mmul(degen(n, j, w), face(n + 1, i, w), r)
+                        if i == j or i == j + 1:
+                            rhs = midentity(self.dim(n, w))
+                        elif i < j:
+                            rhs = mmul(face(n, i, w), degen(n - 1, j - 1, w), r)
+                        else:
+                            rhs = mmul(face(n, i - 1, w), degen(n - 1, j, w), r)
+                        if (lhs != rhs).any():
+                            raise ValueError(f"mixed identity fails at n={n}, i={i}, j={j}, w={w}")
 
 
 def _kan_blocks(n: int, dims_of_p) -> list[tuple[MonotoneMap, int, int]]:
@@ -107,7 +147,7 @@ class BisimplicialModule:
                     {(p, i, 0): self.hface(p, q, i, w) for p in range(1, self.p_max + 1) for i in range(p + 1)},
                     {(p, i, 0): self.hdegen(p, q, i, w) for p in range(self.p_max) for i in range(p + 1)},
                 )
-                row.validate()
+                validate_simplicial(row)
             for p in range(self.p_max + 1):
                 col = SimplicialModule(
                     r,
@@ -116,7 +156,7 @@ class BisimplicialModule:
                     {(q, i, 0): self.vface(p, q, i, w) for q in range(1, self.q_max + 1) for i in range(q + 1)},
                     {(q, i, 0): self.vdegen(p, q, i, w) for q in range(self.q_max) for i in range(q + 1)},
                 )
-                col.validate()
+                validate_simplicial(col)
             for p in range(1, self.p_max + 1):
                 for q in range(1, self.q_max + 1):
                     for i in range(p + 1):

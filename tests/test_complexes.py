@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 import reference_complexes
 
-from derhamkit.exactlin import ModRing, howell_form, v_int
+from derhamkit.exactlin import ModRing, SparseMatrix, howell_form, v_int
 from derhamkit.complexes import (
-    Coo,
     CompareReport,
     DoubleComplex,
     GradedSliceComplex,
@@ -230,7 +229,7 @@ def _as_unreduced_triples(dc):
     m = dc.ring.modulus
 
     def triples(blocks):
-        return {key: Coo(d.rows[::-1], d.cols[::-1], d.vals[::-1] - m) for key, d in blocks.items()}
+        return {key: SparseMatrix(d.rows[::-1], d.cols[::-1], d.vals[::-1] - m, d.shape) for key, d in blocks.items()}
 
     return DoubleComplex(dc.ring, dict(dc.terms), triples(dc.horiz), triples(dc.vert))
 
@@ -272,7 +271,7 @@ def test_each_fault_raises_at_both_entry_points_naming_its_kind_and_block(kind, 
     ring = ModRing(3, 2)
     terms = {(p, q, w): 2 for p in range(3) for q in range(3) for w in (0, 1)}
     eye = np.eye(2, dtype=np.int64)
-    one = eye if form == "dense" else Coo(np.array([1, 0]), np.array([1, 0]), np.array([10, 1]))
+    one = eye if form == "dense" else SparseMatrix(np.array([1, 0]), np.array([1, 0]), np.array([10, 1]), (2, 2))
     dc = DoubleComplex(ring, terms, *({(p, q, 1): one for (p, q) in planted.get(d, ())} for d in "hv"))
     named = re.escape(f"{kind} at {block}")
     degree = block[0] + block[1]
@@ -395,7 +394,7 @@ def test_validate_raises_on_one_planted_entry(form):
         if form == "dense":
             return a
         r, c = np.nonzero(a)
-        return Coo(r[::-1], c[::-1], a[r, c][::-1])  # any order is accepted
+        return SparseMatrix(r[::-1], c[::-1], a[r, c][::-1], a.shape)  # any order is accepted
 
     GradedSliceComplex(ring, 0, 2, dims, {(2, 0): as_form(d2), (1, 0): as_form(d1)}).validate()
     planted = d1.copy()
@@ -424,12 +423,48 @@ def test_dense_to_triples_to_diff_is_the_identity(pn, rows, cols, data):
         assert np.array_equal(GradedSliceComplex(ring, 0, 1, dims, {(1, 0): d}).diff(1, 0), a)
     else:
         assert (1, 0) not in cx.diffs
+    # the same matrix as shuffled, unreduced triples: every position twice, zeros too
+    m = ring.modulus
+    r, c = np.nonzero(np.ones_like(a))
+    split = np.array(data.draw(st.lists(st.integers(-2 * m, 2 * m), min_size=r.size, max_size=r.size)),
+                     dtype=np.int64)
+    order = np.array(data.draw(st.permutations(range(2 * r.size))), dtype=np.int64)
+    triples = SparseMatrix(np.concatenate([r, r])[order], np.concatenate([c, c])[order],
+                           np.concatenate([a[r, c] - split, split])[order], a.shape)
+    again = GradedSliceComplex(ring, 0, 1, dims, {(1, 0): triples})
+    assert np.array_equal(again.diff(1, 0), a)
+    assert again.diffs == cx.diffs
+
+
+# maps that do not fit a 2 x 2 slice: triples with a row or column index
+# below or above it, and dense matrices with too few or too many rows or
+# columns (a 1 x 2 one used to be zero-padded, a 2 x 3 one to fail on read)
+OUTSIDE_A_2_BY_2_SLICE = [
+    *(SparseMatrix(np.array([r]), np.array([c]), np.array([1]), (2, 2)) for r, c in ((-1, 0), (2, 0), (0, -1), (0, 2))),
+    *(np.ones(shape, dtype=np.int64) for shape in ((1, 2), (3, 2), (2, 1), (2, 3))),
+]
+OUTSIDE_IDS = ["row -1", "row 2", "column -1", "column 2", "dense 1x2", "dense 3x2", "dense 2x1", "dense 2x3"]
+
+
+@pytest.mark.parametrize("bad", OUTSIDE_A_2_BY_2_SLICE, ids=OUTSIDE_IDS)
+def test_a_slice_complex_rejects_a_map_that_does_not_fit_its_slice_naming_the_key(bad):
+    with pytest.raises(ValueError, match=re.escape("the map at (1, 0)")):
+        GradedSliceComplex(ModRing(3, 1), 0, 1, {(1, 0): 2, (0, 0): 2}, {(1, 0): bad})
+
+
+@pytest.mark.parametrize("bad", OUTSIDE_A_2_BY_2_SLICE, ids=OUTSIDE_IDS)
+def test_a_double_complex_rejects_a_block_that_does_not_fit_its_terms_naming_the_key(bad):
+    terms = {(1, 0, 0): 2, (0, 0, 0): 2, (0, 1, 0): 2}
+    with pytest.raises(ValueError, match=re.escape("the map at (1, 0, 0)")):
+        DoubleComplex(ModRing(3, 1), terms, {(1, 0, 0): bad}, {})
+    with pytest.raises(ValueError, match=re.escape("the map at (0, 1, 0)")):
+        DoubleComplex(ModRing(3, 1), terms, {}, {(0, 1, 0): bad})
 
 
 def test_triples_sum_repeated_positions():
     ring = ModRing(3, 1)
-    coo = Coo(np.array([1, 0, 1, 1]), np.array([0, 1, 0, 1]), np.array([2, 4, 2, -1]))
+    coo = SparseMatrix(np.array([1, 0, 1, 1]), np.array([0, 1, 0, 1]), np.array([2, 4, 2, -1]), (2, 2))
     cx = GradedSliceComplex(ring, 0, 1, {(1, 0): 2, (0, 0): 2}, {(1, 0): coo})
     assert cx.diff(1, 0).tolist() == [[0, 1], [1, 2]]
     with pytest.raises(ValueError, match="outside a slice of 2 columns"):
-        GradedSliceComplex(ring, 0, 1, {(1, 0): 2, (0, 0): 2}, {(1, 0): Coo(*np.array([[0], [2], [1]]))})
+        GradedSliceComplex(ring, 0, 1, {(1, 0): 2, (0, 0): 2}, {(1, 0): SparseMatrix(*np.array([[0], [2], [1]]), (2, 2))})

@@ -20,6 +20,7 @@ from derhamkit.exactlin import (
     ModRing,
     ModulePresentation,
     SparseMatrix,
+    as_sparse,
     express_in_basis,
     howell_form,
     left_kernel,
@@ -32,6 +33,7 @@ from derhamkit.exactlin import (
     resultant,
     smith_normal_form,
     solve_in_span,
+    sparse_product,
 )
 from derhamkit.padicfield import cyclotomic_polynomial_ppower
 
@@ -562,8 +564,24 @@ def test_a_sparse_matrix_with_an_entry_outside_its_shape_or_a_repeated_position_
     for rows, cols in (([0, 2], [0, 0]), ([0, 1], [0, 2]), ([-1], [0]), ([0], [-1])):
         with pytest.raises(ValueError, match="outside the 2 x 2 matrix"):
             left_kernel(sparse(rows, cols), ring)
-    with pytest.raises(ValueError, match="given twice"):
-        left_kernel(sparse([0, 1, 0], [1, 1, 1]), ring)
+    # a repeated position is summed, as everywhere: (0, 1) holds 1 + 1
+    summed = np.array([[0, 2], [0, 1]])
+    assert np.array_equal(left_kernel(sparse([0, 1, 0], [1, 1, 1]), ring), left_kernel(summed, ring))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]), st.integers(0, 5), st.integers(0, 5),
+       st.integers(0, 5), st.data())
+def test_the_sparse_product_equals_the_dense_product(pn, k, n, l, data):
+    ring = ModRing(*pn)
+    m = ring.modulus
+    # mostly zeros, so that many joins on the middle index are empty
+    entries = st.sampled_from([0] * 2 * m + list(range(1, m)))
+    a, b = (np.array(data.draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)),
+                     dtype=np.int64).reshape(r, c) for r, c in ((k, n), (n, l)))
+    got = sparse_product(as_sparse(a, m), as_sparse(b, m), m)
+    assert got.shape == (k, l) and got == as_sparse(mmul(a, b, ring), m)
+    assert np.array_equal(got.dense(), mmul(a, b, ring))
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)

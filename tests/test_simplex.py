@@ -1,11 +1,13 @@
 """Dold-Kan machinery, monotone maps, bisimplicial diagonals, shuffles."""
 
 import random
+import re
 
 import numpy as np
 import pytest
 import reference_simplex
 from memory import run_cli, traced_peak
+from test_complexes import OUTSIDE_A_2_BY_2_SLICE, OUTSIDE_IDS
 
 from derhamkit.complexes import (
     DoubleComplex,
@@ -395,6 +397,81 @@ def test_kan_transform_equals_the_reference(seed):
                     assert (a == b).all(), (name, key)
 
 
+def _maps(x):
+    """Every face and degeneracy of ``x`` in the window as a dense matrix,
+    zero ones too."""
+    slices = [(n, w) for w in x.weights() for n in range(x.d_max + 1)]
+    faces = {(n, i, w): x.face(n, i, w) for (n, w) in slices if n for i in range(n + 1)}
+    degens = {(n, i, w): x.degen(n, i, w) for (n, w) in slices if n < x.d_max for i in range(n + 1)}
+    return faces, degens
+
+
+def _planted(x, maps, table, key, pos, delta):
+    """``x`` rebuilt from its dense ``maps`` with ``delta`` added at ``pos``
+    of the map ``key`` of ``table`` (0 faces, 1 degeneracies)."""
+    faces, degens = dict(maps[0]), dict(maps[1])
+    changed = (faces, degens)[table]
+    changed[key] = changed[key].copy()
+    changed[key][pos] += delta
+    return SimplicialModule(x.ring, x.d_max, dict(x.dims), faces, degens)
+
+
+def _outcome(check, x):
+    """The message of the ValueError ``check(x)`` raises, or None."""
+    try:
+        check(x)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def test_single_entry_faults_in_k_of_f3_raise_the_mixed_and_degeneracy_messages():
+    ring = ModRing(3, 1)
+    x = kan_transform(GradedSliceComplex(ring, 0, 1, {(0, 0): 1, (1, 0): 1}, {(1, 0): np.array([[1]])}), 3)
+    maps = _maps(x)
+    assert _outcome(SimplicialModule.validate, x) is None
+    seen = set()
+    for table in (0, 1):
+        for key, mat in maps[table].items():
+            for pos in np.ndindex(mat.shape):
+                y = _planted(x, maps, table, key, pos, 1)
+                got = _outcome(SimplicialModule.validate, y)
+                assert got is not None and got == _outcome(reference_simplex.validate_simplicial, y)
+                seen.add((table, got.split(" fails")[0]))
+    assert seen == {(0, "mixed identity"), (1, "degeneracy identity"), (1, "mixed identity")}
+
+
+def test_one_entry_in_the_top_summand_of_a_face_breaks_just_the_face_identity_at_degree_2():
+    # K(C)_2 = C_2 + C_0 for C in degrees 0 and 2, and d_0 is zero on the summand C_2
+    ring = ModRing(3, 1)
+    x = kan_transform(GradedSliceComplex(ring, 0, 2, {(0, 0): 1, (2, 0): 1}, {}), 2)
+    assert x.labels[(2, 0)][0] == ((0, 1, 2), 2) and not x.face(2, 0, 0)[0].any()
+    y = _planted(x, _maps(x), 0, (2, 0, 0), (0, 0), 1)
+    # the families are checked degree by degree, so every mixed identity (n <= 1) held
+    want = "face identity fails at n=2, i=0, j=1, w=0"
+    assert _outcome(reference_simplex.validate_simplicial, y) == want
+    assert _outcome(SimplicialModule.validate, y) == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_validate_raises_exactly_when_the_dense_reference_does(seed):
+    rng = random.Random(seed)
+    raised = 0
+    for c in _kan_inputs(seed):
+        x = kan_transform(c, c.n_max + 1)
+        maps = _maps(x)
+        for table in (0, 1):
+            for key, mat in maps[table].items():
+                if not mat.size:
+                    continue
+                pos = (rng.randrange(mat.shape[0]), rng.randrange(mat.shape[1]))
+                y = _planted(x, maps, table, key, pos, rng.randrange(1, x.ring.modulus))
+                got = _outcome(SimplicialModule.validate, y)
+                assert got == _outcome(reference_simplex.validate_simplicial, y), (table, key, pos)
+                raised += got is not None
+    assert raised
+
+
 def test_kan_inputs_have_several_weights_and_empty_degrees():
     for seed in range(6):
         c, gap = _kan_inputs(seed)
@@ -672,6 +749,15 @@ def test_normalized_with_basis_inclusion():
         for i in range(n):
             assert not mmul(rows, x.face(n, i, w), ring).any()
         assert data.complex.dim(n, w) == rows.shape[0]
+
+
+@pytest.mark.parametrize("bad", OUTSIDE_A_2_BY_2_SLICE, ids=OUTSIDE_IDS)
+def test_a_simplicial_module_rejects_a_map_that_does_not_fit_its_slice_naming_the_key(bad):
+    dims = {(0, 0): 2, (1, 0): 2}
+    with pytest.raises(ValueError, match=re.escape("the map at (1, 1, 0)")):
+        SimplicialModule(ModRing(3, 1), 1, dims, {(1, 1, 0): bad}, {})
+    with pytest.raises(ValueError, match=re.escape("the map at (0, 0, 0)")):
+        SimplicialModule(ModRing(3, 1), 1, dims, {}, {(0, 0, 0): bad})
 
 
 def test_stored_maps_are_reduced_once_and_read_only():
