@@ -14,6 +14,8 @@ once for d o d = 0, which is the whole double-complex check.
 
 Homology is taken on the unit-contracted complex (:func:`reduce_complex`),
 with representatives and coordinates carried back to the original basis.
+With filtration columns on the basis the contraction cancels only within a
+column, so one contraction answers every quotient by a filtration step.
 
 Homological (lower) indexing throughout; cohomological objects are stored
 negated.
@@ -90,7 +92,9 @@ class GradedSliceComplex:
     # (degree, weight) -> SparseMatrix of C_{n,w} -> C_{n-1,w}, nonzero
     # only; the constructor also takes dense matrices and triples in any form
     diffs: dict
-    labels: dict = field(default_factory=dict)  # optional (degree, weight) -> list
+    # optional (degree, weight) -> nondecreasing int64 array, the column of
+    # each basis element; d must never lower it (see reduce_complex)
+    columns: dict = field(default_factory=dict)
     trusted: tuple[int, int] | None = None  # degrees with honest homology
     # weight -> Contraction, made by the first homology_quotient call there
     _contractions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -142,9 +146,47 @@ class GradedSliceComplex:
             self.n_max + k,
             {(n + k, w): d for (n, w), d in self.dims.items()},
             {(n + k, w): m for (n, w), m in self.diffs.items()},
-            {(n + k, w): l for (n, w), l in self.labels.items()},
+            {(n + k, w): c for (n, w), c in self.columns.items()},
             trusted=(self.trusted[0] + k, self.trusted[1] + k),
         )
+
+    def corner(self, level: int, n_min: int) -> "GradedSliceComplex":
+        """The quotient by the columns >= ``level``, from degree ``n_min`` up.
+
+        Those columns span a subcomplex, as d never lowers the column, and
+        the columns of a slice are nondecreasing, so the quotient is the
+        leading corner of every slice and differential.
+        """
+        dims = {key: size for key, cols in self.columns.items()
+                if key[0] >= n_min and (size := int(np.searchsorted(cols, level)))}
+        diffs = {}
+        for (n, w), d in self.diffs.items():
+            if (n, w) in dims and (n - 1, w) in dims:
+                kept = (d.rows < dims[(n, w)]) & (d.cols < dims[(n - 1, w)])
+                diffs[(n, w)] = SparseMatrix(d.rows[kept], d.cols[kept], d.vals[kept],
+                                             (dims[(n, w)], dims[(n - 1, w)]))
+        return GradedSliceComplex(self.ring, n_min, self.n_max, dims, diffs,
+                                  {key: self.columns[key][:size] for key, size in dims.items()}, self.trusted)
+
+    def contraction(self, weight: int) -> "Contraction":
+        """``reduce_complex`` at one weight, made on first use and kept."""
+        if weight not in self._contractions:
+            self._contractions[weight] = reduce_complex(self, weight)
+        return self._contractions[weight]
+
+    @cached_property
+    def contracted(self) -> "GradedSliceComplex":
+        """The complex the contractions of every weight of a complex with
+        columns leave, with the columns of the survivors; its corner below
+        a level is a contraction of the same corner of this complex."""
+        dims, diffs, columns = {}, {}, {}
+        for w in self.weights():
+            red = self.contraction(w)
+            for n, keep in red.keep.items():
+                dims[(n, w)] = len(keep)
+                columns[(n, w)] = self.columns[(n, w)][keep]
+            diffs.update(((n, w), d) for n, d in red.diffs.items())
+        return GradedSliceComplex(self.ring, self.n_min, self.n_max, dims, diffs, columns, self.trusted)
 
 
 @dataclass
@@ -329,13 +371,17 @@ def reduce_complex(cx: GradedSliceComplex, weight: int) -> Contraction:
     slice is made dense.  Pivot rule: the shortest row that holds a unit
     (ties to the lower degree, then the lower row index), and in it the
     unit whose column has the fewest nonzeros (ties to the lower column).
+    If ``cx`` has ``columns``, a pivot (b, a) must also lie in one column.
     Cancelling (b, a) updates each other row x with an entry at a by
     x - gamma_x phi^-1 d(b), at a cost of about |column a| x |row b|, and
     drops row b and column a of d_n, row a of d_(n-1) and column b of
     d_(n+1).  Every row that changes is queued again, so the loop ends
-    only when no differential has a unit entry left: over F_p every
-    contracted differential is zero, over Z/p^n every entry left is
-    divisible by p.
+    only when no pivot is left: without columns, over F_p every contracted
+    differential is zero, over Z/p^n every entry left is divisible by p.
+    With columns, gamma has rows in columns <= col(a) and delta entries in
+    columns >= col(b), so d, f, g and the homotopy keep every F^k (columns
+    >= k): the filtered Gaussian elimination lemma (Mischaikow-Nanda,
+    Discrete Comput. Geom. 50, 2013).
     """
     ring = cx.ring
     m, p = ring.modulus, ring.p
@@ -353,6 +399,7 @@ def reduce_complex(cx: GradedSliceComplex, weight: int) -> Contraction:
             cn.setdefault(a, set()).add(b)
         heap.extend((len(row), n, b) for b, row in rn.items())
     heapq.heapify(heap)
+    column = {n: cx.columns[(n, weight)].tolist() for n in dims} if cx.columns else None
 
     def touched(n: int, x: int) -> None:
         row = rows[n][x]
@@ -370,8 +417,11 @@ def reduce_complex(cx: GradedSliceComplex, weight: int) -> Contraction:
         delta = rn.get(b)  # row b, then the rest of it once a is popped
         if delta is None or len(delta) != length:
             continue
-        a = min((c for c, x in delta.items() if x % p), key=lambda c: (len(cn[c]), c),
-                default=None)
+        units = delta.items()
+        if column is not None:
+            here, below = column[n][b], column[n - 1]
+            units = [(c, x) for c, x in units if below[c] == here]
+        a = min((c for c, x in units if x % p), key=lambda c: (len(cn[c]), c), default=None)
         if a is None:
             continue
         inv = pow(delta.pop(a), -1, m)
@@ -437,9 +487,7 @@ def homology_quotient(cx: GradedSliceComplex, degree: int, weight: int) -> Slice
     dim_here = cx.dim(degree, weight)
     if dim_here == 0:
         return SliceQuotient.from_cycles_boundaries(mzeros(0, 0), mzeros(0, 0), cx.ring)
-    red = cx._contractions.get(weight)
-    if red is None:
-        red = cx._contractions[weight] = reduce_complex(cx, weight)
+    red = cx.contraction(weight)
     small = red.quotient(degree)
     d_here = cx.diffs.get((degree, weight))
     m = cx.ring.modulus

@@ -18,7 +18,11 @@ to Homological Algebra, 8.3.7-8.3.8), and a weight-w slice has no blocks
 above simplicial degree w / deg f.
 
 The Hodge-completed object is only ever handled as the family of finite
-levels with compatible quotient maps, never as an inverse limit.
+levels with compatible quotient maps, never as an inverse limit.  Each basis
+element of the total complex carries its Hodge column i, so one filtered
+contraction per weight (``complexes.reduce_complex``) serves every level:
+the quotient by F^k is its corner of columns < k, and F^k H_0 its degree-0
+cycles in columns >= k.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from .exactlin import (
     SparseMatrix,
     _span_solver,
     as_sparse,
-    howell_form,
     left_kernel,
     mmul,
     mzeros,
@@ -225,7 +228,8 @@ class FilteredDeRhamComplex:
     def _assemble(self) -> GradedSliceComplex:
         """The total complex of the block double complex: Omega^i(Q_j) at
         (p, q) = (j, -i), so the vertical twist is (-1)^j and each slice
-        lists its blocks by increasing i, as ``layout`` does."""
+        lists its blocks by increasing i, as ``layout`` does; the column of
+        a basis element is the i of its block."""
         cut = self.hodge_cut
         n_min, n_max = self._n_min(cut), self.window[1] + 1
         terms = {(j, -i, w): len(self.block_basis(j, i, w))
@@ -235,31 +239,17 @@ class FilteredDeRhamComplex:
         vert = {(j, q, w): self.vertical_matrix(j, -q, w) for (j, q, w) in terms if (j, q - 1, w) in terms}
         cx = total_complex(DoubleComplex(self.ring, terms, horiz, vert))
         cx.n_min, cx.n_max, cx.trusted = n_min, n_max, self.window
+        for (n, w), size in cx.dims.items():
+            lay = self.layout(n, w, cut)[0]
+            cx.columns[(n, w)] = np.repeat([i for _, i, _ in lay], np.diff([off for *_, off in lay] + [size]))
         return cx
 
     def quotient_complex(self, level: int) -> GradedSliceComplex:
-        """The truncation modelling L-Omega / F^level (columns i < level).
-
-        F^level, the columns i >= level, is a subcomplex of ``total``, and
-        each slice lists its blocks by increasing i, so the quotient is the
-        leading corner of every slice and differential of ``total``.
-        """
+        """The truncation modelling L-Omega / F^level (columns i < level):
+        the corner of ``total`` below that level."""
         if level > self.hodge_cut:
             raise ValueError(f"level {level} above the built Hodge cut {self.hodge_cut}")
-        if level == self.hodge_cut:
-            return self.total
-        n_min = self._n_min(level)
-        dims = {}
-        for (n, w) in self.total.dims:
-            if n >= n_min and (size := self.layout(n, w, level)[1]):
-                dims[(n, w)] = size
-        diffs = {}
-        for (n, w), d in self.total.diffs.items():
-            if (n, w) in dims and (n - 1, w) in dims:
-                corner = (d.rows < dims[(n, w)]) & (d.cols < dims[(n - 1, w)])
-                diffs[(n, w)] = SparseMatrix(d.rows[corner], d.cols[corner], d.vals[corner],
-                                             (dims[(n, w)], dims[(n - 1, w)]))
-        return GradedSliceComplex(self.ring, n_min, self.total.n_max, dims, diffs, trusted=self.window)
+        return self.total.corner(level, self._n_min(level))
 
     def quotient_map(self, level_hi: int, level_lo: int, n: int, w: int) -> np.ndarray:
         """Projection matrix between the degree-n slices of the level
@@ -268,28 +258,13 @@ class FilteredDeRhamComplex:
         finite family of quotients."""
         if not 0 <= level_lo <= level_hi <= self.hodge_cut:
             raise ValueError("levels must be nested inside the built cut")
-        lay_hi, total_hi = self.layout(n, w, level_hi)
-        lay_lo, total_lo = self.layout(n, w, level_lo)
-        lo_off = {(j, i): off for (j, i, off) in lay_lo}
-        out = mzeros(total_hi, total_lo)
-        for (j, i, off) in lay_hi:
-            if (j, i) in lo_off:
-                size = len(self.block_basis(j, i, w))
-                o2 = lo_off[(j, i)]
-                out[off : off + size, o2 : o2 + size] = np.eye(size, dtype=np.int64)
-        return out
+        return np.eye(*np.searchsorted(self.total.columns.get((n, w), []), [level_hi, level_lo]),
+                      dtype=np.int64)
 
     def filtration_coordinates(self, level: int, n: int, w: int) -> np.ndarray:
         """Unit rows of the degree-n slice supported on columns >= level."""
-        lay, total = self.layout(n, w)
-        rows = []
-        for (j, i, off) in lay:
-            if i >= level:
-                size = len(self.block_basis(j, i, w))
-                block = mzeros(size, total)
-                block[:, off : off + size] = np.eye(size, dtype=np.int64)
-                rows.append(block)
-        return np.vstack(rows) if rows else mzeros(0, total)
+        cols = self.total.columns.get((n, w), [])
+        return np.eye(len(cols), dtype=np.int64)[np.searchsorted(cols, level):]
 
     def basis_vector(self, n: int, w: int, j: int, i: int, entry) -> np.ndarray:
         """Coordinate vector of one block basis element in the slice basis."""
@@ -322,11 +297,12 @@ def build_derham(pres: AlgebraPresentation, hodge_cut: int, window: tuple[int, i
 
 def hodge_quotient_homology(f: FilteredDeRhamComplex, level: int,
                             degrees=None) -> HomologyReport:
+    """Homology of L-Omega / F^level: the corner below that level of the
+    filtered contraction of ``f.total``."""
     if level > f.hodge_cut:
         raise ValueError(f"level {level} exceeds the built cut {f.hodge_cut}")
-    cx = f.quotient_complex(level)
     degs = list(degrees) if degrees is not None else list(range(f.window[0], f.window[1] + 1))
-    return homology_report(cx, degrees=degs)
+    return homology_report(f.total.contracted.corner(level, f._n_min(level)), degrees=degs)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +429,9 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
     f = build_derham(pres, hodge_cut=2, window=(0, 1), weight_bound=weight_bound)
     res = f.res
 
-    h0: dict[int, SliceQuotient] = {}
-    for w in range(weight_bound + 1):
-        h0[w] = homology_quotient(f.total, 0, w)
+    h0 = {w: homology_quotient(f.total, 0, w) for w in range(weight_bound + 1)}
+    ideal = {w: _ideal_reps(q, f.filtration_coordinates(1, 0, w), f.total.diff(1, w), ring)
+             for w, q in h0.items()}
 
     # explicit map to A/(f^2): theta reduces Q_0 = k[x] mod f^2, and the
     # derivation sends g dt_1 to (g at t_1 = 0) * f mod f^2
@@ -534,14 +510,8 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
         if w < d:
             if not any(augment(rep, w) % ring.p for rep in q.gen_reps):
                 surj_ok = False  # no generator hits a unit of the B slice
-        elif q.size > 1:
-            # everything above the B range must come from the ideal part
-            fil = f.filtration_coordinates(1, 0, w)
-            bnd = f.total.diff(1, w)
-            solve = _span_solver(np.vstack([fil, bnd]) if bnd.size else fil, ring)
-            for rep in q.gen_reps:
-                if solve(rep) is None:
-                    surj_ok = False
+        elif len(ideal[w]) < len(q.gen_reps):
+            surj_ok = False  # everything above the B range must come from the ideal part
 
     # square-zero: products of ideal classes vanish (the product of two
     # column-1 representatives lands in Omega^2, which F^2 cuts away), and
@@ -549,11 +519,9 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
     mult = _H0Multiplier(f)
     sq_ok = True
     for w1 in range(weight_bound + 1):
-        fil1 = f.filtration_coordinates(1, 0, w1)
         for w2 in range(weight_bound + 1 - w1):
-            fil2 = f.filtration_coordinates(1, 0, w2)
-            for a in _ideal_reps(h0[w1], fil1, f.total.diff(1, w1), ring):
-                for b in _ideal_reps(h0[w2], fil2, f.total.diff(1, w2), ring):
+            for a in ideal[w1]:
+                for b in ideal[w2]:
                     prod = mult.multiply(a, w1, b, w2)
                     if prod is not None and w1 + w2 <= weight_bound:
                         if not h0[w1 + w2].is_zero_class(prod):
@@ -733,14 +701,14 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
     filtration_verdicts = {}
     ok = True
     iso_ok = True
-    h0_quotients = {}
-    constants = _envelope_constants(f, weight_bound)
+    h0 = {w: homology_quotient(f.total, 0, w) for w in range(weight_bound + 1)}
+    red = f.total.contracted
+    constants = _envelope_constants(f, h0)
     if constants is None:
         iso_ok = False
         constants = {j: 1 for j in range(weight_bound // d + 2)}
     for w in range(weight_bound + 1):
-        q = homology_quotient(f.total, 0, w)
-        h0_quotients[w] = q
+        q = h0[w]
         basis = pd_basis(w)
         rel = pd_relation_rows(w)
         pd_facs = quotient_invariants(np.eye(len(basis), dtype=np.int64), rel, ring)
@@ -780,15 +748,15 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
                 if quotient_invariants(amb, stacked, ring):
                     iso_ok = False
 
-        # filtration comparison per level; the PD-side membership criterion
+        # filtration comparison per level: F^level H_0 is the cycles of the
+        # contraction in columns >= level modulo all boundaries; the PD side
         # (total gamma index >= level) comes from the divided-power module
+        d0, bnd = red.diff(0, w), red.diff(1, w)
         for level in range(0, min(max_level, w // d + 2)):
-            fil = f.filtration_coordinates(level, 0, w)
-            bnd = f.total.diff(1, w)
-            cycles = _cycle_intersection(f.total, fil, 0, w)
-            hodge_facs = quotient_invariants(
-                np.vstack([cycles, bnd]) if bnd.size else cycles, bnd, ring
-            ) if cycles.shape[0] or bnd.size else []
+            start = int(np.searchsorted(red.columns.get((0, w), []), level))
+            ker = left_kernel(d0[start:], ring) if start < len(d0) else mzeros(0, 0)
+            cycles = np.hstack([mzeros(len(ker), start), ker])
+            hodge_facs = quotient_invariants(np.vstack([cycles, bnd]), bnd, ring)
             pd_level = {e[0] for e in pd_filtration(pd_alg, level).basis}
             pd_rows = []
             bindex = {b: k for k, b in enumerate(basis)}
@@ -814,37 +782,32 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
                             higher, iso_ok, ok and higher and iso_ok)
 
 
-def _envelope_constants(f: FilteredDeRhamComplex, weight_bound: int):
+def _envelope_constants(f: FilteredDeRhamComplex, h0: dict):
     """Unit constants c_j making gamma_j -> c_j [dt_1 ^ .. ^ dt_j] a map of
     algebras over A: every (t - f)-relation must land in the boundaries.
 
     The constant is forced (given c_j) whenever j+1 is invertible; at the
     degenerate transitions p | j+1 any unit consistent with the torsion
     part works, matching the unit ambiguity of filtered-algebra
-    automorphisms that rescale the new divided-power generator.  Returns
-    None when no unit solution exists (the certification then fails).
+    automorphisms that rescale the new divided-power generator.  ``h0``
+    holds the H_0 quotient of every weight.  Returns None when no unit
+    solution exists (the certification then fails).
     """
     ring = f.ring
     m = ring.modulus
     d = f.pres.degree
     c_lead = f.pres.f_coeffs[-1]
-    jmax = weight_bound // d
+    weight_bound = f.weight_bound
     constants = {0: 1}
     units = [u for u in range(1, m) if u % ring.p]
-    quots: dict[int, SliceQuotient] = {}
-
-    def q_at(w):
-        if w not in quots:
-            quots[w] = homology_quotient(f.total, 0, w)
-        return quots[w]
 
     def cls(a, j):
         w = a + j * d
         e = tuple([a] + [0] * j)
         vec = f.basis_vector(0, w, j, j, (e, tuple(range(1, j + 1))))
-        return q_at(w).coords(vec), q_at(w)
+        return h0[w].coords(vec), h0[w]
 
-    for j in range(jmax + 1):
+    for j in range(weight_bound // d + 1):
         conds = []
         for a in range(0, weight_bound - (j + 1) * d + 1):
             u_next, q = cls(a, j + 1)
@@ -868,18 +831,3 @@ def _envelope_constants(f: FilteredDeRhamComplex, weight_bound: int):
             return None
         constants[j + 1] = chosen
     return constants
-
-
-def _cycle_intersection(total: GradedSliceComplex, fil_rows: np.ndarray, n: int, w: int) -> np.ndarray:
-    """Cycles of degree n supported on the filtration rows: the span of
-    fil-combinations killed by the differential."""
-    if fil_rows.shape[0] == 0:
-        return fil_rows
-    d = total.diff(n, w)
-    if d.shape[1] == 0:
-        return fil_rows
-    composite = mmul(fil_rows, d, total.ring)
-    ker = left_kernel(composite, total.ring)
-    if ker.shape[0] == 0:
-        return mzeros(0, fil_rows.shape[1])
-    return howell_form(mmul(ker, fil_rows, total.ring), total.ring)

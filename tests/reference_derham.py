@@ -13,6 +13,13 @@ them only after checking that it is degenerate.
 ``UnnormalizedDeRham`` is the builder as it was before its blocks were
 normalized: the same assembly on every form of each block, degenerate ones
 included.
+
+``quotient_map``, ``filtration_coordinates`` and ``filtered_h0_factors`` are
+the dense filtration path ``pd_envelope_report`` and the quotient maps took
+before they read the Hodge columns and the filtered contraction: block
+offsets walked through ``layout``, and F^level H_0 as the cycles of the
+full degree-0 slice supported on the columns >= level, modulo the
+boundaries of the full degree-1 slice.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 
 from derhamkit.cotangent import AlgebraPresentation, FreeSimplicialResolution
 from derhamkit.derham import FilteredDeRhamComplex
-from derhamkit.exactlin import mzeros
+from derhamkit.exactlin import howell_form, left_kernel, mmul, mzeros, quotient_invariants
 from derhamkit.polyalg import graded_slice_basis
 
 import reference_cotangent
@@ -143,3 +150,55 @@ def assemble(f: FilteredDeRhamComplex, cut: int | None = None):
                     dmat[off : off + rows, o2 : o2 + v.shape[1]] += sgn * v
             diffs[(n, w)] = dmat % f.ring.modulus
     return dims, diffs
+
+
+def quotient_map(f: FilteredDeRhamComplex, level_hi: int, level_lo: int, n: int, w: int) -> np.ndarray:
+    """Projection between the degree-n slices of two level truncations."""
+    lay_hi, total_hi = f.layout(n, w, level_hi)
+    lay_lo, total_lo = f.layout(n, w, level_lo)
+    lo_off = {(j, i): off for (j, i, off) in lay_lo}
+    out = mzeros(total_hi, total_lo)
+    for (j, i, off) in lay_hi:
+        if (j, i) in lo_off:
+            size = len(f.block_basis(j, i, w))
+            o2 = lo_off[(j, i)]
+            out[off : off + size, o2 : o2 + size] = np.eye(size, dtype=np.int64)
+    return out
+
+
+def filtration_coordinates(f: FilteredDeRhamComplex, level: int, n: int, w: int) -> np.ndarray:
+    """Unit rows of the degree-n slice supported on columns >= level."""
+    lay, total = f.layout(n, w)
+    rows = []
+    for (j, i, off) in lay:
+        if i >= level:
+            size = len(f.block_basis(j, i, w))
+            block = mzeros(size, total)
+            block[:, off : off + size] = np.eye(size, dtype=np.int64)
+            rows.append(block)
+    return np.vstack(rows) if rows else mzeros(0, total)
+
+
+def cycle_intersection(total, fil_rows: np.ndarray, n: int, w: int) -> np.ndarray:
+    """Cycles of degree n supported on the filtration rows: the span of
+    fil-combinations killed by the differential."""
+    if fil_rows.shape[0] == 0:
+        return fil_rows
+    d = total.diff(n, w)
+    if d.shape[1] == 0:
+        return fil_rows
+    composite = mmul(fil_rows, d, total.ring)
+    ker = left_kernel(composite, total.ring)
+    if ker.shape[0] == 0:
+        return mzeros(0, fil_rows.shape[1])
+    return howell_form(mmul(ker, fil_rows, total.ring), total.ring)
+
+
+def filtered_h0_factors(f: FilteredDeRhamComplex, level: int, w: int) -> list[int]:
+    """Invariant factors of F^level H_0 at weight w, on the dense slices."""
+    fil = filtration_coordinates(f, level, 0, w)
+    bnd = f.total.diff(1, w)
+    cycles = cycle_intersection(f.total, fil, 0, w)
+    return quotient_invariants(
+        np.vstack([cycles, bnd]) if bnd.size else cycles, bnd, f.ring
+    ) if cycles.shape[0] or bnd.size else []

@@ -5,6 +5,7 @@ seeds; runtime limits are asserted where stated.  Each report is also
 pinned: the sha256 prefix of its canonical JSON (without ``elapsed_ms``)
 must equal the digest recorded for it, so a change that moves any case's
 expected or computed value fails here even when every case still passes.
+Every suite also runs at the least value of each parameter it bounds.
 """
 
 import hashlib
@@ -14,11 +15,11 @@ import time
 import pytest
 from memory import run_cli
 
-from derhamkit.suites import run_suite
+from derhamkit.suites import MINIMUMS, list_suites, run_suite
 
 
-def _digest(report):
-    data = json.loads(report.to_json())
+def _digest(text):
+    data = json.loads(text)
     del data["elapsed_ms"]
     return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
 
@@ -36,7 +37,7 @@ def _run(criterion, name, params=None, seed=1, limit=None, *, digest):
     assert ok, f"criterion {criterion}: {name} failed: {report.to_text()}"
     if limit is not None:
         assert elapsed < limit, f"criterion {criterion}: {elapsed:.1f}s exceeds {limit}s"
-    assert _digest(report) == digest, f"criterion {criterion}: the report changed: {report.to_json()}"
+    assert _digest(report.to_json()) == digest, f"criterion {criterion}: the report changed: {report.to_json()}"
     return report
 
 
@@ -68,25 +69,32 @@ def test_criterion_06_reaches_weight_bound_6():
     _run(6, "drpd-modp", {"weight_bound": 6}, limit=60, digest="80f8a9151c16c025")
 
 
-def _reach_criterion_06(weight_bound):
-    run = run_cli("verify", "drpd-modp", "--weight-bound", str(weight_bound))
-    print(f"criterion  6 drpd-modp weight bound {weight_bound}: exit {run.returncode}, "
+def _reach(criterion, suite, weight_bound, path, seconds, megabytes, *, digest):
+    """``derhamkit verify`` in a child process: it must pass inside the time
+    and peak-RSS bounds and write the report recorded for it."""
+    run = run_cli("verify", suite, "--weight-bound", str(weight_bound), "--json", str(path))
+    print(f"criterion {criterion:>2} {suite} weight bound {weight_bound}: exit {run.returncode}, "
           f"{run.elapsed:.1f}s, peak RSS {run.peak_mb:.0f} MB")
     assert run.returncode == 0 and " 0 fail," in run.out, run.out
-    assert run.elapsed < 60, f"{run.elapsed:.1f}s exceeds 60s"
-    assert run.peak_mb < 1024, f"peak RSS {run.peak_mb:.0f} MB exceeds 1 GB"
+    assert run.elapsed < seconds, f"{run.elapsed:.1f}s exceeds {seconds}s"
+    assert run.peak_mb < megabytes, f"peak RSS {run.peak_mb:.0f} MB exceeds {megabytes} MB"
+    assert _digest(path.read_text()) == digest, f"criterion {criterion}: the report changed"
 
 
-def test_criterion_06_reaches_weight_bound_7():
-    _reach_criterion_06(7)
+def test_criterion_06_reaches_weight_bound_7(tmp_path):
+    _reach(6, "drpd-modp", 7, tmp_path / "report.json", 60, 1024, digest="3895945d7f014961")
 
 
-def test_criterion_06_reaches_weight_bound_9():
-    _reach_criterion_06(9)
+def test_criterion_06_reaches_weight_bound_9(tmp_path):
+    _reach(6, "drpd-modp", 9, tmp_path / "report.json", 60, 1024, digest="b65f7601aa4ab1e1")
 
 
 def test_criterion_07_derived_derham_pd_mod_pn():
     _run(7, "drpd-envelope", {"weight_bound": 4}, digest="ab7235194625fe2e")
+
+
+def test_criterion_07_reaches_weight_bound_8(tmp_path):
+    _reach(7, "drpd-envelope", 8, tmp_path / "report.json", 5, 256, digest="8a405f198f855c6b")
 
 
 def test_criterion_08_universal_thickening():
@@ -108,7 +116,23 @@ def test_criterion_11_ramification_table():
         report = run_suite("different-valuation", {"p": p, "r_max": 3}, seed=1)
         summary = report.summary
         assert summary["fail"] == 0 and summary["truncated"] == 0, report.to_text()
-        assert _digest(report) == digest, f"criterion 11: the report changed: {report.to_json()}"
+        assert _digest(report.to_json()) == digest, f"criterion 11: the report changed: {report.to_json()}"
     elapsed = time.perf_counter() - t0
     print(f"criterion 11 [PASS] different-valuation p in (2,3,5) r <= 3 ({elapsed:.1f}s)")
     assert elapsed < 10
+
+
+# Every suite at the least value of each parameter it bounds must still
+# compare something; the two de Rham suites at weight bound 0 meet empty
+# and wholly filtered slices, and their reports are pinned.
+AT_MINIMUM_DIGESTS = {("drpd-modp", "weight_bound"): "e2f1f31d6b06c9df",
+                      ("drpd-envelope", "weight_bound"): "9b181f510cc4aabb"}
+
+
+@pytest.mark.parametrize("name,param", [(desc.name, k) for desc in list_suites()
+                                        for (k, _, _) in desc.params if k in MINIMUMS])
+def test_every_suite_checks_something_at_each_minimum(name, param):
+    report = run_suite(name, {param: MINIMUMS[param]}, seed=1)
+    assert report.exit_code() == 0 and report.cases, report.to_text()
+    if (name, param) in AT_MINIMUM_DIGESTS:
+        assert _digest(report.to_json()) == AT_MINIMUM_DIGESTS[(name, param)], report.to_json()

@@ -208,6 +208,32 @@ def test_contraction_is_made_once_per_weight():
         assert cx._contractions[w] is first
 
 
+@pytest.mark.parametrize("ring", [ModRing(2, 1), ModRing(3, 2)], ids=str)
+@pytest.mark.parametrize("f_coeffs", [(0, 1), (0, 0, 1)], ids=["x", "x^2"])
+def test_a_contraction_with_columns_keeps_every_filtration_step(ring, f_coeffs):
+    """On a de Rham total complex, whose columns are the Hodge columns, the
+    contracted d never lowers the column and has no unit inside a column,
+    and f and g send the columns >= k into the columns >= k."""
+    from derhamkit.cotangent import AlgebraPresentation
+
+    pres = AlgebraPresentation(ring, "quotient", "x", f_coeffs)
+    cx = derham.build_derham(pres, hodge_cut=6, window=(0, 1), weight_bound=5).total
+    draw = np.random.default_rng(7)
+    for w in cx.weights():
+        red = cx.contraction(w)
+        cols = {n: cx.columns[(n, w)] for n in red.dims}
+        small = {n: cols[n][red.keep[n]] for n in red.dims}
+        for n, d in red.diffs.items():
+            below, above = small[n][d.rows], small[n - 1][d.cols]
+            assert (below <= above).all() and not (d.vals[below == above] % ring.p).any()
+        for n in red.dims:
+            for k in range(cols[n][-1] + 1):
+                v = draw.integers(0, ring.modulus, (3, len(cols[n]))) * (cols[n] >= k)
+                assert not red.project(n, v)[:, small[n] < k].any()
+                u = draw.integers(0, ring.modulus, (3, len(small[n]))) * (small[n] >= k)
+                assert not red.lift(n, u)[:, cols[n] < k].any()
+
+
 def test_coords_rejects_non_cycles():
     ring = ModRing(2, 2)
     # 0 -> R --1--> R -> 0: contracts to nothing; only 0 is a degree-1 cycle

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from derhamkit import complexes
-from derhamkit.complexes import homology_quotient, slice_homology
+from derhamkit.complexes import homology_quotient, homology_report, slice_homology
 from derhamkit.cotangent import AlgebraPresentation, DepthError
 from derhamkit.derham import (
     build_derham,
@@ -540,3 +540,50 @@ def test_hodge_quotients_above_the_prime(p):
     for w in range(wb + 1):
         assert full.factors(0, w) == [p]
         assert full.factors(1, w) == full.factors(2, w) == []
+
+
+@pytest.mark.parametrize("ring", [F2, F3, Z4, Z9], ids=str)
+@pytest.mark.parametrize("f_coeffs", [(0, 1), (0, 0, 1), (0, 0, 0, 1)], ids=["x", "x^2", "x^3"])
+def test_every_hodge_level_read_off_the_one_contraction_equals_its_quotient_complex(ring, f_coeffs):
+    # the corner of the filtered contraction of the total complex is a
+    # contraction of the quotient complex of that level, contracted on its
+    # own: the same homology on every slice, the truncated top degree too
+    pres = AlgebraPresentation(ring, "quotient", "x", f_coeffs)
+    for wb in range(8):
+        f = build_derham(pres, hodge_cut=wb + 1, window=(0, 1), weight_bound=wb)
+        for level in range(wb + 2):
+            quotient = f.quotient_complex(level)
+            want = homology_report(quotient, degrees=range(2))
+            assert hodge_quotient_homology(f, level).to_json() == want.to_json(), (wb, level)
+            corner = f.total.contracted.corner(level, quotient.n_min)
+            assert ([homology_quotient(corner, *key).factors for key in quotient.dims]
+                    == [homology_quotient(quotient, *key).factors for key in quotient.dims]), (wb, level)
+
+
+Z8 = ModRing(2, 3)
+
+
+@pytest.mark.parametrize("ring", [F2, F3, Z4, Z8, Z9], ids=str)
+@pytest.mark.parametrize("f_coeffs", [(0, 1), (0, 0, 1)], ids=["x", "x^2"])
+def test_envelope_filtration_verdicts_equal_the_dense_reference(ring, f_coeffs):
+    pres = AlgebraPresentation(ring, "quotient", "x", f_coeffs)
+    wb = 6
+    rep = pd_envelope_report(pres, weight_bound=wb)
+    assert rep.ok
+    f = build_derham(pres, hodge_cut=wb // pres.degree + 1, window=(0, 1), weight_bound=wb)
+    want = {(level, w) for w in range(wb + 1) for level in range(min(f.hodge_cut, w // pres.degree + 2))}
+    assert rep.filtration_verdicts.keys() == want
+    for (level, w), (hodge, _, _) in rep.filtration_verdicts.items():
+        assert hodge == reference_derham.filtered_h0_factors(f, level, w), (level, w)
+
+
+def test_quotient_maps_and_filtration_rows_equal_the_block_walk():
+    f = build_derham(pres_x(Z4), hodge_cut=4, window=(0, 1), weight_bound=4)
+    for w in range(5):
+        for n in range(f.total.n_min - 1, f.total.n_max + 1):
+            for hi in range(f.hodge_cut + 1):
+                assert np.array_equal(f.filtration_coordinates(hi, n, w),
+                                      reference_derham.filtration_coordinates(f, hi, n, w)), (hi, n, w)
+                for lo in range(hi + 1):
+                    got, want = f.quotient_map(hi, lo, n, w), reference_derham.quotient_map(f, hi, lo, n, w)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (hi, lo, n, w)

@@ -1,4 +1,5 @@
-"""Every library module uses each name it imports.
+"""Every library module uses each name it imports, and every private
+function or method of the library is referenced.
 
 The package's ``__init__.py`` imports names only to re-export them, and a
 line marked ``# noqa: F401`` keeps an import on purpose; both are exempt.
@@ -6,6 +7,7 @@ Only the standard library's ``ast`` is used.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,38 @@ def test_the_check_finds_an_unused_import_and_honours_noqa():
                          ids=lambda p: p.name)
 def test_a_library_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _names_read(node: ast.AST) -> Counter:
+    """How often each name is read, as a variable or an attribute, under ``node``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_private_defs(sources: dict) -> list[str]:
+    """The private module-level functions and methods (a name with one
+    leading underscore) of the modules ``sources`` maps to their text that
+    nothing outside their own body reads, as "module.name"."""
+    defs, read = [], Counter()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        defs += [(module, node) for body in bodies for node in body
+                 if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                 and not node.name.endswith("__")]
+        read += _names_read(tree)
+    return [f"{module}.{node.name}" for module, node in defs
+            if read[node.name] == _names_read(node)[node.name]]
+
+
+def test_the_check_finds_a_private_helper_nothing_calls():
+    library = ("def _used(x):\n    return x\n"
+               "def _orphan(rows):\n    return _orphan(rows[1:]) if rows else rows\n"
+               "class C:\n    def _method(self):\n        return _used(1)\n"
+               "    def __repr__(self):\n        return ''\n")
+    caller = "from lib import C\nC()._method()\n"
+    assert unreferenced_private_defs({"lib": library, "caller": caller}) == ["lib._orphan"]
+
+
+def test_every_private_function_and_method_of_the_library_is_referenced():
+    assert unreferenced_private_defs({p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []
