@@ -8,7 +8,7 @@ import random
 from derhamkit import ModRing, kan_transform, normalized_complex, unnormalized_complex
 from derhamkit.complexes import GradedSliceComplex, slice_homology
 from derhamkit.randomgen import random_complex
-from derhamkit.simplex import complexes_equal, epi_mono_factorize, MonotoneMap, shuffles
+from derhamkit.simplex import epi_mono_factorize, MonotoneMap, shuffles
 
 print("Epi-mono factorization in the simplex category")
 alpha = MonotoneMap(2, 2, (0, 0, 2))

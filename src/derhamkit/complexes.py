@@ -13,7 +13,8 @@ offset and signed: it concatenates the block triples and checks the result
 once for d o d = 0, which is the whole double-complex check.
 
 Homology is taken on the unit-contracted complex (:func:`reduce_complex`),
-with representatives and coordinates carried back to the original basis.
+with representatives and coordinates carried back to the original basis;
+each homology group is an ``exactlin.SliceQuotient``, re-exported here.
 With filtration columns on the basis the contraction cancels only within a
 column, so one contraction answers every quotient by a filtration step.
 
@@ -34,12 +35,11 @@ import numpy as np
 
 from .exactlin import (
     ModRing,
+    SliceQuotient,
     SparseMatrix,
-    _span_solver,
     as_sparse,
     howell_form,  # noqa: F401 -- perfbench/tests reaches the kernel through this module
     left_kernel,
-    local_smith,
     midentity,
     mzeros,
     mmul,
@@ -138,18 +138,6 @@ class GradedSliceComplex:
     def in_trust_window(self, n: int) -> bool:
         return self.trusted[0] <= n <= self.trusted[1]
 
-    def shift(self, k: int) -> "GradedSliceComplex":
-        """Homological shift C[k]: degree n of the result is degree n-k of C."""
-        return GradedSliceComplex(
-            self.ring,
-            self.n_min + k,
-            self.n_max + k,
-            {(n + k, w): d for (n, w), d in self.dims.items()},
-            {(n + k, w): m for (n, w), m in self.diffs.items()},
-            {(n + k, w): c for (n, w), c in self.columns.items()},
-            trusted=(self.trusted[0] + k, self.trusted[1] + k),
-        )
-
     def corner(self, level: int, n_min: int) -> "GradedSliceComplex":
         """The quotient by the columns >= ``level``, from degree ``n_min`` up.
 
@@ -187,93 +175,6 @@ class GradedSliceComplex:
                 columns[(n, w)] = self.columns[(n, w)][keep]
             diffs.update(((n, w), d) for n, d in red.diffs.items())
         return GradedSliceComplex(self.ring, self.n_min, self.n_max, dims, diffs, columns, self.trusted)
-
-
-@dataclass
-class SliceQuotient:
-    """cycles/boundaries with invariant factors and explicit representatives.
-
-    ``factors[j]`` > 1 is the order of the j-th cyclic generator whose
-    ambient row vector is ``gen_reps[j]``; ``coords`` projects any cycle to
-    its coordinate tuple (each entry taken modulo its factor).
-
-    A quotient taken on a contracted slice (see :func:`homology_quotient`)
-    keeps ``cycles`` in the contracted basis and ``_to_contracted``, which
-    maps an ambient vector into it (None for a non-cycle); ``gen_reps`` and
-    ``ambient_dim`` are those of the original slice.
-    """
-
-    ring: ModRing
-    ambient_dim: int
-    cycles: np.ndarray  # Howell basis rows
-    factors: list[int]
-    gen_reps: np.ndarray
-    _vmat: np.ndarray  # coordinate-change matrix mod p^n (u x u)
-    _all_factors: list[int]  # length u, including trivial 1s
-    _to_contracted: Callable[[np.ndarray], np.ndarray | None] | None = None
-
-    @staticmethod
-    def from_cycles_boundaries(cycles, boundaries, ring: ModRing) -> "SliceQuotient":
-        """cycles/boundaries from a Howell basis of the cycles.
-
-        ``cycles`` must already be in Howell form (as ``left_kernel``
-        returns it; an identity matrix or a matrix with no rows also is):
-        it is stored and used as is, without another Howell pass.
-        ``boundaries`` are rows inside the span of ``cycles``.
-        """
-        m = ring.modulus
-        hk = np.asarray(cycles, dtype=np.int64)
-        u = hk.shape[0]
-        amb = hk.shape[1] if u else 0
-        b = np.asarray(boundaries, dtype=np.int64).reshape(-1, amb) % m if amb else mzeros(0, 0)
-        if u == 0:
-            if b.size and b.any():
-                raise ValueError("boundaries not contained in cycles")
-            return SliceQuotient(ring, amb, mzeros(0, amb), [], mzeros(0, amb), mzeros(0, 0), [])
-        stacked = np.vstack([hk, b]) if b.shape[0] else hk
-        ker = left_kernel(stacked, ring)
-        rel = ker[:, :u] if ker.shape[0] else mzeros(0, u)
-        all_factors, vmod, vinv = local_smith(rel if rel.size else mzeros(0, u), ring,
-                                              want_transform=True)
-        keep = [j for j, d in enumerate(all_factors) if d > 1]
-        gen_reps = mmul(vinv[keep], hk, ring) if keep else mzeros(0, amb)
-        return SliceQuotient(ring, amb, hk, [all_factors[j] for j in keep], gen_reps, vmod, all_factors)
-
-    @property
-    def size(self) -> int:
-        out = 1
-        for d in self.factors:
-            out *= d
-        return out
-
-    def length(self) -> int:
-        return sum(v_int(d, self.ring.p) for d in self.factors)
-
-    def coords(self, vector: np.ndarray) -> tuple[int, ...] | None:
-        """Coordinates of a cycle's class, or None if not a stored cycle."""
-        v = np.asarray(vector, dtype=np.int64) % self.ring.modulus
-        if self._to_contracted is not None:
-            v = self._to_contracted(v)
-            if v is None:
-                return None
-        if self.cycles.shape[0] == 0:
-            return None if v.any() else ()
-        c = self._solve_in_cycles(v)
-        if c is None:
-            return None
-        y = mmul(c, self._vmat, self.ring)
-        keep = [j for j, d in enumerate(self._all_factors) if d > 1]
-        return tuple(int(y[j]) % self._all_factors[j] for j in keep)
-
-    @cached_property
-    def _solve_in_cycles(self) -> Callable[[np.ndarray], np.ndarray | None]:
-        return _span_solver(self.cycles, self.ring)
-
-    def is_zero_class(self, vector: np.ndarray) -> bool:
-        c = self.coords(vector)
-        if c is None:
-            raise ValueError("vector is not a cycle of this slice")
-        return all(x == 0 for x in c)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +260,7 @@ class Contraction:
             return SliceQuotient(self.ring, dim, midentity(dim), [m] * dim, midentity(dim),
                                  midentity(dim), [m] * dim)
         cycles = left_kernel(d_here, self.ring) if d_here is not None else midentity(dim)
-        return SliceQuotient.from_cycles_boundaries(
-            cycles if cycles.shape[0] else mzeros(0, dim), self.diff(n + 1), self.ring
-        )
+        return SliceQuotient.from_cycles_boundaries(cycles, self.diff(n + 1), self.ring)
 
 
 def reduce_complex(cx: GradedSliceComplex, weight: int) -> Contraction:

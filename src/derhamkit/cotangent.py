@@ -34,9 +34,9 @@ from .complexes import (
 from .exactlin import (
     ModRing,
     ModulePresentation,
+    SliceQuotient,
     SparseMatrix,
     _span_solver,
-    howell_form,
     left_kernel,
     module_invariants,
     mzeros,
@@ -725,35 +725,17 @@ def ext1_cotangent(pres: AlgebraPresentation, module: FiniteBModule,
             blocks.append(row)
         return np.vstack(blocks)
 
-    n1 = slot_count(1) * g
     d1 = hom_delta(1)
     rel1 = block_relations(slot_count(1))
-    rel2 = block_relations(slot_count(2))
-    cycles = _preimage_rows(d1, rel2, ring)
-    boundaries = rel1
-    if slot_count(0):
-        d0 = hom_delta(0)
-        boundaries = np.vstack([boundaries, d0]) if boundaries.shape[0] else d0
-    cycles_full = np.vstack([cycles, rel1]) if rel1.shape[0] else cycles
-    facs = quotient_invariants(cycles_full if cycles_full.shape[0] else mzeros(0, n1),
-                               boundaries if boundaries.shape[0] else mzeros(0, n1), ring)
+    # cycles: the rows v with v @ d1 in the relations of the next term
+    cycles = left_kernel(np.vstack([d1, block_relations(slot_count(2))]), ring)[:, :len(d1)]
+    boundaries = np.vstack([rel1, hom_delta(0)]) if slot_count(0) else rel1
+    facs = quotient_invariants(np.vstack([cycles, rel1]), boundaries, ring)
     if pres.shape == "quotient":
         expected = module.invariants()
         if sorted(facs) != sorted(expected):
             raise AssertionError("Ext^1 disagrees with the conormal Hom module")
     return facs
-
-
-def _preimage_rows(t: np.ndarray, rel_target: np.ndarray, ring: ModRing) -> np.ndarray:
-    """Rows v with v @ t in span(rel_target)."""
-    rows, cols = t.shape
-    if cols == 0:
-        return np.eye(rows, dtype=np.int64)
-    stacked = np.vstack([t, rel_target]) if rel_target.shape[0] else t
-    ker = left_kernel(stacked, ring)
-    if ker.shape[0] == 0:
-        return mzeros(0, rows)
-    return howell_form(ker[:, :rows], ring)
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +798,7 @@ def _tower_audit(ring: ModRing, f_coeffs, g_coeffs, weight_bound: int) -> Transi
         if w < df:
             num = np.array([[cg]]) if w >= dg else mzeros(0, 1)
             den = np.array([[(cg * cg) % m]]) if w >= 2 * dg else mzeros(0, 1)
-            x3_facs = quotient_invariants(num, den, ring) if num.shape[0] else []
+            x3_facs = quotient_invariants(num, den, ring)
         l5 = ring.n if alive5 else 0
         l4 = ring.n if alive4 else 0
         l3 = sum(v_int(t, ring.p) for t in x3_facs)
@@ -849,8 +831,7 @@ def _poly_quotient_audit(ring: ModRing, f_coeffs, weight_bound: int) -> Transiti
     delta = np.array(rows, dtype=np.int64) % ring.modulus  # C -> C dx, power basis
     x1_facs = quotient_invariants(np.eye(d, dtype=np.int64), delta, ring)
     l1 = sum(v_int(t, ring.p) for t in x1_facs)
-    ker_delta = left_kernel(delta, ring)
-    lker = _span_length(ker_delta, ring)
+    lker = SliceQuotient.from_cycles_boundaries(left_kernel(delta, ring), mzeros(0, d), ring).length()
     result = cotangent_homology(pres, (0, 1), weight_bound)
     l4 = result.report.total_length(1)
     h0_len = result.report.total_length(0)
@@ -859,13 +840,3 @@ def _poly_quotient_audit(ring: ModRing, f_coeffs, weight_bound: int) -> Transiti
         "kernel-of-delta-matches-H1": lker == l4,  # H_1(L_{k[x]/k}) = 0 forces this
     }
     return TransitivityReport("poly-then-quotient", {0: checks}, all(checks.values()))
-
-
-def _span_length(rows: np.ndarray, ring: ModRing) -> int:
-    h = howell_form(rows, ring) if rows.shape[0] else rows
-    total = 0
-    for r in h:
-        nz = np.nonzero(r)[0]
-        if nz.size:
-            total += ring.n - v_int(int(r[nz[0]]), ring.p)
-    return total

@@ -722,7 +722,7 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
             e = tuple([a] + [0] * j)
             entry = (e, tuple(range(1, j + 1)))
             phi_rows.append((constants[j] * f.basis_vector(0, w, j, j, entry)) % m)
-        phi_m = np.vstack(phi_rows) if phi_rows else mzeros(0, 0)
+        phi_m = np.vstack(phi_rows)
         # relations map to boundaries
         for row in rel:
             vec = mmul(row, phi_m, ring)
@@ -733,20 +733,15 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
         if any(c is None for c in img_coords):
             iso_ok = False
         else:
-            gen_m = np.array([list(c) for c in img_coords], dtype=np.int64) if img_coords else mzeros(0, len(q.factors))
+            gen_m = np.array(img_coords, dtype=np.int64)
             pd_size = 1
             for fac in pd_facs:
                 pd_size *= fac
             if q.size != pd_size:
                 iso_ok = False
-            elif q.factors:
-                # generation check: coordinates of images span the quotient
-                amb = np.eye(len(q.factors), dtype=np.int64)
-                rel_rows = np.array([[(q.factors[k] if k == l else 0) for l in range(len(q.factors))]
-                                     for k in range(len(q.factors))], dtype=np.int64)
-                stacked = np.vstack([gen_m, rel_rows]) if gen_m.size else rel_rows
-                if quotient_invariants(amb, stacked, ring):
-                    iso_ok = False
+            elif quotient_invariants(np.eye(len(q.factors), dtype=np.int64),
+                                     np.vstack([gen_m, np.diag(q.factors)]), ring):
+                iso_ok = False  # the coordinates of the images do not span the quotient
 
         # filtration comparison per level: F^level H_0 is the cycles of the
         # contraction in columns >= level modulo all boundaries; the PD side
@@ -754,21 +749,12 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
         d0, bnd = red.diff(0, w), red.diff(1, w)
         for level in range(0, min(max_level, w // d + 2)):
             start = int(np.searchsorted(red.columns.get((0, w), []), level))
-            ker = left_kernel(d0[start:], ring) if start < len(d0) else mzeros(0, 0)
+            ker = left_kernel(d0[start:], ring)
             cycles = np.hstack([mzeros(len(ker), start), ker])
             hodge_facs = quotient_invariants(np.vstack([cycles, bnd]), bnd, ring)
             pd_level = {e[0] for e in pd_filtration(pd_alg, level).basis}
-            pd_rows = []
-            bindex = {b: k for k, b in enumerate(basis)}
-            for (a, j) in basis:
-                if j in pd_level:
-                    row = mzeros(1, len(basis))[0]
-                    row[bindex[(a, j)]] = 1
-                    pd_rows.append(row)
-            pd_span = np.vstack(pd_rows) if pd_rows else mzeros(0, len(basis))
-            pd_fil_facs = quotient_invariants(
-                np.vstack([pd_span, rel]) if rel.size else pd_span, rel, ring
-            ) if pd_span.shape[0] or rel.size else []
+            pd_span = np.eye(len(basis), dtype=np.int64)[[k for k, (_, j) in enumerate(basis) if j in pd_level]]
+            pd_fil_facs = quotient_invariants(np.vstack([pd_span, rel]), rel, ring)
             eq = sorted(hodge_facs) == sorted(pd_fil_facs)
             filtration_verdicts[(level, w)] = (hodge_facs, pd_fil_facs, eq)
             ok = ok and eq

@@ -3,7 +3,10 @@
 Everything downstream (chain complexes, homology, module invariants) reduces
 to the kernels in this module: Smith normal form over Z with unimodular
 certificates, Howell canonical forms over Z/p^n, left kernels, span
-membership, p-adic valuations and resultants.
+membership, p-adic valuations and resultants.  A quotient span(C)/span(B)
+of row spans is one :class:`SliceQuotient`, with its invariant factors,
+generator representatives and coordinates; ``quotient_invariants`` is its
+factors.
 
 Conventions: module elements are *row* vectors; a homomorphism is a matrix
 ``M`` of shape (source dim, target dim) acting by ``v @ M``.  Matrices over
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +42,7 @@ __all__ = [
     "sparse_product",
     "solve_in_span",
     "express_in_basis",
+    "SliceQuotient",
     "quotient_invariants",
     "module_invariants",
     "padic_valuation",
@@ -81,9 +85,6 @@ class ModRing:
     @cached_property
     def modulus(self) -> int:
         return self.p ** self.n
-
-    def reduce(self, a: int) -> int:
-        return a % self.modulus
 
     def unit_inverse(self, a: int) -> int:
         a %= self.modulus
@@ -755,7 +756,7 @@ def invariant_factors_from_relations(relations: np.ndarray, generators: int, rin
         return []
     m = ring.modulus
     rel = np.asarray(relations, dtype=np.int64).reshape(-1, generators) % m
-    factors, _, _ = local_smith(rel if rel.size else mzeros(0, generators), ring)
+    factors, _, _ = local_smith(rel, ring)
     return sorted(int(d) for d in factors if d != 1)
 
 
@@ -776,19 +777,95 @@ def v_int(a: int, p: int) -> int:
     return v
 
 
+@dataclass
+class SliceQuotient:
+    """cycles/boundaries with invariant factors and explicit representatives.
+
+    ``factors[j]`` > 1 is the order of the j-th cyclic generator whose
+    ambient row vector is ``gen_reps[j]``; ``coords`` projects any cycle to
+    its coordinate tuple (each entry taken modulo its factor).
+
+    A quotient taken on a contracted slice (see
+    ``complexes.homology_quotient``) keeps ``cycles`` in the contracted
+    basis and ``_to_contracted``, which maps an ambient vector into it
+    (None for a non-cycle); ``gen_reps`` and ``ambient_dim`` are those of
+    the original slice.
+    """
+
+    ring: ModRing
+    ambient_dim: int
+    cycles: np.ndarray  # Howell basis rows
+    factors: list[int]
+    gen_reps: np.ndarray
+    _vmat: np.ndarray  # coordinate-change matrix mod p^n (u x u)
+    _all_factors: list[int]  # length u, including trivial 1s
+    _to_contracted: Callable[[np.ndarray], np.ndarray | None] | None = None
+
+    @staticmethod
+    def from_cycles_boundaries(cycles, boundaries, ring: ModRing) -> "SliceQuotient":
+        """cycles/boundaries from a Howell basis of the cycles.
+
+        ``cycles`` must already be in Howell form (as ``left_kernel``
+        returns it; an identity matrix or a matrix with no rows also is):
+        it is stored and used as is, without another Howell pass.
+        ``boundaries`` are rows of the same width inside the span of
+        ``cycles``.
+        """
+        hk = np.asarray(cycles, dtype=np.int64)
+        u, amb = hk.shape
+        b = np.asarray(boundaries, dtype=np.int64) % ring.modulus
+        if not u:
+            if b.any():
+                raise ValueError("boundaries not contained in cycles")
+            return SliceQuotient(ring, amb, hk, [], hk, mzeros(0, 0), [])
+        # relation coefficients: {c : c @ hk in span(b)}
+        rel = left_kernel(np.vstack([hk, b]), ring)[:, :u]
+        all_factors, vmod, vinv = local_smith(rel, ring, want_transform=True)
+        keep = [j for j, d in enumerate(all_factors) if d > 1]
+        return SliceQuotient(ring, amb, hk, [all_factors[j] for j in keep], mmul(vinv[keep], hk, ring),
+                             vmod, all_factors)
+
+    @property
+    def size(self) -> int:
+        out = 1
+        for d in self.factors:
+            out *= d
+        return out
+
+    def length(self) -> int:
+        return sum(v_int(d, self.ring.p) for d in self.factors)
+
+    def coords(self, vector: np.ndarray) -> tuple[int, ...] | None:
+        """Coordinates of a cycle's class, or None if not a stored cycle."""
+        v = np.asarray(vector, dtype=np.int64) % self.ring.modulus
+        if self._to_contracted is not None:
+            v = self._to_contracted(v)
+            if v is None:
+                return None
+        if self.cycles.shape[0] == 0:
+            return None if v.any() else ()
+        c = self._solve_in_cycles(v)
+        if c is None:
+            return None
+        y = mmul(c, self._vmat, self.ring)
+        keep = [j for j, d in enumerate(self._all_factors) if d > 1]
+        return tuple(int(y[j]) % self._all_factors[j] for j in keep)
+
+    @cached_property
+    def _solve_in_cycles(self) -> Callable[[np.ndarray], np.ndarray | None]:
+        return _span_solver(self.cycles, self.ring)
+
+    def is_zero_class(self, vector: np.ndarray) -> bool:
+        c = self.coords(vector)
+        if c is None:
+            raise ValueError("vector is not a cycle of this slice")
+        return all(x == 0 for x in c)
+
+
 def quotient_invariants(cycles: np.ndarray, boundaries: np.ndarray, ring: ModRing) -> list[int]:
-    """Invariant factors of span(cycles)/span(boundaries), boundaries inside cycles."""
-    hk = howell_form(cycles, ring)
-    if hk.shape[0] == 0:
-        if np.asarray(boundaries).size and np.asarray(boundaries % ring.modulus).any():
-            raise ValueError("boundaries not contained in cycles")
-        return []
-    b = np.asarray(boundaries, dtype=np.int64).reshape(-1, hk.shape[1]) % ring.modulus
-    # relation coefficients: {c : c @ hk in span(b)}
-    stacked = np.vstack([hk, b]) if b.shape[0] else hk
-    ker = left_kernel(stacked, ring)
-    rel = ker[:, : hk.shape[0]] if ker.shape[0] else mzeros(0, hk.shape[0])
-    return invariant_factors_from_relations(rel, hk.shape[0], ring)
+    """Invariant factors of span(cycles)/span(boundaries), boundaries inside
+    cycles, ascending: the ``factors`` of their :class:`SliceQuotient`."""
+    return SliceQuotient.from_cycles_boundaries(howell_form(cycles, ring), boundaries, ring).factors
 
 
 # ---------------------------------------------------------------------------

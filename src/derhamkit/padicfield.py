@@ -89,8 +89,6 @@ def _different_from_resultant(ext: MonogenicExtension, res: int) -> PAdicValue:
     """v(f'(b)) from res = Res(f, f')."""
     if res == 0:
         raise ValueError("inseparable polynomial: the different is undefined")
-    if res in (1, -1):
-        return PAdicValue(ext.p, Fraction(0)).with_index(ext.ram_index)
     val = Fraction(v_int(abs(res), ext.p), ext.degree)
     return PAdicValue(ext.p, val).with_index(ext.ram_index)
 
@@ -115,7 +113,7 @@ def omega_invariants(ext: MonogenicExtension, precision: int):
         entry = s[i][i]
         if entry == 0:
             raise ValueError("inseparable: multiplication matrix is singular")
-        v = v_int(abs(entry), p) if abs(entry) != 1 else 0
+        v = v_int(abs(entry), p)
         if v >= precision:
             raise ValueError(
                 f"precision {precision} too small: length saturates at {d * precision}"
@@ -157,11 +155,7 @@ def fontaine_annihilator_check(p: int, r: int) -> AnnihilatorCheck:
 
     # dlog vs d: multiply the annihilator generator by the unit zeta
     shifted = resultant(list(ext.f_coeffs), [0] + ext.fprime())
-    dlog_same = _vp_or_zero(shifted, p) == _vp_or_zero(plain, p)
+    dlog_same = v_int(abs(shifted), p) == v_int(abs(plain), p)
 
     ok = via_diff == expected and via_unif == expected and dlog_same
     return AnnihilatorCheck(p, r, expected, via_diff, via_unif, dlog_same, ok)
-
-
-def _vp_or_zero(value: int, p: int) -> int:
-    return 0 if abs(value) == 1 else v_int(abs(value), p)

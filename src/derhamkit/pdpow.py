@@ -70,10 +70,9 @@ class PDAlgebra:
     def weight_of(self, expts: Sequence[int]) -> int:
         return sum(e * w for e, w in zip(expts, self.weights))
 
-    def monomials(self, max_weight: int | None = None) -> list[tuple[int, ...]]:
-        bound = self.truncation if max_weight is None else min(max_weight, self.truncation)
+    def monomials(self) -> list[tuple[int, ...]]:
         out = []
-        for w in range(bound + 1):
+        for w in range(self.truncation + 1):
             level = []
 
             def rec(pos, remaining, acc):
@@ -591,15 +590,15 @@ def exterior_filtration(u: np.ndarray, section: np.ndarray, i: int, ring: ModRin
     prev = mzeros(0, comb(mrank, i))
     for a in range(i + 1):
         cur = span_rows(a)
-        stacked = np.vstack([cur, prev]) if prev.shape[0] else cur
-        fac = quotient_invariants(stacked if stacked.shape[0] else mzeros(0, comb(mrank, i)), prev, ring)
+        stacked = np.vstack([cur, prev])
+        fac = quotient_invariants(stacked, prev, ring)
         # free pieces over Z/p^n: every factor is p^n
         rank = len(fac)
         if any(f != ring.modulus for f in fac):
             rank = -1  # not free: flagged by mismatch with expected
         graded.append(rank)
         expected.append(comb(mprime, i - a) * comb(mdd, a) if 0 <= i - a <= mprime else 0)
-        prev = howell_form(stacked, ring) if stacked.shape[0] else prev
+        prev = howell_form(stacked, ring)
 
     # direct sum decomposition via the supplied splitting
     rows = []

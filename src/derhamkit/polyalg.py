@@ -192,9 +192,6 @@ class Poly:
         ws = {self.algebra.monomial_weight(e) for e in self.terms}
         return ws.pop() if len(ws) == 1 else None
 
-    def max_weight(self) -> int:
-        return max((self.algebra.monomial_weight(e) for e in self.terms), default=0)
-
     def _check(self, other: "Poly"):
         if self.algebra != other.algebra:
             raise ValueError("polynomials live in different algebras")

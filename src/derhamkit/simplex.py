@@ -65,7 +65,6 @@ __all__ = [
     "double_kan",
     "shuffle_product",
     "shuffles",
-    "complexes_equal",
 ]
 
 
@@ -497,11 +496,6 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
     degens = OnRequest(((n, i, w) for w in weights for n in range(d_max) for i in range(n + 1)),
                        lambda n, i, w: row._operator(n, 0, i, w, False, "h"))
     return SimplicialModule(c.ring, d_max, dims, faces, degens, labels)
-
-
-def complexes_equal(c1: GradedSliceComplex, c2: GradedSliceComplex) -> bool:
-    """Literal equality: same slice dimensions and identical matrices."""
-    return c1.ring == c2.ring and c1.dims == c2.dims and c1.diffs == c2.diffs
 
 
 # ---------------------------------------------------------------------------

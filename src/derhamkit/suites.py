@@ -71,9 +71,6 @@ class SuiteDescriptor:
     params: tuple  # ((name, type, default), ...)
     runner: object
 
-    def schema(self) -> dict:
-        return {k: (t.__name__, d) for (k, t, d) in self.params}
-
 
 @dataclass
 class SuiteReport:

@@ -38,7 +38,6 @@ __all__ = [
     "lift_homomorphism",
     "is_ring_map",
     "CyclotomicModel",
-    "TiltElement",
     "TiltRing",
     "tilt_ring",
     "theta_map",
@@ -509,17 +508,6 @@ class CyclotomicModel:
         if level > self.m:
             raise ValueError("not enough roots of unity in the model")
         return ring.x_power(self.p ** (self.m - level))
-
-
-@dataclass(frozen=True)
-class TiltElement:
-    """Depth-k compatible sequence (x_0, .., x_k) in O/p: x_{i+1}^p = x_i."""
-
-    entries: tuple
-
-    @property
-    def depth(self) -> int:
-        return len(self.entries) - 1
 
 
 class TiltRing:

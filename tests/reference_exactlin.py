@@ -15,6 +15,9 @@ keeps.  ``bareiss_det``, ``resultant`` (the Sylvester determinant) and
 ``wedge_matrix`` (one determinant per pair of row and column sets) are the
 library's earlier per-entry determinant routes, replaced by the Euclidean
 remainder sequence and one Laplace recursion over all minors.
+``quotient_invariants`` is the library's pipeline before it became the
+factors of a ``SliceQuotient``, unchanged; here its ``howell_form`` and
+``left_kernel`` are the references above, which equal the library's.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from derhamkit.exactlin import ModRing, midentity, mzeros
+from derhamkit.exactlin import ModRing, invariant_factors_from_relations, midentity, mzeros
 from derhamkit.upoly import trim
 from derhamkit.exactlin import howell_form as library_howell_form
 from derhamkit.exactlin import solve_in_span as library_solve_in_span
@@ -258,3 +261,18 @@ def wedge_matrix(phi: np.ndarray, n: int, ring: ModRing) -> np.ndarray:
             sub = [[rows[i][j] for j in colset] for i in rowset]
             out[a, b] = bareiss_det(sub) % ring.modulus
     return out
+
+
+def quotient_invariants(cycles: np.ndarray, boundaries: np.ndarray, ring: ModRing) -> list[int]:
+    """Invariant factors of span(cycles)/span(boundaries), boundaries inside cycles."""
+    hk = howell_form(cycles, ring)
+    if hk.shape[0] == 0:
+        if np.asarray(boundaries).size and np.asarray(boundaries % ring.modulus).any():
+            raise ValueError("boundaries not contained in cycles")
+        return []
+    b = np.asarray(boundaries, dtype=np.int64).reshape(-1, hk.shape[1]) % ring.modulus
+    # relation coefficients: {c : c @ hk in span(b)}
+    stacked = np.vstack([hk, b]) if b.shape[0] else hk
+    ker = left_kernel(stacked, ring)
+    rel = ker[:, : hk.shape[0]] if ker.shape[0] else mzeros(0, hk.shape[0])
+    return invariant_factors_from_relations(rel, hk.shape[0], ring)

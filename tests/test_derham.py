@@ -240,6 +240,23 @@ def test_drpd_envelope_failure_for_f_past_its_factor_lists_says_where(monkeypatc
     assert cases["Z4-f-x^2-slices"].computed == "mismatch " + where
 
 
+@pytest.mark.parametrize("scaled", [False, True], ids=["honest", "constants-times-p"])
+def test_the_generation_check_rejects_a_generator_map_scaled_by_p(monkeypatch, scaled):
+    # p * c_j still sends every relation into the boundaries and leaves the
+    # sizes equal, so only the generation check can fail
+    from derhamkit import derham
+
+    honest = derham._envelope_constants
+    if scaled:
+        monkeypatch.setattr(derham, "_envelope_constants",
+                            lambda f, h0: {j: f.ring.p * c for j, c in honest(f, h0).items()})
+    rep = pd_envelope_report(pres_x(Z4), weight_bound=4)
+    assert rep.iso_certified is not scaled
+    assert all(eq for _, _, eq in [*rep.slice_verdicts.values(), *rep.filtration_verdicts.values()])
+    cases = {c.name: c for c in run_suite("drpd-envelope", {"weight_bound": 3, "f": "x^2"}, seed=1).cases}
+    assert cases["Z4-x-iso-certified"].status == ("fail" if scaled else "pass")
+
+
 def test_shuffle_ring_structure_divided_powers():
     f = build_derham(pres_x(Z4), hodge_cut=5, window=(0, 1), weight_bound=4)
     qs = {w: homology_quotient(f.total, 0, w) for w in range(5)}

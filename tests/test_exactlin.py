@@ -12,6 +12,7 @@ from reference_exactlin import augmented_left_kernel
 from reference_exactlin import howell_form as reference_howell_form
 from reference_exactlin import left_kernel as reference_left_kernel
 from reference_exactlin import minimal_generator_indices
+from reference_exactlin import quotient_invariants as reference_quotient_invariants
 from reference_exactlin import resultant as reference_resultant
 
 from derhamkit import exactlin
@@ -19,6 +20,7 @@ from derhamkit.exactlin import (
     ZZ,
     ModRing,
     ModulePresentation,
+    SliceQuotient,
     SparseMatrix,
     as_sparse,
     express_in_basis,
@@ -27,6 +29,7 @@ from derhamkit.exactlin import (
     minimal_generators,
     mmul,
     module_invariants,
+    mzeros,
     normal_form,
     padic_valuation,
     quotient_invariants,
@@ -204,6 +207,37 @@ def test_quotient_invariants_mod4_times_two():
     h1 = quotient_invariants(left_kernel(d1, ring), np.zeros((0, 1), dtype=np.int64), ring)
     assert h0 == [2]
     assert h1 == [2]
+
+
+def test_boundaries_without_cycles_are_rejected_and_an_empty_quotient_keeps_its_width():
+    f3 = ModRing(3, 1)
+    for quotient in (SliceQuotient.from_cycles_boundaries, quotient_invariants):
+        with pytest.raises(ValueError, match="boundaries not contained in cycles"):
+            quotient(mzeros(0, 2), [[1, 0]], f3)
+    q = SliceQuotient.from_cycles_boundaries(mzeros(0, 2), mzeros(1, 2), f3)
+    assert (q.ambient_dim, q.cycles.shape, q.gen_reps.shape, q.factors) == (2, (0, 2), (0, 2), [])
+
+
+def _cycles_and_boundaries(ring):
+    """Random cycles C and boundaries R @ C inside their span, the rows of C
+    and R scaled by random powers of p, after the zero-row and zero-column
+    shapes."""
+    m = ring.modulus
+    rng = np.random.default_rng(2000 + m)
+    shapes = [(0, 3, 0), (0, 3, 2), (3, 0, 2), (0, 0, 0), (0, 0, 3), (4, 0, 0), (2, 3, 0)]
+    shapes += [tuple(int(x) for x in rng.integers(0, 8, size=3)) for _ in range(60)]
+    for rows, cols, brows in shapes:
+        c = rng.integers(0, m, size=(rows, cols)) * (rng.random((rows, cols)) < rng.random())
+        c = c * ring.p ** rng.integers(0, ring.n + 1, size=(rows, 1)) % m
+        r = rng.integers(0, m, size=(brows, rows)) * ring.p ** rng.integers(0, ring.n + 1, size=(brows, 1))
+        yield c, r @ c % m
+
+
+@pytest.mark.parametrize("ring", [ModRing(2, 1), ModRing(3, 1), ModRing(2, 2), ModRing(2, 3), ModRing(3, 2)],
+                         ids=str)
+def test_quotient_invariants_equal_the_reference_pipeline(ring):
+    for c, b in _cycles_and_boundaries(ring):
+        assert quotient_invariants(c, b, ring) == reference_quotient_invariants(c, b, ring)
 
 
 def test_padic_valuation_examples():

@@ -20,7 +20,6 @@ from derhamkit.randomgen import random_complex
 from derhamkit.simplex import (
     MonotoneMap,
     SimplicialModule,
-    complexes_equal,
     diagonal,
     double_kan,
     epi_mono_factorize,

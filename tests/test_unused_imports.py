@@ -83,3 +83,43 @@ def test_the_check_finds_a_private_helper_nothing_calls():
 
 def test_every_private_function_and_method_of_the_library_is_referenced():
     assert unreferenced_private_defs({p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []
+
+
+def unread_public_defs(library: dict, readers: dict) -> list[str]:
+    """The public module-level functions and classes, and the public methods
+    of those classes, of the modules ``library`` maps to their text that no
+    source in ``library`` or ``readers`` reads outside their own body, as
+    "module.name" or "module.Class.name".  A read is an ``ast.Name`` or
+    ``ast.Attribute`` of the same name, so a string (as in ``__all__``)
+    is not one, and any attribute of that name is."""
+    defs, read = [], Counter()
+    for module, source in library.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defs.append((f"{module}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{module}.{node.name}.{item.name}", item) for item in node.body
+                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    for source in [*library.values(), *readers.values()]:
+        read += _names_read(ast.parse(source))
+    return [name for name, node in defs if read[node.name] == _names_read(node)[node.name]]
+
+
+def test_the_check_finds_a_public_name_nothing_reads():
+    library = ("__all__ = ['used', 'orphan', 'C']\n"
+               "def used(x):\n    return x\n"
+               "def orphan(rows):\n    return orphan(rows[1:]) if rows else rows\n"
+               "class C:\n    def called(self):\n        return used(1)\n"
+               "    def unread(self):\n        return 0\n"
+               "    def _private(self):\n        return 0\n"
+               "    def __repr__(self):\n        return ''\n")
+    caller = "from lib import C\nC().called()\n"
+    assert unread_public_defs({"lib": library}, {"caller": caller}) == ["lib.orphan", "lib.C.unread"]
+
+
+def test_every_public_function_class_and_method_of_the_library_is_read():
+    root = SRC.parent.parent
+    readers = {str(p): p.read_text() for folder in ("tests", "demos", "perfbench")
+               for p in sorted((root / folder).rglob("*.py"))}
+    assert unread_public_defs({p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}, readers) == []
