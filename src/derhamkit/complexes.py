@@ -65,7 +65,7 @@ class WindowError(ValueError):
     pass
 
 
-def _slice_maps(maps: dict, shape: Callable[..., tuple[int, int]], m: int) -> dict:
+def slice_maps(maps: dict, shape: Callable[..., tuple[int, int]], m: int) -> dict:
     """``maps`` (dense or triples) in canonical form, nonzero only; a map not
     of shape ``shape(*key)``, or with an entry outside it, is an error."""
     out = {}
@@ -103,7 +103,7 @@ class GradedSliceComplex:
         if self.trusted is None:
             self.trusted = (self.n_min, self.n_max)
         self.dims = {k: v for k, v in self.dims.items() if v}
-        self.diffs = _slice_maps(self.diffs, lambda n, w: (self.dim(n, w), self.dim(n - 1, w)),
+        self.diffs = slice_maps(self.diffs, lambda n, w: (self.dim(n, w), self.dim(n - 1, w)),
                                  self.ring.modulus)
 
     def dim(self, n: int, w: int) -> int:
@@ -459,8 +459,8 @@ class DoubleComplex:
 
     def __post_init__(self):
         m = self.ring.modulus
-        self.horiz = _slice_maps(self.horiz, lambda p, q, w: (self.dim(p, q, w), self.dim(p - 1, q, w)), m)
-        self.vert = _slice_maps(self.vert, lambda p, q, w: (self.dim(p, q, w), self.dim(p, q - 1, w)), m)
+        self.horiz = slice_maps(self.horiz, lambda p, q, w: (self.dim(p, q, w), self.dim(p - 1, q, w)), m)
+        self.vert = slice_maps(self.vert, lambda p, q, w: (self.dim(p, q, w), self.dim(p, q - 1, w)), m)
 
     def dim(self, p, q, w):
         return self.terms.get((p, q, w), 0)

@@ -36,12 +36,12 @@ from .exactlin import (
     ModulePresentation,
     SliceQuotient,
     SparseMatrix,
-    _span_solver,
     left_kernel,
     module_invariants,
     mzeros,
     mmul,
     quotient_invariants,
+    span_solver,
     v_int,
 )
 from .polyalg import AlgebraMap, Poly, PolyAlgebra, exponent_rows, row_positions
@@ -79,7 +79,7 @@ def poly_from_coeffs(algebra: PolyAlgebra, var: str, coeffs) -> Poly:
     return Poly(algebra, terms)
 
 
-def _parse_poly_string(text: str) -> list[int]:
+def parse_poly_string(text: str) -> list[int]:
     """Sums of integer monomials in one variable, e.g. '2*x^3 - x + 1';
     returns constant-first coefficients."""
     s = text.replace(" ", "").replace("-", "+-")
@@ -185,7 +185,7 @@ class AlgebraPresentation:
         if data["shape"] == "free":
             return AlgebraPresentation(ring, "free", data.get("var", "x"), free_rank=data["rank"])
         return AlgebraPresentation(ring, data["shape"], data.get("var", "x"),
-                                   tuple(_parse_poly_string(data["f"])))
+                                   tuple(parse_poly_string(data["f"])))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +656,7 @@ class FiniteBModule:
         self.x_action = np.asarray(self.x_action, dtype=np.int64).reshape(self.gens, self.gens) % m
         if self.relations.shape[0]:
             moved = mmul(self.relations, self.x_action, self.ring)
-            solve = _span_solver(self.relations, self.ring)
+            solve = span_solver(self.relations, self.ring)
             for row in moved:
                 if row.any() and solve(row) is None:
                     raise ValueError("x action does not preserve the relations")

@@ -54,12 +54,12 @@ from .cotangent import (
 from .exactlin import (
     ModRing,
     SparseMatrix,
-    _span_solver,
     as_sparse,
     left_kernel,
     mmul,
     mzeros,
     quotient_invariants,
+    span_solver,
 )
 from .pdpow import PDAlgebra, pd_filtration, derived_power
 from .polyalg import DifferentialForm, apply_map_form, exponent_rows, graded_slice_basis
@@ -541,7 +541,7 @@ def _ideal_reps(q: SliceQuotient, fil_rows: np.ndarray, boundaries: np.ndarray, 
     """Generator representatives lying in the filtration-1 part of the slice."""
     if not (fil_rows.shape[0] and q.gen_reps.shape[0]):
         return []
-    solve = _span_solver(np.vstack([fil_rows, boundaries]) if boundaries.size else fil_rows, ring)
+    solve = span_solver(np.vstack([fil_rows, boundaries]) if boundaries.size else fil_rows, ring)
     return [rep for rep in q.gen_reps if solve(rep) is not None]
 
 

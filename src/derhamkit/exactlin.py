@@ -528,10 +528,10 @@ def solve_in_span(vector: np.ndarray, rows: np.ndarray, ring: ModRing):
 
     ``rows`` need not be canonical; a Howell pass with transform is used.
     """
-    return _span_solver(rows, ring)(vector)
+    return span_solver(rows, ring)(vector)
 
 
-def _span_solver(rows: np.ndarray, ring: ModRing):
+def span_solver(rows: np.ndarray, ring: ModRing):
     """One Howell pass over ``rows``; returns ``solve(vector)``, which gives
     coefficients c with c @ rows == vector, or None if not in the span."""
     m = ring.modulus
@@ -623,7 +623,7 @@ def express_in_basis(vectors: np.ndarray, basis: np.ndarray, ring: ModRing) -> n
     vec = np.asarray(vectors, dtype=np.int64)
     if vec.ndim == 1:
         vec = vec.reshape(1, -1)
-    solve = _span_solver(basis, ring)
+    solve = span_solver(basis, ring)
     outs = []
     for v in vec:
         c = solve(v)
@@ -809,7 +809,7 @@ class SliceQuotient:
         returns it; an identity matrix or a matrix with no rows also is):
         it is stored and used as is, without another Howell pass.
         ``boundaries`` are rows of the same width inside the span of
-        ``cycles``.
+        ``cycles``; ValueError otherwise.
         """
         hk = np.asarray(cycles, dtype=np.int64)
         u, amb = hk.shape
@@ -819,8 +819,12 @@ class SliceQuotient:
                 raise ValueError("boundaries not contained in cycles")
             return SliceQuotient(ring, amb, hk, [], hk, mzeros(0, 0), [])
         # relation coefficients: {c : c @ hk in span(b)}
-        rel = left_kernel(np.vstack([hk, b]), ring)[:, :u]
-        all_factors, vmod, vinv = local_smith(rel, ring, want_transform=True)
+        ker = left_kernel(np.vstack([hk, b]), ring)
+        # |span [hk; b]| |ker| = p^(n (u + r)), and span(hk) lies inside
+        # span [hk; b], so b lies in span(hk) exactly when their orders agree
+        if _span_length(ker, ring) + _span_length(hk, ring) != ring.n * ker.shape[1]:
+            raise ValueError("boundaries not contained in cycles")
+        all_factors, vmod, vinv = local_smith(ker[:, :u], ring, want_transform=True)
         keep = [j for j, d in enumerate(all_factors) if d > 1]
         return SliceQuotient(ring, amb, hk, [all_factors[j] for j in keep], mmul(vinv[keep], hk, ring),
                              vmod, all_factors)
@@ -853,13 +857,22 @@ class SliceQuotient:
 
     @cached_property
     def _solve_in_cycles(self) -> Callable[[np.ndarray], np.ndarray | None]:
-        return _span_solver(self.cycles, self.ring)
+        return span_solver(self.cycles, self.ring)
 
     def is_zero_class(self, vector: np.ndarray) -> bool:
         c = self.coords(vector)
         if c is None:
             raise ValueError("vector is not a cycle of this slice")
         return all(x == 0 for x in c)
+
+
+def _span_length(h: np.ndarray, ring: ModRing) -> int:
+    """log_p of the order of the span of the rows of a Howell basis ``h``:
+    the sum of n - v(pivot) over its rows, whose leading entries are the
+    pivots."""
+    pivots = h[np.arange(h.shape[0]), (h != 0).argmax(axis=1)]
+    valuations = np.searchsorted(ring.p ** np.arange(ring.n + 1), np.gcd(pivots, ring.modulus))
+    return ring.n * h.shape[0] - int(valuations.sum())
 
 
 def quotient_invariants(cycles: np.ndarray, boundaries: np.ndarray, ring: ModRing) -> list[int]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .complexes import GradedSliceComplex, HomologyReport, homology_report, slice_homology
 from .exactlin import ModRing, SparseMatrix, howell_form, mzeros, mmul, quotient_invariants
-from .polyalg import _insert_index
+from .polyalg import insert_index
 from .simplex import SimplicialModule, kan_transform, normalized_complex
 
 __all__ = [
@@ -524,7 +524,7 @@ def koszul_gamma_complex(u: np.ndarray, v: np.ndarray, n: int, ring: ModRing):
                     coeff = vrows[l][k]
                     if coeff == 0:
                         continue
-                    sign, s2 = _insert_index(s, k)
+                    sign, s2 = insert_index(s, k)
                     if s2 is None:
                         continue
                     b = tindex[(tuple(m2), s2)]

@@ -356,7 +356,7 @@ def derham_d(omega: DifferentialForm, skip: Iterable[int] = ()) -> DifferentialF
         for i, k in enumerate(e):
             if k == 0 or i in skip:
                 continue
-            sign, merged = _insert_index(wdg, i)
+            sign, merged = insert_index(wdg, i)
             if merged is None:
                 continue  # dx_i repeats a wedge factor
             e2 = list(e)
@@ -366,7 +366,7 @@ def derham_d(omega: DifferentialForm, skip: Iterable[int] = ()) -> DifferentialF
     return DifferentialForm(alg, omega.degree + 1, out)
 
 
-def _insert_index(wdg: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...] | None]:
+def insert_index(wdg: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...] | None]:
     """Sign and sorted tuple for dx_i ^ dx_{wdg}; None when repeated."""
     if i in wdg:
         return 1, None

@@ -35,7 +35,7 @@ import numpy as np
 from .complexes import (
     DoubleComplex,
     GradedSliceComplex,
-    _slice_maps,
+    slice_maps,
 )
 from .exactlin import (
     ModRing,
@@ -225,9 +225,9 @@ class SimplicialModule:
     def __post_init__(self):
         m = self.ring.modulus
         self.dims = {k: v for k, v in self.dims.items() if v}
-        self.faces = _slice_maps(self.faces, lambda n, i, w: (self.dim(n, w), self.dim(n - 1, w)), m)
+        self.faces = slice_maps(self.faces, lambda n, i, w: (self.dim(n, w), self.dim(n - 1, w)), m)
         if not isinstance(self.degens, OnRequest):
-            self.degens = _slice_maps(self.degens, lambda n, i, w: (self.dim(n, w), self.dim(n + 1, w)), m)
+            self.degens = slice_maps(self.degens, lambda n, i, w: (self.dim(n, w), self.dim(n + 1, w)), m)
 
     def dim(self, n: int, w: int) -> int:
         return self.dims.get((n, w), 0)

@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .complexes import slice_homology, total_complex
-from .cotangent import AlgebraPresentation, cotangent_homology, shortcut_conormal_complex
+from .cotangent import AlgebraPresentation, cotangent_homology, parse_poly_string, shortcut_conormal_complex
 from .derham import (
     build_derham,
     hodge_quotient_homology,
@@ -341,8 +341,6 @@ def _first_mismatch(factors, expected) -> str | None:
 
 
 def run_drpd_envelope(params, rng):
-    from .cotangent import _parse_poly_string
-
     cases = []
     z4 = ModRing(2, 2)
     rep = pd_envelope_report(AlgebraPresentation(z4, "quotient", "x", (0, 1)),
@@ -356,7 +354,7 @@ def run_drpd_envelope(params, rng):
     cases.append(_case("Z4-x-iso-certified", "certified generator map",
                        "ok" if rep.iso_certified else "failed", ok=rep.iso_certified))
     fstr = params["f"]
-    fco = tuple(_parse_poly_string(fstr))
+    fco = tuple(parse_poly_string(fstr))
     rep2 = pd_envelope_report(AlgebraPresentation(z4, "quotient", "x", fco),
                               weight_bound=params["weight_bound"])
     bad = (_first_failing_verdict(rep2.slice_verdicts) or _first_failing_verdict(rep2.filtration_verdicts)

@@ -3,12 +3,14 @@
 The structure polynomials are solved exactly from the ghost equations
 w_i = sum p^j z_j^{p^(i-j)} over the rationals and verified integral and
 ghost-compatible symbolically.  Witt arithmetic codes each base element
-by its position in ``base.enumerate()``, tabulates the codes of sums and
-products with the base ring's own operations, and evaluates the structure
-polynomials by indexing those int64 tables, on single codes or on whole
-arrays.  ``WittRing.pair_tables`` holds the position of a + b and a * b for
-every pair of Witt vectors; ``is_ring_map`` checks a map on every pair with
-it.  Base rings and Witt carriers above 2^12 elements are rejected
+by its position in ``base.enumerate()`` and evaluates the structure
+polynomials by indexing the base ring's int32 ``tables`` of the codes of
+sums and products, on single codes or on whole arrays.
+``QuotientRing.tables`` builds those tables in numpy from the digit vectors
+of all elements; a ``TiltRing`` relabels the tables of O/p.
+``WittRing.pair_tables`` holds the position of a + b and a * b for every
+pair of Witt vectors; ``is_ring_map`` compares them with the target's
+tables.  Base rings and Witt carriers above 2^12 elements are rejected
 (ValueError).  Finite-depth tilts are compatible p-power sequences in O/p
 for O = Z[zeta_{p^m}]/(p^n); they are not perfect rings, and every report
 carries the (p, m, n, k) parameters.  theta sends
@@ -45,7 +47,7 @@ __all__ = [
 ]
 
 # Largest base ring, and largest Witt carrier, that is coded into tables:
-# pair tables of N elements hold 2 N^2 int64 entries.
+# the tables of N elements hold 2 N^2 int32 entries.
 MAX_CODED = 2 ** 12
 
 
@@ -177,6 +179,9 @@ class QuotientRing:
         one = [0] * self.deg
         one[0] = 1 % self.m
         self.one = tuple(one)
+        # x^k mod g for deg <= k <= 2 deg - 2: the rows that fold the high
+        # half of a product of two elements back below x^deg
+        self._fold = [self.x_power(k) for k in range(self.deg, 2 * self.deg - 1)]
 
     @property
     def size(self) -> int:
@@ -199,7 +204,13 @@ class QuotientRing:
         return tuple((c * x) % self.m for x in a)
 
     def mul(self, a, b):
-        return tuple(upoly.rem(upoly.mul(a, b, self.m), self.g, self.m))
+        prod = upoly.mul(a, b, self.m)
+        for k, row in enumerate(self._fold, self.deg):
+            c = prod[k]
+            if c:
+                for t, r in enumerate(row):
+                    prod[t] += c * r
+        return tuple([x % self.m for x in prod[: self.deg]])
 
     def power(self, a, k: int):
         out = self.one
@@ -214,6 +225,45 @@ class QuotientRing:
     def enumerate(self):
         for coeffs in itertools.product(range(self.m), repeat=self.deg):
             yield tuple(coeffs)
+
+    @cached_property
+    def tables(self):
+        """(elements, code, add, mul): the elements in ``enumerate()`` order,
+        the position of each, and int32 tables of the positions of their
+        sums and products, built in numpy from the digit vectors of all
+        elements.  ValueError above 2^12 elements."""
+        if self.size > MAX_CODED:
+            raise ValueError(f"base ring of {self.size} elements exceeds the coding bound 2^12")
+        m, deg, size = self.m, self.deg, self.size
+        weight = [m ** (deg - 1 - t) for t in range(deg)]  # the first digit varies slowest
+        digits = np.array([np.arange(size) // w % m for w in weight], dtype=np.int32)
+        # rows[j][t] is digit t of a * x^j for every a: shift, then fold x^deg
+        top = np.array([-c % m for c in self.g[:deg]], dtype=np.int32)[:, None]
+        rows = [digits]
+        for _ in range(deg - 1):
+            shifted = np.zeros_like(digits)
+            shifted[1:] = rows[-1][:-1]
+            rows.append((shifted + rows[-1][-1] * top) % m)
+        # every entry below is at most deg (m - 1)^2 or a code: below 2^31
+        add = np.zeros((size, size), dtype=np.int32)
+        mul = np.zeros((size, size), dtype=np.int32)
+        term = np.empty((size, size), dtype=np.int32)
+        acc = np.empty((size, size), dtype=np.int32)
+        for t, w in enumerate(weight):
+            np.add(digits[t][:, None], digits[t][None, :], out=term)
+            term %= m
+            term *= w
+            add += term
+            # digit t of a * b is sum_j (a * x^j)_t b_j
+            acc.fill(0)
+            for j in range(deg):
+                np.multiply(rows[j][t][:, None], digits[j][None, :], out=term)
+                acc += term
+            acc %= m
+            acc *= w
+            mul += acc
+        elems = list(self.enumerate())
+        return elems, {e: i for i, e in enumerate(elems)}, add, mul
 
     def frobenius_inverse_table(self) -> dict:
         """{a^p: a} over all elements; ValueError unless a -> a^p is a bijection."""
@@ -260,19 +310,10 @@ class WittRing:
         for coords in itertools.product(self.base.enumerate(), repeat=self.length):
             yield self.vector(coords)
 
-    @cached_property
+    @property
     def coding(self):
-        """(elements, code, add, mul): the base elements in enumeration
-        order, the position of each, and the int64 tables of positions of
-        their sums and products, built with the base ring's operations."""
-        base = self.base
-        if base.size > MAX_CODED:
-            raise ValueError(f"base ring of {base.size} elements exceeds the coding bound 2^12")
-        elems = list(base.enumerate())
-        code = {e: i for i, e in enumerate(elems)}
-        add = np.array([[code[base.add(a, b)] for b in elems] for a in elems], dtype=np.int64)
-        mul = np.array([[code[base.mul(a, b)] for b in elems] for a in elems], dtype=np.int64)
-        return elems, code, add, mul
+        """(elements, code, add, mul) of the base ring: its ``tables``."""
+        return self.base.tables
 
     def eval_poly(self, poly, values):
         """Evaluate an integer-coefficient structure polynomial on base codes:
@@ -289,7 +330,7 @@ class WittRing:
 
     @cached_property
     def pair_tables(self):
-        """(add, mul): int64 arrays whose [i, j] entries are the positions in
+        """(add, mul): integer arrays whose [i, j] entries are the positions in
         ``enumerate()`` of a_i + a_j and a_i * a_j, for every pair."""
         b = self.base.size
         size = b ** self.length
@@ -394,20 +435,14 @@ def lift_homomorphism(phi, source: QuotientRing, witt: WittRing, target: Quotien
 
 def is_ring_map(wr: WittRing, images, target) -> bool:
     """Whether sending the i-th element of ``wr.enumerate()`` to images[i]
-    respects + and * on every pair of elements.  The target's operations
-    run once per pair of distinct images; the pair tables then compare
-    every pair of elements."""
+    respects + and * on every pair of elements: the images become target
+    codes once, and the pair tables of ``wr`` are compared with the
+    target's own tables.  ValueError for a target above 2^12 elements."""
     add_pos, mul_pos = wr.pair_tables
-    distinct = list(dict.fromkeys(images))
-    index = {t: i for i, t in enumerate(distinct)}
-    img = np.array([index[t] for t in images], dtype=np.int64)
-    for op, pos in ((target.add, add_pos), (target.mul, mul_pos)):
-        # -1 marks a result outside the images, which no element maps to
-        expected = np.array([[index.get(op(s, t), -1) for t in distinct] for s in distinct],
-                            dtype=np.int64)
-        if not np.array_equal(img[pos], expected[img[:, None], img[None, :]]):
-            return False
-    return True
+    _, code, add, mul = target.tables
+    img = np.array([code[t] for t in images], dtype=np.int64)
+    return all(np.array_equal(img[pos], table[img[:, None], img[None, :]])
+               for pos, table in ((add_pos, add), (mul_pos, mul)))
 
 
 def brute_force_ring_isomorphism(wr: WittRing, target: QuotientRing):
@@ -497,11 +532,16 @@ class CyclotomicModel:
         if self.k < self.n:
             raise ValueError("theta precision needs k >= n")
 
+    @cached_property
+    def _rings(self) -> tuple[QuotientRing, QuotientRing]:
+        g = cyclotomic_polynomial_ppower(self.p, self.m)
+        return QuotientRing(ModRing(self.p, self.n), g), QuotientRing(ModRing(self.p, 1), g)
+
     def ring_o(self) -> QuotientRing:
-        return QuotientRing(ModRing(self.p, self.n), cyclotomic_polynomial_ppower(self.p, self.m))
+        return self._rings[0]
 
     def ring_o_mod_p(self) -> QuotientRing:
-        return QuotientRing(ModRing(self.p, 1), cyclotomic_polynomial_ppower(self.p, self.m))
+        return self._rings[1]
 
     def zeta(self, level: int, ring: QuotientRing) -> tuple:
         """zeta_{p^level} = x^(p^(m-level)) in the chosen quotient ring."""
@@ -540,6 +580,14 @@ class TiltRing:
 
     def enumerate(self):
         yield from self._sequence.values()
+
+    @cached_property
+    def tables(self):
+        """The ``tables`` of O/p, each element replaced by its sequence:
+        the sequences come in the same enumeration order."""
+        elems, _, add, mul = self.omodp.tables
+        seqs = [self._sequence[z] for z in elems]
+        return seqs, {s: i for i, s in enumerate(seqs)}, add, mul
 
     @property
     def size(self) -> int:

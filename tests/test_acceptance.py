@@ -69,11 +69,11 @@ def test_criterion_06_reaches_weight_bound_6():
     _run(6, "drpd-modp", {"weight_bound": 6}, limit=60, digest="80f8a9151c16c025")
 
 
-def _reach(criterion, suite, weight_bound, path, seconds, megabytes, *, digest):
-    """``derhamkit verify`` in a child process: it must pass inside the time
-    and peak-RSS bounds and write the report recorded for it."""
-    run = run_cli("verify", suite, "--weight-bound", str(weight_bound), "--json", str(path))
-    print(f"criterion {criterion:>2} {suite} weight bound {weight_bound}: exit {run.returncode}, "
+def _reach(criterion, args, path, seconds, megabytes, *, digest):
+    """``derhamkit verify *args`` in a child process: it must pass inside the
+    time and peak-RSS bounds and write the report recorded for it."""
+    run = run_cli("verify", *args, "--json", str(path))
+    print(f"criterion {criterion:>2} {' '.join(args)}: exit {run.returncode}, "
           f"{run.elapsed:.1f}s, peak RSS {run.peak_mb:.0f} MB")
     assert run.returncode == 0 and " 0 fail," in run.out, run.out
     assert run.elapsed < seconds, f"{run.elapsed:.1f}s exceeds {seconds}s"
@@ -82,11 +82,11 @@ def _reach(criterion, suite, weight_bound, path, seconds, megabytes, *, digest):
 
 
 def test_criterion_06_reaches_weight_bound_7(tmp_path):
-    _reach(6, "drpd-modp", 7, tmp_path / "report.json", 60, 1024, digest="3895945d7f014961")
+    _reach(6, ("drpd-modp", "--weight-bound", "7"), tmp_path / "report.json", 60, 1024, digest="3895945d7f014961")
 
 
 def test_criterion_06_reaches_weight_bound_9(tmp_path):
-    _reach(6, "drpd-modp", 9, tmp_path / "report.json", 60, 1024, digest="b65f7601aa4ab1e1")
+    _reach(6, ("drpd-modp", "--weight-bound", "9"), tmp_path / "report.json", 60, 1024, digest="b65f7601aa4ab1e1")
 
 
 def test_criterion_07_derived_derham_pd_mod_pn():
@@ -94,7 +94,7 @@ def test_criterion_07_derived_derham_pd_mod_pn():
 
 
 def test_criterion_07_reaches_weight_bound_8(tmp_path):
-    _reach(7, "drpd-envelope", 8, tmp_path / "report.json", 5, 256, digest="8a405f198f855c6b")
+    _reach(7, ("drpd-envelope", "--weight-bound", "8"), tmp_path / "report.json", 5, 256, digest="8a405f198f855c6b")
 
 
 def test_criterion_08_universal_thickening():
@@ -107,6 +107,11 @@ def test_criterion_09_witt_layer():
 
 def test_criterion_10_theta_and_epsilon():
     _run(10, "theta-epsilon", {"p": 2, "m": 3, "n": 2, "k": 2}, limit=120, digest="59bbc1993b89304e")
+
+
+def test_criterion_10_reaches_the_odd_prime_model(tmp_path):
+    _reach(10, ("theta-epsilon", "--p", "3", "--m", "2", "--n", "1", "--k", "1"), tmp_path / "report.json",
+           5, 128, digest="dfbae2c8501f2101")
 
 
 def test_criterion_11_ramification_table():

@@ -106,13 +106,13 @@ def test_slice_quotient_coords_solve_through_one_solver_per_quotient(monkeypatch
     from derhamkit import exactlin
 
     built = []
-    solver = exactlin._span_solver
+    solver = exactlin.span_solver
 
     def counting_solver(rows, ring):
         built.append(rows.shape)
         return solver(rows, ring)
 
-    monkeypatch.setattr(exactlin, "_span_solver", counting_solver)
+    monkeypatch.setattr(exactlin, "span_solver", counting_solver)
     ring = ModRing(3, 2)
     cx = GradedSliceComplex(ring, 0, 1, {(0, 0): 2, (1, 0): 1}, {(1, 0): np.array([[3, 0]])})
     q = homology_quotient(cx, 0, 0)

@@ -218,6 +218,42 @@ def test_boundaries_without_cycles_are_rejected_and_an_empty_quotient_keeps_its_
     assert (q.ambient_dim, q.cycles.shape, q.gen_reps.shape, q.factors) == (2, (0, 2), (0, 2), [])
 
 
+def test_boundaries_outside_the_cycles_are_rejected():
+    for cycles, boundaries, ring in (([[1, 0]], [[0, 1]], ModRing(3, 1)), ([[2]], [[1]], ModRing(2, 2))):
+        with pytest.raises(ValueError, match="boundaries not contained in cycles"):
+            quotient_invariants(cycles, boundaries, ring)
+    assert quotient_invariants([[2]], [[2]], ModRing(2, 2)) == []
+
+
+@pytest.mark.parametrize("ring", [ModRing(2, 1), ModRing(3, 1), ModRing(5, 1), ModRing(2, 2), ModRing(2, 3),
+                                  ModRing(3, 2), ModRing(5, 2), ModRing(5, 3)], ids=str)
+def test_containment_of_boundaries_agrees_with_the_howell_form(ring):
+    """from_cycles_boundaries raises exactly when the Howell form of the
+    cycles and boundaries stacked differs from that of the cycles, on
+    boundaries that are combinations of the cycles, plus a random error
+    half of the time."""
+    m = ring.modulus
+    rng = np.random.default_rng(7000 + m)
+    outcomes = set()
+    for _ in range(60):
+        rows, cols, brows = (int(x) for x in rng.integers(1, 5, size=3))
+        c = rng.integers(0, m, size=(rows, cols)) * ring.p ** rng.integers(0, ring.n + 1, size=(rows, 1)) % m
+        hk = howell_form(c, ring)
+        b = rng.integers(0, m, size=(brows, rows)) @ c
+        if rng.random() < 0.5:
+            b += rng.integers(0, m, size=(brows, cols)) * ring.p ** rng.integers(0, ring.n + 1, size=(brows, 1))
+        b %= m
+        inside = np.array_equal(howell_form(np.vstack([hk, b]), ring), hk)
+        outcomes.add(inside)
+        if inside:
+            q = SliceQuotient.from_cycles_boundaries(hk, b, ring)
+            assert q.factors == reference_quotient_invariants(c, b, ring)
+        else:
+            with pytest.raises(ValueError, match="boundaries not contained in cycles"):
+                SliceQuotient.from_cycles_boundaries(hk, b, ring)
+    assert outcomes == {True, False}
+
+
 def _cycles_and_boundaries(ring):
     """Random cycles C and boundaries R @ C inside their span, the rows of C
     and R scaled by random powers of p, after the zero-row and zero-column

@@ -1,5 +1,6 @@
-"""Every library module uses each name it imports, and every private
-function or method of the library is referenced.
+"""Every library module uses each name it imports, imports no private
+name of another library module, and every private function or method of
+the library is referenced.
 
 The package's ``__init__.py`` imports names only to re-export them, and a
 line marked ``# noqa: F401`` keeps an import on purpose; both are exempt.
@@ -48,6 +49,33 @@ def test_the_check_finds_an_unused_import_and_honours_noqa():
                          ids=lambda p: p.name)
 def test_a_library_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """The names with a leading underscore that ``source`` imports from a
+    module of the package (``from .x import _y`` or ``from derhamkit.x
+    import _y``), as "name (line n)"."""
+    return [f"{alias.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "derhamkit")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_the_check_finds_a_private_name_imported_from_a_sibling():
+    source = ("from __future__ import annotations\n"
+              "from ._version import version\n"
+              "from .exactlin import ModRing, _span_solver\n"
+              "from derhamkit.polyalg import (\n"
+              "    Poly,\n"
+              "    _insert_index,\n"
+              ")\n"
+              "from os import _exit\n")
+    assert private_sibling_imports(source) == ["_span_solver (line 3)", "_insert_index (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_a_library_module_imports_no_private_name_of_another(path):
+    assert private_sibling_imports(path.read_text()) == []
 
 
 def _names_read(node: ast.AST) -> Counter:

@@ -4,10 +4,11 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 import reference_witt
 
-from derhamkit import suites, witt
+from derhamkit import suites, upoly, witt
 from derhamkit.exactlin import ModRing
 from derhamkit.suites import run_suite
 from derhamkit.witt import (
@@ -422,3 +423,81 @@ def test_tilt_operations_match_componentwise_on_seeded_pairs_of_odd_tilt():
     rng = random.Random(5)
     for _ in range(500):
         _assert_tilt_ops_componentwise(t, rng.choice(elems), rng.choice(elems))
+
+
+TABLE_RINGS = {
+    "F_2": plain_ring(2, 1),
+    "Z/8": plain_ring(2, 3),
+    "F_4": QuotientRing(ModRing(2, 1), (1, 1, 1)),
+    "Z/4[x]/(x^2+x+1)": QuotientRing(ModRing(2, 2), (1, 1, 1)),
+    "F_5[x]/(x^2+2)": QuotientRing(ModRing(5, 1), (2, 0, 1)),
+    "O(2,3,2,2)": CyclotomicModel(2, 3, 2, 2).ring_o(),
+    "O/p(2,3,2,2)": CyclotomicModel(2, 3, 2, 2).ring_o_mod_p(),
+    "O(3,2,1,1)": CyclotomicModel(3, 2, 1, 1).ring_o(),
+    "O/p(3,2,1,1)": CyclotomicModel(3, 2, 1, 1).ring_o_mod_p(),
+}
+
+
+def _table_rows(size):
+    """Every row of a table up to 256 elements, and 24 seeded rows of the
+    729-element rings, where the per-pair reference on every row takes
+    seconds."""
+    return range(size) if size <= 256 else sorted(random.Random(size).sample(range(size), 24))
+
+
+def _assert_tables_match_reference(tables, base):
+    elems, code, add, mul = tables
+    rows = _table_rows(base.size)
+    ref_elems, ref_code, ref_add, ref_mul = reference_witt.coding(base, rows)
+    assert elems == ref_elems and code == ref_code
+    assert add.dtype == mul.dtype == np.int32 and add.shape == mul.shape == (base.size, base.size)
+    assert np.array_equal(add[rows], ref_add) and np.array_equal(mul[rows], ref_mul)
+
+
+@pytest.mark.parametrize("name", list(TABLE_RINGS))
+def test_quotient_ring_tables_and_folded_product_equal_the_per_pair_reference(name):
+    ring = TABLE_RINGS[name]
+    _assert_tables_match_reference(ring.tables, ring)
+    elems = list(ring.enumerate())
+    for i in _table_rows(ring.size):
+        for b in elems:
+            assert ring.mul(elems[i], b) == tuple(upoly.rem(upoly.mul(elems[i], b, ring.m), ring.g, ring.m))
+
+
+@pytest.mark.parametrize("model", [CyclotomicModel(2, 3, 2, 2), CyclotomicModel(3, 2, 1, 1)], ids=str)
+def test_tilt_tables_and_witt_coding_equal_the_per_pair_reference(model):
+    t = tilt_ring(model)
+    _assert_tables_match_reference(t.tables, t)
+    assert WittRing(model.p, model.n, t).coding is t.tables
+
+
+def test_a_cyclotomic_model_builds_its_rings_once():
+    model = CyclotomicModel(2, 3, 2, 2)
+    assert model.ring_o() is model.ring_o() and model.ring_o_mod_p() is model.ring_o_mod_p()
+    assert tilt_ring(model).omodp is model.ring_o_mod_p()
+
+
+def test_is_ring_map_gives_the_reference_verdict_on_every_candidate(monkeypatch):
+    verdicts = []
+    check = witt.is_ring_map
+
+    def compared(wr, images, target):
+        verdict = check(wr, images, target)
+        assert verdict == reference_witt.is_ring_map(wr, images, target)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(witt, "is_ring_map", compared)
+    f4 = QuotientRing(ModRing(2, 1), (1, 1, 1))
+    generator_ring_homomorphisms(WittRing(2, 2, f4), QuotientRing(ModRing(2, 2), (1, 1, 1)))
+    assert len(verdicts) == 16 and True in verdicts and False in verdicts
+    del verdicts[:]
+    brute_force_ring_isomorphism(WittRing(2, 2, plain_ring(2, 1)), plain_ring(2, 2))
+    assert True in verdicts
+
+
+def test_is_ring_map_rejects_a_target_above_the_coding_bound():
+    big = QuotientRing(ModRing(2, 1), (0,) * 13 + (1,))  # F_2[x]/(x^13), 8192 elements
+    w = WittRing(2, 1, plain_ring(2, 1))
+    with pytest.raises(ValueError, match="2\\^12"):
+        is_ring_map(w, [big.zero, big.one], big)
