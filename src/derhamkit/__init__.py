@@ -6,7 +6,7 @@ backed by finite exact linear algebra over Z, Z/p^n and F_p.
 """
 
 from .exactlin import ModRing, ZZ, PAdicValue, ModulePresentation, normal_form, module_invariants, padic_valuation, resultant
-from .polyalg import PolyAlgebra, Poly, DifferentialForm, AlgebraMap, apply_map, derham_d, wedge, graded_slice_basis
+from .polyalg import PolyAlgebra, graded_slice_basis
 from .complexes import GradedSliceComplex, DoubleComplex, HomologyReport, slice_homology, total_complex, compare_homology, homology_report
 from .simplex import (
     MonotoneMap,
@@ -18,7 +18,7 @@ from .simplex import (
     kan_transform,
     diagonal,
     double_kan,
-    shuffle_product,
+    shuffles,
 )
 from .cotangent import (
     AlgebraPresentation,

@@ -44,7 +44,7 @@ from .exactlin import (
     span_solver,
     v_int,
 )
-from .polyalg import AlgebraMap, Poly, PolyAlgebra, exponent_rows, row_positions
+from .polyalg import PolyAlgebra, exponent_rows, row_positions
 from .upoly import gcd_degree, rem, trim
 
 __all__ = [
@@ -60,23 +60,11 @@ __all__ = [
     "FiniteBModule",
     "ext1_cotangent",
     "transitivity_report",
-    "poly_from_coeffs",
 ]
 
 
 class DepthError(ValueError):
     pass
-
-
-def poly_from_coeffs(algebra: PolyAlgebra, var: str, coeffs) -> Poly:
-    idx = algebra.var_index(var)
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if c % algebra.ring.modulus:
-            e = [0] * algebra.nvars
-            e[idx] = k
-            terms[tuple(e)] = c
-    return Poly(algebra, terms)
 
 
 def parse_poly_string(text: str) -> list[int]:
@@ -254,36 +242,6 @@ class FreeSimplicialResolution:
             weights = (1,) + (d,) * n
             self._alg_cache[n] = PolyAlgebra(self.ring, names, weights, base_var=self.pres.var)
         return self._alg_cache[n]
-
-    def f_poly(self, n: int) -> Poly:
-        return poly_from_coeffs(self.algebra(n), self.pres.var, self.pres.f_coeffs)
-
-    def face(self, n: int, i: int) -> AlgebraMap:
-        """t_j -> t_j (j <= i, j != n), t_{j-1} (j > i, with t_0 := f), 0 (j = i = n)."""
-        src = self.algebra(n)
-        tgt = self.algebra(n - 1)
-        images = [tgt.variable(self.pres.var)]
-        for j in range(1, n + 1):
-            if j == i == n:
-                images.append(tgt.zero())
-            elif j > i:
-                images.append(self.f_poly(n - 1) if j == 1 else tgt.variable(f"t{j-1}"))
-            else:
-                images.append(tgt.variable(f"t{j}"))
-        return AlgebraMap(src, tgt, tuple(images))
-
-    def degeneracy(self, n: int, i: int) -> AlgebraMap:
-        """t_j -> t_j (j <= i), t_{j+1} (j > i)."""
-        src = self.algebra(n)
-        tgt = self.algebra(n + 1)
-        images = [tgt.variable(self.pres.var)]
-        for j in range(1, n + 1):
-            images.append(tgt.variable(f"t{j}" if j <= i else f"t{j+1}"))
-        return AlgebraMap(src, tgt, tuple(images))
-
-    def degeneracy_element(self, n: int, i: int, x: Poly) -> Poly:
-        """Shuffle-product protocol: apply s_i at level n."""
-        return self.degeneracy(n, i)(x)
 
     def face_variable_table(self, n: int, i: int) -> list[tuple[int, int, int] | None]:
         """Monomial fast path (monomial f only): entry s reads (target

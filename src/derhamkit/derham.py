@@ -46,13 +46,11 @@ from .cotangent import (
     AlgebraPresentation,
     DepthError,
     FreeSimplicialResolution,
-    degenerate_rows,
     kaehler_presentation,
     nondegenerate_positions,
     verify_nonzerodivisor,
 )
 from .exactlin import (
-    ModRing,
     SparseMatrix,
     as_sparse,
     left_kernel,
@@ -62,8 +60,8 @@ from .exactlin import (
     span_solver,
 )
 from .pdpow import PDAlgebra, pd_filtration, derived_power
-from .polyalg import DifferentialForm, apply_map_form, exponent_rows, graded_slice_basis
-from .simplex import shuffle_product
+from .polyalg import exponent_rows, graded_slice_basis, row_positions
+from .simplex import shuffles
 from .upoly import mul, rem
 
 __all__ = [
@@ -426,12 +424,13 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
     d = pres.degree
     ring = pres.ring
     m = ring.modulus
-    f = build_derham(pres, hodge_cut=2, window=(0, 1), weight_bound=weight_bound)
-    res = f.res
+    # the cut-3 build keeps the column F^2 that the products land in; its
+    # corner below level 2 is the F^2-truncation
+    f = build_derham(pres, hodge_cut=3, window=(0, 1), weight_bound=weight_bound)
+    cx = f.quotient_complex(2)
 
-    h0 = {w: homology_quotient(f.total, 0, w) for w in range(weight_bound + 1)}
-    ideal = {w: _ideal_reps(q, f.filtration_coordinates(1, 0, w), f.total.diff(1, w), ring)
-             for w, q in h0.items()}
+    h0 = {w: homology_quotient(cx, 0, w) for w in range(weight_bound + 1)}
+    ideal = {w: _ideal_reps(f, q, w) for w, q in h0.items()}
 
     # explicit map to A/(f^2): theta reduces Q_0 = k[x] mod f^2, and the
     # derivation sends g dt_1 to (g at t_1 = 0) * f mod f^2
@@ -443,7 +442,7 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
     def phi_vector(n0_vec: np.ndarray, w: int) -> np.ndarray:
         """Image in the weight-w slice of A/(f^2) (power basis x^w if w < 2d)."""
         out = mzeros(1, 1)[0] if w < 2 * d else mzeros(1, 0)[0]
-        lay, _ = f.layout(0, w)
+        lay, _ = f.layout(0, w, 2)
         for (j, i, off) in lay:
             basis = f.block_basis(j, i, w)
             for pos, (e, wdg) in enumerate(basis):
@@ -474,7 +473,7 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
         img_rows = []
         for rep in q.gen_reps:
             img_rows.append(phi_vector(rep, w))
-        bnd = f.total.diff(1, w)
+        bnd = cx.diff(1, w)
         for row in bnd:
             if phi_vector(row, w).any():
                 comparison_ok = False
@@ -489,7 +488,7 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
     # the surjection onto B: augment the Q_0 part and reduce mod f
     def augment(vec: np.ndarray, w: int) -> int:
         total = 0
-        lay, _ = f.layout(0, w)
+        lay, _ = f.layout(0, w, 2)
         for (j, i, off) in lay:
             if (j, i) != (0, 0):
                 continue
@@ -504,7 +503,7 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
     surj_ok = True
     for w in range(weight_bound + 1):
         q = h0[w]
-        for row in f.total.diff(1, w):
+        for row in cx.diff(1, w):
             if augment(row, w):
                 surj_ok = False  # augmentation must kill boundaries
         if w < d:
@@ -513,19 +512,14 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
         elif len(ideal[w]) < len(q.gen_reps):
             surj_ok = False  # everything above the B range must come from the ideal part
 
-    # square-zero: products of ideal classes vanish (the product of two
-    # column-1 representatives lands in Omega^2, which F^2 cuts away), and
-    # products are computed through the shuffle structure on representatives
-    mult = _H0Multiplier(f)
+    # square-zero: the ideal is F^1 H_0, and the product of two F^1
+    # representatives lies in F^2, so it has no coordinate in the corner cx
     sq_ok = True
     for w1 in range(weight_bound + 1):
         for w2 in range(weight_bound + 1 - w1):
             for a in ideal[w1]:
                 for b in ideal[w2]:
-                    prod = mult.multiply(a, w1, b, w2)
-                    if prod is not None and w1 + w2 <= weight_bound:
-                        if not h0[w1 + w2].is_zero_class(prod):
-                            sq_ok = False
+                    sq_ok = sq_ok and not h0_shuffle_product(f, a, w1, b, w2)[:cx.dim(0, w1 + w2)].any()
 
     # length bookkeeping of 0 -> H_1(L) -> H_0(LOmega/F^2) -> B -> 0
     seq_ok = True
@@ -537,83 +531,87 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
     return ThickeningResult(pres, h0, surj_ok, sq_ok, seq_ok, comparison_ok)
 
 
-def _ideal_reps(q: SliceQuotient, fil_rows: np.ndarray, boundaries: np.ndarray, ring: ModRing):
-    """Generator representatives lying in the filtration-1 part of the slice."""
-    if not (fil_rows.shape[0] and q.gen_reps.shape[0]):
+def _ideal_reps(f: FilteredDeRhamComplex, q: SliceQuotient, w: int) -> list[np.ndarray]:
+    """F^1 representatives, as slice vectors of ``f``, of the generators of
+    ``q`` (H_0 of a corner of ``f``) that lie in F^1 modulo boundaries:
+    the F^1 part of a solution of rep = F^1 coordinates + boundaries."""
+    fil = f.filtration_coordinates(1, 0, w)
+    if not (fil.shape[0] and q.gen_reps.shape[0]):
         return []
-    solve = span_solver(np.vstack([fil_rows, boundaries]) if boundaries.size else fil_rows, ring)
-    return [rep for rep in q.gen_reps if solve(rep) is not None]
-
-
-class _H0Multiplier:
-    """Shuffle multiplication on degree-0 slice vectors.
-
-    A degree-0 element decomposes into forms u_i in Omega^i(Q_i); the
-    product of u_i and v_j is the shuffle product of the simplicial algebra
-    of forms, times the Koszul sign (-1)^{i j} for crossing the bidegrees,
-    landing in Omega^{i+j}(Q_{i+j}).  Columns at or above the Hodge cut are
-    dropped (multiplication in the quotient), and so are degenerate terms:
-    shuffle products send degenerate forms to degenerate ones, so dropping
-    them is the product of the normalized complex.
-    """
-
-    def __init__(self, f: FilteredDeRhamComplex):
-        self.f = f
-        self.ring = f.ring
-
-    def _split(self, vec: np.ndarray, w: int):
-        lay, _ = self.f.layout(0, w)
-        blocks: dict[int, DifferentialForm] = {}
-        for (j, i, off) in lay:
-            basis = self.f.block_basis(j, i, w)
-            terms = {}
-            for pos, (e, wdg) in enumerate(basis):
-                c = int(vec[off + pos])
-                if c:
-                    terms[(e, wdg)] = c
-            if terms:
-                blocks[i] = DifferentialForm(self.f.res.algebra(j), i, terms)
-        return blocks
-
-    def degeneracy_element(self, n: int, k: int, form: DifferentialForm) -> DifferentialForm:
-        """Shuffle-product protocol: apply s_k at level n."""
-        return apply_map_form(self.f.res.degeneracy(n, k), form)
-
-    def multiply(self, u: np.ndarray, wu: int, v: np.ndarray, wv: int):
-        w = wu + wv
-        if w > self.f.weight_bound:
-            return None
-        bu = self._split(u, wu)
-        bv = self._split(v, wv)
-        lay, total = self.f.layout(0, w)
-        out = mzeros(1, total)[0]
-        index = {}
-        for (j, i, off) in lay:
-            for pos, entry in enumerate(self.f.block_basis(j, i, w)):
-                index[(j, i, entry)] = off + pos
-        m = self.ring.modulus
-
-        for i1, form1 in bu.items():
-            for i2, form2 in bv.items():
-                col = i1 + i2
-                if col >= self.f.hodge_cut or col * self.f.pres.degree > w:
-                    continue
-                prod = shuffle_product(form1, i1, form2, i2, self)
-                if (i1 * i2) % 2:
-                    prod = -prod
-                for (e, wdg), c in prod.terms.items():
-                    key = (col, col, (e, wdg))
-                    if key in index:
-                        out[index[key]] = (out[index[key]] + c) % m
-                    elif not degenerate_rows(exponent_rows([e], col + 1), exponent_rows([wdg], col))[0]:
-                        raise AssertionError(f"shuffle product term {(e, wdg)} is nondegenerate but not in the basis")
-        return out
+    boundaries = f.total.diff(1, w)
+    solve = span_solver(np.vstack([fil, boundaries]) if boundaries.size else fil, f.ring)
+    # the corner's coordinates come first; the columns it cuts away lie in
+    # F^1, and f's boundaries project onto the corner's, so a padded rep is
+    # in F^1 + boundaries of f exactly when rep is in F^1 + those of q
+    reps = np.pad(q.gen_reps, ((0, 0), (0, fil.shape[1] - q.gen_reps.shape[1])))
+    parts = (solve(rep) for rep in reps)
+    return [c[:len(fil)] @ fil % f.ring.modulus for c in parts if c is not None]
 
 
 def h0_shuffle_product(f: FilteredDeRhamComplex, u: np.ndarray, wu: int,
                        v: np.ndarray, wv: int):
-    """Product of two degree-0 slice vectors; None above the weight bound."""
-    return _H0Multiplier(f).multiply(u, wu, v, wv)
+    """Product of two degree-0 slice vectors; None above the weight bound.
+
+    The degree-0 slice holds the blocks Omega^i(Q_i), whose basis elements
+    are x^a t^b dt_1 ^ ... ^ dt_i, since every t_s occurs under d.  The
+    product of u_i and v_j is the shuffle product of the simplicial algebra
+    of forms times the Koszul sign (-1)^{ij}, in Omega^{i+j}(Q_{i+j}).  For
+    an (i, j)-shuffle (mu, nu), s_nu sends t_s of u_i to t_{mu_s + 1} and
+    s_mu sends t_s of v_j to t_{nu_s + 1}, and merging the wedges into
+    dt_1 ^ ... ^ dt_{i+j} costs the shuffle sign again, so every term
+    carries (-1)^{ij} alone: its exponent row is the sum of the two moved
+    rows.  Columns at or above the Hodge cut are dropped (multiplication in
+    the quotient).  A term missing from the target basis raises: no form of
+    this slice is degenerate.
+    """
+    w = wu + wv
+    if w > f.weight_bound:
+        return None
+    m = f.ring.modulus
+    lay, total = f.layout(0, w)
+    offsets = {i: off for _, i, off in lay}
+    out = np.zeros(total, dtype=np.int64)
+    for i1, eu, cu in _degree0_blocks(f, u, wu):
+        for i2, ev, cv in _degree0_blocks(f, v, wv):
+            col = i1 + i2
+            if col >= f.hodge_cut:
+                continue
+            rows, coeffs = _shuffle_terms(eu, cu, i1, ev, cv, i2, m)
+            pos, found = row_positions(f._block_rows(col, col, w)[:, col:], rows)
+            if not found.all():
+                raise AssertionError(f"shuffle product term {rows[~found][0].tolist()} "
+                                     f"is nondegenerate but not in the basis")
+            np.add.at(out, offsets[col] + pos, -coeffs if i1 * i2 % 2 else coeffs)
+    return out % m
+
+
+def _degree0_blocks(f: FilteredDeRhamComplex, vec: np.ndarray, w: int):
+    """(i, exponent rows, coefficients) of the nonzero entries of a
+    degree-0 slice vector, per block Omega^i(Q_i)."""
+    vec = np.asarray(vec, dtype=np.int64) % f.ring.modulus
+    for _, i, off in f.layout(0, w)[0]:
+        rows = f._block_rows(i, i, w)
+        nz = np.flatnonzero(vec[off:off + len(rows)])
+        if nz.size:
+            yield i, rows[nz, i:], vec[off + nz]
+
+
+def _shuffle_terms(eu: np.ndarray, cu: np.ndarray, i1: int, ev: np.ndarray, cv: np.ndarray, i2: int,
+                   m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent rows (x, t_1..t_{i1+i2}) and coefficients mod m of the
+    shuffle product terms of two blocks, without the Koszul sign: over the
+    (i1, i2)-shuffles (mu, nu), the columns of u's t_s move to mu_s + 1 and
+    those of v's to nu_s + 1, and every pair of terms adds its rows."""
+    width = i1 + i2 + 1
+    coeffs = np.outer(cu, cv).reshape(-1) % m
+    rows = []
+    for mu, nu, _ in shuffles(i1, i2):
+        su = np.zeros((len(eu), width), dtype=np.int64)
+        su[:, [0, *(k + 1 for k in mu)]] = eu
+        sv = np.zeros((len(ev), width), dtype=np.int64)
+        sv[:, [0, *(k + 1 for k in nu)]] = ev
+        rows.append((su[:, None, :] + sv[None, :, :]).reshape(-1, width))
+    return np.concatenate(rows), np.tile(coeffs, len(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ __all__ = [
     "kan_block",
     "diagonal",
     "double_kan",
-    "shuffle_product",
     "shuffles",
 ]
 
@@ -711,7 +710,7 @@ def double_kan(dc, p_max: int, q_max: int) -> BisimplicialModule:
 
 
 # ---------------------------------------------------------------------------
-# shuffle products
+# shuffles
 
 
 def shuffles(i: int, j: int):
@@ -721,33 +720,3 @@ def shuffles(i: int, j: int):
         nu = tuple(k for k in universe if k not in mu)
         inversions = sum(1 for a in mu for b in nu if a > b)
         yield mu, nu, (-1) ** inversions
-
-
-def shuffle_product(x, i: int, y, j: int, algebra_data):
-    """Product X_i x X_j -> X_{i+j} of a simplicial algebra.
-
-    ``algebra_data`` provides ``degeneracy_element(n, k, elt)`` applying the
-    degeneracy s_k at level n, and elements multiply with ``*``.  In
-    degrees (0, 0) this is plain multiplication; otherwise the signed sum
-    over (i, j)-shuffles, with the j-element block applied to x and the
-    i-element block applied to y.
-    """
-    if i == 0 and j == 0:
-        return x * y
-    total = None
-    for mu, nu, sign in shuffles(i, j):
-        xs = x
-        level = i
-        for k in nu:  # ascending: valid degeneracy indices at each level
-            xs = algebra_data.degeneracy_element(level, k, xs)
-            level += 1
-        ys = y
-        level = j
-        for k in mu:
-            ys = algebra_data.degeneracy_element(level, k, ys)
-            level += 1
-        term = xs * ys
-        if sign < 0:
-            term = -term
-        total = term if total is None else total + term
-    return total

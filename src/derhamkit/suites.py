@@ -308,24 +308,26 @@ def run_koszul_gamma(params, rng):
 
 
 def run_drpd_modp(params, rng):
+    return [case for p in (2, 3) for case in _drpd_modp_cases(p, params["weight_bound"], params["window_top"])]
+
+
+def _drpd_modp_cases(p: int, wb: int, top: int) -> list:
+    """The cases of one prime; its complex is freed when they are made,
+    before the next prime's is built."""
     cases = []
-    wb = params["weight_bound"]
-    top = params["window_top"]
-    for p in (2, 3):
-        ring = ModRing(p, 1)
-        pres = AlgebraPresentation(ring, "quotient", "x", (0, 1))
-        f = build_derham(pres, hodge_cut=wb + 1, window=(0, top), weight_bound=wb)
-        for i in range(1, wb + 1):
-            rep = hodge_quotient_homology(f, i, degrees=[0])
-            dim = sum(len(e["factors"]) for (deg, _), e in rep.entries.items() if deg == 0)
-            cases.append(_case(f"p{p}-dim-H0-mod-F{i}", str(i), str(dim)))
-        full = hodge_quotient_homology(f, wb + 1, degrees=range(top + 1))
-        bad = _first_mismatch(full.factors, [((0, w), [p]) for w in range(wb + 1)])
-        cases.append(_case(f"p{p}-weight-slices", "one-dimensional for w <= " + str(wb),
-                           "ok" if bad is None else "mismatch " + bad, ok=bad is None))
-        bad = _first_mismatch(full.factors, [((n, w), []) for n in range(1, top + 1) for w in range(wb + 1)])
-        cases.append(_case(f"p{p}-higher-vanishing", f"H_1..H_{top} = 0 in window",
-                           "ok" if bad is None else "nonzero " + bad, ok=bad is None))
+    pres = AlgebraPresentation(ModRing(p, 1), "quotient", "x", (0, 1))
+    f = build_derham(pres, hodge_cut=wb + 1, window=(0, top), weight_bound=wb)
+    for i in range(1, wb + 1):
+        rep = hodge_quotient_homology(f, i, degrees=[0])
+        dim = sum(len(e["factors"]) for (deg, _), e in rep.entries.items() if deg == 0)
+        cases.append(_case(f"p{p}-dim-H0-mod-F{i}", str(i), str(dim)))
+    full = hodge_quotient_homology(f, wb + 1, degrees=range(top + 1))
+    bad = _first_mismatch(full.factors, [((0, w), [p]) for w in range(wb + 1)])
+    cases.append(_case(f"p{p}-weight-slices", "one-dimensional for w <= " + str(wb),
+                       "ok" if bad is None else "mismatch " + bad, ok=bad is None))
+    bad = _first_mismatch(full.factors, [((n, w), []) for n in range(1, top + 1) for w in range(wb + 1)])
+    cases.append(_case(f"p{p}-higher-vanishing", f"H_1..H_{top} = 0 in window",
+                       "ok" if bad is None else "nonzero " + bad, ok=bad is None))
     return cases
 
 

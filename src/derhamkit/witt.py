@@ -218,8 +218,9 @@ class QuotientRing:
         while k:
             if k & 1:
                 out = self.mul(out, base)
-            base = self.mul(base, base)
             k >>= 1
+            if k:
+                base = self.mul(base, base)
         return out
 
     def enumerate(self):

@@ -20,7 +20,8 @@ import numpy as np
 
 from derhamkit.cotangent import FreeSimplicialResolution
 from derhamkit.exactlin import mzeros
-from derhamkit.polyalg import Poly
+
+from reference_polyalg import Poly, face
 
 
 def is_degenerate(expts: tuple[int, ...], wedge: tuple[int, ...] = ()) -> bool:
@@ -71,7 +72,7 @@ def q_face_matrix(res: FreeSimplicialResolution, n: int, i: int, w: int) -> np.n
                 else:
                     assert is_degenerate(e2), (n, i, e, e2)
         return out
-    phi = res.face(n, i)
+    phi = face(res, n, i)
     for a, e in enumerate(src):
         img = phi(Poly(res.algebra(n), {e: 1}))
         for e2, c in img.terms.items():

@@ -89,6 +89,12 @@ def test_criterion_06_reaches_weight_bound_9(tmp_path):
     _reach(6, ("drpd-modp", "--weight-bound", "9"), tmp_path / "report.json", 60, 1024, digest="b65f7601aa4ab1e1")
 
 
+def test_criterion_06_reaches_weight_bound_11(tmp_path):
+    # one prime's complex at a time: 405 MB when the p = 2 complex stayed
+    # alive through the p = 3 build, about 285 MB since
+    _reach(6, ("drpd-modp", "--weight-bound", "11"), tmp_path / "report.json", 60, 350, digest="baf0957d0802e155")
+
+
 def test_criterion_07_derived_derham_pd_mod_pn():
     _run(7, "drpd-envelope", {"weight_bound": 4}, digest="ab7235194625fe2e")
 

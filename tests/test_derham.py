@@ -23,6 +23,7 @@ from derhamkit.suites import run_suite
 
 import reference_cotangent
 import reference_derham
+import reference_polyalg
 
 F2 = ModRing(2, 1)
 F3 = ModRing(3, 1)
@@ -130,6 +131,32 @@ def test_universal_thickening_square_zero_explicit():
     prod = h0_shuffle_product(f, omega, 1, omega, 1)
     q2 = homology_quotient(f.total, 0, 2)
     assert q2.is_zero_class(prod)
+
+
+def test_ideal_squares_to_zero_multiplies_and_fails_on_a_column_one_term(monkeypatch):
+    from derhamkit import derham
+
+    honest, products = derham.h0_shuffle_product, []
+
+    def recorded(*args):
+        products.append(honest(*args))
+        return products[-1]
+
+    monkeypatch.setattr(derham, "h0_shuffle_product", recorded)
+    report = run_suite("universal-thickening")
+    assert report.exit_code() == 0
+    # [dt_1] [dt_1] = -2 dt_1 ^ dt_2: the products are formed, in F^2
+    assert products and any(p.any() for p in products)
+
+    def with_column_one_term(f, u, wu, v, wv):
+        prod = honest(f, u, wu, v, wv)
+        prod[np.searchsorted(f.total.columns[(0, wu + wv)], 1)] += 1
+        return prod
+
+    monkeypatch.setattr(derham, "h0_shuffle_product", with_column_one_term)
+    cases = {c.name: c.status for c in run_suite("universal-thickening").cases}
+    assert cases.pop("ideal-squares-to-zero") == "fail"
+    assert set(cases.values()) == {"pass"}
 
 
 def test_universal_thickening_needs_vanishing_differentials():
@@ -285,6 +312,52 @@ def test_shuffle_ring_structure_divided_powers():
     lhs = h0_shuffle_product(f, h0_shuffle_product(f, gam[1], 1, gam[1], 1), 2, gam[1], 1)
     rhs = h0_shuffle_product(f, gam[1], 1, h0_shuffle_product(f, gam[1], 1, gam[1], 1), 2)
     assert qs[3].coords(lhs) == qs[3].coords(rhs)
+
+
+@pytest.mark.parametrize("ring", [ModRing(5, 1), ModRing(3, 2)], ids=["F5", "Z9"])
+def test_divided_power_product_signs(ring):
+    # with g_k = dt_1 ^ ... ^ dt_k: g_a g_b = (-1)^(ab) binom(a+b, a) g_(a+b),
+    # on the chain level; so gamma_k = (-1)^(k(k-1)/2) g_k multiply as
+    # divided powers.  Over Z/4 (the test above) -2 = 2 hides the sign.
+    from math import comb
+
+    f = build_derham(pres_x(ring), hodge_cut=5, window=(0, 1), weight_bound=4)
+    m = ring.modulus
+    g = {k: f.basis_vector(0, k, k, k, ((0,) * (k + 1), tuple(range(1, k + 1)))) for k in range(5)}
+    gam = {k: (-1) ** (k * (k - 1) // 2) * g[k] % m for k in range(5)}
+    for a in range(5):
+        for b in range(5 - a):
+            want = (-1) ** (a * b) * comb(a + b, a) * g[a + b] % m
+            assert (h0_shuffle_product(f, g[a], a, g[b], b) == want).all(), (a, b)
+            assert (h0_shuffle_product(f, gam[a], a, gam[b], b) == comb(a + b, a) * gam[a + b] % m).all()
+    assert (h0_shuffle_product(f, g[1], 1, g[1], 1) == -2 * g[2] % m).all()
+    assert (h0_shuffle_product(f, g[1], 1, g[2], 2) == 3 * g[3] % m).all()
+
+
+H0_PRODUCT_RINGS = [ModRing(2, 1), ModRing(3, 1), ModRing(5, 1), ModRing(2, 2), ModRing(3, 2)]
+
+
+@pytest.mark.parametrize("ring", H0_PRODUCT_RINGS, ids=["F2", "F3", "F5", "Z4", "Z9"])
+def test_h0_product_equals_the_dict_reference_on_every_pair_of_basis_vectors(ring):
+    # the products on exponent rows against the product through
+    # DifferentialForm and ring maps on forms, at hodge cut 4 (columns
+    # 0..3, so products into columns >= 4 are dropped on both sides)
+    rng = np.random.default_rng(ring.modulus)
+    for fc in ((0, 1), (0, 0, 1), (0, 0, 0, 1)):
+        f = build_derham(AlgebraPresentation(ring, "quotient", "x", fc), hodge_cut=4, window=(0, 1),
+                         weight_bound=8)
+        ref = reference_polyalg.H0Multiplier(f)
+        units = {w: np.eye(f.layout(0, w)[1], dtype=np.int64) for w in range(9)}
+        for w1 in range(9):
+            for w2 in range(9 - w1):
+                for u in units[w1]:
+                    for v in units[w2]:
+                        assert np.array_equal(h0_shuffle_product(f, u, w1, v, w2), ref.multiply(u, w1, v, w2))
+                # random vectors: several blocks and terms at once
+                u = rng.integers(0, ring.modulus, len(units[w1]))
+                v = rng.integers(0, ring.modulus, len(units[w2]))
+                assert np.array_equal(h0_shuffle_product(f, u, w1, v, w2), ref.multiply(u, w1, v, w2))
+        assert h0_shuffle_product(f, units[4][0], 4, units[5][0], 5) is None
 
 
 def test_filtration_multiplicativity():
@@ -531,15 +604,19 @@ def test_h0_product_raises_on_a_nondegenerate_term_outside_the_basis(monkeypatch
     # every form of Omega^j(Q_j) has all of dt_1..dt_j, so degree 0 has no
     # degenerate forms and a product term missing from the basis is a bug
     from derhamkit import derham
-    from derhamkit.polyalg import DifferentialForm
 
     f = build_derham(pres_x(Z4), hodge_cut=2, window=(0, 1), weight_bound=2)
     one = f.basis_vector(0, 0, 0, 0, ((0,), ()))
     omega = f.basis_vector(0, 1, 1, 1, ((0, 0), (1,)))
     assert (h0_shuffle_product(f, one, 0, omega, 1) == omega).all()
-    honest = derham.shuffle_product
-    stray = DifferentialForm(f.res.algebra(1), 1, {((3, 0), (1,)): 1})  # weight 4, not 1
-    monkeypatch.setattr(derham, "shuffle_product", lambda *args: honest(*args) + stray)
+    honest = derham._shuffle_terms
+
+    def with_stray(*args):
+        rows, coeffs = honest(*args)
+        # x^3 dt_1 has weight 4, not 1
+        return np.vstack([rows, [[3] + [0] * (rows.shape[1] - 1)]]), np.append(coeffs, 1)
+
+    monkeypatch.setattr(derham, "_shuffle_terms", with_stray)
     with pytest.raises(AssertionError, match="nondegenerate"):
         h0_shuffle_product(f, one, 0, omega, 1)
 

@@ -501,3 +501,23 @@ def test_is_ring_map_rejects_a_target_above_the_coding_bound():
     w = WittRing(2, 1, plain_ring(2, 1))
     with pytest.raises(ValueError, match="2\\^12"):
         is_ring_map(w, [big.zero, big.one], big)
+
+
+POWER_RINGS = {"Z/4": plain_ring(2, 2), **TABLE_RINGS}
+
+
+@pytest.mark.parametrize("name", list(POWER_RINGS))
+def test_power_equals_repeated_products_and_stops_squaring_after_the_last_bit(name, monkeypatch):
+    # every base ring of the witt-layer and theta-epsilon suites, and F_25
+    ring = POWER_RINGS[name]
+    elems = list(ring.enumerate())
+    calls = []
+    honest = ring.mul
+    monkeypatch.setattr(ring, "mul", lambda a, b: calls.append(1) or honest(a, b))
+    for a in random.Random(ring.size).sample(elems, min(len(elems), 12)):
+        want = ring.one
+        for k in range(21):
+            calls.clear()
+            assert ring.power(a, k) == want, (a, k)
+            assert len(calls) == bin(k).count("1") + max(k.bit_length() - 1, 0)
+            want = honest(want, a)
