@@ -349,8 +349,10 @@ class SparseMatrix(NamedTuple):
     ``vals[k]`` at (``rows[k]``, ``cols[k]``).  Every one the library keeps
     or returns is in the canonical form ``as_sparse`` makes: values in
     [1, p^n), each position at most once, row-major.  So equal matrices
-    have equal arrays.  Built directly, it is input to ``as_sparse``, but
-    ``SparseMatrix(shape=shape)`` is the zero matrix."""
+    have equal arrays.  Built directly, it is input to ``as_sparse``, which
+    checks, reduces, sorts and sums it; ``SparseMatrix(shape=shape)`` is
+    the zero matrix.  A routine that builds its triples canonical returns
+    them through ``canonical``, and ``as_sparse`` passes those through."""
 
     rows: np.ndarray = _NONE
     cols: np.ndarray = _NONE
@@ -371,15 +373,36 @@ class SparseMatrix(NamedTuple):
         return out
 
 
+class _Canonical(SparseMatrix):
+    """A :class:`SparseMatrix` that ``canonical`` marked as canonical mod
+    ``modulus``.  One made any other way, as by ``_replace``, keeps the
+    class's modulus 0, so ``as_sparse`` treats it as plain triples."""
+
+    modulus = 0
+
+
+def canonical(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int],
+              m: int) -> SparseMatrix:
+    """The :class:`SparseMatrix` of int64 triples that the caller built in
+    canonical form mod m, which ``as_sparse`` at m returns unchanged."""
+    out = _Canonical(rows, cols, vals, shape)
+    out.modulus = m
+    return out
+
+
 def as_sparse(matrix, m: int) -> SparseMatrix:
     """The canonical :class:`SparseMatrix` mod m of a dense matrix (a 1-d
     one is a single row) or of triples in any order, unreduced, whose
-    repeated positions are summed.  An entry outside the shape is an error."""
+    repeated positions are summed.  An entry outside the shape is an error.
+    A matrix that ``canonical`` marked at modulus m is returned as it is;
+    at another modulus it is plain triples."""
+    if type(matrix) is _Canonical and matrix.modulus == m:
+        return matrix
     if not isinstance(matrix, SparseMatrix):
         a = np.asarray(matrix, dtype=np.int64) % m
         a = a.reshape(1, -1) if a.ndim == 1 else a
         r, c = np.nonzero(a)
-        return SparseMatrix(r, c, a[r, c], a.shape)
+        return canonical(r, c, a[r, c], a.shape, m)
     shape = nrows, ncols = tuple(matrix.shape)
     r = np.asarray(matrix.rows, dtype=np.int64)
     c = np.asarray(matrix.cols, dtype=np.int64)
@@ -391,9 +414,9 @@ def as_sparse(matrix, m: int) -> SparseMatrix:
     v = np.asarray(matrix.vals, dtype=np.int64) % m
     if (key[1:] > key[:-1]).all():  # already row-major, each position once
         if v.all():
-            return SparseMatrix(r, c, v, shape)
+            return canonical(r, c, v, shape, m)
         nz = v.nonzero()[0]
-        return SparseMatrix(r[nz], c[nz], v[nz], shape)
+        return canonical(r[nz], c[nz], v[nz], shape, m)
     return _summed(key, v, shape, m)
 
 
@@ -409,7 +432,7 @@ def _summed(key: np.ndarray, vals: np.ndarray, shape: tuple[int, int], m: int) -
     nz = sums != 0
     key = key[starts[nz]]
     ncols = max(shape[1], 1)
-    return SparseMatrix(key // ncols, key % ncols, sums[nz], shape)
+    return canonical(key // ncols, key % ncols, sums[nz], shape, m)
 
 
 def sparse_product(a: SparseMatrix, b: SparseMatrix, m: int) -> SparseMatrix:
@@ -420,7 +443,7 @@ def sparse_product(a: SparseMatrix, b: SparseMatrix, m: int) -> SparseMatrix:
     counts = b.rows.searchsorted(a.cols, side="right") - lo
     ends = counts.cumsum()
     if not ends.size or not ends[-1]:
-        return SparseMatrix(shape=shape)
+        return canonical(*SparseMatrix(shape=shape), m)
     left = np.arange(a.vals.size).repeat(counts)
     right = np.arange(ends[-1]) + (lo - (ends - counts)).repeat(counts)
     return _summed(a.rows[left] * shape[1] + b.cols[right], a.vals[left] * b.vals[right] % m, shape, m)

@@ -1,7 +1,7 @@
 """Exact ramification arithmetic for monogenic extensions of Q_p.
 
 Different ideals through resultants, module lengths of relative
-differentials through Smith forms of multiplication matrices, and the
+differentials through local Smith forms of multiplication matrices, and the
 finite-level annihilator computations for the compatible system of p-power
 roots of unity.  Valuations are exact rationals with denominator dividing
 the ramification index; no p-adic floating point anywhere.
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import PAdicValue, is_prime, resultant, smith_normal_form, v_int
+from .exactlin import ModRing, PAdicValue, is_prime, local_smith, resultant, v_int
 from .upoly import gcd_degree, rem
 from .witt import cyclotomic_polynomial_ppower
 
@@ -96,30 +96,23 @@ def _different_from_resultant(ext: MonogenicExtension, res: int) -> PAdicValue:
 def omega_invariants(ext: MonogenicExtension, precision: int):
     """Length over Z_p of Omega^1(O_L / Z_p) = O_L / (f'(b)).
 
-    Computed from the Smith form of the multiplication-by-f'(b) matrix on
-    the power basis of Z[x]/(f), capped at the given p-adic precision;
-    saturation at the cap is flagged as insufficient precision.
+    The lengths of its cyclic summands are the valuations of the invariant
+    factors of the multiplication-by-f'(b) matrix on the power basis of
+    Z[x]/(f), read by ``local_smith`` over Z/p^precision.  A summand of
+    length precision or more saturates there: a singular matrix is an
+    inseparable f, otherwise the precision is too small.  p^precision must
+    be below 2^31, as for any ``ModRing``; else ValueError.
     """
-    d = ext.degree
-    p = ext.p
-    # multiplication-by-f'(x) matrix on the power basis (rows = images)
-    rows = []
-    for a in range(d):
-        coeffs = [0] * a + ext.fprime()
-        rows.append(rem(coeffs, ext.f_coeffs))
-    s, _, _ = smith_normal_form(rows)
-    lengths = []
-    for i in range(d):
-        entry = s[i][i]
-        if entry == 0:
+    ring = ModRing(ext.p, precision)
+    # multiplication-by-f'(x) matrix on the power basis (rows = images), mod p^precision
+    rows = [rem([0] * a + ext.fprime(), ext.f_coeffs, ring.modulus) for a in range(ext.degree)]
+    factors, _, _ = local_smith(rows, ring)
+    if ring.modulus in factors:
+        if resultant(list(ext.f_coeffs), ext.fprime()) == 0:
             raise ValueError("inseparable: multiplication matrix is singular")
-        v = v_int(abs(entry), p)
-        if v >= precision:
-            raise ValueError(
-                f"precision {precision} too small: length saturates at {d * precision}"
-            )
-        lengths.append(v)
-    return sum(lengths), sorted(lengths)
+        raise ValueError(f"precision {precision} too small: length saturates at {ext.degree * precision}")
+    lengths = sorted(v_int(d, ext.p) for d in factors)
+    return sum(lengths), lengths
 
 
 @dataclass

@@ -41,6 +41,7 @@ from .exactlin import (
     ModRing,
     SparseMatrix,
     as_sparse,
+    canonical,
     express_in_basis,
     howell_form,
     left_kernel,
@@ -431,8 +432,8 @@ def _stacked_faces(x: SimplicialModule, n: int, w: int) -> SparseMatrix:
     faces = [x._face(n, i, w) for i in range(n)]
     rows = np.concatenate([f.rows for f in faces])
     order = rows.argsort(kind="stable")
-    return SparseMatrix(rows[order], np.concatenate([f.cols + i * cols for i, f in enumerate(faces)])[order],
-                        np.concatenate([f.vals for f in faces])[order], (x.dim(n, w), n * cols))
+    return canonical(rows[order], np.concatenate([f.cols + i * cols for i, f in enumerate(faces)])[order],
+                     np.concatenate([f.vals for f in faces])[order], (x.dim(n, w), n * cols), x.ring.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +566,9 @@ class BisimplicialModule:
         h, v = "h" in directions, "v" in directions
         target = self._target(m, n, w, face, directions)
         shape = (self.dim(m, n, w), self.dim(*target))
+        modulus = self.ring.modulus
         if not (0 <= i <= (m if h else n) and 0 <= target[0] <= self.p_max and 0 <= target[1] <= self.q_max):
-            return SparseMatrix(shape=shape)
+            return canonical(*SparseMatrix(shape=shape), modulus)
         plan = _kan_plan(m if h else n, i, face)
         index = self.index.get(target, {})
         parts = []  # the triples of the non-identity blocks, moved to their offsets
@@ -593,12 +595,12 @@ class BisimplicialModule:
             parts.append((np.array(id_rows, dtype=np.int64), np.array(id_cols, dtype=np.int64),
                           np.ones(len(id_rows), dtype=np.int64)))
         if len(parts) < 2:
-            return SparseMatrix(*parts[0], shape) if parts else SparseMatrix(shape=shape)
+            return canonical(*parts[0], shape, modulus) if parts else canonical(*SparseMatrix(shape=shape), modulus)
         rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
         if id_rows:
             order = np.argsort(rows, kind="stable")
             rows, cols, vals = rows[order], cols[order], vals[order]
-        return SparseMatrix(rows, cols, vals, shape)
+        return canonical(rows, cols, vals, shape, modulus)
 
     def _block(self, p: int, q: int, w: int, kind: str) -> SparseMatrix:
         """The non-identity block leaving the summands of D_{p,q}, canonical.

@@ -1,0 +1,193 @@
+"""Sparse matrices that the library builds canonical are trusted as built.
+
+``as_sparse`` returns a matrix unchanged when a routine marked it canonical
+at the modulus asked for (``exactlin.canonical``).  The producers that mark
+their results are ``as_sparse`` itself, ``sparse_product``,
+``BisimplicialModule._operator`` and ``simplex._stacked_faces``.  The tests
+here check that every result of the last two is canonical (``test_exactlin``
+checks the products), that anything else (a directly built triple, a
+``_replace``, another modulus) is still checked, reduced, sorted and
+summed, and that the suites re-canonicalise no trusted matrix.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+from test_simplex import _kan_inputs, eilenberg_zilber_double_complexes
+
+from derhamkit import exactlin, simplex
+from derhamkit.complexes import DoubleComplex, GradedSliceComplex
+from derhamkit.exactlin import ModRing, SparseMatrix, as_sparse, howell_form, left_kernel
+from derhamkit.simplex import BisimplicialModule, SimplicialModule, diagonal, double_kan, kan_transform
+from derhamkit.suites import run_suite
+
+
+def assert_canonical(x, m):
+    """``x`` is canonical mod m: the full canonicalisation of its plain
+    triples gives it back, and ``as_sparse`` returns it as it is."""
+    assert (type(x) is not SparseMatrix and as_sparse(SparseMatrix(*x), m) == x
+            and as_sparse(x, m) is x), (x, m)
+
+
+def _ops(b: BisimplicialModule, p: int, q: int, w: int):
+    """Every face and degeneracy of ``b`` leaving (p, q) at weight w: "h"
+    and "v" anywhere in the window and the diagonal "hv" where p == q."""
+    for face in (True, False):
+        for directions, top in (("h", p), ("v", q), ("hv", p if p == q else -1)):
+            for i in range(top + 1):
+                yield b._operator(p, q, i, w, face, directions)
+
+
+def test_every_operator_of_the_seed_1_kan_transforms_is_canonical(monkeypatch):
+    built = []
+    honest = BisimplicialModule._operator
+
+    def recorded(self, *args):
+        built.append((honest(self, *args), self.ring.modulus))
+        return built[-1][0]
+
+    monkeypatch.setattr(BisimplicialModule, "_operator", recorded)
+    for c in _kan_inputs(1):
+        x = kan_transform(c, d_max=c.n_max + 1)
+        assert all(x.degens[key] is not None for key in x.degens)
+    assert len(built) > 50
+    for out, m in built:
+        assert_canonical(out, m)
+
+
+def test_every_operator_of_the_eilenberg_zilber_double_kan_transforms_is_canonical():
+    count = 0
+    for dc in eilenberg_zilber_double_complexes(seed=1):
+        b = double_kan(dc, 3, 3)
+        for w in b.weights():
+            for p in range(4):
+                for q in range(4):
+                    for out in _ops(b, p, q, w):
+                        assert_canonical(out, b.ring.modulus)
+                        count += out.vals.size > 0
+    assert count > 1000
+
+
+def _stacking_inputs():
+    for c in _kan_inputs(1):
+        yield kan_transform(c, d_max=c.n_max + 1)
+    for dc in eilenberg_zilber_double_complexes(seed=1, cases=3):
+        yield diagonal(double_kan(dc, 3, 3))
+
+
+def test_the_stacked_faces_are_canonical():
+    count = 0
+    for x in _stacking_inputs():
+        for (n, w) in x.dims:
+            if n:
+                out = simplex._stacked_faces(x, n, w)
+                assert_canonical(out, x.ring.modulus)
+                count += out.vals.size > 0
+    assert count > 10
+
+
+def _shuffled(dense, m, rng):
+    """``dense`` as plain triples in a random order, each nonzero entry
+    split over two positions, with unreduced values."""
+    r, c = np.nonzero(dense % m)
+    extra = rng.integers(-3, 4, size=r.size) * m + rng.integers(0, m, size=r.size)
+    rows, cols = np.concatenate([r, r]), np.concatenate([c, c])
+    vals = np.concatenate([dense[r, c] - extra, extra])
+    order = rng.permutation(rows.size)
+    return SparseMatrix(rows[order], cols[order], vals[order], dense.shape)
+
+
+def test_a_directly_built_or_replaced_matrix_is_canonicalised():
+    rng = np.random.default_rng(5)
+    dense = np.array([[0, 4, 7], [3, 0, 0], [0, 0, 8]])
+    x = as_sparse(dense, 9)
+    assert_canonical(x, 9)
+    plain = SparseMatrix(*x)
+    assert as_sparse(plain, 9) is not plain and as_sparse(plain, 9) == x
+    shuffled = _shuffled(dense, 9, rng)
+    assert as_sparse(shuffled, 9) == x
+    # a _replace is plain triples again, whatever it holds
+    for vals, dense_vals in ((x.vals + 9, dense), (x.vals * 3, dense * 3)):
+        replaced = x._replace(vals=vals)
+        assert as_sparse(replaced, 9) is not replaced
+        assert as_sparse(replaced, 9) == as_sparse(dense_vals, 9)
+    with pytest.raises(ValueError, match="outside the 2 x 3 matrix"):
+        as_sparse(x._replace(shape=(2, 3)), 9)
+
+
+def test_a_matrix_canonical_mod_9_is_reduced_for_a_mod_3_consumer():
+    dense = np.array([[3, 1, 6], [0, 3, 0], [4, 0, 3], [6, 3, 2]])
+    x = as_sparse(dense, 9)
+    assert_canonical(x, 9)
+    f3 = ModRing(3, 1)
+    assert as_sparse(x, 3) == as_sparse(dense % 3, 3) and as_sparse(x, 3).vals.size == 3
+    assert left_kernel(x, f3).tolist() == left_kernel(dense % 3, f3).tolist() == [[0, 1, 0, 0]]
+    assert np.array_equal(howell_form(x, f3), howell_form(dense % 3, f3))
+
+
+def test_every_container_canonicalises_shuffled_triples_with_repeated_positions():
+    ring = ModRing(3, 2)
+    rng = np.random.default_rng(7)
+    d = np.array([[1, 8], [3, 0]])
+    want = as_sparse(d, 9)
+    x = SimplicialModule(ring, 1, {(0, 0): 2, (1, 0): 2}, {(1, 0, 0): _shuffled(d, 9, rng)},
+                         {(0, 0, 0): _shuffled(d, 9, rng)})
+    cx = GradedSliceComplex(ring, 0, 1, {(0, 0): 2, (1, 0): 2}, {(1, 0): _shuffled(d, 9, rng)})
+    dc = DoubleComplex(ring, {(0, 0, 0): 2, (1, 0, 0): 2, (0, 1, 0): 2},
+                       {(1, 0, 0): _shuffled(d, 9, rng)}, {(0, 1, 0): _shuffled(d, 9, rng)})
+    for got in (x.faces[(1, 0, 0)], x.degens[(0, 0, 0)], cx.diffs[(1, 0)], dc.horiz[(1, 0, 0)],
+                dc.vert[(0, 1, 0)]):
+        assert got == want
+        assert_canonical(got, 9)
+
+
+def _patch_everywhere(monkeypatch, name, replacement):
+    """Replace ``name`` in every loaded derhamkit module that holds the
+    library's object of that name, as the benchmark's tracer does."""
+    original = getattr(exactlin, name)
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "derhamkit" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
+def _count_recanonicalised(monkeypatch, calls):
+    """(as_sparse calls that got a matrix a trusted producer returned
+    canonical at the same modulus, those of them that built a new matrix
+    from it rather than return it) over the suite ``calls``."""
+    built = {}  # id -> (matrix, modulus) for every result of a trusted producer
+    counts = [0, 0]
+
+    def keep(out, m):
+        built[id(out)] = (out, m)
+        return out
+
+    honest_as_sparse, honest_product = exactlin.as_sparse, exactlin.sparse_product
+    honest_operator, honest_stacked = BisimplicialModule._operator, simplex._stacked_faces
+
+    def counted_as_sparse(matrix, m):
+        out = honest_as_sparse(matrix, m)
+        trusted = built.get(id(matrix))
+        if trusted is not None and trusted[0] is matrix and trusted[1] == m:
+            counts[0] += 1
+            counts[1] += out is not matrix
+        return keep(out, m)
+
+    _patch_everywhere(monkeypatch, "as_sparse", counted_as_sparse)
+    _patch_everywhere(monkeypatch, "sparse_product", lambda a, b, m: keep(honest_product(a, b, m), m))
+    monkeypatch.setattr(BisimplicialModule, "_operator",
+                        lambda self, *args: keep(honest_operator(self, *args), self.ring.modulus))
+    monkeypatch.setattr(simplex, "_stacked_faces",
+                        lambda x, n, w: keep(honest_stacked(x, n, w), x.ring.modulus))
+    for name, params in calls:
+        assert run_suite(name, params, seed=1).summary["fail"] == 0
+    return tuple(counts)
+
+
+def test_the_simplicial_suites_recanonicalise_no_trusted_matrix(monkeypatch):
+    seen, redone = _count_recanonicalised(monkeypatch, [
+        ("dold-kan-roundtrip", {"cases": 5, "max_degree": 5, "max_rank": 3}),
+        ("eilenberg-zilber", {"cases": 2}),
+    ])
+    assert seen > 1000
+    assert redone == 0

@@ -124,13 +124,28 @@ def test_universal_thickening_z4():
     assert t.h0[2].factors == []
 
 
+def _assert_square_is_zero_below_f2(f, prod):
+    """``prod``, a degree-0 weight-2 vector of the cut-3 build ``f``, has no
+    coordinate in the corner below column 2 and is zero in the H_0 of that
+    corner, the F^2-truncation ``universal_thickening`` reads."""
+    cx = f.quotient_complex(2)
+    assert not prod[:cx.dim(0, 2)].any()
+    assert homology_quotient(cx, 0, 2).is_zero_class(prod @ f.quotient_map(3, 2, 0, 2))
+
+
 def test_universal_thickening_square_zero_explicit():
     pres = AlgebraPresentation(Z4, "quotient", "y", (0, 1))
-    f = build_derham(pres, hodge_cut=2, window=(0, 1), weight_bound=2)
+    # cut 3 keeps column 2, where the product of two column-1 forms lands
+    f = build_derham(pres, hodge_cut=3, window=(0, 1), weight_bound=2)
     omega = f.basis_vector(0, 1, 1, 1, ((0, 0), (1,)))
     prod = h0_shuffle_product(f, omega, 1, omega, 1)
-    q2 = homology_quotient(f.total, 0, 2)
-    assert q2.is_zero_class(prod)
+    # dt_1 . dt_1 = -2 dt_1 ^ dt_2 = 2 dt_1 ^ dt_2 over Z/4
+    assert prod.tolist() == (2 * f.basis_vector(0, 2, 2, 2, ((0, 0, 0), (1, 2)))).tolist()
+    _assert_square_is_zero_below_f2(f, prod)
+    planted = prod.copy()
+    planted[np.searchsorted(f.total.columns[(0, 2)], 1)] += 1
+    with pytest.raises(AssertionError):
+        _assert_square_is_zero_below_f2(f, planted)
 
 
 def test_ideal_squares_to_zero_multiplies_and_fails_on_a_column_one_term(monkeypatch):

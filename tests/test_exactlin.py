@@ -652,6 +652,8 @@ def test_the_sparse_product_equals_the_dense_product(pn, k, n, l, data):
     got = sparse_product(as_sparse(a, m), as_sparse(b, m), m)
     assert got.shape == (k, l) and got == as_sparse(mmul(a, b, ring), m)
     assert np.array_equal(got.dense(), mmul(a, b, ring))
+    # the product is canonical as built, so as_sparse passes it through
+    assert as_sparse(SparseMatrix(*got), m) == got and as_sparse(got, m) is got
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)

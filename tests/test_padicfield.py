@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+import reference_padicfield
 
 from derhamkit.padicfield import (
     AnnihilatorCheck,
+    MonogenicExtension,
     cyclotomic_extension,
     different_valuation,
     eisenstein_extension,
@@ -67,8 +69,41 @@ def test_omega_matches_resultant_route():
 
 
 def test_omega_precision_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^precision 1 too small"):
         omega_invariants(cyclotomic_extension(3, 2), precision=1)
+
+
+_OMEGA_CASES = ([(cyclotomic_extension(p, r), f"cyclotomic-{p}-{r}") for p in (2, 3, 5) for r in (1, 2, 3)]
+                + [(unramified_extension(2, (1, 1, 1)), "unramified-2-111"),
+                   (eisenstein_extension(3, (-3, 0, 0, 1)), "eisenstein-3-x3-3")])
+
+
+@pytest.mark.parametrize("ext", [ext for ext, _ in _OMEGA_CASES], ids=[name for _, name in _OMEGA_CASES])
+def test_omega_lengths_equal_the_integer_smith_form_route(ext):
+    v = different_valuation(ext).value
+    for precision in range(1, int(v) + 4):
+        try:
+            want = reference_padicfield.omega_invariants(ext, precision)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{err}$"):
+                omega_invariants(ext, precision)
+            continue
+        assert omega_invariants(ext, precision) == want
+        assert want[0] == ext.degree * v
+
+
+def test_omega_of_a_singular_multiplication_matrix_is_inseparable():
+    ext = MonogenicExtension(3, (0, 0, 1), "eisenstein")  # x^2: f' = 2x kills x
+    for precision in (1, 3, 19):
+        with pytest.raises(ValueError, match="^inseparable: multiplication matrix is singular$"):
+            omega_invariants(ext, precision)
+
+
+def test_omega_precision_at_the_modulus_limit_is_a_value_error():
+    ext = cyclotomic_extension(5, 3)
+    assert omega_invariants(ext, 13)[0] == 275  # 5^13 < 2^31
+    with pytest.raises(ValueError, match=r"^modulus 5\^14 is not below 2\^31"):
+        omega_invariants(ext, 14)
 
 
 def test_fontaine_annihilator():
