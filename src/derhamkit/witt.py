@@ -4,19 +4,23 @@ The structure polynomials are solved exactly from the ghost equations
 w_i = sum p^j z_j^{p^(i-j)} over the rationals and verified integral and
 ghost-compatible symbolically.  Witt arithmetic codes each base element
 by its position in ``base.enumerate()`` and evaluates the structure
-polynomials by indexing the base ring's int32 ``tables`` of the codes of
-sums and products, on single codes or on whole arrays.
+polynomials and the ghost map by indexing the base ring's int32 ``tables``
+of the codes of sums and products, on single codes or on whole arrays.
 ``QuotientRing.tables`` builds those tables in numpy from the digit vectors
 of all elements; a ``TiltRing`` relabels the tables of O/p.
 ``WittRing.pair_tables`` holds the position of a + b and a * b for every
 pair of Witt vectors; ``is_ring_map`` compares them with the target's
-tables.  Base rings and Witt carriers above 2^12 elements are rejected
-(ValueError).  Finite-depth tilts are compatible p-power sequences in O/p
-for O = Z[zeta_{p^m}]/(p^n); they are not perfect rings, and every report
-carries the (p, m, n, k) parameters.  theta sends
-(a_0..a_{n-1}) to sum p^i sharp(a_i shifted down i times), where sharp
-raises an arbitrary lift of the deepest entry to its p-power; the result
-is lift-independent for k >= n.
+tables at the target codes of the images.  Base rings and Witt carriers
+above 2^12 elements are rejected (ValueError).  Finite-depth tilts are
+compatible p-power sequences in O/p for O = Z[zeta_{p^m}]/(p^n); they are
+not perfect rings, and every report carries the (p, m, n, k) parameters.
+theta sends (a_0..a_{n-1}) to sum p^i sharp(a_i shifted down i times),
+where sharp raises an arbitrary lift of the deepest entry to its p-power;
+the result is lift-independent for k >= n.  ``theta_digits`` evaluates it
+on whole arrays of Witt vectors: the term of each coordinate is computed
+once for every element of O/p, as digit rows of O multiplied by
+``QuotientRing.mul_rows``, so O needs no tables and theta has no size
+bound.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "CyclotomicModel",
     "TiltRing",
     "tilt_ring",
+    "theta_digits",
     "theta_map",
     "ker_theta_report",
 ]
@@ -227,6 +232,29 @@ class QuotientRing:
         for coeffs in itertools.product(range(self.m), repeat=self.deg):
             yield tuple(coeffs)
 
+    def digits(self, codes) -> np.ndarray:
+        """Digit rows of the elements at positions ``codes`` of ``enumerate()``:
+        int64 row t holds coefficient t of each (the first digit varies
+        slowest)."""
+        return np.stack(np.unravel_index(codes, (self.m,) * self.deg))
+
+    def codes(self, rows):
+        """Positions in ``enumerate()`` of the elements whose coefficient t is
+        rows[t]: one element (a tuple) or digit rows of many."""
+        return np.ravel_multi_index(tuple(rows), (self.m,) * self.deg)
+
+    def mul_rows(self, a, b) -> np.ndarray:
+        """Digit rows of the products of the elements with digit rows ``a`` and
+        ``b``, elementwise: the array form of ``mul``, folded by the same rows."""
+        deg = self.deg
+        prod = np.zeros((2 * deg - 1,) + np.shape(a)[1:], dtype=np.int64)
+        for s in range(deg):
+            prod[s : s + deg] += a[s] * b
+        prod %= self.m
+        for k, row in enumerate(self._fold, deg):
+            prod[:deg] += np.multiply.outer(row, prod[k])
+        return prod[:deg] % self.m
+
     @cached_property
     def tables(self):
         """(elements, code, add, mul): the elements in ``enumerate()`` order,
@@ -237,7 +265,7 @@ class QuotientRing:
             raise ValueError(f"base ring of {self.size} elements exceeds the coding bound 2^12")
         m, deg, size = self.m, self.deg, self.size
         weight = [m ** (deg - 1 - t) for t in range(deg)]  # the first digit varies slowest
-        digits = np.array([np.arange(size) // w % m for w in weight], dtype=np.int32)
+        digits = self.digits(np.arange(size)).astype(np.int32)
         # rows[j][t] is digit t of a * x^j for every a: shift, then fold x^deg
         top = np.array([-c % m for c in self.g[:deg]], dtype=np.int32)[:, None]
         rows = [digits]
@@ -329,6 +357,35 @@ class WittRing:
             acc = add[acc, term]
         return acc
 
+    def ghost(self, values):
+        """Ghost components w_i = sum_{j<=i} p^j z_j^(p^(i-j)) of the Witt
+        vectors with coordinate codes ``values`` (one code, or one array of
+        codes, per coordinate), as base codes: powers and sums are lookups
+        in the base ring's tables, and p^j enters as the code of
+        ``base.scale(p^j, one)``."""
+        _, code, add, mul = self.coding
+        out = [code[self.base.zero]] * self.length
+        for j, power in enumerate(values):
+            scale = code[self.base.scale(self.p ** j, self.base.one)]
+            for i in range(j, self.length):  # power is z_j^(p^(i-j))
+                if i > j:
+                    root = power
+                    for _ in range(self.p - 1):
+                        power = mul[power, root]
+                out[i] = add[out[i], mul[scale, power]]
+        return out
+
+    def coordinate_codes(self) -> tuple:
+        """The base code of coordinate i of every element, in ``enumerate()``
+        order (the first coordinate varies slowest)."""
+        shape = (self.base.size,) * self.length
+        return np.unravel_index(np.arange(self.base.size ** self.length), shape)
+
+    def position(self, w: "WittVector") -> int:
+        """The position of ``w`` in ``enumerate()``."""
+        _, code, _, _ = self.coding
+        return int(np.ravel_multi_index([code[c] for c in w.coords], (self.base.size,) * self.length))
+
     @cached_property
     def pair_tables(self):
         """(add, mul): integer arrays whose [i, j] entries are the positions in
@@ -338,8 +395,7 @@ class WittRing:
         if size > MAX_CODED:
             raise ValueError(f"W_{self.length} carrier of {size} elements exceeds the "
                              "bound 2^12 on exhaustive pair checks")
-        # the code of coordinate i of every element, first coordinate slowest
-        digits = [np.arange(size) // b ** (self.length - 1 - i) % b for i in range(self.length)]
+        digits = self.coordinate_codes()
         values = [d[:, None] for d in digits] + [d[None, :] for d in digits]
 
         def positions(polys):
@@ -380,15 +436,8 @@ class WittVector:
             raise ValueError("Witt vectors over different rings")
 
     def ghost(self) -> tuple:
-        base = self.ring.base
-        p = self.ring.p
-        out = []
-        for i in range(self.ring.length):
-            acc = base.zero
-            for j in range(i + 1):
-                acc = base.add(acc, base.scale(p ** j, base.power(self.coords[j], p ** (i - j))))
-            out.append(acc)
-        return tuple(out)
+        elems, code, _, _ = self.ring.coding
+        return tuple(elems[g] for g in self.ring.ghost([code[c] for c in self.coords]))
 
 
 def lift_homomorphism(phi, source: QuotientRing, witt: WittRing, target: QuotientRing,
@@ -435,29 +484,28 @@ def lift_homomorphism(phi, source: QuotientRing, witt: WittRing, target: Quotien
 
 
 def is_ring_map(wr: WittRing, images, target) -> bool:
-    """Whether sending the i-th element of ``wr.enumerate()`` to images[i]
-    respects + and * on every pair of elements: the images become target
-    codes once, and the pair tables of ``wr`` are compared with the
-    target's own tables.  ValueError for a target above 2^12 elements."""
+    """Whether sending the i-th element of ``wr.enumerate()`` to the target
+    element at position images[i] of ``target.enumerate()`` respects + and *
+    on every pair of elements: the pair tables of ``wr`` are compared with
+    the target's own tables.  ValueError for a target above 2^12 elements."""
     add_pos, mul_pos = wr.pair_tables
-    _, code, add, mul = target.tables
-    img = np.array([code[t] for t in images], dtype=np.int64)
+    _, _, add, mul = target.tables
+    img = np.asarray(images, dtype=np.int32)  # codes below 2^12
     return all(np.array_equal(img[pos], table[img[:, None], img[None, :]])
                for pos, table in ((add_pos, add), (mul_pos, mul)))
 
 
 def brute_force_ring_isomorphism(wr: WittRing, target: QuotientRing):
     """Search all bijections W -> target for a ring isomorphism (tiny sets)."""
-    elems = list(wr.enumerate())
-    tgt = list(target.enumerate())
-    if len(elems) != len(tgt) or len(elems) > 8:
+    if wr.base.size ** wr.length != target.size or target.size > 8:
         raise ValueError("brute-force search is for matching tiny carriers")
-    one, zero = elems.index(wr.one), elems.index(wr.zero)
-    for perm in itertools.permutations(tgt):
-        if perm[one] != target.one or perm[zero] != target.zero:
+    tgt, code, _, _ = target.tables
+    one, zero = wr.position(wr.one), wr.position(wr.zero)
+    for perm in itertools.permutations(range(target.size)):
+        if perm[one] != code[target.one] or perm[zero] != code[target.zero]:
             continue
         if is_ring_map(wr, perm, target):
-            return {e.coords: t for e, t in zip(elems, perm)}
+            return {e.coords: tgt[t] for e, t in zip(wr.enumerate(), perm)}
     return None
 
 
@@ -484,21 +532,24 @@ def witt_additive_basis(wr: WittRing):
 def generator_ring_homomorphisms(wr: WittRing, target: QuotientRing):
     """All unital ring homomorphisms W_n(F_q) -> target, found by choosing
     the image of the Teichmuller generator and testing the ring operations
-    on every pair (the additive extension is forced by the integer basis)."""
+    on every pair (the additive extension is forced by the integer basis).
+    The images of all elements, sum_j c_j g^j for a candidate g, are
+    target codes computed by lookups in the target's tables."""
     _, coords_of = witt_additive_basis(wr)
     elems = list(wr.enumerate())
+    tgt, code, add, mul = target.tables
+    # coeffs[j][e]: the coefficient of [x^j] in element e, as a target code
+    scalars = np.array([code[target.scale(c, target.one)] for c in range(wr.p ** wr.length)])
+    coeffs = scalars[np.array([coords_of[w.coords] for w in elems]).T]
     gens = []
-    for img in target.enumerate():
-        images = []
-        for w in elems:
-            acc = target.zero
-            powg = target.one
-            for c in coords_of[w.coords]:
-                acc = target.add(acc, target.scale(c, powg))
-                powg = target.mul(powg, img)
-            images.append(acc)
+    for g in range(target.size):
+        images = code[target.zero]
+        power = code[target.one]
+        for row in coeffs:
+            images = add[images, mul[row, power]]
+            power = mul[power, g]
         if is_ring_map(wr, images, target):
-            gens.append((img, {w.coords: t for w, t in zip(elems, images)}))
+            gens.append((tgt[g], {w.coords: tgt[t] for w, t in zip(elems, images)}))
     return gens
 
 
@@ -556,11 +607,11 @@ class TiltRing:
 
     The deepest entry determines the sequence (x_i = x_k^{p^(k-i)}), so the
     carrier is in bijection with O/p.  Frobenius is a ring map of O/p, so
-    the ring operations act on deepest entries only and look the whole
-    sequence up in a table built once.  The same-depth Frobenius is the
-    componentwise p-th power (not injective here: the model is not
-    perfect); the depth-raising Frobenius T_k -> T_{k+1} prepends x_0^p and
-    is a bijection with inverse the left shift.
+    the ring operations act on deepest entries only: ``tables`` are those
+    of O/p with each element replaced by its sequence.  The same-depth
+    Frobenius is the componentwise p-th power (not injective here: the
+    model is not perfect); the depth-raising Frobenius T_k -> T_{k+1}
+    prepends x_0^p and is a bijection with inverse the left shift.
     """
 
     def __init__(self, model: CyclotomicModel):
@@ -594,17 +645,8 @@ class TiltRing:
     def size(self) -> int:
         return self.omodp.size
 
-    def add(self, a, b):
-        return self._sequence[self.omodp.add(a[-1], b[-1])]
-
-    def mul(self, a, b):
-        return self._sequence[self.omodp.mul(a[-1], b[-1])]
-
     def scale(self, c, a):
         return self._sequence[self.omodp.scale(c, a[-1])]
-
-    def power(self, a, k: int):
-        return self._sequence[self.omodp.power(a[-1], k)]
 
     def raise_frobenius_bijective(self) -> bool:
         """The depth-raising Frobenius T_{k-1}... -> T_k is a bijection."""
@@ -628,21 +670,41 @@ def tilt_ring(model: CyclotomicModel) -> TiltRing:
     return TiltRing(model)
 
 
+def _theta_terms(model: CyclotomicModel, length: int, lift) -> list:
+    """T_0..T_{length-1} as digit rows of O, one column per element z of
+    O/p in ``enumerate()`` order: T_i[z] = p^i lift(z)^(p^(k-i)).  The
+    default lift keeps the digits of z; ``lift`` maps an element of O/p to
+    coefficients in O."""
+    o, omodp, p, k = model.ring_o(), model.ring_o_mod_p(), model.p, model.k
+    if lift is None:
+        power = omodp.digits(np.arange(omodp.size))
+    else:
+        power = np.array([o.element(lift(z)) for z in omodp.enumerate()], dtype=np.int64).T
+    terms = [None] * length
+    for j in range(k + 1):  # power is lift(z)^(p^j), the power T_(k-j) needs
+        if j:
+            root = power
+            for _ in range(p - 1):
+                power = o.mul_rows(power, root)
+        if k - j < length:
+            terms[k - j] = power * p ** (k - j) % o.m
+    return terms
+
+
+def theta_digits(model: CyclotomicModel, codes, lift=None) -> np.ndarray:
+    """theta of the Witt vectors over the depth-k tilt whose coordinate i has
+    tilt code codes[i] (one code, or one array of codes, per coordinate),
+    as int64 digit rows of O = Z[zeta]/(p^n): theta(a) = sum_i T_i[a_i],
+    with every T_i computed once for all of O/p by ``_theta_terms``."""
+    terms = _theta_terms(model, len(codes), lift)
+    return sum(term[:, c] for term, c in zip(terms, codes)) % model.ring_o().m
+
+
 def theta_map(w: WittVector, model: CyclotomicModel, lift=None) -> tuple:
-    """theta(a_0..a_{n-1}) = sum p^i (lift of a_i[k])^{p^(k-i)} in O/p^n."""
-    tilt: TiltRing = w.ring.base
-    if model.k < model.n:
-        raise ValueError("depth insufficient for theta")
-    o = model.ring_o()
-    p = model.p
-    acc = o.zero
-    deflift = lambda rbar: tuple(rbar) + (0,) * (o.deg - len(rbar))
-    lf = lift or deflift
-    for i in range(w.ring.length):
-        deepest = w.coords[i][model.k]
-        val = o.power(o.element(lf(deepest)), p ** (model.k - i))
-        acc = o.add(acc, o.scale(p ** i, val))
-    return acc
+    """theta(a_0..a_{n-1}) = sum p^i (lift of a_i[k])^{p^(k-i)} in O/p^n:
+    ``theta_digits`` at the codes of the deepest entries of one vector."""
+    omodp = model.ring_o_mod_p()
+    return tuple(theta_digits(model, [omodp.codes(c[model.k]) for c in w.coords], lift).tolist())
 
 
 @dataclass
@@ -695,33 +757,28 @@ def epsilon_root_witt(wr: WittRing, tilt: TiltRing) -> WittVector:
 
 def ker_theta_report(model: CyclotomicModel) -> KerThetaReport:
     """Enumerate W_n(tilt), check that theta respects + and * on every pair,
-    check the theta identities on the canonical elements, and verify every
-    kernel element is a multiple of xi."""
+    check the theta identities on the canonical elements, and verify that
+    the kernel is exactly the multiples of xi.  theta of every element is
+    one array of O codes, read at the positions of eps, xi and eps - 1."""
     tilt = tilt_ring(model)
     wr = WittRing(model.p, model.n, tilt)
     _, mul_pos = wr.pair_tables  # first, so an oversized carrier fails at once
     o = model.ring_o()
+    thetas = o.codes(theta_digits(model, wr.coordinate_codes()))
+    zero, one = o.codes(o.zero), o.codes(o.one)
     eps = epsilon_witt(wr, tilt)
-    xi = xi_cyclotomic(wr, tilt)
-    theta_eps = theta_map(eps, model)
-    theta_xi = theta_map(xi, model)
-
-    elements = list(wr.enumerate())
-    thetas = [theta_map(w, model) for w in elements]
-    kernel = [i for i, t in enumerate(thetas) if t == o.zero]
-    multiples = set(mul_pos[:, elements.index(xi)].tolist())
-    generated = all(i in multiples for i in kernel)
-
-    eps_minus_one = eps - wr.one
-    in_kernel = theta_map(eps_minus_one, model) == o.zero
+    xi = wr.position(xi_cyclotomic(wr, tilt))
+    kernel = thetas == zero
+    multiples = np.zeros_like(kernel)
+    multiples[mul_pos[:, xi]] = True
 
     return KerThetaReport(
         model,
-        {"tilt": tilt.size, "witt": len(elements), "kernel": len(kernel), "o_mod_p^n": o.size},
+        {"tilt": tilt.size, "witt": thetas.size, "kernel": int(kernel.sum()), "o_mod_p^n": o.size},
         is_ring_map(wr, thetas, o),
-        theta_eps == o.one,
-        theta_xi == o.zero,
-        in_kernel,
-        generated,
+        bool(thetas[wr.position(eps)] == one),
+        bool(thetas[xi] == zero),
+        bool(thetas[wr.position(eps - wr.one)] == zero),
+        np.array_equal(kernel, multiples),
         tilt.raise_frobenius_bijective(),
     )

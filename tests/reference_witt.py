@@ -7,11 +7,16 @@ directly, with the base ring's own add, mul and scale, so the tests can
 require the coded arithmetic to return exactly the same coordinates.
 ``coding`` and ``is_ring_map`` are the per-pair table build and ring-map
 check that the numpy tables of the base and target rings replaced.
+``ghost``, ``theta_map`` and ``generator_ring_homomorphisms`` are the
+one-Witt-vector-at-a-time paths that array evaluations on code tables and
+digit rows replaced, computed with the rings' own tuple operations.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from derhamkit.witt import witt_additive_basis
 
 
 def eval_poly(base, poly, values):
@@ -70,3 +75,78 @@ def is_ring_map(wr, images, target) -> bool:
         if not np.array_equal(img[pos], expected[img[:, None], img[None, :]]):
             return False
     return True
+
+
+def ghost(w, base) -> tuple:
+    """Ghost components of one Witt vector, by the add, scale and power of
+    ``base``: the Witt vector's base ring, or its ``TiltArithmetic``."""
+    p = w.ring.p
+    out = []
+    for i in range(w.ring.length):
+        acc = base.zero
+        for j in range(i + 1):
+            acc = base.add(acc, base.scale(p ** j, base.power(w.coords[j], p ** (i - j))))
+        out.append(acc)
+    return tuple(out)
+
+
+def theta_map(w, model, lift=None) -> tuple:
+    """theta(a_0..a_{n-1}) = sum p^i (lift of a_i[k])^{p^(k-i)} in O/p^n,
+    one Witt vector at a time in O's tuple arithmetic."""
+    o = model.ring_o()
+    p = model.p
+    acc = o.zero
+    deflift = lambda rbar: tuple(rbar) + (0,) * (o.deg - len(rbar))
+    lf = lift or deflift
+    for i in range(w.ring.length):
+        deepest = w.coords[i][model.k]
+        val = o.power(o.element(lf(deepest)), p ** (model.k - i))
+        acc = o.add(acc, o.scale(p ** i, val))
+    return acc
+
+
+def generator_ring_homomorphisms(wr, target):
+    """``witt.generator_ring_homomorphisms`` with the images of all elements
+    built one element at a time in the target's tuple arithmetic and
+    checked by the per-pair ``is_ring_map`` above."""
+    _, coords_of = witt_additive_basis(wr)
+    elems = list(wr.enumerate())
+    gens = []
+    for img in target.enumerate():
+        images = []
+        for w in elems:
+            acc = target.zero
+            powg = target.one
+            for c in coords_of[w.coords]:
+                acc = target.add(acc, target.scale(c, powg))
+                powg = target.mul(powg, img)
+            images.append(acc)
+        if is_ring_map(wr, images, target):
+            gens.append((img, {w.coords: t for w, t in zip(elems, images)}))
+    return gens
+
+
+class TiltArithmetic:
+    """The per-element ring operations ``TiltRing`` had before Witt arithmetic
+    and ghost maps ran on its tables: each acts on the deepest entries in
+    O/p and looks the whole sequence up."""
+
+    def __init__(self, tilt):
+        self.omodp = tilt.omodp
+        self.zero, self.one = tilt.zero, tilt.one
+        self.sequence = {s[-1]: s for s in tilt.enumerate()}
+
+    def enumerate(self):
+        yield from self.sequence.values()
+
+    def add(self, a, b):
+        return self.sequence[self.omodp.add(a[-1], b[-1])]
+
+    def mul(self, a, b):
+        return self.sequence[self.omodp.mul(a[-1], b[-1])]
+
+    def scale(self, c, a):
+        return self.sequence[self.omodp.scale(c, a[-1])]
+
+    def power(self, a, k: int):
+        return self.sequence[self.omodp.power(a[-1], k)]

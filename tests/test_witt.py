@@ -1,8 +1,10 @@
 """Witt vectors, structure polynomials, tilts, theta and its kernel."""
 
+import dataclasses
 import functools
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -296,11 +298,16 @@ class _MemoizedBase:
         self.add, self.mul, self.scale = (functools.cache(op) for op in (base.add, base.mul, base.scale))
 
 
+def _reference_base(base):
+    """The per-element operations of ``base`` that the references use."""
+    return reference_witt.TiltArithmetic(base) if isinstance(base, witt.TiltRing) else base
+
+
 def _assert_matches_reference(w, index_pairs):
     """WittVector +, * and negation, and the pair tables, equal the tuple
     reference on the given pairs of enumeration positions."""
     t = w.table()
-    base = _MemoizedBase(w.base)
+    base = _MemoizedBase(_reference_base(w.base))
     elems = list(w.enumerate())
     add_pos, mul_pos = w.pair_tables
     for i, j in index_pairs:
@@ -335,9 +342,10 @@ def test_is_ring_map_rejects_an_additive_map_that_is_not_multiplicative():
     w = WittRing(2, 2, f2)
     z4 = plain_ring(2, 2)
     phi = brute_force_ring_isomorphism(w, z4)
-    images = [phi[x.coords] for x in w.enumerate()]
+    _, code, _, _ = z4.tables
+    images = [code[phi[x.coords]] for x in w.enumerate()]
     assert is_ring_map(w, images, z4)
-    tripled = [z4.scale(3, y) for y in images]  # 3 phi(1) * 3 phi(1) = 1 != 3 phi(1)
+    tripled = [code[z4.scale(3, phi[x.coords])] for x in w.enumerate()]  # 3 phi(1) * 3 phi(1) = 1 != 3 phi(1)
     assert not is_ring_map(w, tripled, z4)
 
 
@@ -353,16 +361,55 @@ def test_carriers_above_the_coding_bound_are_rejected():
 
 
 def test_theta_epsilon_reports_a_non_homomorphism_as_a_failed_case(monkeypatch):
-    theta = witt.theta_map
+    theta = witt.theta_digits
 
-    def squared(w, model, lift=None):  # multiplicative, but not additive in O/4
-        o = model.ring_o()
-        return o.mul(theta(w, model, lift), theta(w, model, lift))
+    def squared(model, codes, lift=None):  # multiplicative, but not additive in O/4
+        digits = theta(model, codes, lift)
+        return model.ring_o().mul_rows(digits, digits)
 
-    monkeypatch.setattr(witt, "theta_map", squared)
+    monkeypatch.setattr(witt, "theta_digits", squared)
     rep = run_suite("theta-epsilon", {"p": 2, "m": 3, "n": 2, "k": 2}, seed=1)
     status = {case.name: case.status for case in rep.cases}
     assert status["theta-is-ring-hom"] == "fail"
+    assert rep.exit_code() == 1
+
+
+@pytest.mark.parametrize("shift", [1, 2], ids=["xi+1", "xi+2"])
+def test_theta_epsilon_fails_theta_xi_and_kernel_generation_for_a_perturbed_xi(shift, monkeypatch):
+    # xi + 1 is a unit, whose multiples are all of W; xi + 2 is not
+    xi = witt.xi_cyclotomic
+
+    def perturbed(wr, tilt):
+        out = xi(wr, tilt)
+        for _ in range(shift):
+            out = out + wr.one
+        return out
+
+    monkeypatch.setattr(witt, "xi_cyclotomic", perturbed)
+    rep = run_suite("theta-epsilon", {"p": 2, "m": 3, "n": 2, "k": 2}, seed=1)
+    status = {case.name: case.status for case in rep.cases}
+    assert status["theta-xi"] == status["kernel-multiples-of-xi"] == "fail"
+    assert status["theta-is-ring-hom"] == status["theta-epsilon"] == "pass"
+    assert rep.exit_code() == 1
+
+
+def test_witt_layer_fails_ghost_homomorphy_for_a_perturbed_multiplication_polynomial(monkeypatch):
+    honest = witt.structure_polynomials
+
+    def perturbed(p, n):
+        table = honest(p, n)
+        if (p, n) != (2, 3):
+            return table
+        mul = [dict(s) for s in table.mul]
+        expts = next(iter(mul[1]))
+        mul[1][expts] += 1
+        return dataclasses.replace(table, mul=tuple(mul))
+
+    monkeypatch.setattr(witt, "structure_polynomials", perturbed)
+    rep = run_suite("witt-layer", {"cases": 100}, seed=1)
+    status = {case.name: case.status for case in rep.cases}
+    assert status["ghost-homomorphy-Z8"] == "fail"
+    assert all(v == "pass" for k, v in status.items() if k != "ghost-homomorphy-Z8")
     assert rep.exit_code() == 1
 
 
@@ -397,32 +444,36 @@ def test_lift_homomorphism_computes_the_source_frobenius_once(monkeypatch):
     assert sum(ring is f4 for ring in calls) == f4.size
 
 
-def _assert_tilt_ops_componentwise(t, a, b):
-    o = t.omodp
-    assert t.add(a, b) == tuple(o.add(x, y) for x, y in zip(a, b))
-    assert t.mul(a, b) == tuple(o.mul(x, y) for x, y in zip(a, b))
+def _assert_tilt_ops_componentwise(t, i, j):
+    """The tilt's tables, and the per-element reference operations, act
+    entry by entry on the sequences at positions i and j."""
+    o, ref = t.omodp, reference_witt.TiltArithmetic(t)
+    seqs, _, add, mul = t.tables
+    a, b = seqs[i], seqs[j]
+    assert seqs[add[i, j]] == ref.add(a, b) == tuple(o.add(x, y) for x, y in zip(a, b))
+    assert seqs[mul[i, j]] == ref.mul(a, b) == tuple(o.mul(x, y) for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("model", [CyclotomicModel(2, 2, 1, 1), CyclotomicModel(2, 3, 2, 2)], ids=str)
 def test_tilt_operations_match_componentwise_on_every_pair(model):
     t = tilt_ring(model)
+    ref = reference_witt.TiltArithmetic(t)
     elems = list(t.enumerate())
     assert len(set(elems)) == t.size and all(t.validate(e) for e in elems)
-    for a in elems:
-        for b in elems:
-            _assert_tilt_ops_componentwise(t, a, b)
+    for i, a in enumerate(elems):
+        for j in range(len(elems)):
+            _assert_tilt_ops_componentwise(t, i, j)
         for c in range(-2, 5):
             assert t.scale(c, a) == tuple(t.omodp.scale(c, x) for x in a)
         for k in range(6):
-            assert t.power(a, k) == tuple(t.omodp.power(x, k) for x in a)
+            assert ref.power(a, k) == tuple(t.omodp.power(x, k) for x in a)
 
 
 def test_tilt_operations_match_componentwise_on_seeded_pairs_of_odd_tilt():
     t = tilt_ring(CyclotomicModel(3, 2, 1, 1))
-    elems = list(t.enumerate())
     rng = random.Random(5)
     for _ in range(500):
-        _assert_tilt_ops_componentwise(t, rng.choice(elems), rng.choice(elems))
+        _assert_tilt_ops_componentwise(t, rng.randrange(t.size), rng.randrange(t.size))
 
 
 TABLE_RINGS = {
@@ -448,7 +499,7 @@ def _table_rows(size):
 def _assert_tables_match_reference(tables, base):
     elems, code, add, mul = tables
     rows = _table_rows(base.size)
-    ref_elems, ref_code, ref_add, ref_mul = reference_witt.coding(base, rows)
+    ref_elems, ref_code, ref_add, ref_mul = reference_witt.coding(_reference_base(base), rows)
     assert elems == ref_elems and code == ref_code
     assert add.dtype == mul.dtype == np.int32 and add.shape == mul.shape == (base.size, base.size)
     assert np.array_equal(add[rows], ref_add) and np.array_equal(mul[rows], ref_mul)
@@ -483,7 +534,8 @@ def test_is_ring_map_gives_the_reference_verdict_on_every_candidate(monkeypatch)
 
     def compared(wr, images, target):
         verdict = check(wr, images, target)
-        assert verdict == reference_witt.is_ring_map(wr, images, target)
+        elems = target.tables[0]
+        assert verdict == reference_witt.is_ring_map(wr, [elems[t] for t in images], target)
         verdicts.append(verdict)
         return verdict
 
@@ -500,7 +552,7 @@ def test_is_ring_map_rejects_a_target_above_the_coding_bound():
     big = QuotientRing(ModRing(2, 1), (0,) * 13 + (1,))  # F_2[x]/(x^13), 8192 elements
     w = WittRing(2, 1, plain_ring(2, 1))
     with pytest.raises(ValueError, match="2\\^12"):
-        is_ring_map(w, [big.zero, big.one], big)
+        is_ring_map(w, [0, 1], big)
 
 
 POWER_RINGS = {"Z/4": plain_ring(2, 2), **TABLE_RINGS}
@@ -521,3 +573,82 @@ def test_power_equals_repeated_products_and_stops_squaring_after_the_last_bit(na
             assert ring.power(a, k) == want, (a, k)
             assert len(calls) == bin(k).count("1") + max(k.bit_length() - 1, 0)
             want = honest(want, a)
+
+
+def _twisted_lift(model):
+    """A lift of O/p to O other than the digitwise one: add p to every digit
+    of the elements whose first digit is nonzero."""
+    m = model.ring_o().m
+    return lambda z: tuple((c + model.p * (z[0] != 0)) % m for c in z)
+
+
+THETA_MODELS = [CyclotomicModel(2, 3, 2, 2), CyclotomicModel(3, 2, 1, 1)]
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["default-lift", "twisted-lift"])
+@pytest.mark.parametrize("model", THETA_MODELS, ids=str)
+def test_theta_on_every_element_equals_the_per_element_reference(model, twisted):
+    t = tilt_ring(model)
+    w = WittRing(model.p, model.n, t)
+    lift = _twisted_lift(model) if twisted else None
+    digits = witt.theta_digits(model, w.coordinate_codes(), lift)
+    elems = list(w.enumerate())
+    assert digits.shape == (model.ring_o().deg, len(elems))
+    # theta_map calls a given lift on every element of O/p: check it on a sample
+    one_by_one = set(random.Random(7).sample(range(len(elems)), 40)) if twisted else range(len(elems))
+    for e, x in enumerate(elems):
+        want = reference_witt.theta_map(x, model, lift)
+        assert tuple(digits[:, e].tolist()) == want
+        if e in one_by_one:
+            assert theta_map(x, model, lift) == want
+
+
+GHOST_RINGS = {
+    "W_3(Z/8)": WittRing(2, 3, plain_ring(2, 3)),
+    "W_2(F_4)": WittRing(2, 2, QuotientRing(ModRing(2, 1), (1, 1, 1))),
+    "W_2(tilt(2,3,2,2))": WittRing(2, 2, tilt_ring(CyclotomicModel(2, 3, 2, 2))),
+}
+
+
+@pytest.mark.parametrize("name", list(GHOST_RINGS))
+def test_ghost_on_every_element_equals_the_per_element_reference(name):
+    w = GHOST_RINGS[name]
+    elems, _, _, _ = w.coding
+    base = _reference_base(w.base)
+    ghosts = w.ghost(w.coordinate_codes())
+    for e, x in enumerate(w.enumerate()):
+        want = reference_witt.ghost(x, base)
+        assert tuple(elems[g[e]] for g in ghosts) == want
+        assert x.ghost() == want
+
+
+@pytest.mark.parametrize("source, target", [
+    (QuotientRing(ModRing(2, 1), (1, 1, 1)), QuotientRing(ModRing(2, 2), (1, 1, 1))),
+    (plain_ring(2, 1), plain_ring(2, 2)),
+], ids=["W_2(F_4)->Z/4[x]/(x^2+x+1)", "W_2(F_2)->Z/4"])
+def test_generator_ring_homomorphisms_equal_the_per_element_reference(source, target):
+    w = WittRing(2, 2, source)
+    homs = generator_ring_homomorphisms(w, target)
+    assert homs == reference_witt.generator_ring_homomorphisms(w, target)
+    assert homs  # the identity-like lift at least
+
+
+def test_theta_on_all_of_w2_at_2422_in_one_call():
+    # 2^16 Witt vectors, beyond the 2^12 bound on pair tables: theta itself has no bound
+    start = time.perf_counter()
+    model = CyclotomicModel(2, 4, 2, 2)
+    t = tilt_ring(model)
+    w = WittRing(2, 2, t)
+    digits = witt.theta_digits(model, w.coordinate_codes())
+    elapsed = time.perf_counter() - start
+    o = model.ring_o()
+    assert digits.shape == (8, 2 ** 16)
+    assert elapsed < 1, f"theta on W_2 at (2,4,2,2) took {elapsed:.2f} s"
+    codes = o.codes(digits)
+    assert codes[w.position(w.one)] == o.codes(o.one)
+    assert codes[w.position(epsilon_witt(w, t))] == o.codes(o.one)
+    assert codes[w.position(xi_cyclotomic(w, t))] == o.codes(o.zero)
+    elems = list(t.enumerate())
+    for e in random.Random(23).sample(range(2 ** 16), 300):
+        x = w.vector((elems[e // 256], elems[e % 256]))
+        assert tuple(digits[:, e].tolist()) == reference_witt.theta_map(x, model)
