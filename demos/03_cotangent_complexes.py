@@ -13,7 +13,6 @@ from derhamkit import (
     cotangent_homology,
     ext1_cotangent,
     kaehler_presentation,
-    transitivity_report,
 )
 
 F3 = ModRing(3, 1)
@@ -27,9 +26,9 @@ print(f"  certificate: kind={cert.kind}, ok={cert.ok}, degrees {cert.checked_deg
 
 print("\nKaehler differentials of familiar pairs")
 kp = kaehler_presentation(AlgebraPresentation(F3, "hypersurface", "x", (0, 0, 0, 1)))
-print(f"  F_3[x]/(x^3) over F_3: rank {kp.rank}, free: {kp.free_over_target}, invariants {kp.invariants()}")
+print(f"  F_3[x]/(x^3) over F_3: rank {kp.rank}, free: {kp.free_over_target}, invariants {kp.factors}")
 kp = kaehler_presentation(AlgebraPresentation(F2, "hypersurface", "x", (1, 1, 1)))
-print(f"  F_4 over F_2: invariants {kp.invariants()} (separable: the module vanishes)")
+print(f"  F_4 over F_2: invariants {kp.factors} (separable: the module vanishes)")
 
 print("\nRegular quotients: the cotangent complex is the shifted conormal module")
 for ring, f, label in ((F3, (0, 1), "F_3[x]/(x)"), (F2, (0, 0, 1), "F_2[x]/(x^2)"), (Z4, (0, 1), "Z/4[x]/(x)")):
@@ -46,9 +45,3 @@ print("\nExt^1 against the cotangent complex classifies square-zero extensions")
 pres = AlgebraPresentation(Z4, "quotient", "y", (0, 1))
 izt = FiniteBModule(Z4, 1, np.array([[2]]), np.zeros((1, 1), dtype=np.int64))
 print(f"  A = Z/4[y], B = A/(y), I = Z/2: Ext^1 = {ext1_cotangent(pres, izt)}")
-
-print("\nTransitivity audits for composable pairs")
-rep = transitivity_report(F3, "quotient-tower", f_coeffs=(0, 0, 0, 1), g_coeffs=(0, 1))
-print(f"  F_3[x] -> F_3[x]/(x^3) -> F_3: ok={rep.ok}")
-rep = transitivity_report(F3, "poly-then-quotient", f_coeffs=(0, 1))
-print(f"  A -> A[x] -> A[x]/(x): ok={rep.ok} (recovers the conormal in degree 1)")

@@ -1,22 +1,19 @@
-"""Divided powers: exact coefficients, derived functors, the Koszul bridge.
+"""Divided powers: Gamma^n on maps, derived functors, the Koszul bridge.
 
 Run with: python3 demos/04_divided_powers.py
 """
 
 import numpy as np
 
-from derhamkit import ModRing, PDAlgebra, derived_power, koszul_gamma_complex, pd_gamma, pd_multiply
+from derhamkit import ModRing, derived_power, gamma_monomials, koszul_gamma_complex
 from derhamkit.complexes import GradedSliceComplex
-from derhamkit.pdpow import exterior_filtration, gamma_monomials
+from derhamkit.pdpow import gamma_matrix
 
-Z16 = ModRing(2, 4)
 Z9 = ModRing(3, 2)
 
-print("Products and compositions in A<t> with exact integer coefficients")
-alg = PDAlgebra(Z16, ("t",), (1,), truncation=10)
-g = alg.gamma
-print(f"  gamma_2(t) gamma_3(t) = {pd_multiply(g('t', 2), g('t', 3))}")
-print(f"  gamma_2(gamma_2(t))   = {pd_gamma(2, g('t', 2))}   (coefficient 4!/(2! 2!^2) = 3)")
+print("Gamma^n of a map, with exact divided-power coefficients")
+print(f"  Gamma^2 of multiplication by 3 on Z/9: {gamma_matrix(np.array([[3]]), 2, Z9).tolist()}  (gamma_2(3t) = 9 gamma_2(t))")
+print(f"  Gamma^2 of (1 1) from A to A^2: {gamma_matrix(np.array([[1, 1]]), 2, Z9).tolist()}  (gamma_2(s + t) = gamma_2(s) + st + gamma_2(t))")
 
 print("\nRanks of divided power modules: Gamma^n(A^r) has binomial rank")
 print(f"  Gamma^2(A^2) basis: {gamma_monomials(2, 2)}")
@@ -32,9 +29,3 @@ u = np.array([[1, 0]])
 v = np.array([[0], [1]])
 cx, exact = koszul_gamma_complex(u, v, 2, Z9)
 print(f"  0 -> A -> A^2 -> A -> 0, n = 2: term ranks {[cx.dim(d, 0) for d in (3, 2, 1, 0)]}, exact: {exact}")
-
-print("\nExterior-power filtration of a split exact sequence")
-u = np.array([[1, 0, 0]])
-section = np.array([[0, 1, 0], [0, 0, 1]])
-repf = exterior_filtration(u, section, 2, Z9)
-print(f"  A in A^3, wedge^2: graded ranks {repf.graded_ranks} summing to {repf.total_rank}")

@@ -5,7 +5,7 @@ algebras, divided powers, Witt vectors, tilts and theta, with every claim
 backed by finite exact linear algebra over Z, Z/p^n and F_p.
 """
 
-from .exactlin import ModRing, ZZ, PAdicValue, ModulePresentation, normal_form, module_invariants, padic_valuation, resultant
+from .exactlin import ModRing, PAdicValue, smith_normal_form, howell_form, quotient_invariants, padic_valuation, resultant
 from .polyalg import PolyAlgebra, graded_slice_basis
 from .complexes import GradedSliceComplex, DoubleComplex, HomologyReport, slice_homology, total_complex, compare_homology, homology_report
 from .simplex import (
@@ -24,14 +24,12 @@ from .cotangent import (
     AlgebraPresentation,
     FreeSimplicialResolution,
     bar_resolution,
-    base_change_resolution,
     kaehler_presentation,
     cotangent_homology,
     ext1_cotangent,
     FiniteBModule,
-    transitivity_report,
 )
-from .pdpow import PDAlgebra, PDElement, pd_multiply, pd_gamma, pd_filtration, derived_power, koszul_gamma_complex, exterior_filtration
+from .pdpow import gamma_monomials, derived_power, koszul_gamma_complex
 from .derham import build_derham, hodge_quotient_homology, graded_piece_report, universal_thickening, pd_envelope_report, h0_shuffle_product
 from .witt import (
     structure_polynomials,
@@ -47,8 +45,6 @@ from .witt import (
 from .padicfield import (
     MonogenicExtension,
     cyclotomic_extension,
-    eisenstein_extension,
-    unramified_extension,
     different_valuation,
     omega_invariants,
     fontaine_annihilator_check,

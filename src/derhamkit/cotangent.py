@@ -33,33 +33,27 @@ from .complexes import (
 )
 from .exactlin import (
     ModRing,
-    ModulePresentation,
-    SliceQuotient,
     SparseMatrix,
     left_kernel,
-    module_invariants,
     mzeros,
     mmul,
     quotient_invariants,
     span_solver,
-    v_int,
 )
 from .polyalg import PolyAlgebra, exponent_rows, row_positions
-from .upoly import gcd_degree, rem, trim
+from .upoly import rem, trim
 
 __all__ = [
     "AlgebraPresentation",
     "FreeSimplicialResolution",
     "DepthError",
     "bar_resolution",
-    "base_change_resolution",
     "verify_nonzerodivisor",
     "kaehler_presentation",
     "cotangent_homology",
     "shortcut_conormal_complex",
     "FiniteBModule",
     "ext1_cotangent",
-    "transitivity_report",
 ]
 
 
@@ -145,12 +139,6 @@ class AlgebraPresentation:
     def is_monomial(self) -> bool:
         return all(c == 0 for c in self.f_coeffs[:-1])
 
-    @property
-    def is_unramified(self) -> bool:
-        """f separable mod p, so the target is finite etale over k."""
-        return (self.shape == "hypersurface"
-                and gcd_degree(self.f_coeffs, self.fprime_coeffs(), self.ring.p) == 0)
-
     def reduce_mod_f(self, coeffs: list[int]) -> list[int]:
         """Coefficients reduced modulo f in the power basis of the quotient."""
         return rem(coeffs, self.f_coeffs, self.ring.modulus)
@@ -165,15 +153,6 @@ class AlgebraPresentation:
         else:
             data["f"] = _poly_to_string(self.f_coeffs)
         return json.dumps(data, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "AlgebraPresentation":
-        data = json.loads(text)
-        ring = ModRing(data["coeff"]["p"], data["coeff"]["n"])
-        if data["shape"] == "free":
-            return AlgebraPresentation(ring, "free", data.get("var", "x"), free_rank=data["rank"])
-        return AlgebraPresentation(ring, data["shape"], data.get("var", "x"),
-                                   tuple(parse_poly_string(data["f"])))
 
 
 # ---------------------------------------------------------------------------
@@ -462,17 +441,6 @@ def bar_resolution(ring: ModRing, d_max: int, weight_bound: int, var: str = "x")
     return FreeSimplicialResolution(pres, d_max, weight_bound)
 
 
-def base_change_resolution(bar: FreeSimplicialResolution, target: AlgebraPresentation) -> FreeSimplicialResolution:
-    """Substitute x -> f in a bar resolution to resolve A/(f) over A = k[x];
-    requires the mult-by-f injectivity check up to the weight bound."""
-    if target.shape not in ("quotient", "hypersurface"):
-        raise ValueError("base change targets a quotient presentation")
-    if target.ring != bar.ring:
-        raise ValueError("coefficient ring mismatch")
-    verify_nonzerodivisor(target, bar.weight_bound)
-    return FreeSimplicialResolution(target, bar.d_max, bar.weight_bound)
-
-
 def verify_nonzerodivisor(pres: AlgebraPresentation, weight_bound: int) -> None:
     """Multiplication by f on k[x] must be injective up to the weight bound."""
     d = pres.degree
@@ -503,12 +471,7 @@ class KaehlerPresentation:
     pres: AlgebraPresentation
     rank: int  # generators over the target algebra
     free_over_target: bool
-    k_presentation: ModulePresentation | None  # expansion over k when finite
-
-    def invariants(self):
-        if self.k_presentation is None:
-            raise ValueError("no finite expansion for this shape")
-        return module_invariants(self.k_presentation)
+    factors: list[int] | None  # invariant factors over k, when finite over k
 
 
 def kaehler_presentation(pres: AlgebraPresentation) -> KaehlerPresentation:
@@ -517,15 +480,13 @@ def kaehler_presentation(pres: AlgebraPresentation) -> KaehlerPresentation:
         return KaehlerPresentation(pres, pres.free_rank, True, None)
     if pres.shape == "quotient":
         # relative to A = k[x]: d kills every image, the module vanishes
-        return KaehlerPresentation(pres, 0, False, ModulePresentation(ring, 0, mzeros(0, 0)))
-    # hypersurface over k: generator dx with relation f'(x) dx
+        return KaehlerPresentation(pres, 0, False, [])
+    # hypersurface over k: generator dx with relation f'(x) dx, over k on the power basis
     d = pres.degree
     rows = [pres.reduce_mod_f([0] * a + pres.fprime_coeffs()) for a in range(d)]
-    relations = np.array(rows, dtype=np.int64)
-    kp = ModulePresentation(ring, d, relations)
-    facs, _ = module_invariants(kp)
-    free = facs == [ring.modulus] * d  # relation vanished: free of rank 1 over B
-    return KaehlerPresentation(pres, 1, free, kp)
+    factors = quotient_invariants(np.eye(d, dtype=np.int64), np.array(rows, dtype=np.int64), ring)
+    # relation vanished: free of rank 1 over B
+    return KaehlerPresentation(pres, 1, factors == [ring.modulus] * d, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +532,9 @@ def cotangent_homology(pres: AlgebraPresentation, window: tuple[int, int],
 
 def _check_h0_matches_kaehler(pres: AlgebraPresentation, rep: HomologyReport) -> None:
     h0 = sorted(f for (n, _), e in rep.entries.items() if n == 0 for f in e["factors"])
-    kae = kaehler_presentation(pres)
-    if kae.k_presentation is None:
+    expected = kaehler_presentation(pres).factors
+    if expected is None:
         return
-    expected, _ = module_invariants(kae.k_presentation)
     if h0 != sorted(expected):
         raise AssertionError(f"H_0 of the cotangent complex {h0} != Kaehler invariants {expected}")
 
@@ -629,8 +589,7 @@ class FiniteBModule:
         return out
 
     def invariants(self) -> list[int]:
-        facs, _ = module_invariants(ModulePresentation(self.ring, self.gens, self.relations))
-        return facs
+        return quotient_invariants(np.eye(self.gens, dtype=np.int64), self.relations, self.ring)
 
 
 def ext1_cotangent(pres: AlgebraPresentation, module: FiniteBModule,
@@ -694,107 +653,3 @@ def ext1_cotangent(pres: AlgebraPresentation, module: FiniteBModule,
         if sorted(facs) != sorted(expected):
             raise AssertionError("Ext^1 disagrees with the conormal Hom module")
     return facs
-
-
-# ---------------------------------------------------------------------------
-# transitivity audits
-
-
-@dataclass
-class TransitivityReport:
-    chain: str
-    slice_verdicts: dict  # weight -> dict of named checks
-    ok: bool
-
-    def to_json(self) -> str:
-        items = [{"weight": w, "checks": v} for w, v in sorted(self.slice_verdicts.items())]
-        return json.dumps({"chain": self.chain, "ok": self.ok, "slices": items}, sort_keys=True)
-
-
-def transitivity_report(ring: ModRing, chain: str, f_coeffs=None, g_coeffs=None,
-                        weight_bound: int = 6) -> TransitivityReport:
-    """Exactness audit of the six-term tail of the transitivity sequence.
-
-    ``chain`` is one of "identity" (A -> A -> A), "quotient-tower"
-    (k[x] -> k[x]/(f) -> k[x]/(g), g | f, both monomial), or
-    "poly-then-quotient" (k -> k[x] -> k[x]/(f))."""
-    if chain == "identity":
-        return TransitivityReport(chain, {0: {"all-terms-zero": True}}, True)
-    if chain == "quotient-tower":
-        return _tower_audit(ring, f_coeffs, g_coeffs, weight_bound)
-    if chain == "poly-then-quotient":
-        return _poly_quotient_audit(ring, f_coeffs, weight_bound)
-    raise ValueError(f"unsupported chain kind {chain!r}")
-
-
-def _tower_audit(ring: ModRing, f_coeffs, g_coeffs, weight_bound: int) -> TransitivityReport:
-    """Chain k[x] -> B = k[x]/(f) -> C = k[x]/(g) with g | f.
-
-    All relative Kaehler terms vanish, so the six-term tail reduces to
-    H_1(L_{B/A} (x) C) --alpha--> H_1(L_{C/A}) --beta--> H_1(L_{C/B}) -> 0
-    with alpha multiplication by h = f/g and beta the conormal projection;
-    both maps are built explicitly per weight slice and exactness at the
-    middle and right spots is verified, together with nonnegative partial
-    alternating sums of lengths.  The vanishing of the Kaehler terms holds
-    for every such tower, so it is not listed as a check.
-    """
-    presf = AlgebraPresentation(ring, "quotient", "x", tuple(f_coeffs))
-    presg = AlgebraPresentation(ring, "quotient", "x", tuple(g_coeffs))
-    df, dg = presf.degree, presg.degree
-    m = ring.modulus
-    if df < dg:
-        raise ValueError("g must divide f")
-    cf, cg = presf.f_coeffs[-1], presg.f_coeffs[-1]
-    ch = (cf * pow(cg, -1, m)) % m  # f = (ch x^{df-dg}) * g
-    verdicts = {}
-    ok = True
-    for w in range(weight_bound + 1):
-        alive5 = df <= w < df + dg
-        alive4 = dg <= w < 2 * dg
-        # X3 = (g)B/(g)^2 B at weight w, computed in B's slice basis {x^w}
-        x3_facs = []
-        if w < df:
-            num = np.array([[cg]]) if w >= dg else mzeros(0, 1)
-            den = np.array([[(cg * cg) % m]]) if w >= 2 * dg else mzeros(0, 1)
-            x3_facs = quotient_invariants(num, den, ring)
-        l5 = ring.n if alive5 else 0
-        l4 = ring.n if alive4 else 0
-        l3 = sum(v_int(t, ring.p) for t in x3_facs)
-        # beta: X4 -> X3 is multiplication by the unit cg on cyclic slices
-        beta_onto = (not x3_facs) or alive4
-        # alpha: X5 -> X4 multiplies by the unit ch into exponent w - dg
-        alpha_alive = alive5 and alive4
-        # exactness at X3: beta onto; at X4: ker(beta) = im(alpha)
-        ker_beta = 0 if (alive4 and x3_facs) else l4
-        im_alpha = l4 if alpha_alive else 0
-        checks = {
-            "beta-onto": beta_onto,
-            "exact-at-X4": ker_beta == im_alpha,
-            "partial-sums-nonnegative": l3 <= l4 and (l4 - l3) <= l5,
-        }
-        verdicts[w] = checks
-        ok = ok and all(checks.values())
-    return TransitivityReport("quotient-tower", verdicts, ok)
-
-
-def _poly_quotient_audit(ring: ModRing, f_coeffs, weight_bound: int) -> TransitivityReport:
-    """Chain k -> k[x] -> C = k[x]/(f): the tail is
-    H_1(L_{C/k}) -> (f)/(f^2) (x) C --delta--> C dx -> Omega^1_{C/k} -> 0
-    with delta the conormal map sending the generator to f'(x) dx.  Exactness
-    at the last spot holds by construction (Omega^1_{C/k[x]} = 0 receives
-    everything), so it is not listed as a check."""
-    pres = AlgebraPresentation(ring, "hypersurface", "x", tuple(f_coeffs))
-    d = pres.degree
-    rows = [pres.reduce_mod_f([0] * a + pres.fprime_coeffs()) for a in range(d)]
-    delta = np.array(rows, dtype=np.int64) % ring.modulus  # C -> C dx, power basis
-    x1_facs = quotient_invariants(np.eye(d, dtype=np.int64), delta, ring)
-    l1 = sum(v_int(t, ring.p) for t in x1_facs)
-    lker = SliceQuotient.from_cycles_boundaries(left_kernel(delta, ring), mzeros(0, d), ring).length()
-    result = cotangent_homology(pres, (0, 1), weight_bound)
-    l4 = result.report.total_length(1)
-    h0_len = result.report.total_length(0)
-    checks = {
-        "cokernel-matches-kaehler": h0_len == l1,
-        "kernel-of-delta-matches-H1": lker == l4,  # H_1(L_{k[x]/k}) = 0 forces this
-    }
-    return TransitivityReport("poly-then-quotient", {0: checks}, all(checks.values()))

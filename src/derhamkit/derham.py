@@ -17,8 +17,8 @@ computes the same homology (Dold-Kan normalization; Weibel, An Introduction
 to Homological Algebra, 8.3.7-8.3.8), and a weight-w slice has no blocks
 above simplicial degree w / deg f.
 
-The Hodge-completed object is only ever handled as the family of finite
-levels with compatible quotient maps, never as an inverse limit.  Each basis
+The Hodge-completed object is only ever handled as the family of its
+finite levels, never as an inverse limit.  Each basis
 element of the total complex carries its Hodge column i, so one filtered
 contraction per weight (``complexes.reduce_complex``) serves every level:
 the quotient by F^k is its corner of columns < k, and F^k H_0 its degree-0
@@ -59,7 +59,7 @@ from .exactlin import (
     quotient_invariants,
     span_solver,
 )
-from .pdpow import PDAlgebra, pd_filtration, derived_power
+from .pdpow import derived_power
 from .polyalg import exponent_rows, graded_slice_basis, row_positions
 from .simplex import shuffles
 from .upoly import mul, rem
@@ -248,16 +248,6 @@ class FilteredDeRhamComplex:
         if level > self.hodge_cut:
             raise ValueError(f"level {level} above the built Hodge cut {self.hodge_cut}")
         return self.total.corner(level, self._n_min(level))
-
-    def quotient_map(self, level_hi: int, level_lo: int, n: int, w: int) -> np.ndarray:
-        """Projection matrix between the degree-n slices of the level
-        truncations: drop the columns with level_lo <= i < level_hi.  These
-        are the compatible maps presenting the Hodge-completed object as a
-        finite family of quotients."""
-        if not 0 <= level_lo <= level_hi <= self.hodge_cut:
-            raise ValueError("levels must be nested inside the built cut")
-        return np.eye(*np.searchsorted(self.total.columns.get((n, w), []), [level_hi, level_lo]),
-                      dtype=np.int64)
 
     def filtration_coordinates(self, level: int, n: int, w: int) -> np.ndarray:
         """Unit rows of the degree-n slice supported on columns >= level."""
@@ -651,6 +641,12 @@ class PDEnvelopeReport:
         )
 
 
+def _t_times_gamma(j: int, m: int) -> int:
+    """The coefficient of gamma_{j+1}(t) in gamma_1(t) gamma_j(t) = (j+1)
+    gamma_{j+1}(t), reduced mod m."""
+    return (j + 1) % m
+
+
 def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
                        window_top: int = 1) -> PDEnvelopeReport:
     """Compare H_0(LOmega_{B/A}) with the PD algebra quotient A<t>/(t - f).
@@ -670,13 +666,8 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
     f = build_derham(pres, hodge_cut=max_level, window=(0, window_top), weight_bound=weight_bound)
 
     # PD side: A<t>/(t - f) slice by slice in the basis x^a gamma_j(t);
-    # the gamma-product coefficients come from the divided-power arithmetic
-    # so this route is independent of the de Rham machinery
-    pd_alg = PDAlgebra(ring, ("t",), (d,), weight_bound + d)
-
-    def t_times_gamma(j: int) -> int:
-        prod = pd_alg.gamma("t", 1) * pd_alg.gamma("t", j)
-        return prod.terms.get((j + 1,), 0)
+    # its one product coefficient is the closed form of _t_times_gamma, so
+    # this route is independent of the de Rham machinery
 
     def pd_basis(w):
         return [(w - j * d, j) for j in range(w // d + 1)]
@@ -690,7 +681,7 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
             return mzeros(0, len(basis))
         for (a, j) in pd_basis(w - d):
             row = mzeros(1, len(basis))[0]
-            row[bindex[(a, j + 1)]] = t_times_gamma(j)
+            row[bindex[(a, j + 1)]] = _t_times_gamma(j, m)
             row[bindex[(a + d, j)]] = (-c_lead) % m
             rows.append(row)
         return np.vstack(rows) if rows else mzeros(0, len(basis))
@@ -743,15 +734,14 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
 
         # filtration comparison per level: F^level H_0 is the cycles of the
         # contraction in columns >= level modulo all boundaries; the PD side
-        # (total gamma index >= level) comes from the divided-power module
+        # is the span of the x^a gamma_j with j >= level
         d0, bnd = red.diff(0, w), red.diff(1, w)
         for level in range(0, min(max_level, w // d + 2)):
             start = int(np.searchsorted(red.columns.get((0, w), []), level))
             ker = left_kernel(d0[start:], ring)
             cycles = np.hstack([mzeros(len(ker), start), ker])
             hodge_facs = quotient_invariants(np.vstack([cycles, bnd]), bnd, ring)
-            pd_level = {e[0] for e in pd_filtration(pd_alg, level).basis}
-            pd_span = np.eye(len(basis), dtype=np.int64)[[k for k, (_, j) in enumerate(basis) if j in pd_level]]
+            pd_span = np.eye(len(basis), dtype=np.int64)[[k for k, (_, j) in enumerate(basis) if j >= level]]
             pd_fil_facs = quotient_invariants(np.vstack([pd_span, rel]), rel, ring)
             eq = sorted(hodge_facs) == sorted(pd_fil_facs)
             filtration_verdicts[(level, w)] = (hodge_facs, pd_fil_facs, eq)

@@ -29,12 +29,9 @@ from .upoly import rem, trim
 
 __all__ = [
     "ModRing",
-    "ZZ",
     "PAdicValue",
-    "ModulePresentation",
     "is_prime",
     "smith_normal_form",
-    "normal_form",
     "howell_form",
     "left_kernel",
     "SparseMatrix",
@@ -44,7 +41,6 @@ __all__ = [
     "express_in_basis",
     "SliceQuotient",
     "quotient_invariants",
-    "module_invariants",
     "padic_valuation",
     "resultant",
 ]
@@ -107,19 +103,6 @@ class ModRing:
         return f"F_{self.p}" if self.n == 1 else f"Z/{self.modulus}"
 
 
-class _IntegerRing:
-    """Sentinel for Z coefficients (Smith form path)."""
-
-    def __str__(self):
-        return "Z"
-
-    def __repr__(self):
-        return "ZZ"
-
-
-ZZ = _IntegerRing()
-
-
 @dataclass(frozen=True)
 class PAdicValue:
     """Exact rational valuation with a +infinity marker.
@@ -131,10 +114,6 @@ class PAdicValue:
     prime: int
     value: Fraction | None  # None encodes +infinity
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
     def with_index(self, e: int) -> "PAdicValue":
         if self.value is not None and (self.value * e).denominator != 1:
             raise ValueError(f"valuation {self.value} has denominator not dividing e={e}")
@@ -142,26 +121,6 @@ class PAdicValue:
 
     def __str__(self):
         return "+inf" if self.value is None else str(self.value)
-
-
-@dataclass
-class ModulePresentation:
-    """Finitely presented module: cokernel of ``relations`` acting on rows.
-
-    ``relations`` has ``generators`` columns; the module is
-    R^generators / rowspan(relations) over ``ring``.
-    """
-
-    ring: ModRing
-    generators: int
-    relations: np.ndarray  # shape (k, generators), k >= 0
-
-    def __post_init__(self):
-        if self.generators == 0:
-            self.relations = np.zeros((0, 0), dtype=np.int64)
-            return
-        self.relations = np.asarray(self.relations, dtype=np.int64).reshape(-1, self.generators)
-        self.relations %= self.ring.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -676,36 +635,6 @@ def minimal_generators(rows: np.ndarray, ring: ModRing) -> np.ndarray:
     return rows[[col for col, _, _ in _eliminate(_row_dicts(a), a.shape[1], fp, False)]]
 
 
-# ---------------------------------------------------------------------------
-# normal_form dispatcher and module invariants
-
-
-def normal_form(matrix, ring=ZZ):
-    """Canonical form plus transform certificates.
-
-    Over Z: Smith normal form, returns (S, (U, V)) with U*M*V = S.
-    Over Z/p^n: Howell form, returns (H, (T, T')) with T*M = H and T'*H = M
-    row-span certificates.
-    """
-    if ring is ZZ:
-        s, u, v = smith_normal_form(matrix)
-        return s, (u, v)
-    if not isinstance(ring, ModRing):
-        raise ValueError("composite non-prime-power moduli are not supported")
-    h, t = howell_form(matrix, ring, transform=True)
-    a = np.asarray(matrix, dtype=np.int64) % ring.modulus
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    back = []
-    for row in a:
-        c = solve_in_span(row, h, ring) if h.shape[0] else (None if row.any() else mzeros(1, 0)[0])
-        if c is None:
-            raise AssertionError("Howell span lost a row (internal error)")
-        back.append(c)
-    tprime = np.vstack(back) % ring.modulus if back else mzeros(0, h.shape[0])
-    return h, (t, tprime)
-
-
 def local_smith(matrix: np.ndarray, ring: ModRing, want_transform: bool = False):
     """Diagonalization over the local ring Z/p^n by unit row/column ops.
 
@@ -769,25 +698,6 @@ def local_smith(matrix: np.ndarray, ring: ModRing, want_transform: bool = False)
         t += 1
     factors = [p ** v for v in pivot_vals] + [m] * (cols - len(pivot_vals))
     return factors, v_mat, vinv
-
-
-def invariant_factors_from_relations(relations: np.ndarray, generators: int, ring: ModRing) -> list[int]:
-    """Invariant factors of R^generators / rowspan(relations) over R = Z/p^n:
-    the module is the direct sum of Z/d_j with d_j | p^n, listed with
-    d_j > 1 ascending."""
-    if generators == 0:
-        return []
-    m = ring.modulus
-    rel = np.asarray(relations, dtype=np.int64).reshape(-1, generators) % m
-    factors, _, _ = local_smith(rel, ring)
-    return sorted(int(d) for d in factors if d != 1)
-
-
-def module_invariants(pres: ModulePresentation) -> tuple[list[int], int]:
-    """Invariant factors and total length of a finitely presented module."""
-    facs = invariant_factors_from_relations(pres.relations, pres.generators, pres.ring)
-    length = sum(v_int(d, pres.ring.p) for d in facs)
-    return facs, length
 
 
 def v_int(a: int, p: int) -> int:
@@ -900,7 +810,8 @@ def _span_length(h: np.ndarray, ring: ModRing) -> int:
 
 def quotient_invariants(cycles: np.ndarray, boundaries: np.ndarray, ring: ModRing) -> list[int]:
     """Invariant factors of span(cycles)/span(boundaries), boundaries inside
-    cycles, ascending: the ``factors`` of their :class:`SliceQuotient`."""
+    cycles, ascending: the ``factors`` of their :class:`SliceQuotient`.
+    A module R^g / span(relations) has the factors of (np.eye(g), relations)."""
     return SliceQuotient.from_cycles_boundaries(howell_form(cycles, ring), boundaries, ring).factors
 
 

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import ModRing, PAdicValue, is_prime, local_smith, resultant, v_int
-from .upoly import gcd_degree, rem
+from .upoly import rem
 from .witt import cyclotomic_polynomial_ppower
 
 __all__ = [
     "MonogenicExtension",
     "cyclotomic_extension",
-    "eisenstein_extension",
-    "unramified_extension",
     "different_valuation",
     "omega_invariants",
     "fontaine_annihilator_check",
@@ -31,8 +29,9 @@ __all__ = [
 class MonogenicExtension:
     """O_L = Z_p[b] for b with monic minimal polynomial f (constant first).
 
-    Supported flavors carry certifiable irreducibility: prime-power
-    cyclotomic, Eisenstein, or unramified (separable mod p).
+    The flavor is "cyclotomic" (prime-power, as ``cyclotomic_extension``
+    builds it), "eisenstein" or "unramified" (f separable mod p); only the
+    last sets the ramification index to 1.
     """
 
     p: int
@@ -59,25 +58,6 @@ def cyclotomic_extension(p: int, r: int) -> MonogenicExtension:
     if not is_prime(p) or r < 1:
         raise ValueError("need a prime p and level r >= 1")
     return MonogenicExtension(p, tuple(cyclotomic_polynomial_ppower(p, r)), "cyclotomic", r)
-
-
-def eisenstein_extension(p: int, f_coeffs) -> MonogenicExtension:
-    f = tuple(int(c) for c in f_coeffs)
-    if f[-1] != 1:
-        raise ValueError("Eisenstein polynomials are monic")
-    if any(c % p for c in f[:-1]) or f[0] % (p * p) == 0:
-        raise ValueError("Eisenstein criterion fails")
-    return MonogenicExtension(p, f, "eisenstein")
-
-
-def unramified_extension(p: int, f_coeffs) -> MonogenicExtension:
-    f = tuple(int(c) for c in f_coeffs)
-    if f[-1] != 1:
-        raise ValueError("minimal polynomials are monic")
-    ext = MonogenicExtension(p, f, "unramified")
-    if gcd_degree(f, ext.fprime(), p) != 0:
-        raise ValueError("unramified flavor needs f separable mod p")
-    return ext
 
 
 def different_valuation(ext: MonogenicExtension) -> PAdicValue:

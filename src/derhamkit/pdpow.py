@@ -1,234 +1,39 @@
-"""Divided-power algebras and derived power functors.
+"""Divided powers and derived power functors.
 
-Covers: free PD algebras A<t_1..t_r> with exact coefficient formulas and a
-weight truncation, the PD-ideal filtration, the functors Gamma^n and
-wedge^n on matrices of free modules, their derived functors via the Kan
-transform, the Koszul complex linking Gamma and wedge, and the filtration
-of an exterior power induced by a split exact sequence.
+Covers: the functors Gamma^n and wedge^n on matrices of free modules,
+their derived functors via the Kan transform, and the Koszul complex
+linking Gamma and wedge.
 
-All binomial/multinomial coefficients are computed in exact integer
-arithmetic and reduced afterwards; whether (ip)!/(i! p^i) is a unit mod p
-depends on exact valuations, so nothing is reduced early.
+Binomial and multinomial coefficients are computed in exact integer
+arithmetic and reduced afterwards, so nothing is reduced early.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .complexes import GradedSliceComplex, HomologyReport, homology_report, slice_homology
-from .exactlin import ModRing, SparseMatrix, howell_form, mzeros, mmul, quotient_invariants
+from .exactlin import ModRing, SparseMatrix, mzeros, mmul
 from .polyalg import insert_index
 from .simplex import SimplicialModule, kan_transform, normalized_complex
 
 __all__ = [
-    "PDAlgebra",
-    "PDElement",
-    "PDFiltrationLevel",
-    "pd_multiply",
-    "pd_gamma",
-    "pd_filtration",
     "gamma_monomials",
     "gamma_matrix",
     "wedge_matrix",
     "apply_functor_to_module",
     "derived_power",
     "koszul_gamma_complex",
-    "exterior_filtration",
 ]
 
 
 # ---------------------------------------------------------------------------
-# free PD algebras with weight truncation
-
-
-@dataclass(frozen=True)
-class PDAlgebra:
-    """A<t_1..t_r>, basis gamma_{i_1}(t_1)...gamma_{i_r}(t_r), truncated by
-    total weight sum i_j * weight(t_j) <= truncation."""
-
-    ring: ModRing
-    generators: tuple[str, ...]
-    weights: tuple[int, ...]
-    truncation: int
-
-    def __post_init__(self):
-        if len(self.generators) != len(self.weights):
-            raise ValueError("one weight per generator")
-        if any(w < 1 for w in self.weights):
-            raise ValueError("generator weights must be >= 1")
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
-
-    def weight_of(self, expts: Sequence[int]) -> int:
-        return sum(e * w for e, w in zip(expts, self.weights))
-
-    def monomials(self) -> list[tuple[int, ...]]:
-        out = []
-        for w in range(self.truncation + 1):
-            level = []
-
-            def rec(pos, remaining, acc):
-                if pos == self.rank:
-                    if remaining == 0:
-                        level.append(tuple(acc))
-                    return
-                for c in range(remaining // self.weights[pos] + 1):
-                    rec(pos + 1, remaining - c * self.weights[pos], acc + [c])
-
-            rec(0, w, [])
-            out.extend(sorted(level))
-        return out
-
-    def zero(self) -> "PDElement":
-        return PDElement(self, {})
-
-    def one(self) -> "PDElement":
-        return PDElement(self, {(0,) * self.rank: 1})
-
-    def gamma(self, name: str, i: int) -> "PDElement":
-        e = [0] * self.rank
-        e[self.generators.index(name)] = i
-        if self.weight_of(e) > self.truncation:
-            return PDElement(self, {}, truncated=True)
-        return PDElement(self, {tuple(e): 1})
-
-
-class PDElement:
-    """Finite coefficient combination of gamma-monomials, with a sticky flag
-    recording that truncation discarded overweight terms somewhere."""
-
-    __slots__ = ("parent", "terms", "truncated")
-
-    def __init__(self, parent: PDAlgebra, terms, truncated: bool = False):
-        m = parent.ring.modulus
-        self.parent = parent
-        self.terms = {}
-        self.truncated = truncated
-        for e, c in terms.items():
-            if parent.weight_of(e) > parent.truncation:
-                self.truncated = True
-                continue
-            c %= m
-            if c:
-                self.terms[e] = c
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PDElement)
-            and self.parent == other.parent
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "PDElement") -> "PDElement":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return PDElement(self.parent, out, self.truncated or other.truncated)
-
-    def __sub__(self, other: "PDElement") -> "PDElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "PDElement":
-        return PDElement(self.parent, {e: c * v for e, v in self.terms.items()}, self.truncated)
-
-    def __mul__(self, other: "PDElement") -> "PDElement":
-        return pd_multiply(self, other)
-
-    def _check(self, other):
-        if self.parent != other.parent:
-            raise ValueError("elements of different PD algebras")
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        names = self.parent.generators
-        bits = []
-        for e, c in sorted(self.terms.items()):
-            mono = "*".join(f"g{k}({names[j]})" for j, k in enumerate(e) if k) or "1"
-            bits.append(f"{c}*{mono}" if c != 1 or mono == "1" else mono)
-        return " + ".join(bits) + (" [truncated]" if self.truncated else "")
-
-
-def _monomial_product_coeff(e1: Sequence[int], e2: Sequence[int]) -> int:
-    out = 1
-    for a, b in zip(e1, e2):
-        out *= comb(a + b, a)
-    return out
-
-
-def pd_multiply(a: PDElement, b: PDElement) -> PDElement:
-    """Bilinear product with gamma_s gamma_t = binom(s+t, s) gamma_{s+t}
-    per generator; overweight products set the sticky truncation flag."""
-    a._check(b)
-    alg = a.parent
-    out: dict[tuple[int, ...], int] = {}
-    truncated = a.truncated or b.truncated
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if alg.weight_of(e) > alg.truncation:
-                truncated = True
-                continue
-            out[e] = out.get(e, 0) + c1 * c2 * _monomial_product_coeff(e1, e2)
-    return PDElement(alg, out, truncated)
-
-
-def compose_coefficient(k: int, expts: Sequence[int]) -> int:
-    """Coefficient of gamma_k applied to a gamma-monomial: the integer
-    prod (k i_l)! / (k! prod (i_l!)^k); integrality is asserted."""
-    num = 1
-    for i in expts:
-        if i:
-            num *= factorial(k * i)
-    den = factorial(k)
-    for i in expts:
-        if i:
-            den *= factorial(i) ** k
-    if num % den:
-        raise AssertionError("divided-power composition coefficient is not integral")
-    return num // den
-
-
-def pd_gamma(k: int, x: PDElement) -> PDElement:
-    """The operation gamma_k on an element of the augmentation ideal.
-
-    Expands by additivity over the terms, scaling by c^k, and the
-    composition rule on monomials.
-    """
-    alg = x.parent
-    if k == 0:
-        return alg.one()
-    if any(sum(e) == 0 for e in x.terms):
-        raise ValueError("gamma_k is defined on the augmentation ideal only")
-    items = list(x.terms.items())
-    out = alg.zero()
-    truncated = x.truncated
-
-    def monomial_gamma(j: int, e: tuple[int, ...], c: int) -> PDElement:
-        coeff = compose_coefficient(j, e) * c ** j
-        target = tuple(j * i for i in e)
-        return PDElement(alg, {target: coeff})
-
-    for split in _compositions(k, len(items)):
-        term = alg.one()
-        for j, (e, c) in zip(split, items):
-            if j:
-                term = term * monomial_gamma(j, e, c)
-        out = out + term
-    out.truncated = out.truncated or truncated
-    return out
+# Gamma^n and wedge^n on matrices
 
 
 def _compositions(total: int, parts: int):
@@ -241,30 +46,11 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-@dataclass
-class PDFiltrationLevel:
-    """Basis of <t>^[i] inside the truncated algebra."""
-
-    algebra: PDAlgebra
-    level: int
-    basis: list  # list of exponent tuples
-
-    def contains(self, x: PDElement) -> bool:
-        allowed = set(self.basis)
-        return all(e in allowed for e in x.terms)
-
-
-def pd_filtration(algebra: PDAlgebra, i: int) -> PDFiltrationLevel:
-    """Divided powers of the augmentation ideal: the span of gamma-monomials
-    of total index >= i within the truncation."""
-    if i < 0:
-        raise ValueError("filtration level must be >= 0")
-    basis = [e for e in algebra.monomials() if sum(e) >= i]
-    return PDFiltrationLevel(algebra, i, basis)
-
-
-# ---------------------------------------------------------------------------
-# Gamma^n and wedge^n on matrices
+def _monomial_product_coeff(e1: Sequence[int], e2: Sequence[int]) -> int:
+    out = 1
+    for a, b in zip(e1, e2):
+        out *= comb(a + b, a)
+    return out
 
 
 def gamma_monomials(rank: int, n: int) -> list[tuple[int, ...]]:
@@ -434,7 +220,8 @@ def apply_functor_to_module(x: SimplicialModule, functor: str, n: int) -> Simpli
         if leak.size:
             raise AssertionError(f"functor image is not weight-preserving at (degree {deg_src}, "
                                  f"map {kind}_{idx}, weight {w[leak[0]]})")
-        for wt in np.unique(w).tolist():
+        lo = w.min(initial=0)  # bincount needs non-negative weights
+        for wt in (np.flatnonzero(np.bincount(w - lo)) + lo).tolist():
             k = np.flatnonzero(w == wt)
             store[(deg_src, idx, wt)] = SparseMatrix(at_src[r[k]], at_tgt[c[k]], big[r[k], c[k]],
                                                      (dims[(deg_src, wt)], dims[(deg_tgt, wt)]))
@@ -535,86 +322,3 @@ def koszul_gamma_complex(u: np.ndarray, v: np.ndarray, n: int, ring: ModRing):
     cx.validate()
     exact = all(not slice_homology(cx, deg, 0) for deg in range(n + 2))
     return cx, exact
-
-
-# ---------------------------------------------------------------------------
-# filtration of an exterior power from a split exact sequence
-
-
-def _wedge_rows(rows: list[np.ndarray], rg: int, ring: ModRing) -> np.ndarray:
-    """Wedge of explicit row vectors as a vector over the standard basis of
-    wedge^len(rows) of the ambient rank-rg module."""
-    stacked = np.array(rows, dtype=np.int64).reshape(len(rows), rg)
-    return wedge_matrix(stacked, len(rows), ring)[0]
-
-
-@dataclass
-class ExteriorFiltrationReport:
-    degree: int
-    graded_ranks: list[int]
-    expected_ranks: list[int]
-    total_rank: int
-    split_decomposition_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.graded_ranks == self.expected_ranks and self.split_decomposition_ok
-
-
-def exterior_filtration(u: np.ndarray, section: np.ndarray, i: int, ring: ModRing) -> ExteriorFiltrationReport:
-    """Filtration I_a wedge^i(M) = Im(wedge^{i-a} M' (x) wedge^a M) for the
-    split exact sequence with inclusion ``u``: M' -> M and ``section``:
-    M'' -> M.  Graded pieces are measured against wedge^{i-a}M' (x) wedge^a M''.
-    """
-    mprime, mrank = u.shape
-    mdd = section.shape[0]
-    if section.shape[1] != mrank:
-        raise ValueError("section target mismatch")
-    if comb(mrank, i) == 0:
-        expected = [comb(mprime, i - a) * comb(mdd, a) if 0 <= i - a <= mprime else 0 for a in range(i + 1)]
-        return ExteriorFiltrationReport(i, [0] * (i + 1), expected, 0, all(e == 0 for e in expected))
-
-    def span_rows(a):
-        """rows spanning I_a = Im(wedge^{i-a}M' (x) wedge^a M -> wedge^i M)"""
-        if i - a > mprime or a > mrank or i - a < 0:
-            return mzeros(0, comb(mrank, i))
-        rows = []
-        for aset in itertools.combinations(range(mprime), i - a):
-            for bset in itertools.combinations(range(mrank), a):
-                vecs = [u[j] for j in aset] + [np.eye(mrank, dtype=np.int64)[j] for j in bset]
-                rows.append(_wedge_rows(vecs, mrank, ring))
-        return np.vstack(rows) if rows else mzeros(0, comb(mrank, i))
-
-    graded = []
-    expected = []
-    prev = mzeros(0, comb(mrank, i))
-    for a in range(i + 1):
-        cur = span_rows(a)
-        stacked = np.vstack([cur, prev])
-        fac = quotient_invariants(stacked, prev, ring)
-        # free pieces over Z/p^n: every factor is p^n
-        rank = len(fac)
-        if any(f != ring.modulus for f in fac):
-            rank = -1  # not free: flagged by mismatch with expected
-        graded.append(rank)
-        expected.append(comb(mprime, i - a) * comb(mdd, a) if 0 <= i - a <= mprime else 0)
-        prev = howell_form(stacked, ring)
-
-    # direct sum decomposition via the supplied splitting
-    rows = []
-    for a in range(i + 1):
-        if i - a > mprime or a > mdd or i - a < 0:
-            continue
-        for aset in itertools.combinations(range(mprime), i - a):
-            for bset in itertools.combinations(range(mdd), a):
-                vecs = [u[j] for j in aset] + [section[j] for j in bset]
-                rows.append(_wedge_rows(vecs, mrank, ring))
-    ok = False
-    if len(rows) == comb(mrank, i):
-        h = howell_form(np.vstack(rows), ring) if rows else mzeros(0, comb(mrank, i))
-        ok = h.shape[0] == comb(mrank, i) and all(
-            int(h[k, :][np.nonzero(h[k, :])[0][0]]) == 1 for k in range(h.shape[0])
-        ) if h.shape[0] else comb(mrank, i) == 0
-    if comb(mrank, i) == 0:
-        ok = True
-    return ExteriorFiltrationReport(i, graded, expected, comb(mrank, i), ok)

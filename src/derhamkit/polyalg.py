@@ -23,7 +23,6 @@ from .exactlin import ModRing
 __all__ = [
     "PolyAlgebra",
     "graded_slice_basis",
-    "monomial_count",
     "exponent_rows",
     "row_positions",
 ]
@@ -118,16 +117,6 @@ def graded_slice_basis(algebra: PolyAlgebra, form_degree: int, weight: int,
             out.append((e, combo))
     out.sort(key=lambda t: (t[1], tuple(-x for x in t[0])))
     return out
-
-
-def monomial_count(weights: Sequence[int], weight: int) -> int:
-    """Number of monomials of the given weight: [t^weight] prod 1/(1-t^w)."""
-    dp = [0] * (weight + 1)
-    dp[0] = 1
-    for w in weights:
-        for t in range(w, weight + 1):
-            dp[t] += dp[t - w]
-    return dp[weight]
 
 
 def exponent_rows(entries: Sequence[tuple[int, ...]], width: int) -> np.ndarray:

@@ -98,10 +98,6 @@ class MonotoneMap:
         return self.source == self.target and self.values == tuple(range(self.source + 1))
 
     @staticmethod
-    def identity(n: int) -> "MonotoneMap":
-        return MonotoneMap(n, n, tuple(range(n + 1)))
-
-    @staticmethod
     def face(n: int, i: int) -> "MonotoneMap":
         """The injection [n-1] -> [n] whose image avoids i."""
         if not 0 <= i <= n:
@@ -123,38 +119,6 @@ def epi_mono_factorize(alpha: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:
     lookup = {v: k for k, v in enumerate(image)}
     epi = MonotoneMap(alpha.source, len(image) - 1, tuple(lookup[v] for v in alpha.values))
     return epi, mono
-
-
-def generator_decomposition(alpha: MonotoneMap) -> list[tuple[str, int, int]]:
-    """alpha as a composition of face/degeneracy generators.
-
-    Returns [(kind, level, index), ...] in outermost-first order, so a
-    contravariant functor applies the corresponding operators in list
-    order.  ``level`` is the target simplicial degree of the generator's
-    operator: for a face entry ("face", n, i) the operator is
-    d_i: X_n -> X_{n-1}; for ("degen", n, i) it is s_i: X_n -> X_{n+1}.
-    """
-    epi, mono = epi_mono_factorize(alpha)
-    gens: list[tuple[str, int, int]] = []
-    # mono = face(b_1) o face(b_2) o ... with b_1 > b_2 > ... the missed values
-    missed = sorted(set(range(alpha.target + 1)) - set(mono.values), reverse=True)
-    level = alpha.target
-    for b in missed:
-        gens.append(("face", level, b))
-        level -= 1
-    # epi = degen(a_1) o degen(a_2) o ... with a_1 < a_2 < ... the doubled spots
-    doubles = [i for i in range(epi.source) if epi.values[i] == epi.values[i + 1]]
-    for a in doubles:
-        gens.append(("degen", level, a))
-        level += 1
-    # verify by recomposition (innermost generator applied first)
-    out = MonotoneMap.identity(alpha.source)
-    for kind, n, i in reversed(gens):
-        g = MonotoneMap.face(n, i) if kind == "face" else MonotoneMap.degeneracy(n, i)
-        out = g.compose(out)
-    if out.values != alpha.values or out.target != alpha.target:
-        raise AssertionError(f"generator decomposition failed for {alpha}")
-    return gens
 
 
 @lru_cache(maxsize=None)
@@ -282,36 +246,6 @@ class SimplicialModule:
                                 rhs = sparse_product(face(n, i - 1, w), degen(n - 1, j, w), m)
                             if lhs != rhs:
                                 raise ValueError(f"mixed identity fails at n={n}, i={i}, j={j}, w={w}")
-
-    def action(self, alpha: MonotoneMap, w: int) -> np.ndarray:
-        """Matrix of X(alpha): X_{alpha.target} -> X_{alpha.source}."""
-        if alpha.target > self.d_max or alpha.source > self.d_max:
-            raise ValueError("monotone map outside the degree window")
-        mat = midentity(self.dim(alpha.target, w))
-        for kind, n, i in generator_decomposition(alpha):
-            step = self.face(n, i, w) if kind == "face" else self.degen(n, i, w)
-            mat = mmul(mat, step, self.ring)
-        return mat
-
-    def augmentation_rows(self, eps0: np.ndarray, w: int) -> list[np.ndarray]:
-        """Extend eps_0 to all degrees; checks eps0 d_0 = eps0 d_1 and
-        independence of the choice of [0] -> [n]."""
-        if self.d_max >= 1:
-            a = mmul(self.face(1, 0, w), eps0, self.ring)
-            b = mmul(self.face(1, 1, w), eps0, self.ring)
-            if (a != b).any():
-                raise ValueError("eps0 does not satisfy the augmentation criterion")
-        out = []
-        for n in range(self.d_max + 1):
-            choices = []
-            for k in range(n + 1):
-                alpha = MonotoneMap(0, n, (k,))
-                choices.append(mmul(self.action(alpha, w), eps0, self.ring))
-            for c in choices[1:]:
-                if (c != choices[0]).any():
-                    raise ValueError(f"augmentation depends on the [0]->[{n}] choice")
-            out.append(choices[0])
-        return out
 
 
 def unnormalized_complex(x: SimplicialModule) -> GradedSliceComplex:

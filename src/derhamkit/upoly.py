@@ -6,7 +6,7 @@ exact integer arithmetic; otherwise results are reduced into ``[0, m)``.
 
 from __future__ import annotations
 
-__all__ = ["trim", "mul", "rem", "gcd_degree"]
+__all__ = ["trim", "mul", "rem"]
 
 
 def trim(a) -> list[int]:
@@ -50,11 +50,3 @@ def rem(a, f, m: int | None = None) -> list[int]:
                 out[k - d + j] -= q * f[j]
     out = out[:d] + [0] * (d - len(out))
     return out if m is None else [c % m for c in out]
-
-
-def gcd_degree(a, b, p: int) -> int:
-    """Degree of gcd(a, b) over F_p; -1 when both are zero."""
-    a, b = trim(c % p for c in a), trim(c % p for c in b)
-    while b:
-        a, b = b, trim(rem(a, b, p))
-    return len(a) - 1

@@ -332,9 +332,6 @@ class WittRing:
     def teichmuller(self, x) -> "WittVector":
         return self.vector((x,) + (self.base.zero,) * (self.length - 1))
 
-    def verschiebung(self, w: "WittVector") -> "WittVector":
-        return self.vector((self.base.zero,) + w.coords[: self.length - 1])
-
     def enumerate(self):
         for coords in itertools.product(self.base.enumerate(), repeat=self.length):
             yield self.vector(coords)

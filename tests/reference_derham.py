@@ -19,7 +19,9 @@ the dense filtration path ``pd_envelope_report`` and the quotient maps took
 before they read the Hodge columns and the filtered contraction: block
 offsets walked through ``layout``, and F^level H_0 as the cycles of the
 full degree-0 slice supported on the columns >= level, modulo the
-boundaries of the full degree-1 slice.
+boundaries of the full degree-1 slice.  The library no longer has a
+quotient map; the tests use this one to check that the level truncations
+``quotient_complex`` cuts are compatible.
 """
 
 from __future__ import annotations

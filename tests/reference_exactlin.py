@@ -17,7 +17,10 @@ library's earlier per-entry determinant routes, replaced by the Euclidean
 remainder sequence and one Laplace recursion over all minors.
 ``quotient_invariants`` is the library's pipeline before it became the
 factors of a ``SliceQuotient``, unchanged; here its ``howell_form`` and
-``left_kernel`` are the references above, which equal the library's.
+``left_kernel`` are the references above, which equal the library's, and
+its factors come from ``invariant_factors_from_relations``, the library's
+invariant factors of a presentation read off ``local_smith`` before every
+presentation became ``quotient_invariants(np.eye(g), relations, ring)``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from derhamkit.exactlin import ModRing, invariant_factors_from_relations, midentity, mzeros
+from derhamkit.exactlin import ModRing, local_smith, midentity, mzeros
 from derhamkit.upoly import trim
 from derhamkit.exactlin import howell_form as library_howell_form
 from derhamkit.exactlin import solve_in_span as library_solve_in_span
@@ -261,6 +264,16 @@ def wedge_matrix(phi: np.ndarray, n: int, ring: ModRing) -> np.ndarray:
             sub = [[rows[i][j] for j in colset] for i in rowset]
             out[a, b] = bareiss_det(sub) % ring.modulus
     return out
+
+
+def invariant_factors_from_relations(relations: np.ndarray, generators: int, ring: ModRing) -> list[int]:
+    """Invariant factors of R^generators / rowspan(relations) over R = Z/p^n,
+    read off ``local_smith``: the d_j > 1 with d_j | p^n, ascending."""
+    if generators == 0:
+        return []
+    rel = np.asarray(relations, dtype=np.int64).reshape(-1, generators) % ring.modulus
+    factors, _, _ = local_smith(rel, ring)
+    return sorted(int(d) for d in factors if d != 1)
 
 
 def quotient_invariants(cycles: np.ndarray, boundaries: np.ndarray, ring: ModRing) -> list[int]:

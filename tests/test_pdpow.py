@@ -1,7 +1,12 @@
-"""Divided powers: products, composition, filtration, derived functors, Koszul."""
+"""Divided powers: Gamma and wedge of matrices, derived functors, Koszul."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,107 +20,17 @@ from derhamkit.cotangent import AlgebraPresentation
 from derhamkit.derham import build_derham, graded_piece_report
 from derhamkit.exactlin import ModRing, mmul
 from derhamkit.pdpow import (
-    PDAlgebra,
-    PDElement,
-    compose_coefficient,
     derived_power,
-    exterior_filtration,
     gamma_matrix,
     gamma_monomials,
     koszul_gamma_complex,
-    pd_filtration,
-    pd_gamma,
-    pd_multiply,
     wedge_matrix,
 )
 from derhamkit.randomgen import random_invertible
 from derhamkit.suites import run_suite
 
-Z16 = ModRing(2, 4)
 F2 = ModRing(2, 1)
 Z9 = ModRing(3, 2)
-
-
-def one_var(ring, trunc=12):
-    return PDAlgebra(ring, ("t",), (1,), trunc)
-
-
-def test_pd_product_binomials():
-    alg = one_var(Z16)
-    g = alg.gamma
-    assert pd_multiply(g("t", 2), g("t", 3)) == g("t", 5).scale(10)
-    alg2 = one_var(F2)
-    assert pd_multiply(alg2.gamma("t", 2), alg2.gamma("t", 3)).is_zero()
-
-
-def test_pd_unit():
-    alg = one_var(Z16)
-    rng = random.Random(1)
-    x = PDElement(alg, {(k,): rng.randrange(16) for k in range(5)})
-    assert pd_multiply(alg.one(), x) == x
-
-
-def test_gamma_composition():
-    alg = one_var(Z16)
-    assert compose_coefficient(2, (2,)) == 3
-    assert pd_gamma(2, alg.gamma("t", 2)) == alg.gamma("t", 4).scale(3)
-
-
-def test_pd_axioms_random():
-    rng = random.Random(5)
-    alg = PDAlgebra(Z9, ("a", "b"), (1, 2), 10)
-    ideal_monos = [e for e in alg.monomials() if sum(e) >= 1]
-    for _ in range(10):
-        x = PDElement(alg, {rng.choice(ideal_monos): rng.randrange(9) for _ in range(2)})
-        y = PDElement(alg, {rng.choice(ideal_monos): rng.randrange(9) for _ in range(2)})
-        lam = rng.randrange(9)
-        for k in range(4):
-            # additivity
-            lhs = pd_gamma(k, x + y)
-            rhs = alg.zero()
-            for s in range(k + 1):
-                rhs = rhs + pd_multiply(pd_gamma(s, x), pd_gamma(k - s, y))
-            if not (lhs.truncated or rhs.truncated):
-                assert lhs == rhs
-            # scaling
-            ls = pd_gamma(k, x.scale(lam))
-            rs = pd_gamma(k, x).scale(pow(lam, k, 9))
-            if not (ls.truncated or rs.truncated):
-                assert ls == rs
-
-
-def test_truncation_flag_is_sticky():
-    alg = one_var(Z16, trunc=3)
-    big = pd_multiply(alg.gamma("t", 2), alg.gamma("t", 2))
-    assert big.is_zero() and big.truncated
-    carried = big + alg.one()
-    assert carried.truncated
-
-
-def test_pd_filtration_levels():
-    alg = one_var(Z16, trunc=6)
-    lvl2 = pd_filtration(alg, 2)
-    assert set(lvl2.basis) == {(j,) for j in range(2, 7)}
-    lvl0 = pd_filtration(alg, 0)
-    assert len(lvl0.basis) == 7
-    # graded piece has rank one per level for a single generator
-    for i in range(1, 6):
-        assert len(pd_filtration(alg, i).basis) - len(pd_filtration(alg, i + 1).basis) == 1
-
-
-def test_pd_filtration_closure_multigenerator():
-    rng = random.Random(11)
-    alg = PDAlgebra(Z9, ("a", "b"), (1, 1), 6)
-    lvl = pd_filtration(alg, 2)
-    ideal_monos = [e for e in alg.monomials() if sum(e) >= 1]
-    # random products gamma_{j1}(y1) gamma_{j2}(y2) with j1 + j2 >= 2 stay in the span
-    for _ in range(25):
-        y1 = PDElement(alg, {rng.choice(ideal_monos): rng.randrange(1, 9)})
-        y2 = PDElement(alg, {rng.choice(ideal_monos): rng.randrange(1, 9)})
-        j1 = rng.randint(1, 3)
-        j2 = rng.randint(max(1, 2 - j1), 3)
-        prod = pd_multiply(pd_gamma(j1, y1), pd_gamma(j2, y2))
-        assert lvl.contains(prod)
 
 
 def test_gamma_and_wedge_matrix_functorial():
@@ -142,6 +57,49 @@ def test_gamma_rank_count():
             assert len(gamma_monomials(r, n)) == comb(n + r - 1, n)
 
 
+
+@pytest.mark.parametrize("functor", ["gamma", "wedge"])
+@pytest.mark.parametrize("ring", [Z9, F2, ModRing(3, 3)], ids=["Z9", "F2", "Z27"])
+def test_functor_of_a_direct_sum_is_the_sum_of_tensor_products(functor, ring):
+    # F^n(A + B) = sum_k F^k(A) (x) F^(n-k)(B): on monomial bases split into an
+    # A part and a B part, every entry of F^n of a block-diagonal map is the
+    # product of the two blocks' entries when the A parts have equal size, else 0
+    rng = random.Random(7)
+    m = ring.modulus
+    for _ in range(4):
+        (r1, s1), (r2, s2) = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(2)]
+        a = np.array([[rng.randrange(m) for _ in range(s1)] for _ in range(r1)], dtype=np.int64)
+        b = np.array([[rng.randrange(m) for _ in range(s2)] for _ in range(r2)], dtype=np.int64)
+        phi = np.zeros((r1 + r2, s1 + s2), dtype=np.int64)
+        phi[:r1, :s1], phi[r1:, s1:] = a, b
+        for n in range(4):
+            if functor == "gamma":
+                basis = gamma_monomials
+                split = lambda e, cut: (e[:cut], e[cut:], sum(e[:cut]))  # noqa: E731
+                power = gamma_matrix
+            else:
+                basis = lambda rank, k: list(itertools.combinations(range(rank), k))  # noqa: E731
+                split = lambda e, cut: (  # noqa: E731
+                    tuple(i for i in e if i < cut), tuple(i - cut for i in e if i >= cut),
+                    sum(i < cut for i in e))
+                power = wedge_matrix
+            got = power(phi, n, ring)
+            blocks = {k: (power(a, k, ring), power(b, n - k, ring)) for k in range(n + 1)}
+            index_a = {k: {e: i for i, e in enumerate(basis(r1, k))} for k in range(n + 1)}
+            index_b = {k: {e: i for i, e in enumerate(basis(r2, n - k))} for k in range(n + 1)}
+            col_a = {k: {e: i for i, e in enumerate(basis(s1, k))} for k in range(n + 1)}
+            col_b = {k: {e: i for i, e in enumerate(basis(s2, n - k))} for k in range(n + 1)}
+            want = np.zeros_like(got)
+            for si, src in enumerate(basis(r1 + r2, n)):
+                sa, sb, k = split(src, r1)
+                for ti, tgt in enumerate(basis(s1 + s2, n)):
+                    ta, tb, kt = split(tgt, s1)
+                    if kt == k:
+                        ga, gb = blocks[k]
+                        want[si, ti] = ga[index_a[k][sa], col_a[k][ta]] * gb[index_b[k][sb], col_b[k][tb]] % m
+            assert got.shape == want.shape and (got == want).all(), (functor, n)
+
+
 def test_derived_gamma_of_free_module_degree_zero():
     ring = ModRing(2, 2)
     c = GradedSliceComplex(ring, 0, 0, {(0, 0): 2}, {})
@@ -150,14 +108,16 @@ def test_derived_gamma_of_free_module_degree_zero():
     assert all(not rep.factors(d, 0) for d in (1, 2))
 
 
-def test_quillen_shift_small():
-    # wedge^2 of (Z/4 in degree 1): H_2 = Z/4, all else zero in window
+@pytest.mark.parametrize("w", [0, -1])
+def test_quillen_shift_small(w):
+    # wedge^2 of (Z/4 in degree 1, weight w): H_2 = Z/4 in weight 2w, all
+    # else zero in window; a negative weight is re-sliced like any other
     ring = ModRing(2, 2)
-    c = GradedSliceComplex(ring, 0, 1, {(1, 0): 1}, {})
+    c = GradedSliceComplex(ring, 0, 1, {(1, w): 1}, {})
     rep = derived_power(c, "wedge", 2, degrees=range(4))
-    assert rep.factors(2, 0) == [4]
+    assert rep.factors(2, 2 * w) == [4]
     for d in (0, 1, 3):
-        assert not rep.factors(d, 0)
+        assert not rep.factors(d, 2 * w)
 
 
 def test_koszul_gamma_split_example():
@@ -205,44 +165,6 @@ def test_koszul_gamma_random_split_exact():
             for n in (1, 2, 3):
                 cx, exact = koszul_gamma_complex(u, v, n, ring)
                 assert exact
-
-
-def test_exterior_filtration_examples():
-    ring = Z9
-    # M' = A inside M = A^3, i = 2: graded ranks 0, 2, 1; total 3
-    u = np.array([[1, 0, 0]])
-    section = np.array([[0, 1, 0], [0, 0, 1]])
-    rep = exterior_filtration(u, section, 2, ring)
-    assert rep.ok
-    assert rep.graded_ranks == [0, 2, 1]
-    assert rep.total_rank == 3
-    # i = 0: single piece
-    rep0 = exterior_filtration(u, section, 0, ring)
-    assert rep0.ok and rep0.total_rank == 1 and rep0.graded_ranks == [1]
-    # i > rank M: zero
-    rep4 = exterior_filtration(u, section, 4, ring)
-    assert rep4.ok and rep4.total_rank == 0
-
-
-def test_exterior_filtration_matches_per_minor_wedges(monkeypatch):
-    # the reports built on the per-minor determinant wedges, as before the
-    # Laplace recursion, on the examples above and on twisted splittings
-    examples = [(np.array([[1, 0, 0]]), np.array([[0, 1, 0], [0, 0, 1]]), i, Z9) for i in range(5)]
-    rng = random.Random(11)
-    for ring in (Z9, F2, ModRing(3, 3)):
-        for _ in range(3):
-            a, c = rng.randint(1, 2), rng.randint(1, 2)
-            q, _ = random_invertible(a + c, ring, rng)
-            examples += [(q[:a], q[a:], i, ring) for i in range(a + c + 1)]
-    got = [exterior_filtration(*ex) for ex in examples]
-
-    def per_minor_wedge_rows(rows, rg, ring):
-        stacked = np.array(rows, dtype=np.int64).reshape(len(rows), rg)
-        return reference_wedge_matrix(stacked, len(rows), ring)[0]
-
-    monkeypatch.setattr(pdpow, "_wedge_rows", per_minor_wedge_rows)
-    assert got == [exterior_filtration(*ex) for ex in examples]
-    assert all(rep.ok for rep in got)
 
 
 # ---------------------------------------------------------------------------
@@ -377,3 +299,17 @@ def test_derived_power_route_wedges_match_reference(monkeypatch):
     for level in (1, 2):
         assert graded_piece_report(f, level).ok
     assert seen
+
+
+def test_quillen_shift_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, several ms in a fresh
+    # process; re-slicing a functor image by weight must not need it
+    code = ("import sys\n"
+            "from derhamkit.suites import run_suite\n"
+            "assert run_suite('quillen-shift', {'power': 3}).exit_code() == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -23,7 +23,6 @@ from derhamkit.simplex import (
     diagonal,
     double_kan,
     epi_mono_factorize,
-    generator_decomposition,
     kan_transform,
     monotone_surjections,
     normalized_complex,
@@ -38,7 +37,7 @@ def test_epi_mono_factorize_examples():
     assert epi.values == (0, 0, 1) and epi.target == 1
     assert mono.values == (0, 2)
 
-    ident = MonotoneMap.identity(3)
+    ident = MonotoneMap(3, 3, (0, 1, 2, 3))
     epi, mono = epi_mono_factorize(ident)
     assert epi.is_identity and mono.is_identity
 
@@ -47,14 +46,18 @@ def test_epi_mono_factorize_examples():
     assert epi.is_identity and mono.values == face.values
 
 
-def test_generator_decomposition_roundtrip_random():
+
+def test_epi_mono_factorize_roundtrip_random():
+    # alpha = mono o epi with epi onto and mono injective, for every shape
     rng = random.Random(2)
     for _ in range(200):
         m = rng.randint(0, 4)
         n = rng.randint(0, 4)
-        vals = sorted(rng.randint(0, n) for _ in range(m + 1))
-        alpha = MonotoneMap(m, n, tuple(vals))
-        generator_decomposition(alpha)  # asserts internally
+        alpha = MonotoneMap(m, n, tuple(sorted(rng.randint(0, n) for _ in range(m + 1))))
+        epi, mono = epi_mono_factorize(alpha)
+        assert mono.compose(epi) == alpha
+        assert set(epi.values) == set(range(epi.target + 1))
+        assert len(set(mono.values)) == mono.source + 1
 
 
 def test_monotone_surjection_counts():
@@ -517,25 +520,6 @@ def test_shuffle_counts_and_signs():
     assert sum(1 for _ in shuffles(0, 3)) == 1
     total = {s for *_ , s in shuffles(1, 1)}
     assert total == {1, -1}
-
-
-def test_augmentation_well_defined():
-    ring = ModRing(2, 2)
-    x = constant_module(ring, 2, 3)
-    eps0 = np.eye(2, dtype=np.int64)
-    rows = x.augmentation_rows(eps0, 0)
-    assert len(rows) == 4
-    # identity on X_0 fails the criterion when the complex has a differential
-    c = GradedSliceComplex(ring, 0, 1, {(0, 0): 1, (1, 0): 1}, {(1, 0): np.array([[2]])})
-    y = kan_transform(c, d_max=3)
-    with pytest.raises(ValueError):
-        y.augmentation_rows(np.eye(1, dtype=np.int64), 0)
-    # quotient by the image does satisfy it: eps0 = projection Z/4 -> Z/2
-    # realized as multiplication map into a rank-1 slot is still a matrix;
-    # the criterion only needs eps0 d_0 = eps0 d_1 which kills im(d).
-    proj = np.array([[2]])  # Z/4 -> (2)/(0) ~ Z/2 embedded as multiples of 2
-    rows = y.augmentation_rows(proj, 0)
-    assert len(rows) == 4
 
 
 def test_normalized_complex_rejects_a_slice_that_is_not_free():

@@ -1,6 +1,6 @@
 """Every library module uses each name it imports, imports no private
-name of another library module, and every private function or method of
-the library is referenced.
+name of another library module, every private function or method of the
+library is referenced, and every public one is read by more than the tests.
 
 The package's ``__init__.py`` imports names only to re-export them, and a
 line marked ``# noqa: F401`` keeps an import on purpose; both are exempt.
@@ -78,10 +78,11 @@ def test_a_library_module_imports_no_private_name_of_another(path):
     assert private_sibling_imports(path.read_text()) == []
 
 
-def _names_read(node: ast.AST) -> Counter:
-    """How often each name is read, as a variable or an attribute, under ``node``."""
+def _names_read(node: ast.AST, kinds=(ast.Name, ast.Attribute)) -> Counter:
+    """How often each name is read under ``node``, as a variable or an
+    attribute (or only as one of the node ``kinds`` given)."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+                   for n in ast.walk(node) if isinstance(n, kinds))
 
 
 def unreferenced_private_defs(sources: dict) -> list[str]:
@@ -118,20 +119,25 @@ def unread_public_defs(library: dict, readers: dict) -> list[str]:
     of those classes, of the modules ``library`` maps to their text that no
     source in ``library`` or ``readers`` reads outside their own body, as
     "module.name" or "module.Class.name".  A read is an ``ast.Name`` or
-    ``ast.Attribute`` of the same name, so a string (as in ``__all__``)
-    is not one, and any attribute of that name is."""
-    defs, read = [], Counter()
+    ``ast.Attribute`` of the same name, and of a method only an
+    ``ast.Attribute``, so a string (as in ``__all__``) is not one, a
+    variable of a method's name is not one, and any attribute of that name
+    is."""
+    everything, attributes = (ast.Name, ast.Attribute), (ast.Attribute,)
+    defs, read = [], {everything: Counter(), attributes: Counter()}
     for module, source in library.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defs.append((f"{module}.{node.name}", node))
+                defs.append((f"{module}.{node.name}", node, everything))
             if isinstance(node, ast.ClassDef):
-                defs += [(f"{module}.{node.name}.{item.name}", item) for item in node.body
+                defs += [(f"{module}.{node.name}.{item.name}", item, attributes) for item in node.body
                          if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
     for source in [*library.values(), *readers.values()]:
-        read += _names_read(ast.parse(source))
-    return [name for name, node in defs if read[node.name] == _names_read(node)[node.name]]
+        tree = ast.parse(source)
+        for kinds, counter in read.items():
+            counter += _names_read(tree, kinds)
+    return [name for name, node, kinds in defs if read[kinds][node.name] == _names_read(node, kinds)[node.name]]
 
 
 def test_the_check_finds_a_public_name_nothing_reads():
@@ -140,14 +146,32 @@ def test_the_check_finds_a_public_name_nothing_reads():
                "def orphan(rows):\n    return orphan(rows[1:]) if rows else rows\n"
                "class C:\n    def called(self):\n        return used(1)\n"
                "    def unread(self):\n        return 0\n"
+               "    def shadowed(self):\n        return 0\n"
                "    def _private(self):\n        return 0\n"
                "    def __repr__(self):\n        return ''\n")
-    caller = "from lib import C\nC().called()\n"
-    assert unread_public_defs({"lib": library}, {"caller": caller}) == ["lib.orphan", "lib.C.unread"]
+    caller = "from lib import C\nC().called()\nshadowed = 1\nprint(shadowed)\n"
+    assert unread_public_defs({"lib": library}, {"caller": caller}) == ["lib.orphan", "lib.C.unread",
+                                                                        "lib.C.shadowed"]
+
+
+def traced_names(source: str) -> set[str]:
+    """The "module.name" strings of the ``TRACED`` tuple that ``source``
+    (the benchmark's workloads module) assigns."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("no TRACED tuple")
 
 
 def test_every_public_function_class_and_method_of_the_library_is_read():
+    # A test alone does not keep a name alive: the readers are the library,
+    # the demos, the benchmark and the tests' reference implementations.
+    # The benchmark's trace wraps each TRACED name and fails on a missing
+    # one, so a traced name nothing else reads still counts as read.
     root = SRC.parent.parent
-    readers = {str(p): p.read_text() for folder in ("tests", "demos", "perfbench")
+    readers = {str(p): p.read_text() for folder in ("demos", "perfbench")
                for p in sorted((root / folder).rglob("*.py"))}
-    assert unread_public_defs({p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}, readers) == []
+    readers.update({str(p): p.read_text() for p in sorted((root / "tests").glob("reference_*.py"))})
+    unread = unread_public_defs({p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}, readers)
+    traced = traced_names((root / "perfbench" / "workloads.py").read_text())
+    assert [name for name in unread if name not in traced] == []

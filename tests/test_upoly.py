@@ -1,10 +1,10 @@
-"""Univariate polynomial helpers: remainders over Z/p^n and Z, gcd degrees."""
+"""Univariate polynomial helpers: products and remainders over Z/p^n and Z."""
 
 import random
 
 import pytest
 
-from derhamkit.upoly import gcd_degree, mul, rem, trim
+from derhamkit.upoly import mul, rem, trim
 
 
 def _add(a, b):
@@ -53,25 +53,6 @@ def test_rem_zero_pads_short_input():
     assert rem([3], [1, 0, 0, 1], 4) == [3, 0, 0]
     assert rem([], [5, 1], 7) == [0]
     assert rem([-1, 2], [0, 0, 0, 1]) == [-1, 2, 0]
-
-
-def test_gcd_degree_over_fp():
-    rng = random.Random(3)
-    for p in (2, 3, 5, 7):
-        for _ in range(50):
-            # x - a and x - b coprime exactly when a != b mod p
-            a, b = rng.randrange(p), rng.randrange(p)
-            g = gcd_degree([-a, 1], [-b, 1], p)
-            assert g == (1 if a == b else 0)
-            # (x - a)^2 (x - c) and (x - a)^2 (x - e) with c != e share exactly (x - a)^2
-            s = mul([-a, 1], [-a, 1], p)
-            c, e = rng.sample(range(p), 2)
-            assert gcd_degree(mul(s, [-c, 1], p), mul(s, [-e, 1], p), p) == 2
-    # x^2 + 1 and x + 1 over F_3: coprime; over F_2: x^2 + 1 = (x + 1)^2
-    assert gcd_degree([1, 0, 1], [1, 1], 3) == 0
-    assert gcd_degree([1, 0, 1], [1, 1], 2) == 1
-    assert gcd_degree([0], [0, 0], 5) == -1
-    assert gcd_degree([2, 1], [0], 5) == 1
 
 
 def test_trim():
