@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable
@@ -372,7 +371,9 @@ def slice_homology(cx: GradedSliceComplex, degree: int, weight: int) -> list[int
     """Invariant factors of H_degree at one weight slice."""
     if not cx.in_trust_window(degree):
         raise WindowError(f"degree {degree} outside trust window {cx.trusted}")
-    return homology_quotient(cx, degree, weight).factors
+    if cx.dim(degree, weight) == 0:
+        return []
+    return cx.contraction(weight).quotient(degree).factors
 
 
 def homology_quotient(cx: GradedSliceComplex, degree: int, weight: int) -> SliceQuotient:
@@ -412,15 +413,6 @@ class HomologyReport:
 
     def total_length(self, degree: int) -> int:
         return sum(e["length"] for (n, _), e in self.entries.items() if n == degree)
-
-    def to_json(self) -> str:
-        items = [
-            {"degree": n, "weight": w, "factors": e["factors"], "length": e["length"]}
-            for (n, w), e in sorted(self.entries.items())
-        ]
-        return json.dumps(
-            {"ring": self.ring, "trusted": list(self.trusted), "homology": items}, sort_keys=True
-        )
 
 
 def homology_report(cx: GradedSliceComplex, degrees: Iterable[int] | None = None,
@@ -533,13 +525,6 @@ def _fault(offsets: dict, n: int, w: int, square: SparseMatrix) -> str:
 class CompareReport:
     verdicts: dict  # (degree, weight) -> (factors_left, factors_right, equal)
     equal: bool
-
-    def to_json(self) -> str:
-        items = [
-            {"degree": n, "weight": w, "left": l, "right": r, "equal": e}
-            for (n, w), (l, r, e) in sorted(self.verdicts.items())
-        ]
-        return json.dumps({"equal": self.equal, "slices": items}, sort_keys=True)
 
 
 def compare_homology(cx1: GradedSliceComplex, cx2: GradedSliceComplex,

@@ -19,7 +19,6 @@ computation routes through these finite resolutions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,20 +82,6 @@ def parse_poly_string(text: str) -> list[int]:
     return [coeffs.get(k, 0) for k in range(max(coeffs, default=0) + 1)]
 
 
-def _poly_to_string(coeffs) -> str:
-    bits = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if k == 0:
-            bits.append(str(c))
-        elif k == 1:
-            bits.append("x" if c == 1 else f"{c}*x")
-        else:
-            bits.append(f"x^{k}" if c == 1 else f"{c}*x^{k}")
-    return " + ".join(bits) if bits else "0"
-
-
 @dataclass(frozen=True)
 class AlgebraPresentation:
     """Pair (base, target) in one of the supported shapes; ``f_coeffs`` is
@@ -145,14 +130,6 @@ class AlgebraPresentation:
 
     def fprime_coeffs(self) -> list[int]:
         return [(k * c) % self.ring.modulus for k, c in enumerate(self.f_coeffs)][1:]
-
-    def to_json(self) -> str:
-        data = {"shape": self.shape, "coeff": {"p": self.ring.p, "n": self.ring.n}, "var": self.var}
-        if self.shape == "free":
-            data["rank"] = self.free_rank
-        else:
-            data["f"] = _poly_to_string(self.f_coeffs)
-        return json.dumps(data, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ cycles in columns >= k.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,16 +302,6 @@ class GradedPieceReport:
     verdicts: dict  # (degree, weight) -> (left factors, right factors, equal)
     comparison_route: str
     ok: bool
-
-    def to_json(self) -> str:
-        items = [
-            {"degree": n, "weight": w, "graded-piece": l, "derived-power": r, "equal": e}
-            for (n, w), (l, r, e) in sorted(self.verdicts.items())
-        ]
-        return json.dumps(
-            {"level": self.level, "route": self.comparison_route, "ok": self.ok, "slices": items},
-            sort_keys=True,
-        )
 
 
 def graded_piece_report(f: FilteredDeRhamComplex, level: int) -> GradedPieceReport:
@@ -615,30 +604,12 @@ class PDEnvelopeReport:
     slice_verdicts: dict  # weight -> (h0 factors, pd factors, equal)
     filtration_verdicts: dict  # (level, weight) -> (hodge factors, pd factors, equal)
     higher_vanishing: bool
-    iso_certified: bool
+    iso_failure: int | None  # the first weight whose generator map is not certified
     ok: bool
 
-    def to_json(self) -> str:
-        slices = [
-            {"weight": w, "h0": a, "pd": b, "equal": e}
-            for w, (a, b, e) in sorted(self.slice_verdicts.items())
-        ]
-        fil = [
-            {"level": l, "weight": w, "hodge": a, "pd": b, "equal": e}
-            for (l, w), (a, b, e) in sorted(self.filtration_verdicts.items())
-        ]
-        return json.dumps(
-            {
-                "presentation": json.loads(self.pres.to_json()),
-                "weight_bound": self.weight_bound,
-                "slices": slices,
-                "filtration": fil,
-                "higher_vanishing": self.higher_vanishing,
-                "iso_certified": self.iso_certified,
-                "ok": self.ok,
-            },
-            sort_keys=True,
-        )
+    @property
+    def iso_certified(self) -> bool:
+        return self.iso_failure is None
 
 
 def _t_times_gamma(j: int, m: int) -> int:
@@ -689,14 +660,11 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
     slice_verdicts = {}
     filtration_verdicts = {}
     ok = True
-    iso_ok = True
     h0 = {w: homology_quotient(f.total, 0, w) for w in range(weight_bound + 1)}
     red = f.total.contracted
-    constants = _envelope_constants(f, h0)
-    if constants is None:
-        iso_ok = False
-        constants = {j: 1 for j in range(weight_bound // d + 2)}
+    constants, iso_failure = _envelope_constants(f, h0)
     for w in range(weight_bound + 1):
+        iso_ok = True
         q = h0[w]
         basis = pd_basis(w)
         rel = pd_relation_rows(w)
@@ -731,6 +699,8 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
             elif quotient_invariants(np.eye(len(q.factors), dtype=np.int64),
                                      np.vstack([gen_m, np.diag(q.factors)]), ring):
                 iso_ok = False  # the coordinates of the images do not span the quotient
+        if not iso_ok and (iso_failure is None or w < iso_failure):
+            iso_failure = w
 
         # filtration comparison per level: F^level H_0 is the cycles of the
         # contraction in columns >= level modulo all boundaries; the PD side
@@ -753,19 +723,21 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
             if slice_homology(f.total, nn, w):
                 higher = False
     return PDEnvelopeReport(pres, weight_bound, slice_verdicts, filtration_verdicts,
-                            higher, iso_ok, ok and higher and iso_ok)
+                            higher, iso_failure, ok and higher and iso_failure is None)
 
 
-def _envelope_constants(f: FilteredDeRhamComplex, h0: dict):
+def _envelope_constants(f: FilteredDeRhamComplex, h0: dict) -> tuple[dict, int | None]:
     """Unit constants c_j making gamma_j -> c_j [dt_1 ^ .. ^ dt_j] a map of
     algebras over A: every (t - f)-relation must land in the boundaries.
 
     The constant is forced (given c_j) whenever j+1 is invertible; at the
     degenerate transitions p | j+1 any unit consistent with the torsion
     part works, matching the unit ambiguity of filtered-algebra
-    automorphisms that rescale the new divided-power generator.  ``h0``
-    holds the H_0 quotient of every weight.  Returns None when no unit
-    solution exists (the certification then fails).
+    automorphisms that rescale the new divided-power generator; the first
+    such unit is taken.  ``h0`` holds the H_0 quotient of every weight.
+    Returns (constants, None), or, when no unit solution exists, constants
+    1 and the weight of the first relation that no unit satisfies (the
+    certification fails there).
     """
     ring = f.ring
     m = ring.modulus
@@ -782,26 +754,16 @@ def _envelope_constants(f: FilteredDeRhamComplex, h0: dict):
         return h0[w].coords(vec), h0[w]
 
     for j in range(weight_bound // d + 1):
-        conds = []
+        candidates = units
+        # the relation (t - f) x^a gamma_j, of weight a + (j + 1) d
         for a in range(0, weight_bound - (j + 1) * d + 1):
             u_next, q = cls(a, j + 1)
             u_prev, _ = cls(a + d, j)
-            if u_next is None or u_prev is None:
-                return None
-            conds.append((u_next, u_prev, q))
-        chosen = None
-        for c in units:
-            ok = True
-            for (u_next, u_prev, q) in conds:
-                lhs = tuple((c * (j + 1) * x) % fct for x, fct in zip(u_next, q.factors))
+            if u_next is not None and u_prev is not None:
                 rhs = tuple((constants[j] * c_lead * y) % fct for y, fct in zip(u_prev, q.factors))
-                if lhs != rhs:
-                    ok = False
-                    break
-            if ok:
-                chosen = c
-                break
-        if chosen is None:
-            return None
-        constants[j + 1] = chosen
-    return constants
+                candidates = [c for c in candidates
+                              if tuple((c * (j + 1) * x) % fct for x, fct in zip(u_next, q.factors)) == rhs]
+            if u_next is None or u_prev is None or not candidates:
+                return {k: 1 for k in range(weight_bound // d + 2)}, a + (j + 1) * d
+        constants[j + 1] = candidates[0]
+    return constants, None

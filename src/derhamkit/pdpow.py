@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .complexes import GradedSliceComplex, HomologyReport, homology_report, slice_homology
-from .exactlin import ModRing, SparseMatrix, mzeros, mmul
+from .exactlin import ModRing, canonical, mzeros, mmul
 from .polyalg import insert_index
 from .simplex import SimplicialModule, kan_transform, normalized_complex
 
@@ -211,8 +211,9 @@ def apply_functor_to_module(x: SimplicialModule, functor: str, n: int) -> Simpli
         return wedge_matrix(flat, n, ring)
 
     def resliced(big, deg_src, deg_tgt, store, kind, idx):
-        """Split the nonzeros of the functor image ``big`` into one triple
-        per weight, re-indexed within the weight of source and target."""
+        """Split the nonzeros of the reduced functor image ``big`` into one
+        canonical triple per weight, re-indexed within the weight of source
+        and target, which keeps the row-major order ``nonzero`` lists."""
         (w_src, at_src), (w_tgt, at_tgt) = placed[deg_src], placed[deg_tgt]
         r, c = np.nonzero(big)
         w = w_src[r]
@@ -223,8 +224,8 @@ def apply_functor_to_module(x: SimplicialModule, functor: str, n: int) -> Simpli
         lo = w.min(initial=0)  # bincount needs non-negative weights
         for wt in (np.flatnonzero(np.bincount(w - lo)) + lo).tolist():
             k = np.flatnonzero(w == wt)
-            store[(deg_src, idx, wt)] = SparseMatrix(at_src[r[k]], at_tgt[c[k]], big[r[k], c[k]],
-                                                     (dims[(deg_src, wt)], dims[(deg_tgt, wt)]))
+            store[(deg_src, idx, wt)] = canonical(at_src[r[k]], at_tgt[c[k]], big[r[k], c[k]],
+                                                  (dims[(deg_src, wt)], dims[(deg_tgt, wt)]), ring.modulus)
 
     for deg in range(1, x.d_max + 1):
         for i in range(deg + 1):

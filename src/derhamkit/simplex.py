@@ -3,22 +3,26 @@
 A simplicial module stores its faces per degree and weight slice as
 ``exactlin.SparseMatrix`` triples, as the chain complexes of ``complexes``
 store their differentials; its degeneracies are triples too, and the Kan
-transform and the diagonal build each one only when it is first read.  The
+transform and the diagonal build all of them when the first is read.  The
 identities are checked on the triples; dense matrices are made on request
 (``face``, ``degen``).  The action of an arbitrary monotone map is derived
 from its epi-mono factorization into generators.  The normalized complex
 takes kernels of the first n faces, handed to ``left_kernel`` as triples,
-with differential (-1)^n d_n.
+with differential (-1)^n d_n; the unnormalized one sums all signed faces
+in one sort.
 
 There is one Kan operator.  The double Kan transform of a double complex
 sums D_{p,q} over pairs of monotone surjections [m] ->> [p], [n] ->> [q];
 a face or degeneracy moves each summand to at most one summand, by the
 identity when the injective factor is trivial and by the signed
 differential when it is the last face (``kan_block``, read through the
-memoized ``_kan_plan``).  The Kan transform K(C) is the row q = 0 of the
-double Kan transform of C, and the diagonal composes the two directions
-block by block.  With these conventions the roundtrip normalized(kan(C))
-is the identity on the nose, degreewise and on differentials.
+memoized ``_kan_plan`` and tabulated by ``_kan_table``).  Summand offsets
+are affine in the surjections' indices, so one array pass builds every
+face, or every degeneracy, of a module in one direction.  The Kan
+transform K(C) is the row q = 0 of the double Kan transform of C, and the
+diagonal composes the two directions block by block.  With these
+conventions the roundtrip normalized(kan(C)) is the identity on the nose,
+degreewise and on differentials.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 from types import MappingProxyType
 from typing import Callable, Iterable
 
@@ -141,19 +146,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class OnRequest(Mapping):
-    """A read-only mapping whose keys are fixed up front and whose value at a
-    key is ``build(*key)``, made on the first read of that key and kept."""
+    """A read-only mapping whose keys are fixed up front and whose values
+    ``build()`` makes all at once, as a dict, on the first read of any key."""
 
-    def __init__(self, keys: Iterable, build: Callable):
+    def __init__(self, keys: Iterable, build: Callable[[], dict]):
         self._keys = dict.fromkeys(keys)
         self._build = build
-        self._built: dict = {}
+        self._built: dict | None = None
 
     def __getitem__(self, key):
-        if key not in self._built:
-            if key not in self._keys:
-                raise KeyError(key)
-            self._built[key] = self._build(*key)
+        if key not in self._keys:
+            raise KeyError(key)
+        if self._built is None:
+            self._built = self._build()
         return self._built[key]
 
     def __contains__(self, key) -> bool:
@@ -184,7 +189,6 @@ class SimplicialModule:
     dims: dict  # (n, w) -> int
     faces: dict  # (n, i, w) -> SparseMatrix of X_{n,w} -> X_{n-1,w}
     degens: Mapping  # (n, i, w) -> SparseMatrix of X_{n,w} -> X_{n+1,w}
-    labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = self.ring.modulus
@@ -249,16 +253,28 @@ class SimplicialModule:
 
 
 def unnormalized_complex(x: SimplicialModule) -> GradedSliceComplex:
-    """Associated chain complex with d_n = sum (-1)^i d_i."""
-    diffs = {}
-    for (n, w) in x.dims:
-        faces = [(i, x.faces[(n, i, w)]) for i in range(n + 1) if (n, i, w) in x.faces]
-        if n and faces:
-            # the complex sums the signed triples at repeated positions
-            diffs[(n, w)] = SparseMatrix(np.concatenate([f.rows for _, f in faces]),
-                                         np.concatenate([f.cols for _, f in faces]),
-                                         np.concatenate([-f.vals if i % 2 else f.vals for i, f in faces]),
-                                         faces[0][1].shape)
+    """Associated chain complex with d_n = sum (-1)^i d_i.
+
+    All faces are summed in one pass: each signed entry is keyed by its
+    slice (n, w) and its position there, the slices one after another, and
+    ``as_sparse`` sorts and sums the keys as one row; each slice's
+    differential is then its run of that row."""
+    m = x.ring.modulus
+    slices = {key: k for k, key in enumerate(dict.fromkeys((n, w) for (n, _, w) in x.faces))}
+    ncols = np.array([x.dim(n - 1, w) for (n, w) in slices], dtype=np.int64)
+    sizes = np.array([x.dim(n, w) for (n, w) in slices], dtype=np.int64) * ncols
+    bases = sizes.cumsum() - sizes
+    counts = [f.vals.size for f in x.faces.values()]
+    at = np.array([slices[(n, w)] for (n, _, w) in x.faces], dtype=np.int64).repeat(counts)
+    odd = np.array([i % 2 for (_, i, _) in x.faces], dtype=bool).repeat(counts)
+    rows, cols, vals = (np.concatenate([f[k] for f in x.faces.values()] or [np.zeros(0, np.int64)]) for k in range(3))
+    key = bases[at] + rows * ncols[at] + cols
+    summed = as_sparse(SparseMatrix(np.zeros_like(key), key, np.where(odd, m - vals, vals), (1, int(sizes.sum()))), m)
+    at = bases.searchsorted(summed.cols, side="right") - 1
+    rows, cols = np.divmod(summed.cols - bases[at], ncols[at])
+    cuts = summed.cols.searchsorted(bases).tolist() + [summed.vals.size]
+    diffs = {(n, w): canonical(rows[lo:hi], cols[lo:hi], summed.vals[lo:hi], (x.dim(n, w), x.dim(n - 1, w)), m)
+             for (n, w), lo, hi in zip(slices, cuts, cuts[1:])}
     cx = GradedSliceComplex(x.ring, 0, x.d_max, dict(x.dims), diffs,
                             trusted=(0, max(x.d_max - 1, 0)))
     cx.validate()
@@ -412,7 +428,8 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
     K(C)_n sums C_p over monotone surjections [n] ->> [p], and d_i, s_i act
     by the rule of ``kan_block``.  C is validated as that double complex, so
     a C with d∘d != 0 raises ValueError naming the block where it fails.
-    The faces are built here, each degeneracy when it is first read.
+    The faces are built here in one pass, the degeneracies in one pass when
+    the first of them is read.
     """
     if c.n_min < 0:
         raise ValueError("Kan transform needs a complex concentrated in degrees >= 0")
@@ -421,15 +438,64 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
     dc = DoubleComplex(c.ring, {(p, 0, w): d for (p, w), d in c.dims.items()},
                        {(p, 0, w): d for (p, w), d in c.diffs.items()}, {})
     row = double_kan(dc, d_max, 0)
-    dims = {(n, w): d for (n, _, w), d in row.dims.items()}
-    labels = {(n, w): [(eta.values, p) for (eta, _, p, _, _) in row.layout[(n, 0, w)] for _ in range(c.dim(p, w))]
-              for (n, w) in dims}
-    weights = c.weights()
-    faces = {(n, i, w): row._operator(n, 0, i, w, True, "h")
-             for w in weights for n in range(1, d_max + 1) for i in range(n + 1)}
-    degens = OnRequest(((n, i, w) for w in weights for n in range(d_max) for i in range(n + 1)),
-                       lambda n, i, w: row._operator(n, 0, i, w, False, "h"))
-    return SimplicialModule(c.ring, d_max, dims, faces, degens, labels)
+    return _simplicial(row, "h", d_max, {(n, w): d for (n, _, w), d in row.dims.items()}, c.weights())
+
+
+def _simplicial(b: "BisimplicialModule", directions: str, d_max: int, dims: dict, weights: list) -> SimplicialModule:
+    """The operators of ``b`` in ``directions`` on the bidegrees (n, 0) ("h",
+    a row) or (n, n) ("hv", the diagonal): faces now, degeneracies on read."""
+    faces = {(m, i, w): op for (m, _, i, w), op in b._operators(True, directions).items()}
+    keys = [(n, i, w) for w in weights for n in range(d_max) for i in range(n + 1)]
+    degens = OnRequest(keys, lambda: {(n, i, w): b._operator(n, n * (directions == "hv"), i, w, False, directions)
+                                      for (n, i, w) in keys})
+    return SimplicialModule(b.ring, d_max, dims, faces, degens)
+
+
+@lru_cache(maxsize=None)
+def _kan_table(top: int, face: bool) -> np.ndarray:
+    """The ``_kan_plan`` rules of every d_i (or s_i) on K_m, m <= top, as
+    read-only int64 rows (m, p, e, i, kind, e') sorted by (m, p, e, i): d_i
+    sends surjection e: [m] ->> [p] (its index in ``monotone_surjections``)
+    to surjection e' of [m -/+ 1] ->> [p - kind] by the identity (kind 0) or
+    the differential (kind 1).  A zero block has no row."""
+    rows = []
+    for m in range(1 if face else 0, top + 1):
+        target = m - 1 if face else m + 1
+        index = {eta.values: e for p in range(target + 1) for e, eta in enumerate(monotone_surjections(target, p))}
+        plans = [_kan_plan(m, i, face) for i in range(m + 1)]
+        for p in range(m + 1):
+            for e, eta in enumerate(monotone_surjections(m, p)):
+                rows += [(m, p, e, i, plan[eta.values][1] == "d", index[plan[eta.values][0]])
+                         for i, plan in enumerate(plans) if eta.values in plan]
+    return _read_only(np.array(rows, dtype=np.int64).reshape(-1, 6))
+
+
+@lru_cache(maxsize=None)
+def _identity_table(top: int) -> np.ndarray:
+    """The rows (n, q, r, 0, 0, r), n <= top: on the side an operator in one
+    direction leaves alone, every surjection r: [n] ->> [q] stays."""
+    rows = [(n, q, r, 0, 0, r) for n in range(top + 1) for q in range(n + 1) for r in range(comb(n, q))]
+    return _read_only(np.array(rows, dtype=np.int64).reshape(-1, 6))
+
+
+@lru_cache(maxsize=None)
+def _binomials(top: int) -> np.ndarray:
+    """C(m, p), the number of surjections [m] ->> [p], for m, p <= top."""
+    return _read_only(np.array([[comb(m, p) for p in range(top + 1)] for m in range(top + 1)], dtype=np.int64))
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """arange(s, s + c) for each start s and count c, concatenated."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) + (starts - ends + counts).repeat(counts)
+
+
+def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (a, b) with left[a] == right[b], by a, then b."""
+    order = right.argsort(kind="stable")
+    lo = right[order].searchsorted(left)
+    counts = right[order].searchsorted(left, side="right") - lo
+    return np.arange(left.size).repeat(counts), order[_ranges(lo, counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -440,23 +506,25 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
 class BisimplicialModule:
     """Double Kan transform of a double complex; maps are built on request.
 
-    X_{m,n} sums D_{p,q} over pairs of surjections eta: [m] ->> [p] and
-    rho: [n] ->> [q].  ``layout[(m, n, w)]`` lists the summands as
-    (eta, rho, p, q, offset), and ``index[(m, n, w)]`` finds an offset by
-    (eta.values, rho.values).  A horizontal operator acts on eta and a
-    vertical one on rho by the plan ``_kan_plan``, so each summand goes to at
-    most one summand, by the identity or by (-1)^p D_h, resp. (-1)^q D_v.  No
-    map is stored: ``hface`` and the others assemble it from that rule when
-    called.
+    X_{m,n,w} sums D_{p,q,w} over pairs of surjections e: [m] ->> [p] and
+    r: [n] ->> [q] (indices in ``monotone_surjections``); the summand (e, r)
+    starts at ``bases[k, m, n, p, q] + (e C(n, q) + r) terms[k, p, q]``,
+    w the k-th of ``term_weights`` and ``terms[k, p, q]`` = dim D_{p,q,w}.
+    A horizontal operator acts on e and a vertical one on r by the rule
+    ``_kan_table``, so each summand goes to at most one summand, by the
+    identity or by (-1)^p D_h, resp. (-1)^q D_v.  ``_operators`` builds all
+    operators of one kind and direction when the first is read.
     """
 
     dc: DoubleComplex
     p_max: int
     q_max: int
     dims: dict  # (m, n, w) -> int
-    layout: dict  # (m, n, w) -> [(eta, rho, p, q, offset)]
-    index: dict  # (m, n, w) -> {(eta.values, rho.values): offset}
+    term_weights: list  # the weights of dc, ascending
+    terms: np.ndarray  # [k, p, q] -> dim D_{p,q,w}
+    bases: np.ndarray  # [k, m, n, p, q] -> offset of the first summand of D_{p,q,w} in X_{m,n,w}
     _blocks: dict = field(init=False, default_factory=dict, repr=False)  # see _block
+    _built: dict = field(init=False, default_factory=dict, repr=False)  # see _operators
 
     @property
     def ring(self) -> ModRing:
@@ -480,61 +548,87 @@ class BisimplicialModule:
     def vdegen(self, p, q, i, w):
         return self._operator(p, q, i, w, False, "v").dense()
 
-    def _target(self, m, n, w, face: bool, directions: str) -> tuple[int, int, int]:
-        step = -1 if face else 1
-        return (m + step * ("h" in directions), n + step * ("v" in directions), w)
-
     def _operator(self, m, n, i, w, face: bool, directions: str) -> SparseMatrix:
-        """d_i or s_i on X_{m,n} in the ``directions`` "h", "v" or "hv" (the
-        diagonal: vertically, then horizontally) as a canonical triple; zero
-        outside the window.
+        """d_i or s_i on X_{m,n,w} in the ``directions`` "h", "v" or "hv"
+        (the diagonal: vertically, then horizontally) as a canonical triple;
+        zero outside the window."""
+        step = -1 if face else 1
+        shape = (self.dim(m, n, w), self.dim(m + step * ("h" in directions), n + step * ("v" in directions), w))
+        return (self._operators(face, directions).get((m, n, i, w))
+                or canonical(*SparseMatrix(shape=shape), self.ring.modulus))
 
-        The plan sends each summand (eta, rho, p, q) to at most one summand,
-        rho alone vertically and then eta alone horizontally, so the block is
-        I, (-1)^p D_h, (-1)^q D_v or (-1)^q D_v (-1)^p D_h: the product of
-        the two maps, block by block, without building either.  Each other
-        block is a stored triple moved to its offsets, and the entries of all
-        identity blocks are listed together.  Each row lies in one block, so a
-        stable sort on the rows makes the result row-major.
-        """
+    def _operators(self, face: bool, directions: str) -> dict:
+        """(m, n, i, w) -> every nonzero d_i (face) or s_i of the window in the
+        ``directions`` "h", "v" or "hv" (the diagonal), built on first use."""
+        if (face, directions) not in self._built:
+            self._built[face, directions] = self._build(face, directions)
+        return self._built[face, directions]
+
+    def _build(self, face: bool, directions: str) -> dict:
+        """Every operator of ``_operators`` in one array pass.
+
+        The rules (m, p, e, i, kind, e') of a side come from ``_kan_table``
+        where the operator acts, from ``_identity_table`` where it does not;
+        the diagonal pairs the Kan tables on (m = n, i), one direction pairs
+        all rows.  In each weight a pair sends summand (e, r) of D_{p,q} to
+        (e', r') of D_{p - kind_h, q - kind_v} by a block of ``_store`` moved
+        to their offsets.  Each row lies in one block, so pairs sorted by
+        operator and offset give row-major operators."""
         h, v = "h" in directions, "v" in directions
-        target = self._target(m, n, w, face, directions)
-        shape = (self.dim(m, n, w), self.dim(*target))
-        modulus = self.ring.modulus
-        if not (0 <= i <= (m if h else n) and 0 <= target[0] <= self.p_max and 0 <= target[1] <= self.q_max):
-            return canonical(*SparseMatrix(shape=shape), modulus)
-        plan = _kan_plan(m if h else n, i, face)
-        index = self.index.get(target, {})
-        parts = []  # the triples of the non-identity blocks, moved to their offsets
-        id_rows, id_cols = [], []  # the entries of all identity blocks
-        for (eta, rho, p, q, off) in self.layout.get((m, n, w), ()):
-            rule_h = plan.get(eta.values) if h else (eta.values, "id")
-            rule_v = plan.get(rho.values) if v else (rho.values, "id")
-            if rule_h is None or rule_v is None:
-                continue
-            (eta2, kind_h), (rho2, kind_v) = rule_h, rule_v
-            off2 = index.get((eta2, rho2))
-            if off2 is None:
-                continue
-            kind = ("v" if kind_v == "d" else "") + ("h" if kind_h == "d" else "")
-            if kind:
-                blk = self._block(p, q, w, kind)
-                if blk.vals.size:
-                    parts.append((blk.rows + off, blk.cols + off2, blk.vals))
-            else:
-                size = self.dc.dim(p, q, w)
-                id_rows.extend(range(off, off + size))
-                id_cols.extend(range(off2, off2 + size))
-        if id_rows:
-            parts.append((np.array(id_rows, dtype=np.int64), np.array(id_cols, dtype=np.int64),
-                          np.ones(len(id_rows), dtype=np.int64)))
-        if len(parts) < 2:
-            return canonical(*parts[0], shape, modulus) if parts else canonical(*SparseMatrix(shape=shape), modulus)
-        rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
-        if id_rows:
-            order = np.argsort(rows, kind="stable")
-            rows, cols, vals = rows[order], cols[order], vals[order]
-        return canonical(rows, cols, vals, shape, modulus)
+        P, Q, W = self.p_max, self.q_max, len(self.term_weights)
+        top = max(P, Q) + 1
+        # a degeneracy raises the degree, so its source is at most P - 1 (Q - 1)
+        H = _kan_table(P - (not face), face) if h else _identity_table(P)
+        V = _kan_table(Q - (not face), face) if v else _identity_table(Q)
+        a, b = _join(H[:, 0] * top + H[:, 3], V[:, 0] * top + V[:, 3]) if h and v else _join(H[:, 0] * 0, V[:, 0] * 0)
+        k = np.arange(W).repeat(a.size)  # every pair in every weight where its source summand is
+        a, b = np.tile(a, W), np.tile(b, W)
+        here = self.terms[k, H[a, 1], V[b, 1]] > 0
+        k, (m, p, e, i_h, kh, e2), (n, q, r, i_v, kv, r2) = k[here], H[a[here]].T, V[b[here]].T
+        step = 1 if face else -1
+        binom = _binomials(top)
+        off = self.bases[k, m, n, p, q] + (e * binom[n, q] + r) * self.terms[k, p, q]
+        m2, n2, p2, q2 = m - step * h, n - step * v, p - kh, q - kv
+        off2 = self.bases[k, m2, n2, p2, q2] + (e2 * binom[n2, q2] + r2) * self.terms[k, p2, q2]
+        store_rows, store_cols, store_vals, starts, counts = self._store(bool(kh.any()), bool(kv.any()))
+        block = (k, p, q, kh + 2 * kv)
+        i = i_h if h else i_v
+        op = ((k * (P + 1) + m) * (Q + 1) + n) * top + i
+        nz = counts[block].nonzero()[0]
+        order = nz[np.lexsort((off[nz], op[nz]))]  # by operator (w, m, n, i), then offset
+        count = counts[block][order]
+        at = _ranges(starts[block][order], count)
+        rows = off[order].repeat(count) + store_rows[at]
+        cols = off2[order].repeat(count) + store_cols[at]
+        vals = store_vals[at]
+        first = np.flatnonzero(np.diff(op[order], prepend=-1))  # the first pair of each operator
+        bounds = np.append(count.cumsum()[first] - count[first], count.sum()).tolist()
+        k, m, n, i = (x[order][first] for x in (k, m, n, i))
+        # X_{m,n,w} ends with its one summand of D_{0,0,w}
+        shapes = zip(*((self.bases[k, x, y, 0, 0] + self.terms[k, 0, 0]).tolist()
+                       for x, y in ((m, n), (m - step * h, n - step * v))))
+        keys = zip(m.tolist(), n.tolist(), i.tolist(), np.array(self.term_weights)[k].tolist())
+        return {key: canonical(rows[lo:hi], cols[lo:hi], vals[lo:hi], shape, self.ring.modulus)
+                for key, shape, lo, hi in zip(keys, shapes, bounds, bounds[1:])}
+
+    def _store(self, h: bool, v: bool):
+        """(rows, cols, vals, starts, counts): the entries of an identity as
+        large as any D_{p,q,w}, then of each nonzero block "h" (if ``h``),
+        "v" (if ``v``) and "vh" (if both), concatenated; the block of kind 0
+        (I), 1, 2 or 3 leaving D_{p,q,w}, w the k-th weight, is the run of
+        ``counts[k, p, q, kind]`` entries from ``starts[k, p, q, kind]``."""
+        starts = np.zeros((*self.terms.shape, 4), dtype=np.int64)
+        counts = np.zeros_like(starts)
+        counts[..., 0] = self.terms
+        eye = np.arange(self.terms.max(initial=0))
+        parts, size = [(eye, eye, np.ones_like(eye))], eye.size
+        for k, p, q in zip(*(x.tolist() for x in self.terms.nonzero())):
+            for code, kind in [(1, "h")] * h + [(2, "v")] * v + [(3, "vh")] * (h and v):
+                blk = self._block(p, q, self.term_weights[k], kind)
+                starts[k, p, q, code], counts[k, p, q, code] = size, blk.vals.size
+                parts.append(blk[:3])
+                size += blk.vals.size
+        return (*(np.concatenate(col) for col in zip(*parts)), starts, counts)
 
     def _block(self, p: int, q: int, w: int, kind: str) -> SparseMatrix:
         """The non-identity block leaving the summands of D_{p,q}, canonical.
@@ -562,24 +656,15 @@ class BisimplicialModule:
         r = self.ring
         op = self._operator
         for w in self.weights():
-            for q in range(self.q_max + 1):
-                row = SimplicialModule(
-                    r,
-                    self.p_max,
-                    {(p, 0): self.dim(p, q, w) for p in range(self.p_max + 1)},
-                    {(p, i, 0): op(p, q, i, w, True, "h") for p in range(1, self.p_max + 1) for i in range(p + 1)},
-                    {(p, i, 0): op(p, q, i, w, False, "h") for p in range(self.p_max) for i in range(p + 1)},
-                )
-                row.validate()
-            for p in range(self.p_max + 1):
-                col = SimplicialModule(
-                    r,
-                    self.q_max,
-                    {(q, 0): self.dim(p, q, w) for q in range(self.q_max + 1)},
-                    {(q, i, 0): op(p, q, i, w, True, "v") for q in range(1, self.q_max + 1) for i in range(q + 1)},
-                    {(q, i, 0): op(p, q, i, w, False, "v") for q in range(self.q_max) for i in range(q + 1)},
-                )
-                col.validate()
+            # every row q (directions "h") and every column p ("v") as a simplicial module
+            for directions, top, lines in (("h", self.p_max, self.q_max), ("v", self.q_max, self.p_max)):
+                for j in range(lines + 1):
+                    at = (lambda t: (t, j)) if directions == "h" else (lambda t: (j, t))
+                    SimplicialModule(
+                        r, top, {(t, 0): self.dim(*at(t), w) for t in range(top + 1)},
+                        {(t, i, 0): op(*at(t), i, w, True, directions) for t in range(1, top + 1) for i in range(t + 1)},
+                        {(t, i, 0): op(*at(t), i, w, False, directions) for t in range(top) for i in range(t + 1)},
+                    ).validate()
             for p in range(1, self.p_max + 1):
                 for q in range(1, self.q_max + 1):
                     hf = [op(p, q, i, w, True, "h") for i in range(p + 1)]
@@ -598,19 +683,14 @@ def diagonal(b: BisimplicialModule) -> SimplicialModule:
     """X_n = B_{n,n} with d_i = d_i^h d_i^v and s_i = s_i^h s_i^v.
 
     Each operator is composed summand by summand from the two Kan rules; no
-    face or degeneracy of ``b`` is built.  The faces are built here, each
-    degeneracy when it is first read.
+    face or degeneracy of ``b`` is built.  The faces are built here in one
+    pass, the degeneracies in one pass when the first of them is read.
     """
     if b.p_max != b.q_max:
         raise ValueError("diagonal needs a square window")
     n_max = b.p_max
     dims = {(n, w): b.dim(n, n, w) for n in range(n_max + 1) for w in b.weights() if b.dim(n, n, w)}
-    weights = b.weights()
-    faces = {(n, i, w): b._operator(n, n, i, w, True, "hv")
-             for w in weights for n in range(1, n_max + 1) for i in range(n + 1)}
-    degens = OnRequest(((n, i, w) for w in weights for n in range(n_max) for i in range(n + 1)),
-                       lambda n, i, w: b._operator(n, n, i, w, False, "hv"))
-    return SimplicialModule(b.ring, n_max, dims, faces, degens)
+    return _simplicial(b, "hv", n_max, dims, b.weights())
 
 
 def double_kan(dc, p_max: int, q_max: int) -> BisimplicialModule:
@@ -618,31 +698,24 @@ def double_kan(dc, p_max: int, q_max: int) -> BisimplicialModule:
     differentials: X_{m,n} = sum over pairs of surjections of D_{p,q}.
 
     Validates ``dc`` and lays out the summands; maps are built on request.
+    The (p, q) blocks of X_{m,n,w} hold C(m, p) C(n, q) summands each and
+    follow one another by (p, q) descending, so their offsets are one
+    cumulative sum.
     """
     assert isinstance(dc, DoubleComplex)
     dc.validate()
-    dims = {}
-    layout = {}
-    index = {}
-    for w in sorted({w for (_, _, w) in dc.terms}):
-        for m in range(p_max + 1):
-            for n in range(q_max + 1):
-                blocks = []
-                off = 0
-                for p in range(m, -1, -1):
-                    for q in range(n, -1, -1):
-                        d = dc.dim(p, q, w)
-                        if d == 0:
-                            continue
-                        for eta in monotone_surjections(m, p):
-                            for rho in monotone_surjections(n, q):
-                                blocks.append((eta, rho, p, q, off))
-                                off += d
-                layout[(m, n, w)] = blocks
-                index[(m, n, w)] = {(e.values, r.values): o for (e, r, _, _, o) in blocks}
-                if off:
-                    dims[(m, n, w)] = off
-    return BisimplicialModule(dc, p_max, q_max, dims, layout, index)
+    weights = sorted({w for (_, _, w) in dc.terms})
+    shape = (len(weights), p_max + 1, q_max + 1)
+    terms = np.array([dc.dim(p, q, w) for w in weights for p in range(p_max + 1) for q in range(q_max + 1)],
+                     dtype=np.int64).reshape(shape)
+    binom = _binomials(max(p_max, q_max) + 1)
+    # [k, m, n, p, q] -> C(m, p) C(n, q) dim D_{p,q,w}, and flat by (p, q) descending
+    sizes = binom[:p_max + 1, None, :p_max + 1, None] * binom[None, :q_max + 1, None, :q_max + 1] * terms[:, None, None]
+    flat = sizes[..., ::-1, ::-1].reshape(*shape, (p_max + 1) * (q_max + 1))
+    ends = flat.cumsum(axis=-1)
+    bases = np.ascontiguousarray((ends - flat).reshape(sizes.shape)[..., ::-1, ::-1])
+    dims = {(m, n, weights[k]): int(total) for (k, m, n), total in np.ndenumerate(ends[..., -1]) if total}
+    return BisimplicialModule(dc, p_max, q_max, dims, weights, terms, bases)
 
 
 # ---------------------------------------------------------------------------

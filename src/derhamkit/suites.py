@@ -354,14 +354,15 @@ def run_drpd_envelope(params, rng):
     cases.append(_case("Z4-x-filtration", "Hodge = PD filtration",
                        "ok" if bad is None else "mismatch " + bad, ok=bad is None))
     cases.append(_case("Z4-x-iso-certified", "certified generator map",
-                       "ok" if rep.iso_certified else "failed", ok=rep.iso_certified))
+                       "ok" if rep.iso_certified else f"failed at weight {rep.iso_failure}", ok=rep.iso_certified))
     fstr = params["f"]
     fco = tuple(parse_poly_string(fstr))
     rep2 = pd_envelope_report(AlgebraPresentation(z4, "quotient", "x", fco),
                               weight_bound=params["weight_bound"])
     bad = (_first_failing_verdict(rep2.slice_verdicts) or _first_failing_verdict(rep2.filtration_verdicts)
            or (None if rep2.higher_vanishing else "in higher homology: H_n != 0 for some n >= 1")
-           or (None if rep2.iso_certified else "in the generator map: not a certified isomorphism"))
+           or (None if rep2.iso_certified
+               else f"in the generator map: not a certified isomorphism at weight {rep2.iso_failure}"))
     cases.append(_case(f"Z4-f-{fstr.replace(' ', '')}-slices", f"A<t>/(t - ({fstr})) slice match",
                        "ok" if bad is None else "mismatch " + bad, ok=bad is None))
     return cases

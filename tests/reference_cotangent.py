@@ -12,6 +12,10 @@ image that is not among them only after checking that it is degenerate.
 ``UnnormalizedResolution`` is the resolution as it was before its slices
 were normalized: the same builder on every monomial of each slice, the
 degenerate ones included, so the complex is C(Q_.) and not C(Q_.)/D.
+
+``poly_to_string`` prints constant-first coefficients as the polynomial
+strings ``cotangent.parse_poly_string`` reads, as the presentations'
+JSON form did.
 """
 
 from __future__ import annotations
@@ -113,3 +117,17 @@ def assert_diffs_equal(cx, dims: dict, diffs: dict, degrees, weights) -> None:
             assert got.dtype == want.dtype == np.int64
             assert got.shape == want.shape, (n, w)
             assert np.array_equal(got, want), (n, w)
+
+
+def poly_to_string(coeffs) -> str:
+    bits = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            bits.append(str(c))
+        elif k == 1:
+            bits.append("x" if c == 1 else f"{c}*x")
+        else:
+            bits.append(f"x^{k}" if c == 1 else f"{c}*x^{k}")
+    return " + ".join(bits) if bits else "0"

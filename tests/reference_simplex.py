@@ -14,7 +14,11 @@ as a Howell form of the dense [A | I] (no rows are peeled), and maps the
 generators through the dense d_n.  ``validate_simplicial`` is
 ``SimplicialModule.validate`` from before it checked the identities on
 triples: every face and degeneracy is built dense once and the five
-identity families are checked with ``mmul``.  The tests require the
+identity families are checked with ``mmul``.  ``PerSummandKan`` builds
+the operators of a double Kan transform as ``BisimplicialModule._operator``
+did before they were built in one array pass per kind and direction: one
+operator at a time, a loop over the summands of its source, each sent by
+``_kan_plan`` to at most one summand of the target.  The tests require the
 library's versions to equal these exactly, and ``validate`` to raise
 exactly when ``validate_simplicial`` does, with the same message.
 """
@@ -31,15 +35,19 @@ from reference_exactlin import augmented_left_kernel
 from derhamkit.complexes import GradedSliceComplex
 from derhamkit.exactlin import (
     ModRing,
+    SparseMatrix,
+    canonical,
     express_in_basis,
     howell_form,
     midentity,
     minimal_generators,
     mmul,
     mzeros,
+    sparse_product,
 )
 from derhamkit.simplex import (
     MonotoneMap,
+    _kan_plan,
     NormalizedData,
     SimplicialModule,
     kan_block,
@@ -277,7 +285,6 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
     dims = {}
     faces = {}
     degens = {}
-    labels = {}
 
     for w in c.weights():
         def cdim(p):
@@ -289,7 +296,6 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
         for n in range(d_max + 1):
             if sizes[n]:
                 dims[(n, w)] = sizes[n]
-                labels[(n, w)] = [(eta.values, p) for (eta, p, _) in layout[n] for _ in range(cdim(p))]
 
         def block_action(n: int, alpha: MonotoneMap) -> np.ndarray:
             out = mzeros(sizes[n], sizes.get(alpha.source, 0))
@@ -312,7 +318,7 @@ def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> Simplicial
             for i in range(n + 1):
                 degens[(n, i, w)] = block_action(n, MonotoneMap.degeneracy(n, i))
 
-    return SimplicialModule(ring, d_max, dims, faces, degens, labels)
+    return SimplicialModule(ring, d_max, dims, faces, degens)
 
 
 def normalized_complex(x: SimplicialModule, with_basis: bool = False):
@@ -359,3 +365,99 @@ def normalized_complex(x: SimplicialModule, with_basis: bool = False):
     if with_basis:
         return NormalizedData(cx, basis)
     return cx
+
+
+class PerSummandKan:
+    """The operators of ``simplex.double_kan(dc, p_max, q_max)``, one at a
+    time, by a loop over the summands (eta, rho, p, q, offset) of the
+    source that ``layout`` lists; ``index`` finds a target summand's
+    offset by (eta.values, rho.values)."""
+
+    def __init__(self, dc, p_max: int, q_max: int):
+        self.dc, self.p_max, self.q_max = dc, p_max, q_max
+        self.dims, self.layout, self.index = {}, {}, {}
+        self._blocks = {}
+        for w in sorted({w for (_, _, w) in dc.terms}):
+            for m in range(p_max + 1):
+                for n in range(q_max + 1):
+                    blocks = []
+                    off = 0
+                    for p in range(m, -1, -1):
+                        for q in range(n, -1, -1):
+                            d = dc.dim(p, q, w)
+                            if d == 0:
+                                continue
+                            for eta in monotone_surjections(m, p):
+                                for rho in monotone_surjections(n, q):
+                                    blocks.append((eta, rho, p, q, off))
+                                    off += d
+                    self.layout[(m, n, w)] = blocks
+                    self.index[(m, n, w)] = {(e.values, r.values): o for (e, r, _, _, o) in blocks}
+                    if off:
+                        self.dims[(m, n, w)] = off
+
+    def dim(self, m, n, w):
+        return self.dims.get((m, n, w), 0)
+
+    def operator(self, m, n, i, w, face: bool, directions: str) -> SparseMatrix:
+        """d_i or s_i on X_{m,n} in the ``directions`` "h", "v" or "hv" (the
+        diagonal: vertically, then horizontally) as a canonical triple; zero
+        outside the window."""
+        h, v = "h" in directions, "v" in directions
+        step = -1 if face else 1
+        target = (m + step * h, n + step * v, w)
+        shape = (self.dim(m, n, w), self.dim(*target))
+        modulus = self.dc.ring.modulus
+        if not (0 <= i <= (m if h else n) and 0 <= target[0] <= self.p_max and 0 <= target[1] <= self.q_max):
+            return canonical(*SparseMatrix(shape=shape), modulus)
+        plan = _kan_plan(m if h else n, i, face)
+        index = self.index.get(target, {})
+        parts = []  # the triples of the non-identity blocks, moved to their offsets
+        id_rows, id_cols = [], []  # the entries of all identity blocks
+        for (eta, rho, p, q, off) in self.layout.get((m, n, w), ()):
+            rule_h = plan.get(eta.values) if h else (eta.values, "id")
+            rule_v = plan.get(rho.values) if v else (rho.values, "id")
+            if rule_h is None or rule_v is None:
+                continue
+            (eta2, kind_h), (rho2, kind_v) = rule_h, rule_v
+            off2 = index.get((eta2, rho2))
+            if off2 is None:
+                continue
+            kind = ("v" if kind_v == "d" else "") + ("h" if kind_h == "d" else "")
+            if kind:
+                blk = self._block(p, q, w, kind)
+                if blk.vals.size:
+                    parts.append((blk.rows + off, blk.cols + off2, blk.vals))
+            else:
+                size = self.dc.dim(p, q, w)
+                id_rows.extend(range(off, off + size))
+                id_cols.extend(range(off2, off2 + size))
+        if id_rows:
+            parts.append((np.array(id_rows, dtype=np.int64), np.array(id_cols, dtype=np.int64),
+                          np.ones(len(id_rows), dtype=np.int64)))
+        if len(parts) < 2:
+            return canonical(*parts[0], shape, modulus) if parts else canonical(*SparseMatrix(shape=shape), modulus)
+        rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
+        if id_rows:
+            order = np.argsort(rows, kind="stable")
+            rows, cols, vals = rows[order], cols[order], vals[order]
+        return canonical(rows, cols, vals, shape, modulus)
+
+    def _block(self, p: int, q: int, w: int, kind: str) -> SparseMatrix:
+        """The non-identity block leaving the summands of D_{p,q}: "h" is
+        (-1)^p D_h, "v" is (-1)^q D_v and "vh" is (-1)^q D_v followed by
+        (-1)^p D_h from D_{p,q-1}."""
+        key = (p, q, w, kind)
+        blk = self._blocks.get(key)
+        if blk is None:
+            m = self.dc.ring.modulus
+            if kind == "vh":
+                blk = sparse_product(self._block(p, q, w, "v"), self._block(p, q - 1, w, "h"), m)
+            else:
+                stored, sign, target = ((self.dc.horiz, p, (p - 1, q, w)) if kind == "h"
+                                        else (self.dc.vert, q, (p, q - 1, w)))
+                blk = stored.get((p, q, w), SparseMatrix(shape=(self.dc.dim(p, q, w), self.dc.dim(*target))))
+                if sign % 2:
+                    blk = blk._replace(vals=m - blk.vals)
+            self._blocks[key] = blk
+        return blk

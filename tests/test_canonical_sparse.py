@@ -3,11 +3,13 @@
 ``as_sparse`` returns a matrix unchanged when a routine marked it canonical
 at the modulus asked for (``exactlin.canonical``).  The producers that mark
 their results are ``as_sparse`` itself, ``sparse_product``,
-``BisimplicialModule._operator`` and ``simplex._stacked_faces``.  The tests
-here check that every result of the last two is canonical (``test_exactlin``
-checks the products), that anything else (a directly built triple, a
-``_replace``, another modulus) is still checked, reduced, sorted and
-summed, and that the suites re-canonicalise no trusted matrix.
+``BisimplicialModule._build`` (every Kan operator of a module, in one pass),
+``simplex._stacked_faces`` and the re-sliced functor images of
+``pdpow.apply_functor_to_module``.  The tests here check that every result
+of the last three is canonical (``test_exactlin`` checks the products), that
+anything else (a directly built triple, a ``_replace``, another modulus) is
+still checked, reduced, sorted and summed, and that the suites
+re-canonicalise no trusted matrix.
 """
 
 import sys
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from test_simplex import _kan_inputs, eilenberg_zilber_double_complexes
 
-from derhamkit import exactlin, simplex
+from derhamkit import exactlin, pdpow, simplex
 from derhamkit.complexes import DoubleComplex, GradedSliceComplex
 from derhamkit.exactlin import ModRing, SparseMatrix, as_sparse, howell_form, left_kernel
 from derhamkit.simplex import BisimplicialModule, SimplicialModule, diagonal, double_kan, kan_transform
@@ -41,13 +43,14 @@ def _ops(b: BisimplicialModule, p: int, q: int, w: int):
 
 def test_every_operator_of_the_seed_1_kan_transforms_is_canonical(monkeypatch):
     built = []
-    honest = BisimplicialModule._operator
+    honest = BisimplicialModule._build
 
     def recorded(self, *args):
-        built.append((honest(self, *args), self.ring.modulus))
-        return built[-1][0]
+        out = honest(self, *args)
+        built.extend((op, self.ring.modulus) for op in out.values())
+        return out
 
-    monkeypatch.setattr(BisimplicialModule, "_operator", recorded)
+    monkeypatch.setattr(BisimplicialModule, "_build", recorded)
     for c in _kan_inputs(1):
         x = kan_transform(c, d_max=c.n_max + 1)
         assert all(x.degens[key] is not None for key in x.degens)
@@ -85,6 +88,31 @@ def test_the_stacked_faces_are_canonical():
                 assert_canonical(out, x.ring.modulus)
                 count += out.vals.size > 0
     assert count > 10
+
+
+def _resliced(monkeypatch):
+    """Record every triple ``apply_functor_to_module`` marks canonical."""
+    built = []
+    honest = pdpow.canonical
+
+    def recorded(*args):
+        built.append((honest(*args), args[-1]))
+        return built[-1][0]
+
+    monkeypatch.setattr(pdpow, "canonical", recorded)
+    return built
+
+
+def test_every_resliced_functor_image_is_canonical(monkeypatch):
+    built = _resliced(monkeypatch)
+    assert run_suite("quillen-shift", {"power": 3}, seed=1).summary["fail"] == 0
+    assert len(built) == 216
+    for c in _kan_inputs(1):  # several weights, and Gamma as well as the wedge
+        for functor in ("gamma", "wedge"):
+            pdpow.apply_functor_to_module(kan_transform(c, d_max=3), functor, 2)
+    assert len(built) > 300
+    for out, m in built:
+        assert_canonical(out, m)
 
 
 def _shuffled(dense, m, rng):
@@ -152,42 +180,52 @@ def _patch_everywhere(monkeypatch, name, replacement):
 
 
 def _count_recanonicalised(monkeypatch, calls):
-    """(as_sparse calls that got a matrix a trusted producer returned
-    canonical at the same modulus, those of them that built a new matrix
-    from it rather than return it) over the suite ``calls``."""
-    built = {}  # id -> (matrix, modulus) for every result of a trusted producer
-    counts = [0, 0]
+    """For each trusted producer, (as_sparse calls that got a matrix it
+    returned canonical at the same modulus, those of them that built a new
+    matrix from it rather than return it) over the suite ``calls``."""
+    built = {}  # id -> (matrix, modulus, producer) for every result of a trusted producer
+    counts = {}
 
-    def keep(out, m):
-        built[id(out)] = (out, m)
+    def keep(out, m, producer):
+        built[id(out)] = (out, m, producer)
         return out
 
     honest_as_sparse, honest_product = exactlin.as_sparse, exactlin.sparse_product
-    honest_operator, honest_stacked = BisimplicialModule._operator, simplex._stacked_faces
+    honest_build, honest_stacked = BisimplicialModule._build, simplex._stacked_faces
+    honest_canonical = pdpow.canonical
 
     def counted_as_sparse(matrix, m):
         out = honest_as_sparse(matrix, m)
         trusted = built.get(id(matrix))
         if trusted is not None and trusted[0] is matrix and trusted[1] == m:
-            counts[0] += 1
-            counts[1] += out is not matrix
-        return keep(out, m)
+            seen = counts.setdefault(trusted[2], [0, 0])
+            seen[0] += 1
+            seen[1] += out is not matrix
+        return keep(out, m, "as_sparse")
+
+    def counted_build(self, *args):
+        out = honest_build(self, *args)
+        for op in out.values():
+            keep(op, self.ring.modulus, "_build")
+        return out
 
     _patch_everywhere(monkeypatch, "as_sparse", counted_as_sparse)
-    _patch_everywhere(monkeypatch, "sparse_product", lambda a, b, m: keep(honest_product(a, b, m), m))
-    monkeypatch.setattr(BisimplicialModule, "_operator",
-                        lambda self, *args: keep(honest_operator(self, *args), self.ring.modulus))
+    _patch_everywhere(monkeypatch, "sparse_product", lambda a, b, m: keep(honest_product(a, b, m), m, "sparse_product"))
+    monkeypatch.setattr(BisimplicialModule, "_build", counted_build)
     monkeypatch.setattr(simplex, "_stacked_faces",
-                        lambda x, n, w: keep(honest_stacked(x, n, w), x.ring.modulus))
+                        lambda x, n, w: keep(honest_stacked(x, n, w), x.ring.modulus, "_stacked_faces"))
+    monkeypatch.setattr(pdpow, "canonical", lambda *args: keep(honest_canonical(*args), args[-1], "resliced"))
     for name, params in calls:
         assert run_suite(name, params, seed=1).summary["fail"] == 0
-    return tuple(counts)
+    return {producer: tuple(seen) for producer, seen in counts.items()}
 
 
 def test_the_simplicial_suites_recanonicalise_no_trusted_matrix(monkeypatch):
-    seen, redone = _count_recanonicalised(monkeypatch, [
+    counts = _count_recanonicalised(monkeypatch, [
         ("dold-kan-roundtrip", {"cases": 5, "max_degree": 5, "max_rank": 3}),
         ("eilenberg-zilber", {"cases": 2}),
+        ("quillen-shift", {"power": 3}),
     ])
-    assert seen > 1000
-    assert redone == 0
+    assert sum(seen for seen, _ in counts.values()) > 1000
+    assert counts["_build"][0] > 500 and counts["resliced"][0] > 100
+    assert all(redone == 0 for _, redone in counts.values()), counts

@@ -316,10 +316,12 @@ def test_compare_homology_self_and_reports():
     rng = random.Random(3)
     cx = random_complex(ring, rng, max_degree=3, max_rank=3)
     rep = compare_homology(cx, cx, degrees=list(cx.degrees()))
-    assert rep.equal
-    rep.to_json()
+    assert rep.equal and all(left == right and eq for left, right, eq in rep.verdicts.values())
     hr = homology_report(cx)
-    hr.to_json()
+    assert hr.trusted == cx.trusted and hr.entries
+    for (n, w), entry in hr.entries.items():
+        assert entry["factors"] == slice_homology(cx, n, w) == hr.factors(n, w)
+        assert entry["length"] == sum(v_int(d, ring.p) for d in entry["factors"])
 
 
 def length_audit(cx: GradedSliceComplex, weight: int) -> bool:

@@ -9,6 +9,7 @@ and the reference generators map onto the quotient.
 """
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -246,8 +247,8 @@ def test_coords_rejects_non_cycles():
         q.is_zero_class(np.array([1]))
 
 
-# Suites at reduced parameters, with every homology_quotient call checked
-# against the reference as it happens.
+# Suites at reduced parameters, with every homology_quotient and
+# slice_homology call checked against the reference as it happens.
 SUITE_CALLS = [
     ("drpd-modp", {"weight_bound": 3}),
     ("drpd-envelope", {"weight_bound": 3}),
@@ -269,8 +270,19 @@ def test_suite_slices_match_reference(monkeypatch, name, params):
         seen.append((n, w))
         return homology_quotient(cx, n, w)
 
+    def checked_factors(cx, n, w):
+        got = honest_factors(cx, n, w)
+        assert_slice_matches_reference(cx, n, w)
+        assert got == reference_complexes.homology_quotient(cx, n, w).factors
+        seen.append((n, w))
+        return got
+
+    honest_factors = complexes.slice_homology
     monkeypatch.setattr(complexes, "homology_quotient", checked)
     monkeypatch.setattr(derham, "homology_quotient", checked)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("derhamkit") and getattr(module, "slice_homology", None) is honest_factors:
+            monkeypatch.setattr(module, "slice_homology", checked_factors)
     report = run_suite(name, params, seed=1)
     assert report.summary["fail"] == 0
     assert seen

@@ -198,8 +198,7 @@ def test_pd_envelope_x_mod_two():
 def test_pd_envelope_x_squared():
     rep = pd_envelope_report(AlgebraPresentation(Z4, "quotient", "x", (0, 0, 1)),
                              weight_bound=4)
-    assert rep.ok and rep.iso_certified
-    rep.to_json()
+    assert rep.ok and rep.iso_certified and rep.iso_failure is None
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (2, 3), (3, 3)], ids=["Z9", "Z25", "Z8", "Z27"])
@@ -216,8 +215,22 @@ def test_a_pd_coefficient_off_by_a_unit_first_fails_at_weight_p(monkeypatch, p, 
     monkeypatch.setattr(derham, "_t_times_gamma", lambda j, m: (honest(j, m) + (j == p - 1)) % m)
     assert pd_envelope_report(pres, weight_bound=p - 1).ok
     rep = pd_envelope_report(pres, weight_bound=p)
-    assert not rep.ok and not rep.iso_certified
+    assert not rep.ok and not rep.iso_certified and rep.iso_failure == p
     assert all(eq for *_, eq in [*rep.slice_verdicts.values(), *rep.filtration_verdicts.values()])
+    assert pd_envelope_report(pres, weight_bound=p + 2).iso_failure == p
+
+
+def test_the_drpd_envelope_suite_names_the_weight_where_the_generator_map_fails(monkeypatch):
+    # over Z/4 the coefficient at j = p - 1 = 1 first enters the relations of weight 2
+    from derhamkit import derham
+
+    honest = derham._t_times_gamma
+    monkeypatch.setattr(derham, "_t_times_gamma", lambda j, m: (honest(j, m) + (j == 1)) % m)
+    cases = {c.name: c for c in run_suite("drpd-envelope", {"weight_bound": 4, "f": "x"}, seed=1).cases}
+    assert cases["Z4-x-iso-certified"].status == "fail"
+    assert cases["Z4-x-iso-certified"].computed == "failed at weight 2"
+    assert cases["Z4-f-x-slices"].computed == "mismatch in the generator map: not a certified isomorphism at weight 2"
+    assert cases["Z4-x-slices"].status == cases["Z4-x-filtration"].status == "pass"
 
 
 def _perturb_envelope(monkeypatch, call, table, key):
@@ -277,11 +290,11 @@ def test_drpd_envelope_failure_for_f_names_its_weight(monkeypatch):
     assert cases["Z4-x-slices"].computed == "ok" and cases["Z4-x-filtration"].computed == "ok"
 
 
-@pytest.mark.parametrize("field, where", [
-    ("higher_vanishing", "in higher homology: H_n != 0 for some n >= 1"),
-    ("iso_certified", "in the generator map: not a certified isomorphism"),
+@pytest.mark.parametrize("field, value, where", [
+    ("higher_vanishing", False, "in higher homology: H_n != 0 for some n >= 1"),
+    ("iso_failure", 3, "in the generator map: not a certified isomorphism at weight 3"),
 ])
-def test_drpd_envelope_failure_for_f_past_its_factor_lists_says_where(monkeypatch, field, where):
+def test_drpd_envelope_failure_for_f_past_its_factor_lists_says_where(monkeypatch, field, value, where):
     from derhamkit import suites
 
     honest, reports = suites.pd_envelope_report, []
@@ -290,7 +303,7 @@ def test_drpd_envelope_failure_for_f_past_its_factor_lists_says_where(monkeypatc
         rep = honest(*args, **kwargs)
         reports.append(rep)
         if len(reports) == 2:
-            setattr(rep, field, False)
+            setattr(rep, field, value)
             rep.ok = False
         return rep
 
@@ -309,7 +322,7 @@ def test_the_generation_check_rejects_a_generator_map_scaled_by_p(monkeypatch, s
     honest = derham._envelope_constants
     if scaled:
         monkeypatch.setattr(derham, "_envelope_constants",
-                            lambda f, h0: {j: f.ring.p * c for j, c in honest(f, h0).items()})
+                            lambda f, h0: ({j: f.ring.p * c for j, c in honest(f, h0)[0].items()}, None))
     rep = pd_envelope_report(pres_x(Z4), weight_bound=4)
     assert rep.iso_certified is not scaled
     assert all(eq for _, _, eq in [*rep.slice_verdicts.values(), *rep.filtration_verdicts.values()])
@@ -683,7 +696,7 @@ def test_every_hodge_level_read_off_the_one_contraction_equals_its_quotient_comp
         for level in range(wb + 2):
             quotient = f.quotient_complex(level)
             want = homology_report(quotient, degrees=range(2))
-            assert hodge_quotient_homology(f, level).to_json() == want.to_json(), (wb, level)
+            assert hodge_quotient_homology(f, level) == want, (wb, level)
             corner = f.total.contracted.corner(level, quotient.n_min)
             assert ([homology_quotient(corner, *key).factors for key in quotient.dims]
                     == [homology_quotient(quotient, *key).factors for key in quotient.dims]), (wb, level)

@@ -1,5 +1,6 @@
 """Dold-Kan machinery, monotone maps, bisimplicial diagonals, shuffles."""
 
+import functools
 import random
 import re
 
@@ -15,8 +16,10 @@ from derhamkit.complexes import (
     slice_homology,
     total_complex,
 )
-from derhamkit.exactlin import ModRing, mmul
+from derhamkit import simplex
+from derhamkit.exactlin import ModRing, as_sparse, mmul
 from derhamkit.randomgen import random_complex
+from derhamkit.suites import run_suite
 from derhamkit.simplex import (
     MonotoneMap,
     SimplicialModule,
@@ -388,7 +391,7 @@ def test_kan_transform_equals_the_reference(seed):
         for d_max in (c.n_max, c.n_max + 2):
             got = kan_transform(c, d_max=d_max)
             want = reference_simplex.kan_transform(c, d_max=d_max)
-            assert got.d_max == want.d_max and got.dims == want.dims and got.labels == want.labels
+            assert got.d_max == want.d_max and got.dims == want.dims
             assert got.faces.keys() == want.faces.keys()
             assert got.degens.keys() == {(n, i, w) for w in c.weights() for n in range(d_max) for i in range(n + 1)}
             assert got.degens.keys() >= want.degens.keys()
@@ -447,7 +450,8 @@ def test_one_entry_in_the_top_summand_of_a_face_breaks_just_the_face_identity_at
     # K(C)_2 = C_2 + C_0 for C in degrees 0 and 2, and d_0 is zero on the summand C_2
     ring = ModRing(3, 1)
     x = kan_transform(GradedSliceComplex(ring, 0, 2, {(0, 0): 1, (2, 0): 1}, {}), 2)
-    assert x.labels[(2, 0)][0] == ((0, 1, 2), 2) and not x.face(2, 0, 0)[0].any()
+    # basis element 0 is the top summand C_2, which every face sends to zero
+    assert all(not x.face(2, i, 0)[0].any() and x.face(2, i, 0)[1].any() for i in range(3))
     y = _planted(x, _maps(x), 0, (2, 0, 0), (0, 0), 1)
     # the families are checked degree by degree, so every mixed identity (n <= 1) held
     want = "face identity fails at n=2, i=0, j=1, w=0"
@@ -552,23 +556,31 @@ def test_normalized_complex_failures_name_their_slice():
         normalized_complex(x)
 
 
-def _modules_normalized_by(monkeypatch, suite, params):
-    """The simplicial modules whose normalized complex ``suite`` takes."""
-    import derhamkit.pdpow
-    import derhamkit.suites
-    from derhamkit.suites import run_suite
+@functools.lru_cache(maxsize=None)
+def _recorded(suite: str, params: tuple, builder: str) -> tuple:
+    """(args, kwargs) of every call to ``builder`` (a name that ``suites`` or
+    ``pdpow`` imports, such as ``kan_transform``, ``double_kan`` or
+    ``normalized_complex``) that ``suite`` makes at seed 1, in call order."""
+    from derhamkit import pdpow, suites
 
     seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (suites, pdpow):
+            honest = getattr(module, builder, None)
+            if honest is not None:
+                patch.setattr(module, builder,
+                              lambda *args, _honest=honest, **kwargs: seen.append((args, kwargs)) or _honest(*args, **kwargs))
+        assert run_suite(suite, dict(params), seed=1).summary["fail"] == 0
+    return tuple(seen)
 
-    def spy(x, *args, **kwargs):
-        seen.append(x)
-        return normalized_complex(x, *args, **kwargs)
 
-    monkeypatch.setattr(derhamkit.suites, "normalized_complex", spy)
-    monkeypatch.setattr(derhamkit.pdpow, "normalized_complex", spy)
-    assert run_suite(suite, params, seed=1).summary["fail"] == 0
-    monkeypatch.undo()
-    return seen
+def _suite_inputs(suite: str, params: dict, builder: str) -> tuple:
+    return _recorded(suite, tuple(sorted(params.items())), builder)
+
+
+def _modules_normalized_by(suite, params):
+    """The simplicial modules whose normalized complex ``suite`` takes."""
+    return [args[0] for args, _ in _suite_inputs(suite, params, "normalized_complex")]
 
 
 def _assert_normalized_equals_the_reference(x):
@@ -587,8 +599,8 @@ def _assert_normalized_equals_the_reference(x):
     ("eilenberg-zilber", {"cases": 10}, 10),
     ("quillen-shift", {"power": 3}, 12),
 ])
-def test_normalized_complex_equals_the_reference_on_the_suite_inputs(monkeypatch, suite, params, count):
-    modules = _modules_normalized_by(monkeypatch, suite, params)
+def test_normalized_complex_equals_the_reference_on_the_suite_inputs(suite, params, count):
+    modules = _modules_normalized_by(suite, params)
     assert len(modules) == count
     for x in modules:
         _assert_normalized_equals_the_reference(x)
@@ -758,56 +770,55 @@ def test_stored_maps_are_reduced_once_and_read_only():
             mat[0, 0] = 0
 
 
-def _count_operators(monkeypatch):
-    """Record ``face`` of every ``BisimplicialModule._operator`` call."""
+def _count_passes(monkeypatch):
+    """Record ``face`` of every ``BisimplicialModule._build`` pass."""
     from derhamkit.simplex import BisimplicialModule
 
     calls = []
-    honest = BisimplicialModule._operator
+    honest = BisimplicialModule._build
 
-    def counted(self, m, n, i, w, face, directions):
+    def counted(self, face, directions):
         calls.append(face)
-        return honest(self, m, n, i, w, face, directions)
+        return honest(self, face, directions)
 
-    monkeypatch.setattr(BisimplicialModule, "_operator", counted)
+    monkeypatch.setattr(BisimplicialModule, "_build", counted)
     return calls
 
 
-def test_kan_transform_builds_a_degeneracy_only_when_it_is_read(monkeypatch):
-    calls = _count_operators(monkeypatch)
+def test_kan_transform_builds_every_degeneracy_in_one_pass_when_the_first_is_read(monkeypatch):
+    calls = _count_passes(monkeypatch)
     c = _kan_inputs(0)[0]
     d_max = c.n_max + 1
     k = kan_transform(c, d_max=d_max)
     keys = [(n, i, w) for w in c.weights() for n in range(d_max) for i in range(n + 1)]
-    assert calls.count(True) == sum(n for w in c.weights() for n in range(2, d_max + 2))
-    assert calls.count(False) == 0
+    assert calls == [True]  # every face of every weight in one pass
     # the keys are known up front: listing and membership build nothing
     assert list(k.degens) == keys and len(k.degens) == len(keys) and keys[-1] in k.degens
     assert (d_max, 0, c.weights()[0]) not in k.degens
-    assert calls.count(False) == 0
+    assert calls == [True]
     want = reference_simplex.kan_transform(c, d_max=d_max)
     first = k.degens[keys[-1]]
-    assert calls.count(False) == 1
+    assert calls == [True, False]
     assert k.degens[keys[-1]] is first and (k.degen(*keys[-1]) == want.degen(*keys[-1])).all()
-    assert calls.count(False) == 1
     for key in keys:
         assert (k.degen(*key) == want.degen(*key)).all(), key
-    assert calls.count(False) == len(keys)
+    assert calls == [True, False]
     with pytest.raises(KeyError):
         k.degens[(d_max, 0, 0)]
     with pytest.raises(TypeError):
         k.degens[keys[0]] = first
 
 
-def test_the_diagonal_builds_a_degeneracy_only_when_it_is_read(monkeypatch):
-    calls = _count_operators(monkeypatch)
+def test_the_diagonal_builds_its_degeneracies_in_one_pass_when_the_first_is_read(monkeypatch):
+    calls = _count_passes(monkeypatch)
     diag = diagonal(double_kan(_largest_eilenberg_zilber_case(), 5, 5))
     assert diag.weights() == [0]
-    assert calls.count(True) == sum(n + 1 for n in range(1, 6)) and calls.count(False) == 0
+    assert calls == [True]
     normalized_complex(diag)
-    assert calls.count(False) == 0
+    assert calls == [True]
     assert diag.degen(4, 2, 0).shape == (diag.dim(4, 0), 810)
-    assert calls.count(False) == 1
+    assert calls == [True, False]
+    assert all(diag.degens[key] is not None for key in diag.degens) and calls == [True, False]
 
 
 def _square(ring, corner):
@@ -934,6 +945,14 @@ def test_the_kan_plan_is_the_kan_block_rule_on_every_surjection():
                 assert _kan_plan(n, i, face) is plan
                 with pytest.raises(TypeError):
                     plan[etas[0].values] = None
+                # the table holds the same rules, by surjection index
+                table = simplex._kan_table(5, face)
+                rows = table[(table[:, 0] == n) & (table[:, 3] == i)].tolist()
+                target = n - 1 if face else n + 1
+                want = [[n, eta.target, monotone_surjections(n, eta.target).index(eta), i, plan[eta.values][1] == "d",
+                         [s.values for s in monotone_surjections(target, eta.target - (plan[eta.values][1] == "d"))]
+                         .index(plan[eta.values][0])] for eta in etas if eta.values in plan]
+                assert rows == want, (n, i, face)
 
 
 def test_kan_transform_rejects_a_complex_whose_differential_does_not_square_to_zero():
@@ -942,3 +961,115 @@ def test_kan_transform_rejects_a_complex_whose_differential_does_not_square_to_z
                            {(1, 0): np.array([[1]]), (2, 0): np.array([[1]])})
     with pytest.raises(ValueError, match=r"horizontal d\^2 != 0 at \(2, 0, 0\)"):
         kan_transform(c)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass operators against the per-summand reference
+
+DOLD_KAN = {"cases": 20, "max_degree": 5, "max_rank": 3}
+
+
+def _assert_same(got, want, where):
+    assert got.shape == want.shape, where
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype and np.array_equal(a, b), where
+
+
+def _assert_kan_operators_match(inputs):
+    """Every face and degeneracy of ``kan_transform(c, d_max)`` equals the
+    per-summand operator on the row q = 0, zero ones included."""
+    count = 0
+    for (c,), kwargs in inputs:
+        d_max = kwargs["d_max"]
+        x = simplex.kan_transform(c, d_max=d_max)
+        row = DoubleComplex(c.ring, {(p, 0, w): d for (p, w), d in c.dims.items()},
+                            {(p, 0, w): d for (p, w), d in c.diffs.items()}, {})
+        ref = reference_simplex.PerSummandKan(row, d_max, 0)
+        for w in c.weights():
+            for n in range(d_max + 1):
+                for i in range(n + 1):
+                    if n:
+                        want = ref.operator(n, 0, i, w, True, "h")
+                        _assert_same(x._face(n, i, w), want, ("face", n, i, w))
+                        assert ((n, i, w) in x.faces) == bool(want.vals.size)
+                        count += bool(want.vals.size)
+                    if n < d_max:
+                        _assert_same(x._degen(n, i, w), ref.operator(n, 0, i, w, False, "h"), ("degen", n, i, w))
+    return count
+
+
+def test_kan_faces_and_degeneracies_equal_the_per_summand_reference_on_the_dold_kan_inputs():
+    inputs = _suite_inputs("dold-kan-roundtrip", DOLD_KAN, "kan_transform")
+    assert len(inputs) == 60
+    assert _assert_kan_operators_match(inputs) > 1000
+
+
+def test_kan_faces_and_degeneracies_equal_the_per_summand_reference_on_the_quillen_shift_modules():
+    inputs = _suite_inputs("quillen-shift", {"power": 3}, "kan_transform")
+    assert len(inputs) == 12
+    assert _assert_kan_operators_match(inputs) > 50
+
+
+def test_bisimplicial_operators_equal_the_per_summand_reference_on_the_eilenberg_zilber_cases():
+    inputs = _suite_inputs("eilenberg-zilber", {"cases": 10}, "double_kan")
+    assert len(inputs) == 10
+    count = 0
+    for (dc,), kwargs in inputs:
+        b = simplex.double_kan(dc, **kwargs)
+        ref = reference_simplex.PerSummandKan(dc, b.p_max, b.q_max)
+        assert b.dims == ref.dims
+        for (m, n, w) in b.dims:
+            for face in (True, False):
+                for directions, top in (("h", m), ("v", n), ("hv", m if m == n else -1)):
+                    for i in range(top + 1):
+                        want = ref.operator(m, n, i, w, face, directions)
+                        _assert_same(b._operator(m, n, i, w, face, directions), want,
+                                     (m, n, i, w, face, directions))
+                        count += bool(want.vals.size)
+    assert count > 4000
+
+
+def test_an_id_rule_flipped_to_d_in_the_table_fails_the_kan_equality_test(monkeypatch):
+    honest = simplex._kan_table
+
+    def flipped(top, face):
+        table = honest(top, face).copy()
+        ids = np.flatnonzero((table[:, 1] >= 1) & (table[:, 4] == 0))
+        if ids.size:
+            table[ids[0], 4] = 1
+        return table
+
+    _suite_inputs("dold-kan-roundtrip", DOLD_KAN, "kan_transform")  # recorded without the fault
+    monkeypatch.setattr(simplex, "_kan_table", flipped)
+    with pytest.raises(AssertionError):
+        test_kan_faces_and_degeneracies_equal_the_per_summand_reference_on_the_dold_kan_inputs()
+
+
+def test_an_offset_off_by_one_block_fails_the_bisimplicial_equality_test(monkeypatch):
+    honest = simplex.double_kan
+
+    def shifted(dc, p_max, q_max):
+        b = honest(dc, p_max, q_max)
+        k, p, q = (int(t[0]) for t in b.terms[:, 1:, 1:].nonzero())
+        # the first summand block of X_{p+1,q+1} moves down by one block
+        b.bases[k, p + 1, q + 1, p + 1, q + 1] += b.terms[k, p + 1, q + 1]
+        return b
+
+    _suite_inputs("eilenberg-zilber", {"cases": 10}, "double_kan")  # recorded without the fault
+    monkeypatch.setattr(simplex, "double_kan", shifted)
+    with pytest.raises(AssertionError):
+        test_bisimplicial_operators_equal_the_per_summand_reference_on_the_eilenberg_zilber_cases()
+
+
+def test_the_unnormalized_differential_is_the_alternating_sum_of_the_faces():
+    for (c,), kwargs in _suite_inputs("dold-kan-roundtrip", DOLD_KAN, "kan_transform")[::7]:
+        x = kan_transform(c, **kwargs)
+        u = unnormalized_complex(x)
+        assert u.dims == x.dims
+        for (n, w) in x.dims:
+            if n:
+                want = sum((-1) ** i * x.face(n, i, w) for i in range(n + 1)) % c.ring.modulus
+                got = u.diffs.get((n, w))
+                assert np.array_equal(u.diff(n, w), want) and (got is None) == (not want.any())
+                if got is not None:
+                    assert got == as_sparse(want, c.ring.modulus)
