@@ -196,9 +196,12 @@ class Contraction:
     of row b of d_n, changes d_n on the survivors to eps - gamma phi^-1
     delta; f subtracts u_a phi^-1 delta from a degree-(n-1) vector and g
     sets the b coordinate of a degree-n vector to -phi^-1 (v . gamma).
-    ``_f_steps[k]`` and ``_g_steps[k]`` hold (index, phi^-1, indices,
-    values) for the cancellations whose a, respectively b, lies in degree k,
-    in the order they were made.
+    ``_f_steps[k]`` holds (a, phi^-1, delta) for the cancellations whose a
+    lies in degree k, delta a ``{column: value}`` dict; ``_g_steps[k]``
+    holds (b, phi^-1, rows of gamma, values of gamma) for those whose b
+    lies there, as two lists.  Both are in the order the cancellations were
+    made, kept as the elimination left them: ``project`` and ``lift`` make
+    arrays of a step only when they apply it.
     """
 
     ring: ModRing
@@ -222,10 +225,11 @@ class Contraction:
         single = v.ndim == 1
         if single:
             v = v.reshape(1, -1)
-        for a, inv, idx, vals in self._f_steps.get(n, ()):
+        for a, inv, delta in self._f_steps.get(n, ()):
             c = v[:, a] * inv % m
             if c.any():
-                v[:, idx] = (v[:, idx] - c[:, None] * vals) % m
+                idx = np.fromiter(delta, np.int64, len(delta))
+                v[:, idx] = (v[:, idx] - c[:, None] * np.fromiter(delta.values(), np.int64, len(delta))) % m
         out = v[:, self.keep[n]] if n in self.keep else v[:, :0]
         return out[0] if single else out
 
@@ -238,8 +242,8 @@ class Contraction:
             return out
         out[:, self.keep[n]] = small
         for b, inv, idx, vals in reversed(self._g_steps.get(n, ())):
-            if idx.size:
-                out[:, b] = -mmul(out[:, idx], vals, self.ring) * inv % m
+            if idx:
+                out[:, b] = -mmul(out[:, idx], np.array(vals, dtype=np.int64), self.ring) * inv % m
         return out
 
     def quotient(self, n: int) -> SliceQuotient:
@@ -349,11 +353,8 @@ def reduce_complex(cx: GradedSliceComplex, weight: int) -> Contraction:
             touched(n + 1, y)
         dropped[n].add(b)
         dropped[n - 1].add(a)
-        f_steps.setdefault(n - 1, []).append(
-            (a, inv, np.fromiter(delta, np.int64, len(delta)),
-             np.fromiter(delta.values(), np.int64, len(delta))))
-        g_steps.setdefault(n, []).append(
-            (b, inv, np.array(gamma_rows, dtype=np.int64), np.array(gamma, dtype=np.int64)))
+        f_steps.setdefault(n - 1, []).append((a, inv, delta))
+        g_steps.setdefault(n, []).append((b, inv, gamma_rows, gamma))
 
     keep = {n: np.array(sorted(set(range(dim)) - dropped[n]), dtype=np.int64)
             for n, dim in dims.items()}

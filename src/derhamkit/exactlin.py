@@ -18,6 +18,7 @@ Matrices over Z are plain lists of Python ints (arbitrary precision).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,6 +35,7 @@ __all__ = [
     "smith_normal_form",
     "howell_form",
     "left_kernel",
+    "block_left_kernels",
     "SparseMatrix",
     "as_sparse",
     "sparse_product",
@@ -269,28 +271,43 @@ def howell_form(matrix, ring: ModRing, transform: bool = False):
 def _howell(rows: list[dict], cols: int, ring: ModRing, transform: bool):
     """``howell_form`` of the ``cols``-column matrix whose rows are the
     ``{col: value}`` dicts ``rows`` (reduced mod p^n, zeros absent), which
-    the elimination consumes.
+    the elimination consumes: forward elimination is ``_eliminate``,
+    back-reduction ``_reduced``."""
+    return _reduced(_eliminate(rows, ring, transform), None, cols, len(rows), ring, transform)
 
-    Forward elimination is ``_eliminate``.  Back-reduction takes the pivots
-    in increasing column order and reduces the entries above each one
-    modulo it, as one numpy update of the dense output restricted to the
-    rows whose quotient is nonzero.  A pivot row is zero left of its pivot,
-    so later steps never disturb already-reduced columns.  These rules fix
-    H and T completely, not just up to the canonical span.
+
+def _reduced(pivots: list, place: np.ndarray | None, width: int, nrows: int, ring: ModRing, transform: bool):
+    """The dense Howell form H (and transform, of width ``nrows``) of the
+    forward-eliminated ``pivots`` of ``_eliminate``, with ``width``
+    columns: column j of the pivot rows is column ``place[j]`` of H, or
+    column j when ``place`` is None.
+
+    Back-reduction takes the pivots in increasing column order and reduces
+    the entries above each one modulo it, as one numpy update of the dense
+    output restricted to the rows whose quotient is nonzero.  A pivot row
+    is zero left of its pivot, so later steps never disturb already-reduced
+    columns, and a column that no pivot row holds right of its pivot stays
+    zero above its pivot.  These rules fix H and T completely, not just up
+    to the canonical span.
     """
     m = ring.modulus
-    nrows = len(rows)
-    pivots = _eliminate(rows, cols, ring, transform)
-
-    h = mzeros(len(pivots), cols)
+    h = mzeros(len(pivots), width)
     tt = mzeros(len(pivots), nrows) if transform else None
-    for k, (_, row, row_t) in enumerate(pivots):
-        h[k, list(row)] = list(row.values())
-        if transform:
-            tt[k, list(row_t)] = list(row_t.values())
+    if not pivots:
+        return (h, tt) if transform else h
+    cols = [j for _, row, _ in pivots for j in row]
+    h[[k for k, (_, row, _) in enumerate(pivots) for _ in row], cols if place is None else place[cols]] = \
+        [x for _, row, _ in pivots for x in row.values()]
+    if transform:
+        tt[[k for k, (_, _, row_t) in enumerate(pivots) for _ in row_t],
+           [j for _, _, row_t in pivots for j in row_t]] = [x for _, _, row_t in pivots for x in row_t.values()]
+    tails = {j for col, row, _ in pivots for j in row if j != col}
     for k, (col, _, _) in enumerate(pivots):
+        if col not in tails:
+            continue
+        col = col if place is None else place[col]
         q = h[:k, col] // h[k, col]
-        above = np.flatnonzero(q)
+        above = q.nonzero()[0]
         if above.size:
             q = q[above, None]
             h[above] = (h[above] - q * h[k]) % m
@@ -416,17 +433,17 @@ def _row_dicts(a: SparseMatrix) -> list[dict]:
     return rows
 
 
-def _eliminate(rows: list[dict], cols: int, ring: ModRing, transform: bool,
-               kernel: list | None = None):
+def _eliminate(rows: list[dict], ring: ModRing, transform: bool, kernel: list | None = None):
     """Sparse forward elimination of ``rows``, the ``{col: value}`` dicts of
-    a ``cols``-column matrix A (values reduced mod p^n, zeros absent); the
-    dicts are consumed.
+    a matrix A (values reduced mod p^n, zeros absent); the dicts are
+    consumed.
 
     Returns the pivots as (col, row, transform row) in increasing column
     order; rows are ``{col: value}`` dicts of Python ints, and transform
     rows (None unless ``transform``) give each row in terms of the rows of
     A.  Each row is kept in the bucket of its leading column, so column
-    ``c`` visits only the rows that are nonzero there.  Eliminating a row
+    ``c`` visits only the rows that are nonzero there, and a heap of the
+    columns that have a bucket skips the others.  Eliminating a row
     costs O(nnz(pivot) + nnz(row)), after which the row moves to the bucket
     of its new leading column.  The pivot of column ``c`` is a row of
     minimal valuation at ``c``; ties go to the lowest rank, where input rows
@@ -439,21 +456,30 @@ def _eliminate(rows: list[dict], cols: int, ring: ModRing, transform: bool,
     that is or becomes zero, and of every stabilization row that is zero
     while its transform is not, is appended to it as a dict.  Those are the
     rows of the Howell form of [A | I] that vanish on A, before that form
-    eliminates them, so they span the left kernel of A.  ``left_kernel``
-    hands it only the rows that its peel keeps (``_unforced_rows``): the
-    others vanish in every kernel vector.
+    eliminates them, so they span the left kernel of A.
+    ``block_left_kernels`` hands it only the rows that its peel keeps
+    (``_unforced_rows``): the others vanish in every kernel vector.
     """
     m = ring.modulus
     p = ring.p
 
     # buckets[c]: (rank, row, transform row) for each row leading at column c
-    buckets: list[list] = [[] for _ in range(cols)]
+    buckets: dict[int, list] = {}
     for i, row in enumerate(rows):
         if row:
-            buckets[min(row)].append((i, row, {i: 1} if transform else None))
+            buckets.setdefault(min(row), []).append((i, row, {i: 1} if transform else None))
         elif kernel is not None:
             kernel.append({i: 1})
+    todo = sorted(buckets)  # the columns with a bucket, as a heap
     next_rank = len(rows)
+
+    def move(entry, c) -> None:
+        bucket = buckets.get(c)
+        if bucket is None:
+            buckets[c] = [entry]
+            heapq.heappush(todo, c)
+        else:
+            bucket.append(entry)
 
     def subtract(row: dict, q: int, tail) -> None:  # row -= q * tail, mod m
         for j, x in tail:
@@ -464,10 +490,9 @@ def _eliminate(rows: list[dict], cols: int, ring: ModRing, transform: bool,
                 row.pop(j, None)
 
     pivots: list[tuple[int, dict, dict | None]] = []  # (col, row, transform row)
-    for col in range(cols):
-        bucket = buckets[col]
-        if not bucket:
-            continue
+    while todo:
+        col = heapq.heappop(todo)
+        bucket = buckets.pop(col)
         best = min(bucket, key=lambda e: (ring.val(e[1][col]), e[0]))
         _, piv, piv_t = best
         v = ring.val(piv[col])
@@ -488,7 +513,7 @@ def _eliminate(rows: list[dict], cols: int, ring: ModRing, transform: bool,
             if transform:
                 subtract(row_t, q, tail_t)
             if row:
-                buckets[min(row)].append(entry)
+                move(entry, min(row))
             elif kernel is not None and row_t:
                 kernel.append(row_t)
         if v > 0:
@@ -497,7 +522,7 @@ def _eliminate(rows: list[dict], cols: int, ring: ModRing, transform: bool,
             if srow or kernel is not None:
                 srow_t = {j: y for j, x in piv_t.items() if (y := x * s % m)} if transform else None
                 if srow:
-                    buckets[min(srow)].append((next_rank, srow, srow_t))
+                    move((next_rank, srow, srow_t), min(srow))
                     next_rank += 1
                 elif srow_t:
                     kernel.append(srow_t)
@@ -545,10 +570,23 @@ def span_solver(rows: np.ndarray, ring: ModRing):
 
 def left_kernel(matrix, ring: ModRing) -> np.ndarray:
     """Howell basis of {v : v @ matrix == 0} over Z/p^n, as a dense
-    (kernel rank) x (rows of ``matrix``) array.
+    (kernel rank) x (rows of ``matrix``) array: the one-block case of
+    ``block_left_kernels``.  ``matrix`` is dense or a :class:`SparseMatrix`."""
+    a = as_sparse(matrix, ring.modulus)
+    return block_left_kernels(a, ring, [a.shape[0]])[0]
+
+
+def block_left_kernels(matrix, ring: ModRing, row_ends) -> list[np.ndarray]:
+    """The Howell bases of the left kernels of the diagonal blocks of a
+    block-diagonal ``matrix`` over Z/p^n: block k has the rows
+    ``row_ends[k-1]:row_ends[k]`` (from 0; the last end is the row count,
+    and a matrix without rows may have no ends) and the columns after those
+    of block k - 1.  Each basis is a dense (kernel rank) x (rows of the
+    block) array, 0 x 0 for a block without rows.
 
     ``matrix`` is dense or a :class:`SparseMatrix`; both become the same
-    ``{col: value}`` rows.  First the rows that every kernel vector must
+    ``{col: value}`` rows, and the whole matrix is peeled, eliminated and
+    Howell-reduced at once.  First the rows that every kernel vector must
     vanish on are peeled (``_unforced_rows``): a column whose only nonzero
     entry among the rows still kept is a unit ``A[r, c]`` forces v_r = 0,
     so row r is dropped, until no column qualifies.  A non-unit singleton
@@ -559,27 +597,59 @@ def left_kernel(matrix, ring: ModRing) -> np.ndarray:
     the same rows the Howell form of [A | I] has right of A.  The peeled
     rows come back as zero columns, which keeps that form canonical, so
     the result equals the kernel computed without the peel.
+
+    No row or elimination step mixes two blocks, so the forward-eliminated
+    kernel splits by block; each block's pivots are back-reduced and made
+    dense on their own, which gives that block's Howell basis, as the
+    Howell form of a block-diagonal span is the per-block forms stacked.
+    A kernel row that crosses a block boundary (``matrix`` is not block
+    diagonal) raises ValueError.
     """
     a = as_sparse(matrix, ring.modulus)
-    nrows, ncols = a.shape
+    nrows = a.shape[0]
+    ends = [int(end) for end in row_ends]
+    starts = [0, *ends[:-1]]
+    if (ends[-1] if ends else 0) != nrows or any(lo > hi for lo, hi in zip(starts, ends)):
+        raise ValueError(f"row ends {ends} do not cut {nrows} rows into blocks")
     if not nrows:
-        return mzeros(0, 0)
+        return [mzeros(0, 0) for _ in ends]
     kept = _unforced_rows(a.rows, a.cols, a.vals, nrows, ring.p)
-    renumber = np.cumsum(kept) - 1
-    nkept = int(renumber[-1]) + 1
-    e = np.flatnonzero(kept[a.rows])
+    e = kept[a.rows].nonzero()[0]
+    renumber = np.cumsum(kept)
+    kept_ends = [int(renumber[end - 1]) if end else 0 for end in ends]
+    peeled = SparseMatrix(renumber[a.rows[e]] - 1, a.cols[e], a.vals[e], (kept_ends[-1], a.shape[1]))
     gens: list[dict] = []
-    peeled = SparseMatrix(renumber[a.rows[e]], a.cols[e], a.vals[e], (nkept, ncols))
-    _eliminate(_row_dicts(peeled), ncols, ring, transform=True, kernel=gens)
-    h = _howell(gens, nkept, ring, False)
-    out = mzeros(h.shape[0], nrows)
-    out[:, kept] = h
-    return out
+    _eliminate(_row_dicts(peeled), ring, transform=True, kernel=gens)
+    pivots = _eliminate(gens, ring, False)
+    split = [pivots] if len(ends) == 1 else _split_blocks(pivots, kept_ends)
+    # each kept row as a row of its block (itself when one block keeps every row)
+    local = None if kept_ends == [nrows] else kept.nonzero()[0]
+    if len(ends) > 1:
+        local -= np.repeat(starts, [hi - lo for lo, hi in zip([0, *kept_ends], kept_ends)])
+    return [_reduced(rows, local, hi - lo, 0, ring, False) if hi > lo else mzeros(0, 0)
+            for lo, hi, rows in zip(starts, ends, split)]
+
+
+def _split_blocks(pivots: list, ends: list[int]) -> list[list]:
+    """The kernel ``pivots`` of ``_eliminate``, in increasing column order
+    (a column is a kept row), split by block: block k holds the columns
+    below ``ends[k]``.  A row that crosses a block boundary raises
+    ValueError."""
+    split: list[list] = [[] for _ in ends]
+    block = 0
+    for pivot in pivots:
+        while pivot[0] >= ends[block]:
+            block += 1
+        if max(pivot[1]) >= ends[block]:
+            raise ValueError("a kernel row crosses a block boundary: the matrix is not block diagonal")
+        split[block].append(pivot)
+    return split
 
 
 def _unforced_rows(r: np.ndarray, c: np.ndarray, v: np.ndarray, nrows: int, p: int) -> np.ndarray:
-    """Mask of the rows that the peel of ``left_kernel`` keeps, given the
-    nonzero entries (r, c, v) of an ``nrows``-row matrix over Z/p^n.
+    """Mask of the rows that the peel of ``block_left_kernels`` keeps,
+    given the nonzero entries (r, c, v) of an ``nrows``-row matrix over
+    Z/p^n.
 
     A column whose only entry among the rows still kept is a unit forces
     its row to zero in every kernel vector, so that row is dropped.  Each
@@ -632,7 +702,7 @@ def minimal_generators(rows: np.ndarray, ring: ModRing) -> np.ndarray:
         return rows
     fp = ModRing(ring.p, 1)
     a = as_sparse(rows.T, ring.p)
-    return rows[[col for col, _, _ in _eliminate(_row_dicts(a), a.shape[1], fp, False)]]
+    return rows[[col for col, _, _ in _eliminate(_row_dicts(a), fp, False)]]
 
 
 def local_smith(matrix: np.ndarray, ring: ModRing, want_transform: bool = False):

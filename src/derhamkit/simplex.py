@@ -7,16 +7,17 @@ transform and the diagonal build all of them when the first is read.  The
 identities are checked on the triples; dense matrices are made on request
 (``face``, ``degen``).  The action of an arbitrary monotone map is derived
 from its epi-mono factorization into generators.  The normalized complex
-takes kernels of the first n faces, handed to ``left_kernel`` as triples,
-with differential (-1)^n d_n; the unnormalized one sums all signed faces
-in one sort.
+takes the kernels of the first n faces of every slice in one pass: the
+face triples of all slices become one block-diagonal matrix, handed to
+``block_left_kernels``, with differential (-1)^n d_n; the unnormalized
+one sums all signed faces in one sort.
 
 There is one Kan operator.  The double Kan transform of a double complex
 sums D_{p,q} over pairs of monotone surjections [m] ->> [p], [n] ->> [q];
 a face or degeneracy moves each summand to at most one summand, by the
 identity when the injective factor is trivial and by the signed
-differential when it is the last face (``kan_block``, read through the
-memoized ``_kan_plan`` and tabulated by ``_kan_table``).  Summand offsets
+differential when it is the last face (``kan_block``, tabulated on
+index arrays by ``_kan_table``).  Summand offsets
 are affine in the surjections' indices, so one array pass builds every
 face, or every degeneracy, of a module in one direction.  The Kan
 transform K(C) is the row q = 0 of the double Kan transform of C, and the
@@ -32,7 +33,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from types import MappingProxyType
 from typing import Callable, Iterable
 
 import numpy as np
@@ -47,9 +47,9 @@ from .exactlin import (
     SparseMatrix,
     as_sparse,
     canonical,
+    block_left_kernels,
     express_in_basis,
     howell_form,
-    left_kernel,
     midentity,
     minimal_generators,
     mmul,
@@ -292,71 +292,71 @@ class NormalizedData:
 def normalized_complex(x: SimplicialModule, with_basis: bool = False):
     """N X_n = intersection of ker d_i (i < n), differential (-1)^n d_n.
 
-    Each slice X_{n,w} hands the triples of d_0 ... d_{n-1}, side by side
-    (the columns of d_i offset by i * dim X_{n-1,w}), to ``left_kernel`` as
-    one :class:`SparseMatrix`; no dense slice is built.  ``left_kernel``
-    first drops the rows that a column with a single unit entry forces to
-    zero, and most rows go that way: on a Kan transform K(C) it keeps just
-    the rows of the summand C_n, which is N K(C)_n.
+    The slices X_{n,w} are laid end to end as the blocks [d_0 | ... |
+    d_{n-1}] of one block-diagonal :class:`SparseMatrix`, built from the
+    face triples in one pass (``_face_blocks``), and one
+    ``block_left_kernels`` call gives the Howell basis of every slice's
+    kernel; no dense slice is built.  Its peel drops the rows that a column
+    with a single unit entry forces to zero, and most rows go that way: on
+    a Kan transform K(C) it keeps just the rows of the summand C_n, which
+    is N K(C)_n.
 
-    When every row of the kernel's Howell basis has leading entry 1 (always
+    When every row of a kernel's Howell basis has leading entry 1 (always
     over F_p, and on every Kan transform), that basis is free and is the
     basis of the slice as it stands.  Otherwise the minimal generators of
     the kernel must span it, or the slice is not free and the input is not
     simplicial; only then do ``minimal_generators`` and the freeness check
-    run.  The differential is the image of the basis under (-1)^n d_n,
-    taken from the d_n triple, in the basis of the slice below.  When that
-    basis has pivots 1, its rows are the unit vectors on the pivot columns,
-    so the coordinates are the pivot columns of the image, checked by one
-    product; otherwise ``express_in_basis`` solves for them.  An image
-    outside the span raises ValueError either way; a slice that is not
-    free, or a differential that escapes the lower term, fails naming its
-    slice (degree n, weight w).
+    run, on that slice.  The differential is the image of the basis under
+    (-1)^n d_n, taken from the d_n triple, in the basis of the slice below.
+    When that basis has pivots 1, its rows are the unit vectors on the
+    pivot columns, so the coordinates are the pivot columns of the image,
+    checked by one product; otherwise ``express_in_basis`` solves for
+    them.  A slice that is not free, a differential that escapes the lower
+    term and an image outside the span of a basis with pivots 1 each fail
+    naming the slice (degree n, weight w).
     """
     ring = x.ring
     m = ring.modulus
+    slices = [(n, w) for w in x.weights() for n in range(x.d_max + 1) if x.dim(n, w)]
+    kernels = block_left_kernels(_face_blocks(x, slices), ring, np.cumsum([x.dim(n, w) for n, w in slices]))
+    basis = {(n, w): mzeros(0, 0) for w in x.weights() for n in range(x.d_max + 1)}
+    pivots = {}  # the pivot columns of each basis whose pivots are all 1
     dims = {}
     diffs = {}
-    basis: dict = {}
-    for w in x.weights():
-        below = None  # pivot columns of the basis one degree down, if they are all 1
-        for n in range(x.d_max + 1):
-            dim = x.dim(n, w)
-            if dim == 0:
-                basis[(n, w)] = mzeros(0, 0)
-                below = None
-                continue
-            rows = midentity(dim) if n == 0 else left_kernel(_stacked_faces(x, n, w), ring)
-            here = _unit_pivots(rows)
-            if here is None:
-                ker = rows
-                rows = minimal_generators(ker, ring)
-                # ker is a Howell basis, so the rows span it iff they have it as Howell form
-                if not np.array_equal(howell_form(rows, ring), ker):
-                    raise AssertionError(f"normalized slice is not free (invalid simplicial input) "
-                                         f"at (degree {n}, weight {w})")
-            basis[(n, w)] = rows
-            if rows.shape[0]:
-                dims[(n, w)] = rows.shape[0]
-            if n >= 1 and rows.shape[0]:
-                # rows @ (-1)^n d_n: each entry of d_n adds a reduced column
-                img = mzeros(x.dim(n - 1, w), rows.shape[0])
-                d_n = x.faces.get((n, n, w))
-                if d_n is not None:
-                    np.add.at(img, d_n.cols, (rows[:, d_n.rows] * ((-1) ** n * d_n.vals) % m).T)
-                img = img.T % m
-                prev = basis[(n - 1, w)]
-                if prev.shape[0] and below is not None:
-                    coords = img[:, below]
-                    if not np.array_equal(mmul(coords, prev, ring), img):
-                        raise ValueError("vector not in span of the given basis")
-                    diffs[(n, w)] = coords
-                elif prev.shape[0]:
-                    diffs[(n, w)] = express_in_basis(img, prev, ring)
-                elif img.any():
-                    raise AssertionError(f"normalized differential escapes the lower term "
-                                         f"at (degree {n}, weight {w})")
-            below = here
+    for (n, w), rows in zip(slices, kernels):
+        here = _unit_pivots(rows)
+        if here is None:
+            ker = rows
+            rows = minimal_generators(ker, ring)
+            # ker is a Howell basis, so the rows span it iff they have it as Howell form
+            if not np.array_equal(howell_form(rows, ring), ker):
+                raise AssertionError(f"normalized slice is not free (invalid simplicial input) "
+                                     f"at (degree {n}, weight {w})")
+        else:
+            pivots[(n, w)] = here
+        basis[(n, w)] = rows
+        if not rows.shape[0]:
+            continue
+        dims[(n, w)] = rows.shape[0]
+        if n == 0:
+            continue
+        # rows @ (-1)^n d_n: each entry of d_n adds a reduced column
+        img = mzeros(x.dim(n - 1, w), rows.shape[0])
+        d_n = x.faces.get((n, n, w))
+        if d_n is not None:
+            np.add.at(img, d_n.cols, (rows[:, d_n.rows] * ((-1) ** n * d_n.vals) % m).T)
+        img = img.T % m
+        prev = basis[(n - 1, w)]
+        if prev.shape[0] and (n - 1, w) in pivots:
+            coords = img[:, pivots[(n - 1, w)]]
+            if not np.array_equal(mmul(coords, prev, ring), img):
+                raise ValueError(f"normalized differential is not in span of the basis below "
+                                 f"at (degree {n}, weight {w})")
+            diffs[(n, w)] = coords
+        elif prev.shape[0]:
+            diffs[(n, w)] = express_in_basis(img, prev, ring)
+        elif img.any():
+            raise AssertionError(f"normalized differential escapes the lower term at (degree {n}, weight {w})")
     cx = GradedSliceComplex(ring, 0, x.d_max, dims, diffs, trusted=(0, max(x.d_max - 1, 0)))
     cx.validate()
     if with_basis:
@@ -373,17 +373,50 @@ def _unit_pivots(rows: np.ndarray) -> np.ndarray | None:
     return lead if (rows[np.arange(rows.shape[0]), lead] == 1).all() else None
 
 
-def _stacked_faces(x: SimplicialModule, n: int, w: int) -> SparseMatrix:
-    """[d_0 | d_1 | ... | d_{n-1}] on X_{n,w}, from the stored triples.
+def _face_blocks(x: SimplicialModule, slices: list) -> SparseMatrix:
+    """The canonical block-diagonal matrix whose blocks are [d_0 | ... |
+    d_{n-1}] on the ``slices`` (n, w) of ``x``, in their order: the
+    columns of d_i are offset by i * dim X_{n-1,w}, and a block with n = 0
+    has no columns.
 
-    The faces are canonical and side by side, so their positions are
-    distinct, and a stable sort on the rows makes the whole row-major."""
-    cols = x.dim(n - 1, w)
-    faces = [x._face(n, i, w) for i in range(n)]
-    rows = np.concatenate([f.rows for f in faces])
-    order = rows.argsort(kind="stable")
-    return canonical(rows[order], np.concatenate([f.cols + i * cols for i, f in enumerate(faces)])[order],
-                     np.concatenate([f.vals for f in faces])[order], (x.dim(n, w), n * cols), x.ring.modulus)
+    It comes from one pass over the face triples, row-major by
+    construction.  The faces d_0 ... d_{n-1} of a slice are merged by a
+    counting sort on (row, i): every face row is a run of entries in
+    increasing column, and the runs of one row follow one another in
+    increasing i, so each run moves to the number of entries of the runs
+    before it."""
+    index = {key: k for k, key in enumerate(slices)}
+    row_at, col_at = [0], [0]  # where each block starts
+    for n, w in slices:
+        row_at.append(row_at[-1] + x.dim(n, w))
+        col_at.append(col_at[-1] + n * x.dim(n - 1, w))
+    parts = []  # (row offset, column offset, i, d_i)
+    for (n, i, w), f in x.faces.items():
+        k = index.get((n, w))
+        if k is not None and i < n:
+            parts.append((row_at[k], col_at[k] + i * x.dim(n - 1, w), i, f))
+    counts = [f.vals.size for *_, f in parts]
+    rows, cols, vals = (np.concatenate([f[k] for *_, f in parts] or [np.zeros(0, np.int64)]) for k in range(3))
+    rows += np.array([part[0] for part in parts], dtype=np.int64).repeat(counts)
+    cols += np.array([part[1] for part in parts], dtype=np.int64).repeat(counts)
+    steps = max(x.d_max, 1)  # i < n <= d_max
+    key = np.array([part[2] for part in parts], dtype=np.int64).repeat(counts)
+    key += rows * steps
+    count = np.bincount(key, minlength=row_at[-1] * steps)
+    shift = count.cumsum()
+    shift -= count  # where the entries of each (row, i) start
+    del count
+    head = np.ones(key.size, dtype=bool)  # the first entry of each face row
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    first = head.nonzero()[0]
+    shift[key[first]] -= first
+    del head, first
+    place = shift[key]
+    del key, shift
+    place += np.arange(place.size)
+    for a in (rows, cols, vals):
+        a[place] = a.copy()
+    return canonical(rows, cols, vals, (row_at[-1], col_at[-1]), x.ring.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +437,6 @@ def kan_block(eta: MonotoneMap, alpha: MonotoneMap) -> tuple[tuple[int, ...], st
     if mono.source == eta.target - 1 and mono.values == tuple(range(eta.target)):
         return eta2.values, "d"
     return None
-
-
-@lru_cache(maxsize=None)
-def _kan_plan(n: int, i: int, face: bool) -> MappingProxyType:
-    """The ``kan_block`` rule of alpha = d_i or s_i on the summands of K_n,
-    for any input: eta.values -> (eta'.values, kind) for every surjection
-    eta: [n] ->> [p] whose block is not zero.  Read-only, as it is shared."""
-    alpha = MonotoneMap.face(n, i) if face else MonotoneMap.degeneracy(n, i)
-    plan = {}
-    for p in range(n, -1, -1):
-        for eta in monotone_surjections(n, p):
-            rule = kan_block(eta, alpha)
-            if rule is not None:
-                plan[eta.values] = rule
-    return MappingProxyType(plan)
 
 
 def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> SimplicialModule:
@@ -453,21 +471,55 @@ def _simplicial(b: "BisimplicialModule", directions: str, d_max: int, dims: dict
 
 @lru_cache(maxsize=None)
 def _kan_table(top: int, face: bool) -> np.ndarray:
-    """The ``_kan_plan`` rules of every d_i (or s_i) on K_m, m <= top, as
+    """The ``kan_block`` rules of every d_i (or s_i) on K_m, m <= top, as
     read-only int64 rows (m, p, e, i, kind, e') sorted by (m, p, e, i): d_i
     sends surjection e: [m] ->> [p] (its index in ``monotone_surjections``)
     to surjection e' of [m -/+ 1] ->> [p - kind] by the identity (kind 0) or
-    the differential (kind 1).  A zero block has no row."""
+    the differential (kind 1).  A zero block has no row.
+
+    Computed on the step sets of ``_surjection_codes``.  With e(-1) = -1
+    and e(m + 1) = p + 1, e o d_i misses the value e(i) exactly when both
+    i and i + 1 are steps.  It misses nothing (the identity, to the steps
+    of e with those after i moved one down), or it misses p, which happens
+    only for i = m, where the mono factor is the last face (the
+    differential, to the steps of e but m), or the block is zero.
+    e o s_i is onto, with the steps of e after i moved one up."""
     rows = []
     for m in range(1 if face else 0, top + 1):
-        target = m - 1 if face else m + 1
-        index = {eta.values: e for p in range(target + 1) for e, eta in enumerate(monotone_surjections(target, p))}
-        plans = [_kan_plan(m, i, face) for i in range(m + 1)]
-        for p in range(m + 1):
-            for e, eta in enumerate(monotone_surjections(m, p)):
-                rows += [(m, p, e, i, plan[eta.values][1] == "d", index[plan[eta.values][0]])
-                         for i, plan in enumerate(plans) if eta.values in plan]
-    return _read_only(np.array(rows, dtype=np.int64).reshape(-1, 6))
+        steps, p, e, _ = _surjection_codes(m)
+        i = np.arange(m + 1)
+        low = (1 << i) - 1  # the steps 1 ... i
+        if face:
+            bounded = (steps << 1 | 1 | 1 << (m + 1))[:, None]  # bit j: j is a step, for 0 <= j <= m + 1
+            missed = (bounded >> i & bounded >> (i + 1) & 1).astype(bool)
+            kind = missed & (i == m)
+            new = np.where(kind, steps[:, None] & ~(1 << (m - 1)), steps[:, None] & low | (steps[:, None] & ~low) >> 1)
+            keep = ~missed | kind
+        else:
+            kind = np.zeros((steps.size, m + 1), dtype=bool)
+            new = steps[:, None] & low | (steps[:, None] & ~low) << 1
+            keep = ~kind
+        index = _surjection_codes(m - 1 if face else m + 1)[3]
+        grid = [np.broadcast_to(a, kind.shape)[keep] for a in (m, p[:, None], e[:, None], i, kind, index[new])]
+        rows.append(np.stack(grid, axis=1))
+    return _read_only(np.concatenate(rows or [np.zeros((0, 6), dtype=np.int64)]).astype(np.int64))
+
+
+@lru_cache(maxsize=None)
+def _surjection_codes(m: int) -> tuple[np.ndarray, ...]:
+    """(steps, p, e, index) for the surjections e: [m] ->> [p] in the order
+    (p, e) of ``monotone_surjections``.  ``steps`` holds the step set {j :
+    e(j) = e(j - 1) + 1} as the bits j - 1; sets of one size list in
+    lexicographic order, which is decreasing order of the bit-reversed set.
+    ``index[steps]`` is e."""
+    codes = np.arange(1 << m, dtype=np.int64)
+    bits = codes[:, None] >> np.arange(m) & 1
+    p = bits.sum(axis=1)
+    order = np.lexsort((-(bits @ (1 << np.arange(m)[::-1])), p))
+    first = np.searchsorted(p[order], p[order])  # the first surjection onto each [p]
+    index = np.empty_like(codes)
+    index[order] = np.arange(codes.size) - first
+    return _read_only(codes[order]), _read_only(p[order]), _read_only(index[order]), _read_only(index)
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from derhamkit.exactlin import (
 )
 from derhamkit.simplex import (
     MonotoneMap,
-    _kan_plan,
     NormalizedData,
     SimplicialModule,
     kan_block,
@@ -56,6 +56,21 @@ from derhamkit.simplex import (
 
 # these references ask for the same blocks many times over
 kan_block = lru_cache(maxsize=None)(kan_block)
+
+
+@lru_cache(maxsize=None)
+def _kan_plan(n: int, i: int, face: bool) -> MappingProxyType:
+    """The ``kan_block`` rule of alpha = d_i or s_i on the summands of K_n,
+    for any input: eta.values -> (eta'.values, kind) for every surjection
+    eta: [n] ->> [p] whose block is not zero.  Read-only, as it is shared."""
+    alpha = MonotoneMap.face(n, i) if face else MonotoneMap.degeneracy(n, i)
+    plan = {}
+    for p in range(n, -1, -1):
+        for eta in monotone_surjections(n, p):
+            rule = kan_block(eta, alpha)
+            if rule is not None:
+                plan[eta.values] = rule
+    return MappingProxyType(plan)
 
 
 def validate_simplicial(self: SimplicialModule) -> None:

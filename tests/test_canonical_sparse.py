@@ -4,7 +4,8 @@
 at the modulus asked for (``exactlin.canonical``).  The producers that mark
 their results are ``as_sparse`` itself, ``sparse_product``,
 ``BisimplicialModule._build`` (every Kan operator of a module, in one pass),
-``simplex._stacked_faces`` and the re-sliced functor images of
+``simplex._face_blocks`` (the faces of every slice of a module, in one
+pass) and the re-sliced functor images of
 ``pdpow.apply_functor_to_module``.  The tests here check that every result
 of the last three is canonical (``test_exactlin`` checks the products), that
 anything else (a directly built triple, a ``_replace``, another modulus) is
@@ -79,15 +80,61 @@ def _stacking_inputs():
         yield diagonal(double_kan(dc, 3, 3))
 
 
+def _face_blocks(x):
+    """``simplex._face_blocks`` on the slices of ``x`` as ``normalized_complex``
+    lays them out, with those slices and their row offsets."""
+    slices = [(n, w) for w in x.weights() for n in range(x.d_max + 1) if x.dim(n, w)]
+    sizes = np.array([x.dim(n, w) for n, w in slices], dtype=np.int64)
+    offsets = sizes.cumsum() - sizes
+    return simplex._face_blocks(x, slices), slices, offsets.tolist()
+
+
+def _block(a, rows, cols, m):
+    """The block of ``a``, canonical mod m, on the row and column ranges, as
+    a canonical triple; an entry of those rows outside the columns fails."""
+    lo, hi = a.rows.searchsorted(rows)
+    assert ((a.cols[lo:hi] >= cols[0]) & (a.cols[lo:hi] < cols[1])).all(), (rows, cols)
+    return as_sparse(SparseMatrix(a.rows[lo:hi] - rows[0], a.cols[lo:hi] - cols[0], a.vals[lo:hi],
+                                  (rows[1] - rows[0], cols[1] - cols[0])), m)
+
+
 def test_the_stacked_faces_are_canonical():
     count = 0
     for x in _stacking_inputs():
-        for (n, w) in x.dims:
-            if n:
-                out = simplex._stacked_faces(x, n, w)
-                assert_canonical(out, x.ring.modulus)
-                count += out.vals.size > 0
+        m = x.ring.modulus
+        stacked, slices, offsets = _face_blocks(x)
+        assert_canonical(stacked, m)
+        start = 0  # the first column of the block of each slice
+        for (n, w), row in zip(slices, offsets):
+            rows, below = (row, row + x.dim(n, w)), x.dim(n - 1, w)
+            width = n * below
+            want = np.hstack([x.face(n, i, w) for i in range(n)]) if width else np.zeros((rows[1] - rows[0], 0))
+            assert _block(stacked, rows, (start, start + width), m) == as_sparse(want, m), (n, w)
+            start += width
+            count += stacked.rows.searchsorted(rows[1]) > stacked.rows.searchsorted(rows[0])
+        assert stacked.shape == (offsets[-1] + x.dim(*slices[-1]), start)
     assert count > 10
+
+
+def test_a_block_column_offset_off_by_one_fails_the_stacked_faces_test(monkeypatch):
+    honest = simplex._face_blocks
+
+    def shifted(x, slices):
+        stacked = honest(x, slices)
+        # the entries of the rows of the second slice with entries move one column right
+        rows = np.unique(stacked.rows)
+        sizes = np.array([x.dim(n, w) for n, w in slices], dtype=np.int64)
+        starts = sizes.cumsum() - sizes
+        k = np.unique(starts.searchsorted(rows, side="right") - 1)[1]
+        lo, hi = stacked.rows.searchsorted([starts[k], starts[k] + x.dim(*slices[k])])
+        cols = stacked.cols.copy()
+        cols[lo:hi] += 1
+        shape = (stacked.shape[0], max(stacked.shape[1], int(cols.max()) + 1))
+        return exactlin.canonical(stacked.rows, cols, stacked.vals, shape, x.ring.modulus)
+
+    monkeypatch.setattr(simplex, "_face_blocks", shifted)
+    with pytest.raises(AssertionError):
+        test_the_stacked_faces_are_canonical()
 
 
 def _resliced(monkeypatch):
@@ -191,7 +238,7 @@ def _count_recanonicalised(monkeypatch, calls):
         return out
 
     honest_as_sparse, honest_product = exactlin.as_sparse, exactlin.sparse_product
-    honest_build, honest_stacked = BisimplicialModule._build, simplex._stacked_faces
+    honest_build, honest_stacked = BisimplicialModule._build, simplex._face_blocks
     honest_canonical = pdpow.canonical
 
     def counted_as_sparse(matrix, m):
@@ -212,8 +259,8 @@ def _count_recanonicalised(monkeypatch, calls):
     _patch_everywhere(monkeypatch, "as_sparse", counted_as_sparse)
     _patch_everywhere(monkeypatch, "sparse_product", lambda a, b, m: keep(honest_product(a, b, m), m, "sparse_product"))
     monkeypatch.setattr(BisimplicialModule, "_build", counted_build)
-    monkeypatch.setattr(simplex, "_stacked_faces",
-                        lambda x, n, w: keep(honest_stacked(x, n, w), x.ring.modulus, "_stacked_faces"))
+    monkeypatch.setattr(simplex, "_face_blocks",
+                        lambda x, slices: keep(honest_stacked(x, slices), x.ring.modulus, "_face_blocks"))
     monkeypatch.setattr(pdpow, "canonical", lambda *args: keep(honest_canonical(*args), args[-1], "resliced"))
     for name, params in calls:
         assert run_suite(name, params, seed=1).summary["fail"] == 0

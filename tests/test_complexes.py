@@ -40,6 +40,28 @@ def test_mod4_multiplication_by_two():
     assert slice_homology(cx, 1, 0) == [2]
 
 
+@pytest.mark.parametrize("p,n,first,second,want", [
+    (2, 2, 2, 2, [[2], [], [2]]),
+    (2, 3, 2, 4, [[4], [], [2]]),
+    (3, 2, 3, 3, [[3], [], [3]]),
+], ids=["Z/4 x2 then x2", "Z/8 x2 then x4", "Z/9 x3 then x3"])
+def test_homology_of_a_complex_that_does_not_split(p, n, first, second, want):
+    # Z/p^n --(x first)--> Z/p^n --(x second)--> Z/p^n in degrees 2, 1, 0, and
+    # neither arrow splits off.  By hand: H_0 = Z/(second), H_1 = ker(x second)
+    # / im(x first) = 0 (both are the multiples of p^n / second), H_2 = ker(x first)
+    ring = ModRing(p, n)
+    cx = GradedSliceComplex(ring, 0, 2, {(k, 0): 1 for k in range(3)},
+                            {(2, 0): np.array([[first]]), (1, 0): np.array([[second]])})
+    for degree, factors in enumerate(want):
+        assert slice_homology(cx, degree, 0) == factors
+        assert homology_quotient(cx, degree, 0).factors == factors
+        assert reference_complexes.homology_quotient(cx, degree, 0).factors == factors
+    # mod p both arrows vanish: every H_k(C/p) is F_p, although H_1(C) has no cyclic factor
+    red = GradedSliceComplex(ModRing(p, 1), 0, 2, {(k, 0): 1 for k in range(3)}, {})
+    assert [len(slice_homology(red, k, 0)) for k in range(3)] == [1, 1, 1]
+    assert [len(factors) for factors in want] == [1, 0, 1]
+
+
 def test_zero_differentials_homology_is_terms():
     ring = ModRing(3, 2)
     cx = GradedSliceComplex(ring, 0, 2, {(0, 0): 2, (1, 1): 1, (2, 0): 3}, {})

@@ -1,5 +1,6 @@
 """Kernel linear algebra: Smith/Howell forms, invariants, valuations, resultants."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -22,6 +23,7 @@ from derhamkit.exactlin import (
     SliceQuotient,
     SparseMatrix,
     as_sparse,
+    block_left_kernels,
     express_in_basis,
     howell_form,
     left_kernel,
@@ -614,6 +616,57 @@ def test_the_peel_drops_just_the_rows_forced_to_zero(ring):
         r, c = np.nonzero(a)
         keep = exactlin._unforced_rows(r, c, a[r, c], a.shape[0], ring.p)
         assert np.flatnonzero(keep).tolist() == kept, name
+
+
+def _block_diagonal(blocks):
+    """The dense block-diagonal matrix of ``blocks``, and its row ends."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=np.int64)
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out, np.cumsum([b.shape[0] for b in blocks], dtype=np.int64)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_block_left_kernels_are_the_two_pass_kernels_of_the_blocks(ring):
+    rng = np.random.default_rng(ring.modulus)
+    blocks = [np.atleast_2d(np.asarray(mat, dtype=np.int64)) % ring.modulus
+              for mat in [*_kernel_inputs(ring), *(mat for _, mat, _ in _peel_cases(ring))]]
+    # a block whose kernel is empty, one of zero rows, one without rows and one without columns
+    between = [np.eye(3, dtype=np.int64), np.zeros((2, 3), dtype=np.int64),
+               np.zeros((0, 2), dtype=np.int64), np.ones((2, 0), dtype=np.int64)]
+    empty = 0
+    for start in range(0, len(blocks), 6):
+        group = [b for pair in zip(blocks[start:start + 6], itertools.cycle(between)) for b in pair]
+        a, ends = _block_diagonal(group)
+        for matrix in (a, _as_sparse(a, ring, rng)):
+            bases = block_left_kernels(matrix, ring, ends)
+            assert len(bases) == len(group)
+            for block, ker in zip(group, bases):
+                want = reference_left_kernel(block, ring)
+                assert ker.shape == want.shape and ker.dtype == want.dtype
+                assert (ker == want).all()
+                empty += block.shape[0] > 0 and ker.shape[0] == 0
+    assert empty > 10
+
+
+def test_block_left_kernels_reject_bad_row_ends_and_a_matrix_that_is_not_block_diagonal():
+    ring = ModRing(3, 1)
+    a = np.array([[1, 1], [1, 1]])
+    for ends in ([], [1], [2, 1], [3]):
+        with pytest.raises(ValueError, match="do not cut 2 rows"):
+            block_left_kernels(a, ring, np.array(ends, dtype=np.int64))
+    # v = (1, -1) is the kernel, and it crosses from block 0 into block 1
+    with pytest.raises(ValueError, match="not block diagonal"):
+        block_left_kernels(a, ring, [1, 2])
+    assert block_left_kernels(a, ring, [2])[0].tolist() == left_kernel(a, ring).tolist() == [[1, 2]]
+    # a matrix without rows is cut into no blocks, or into blocks without rows
+    none = np.zeros((0, 3), dtype=np.int64)
+    assert block_left_kernels(none, ring, []) == []
+    assert [k.shape for k in block_left_kernels(none, ring, [0, 0])] == [(0, 0), (0, 0)]
+    with pytest.raises(ValueError, match="do not cut 0 rows"):
+        block_left_kernels(none, ring, [1])
 
 
 @settings(max_examples=300, deadline=None)

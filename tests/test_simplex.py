@@ -346,11 +346,21 @@ def test_normalized_complex_of_the_largest_eilenberg_zilber_diagonal_peaks_below
 
 
 def test_normalized_complex_of_the_largest_eilenberg_zilber_diagonal_peaks_below_4_mib():
-    # the stacked faces reach left_kernel as triples, and most rows are peeled
+    # the stacked faces reach block_left_kernels as triples, and most rows are peeled
     diag = diagonal(double_kan(_largest_eilenberg_zilber_case(), 5, 5))
     n, _, peak = traced_peak(lambda: normalized_complex(diag))
     assert diag.dim(5, 0) == 810 and n.dims
     assert peak < 4 * 2 ** 20
+
+
+def test_normalized_complex_of_the_largest_eilenberg_zilber_diagonal_peaks_below_0_4_mib():
+    # measured at 0.35 MiB with every slice in one batch: the faces are
+    # merged by a counting sort, not a global sort, and each kernel basis is
+    # made dense block by block
+    diag = diagonal(double_kan(_largest_eilenberg_zilber_case(), 5, 5))
+    n, _, peak = traced_peak(lambda: normalized_complex(diag))
+    assert diag.dim(5, 0) == 810 and n.dims
+    assert peak < 0.4 * 2 ** 20
 
 
 def test_the_eilenberg_zilber_suite_peaks_below_8_mib():
@@ -489,24 +499,40 @@ def _leading_entries(rows):
     return [int(row[np.flatnonzero(row)[0]]) for row in rows]
 
 
+def _spy_on_the_kernels(monkeypatch):
+    """Record, for every ``normalized_complex`` call, its slices (n, w), the
+    row ends of its block matrix and the Howell bases that
+    ``block_left_kernels`` returned, one per slice."""
+    from derhamkit import simplex
+
+    calls = []
+    faces, kernels = simplex._face_blocks, simplex.block_left_kernels
+
+    def face_spy(x, slices):
+        calls.append({"slices": list(slices), "ring": x.ring})
+        return faces(x, slices)
+
+    def kernel_spy(a, ring, row_ends):
+        out = kernels(a, ring, row_ends)
+        calls[-1].update(ends=np.asarray(row_ends).tolist(), bases=[k.copy() for k in out])
+        return out
+
+    monkeypatch.setattr(simplex, "_face_blocks", face_spy)
+    monkeypatch.setattr(simplex, "block_left_kernels", kernel_spy)
+    return calls
+
+
 def test_minimal_generators_keep_the_reference_rows_on_every_dold_kan_call(monkeypatch):
     from reference_exactlin import minimal_generator_indices
 
-    from derhamkit import simplex
     from derhamkit.exactlin import minimal_generators
     from derhamkit.suites import run_suite
 
-    kernels = []
-    library = simplex.left_kernel
-
-    def spy(a, ring):
-        out = library(a, ring)
-        kernels.append((out, ring))
-        return out
-
-    monkeypatch.setattr(simplex, "left_kernel", spy)
+    calls = _spy_on_the_kernels(monkeypatch)
     report = run_suite("dold-kan-roundtrip", {"cases": 20, "max_degree": 5, "max_rank": 3}, seed=1)
     assert report.summary["fail"] == 0
+    # the kernel of each slice of degree n >= 1 (degree 0 takes the whole slice)
+    kernels = [(ker, call["ring"]) for call in calls for (n, _), ker in zip(call["slices"], call["bases"]) if n]
     assert len(kernels) > 100
     unit = 0
     for ker, ring in kernels:
@@ -554,6 +580,59 @@ def test_normalized_complex_failures_name_their_slice():
                            {(1, 0): [[1]], (1, 1): [[0]], (2, 0): [[0]], (2, 1): [[0]], (2, 2): [[1]]}, 3)
     with pytest.raises(AssertionError, match=r"escapes the lower term at \(degree 2, weight 3\)"):
         normalized_complex(x)
+
+
+def _modules_with_faces(ring, weights: dict):
+    """One module whose weight w has the dims and faces ``weights[w]``, as
+    ``_module_with_faces`` makes each weight."""
+    parts = [_module_with_faces(ring, dims, faces, w) for w, (dims, faces) in weights.items()]
+    return SimplicialModule(ring, max(x.d_max for x in parts), {k: v for x in parts for k, v in x.dims.items()},
+                            {k: v for x in parts for k, v in x.faces.items()}, {})
+
+
+def test_normalized_complex_with_a_zero_slice_between_nonzero_ones_equals_the_reference():
+    ring = ModRing(3, 1)
+    zero = {(n, i): [[0] * d for _ in range(r)] for n, r, d in ((2, 2, 0), (3, 1, 2)) for i in range(n + 1)}
+    x = _modules_with_faces(ring, {
+        # X_1 = 0 lies between X_0 and X_2; N_3 = X_3 and -d_3 sends it to (2, 1)
+        0: ({0: 2, 1: 0, 2: 2, 3: 1}, {**zero, (3, 3): [[1, 2]]}),
+        # d_0 is a unit, so the kernel of X_1 is empty, and X_2 = 0
+        1: ({0: 1, 1: 1}, {(1, 0): [[1]], (1, 1): [[1]]}),
+    })
+    _assert_normalized_equals_the_reference(x)
+    data = normalized_complex(x, with_basis=True)
+    assert data.complex.dims == {(0, 0): 2, (2, 0): 2, (3, 0): 1, (0, 1): 1}
+    assert data.basis[(1, 0)].shape == (0, 0) and data.basis[(1, 1)].shape == (0, 1)
+    assert data.complex.diff(3, 0).tolist() == [[2, 1]]
+
+
+@pytest.mark.parametrize("ring", [ModRing(2, 1), ModRing(3, 2)], ids=str)
+def test_a_module_without_slices_normalizes_to_the_empty_complex(ring):
+    from derhamkit.pdpow import apply_functor_to_module, derived_power
+
+    data = normalized_complex(SimplicialModule(ring, 3, {}, {}, {}), with_basis=True)
+    assert data.complex.dims == {} and data.basis == {}
+    # wedge^2 of a rank-1 module is 0 in every degree
+    c = GradedSliceComplex(ring, 0, 0, {(0, 0): 1}, {})
+    fx = apply_functor_to_module(kan_transform(c, d_max=3), "wedge", 2)
+    assert fx.dims == {}
+    _assert_normalized_equals_the_reference(fx)
+    report = derived_power(c, "wedge", 2)
+    assert report.entries == {} and report.trusted == (0, 2)
+
+
+def test_a_slice_that_is_not_free_inside_the_batch_fails_naming_its_slice():
+    ring = ModRing(2, 2)
+    free = {(n, i): [[0]] for n in (1, 2, 3) for i in range(n + 1)}
+    weights = {0: ({0: 1, 1: 1, 2: 1, 3: 1}, free),
+               # ker [d_0 | d_1] = 2 Z/4 in degree 2 is not free
+               1: ({0: 1, 1: 1, 2: 1, 3: 1}, {**free, (2, 0): [[2]]}),
+               2: ({0: 1, 1: 1, 2: 1}, {key: f for key, f in free.items() if key[0] < 3})}
+    x = _modules_with_faces(ring, weights)
+    with pytest.raises(AssertionError, match=r"not free .*at \(degree 2, weight 1\)"):
+        normalized_complex(x)
+    del weights[1]
+    _assert_normalized_equals_the_reference(_modules_with_faces(ring, weights))
 
 
 @functools.lru_cache(maxsize=None)
@@ -701,28 +780,29 @@ def test_a_differential_that_leaves_a_basis_with_pivots_1_raises():
 
 def test_on_a_kan_transform_the_peel_keeps_just_the_rows_of_the_normalized_part(monkeypatch):
     import derhamkit.exactlin
-    import derhamkit.simplex
 
-    unforced, kernel = derhamkit.exactlin._unforced_rows, derhamkit.simplex.left_kernel
-    kept, ranks = [], []
+    unforced = derhamkit.exactlin._unforced_rows
+    masks = []
 
-    def count_kept(*args):
-        out = unforced(*args)
-        kept.append(int(out.sum()))
-        return out
+    def record_kept(*args):
+        masks.append(unforced(*args))
+        return masks[-1]
 
-    def count_rank(a, ring):
-        out = kernel(a, ring)
-        ranks.append(out.shape[0])
-        return out
-
-    monkeypatch.setattr(derhamkit.exactlin, "_unforced_rows", count_kept)
-    monkeypatch.setattr(derhamkit.simplex, "left_kernel", count_rank)
+    monkeypatch.setattr(derhamkit.exactlin, "_unforced_rows", record_kept)
+    calls = _spy_on_the_kernels(monkeypatch)
     rng = random.Random(3)
     for ring in (ModRing(2, 2), ModRing(3, 2), ModRing(5, 1)):
         for _ in range(4):
             c = random_complex(ring, rng, max_degree=4, max_rank=3, weight_choices=(0, 1))
             normalized_complex(kan_transform(c, d_max=c.n_max + 1))
+    assert len(masks) == len(calls) == 12
+    kept, ranks = [], []
+    for mask, call in zip(masks, calls):
+        blocks = zip(call["slices"], [0, *call["ends"][:-1]], call["ends"], call["bases"])
+        for (n, _), lo, hi, ker in blocks:
+            if n:  # degree 0 takes the whole slice
+                kept.append(int(mask[lo:hi].sum()))
+                ranks.append(ker.shape[0])
     # N K(C)_n is the summand of the identity surjection, free on the rows
     # that every face d_0 ... d_{n-1} kills; the peel drops all the others
     assert kept == ranks and sum(kept) > 0
@@ -929,12 +1009,17 @@ def test_eilenberg_zilber_failure_names_its_slice(monkeypatch):
 
 
 def test_the_kan_plan_is_the_kan_block_rule_on_every_surjection():
-    from derhamkit.simplex import _kan_plan, kan_block
+    from reference_simplex import _kan_plan
 
-    for n in range(6):
-        for face in (True, False):
-            if face and n == 0:
-                continue
+    from derhamkit.simplex import kan_block
+
+    top = 6
+    for face in (True, False):
+        table = simplex._kan_table(top, face)
+        assert simplex._kan_table(top, face) is table and not table.flags.writeable
+        want = []
+        for n in range(1 if face else 0, top + 1):
+            target = n - 1 if face else n + 1
             for i in range(n + 1):
                 alpha = MonotoneMap.face(n, i) if face else MonotoneMap.degeneracy(n, i)
                 plan = _kan_plan(n, i, face)
@@ -945,14 +1030,17 @@ def test_the_kan_plan_is_the_kan_block_rule_on_every_surjection():
                 assert _kan_plan(n, i, face) is plan
                 with pytest.raises(TypeError):
                     plan[etas[0].values] = None
-                # the table holds the same rules, by surjection index
-                table = simplex._kan_table(5, face)
-                rows = table[(table[:, 0] == n) & (table[:, 3] == i)].tolist()
-                target = n - 1 if face else n + 1
-                want = [[n, eta.target, monotone_surjections(n, eta.target).index(eta), i, plan[eta.values][1] == "d",
-                         [s.values for s in monotone_surjections(target, eta.target - (plan[eta.values][1] == "d"))]
-                         .index(plan[eta.values][0])] for eta in etas if eta.values in plan]
-                assert rows == want, (n, i, face)
+            # the table holds the same rules on every (n, i), by surjection index, sorted by (p, e, i)
+            for p in range(n + 1):
+                for e, eta in enumerate(monotone_surjections(n, p)):
+                    for i in range(n + 1):
+                        rule = kan_block(eta, MonotoneMap.face(n, i) if face else MonotoneMap.degeneracy(n, i))
+                        if rule is not None:
+                            kind = int(rule[1] == "d")
+                            images = [s.values for s in monotone_surjections(target, p - kind)]
+                            want.append([n, p, e, i, kind, images.index(rule[0])])
+        assert table.tolist() == want, face
+        assert len(want) > 500
 
 
 def test_kan_transform_rejects_a_complex_whose_differential_does_not_square_to_zero():
