@@ -8,8 +8,8 @@ import numpy as np
 from derhamkit import (
     AlgebraPresentation,
     FiniteBModule,
+    FreeSimplicialResolution,
     ModRing,
-    bar_resolution,
     cotangent_homology,
     ext1_cotangent,
     kaehler_presentation,
@@ -20,7 +20,9 @@ F2 = ModRing(2, 1)
 Z4 = ModRing(2, 2)
 
 print("Bar-type resolution of R over R[x]: acyclicity certificate for Z/8")
-res = bar_resolution(ModRing(2, 3), d_max=4, weight_bound=4)
+# R = R[x]/(x): the dropped variable goes to x itself
+bar = AlgebraPresentation(ModRing(2, 3), "quotient", "x", (0, 1))
+res = FreeSimplicialResolution(bar, d_max=4, weight_bound=4)
 cert = res.certify()
 print(f"  certificate: kind={cert.kind}, ok={cert.ok}, degrees {cert.checked_degrees}")
 

@@ -23,7 +23,6 @@ from .simplex import (
 from .cotangent import (
     AlgebraPresentation,
     FreeSimplicialResolution,
-    bar_resolution,
     kaehler_presentation,
     cotangent_homology,
     ext1_cotangent,

@@ -39,14 +39,13 @@ from .exactlin import (
     quotient_invariants,
     span_solver,
 )
-from .polyalg import PolyAlgebra, exponent_rows, row_positions
+from .polyalg import PolyAlgebra, graded_slice_basis, row_positions
 from .upoly import rem, trim
 
 __all__ = [
     "AlgebraPresentation",
     "FreeSimplicialResolution",
     "DepthError",
-    "bar_resolution",
     "verify_nonzerodivisor",
     "kaehler_presentation",
     "cotangent_homology",
@@ -249,10 +248,10 @@ class FreeSimplicialResolution:
 
     # -- slice bases of Q_n (graded flavor)
 
-    def q_slice(self, n: int, w: int) -> list[tuple[int, ...]]:
-        """Nondegenerate monomial basis of the weight-w slice of Q_n:
-        t_1...t_n times each monomial of weight w - n deg f."""
-        return self.algebra(n).monomials_containing(w, range(1, n + 1))
+    def q_slice(self, n: int, w: int) -> np.ndarray:
+        """Nondegenerate monomial basis of the weight-w slice of Q_n, as
+        exponent rows: t_1...t_n times each monomial of weight w - n deg f."""
+        return graded_slice_basis(self.algebra(n), 0, w, occurring=range(1, n + 1))
 
     def chain_complex(self, weight_bound: int | None = None) -> GradedSliceComplex:
         """N(Q_.) = C(Q_.)/D per weight slice; graded flavor only (slices
@@ -272,7 +271,7 @@ class FreeSimplicialResolution:
             # nondegenerate slices vanish above simplicial degree w / deg f
             exps = []
             for n in range(self.d_max + 1):
-                e = exponent_rows(self.q_slice(n, w), n + 1)
+                e = self.q_slice(n, w)
                 if not len(e):
                     break
                 exps.append(e)
@@ -410,12 +409,6 @@ class FreeSimplicialResolution:
                                 trusted=(0, self.d_max - 2))
         cx.validate()
         return cx
-
-
-def bar_resolution(ring: ModRing, d_max: int, weight_bound: int, var: str = "x") -> FreeSimplicialResolution:
-    """Resolution of R over R[x] (the dropped variable goes to x itself)."""
-    pres = AlgebraPresentation(ring, "quotient", var, (0, 1))
-    return FreeSimplicialResolution(pres, d_max, weight_bound)
 
 
 def verify_nonzerodivisor(pres: AlgebraPresentation, weight_bound: int) -> None:

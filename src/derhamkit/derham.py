@@ -17,6 +17,10 @@ computes the same homology (Dold-Kan normalization; Weibel, An Introduction
 to Homological Algebra, 8.3.7-8.3.8), and a weight-w slice has no blocks
 above simplicial degree w / deg f.
 
+Each block basis is held once, as the int64 rows ``block_basis`` caches
+(``polyalg.graded_slice_basis``), and no block map is kept: ``_assemble``
+lays each into the total complex, which holds the only copy.
+
 The Hodge-completed object is only ever handled as the family of its
 finite levels, never as an inverse limit.  Each basis
 element of the total complex carries its Hodge column i, so one filtered
@@ -59,7 +63,7 @@ from .exactlin import (
     span_solver,
 )
 from .pdpow import derived_power
-from .polyalg import exponent_rows, graded_slice_basis, row_positions
+from .polyalg import graded_slice_basis, row_positions
 from .simplex import shuffles
 from .upoly import mul, rem
 
@@ -98,8 +102,7 @@ class FilteredDeRhamComplex:
         if not cert.ok:
             raise ValueError("resolution failed its acyclicity certificate")
         self.certificate = cert
-        self._block_cache: dict = {}
-        self._matrix_cache: dict = {}  # ("h" or "v", j, i, w) -> SparseMatrix
+        self._block_cache: dict = {}  # (j, i, w) -> block_basis(j, i, w)
         self.total = self._assemble()
 
     # -- block bases
@@ -113,13 +116,14 @@ class FilteredDeRhamComplex:
                 out.append((j, i))
         return out
 
-    def block_basis(self, j: int, i: int, w: int) -> list:
-        """Nondegenerate basis of the weight-w slice of Omega^i(Q_j): every
-        t_s occurs in the exponent or under d.  It is empty when j deg f > w."""
+    def block_basis(self, j: int, i: int, w: int) -> np.ndarray:
+        """Nondegenerate basis of the weight-w slice of Omega^i(Q_j), as int64
+        rows: the i wedge indices, then the j + 1 exponents.  Every t_s
+        occurs in the exponent or under d, so it is empty when j deg f > w."""
         key = (j, i, w)
         if key not in self._block_cache:
             if j * self.pres.degree > w:
-                self._block_cache[key] = []
+                self._block_cache[key] = np.zeros((0, i + j + 1), dtype=np.int64)
             else:
                 t_vars = range(1, j + 1)
                 self._block_cache[key] = graded_slice_basis(self.res.algebra(j), i, w,
@@ -131,22 +135,13 @@ class FilteredDeRhamComplex:
         out = []
         off = 0
         for (j, i) in self.blocks(n, cut):
-            b = self.block_basis(j, i, w)
-            if b:
+            size = len(self.block_basis(j, i, w))
+            if size:
                 out.append((j, i, off))
-                off += len(b)
+                off += size
         return out, off
 
     # -- differentials on blocks
-
-    def _block_rows(self, j: int, i: int, w: int) -> np.ndarray:
-        """``block_basis(j, i, w)`` as int64 rows: the i wedge indices, then
-        the j + 1 exponents."""
-        key = ("rows", j, i, w)
-        if key not in self._block_cache:
-            basis = self.block_basis(j, i, w)
-            self._block_cache[key] = exponent_rows([wdg + e for e, wdg in basis], i + j + 1)
-        return self._block_cache[key]
 
     @staticmethod
     def _wedge_face(j: int, k: int) -> np.ndarray:
@@ -163,11 +158,8 @@ class FilteredDeRhamComplex:
 
     def horizontal_matrix(self, j: int, i: int, w: int) -> SparseMatrix:
         """Alternating face sum Omega^i(Q_j) -> Omega^i(Q_{j-1}) on slice w."""
-        ckey = ("h", j, i, w)
-        if ckey in self._matrix_cache:
-            return self._matrix_cache[ckey]
-        src = self._block_rows(j, i, w)
-        tgt = self._block_rows(j - 1, i, w)
+        src = self.block_basis(j, i, w)
+        tgt = self.block_basis(j - 1, i, w)
         rows, images, vals = [], [], []
         for k in range(j + 1):
             mapped = self._wedge_face(j, k)[src[:, :i]]
@@ -177,17 +169,12 @@ class FilteredDeRhamComplex:
             rows.append(np.flatnonzero(keep))
             images.append(np.hstack([mapped[keep], e2[keep]]))
             vals.append(-coeff[keep] if k % 2 else coeff[keep])
-        out = self._locate(rows, images, vals, (len(src), len(tgt)), tgt, i)
-        self._matrix_cache[ckey] = out
-        return out
+        return self._locate(rows, images, vals, (len(src), len(tgt)), tgt, i)
 
     def vertical_matrix(self, j: int, i: int, w: int) -> SparseMatrix:
         """Relative exterior derivative Omega^i(Q_j) -> Omega^{i+1}(Q_j)."""
-        ckey = ("v", j, i, w)
-        if ckey in self._matrix_cache:
-            return self._matrix_cache[ckey]
-        src = self._block_rows(j, i, w)
-        tgt = self._block_rows(j, i + 1, w)
+        src = self.block_basis(j, i, w)
+        tgt = self.block_basis(j, i + 1, w)
         wdg, e = src[:, :i], src[:, i:]
         rows, images, vals = [], [], []
         for s in range(1, j + 1):
@@ -200,9 +187,7 @@ class FilteredDeRhamComplex:
             rows.append(keep)
             images.append(np.hstack([wdg2, e2]))
             vals.append(sign * e[keep, s])
-        out = self._locate(rows, images, vals, (len(src), len(tgt)), tgt, i + 1)
-        self._matrix_cache[ckey] = out
-        return out
+        return self._locate(rows, images, vals, (len(src), len(tgt)), tgt, i + 1)
 
     def _locate(self, rows: list, images: list, vals: list, shape: tuple[int, int], tgt: np.ndarray,
                 form_degree: int) -> SparseMatrix:
@@ -253,16 +238,17 @@ class FilteredDeRhamComplex:
         cols = self.total.columns.get((n, w), [])
         return np.eye(len(cols), dtype=np.int64)[np.searchsorted(cols, level):]
 
-    def basis_vector(self, n: int, w: int, j: int, i: int, entry) -> np.ndarray:
-        """Coordinate vector of one block basis element in the slice basis."""
+    def basis_vector(self, n: int, w: int, j: int, i: int, row) -> np.ndarray:
+        """Coordinate vector, in the slice basis, of the block basis element
+        whose row (the i wedge indices, then the j + 1 exponents) is ``row``."""
         lay, total = self.layout(n, w)
-        for (jj, ii, off) in lay:
-            if (jj, ii) == (j, i):
-                pos = self.block_basis(j, i, w).index(entry)
-                v = mzeros(1, total)[0]
-                v[off + pos] = 1
-                return v
-        raise KeyError(f"block ({j}, {i}) absent from degree {n} weight {w}")
+        offsets = {(jj, ii): off for jj, ii, off in lay}
+        pos, found = row_positions(self.block_basis(j, i, w), np.array([row], dtype=np.int64))
+        if (j, i) not in offsets or not found[0]:
+            raise KeyError(f"{list(row)} is not in block ({j}, {i}) of degree {n} weight {w}")
+        v = mzeros(1, total)[0]
+        v[offsets[(j, i)] + pos[0]] = 1
+        return v
 
 
 def _resolution_depth(pres: AlgebraPresentation, hodge_cut: int, window: tuple[int, int],
@@ -423,25 +409,19 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
         out = mzeros(1, 1)[0] if w < 2 * d else mzeros(1, 0)[0]
         lay, _ = f.layout(0, w, 2)
         for (j, i, off) in lay:
-            basis = f.block_basis(j, i, w)
-            for pos, (e, wdg) in enumerate(basis):
-                c = int(n0_vec[off + pos])
+            for e, c in zip(f.block_basis(j, i, w)[:, i:].tolist(), n0_vec[off:].tolist()):
                 if not c:
                     continue
                 if (j, i) == (0, 0):
                     # monomial x^w: reduce mod f^2
                     red = reduce_f2([0] * e[0] + [c])
-                    if w < 2 * d and w < len(red):
-                        out[0] = (out[0] + red[w]) % m
-                elif (j, i) == (1, 1):
+                elif (j, i) == (1, 1) and e[1] == 0:
                     # g dt_1 with g = x^{e0} t_1^{e1}: evaluate at t_1 = 0
-                    if e[1] != 0:
-                        continue
-                    coeffs = [0] * e[0] + [c]
-                    prod = mul(coeffs, pres.f_coeffs, m)
-                    red = reduce_f2(prod)
-                    if w < 2 * d and w < len(red):
-                        out[0] = (out[0] + red[w]) % m
+                    red = reduce_f2(mul([0] * e[0] + [c], pres.f_coeffs, m))
+                else:
+                    continue
+                if w < 2 * d and w < len(red):
+                    out[0] = (out[0] + red[w]) % m
         return out
 
     # phi kills boundaries (well-defined on H_0) and is bijective per slice
@@ -471,10 +451,9 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
         for (j, i, off) in lay:
             if (j, i) != (0, 0):
                 continue
-            for pos, (e, _) in enumerate(f.block_basis(j, i, w)):
-                c = int(vec[off + pos])
+            for (e0,), c in zip(f.block_basis(j, i, w).tolist(), vec[off:].tolist()):
                 if c:
-                    red = pres.reduce_mod_f([0] * e[0] + [c])
+                    red = pres.reduce_mod_f([0] * e0 + [c])
                     if w < d:
                         total = (total + red[w]) % m
         return total
@@ -556,7 +535,7 @@ def h0_shuffle_product(f: FilteredDeRhamComplex, u: np.ndarray, wu: int,
             if col >= f.hodge_cut:
                 continue
             rows, coeffs = _shuffle_terms(eu, cu, i1, ev, cv, i2, m)
-            pos, found = row_positions(f._block_rows(col, col, w)[:, col:], rows)
+            pos, found = row_positions(f.block_basis(col, col, w)[:, col:], rows)
             if not found.all():
                 raise AssertionError(f"shuffle product term {rows[~found][0].tolist()} "
                                      f"is nondegenerate but not in the basis")
@@ -569,7 +548,7 @@ def _degree0_blocks(f: FilteredDeRhamComplex, vec: np.ndarray, w: int):
     degree-0 slice vector, per block Omega^i(Q_i)."""
     vec = np.asarray(vec, dtype=np.int64) % f.ring.modulus
     for _, i, off in f.layout(0, w)[0]:
-        rows = f._block_rows(i, i, w)
+        rows = f.block_basis(i, i, w)
         nz = np.flatnonzero(vec[off:off + len(rows)])
         if nz.size:
             yield i, rows[nz, i:], vec[off + nz]
@@ -676,9 +655,8 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
         # generator-matching map Phi: x^a gamma_j -> c_j [x^a dt_1 ^ .. ^ dt_j]
         phi_rows = []
         for (a, j) in basis:
-            e = tuple([a] + [0] * j)
-            entry = (e, tuple(range(1, j + 1)))
-            phi_rows.append((constants[j] * f.basis_vector(0, w, j, j, entry)) % m)
+            row = [*range(1, j + 1), a] + [0] * j
+            phi_rows.append((constants[j] * f.basis_vector(0, w, j, j, row)) % m)
         phi_m = np.vstack(phi_rows)
         # relations map to boundaries
         for row in rel:
@@ -749,8 +727,7 @@ def _envelope_constants(f: FilteredDeRhamComplex, h0: dict) -> tuple[dict, int |
 
     def cls(a, j):
         w = a + j * d
-        e = tuple([a] + [0] * j)
-        vec = f.basis_vector(0, w, j, j, (e, tuple(range(1, j + 1))))
+        vec = f.basis_vector(0, w, j, j, [*range(1, j + 1), a] + [0] * j)
         return h0[w].coords(vec), h0[w]
 
     for j in range(weight_bound // d + 1):

@@ -6,7 +6,9 @@ algebras of the shape k[x][x_1..x_m] the base variable is x).  Monomials
 and forms are int64 exponent rows: a slice basis lists them in a fixed
 order, and ``row_positions`` finds rows among the rows of a basis.
 
-Monomial order is graded-lexicographic throughout so that slice bases and
+Within a weight, monomials are in descending lexicographic order of their
+exponent rows; a slice basis of forms takes the wedge sets in ascending
+order and, under each, the monomials in that order, so slice bases and
 matrices are reproducible.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .exactlin import ModRing
 __all__ = [
     "PolyAlgebra",
     "graded_slice_basis",
-    "exponent_rows",
     "row_positions",
 ]
 
@@ -34,7 +35,7 @@ class PolyAlgebra:
     variables: tuple[str, ...]
     weights: tuple[int, ...]
     base_var: str | None = None
-    # (w, allowed) -> monomials_of_weight(w, allowed)
+    # w -> monomials_of_weight(w)
     _monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -51,42 +52,22 @@ class PolyAlgebra:
     def nvars(self) -> int:
         return len(self.variables)
 
-    def monomial_weight(self, expts: Sequence[int]) -> int:
-        return sum(e * w for e, w in zip(expts, self.weights))
-
-    def monomials_of_weight(self, w: int, allowed: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
-        """All exponent tuples of weight w in reverse graded-lex order
-        (descending as tuples), optionally restricted to a subset of
-        variable indices; computed once per algebra and (w, allowed)."""
-        key = (w, None if allowed is None else tuple(allowed))
-        cached = self._monomials.get(key)
+    def monomials_of_weight(self, w: int) -> np.ndarray:
+        """The exponent rows of weight w in descending lexicographic order;
+        one int64 table per algebra and weight."""
+        cached = self._monomials.get(w)
         if cached is not None:
             return cached
-        free = set(range(self.nvars) if allowed is None else allowed)
         # tails[r]: the exponents of the variables from position k on with
-        # weight r, in descending order, built from the last variable back;
-        # a variable outside ``allowed`` only takes exponent 0
+        # weight r, in descending order, built from the last variable back
         tails = [[()]] + [[] for _ in range(w)]
         for k in range(self.nvars - 1, -1, -1):
-            wt = self.weights[k] if k in free else w + 1
+            wt = self.weights[k]
             tails = [[(c,) + t for c in range(r // wt, -1, -1) for t in tails[r - c * wt]]
                      if k or r == w else [] for r in range(w + 1)]
-        self._monomials[key] = tuple(tails[w]) if w >= 0 else ()
-        return self._monomials[key]
-
-    def monomials_containing(self, w: int, occurring: Iterable[int]) -> list[tuple[int, ...]]:
-        """The monomials of weight w in which every variable of ``occurring``
-        has a positive exponent: their product times each monomial of the
-        remaining weight, in the order of ``monomials_of_weight``."""
-        bump = [0] * self.nvars
-        for i in occurring:
-            bump[i] = 1
-        rest = self.monomial_weight(bump)
-        if rest > w:
-            return []
-        if not rest:
-            return list(self.monomials_of_weight(w))
-        return [tuple(a + b for a, b in zip(e, bump)) for e in self.monomials_of_weight(w - rest)]
+        rows = tails[w] if w >= 0 else []
+        self._monomials[w] = np.array(rows, dtype=np.int64).reshape(len(rows), self.nvars)
+        return self._monomials[w]
 
 
 def insert_index(wdg: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...] | None]:
@@ -99,30 +80,37 @@ def insert_index(wdg: tuple[int, ...], i: int) -> tuple[int, tuple[int, ...] | N
 
 def graded_slice_basis(algebra: PolyAlgebra, form_degree: int, weight: int,
                        wedge_vars: Sequence[int] | None = None,
-                       occurring: Sequence[int] = ()) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Ordered basis of weight-``weight`` degree-``form_degree`` forms.
+                       occurring: Sequence[int] = ()) -> np.ndarray:
+    """Ordered basis of weight-``weight`` degree-``form_degree`` forms, as
+    int64 rows: the wedge indices, then the exponents.
 
-    Each entry is (exponent tuple, wedge index tuple).  ``wedge_vars``
-    restricts which variables may appear under d (relative forms); the
-    monomial part always ranges over all variables.  Every variable of
-    ``occurring`` must appear in the exponent or under d.
+    ``wedge_vars`` (ascending) restricts which variables may appear under d
+    (relative forms); the monomial part always ranges over all variables.
+    Every variable of ``occurring`` must appear in the exponent or under d,
+    so the rows of a wedge set are its bump row plus each monomial of the
+    weight the bump row leaves.  Wedge sets come in ascending order, and
+    under each the exponents in descending lexicographic order.
     """
-    idxs = list(range(algebra.nvars)) if wedge_vars is None else list(wedge_vars)
-    out = []
-    for combo in itertools.combinations(idxs, form_degree):
-        wcost = sum(algebra.weights[j] for j in combo)
-        if wcost > weight:
-            continue
-        for e in algebra.monomials_containing(weight - wcost, set(occurring).difference(combo)):
-            out.append((e, combo))
-    out.sort(key=lambda t: (t[1], tuple(-x for x in t[0])))
-    return out
+    wts = algebra.weights
+    bumps = _bump_rows(algebra.nvars, form_degree, wedge_vars, occurring)
+    # the weight a bump row leaves: less its wedge variables and its exponents
+    tables = [algebra.monomials_of_weight(weight - sum(wts[k] for k in b[:form_degree])
+                                          - sum(e * wt for e, wt in zip(b[form_degree:], wts)))
+              for b in bumps]
+    rows = np.repeat(np.array(bumps, dtype=np.int64).reshape(len(bumps), form_degree + algebra.nvars),
+                     [len(t) for t in tables], axis=0)
+    if tables:
+        rows[:, form_degree:] += np.concatenate(tables)
+    return rows
 
 
-def exponent_rows(entries: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
-    """Equal-length integer tuples as the rows of an int64 array (width
-    columns, also when there are no rows)."""
-    return np.array(entries, dtype=np.int64).reshape(len(entries), width)
+def _bump_rows(nvars: int, form_degree: int, wedge_vars: Sequence[int] | None,
+               occurring: Sequence[int]) -> list[tuple[int, ...]]:
+    """One row per wedge set, in ascending order: the wedge set, then an
+    exponent 1 for each variable of ``occurring`` not under d, else 0."""
+    idxs = range(nvars) if wedge_vars is None else wedge_vars
+    return [combo + tuple(int(k in occurring and k not in combo) for k in range(nvars))
+            for combo in itertools.combinations(idxs, form_degree)]
 
 
 # keys stay below this, so key * radix + digit never leaves int64
@@ -139,11 +127,13 @@ def row_positions(table: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     digit could overflow, the keys are first replaced by their ranks."""
     both = np.concatenate([table, rows])
     keys = np.zeros(len(both), dtype=np.int64)
-    for col in both.T:
-        radix = int(col.max(initial=0)) + 1
-        if int(keys.max(initial=0)) >= _KEY_LIMIT // radix:
+    bound = 1  # every key is below it
+    for col, radix in zip(both.T, (both.max(axis=0, initial=0) + 1).tolist()):
+        if bound > _KEY_LIMIT // radix:
             keys = np.unique(keys, return_inverse=True)[1].reshape(-1).astype(np.int64)
+            bound = int(keys.max(initial=0)) + 1
         keys = keys * radix + col
+        bound *= radix
     tkeys, rkeys = keys[: len(table)], keys[len(table):]
     if not len(table):
         return np.zeros(len(rows), dtype=np.int64), np.zeros(len(rows), dtype=bool)

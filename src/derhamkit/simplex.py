@@ -588,18 +588,6 @@ class BisimplicialModule:
     def weights(self):
         return sorted({w for (_, _, w) in self.dims})
 
-    def hface(self, p, q, i, w):
-        return self._operator(p, q, i, w, True, "h").dense()
-
-    def vface(self, p, q, i, w):
-        return self._operator(p, q, i, w, True, "v").dense()
-
-    def hdegen(self, p, q, i, w):
-        return self._operator(p, q, i, w, False, "h").dense()
-
-    def vdegen(self, p, q, i, w):
-        return self._operator(p, q, i, w, False, "v").dense()
-
     def _operator(self, m, n, i, w, face: bool, directions: str) -> SparseMatrix:
         """d_i or s_i on X_{m,n,w} in the ``directions`` "h", "v" or "hv"
         (the diagonal: vertically, then horizontally) as a canonical triple;

@@ -62,8 +62,8 @@ def face_monomial(res: FreeSimplicialResolution, n: int, i: int, expts: tuple[in
 
 
 def q_face_matrix(res: FreeSimplicialResolution, n: int, i: int, w: int) -> np.ndarray:
-    src = res.q_slice(n, w)
-    tgt = res.q_slice(n - 1, w)
+    src = [tuple(e) for e in res.q_slice(n, w).tolist()]
+    tgt = [tuple(e) for e in res.q_slice(n - 1, w).tolist()]
     tindex = {e: k for k, e in enumerate(tgt)}
     out = mzeros(len(src), len(tgt))
     if res.graded:

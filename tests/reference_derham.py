@@ -12,7 +12,7 @@ them only after checking that it is degenerate.
 
 ``UnnormalizedDeRham`` is the builder as it was before its blocks were
 normalized: the same assembly on every form of each block, degenerate ones
-included.
+included, listed by the tuple slice basis of ``reference_polyalg``.
 
 ``quotient_map``, ``filtration_coordinates`` and ``filtered_h0_factors`` are
 the dense filtration path ``pd_envelope_report`` and the quotient maps took
@@ -31,20 +31,20 @@ import numpy as np
 from derhamkit.cotangent import AlgebraPresentation, FreeSimplicialResolution
 from derhamkit.derham import FilteredDeRhamComplex
 from derhamkit.exactlin import howell_form, left_kernel, mmul, mzeros, quotient_invariants
-from derhamkit.polyalg import graded_slice_basis
 
 import reference_cotangent
+from reference_polyalg import form_entries, form_rows, graded_slice_basis
 
 
 class UnnormalizedDeRham(FilteredDeRhamComplex):
     """The total complex with every form of each block, degenerate ones
     included."""
 
-    def block_basis(self, j: int, i: int, w: int) -> list:
+    def block_basis(self, j: int, i: int, w: int) -> np.ndarray:
         key = (j, i, w)
         if key not in self._block_cache:
-            self._block_cache[key] = graded_slice_basis(self.res.algebra(j), i, w,
-                                                        wedge_vars=range(1, j + 1))
+            basis = graded_slice_basis(self.res.algebra(j), i, w, wedge_vars=range(1, j + 1))
+            self._block_cache[key] = form_rows(basis, i, j + 1)
         return self._block_cache[key]
 
 
@@ -72,8 +72,8 @@ def face_images(j: int, k: int) -> dict:
 
 def horizontal_matrix(f: FilteredDeRhamComplex, j: int, i: int, w: int) -> np.ndarray:
     """Alternating face sum Omega^i(Q_j) -> Omega^i(Q_{j-1}) on slice w."""
-    src = f.block_basis(j, i, w)
-    tgt = f.block_basis(j - 1, i, w)
+    src = form_entries(f.block_basis(j, i, w), i)
+    tgt = form_entries(f.block_basis(j - 1, i, w), i)
     tindex = {t: a for a, t in enumerate(tgt)}
     out = mzeros(len(src), len(tgt))
     for k in range(j + 1):
@@ -99,8 +99,8 @@ def horizontal_matrix(f: FilteredDeRhamComplex, j: int, i: int, w: int) -> np.nd
 
 def vertical_matrix(f: FilteredDeRhamComplex, j: int, i: int, w: int) -> np.ndarray:
     """Relative exterior derivative Omega^i(Q_j) -> Omega^{i+1}(Q_j)."""
-    src = f.block_basis(j, i, w)
-    tgt = f.block_basis(j, i + 1, w)
+    src = form_entries(f.block_basis(j, i, w), i)
+    tgt = form_entries(f.block_basis(j, i + 1, w), i + 1)
     tindex = {t: a for a, t in enumerate(tgt)}
     out = mzeros(len(src), len(tgt))
     for a, (e, wdg) in enumerate(src):

@@ -3,7 +3,15 @@
 Recursive monomial enumeration: this is how the algebra listed the
 monomials of one weight before the enumeration was built tail first: a
 recursion over the allowed variables that copies its partial exponent
-list at every step, and one sort at the end into reverse graded-lex order.
+list at every step, and one sort at the end into descending lexicographic
+order.
+
+The tuple slice basis: how ``polyalg.graded_slice_basis`` listed a slice
+basis before it built int64 rows: (exponent tuple, wedge index tuple)
+pairs, each wedge set's monomials that contain every variable of
+``occurring`` not under d, and one sort at the end by wedge set, then by
+descending exponents.  ``form_rows`` and ``form_entries`` convert between
+those pairs and the library's rows (the wedge indices, then the exponents).
 
 The dict-based form algebra: polynomials and differential forms as sparse
 exponent dicts, ring maps given on variables with their action on forms,
@@ -18,6 +26,7 @@ looked up one by one.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -26,7 +35,7 @@ import numpy as np
 
 from derhamkit.cotangent import FreeSimplicialResolution, degenerate_rows
 from derhamkit.exactlin import ModRing, mzeros
-from derhamkit.polyalg import PolyAlgebra, exponent_rows, insert_index
+from derhamkit.polyalg import PolyAlgebra, insert_index
 from derhamkit.simplex import shuffles
 
 
@@ -50,6 +59,44 @@ def monomials_of_weight(alg: PolyAlgebra, w: int,
     rec(0, w, [])
     out.sort(reverse=True)
     return tuple(out)
+
+
+def monomial_weight(alg: PolyAlgebra, expts: Sequence[int]) -> int:
+    return sum(e * w for e, w in zip(expts, alg.weights))
+
+
+def graded_slice_basis(alg: PolyAlgebra, form_degree: int, weight: int,
+                       wedge_vars: Sequence[int] | None = None,
+                       occurring: Sequence[int] = ()) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Ordered basis of weight-``weight`` degree-``form_degree`` forms as
+    (exponent tuple, wedge index tuple) pairs; every variable of
+    ``occurring`` appears in the exponent or under d."""
+    idxs = list(range(alg.nvars)) if wedge_vars is None else list(wedge_vars)
+    out = []
+    for combo in itertools.combinations(idxs, form_degree):
+        bump = [int(k in occurring and k not in combo) for k in range(alg.nvars)]
+        rest = weight - sum(alg.weights[k] for k in combo) - monomial_weight(alg, bump)
+        for e in monomials_of_weight(alg, rest):
+            out.append((tuple(a + b for a, b in zip(e, bump)), combo))
+    out.sort(key=lambda t: (t[1], tuple(-x for x in t[0])))
+    return out
+
+
+def form_rows(entries: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], form_degree: int,
+              nvars: int) -> np.ndarray:
+    """(exponents, wedge) pairs as int64 rows: the wedge indices, then the
+    exponents."""
+    return np.array([wdg + e for e, wdg in entries], dtype=np.int64).reshape(len(entries), form_degree + nvars)
+
+
+def form_entries(rows: np.ndarray, form_degree: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Int64 form rows as (exponent tuple, wedge index tuple) pairs."""
+    return [(tuple(r[form_degree:]), tuple(r[:form_degree])) for r in rows.tolist()]
+
+
+def drop_row(rows: np.ndarray, row: Sequence[int]) -> np.ndarray:
+    """The rows of ``rows`` other than ``row``."""
+    return rows[np.array([r != list(row) for r in rows.tolist()], dtype=bool)]
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +188,7 @@ class Poly:
 
     def weight(self) -> int | None:
         """Common weight of all terms, or None if inhomogeneous/zero."""
-        ws = {self.algebra.monomial_weight(e) for e in self.terms}
+        ws = {monomial_weight(self.algebra, e) for e in self.terms}
         return ws.pop() if len(ws) == 1 else None
 
     def _check(self, other: "Poly"):
@@ -409,7 +456,7 @@ class H0Multiplier:
         blocks: dict[int, DifferentialForm] = {}
         for (j, i, off) in self.f.layout(0, w)[0]:
             terms = {}
-            for pos, (e, wdg) in enumerate(self.f.block_basis(j, i, w)):
+            for pos, (e, wdg) in enumerate(form_entries(self.f.block_basis(j, i, w), i)):
                 c = int(vec[off + pos])
                 if c:
                     terms[(e, wdg)] = c
@@ -431,7 +478,7 @@ class H0Multiplier:
         out = mzeros(1, total)[0]
         index = {}
         for (j, i, off) in lay:
-            for pos, entry in enumerate(self.f.block_basis(j, i, w)):
+            for pos, entry in enumerate(form_entries(self.f.block_basis(j, i, w), i)):
                 index[(j, i, entry)] = off + pos
         m = self.f.ring.modulus
         for i1, form1 in bu.items():
@@ -446,6 +493,6 @@ class H0Multiplier:
                     key = (col, col, (e, wdg))
                     if key in index:
                         out[index[key]] = (out[index[key]] + c) % m
-                    elif not degenerate_rows(exponent_rows([e], col + 1), exponent_rows([wdg], col))[0]:
+                    elif not degenerate_rows(np.array([e]), np.array([wdg], dtype=np.int64).reshape(1, col))[0]:
                         raise AssertionError(f"shuffle product term {(e, wdg)} is nondegenerate but not in the basis")
         return out

@@ -24,6 +24,7 @@ from derhamkit.suites import run_suite
 import reference_cotangent
 import reference_derham
 import reference_polyalg
+from memory import traced_peak
 
 F2 = ModRing(2, 1)
 F3 = ModRing(3, 1)
@@ -137,10 +138,10 @@ def test_universal_thickening_square_zero_explicit():
     pres = AlgebraPresentation(Z4, "quotient", "y", (0, 1))
     # cut 3 keeps column 2, where the product of two column-1 forms lands
     f = build_derham(pres, hodge_cut=3, window=(0, 1), weight_bound=2)
-    omega = f.basis_vector(0, 1, 1, 1, ((0, 0), (1,)))
+    omega = f.basis_vector(0, 1, 1, 1, (1, 0, 0))
     prod = h0_shuffle_product(f, omega, 1, omega, 1)
     # dt_1 . dt_1 = -2 dt_1 ^ dt_2 = 2 dt_1 ^ dt_2 over Z/4
-    assert prod.tolist() == (2 * f.basis_vector(0, 2, 2, 2, ((0, 0, 0), (1, 2)))).tolist()
+    assert prod.tolist() == (2 * f.basis_vector(0, 2, 2, 2, (1, 2, 0, 0, 0))).tolist()
     _assert_square_is_zero_below_f2(f, prod)
     planted = prod.copy()
     planted[np.searchsorted(f.total.columns[(0, 2)], 1)] += 1
@@ -334,10 +335,10 @@ def test_shuffle_ring_structure_divided_powers():
     f = build_derham(pres_x(Z4), hodge_cut=5, window=(0, 1), weight_bound=4)
     qs = {w: homology_quotient(f.total, 0, w) for w in range(5)}
     gam = {
-        0: f.basis_vector(0, 0, 0, 0, ((0,), ())),
-        1: f.basis_vector(0, 1, 1, 1, ((0, 0), (1,))),
-        2: f.basis_vector(0, 2, 2, 2, ((0, 0, 0), (1, 2))),
-        3: f.basis_vector(0, 3, 3, 3, ((0, 0, 0, 0), (1, 2, 3))),
+        0: f.basis_vector(0, 0, 0, 0, (0,)),
+        1: f.basis_vector(0, 1, 1, 1, (1, 0, 0)),
+        2: f.basis_vector(0, 2, 2, 2, (1, 2, 0, 0, 0)),
+        3: f.basis_vector(0, 3, 3, 3, (1, 2, 3, 0, 0, 0, 0)),
     }
     # unit
     assert qs[1].coords(h0_shuffle_product(f, gam[0], 0, gam[1], 1)) == qs[1].coords(gam[1])
@@ -369,7 +370,7 @@ def test_divided_power_product_signs(ring):
 
     f = build_derham(pres_x(ring), hodge_cut=5, window=(0, 1), weight_bound=4)
     m = ring.modulus
-    g = {k: f.basis_vector(0, k, k, k, ((0,) * (k + 1), tuple(range(1, k + 1)))) for k in range(5)}
+    g = {k: f.basis_vector(0, k, k, k, [*range(1, k + 1)] + [0] * (k + 1)) for k in range(5)}
     gam = {k: (-1) ** (k * (k - 1) // 2) * g[k] % m for k in range(5)}
     for a in range(5):
         for b in range(5 - a):
@@ -412,8 +413,8 @@ def test_filtration_multiplicativity():
     from derhamkit.exactlin import solve_in_span
 
     f = build_derham(pres_x(Z4), hodge_cut=5, window=(0, 1), weight_bound=4)
-    g1 = f.basis_vector(0, 1, 1, 1, ((0, 0), (1,)))
-    g2 = f.basis_vector(0, 2, 2, 2, ((0, 0, 0), (1, 2)))
+    g1 = f.basis_vector(0, 1, 1, 1, (1, 0, 0))
+    g2 = f.basis_vector(0, 2, 2, 2, (1, 2, 0, 0, 0))
     prod = h0_shuffle_product(f, g1, 1, g2, 2)
     fil3 = f.filtration_coordinates(3, 0, 3)
     bnd = f.total.diff(1, 3)
@@ -531,10 +532,22 @@ def test_hodge_quotient_complex_equals_the_build_at_that_cut(ring):
         got.validate()
 
 
+def _double_complex_blocks(f) -> list[tuple[str, int, int, int]]:
+    """(map, j, i, w) of every block map the total complex of ``f`` is
+    assembled from: each nonzero block Omega^i(Q_j) of its slices with a
+    nonzero target Omega^i(Q_{j-1}) (horizontal) or Omega^{i+1}(Q_j)
+    (vertical)."""
+    terms = {(j, i, w) for w in range(f.weight_bound + 1)
+             for n in range(f._n_min(f.hodge_cut), f.window[1] + 2) for j, i, _ in f.layout(n, w)[0]}
+    return ([("horizontal_matrix", j, i, w) for j, i, w in terms if (j - 1, i, w) in terms]
+            + [("vertical_matrix", j, i, w) for j, i, w in terms if (j, i + 1, w) in terms])
+
+
 @pytest.mark.parametrize("ring", [F2, F3, Z4, ModRing(3, 2)], ids=str)
 @pytest.mark.parametrize("f_coeffs", [(0, 1), (0, 0, 1), (0, 0, 0, 1)], ids=["x", "x^2", "x^3"])
 def test_derham_triples_equal_the_dense_reference(ring, f_coeffs):
     pres = AlgebraPresentation(ring, "quotient", "x", f_coeffs)
+    compared = 0
     for wb in range(6):
         f = build_derham(pres, hodge_cut=wb + 1, window=(0, 1), weight_bound=wb)
         for level in range(1, wb + 2):  # level wb + 1 is the total complex
@@ -542,12 +555,15 @@ def test_derham_triples_equal_the_dense_reference(ring, f_coeffs):
             dims, diffs = reference_derham.assemble(f, level)
             reference_cotangent.assert_diffs_equal(cx, dims, diffs, range(cx.n_min - 1, cx.n_max + 2),
                                                    range(wb + 2))
-        blocks = {"h": reference_derham.horizontal_matrix, "v": reference_derham.vertical_matrix}
-        for (kind, j, i, w), coo in f._matrix_cache.items():
-            want = blocks[kind](f, j, i, w)
+        for name, j, i, w in _double_complex_blocks(f):
+            want = getattr(reference_derham, name)(f, j, i, w)
+            coo = getattr(f, name)(j, i, w)
             got = mzeros(*want.shape)
             got[coo.rows, coo.cols] = coo.vals
-            assert np.array_equal(got, want), (kind, j, i, w)
+            assert np.array_equal(got, want), (name, j, i, w)
+            compared += 1
+    # every block map of the builds at weight bounds 0..5, each compared once
+    assert compared == {1: 110, 2: 32, 3: 12}[len(f_coeffs) - 1]
 
 
 def test_build_derham_weight_bound_6_peak_memory():
@@ -559,6 +575,13 @@ def test_build_derham_weight_bound_6_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_build_derham_weight_bound_10_holds_one_copy_of_each_basis_and_map():
+    # drpd-modp's build at p = 2 holds 11.5 MiB: each block basis once, as
+    # rows, and each block map once, in the total complex
+    run = traced_peak(lambda: build_derham(pres_x(F2), hodge_cut=11, window=(0, 2), weight_bound=10))
+    assert run.held < 16 * 2**20, f"held {run.held / 2**20:.1f} MiB"
 
 
 def test_drpd_modp_failure_names_its_slice(monkeypatch):
@@ -593,8 +616,11 @@ def test_block_basis_is_the_nondegenerate_part_of_the_full_block(f_coeffs):
     for j in range(f.res.d_max + 1):
         for i in range(j + 1):
             for w in range(7):
-                want = [b for b in ref.block_basis(j, i, w) if not reference_cotangent.is_degenerate(*b)]
-                assert f.block_basis(j, i, w) == want, (j, i, w)
+                full = reference_polyalg.form_entries(ref.block_basis(j, i, w), i)
+                want = [b for b in full if not reference_cotangent.is_degenerate(*b)]
+                got = f.block_basis(j, i, w)
+                assert got.shape == (len(want), i + j + 1), (j, i, w)
+                assert reference_polyalg.form_entries(got, i) == want, (j, i, w)
                 assert (len(want) > 0) == (j * pres.degree <= w)
 
 
@@ -638,14 +664,14 @@ def test_a_kept_degenerate_form_or_a_dropped_nondegenerate_one_is_caught(monkeyp
     assert _hodge_mismatches(patched(lambda j, i, w, b: b), ref, range(5)) == []
     every_level = [(level, 1, 2) for level in range(1, 6)]
     # x^2 in Q_1 is degenerate: kept, it is a degree-1 cycle nothing bounds
-    kept = patched(lambda j, i, w, b: b + [((2, 0), ())] if (j, i, w) == (1, 0, 2) else b)
+    kept = patched(lambda j, i, w, b: np.vstack([b, [(2, 0)]]) if (j, i, w) == (1, 0, 2) else b)
     assert _hodge_mismatches(kept, ref, range(5)) == every_level
     # t_1 t_2 in Q_2 sits in the top degree; dropped, it bounds nothing
-    dropped = patched(lambda j, i, w, b: [e for e in b if e != ((0, 1, 1), ())])
+    dropped = patched(lambda j, i, w, b: reference_polyalg.drop_row(b, (0, 1, 1)))
     assert _hodge_mismatches(dropped, ref, range(5)) == every_level
     # x t_1 in Q_1 is a face image of t_1 t_2: dropped, the image is lost
     with pytest.raises(AssertionError, match="nondegenerate image"):
-        patched(lambda j, i, w, b: [e for e in b if e != ((1, 1), ())])
+        patched(lambda j, i, w, b: reference_polyalg.drop_row(b, (1, 1)))
 
 
 def test_h0_product_raises_on_a_nondegenerate_term_outside_the_basis(monkeypatch):
@@ -654,8 +680,8 @@ def test_h0_product_raises_on_a_nondegenerate_term_outside_the_basis(monkeypatch
     from derhamkit import derham
 
     f = build_derham(pres_x(Z4), hodge_cut=2, window=(0, 1), weight_bound=2)
-    one = f.basis_vector(0, 0, 0, 0, ((0,), ()))
-    omega = f.basis_vector(0, 1, 1, 1, ((0, 0), (1,)))
+    one = f.basis_vector(0, 0, 0, 0, (0,))
+    omega = f.basis_vector(0, 1, 1, 1, (1, 0, 0))
     assert (h0_shuffle_product(f, one, 0, omega, 1) == omega).all()
     honest = derham._shuffle_terms
 

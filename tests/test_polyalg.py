@@ -7,8 +7,9 @@ import random
 import numpy as np
 import pytest
 
+from derhamkit import polyalg
 from derhamkit.exactlin import ModRing
-from derhamkit.polyalg import PolyAlgebra, exponent_rows, graded_slice_basis, row_positions
+from derhamkit.polyalg import PolyAlgebra, graded_slice_basis, row_positions
 
 import reference_polyalg
 from reference_polyalg import AlgebraMap, DifferentialForm, Poly, apply_map, derham_d, one, variable, wedge, zero
@@ -118,15 +119,15 @@ def test_wedge_signs():
 
 def test_graded_slice_basis_examples():
     kx = PolyAlgebra(F5, ("x",), (1,))
-    assert graded_slice_basis(kx, 0, 2) == [((2,), ())]
+    assert graded_slice_basis(kx, 0, 2).tolist() == [[2]]
 
     kxx1 = PolyAlgebra(F5, ("x", "x1"), (1, 1), base_var="x")
+    # rows: the wedge index, then the exponents; x dx, x1 dx, x dx1, x1 dx1
     basis = graded_slice_basis(kxx1, 1, 2)
-    labels = {(e, w) for e, w in basis}
-    assert labels == {((1, 0), (0,)), ((0, 1), (0,)), ((1, 0), (1,)), ((0, 1), (1,))}
-    assert len(basis) == 4
+    assert basis.dtype == np.int64
+    assert basis.tolist() == [[0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1]]
 
-    assert graded_slice_basis(kxx1, 1, 0) == []
+    assert graded_slice_basis(kxx1, 1, 0).shape == (0, 3)
 
 
 def monomial_count(weights, weight):
@@ -169,40 +170,98 @@ def test_algebra_json_external_format():
     assert alg.ring == Z4 and alg.variables == ("x",) and alg.base_var == "x"
 
 
-def test_monomials_of_weight_is_memoized_in_graded_lex_order():
+def test_monomials_of_weight_is_memoized_in_descending_lex_order():
     alg = PolyAlgebra(F5, ("x", "s", "t"), (1, 2, 2))
     for w in range(7):
-        for allowed in (None, (0, 2), [1]):
-            idxs = range(3) if allowed is None else allowed
-            brute = sorted((e for e in itertools.product(range(w + 1), repeat=3)
-                            if alg.monomial_weight(e) == w
-                            and all(e[i] == 0 for i in range(3) if i not in idxs)), reverse=True)
-            got = alg.monomials_of_weight(w, allowed)
-            assert isinstance(got, tuple) and list(got) == brute
-            assert alg.monomials_of_weight(w, allowed) is got
+        brute = sorted((e for e in itertools.product(range(w + 1), repeat=3)
+                        if reference_polyalg.monomial_weight(alg, e) == w), reverse=True)
+        got = alg.monomials_of_weight(w)
+        assert got.dtype == np.int64 and got.shape == (len(brute), 3)
+        assert got.tolist() == [list(e) for e in brute]
+        assert alg.monomials_of_weight(w) is got
 
 
 @pytest.mark.parametrize("weights", [(), (1,), (2, 3, 1), (1, 2, 2, 2), (1, 3, 3, 3, 3), (1,) * 7])
 def test_monomials_of_weight_equals_the_recursive_reference(weights):
     alg = PolyAlgebra(F5, tuple(f"v{i}" for i in range(len(weights))), weights)
-    subsets = [None, tuple(reversed(range(len(weights))))]
-    subsets += [c for k in range(len(weights) + 1) for c in itertools.combinations(range(len(weights)), k)]
     for w in range(-1, 9):
-        for allowed in subsets:
-            want = reference_polyalg.monomials_of_weight(alg, w, allowed)
-            assert alg.monomials_of_weight(w, allowed) == want, (w, allowed)
+        want = reference_polyalg.monomials_of_weight(alg, w)
+        got = alg.monomials_of_weight(w)
+        assert got.shape == (len(want), len(weights)) and got.tolist() == [list(e) for e in want], w
 
 
-def test_monomials_containing_and_slice_bases_with_occurring_variables():
+def test_slice_bases_with_occurring_variables():
     alg = PolyAlgebra(F5, ("x", "s", "t"), (1, 2, 3))
     for w in range(12):
         for occurring in ((), (1,), (2,), (1, 2), (0, 1, 2)):
-            want = [e for e in alg.monomials_of_weight(w) if all(e[i] for i in occurring)]
-            assert alg.monomials_containing(w, occurring) == want
             for degree in range(3):
                 full = graded_slice_basis(alg, degree, w, wedge_vars=(1, 2))
-                assert graded_slice_basis(alg, degree, w, wedge_vars=(1, 2), occurring=occurring) == [
-                    (e, wdg) for e, wdg in full if all(e[i] or i in wdg for i in occurring)]
+                keep = [all(r[degree + k] or k in r[:degree] for k in occurring) for r in full.tolist()]
+                got = graded_slice_basis(alg, degree, w, wedge_vars=(1, 2), occurring=occurring)
+                assert got.shape == (sum(keep), degree + 3)
+                assert np.array_equal(got, full[np.array(keep, dtype=bool)]), (w, occurring, degree)
+
+
+def drpd_block_keys(d: int) -> list[tuple[int, int, int]]:
+    """The (j, i, w) of every block Omega^i(Q_j) with j d <= w (the others
+    have no rows) whose basis the de Rham builds of ``drpd-modp`` up to
+    weight bound 9 (Hodge cut 10, window top 2) and of ``drpd-envelope`` up
+    to weight bound 10 (Hodge cut 10 // d + 1, window top 1) read at
+    deg f = d: i below the cut and j - i from -1 to one past the window
+    top.  The keys of a bound contain those of every lower bound."""
+    keys = set()
+    for wb, cut, top in ((9, 10, 2), (10, 10 // d + 1, 1)):
+        keys |= {(j, i, w) for w in range(wb + 1) for j in range(w // d + 1)
+                 for i in range(max(j - top - 1, 0), min(j + 2, cut))}
+    return sorted(keys)
+
+
+def slice_basis_mismatches(d: int) -> list[tuple[int, int, int]]:
+    """The drpd blocks at deg f = d whose library rows (over a fresh
+    resolution algebra per j, so every monomial table is built here) differ
+    from the tuple reference: in dtype, shape or any entry."""
+    algebras = {}
+    out = []
+    for j, i, w in drpd_block_keys(d):
+        alg = algebras.setdefault(j, PolyAlgebra(F5, ("x", *(f"t{s}" for s in range(1, j + 1))), (1,) + (d,) * j))
+        t_vars = range(1, j + 1)
+        got = graded_slice_basis(alg, i, w, wedge_vars=t_vars, occurring=t_vars)
+        want = reference_polyalg.form_rows(
+            reference_polyalg.graded_slice_basis(alg, i, w, wedge_vars=t_vars, occurring=t_vars), i, j + 1)
+        if got.dtype != np.int64 or got.shape != want.shape or not np.array_equal(got, want):
+            out.append((j, i, w))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3], ids=["x", "x^2", "x^3"])
+def test_slice_bases_equal_the_tuple_reference_on_every_drpd_block(d):
+    assert len(drpd_block_keys(d)) == {1: 259, 2: 118, 3: 74}[d]
+    assert slice_basis_mismatches(d) == []
+
+
+def test_a_dropped_bump_row_is_caught(monkeypatch):
+    # of two or more wedge sets, the last loses its bump row and so its rows:
+    # first at Omega^1(Q_2), weight 2 (t_2 dt_1 and t_1 dt_2)
+    honest = polyalg._bump_rows
+
+    def dropped(*args):
+        rows = honest(*args)
+        return rows[:-1] if len(rows) > 1 else rows
+
+    monkeypatch.setattr(polyalg, "_bump_rows", dropped)
+    assert slice_basis_mismatches(1)[:3] == [(2, 1, 2), (2, 1, 3), (2, 1, 4)]
+
+
+def test_two_swapped_monomial_rows_are_caught(monkeypatch):
+    honest = PolyAlgebra.monomials_of_weight
+
+    def swapped(self, w):
+        rows = honest(self, w)
+        return rows[[1, 0, *range(2, len(rows))]] if len(rows) > 1 else rows
+
+    monkeypatch.setattr(PolyAlgebra, "monomials_of_weight", swapped)
+    # first at Q_1, weight 2: x t_1 and t_1^2 change places
+    assert slice_basis_mismatches(1)[:3] == [(1, 0, 2), (1, 0, 3), (1, 0, 4)]
 
 
 def test_row_positions_finds_rows_also_past_the_int64_key_range():
@@ -226,5 +285,5 @@ def test_row_positions_finds_rows_also_past_the_int64_key_range():
             assert hit == (tuple(r) in index)
             if hit:
                 assert k == index[tuple(r)]
-    pos, found = row_positions(exponent_rows([], 2), exponent_rows([(1, 2)], 2))
+    pos, found = row_positions(np.zeros((0, 2), dtype=np.int64), np.array([[1, 2]]))
     assert not found.any()
