@@ -1,13 +1,11 @@
-"""Exact canonical forms and valuations: the substrate everything rests on.
+"""Exact canonical forms and resultants: the substrate everything rests on.
 
 Run with: python3 demos/01_exact_linear_algebra.py
 """
 
-from fractions import Fraction
-
 import numpy as np
 
-from derhamkit import ModRing, howell_form, padic_valuation, quotient_invariants, resultant, smith_normal_form
+from derhamkit import ModRing, howell_form, quotient_invariants, resultant, smith_normal_form
 from derhamkit.exactlin import left_kernel
 
 print("Smith normal form over Z, with unimodular certificates")
@@ -30,8 +28,7 @@ print(f"  free rank 2 over Z/9: factors {facs}")
 facs = quotient_invariants(np.eye(2, dtype=np.int64), np.array([[3, 0], [0, 1]]), ModRing(3, 2))
 print(f"  (Z/9)^2 modulo the rows (3, 0), (0, 1): factors {facs}")
 
-print("\nExact p-adic valuations and resultants")
-print(f"  v_5(7/25) = {padic_valuation(Fraction(7, 25), 5)}")
+print("\nExact integer resultants")
 print(f"  Res(x^2+x+1, 2x+1) = {resultant([1, 1, 1], [1, 2])}")
 phi9 = [1, 0, 0, 1, 0, 0, 1]
 dphi9 = [0, 0, 3, 0, 0, 6]

@@ -8,14 +8,9 @@ import random
 from derhamkit import ModRing, kan_transform, normalized_complex, unnormalized_complex
 from derhamkit.complexes import GradedSliceComplex, slice_homology
 from derhamkit.randomgen import random_complex
-from derhamkit.simplex import epi_mono_factorize, MonotoneMap, shuffles
+from derhamkit.simplex import shuffles
 
-print("Epi-mono factorization in the simplex category")
-alpha = MonotoneMap(2, 2, (0, 0, 2))
-epi, mono = epi_mono_factorize(alpha)
-print(f"  (0,0,2) = mono {mono.values} o epi {epi.values}")
-
-print("\nKan transform of F_2 placed in degree 1: ranks count surjections")
+print("Kan transform of F_2 placed in degree 1: ranks count surjections")
 ring2 = ModRing(2, 1)
 c = GradedSliceComplex(ring2, 0, 1, {(1, 0): 1}, {})
 x = kan_transform(c, d_max=5)

@@ -3,15 +3,11 @@
 Run with: python3 demos/03_cotangent_complexes.py
 """
 
-import numpy as np
-
 from derhamkit import (
     AlgebraPresentation,
-    FiniteBModule,
     FreeSimplicialResolution,
     ModRing,
     cotangent_homology,
-    ext1_cotangent,
     kaehler_presentation,
 )
 
@@ -42,8 +38,3 @@ for ring, f, label in ((F3, (0, 1), "F_3[x]/(x)"), (F2, (0, 0, 1), "F_2[x]/(x^2)
 print("\nEtale extensions have vanishing cotangent complexes")
 etale = cotangent_homology(AlgebraPresentation(F2, "hypersurface", "x", (1, 1, 1)), (0, 1), 4, depth=4)
 print(f"  F_4 over F_2: all homology trivial: {not etale.report.entries}")
-
-print("\nExt^1 against the cotangent complex classifies square-zero extensions")
-pres = AlgebraPresentation(Z4, "quotient", "y", (0, 1))
-izt = FiniteBModule(Z4, 1, np.array([[2]]), np.zeros((1, 1), dtype=np.int64))
-print(f"  A = Z/4[y], B = A/(y), I = Z/2: Ext^1 = {ext1_cotangent(pres, izt)}")

@@ -13,7 +13,7 @@ from derhamkit import (
     theta_map,
     tilt_ring,
 )
-from derhamkit.padicfield import cyclotomic_extension, different_valuation, fontaine_annihilator_check
+from derhamkit.padicfield import cyclotomic_extension, different_valuation
 from derhamkit.witt import epsilon_root_witt, epsilon_witt, xi_cyclotomic
 
 print("Structure polynomials solved from the ghost equations (p = 2)")
@@ -44,9 +44,7 @@ print("\nKernel generation in the finite model (evidence, not a theorem)")
 rep = ker_theta_report(model)
 print(f"  sizes {rep.sizes}; every kernel element a multiple of xi: {rep.kernel_generated_by_xi}")
 
-print("\nRamification arithmetic behind the annihilator computations")
+print("\nRamification: the different of the cyclotomic extensions")
 for p, r in ((3, 1), (3, 2), (2, 2)):
     v = different_valuation(cyclotomic_extension(p, r)).value
     print(f"  v(different) of Q_{p}(zeta_{p}^{r}) = {v}  (expected r - 1/(p-1))")
-chk = fontaine_annihilator_check(3, 2)
-print(f"  annihilator of dlog zeta_9: both routes give {chk.expected}: {chk.ok}")

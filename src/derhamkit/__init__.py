@@ -5,14 +5,12 @@ algebras, divided powers, Witt vectors, tilts and theta, with every claim
 backed by finite exact linear algebra over Z, Z/p^n and F_p.
 """
 
-from .exactlin import ModRing, PAdicValue, smith_normal_form, howell_form, quotient_invariants, padic_valuation, resultant
+from .exactlin import ModRing, PAdicValue, smith_normal_form, howell_form, quotient_invariants, resultant
 from .polyalg import PolyAlgebra, graded_slice_basis
-from .complexes import GradedSliceComplex, DoubleComplex, HomologyReport, slice_homology, total_complex, compare_homology, homology_report
+from .complexes import GradedSliceComplex, DoubleComplex, HomologyReport, slice_homology, total_complex, homology_report
 from .simplex import (
-    MonotoneMap,
     SimplicialModule,
     BisimplicialModule,
-    epi_mono_factorize,
     normalized_complex,
     unnormalized_complex,
     kan_transform,
@@ -25,8 +23,6 @@ from .cotangent import (
     FreeSimplicialResolution,
     kaehler_presentation,
     cotangent_homology,
-    ext1_cotangent,
-    FiniteBModule,
 )
 from .pdpow import gamma_monomials, derived_power, koszul_gamma_complex
 from .derham import build_derham, hodge_quotient_homology, graded_piece_report, universal_thickening, pd_envelope_report, h0_shuffle_product
@@ -46,7 +42,6 @@ from .padicfield import (
     cyclotomic_extension,
     different_valuation,
     omega_invariants,
-    fontaine_annihilator_check,
 )
 from .suites import list_suites, run_suite
 

@@ -56,7 +56,6 @@ __all__ = [
     "slice_homology",
     "homology_report",
     "total_complex",
-    "compare_homology",
 ]
 
 
@@ -516,33 +515,3 @@ def _fault(offsets: dict, n: int, w: int, square: SparseMatrix) -> str:
     kind = ("vertical d^2 != 0", "horizontal and vertical differentials do not commute",
             "horizontal d^2 != 0")[p - p_at(n - 2, square.cols[0])]
     return f"{kind} at {(p, n - p, w)}"
-
-
-# ---------------------------------------------------------------------------
-# comparison reports
-
-
-@dataclass
-class CompareReport:
-    verdicts: dict  # (degree, weight) -> (factors_left, factors_right, equal)
-    equal: bool
-
-
-def compare_homology(cx1: GradedSliceComplex, cx2: GradedSliceComplex,
-                     degrees: Iterable[int], weights: Iterable[int] | None = None) -> CompareReport:
-    if cx1.ring != cx2.ring:
-        raise ValueError("complexes over different coefficient rings")
-    if weights is None:
-        weights = sorted(set(cx1.weights()) | set(cx2.weights()))
-    verdicts = {}
-    ok = True
-    for n in degrees:
-        for w in weights:
-            f1 = slice_homology(cx1, n, w)
-            f2 = slice_homology(cx2, n, w)
-            eq = f1 == f2
-            ok = ok and eq
-            if f1 or f2:
-                verdicts[(n, w)] = (f1, f2, eq)
-    return CompareReport(verdicts, ok)
-

@@ -2,7 +2,6 @@
 
 Supported algebra presentations:
 
-* ``free``: A -> A[y_1..y_m], cotangent concentrated in degree 0 and free.
 * ``quotient``: A = k[x] -> B = A/(f) for f = c x^d with c a unit, computed
   relative to A.  The resolution Q_n = k[x][t_1..t_n] substitutes f for the
   dropped variable; with weight(x) = 1 and weight(t_i) = deg f every face
@@ -35,9 +34,7 @@ from .exactlin import (
     SparseMatrix,
     left_kernel,
     mzeros,
-    mmul,
     quotient_invariants,
-    span_solver,
 )
 from .polyalg import PolyAlgebra, graded_slice_basis, row_positions
 from .upoly import rem, trim
@@ -50,8 +47,6 @@ __all__ = [
     "kaehler_presentation",
     "cotangent_homology",
     "shortcut_conormal_complex",
-    "FiniteBModule",
-    "ext1_cotangent",
 ]
 
 
@@ -90,15 +85,10 @@ class AlgebraPresentation:
     shape: str
     var: str = "x"
     f_coeffs: tuple[int, ...] = ()
-    free_rank: int = 0
 
     def __post_init__(self):
-        if self.shape not in ("free", "quotient", "hypersurface"):
+        if self.shape not in ("quotient", "hypersurface"):
             raise ValueError(f"unsupported shape {self.shape!r}")
-        if self.shape == "free":
-            if self.free_rank < 1:
-                raise ValueError("free shape needs at least one variable")
-            return
         coeffs = trim(c % self.ring.modulus for c in self.f_coeffs)
         if len(coeffs) < 2:
             raise ValueError("f must have degree >= 1 (and be nonzero)")
@@ -174,8 +164,6 @@ class FreeSimplicialResolution:
     shape and relative to k ("coefficients") for the hypersurface shape."""
 
     def __init__(self, pres: AlgebraPresentation, d_max: int, weight_bound: int):
-        if pres.shape == "free":
-            raise ValueError("free presentations do not need a resolution")
         if d_max < 1:
             raise ValueError("resolution depth must be >= 1")
         self.pres = pres
@@ -441,13 +429,11 @@ class KaehlerPresentation:
     pres: AlgebraPresentation
     rank: int  # generators over the target algebra
     free_over_target: bool
-    factors: list[int] | None  # invariant factors over k, when finite over k
+    factors: list[int]  # invariant factors over k
 
 
 def kaehler_presentation(pres: AlgebraPresentation) -> KaehlerPresentation:
     ring = pres.ring
-    if pres.shape == "free":
-        return KaehlerPresentation(pres, pres.free_rank, True, None)
     if pres.shape == "quotient":
         # relative to A = k[x]: d kills every image, the module vanishes
         return KaehlerPresentation(pres, 0, False, [])
@@ -482,13 +468,6 @@ def cotangent_homology(pres: AlgebraPresentation, window: tuple[int, int],
     depth = needed if depth is None else depth
     if depth < needed:
         raise DepthError(f"depth {depth} insufficient for window top {hi} (need >= {needed})")
-    if pres.shape == "free":
-        dims = {(0, 1): pres.free_rank}
-        cx = GradedSliceComplex(pres.ring, 0, hi + 1, dims, {}, trusted=(0, hi))
-        rep = homology_report(cx, degrees=range(lo, hi + 1))
-        cert = AcyclicityCertificate("exact-slices", weight_bound, (0, depth - 1), True,
-                                     "constant resolution of a free algebra")
-        return CotangentResult(pres, cx, rep, cert)
     verify_nonzerodivisor(pres, weight_bound)
     res = FreeSimplicialResolution(pres, depth, weight_bound)
     cert = res.certify()
@@ -503,8 +482,6 @@ def cotangent_homology(pres: AlgebraPresentation, window: tuple[int, int],
 def _check_h0_matches_kaehler(pres: AlgebraPresentation, rep: HomologyReport) -> None:
     h0 = sorted(f for (n, _), e in rep.entries.items() if n == 0 for f in e["factors"])
     expected = kaehler_presentation(pres).factors
-    if expected is None:
-        return
     if h0 != sorted(expected):
         raise AssertionError(f"H_0 of the cotangent complex {h0} != Kaehler invariants {expected}")
 
@@ -520,106 +497,3 @@ def shortcut_conormal_complex(pres: AlgebraPresentation, window_top: int) -> Gra
     dims = {(1, w + d): 1 for w in range(d)}
     return GradedSliceComplex(pres.ring, 0, max(window_top + 1, 1), dims, {},
                               trusted=(0, window_top))
-
-
-# ---------------------------------------------------------------------------
-# Ext^1 against the cotangent complex
-
-
-@dataclass
-class FiniteBModule:
-    """Finite module over B = k[x]/(f): cokernel of ``relations`` on
-    ``gens`` generators over k, with the action of x on generators.
-
-    The action must preserve the relation span (checked)."""
-
-    ring: ModRing
-    gens: int
-    relations: np.ndarray  # rows over k, width = gens
-    x_action: np.ndarray  # gens x gens over k, row convention
-
-    def __post_init__(self):
-        m = self.ring.modulus
-        self.relations = np.asarray(self.relations, dtype=np.int64).reshape(-1, self.gens) % m
-        self.x_action = np.asarray(self.x_action, dtype=np.int64).reshape(self.gens, self.gens) % m
-        if self.relations.shape[0]:
-            moved = mmul(self.relations, self.x_action, self.ring)
-            solve = span_solver(self.relations, self.ring)
-            for row in moved:
-                if row.any() and solve(row) is None:
-                    raise ValueError("x action does not preserve the relations")
-
-    def poly_action(self, coeffs) -> np.ndarray:
-        out = mzeros(self.gens, self.gens)
-        power = np.eye(self.gens, dtype=np.int64)
-        for c in coeffs:
-            if c % self.ring.modulus:
-                out = (out + c * power) % self.ring.modulus
-            power = mmul(power, self.x_action, self.ring)
-        return out
-
-    def invariants(self) -> list[int]:
-        return quotient_invariants(np.eye(self.gens, dtype=np.int64), self.relations, self.ring)
-
-
-def ext1_cotangent(pres: AlgebraPresentation, module: FiniteBModule,
-                   weight_bound: int = 6, depth: int = 3) -> list[int]:
-    """Invariant factors of Ext^1 against the cotangent complex.
-
-    Computed as H^1 of Hom_B(B (x) Omega^1(Q_.), I) from the first three
-    resolution degrees.  Hom_B(B^r, I) = I^r is presented over k blockwise;
-    for the quotient shape the result is cross-checked against
-    Hom_B((f)/(f^2), I) = I."""
-    if depth < 3:
-        raise DepthError("Ext^1 needs resolution depth >= 3")
-    ring = pres.ring
-    if pres.shape == "free" or module.gens == 0:
-        return []
-    res = FreeSimplicialResolution(pres, depth, weight_bound)
-    if not res.certify().ok:
-        raise ValueError("acyclicity certificate failed")
-    g = module.gens
-    srange = 1 if res.relative == "base" else 0
-
-    def slot_count(n):
-        return n + 1 - srange
-
-    def hom_delta(n):
-        """Hom(I^{slots_n}) -> Hom(I^{slots_{n+1}}): phi -> phi o d_{n+1}."""
-        rows = slot_count(n) * g
-        cols = slot_count(n + 1) * g
-        out = mzeros(rows, cols)
-        slots_n = list(range(srange, n + 1))
-        slots_n1 = list(range(srange, n + 2))
-        for i in range(n + 2):
-            sign = -1 if i % 2 else 1
-            for a, s in enumerate(slots_n1):
-                slot, mult = res._face_slot_image(n + 1, i, s)
-                if slot is None or slot not in slots_n:
-                    continue
-                b = slots_n.index(slot)
-                act = module.poly_action(mult)
-                out[b * g : (b + 1) * g, a * g : (a + 1) * g] += sign * act
-        return out % ring.modulus
-
-    def block_relations(count):
-        if count == 0 or module.relations.shape[0] == 0:
-            return mzeros(0, count * g)
-        blocks = []
-        for b in range(count):
-            row = mzeros(module.relations.shape[0], count * g)
-            row[:, b * g : (b + 1) * g] = module.relations
-            blocks.append(row)
-        return np.vstack(blocks)
-
-    d1 = hom_delta(1)
-    rel1 = block_relations(slot_count(1))
-    # cycles: the rows v with v @ d1 in the relations of the next term
-    cycles = left_kernel(np.vstack([d1, block_relations(slot_count(2))]), ring)[:, :len(d1)]
-    boundaries = np.vstack([rel1, hom_delta(0)]) if slot_count(0) else rel1
-    facs = quotient_invariants(np.vstack([cycles, rel1]), boundaries, ring)
-    if pres.shape == "quotient":
-        expected = module.invariants()
-        if sorted(facs) != sorted(expected):
-            raise AssertionError("Ext^1 disagrees with the conormal Hom module")
-    return facs

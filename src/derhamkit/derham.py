@@ -374,11 +374,6 @@ class ThickeningResult:
     sequence_lengths_ok: bool
     comparison_bijective: bool
 
-    @property
-    def ok(self) -> bool:
-        return (self.surjection_ok and self.square_zero_ok
-                and self.sequence_lengths_ok and self.comparison_bijective)
-
 
 def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> ThickeningResult:
     """H_0 of the F^2-truncated de Rham complex with its ring structure,

@@ -3,10 +3,10 @@
 Everything downstream (chain complexes, homology, module invariants) reduces
 to the kernels in this module: Smith normal form over Z with unimodular
 certificates, Howell canonical forms over Z/p^n, left kernels, span
-membership, p-adic valuations and resultants.  A quotient span(C)/span(B)
-of row spans is one :class:`SliceQuotient`, with its invariant factors,
-generator representatives and coordinates; ``quotient_invariants`` is its
-factors.
+membership, p-adic valuations of integers and resultants.  A quotient
+span(C)/span(B) of row spans is one :class:`SliceQuotient`, with its
+invariant factors, generator representatives and coordinates;
+``quotient_invariants`` is its factors.
 
 Conventions: module elements are *row* vectors; a homomorphism is a matrix
 ``M`` of shape (source dim, target dim) acting by ``v @ M``.  Matrices over
@@ -43,7 +43,6 @@ __all__ = [
     "express_in_basis",
     "SliceQuotient",
     "quotient_invariants",
-    "padic_valuation",
     "resultant",
 ]
 
@@ -107,22 +106,19 @@ class ModRing:
 
 @dataclass(frozen=True)
 class PAdicValue:
-    """Exact rational valuation with a +infinity marker.
+    """Exact rational valuation.
 
     The denominator is expected to divide the declared ramification index of
     whatever extension produced the value; `with_index` asserts this.
     """
 
     prime: int
-    value: Fraction | None  # None encodes +infinity
+    value: Fraction
 
     def with_index(self, e: int) -> "PAdicValue":
-        if self.value is not None and (self.value * e).denominator != 1:
+        if (self.value * e).denominator != 1:
             raise ValueError(f"valuation {self.value} has denominator not dividing e={e}")
         return self
-
-    def __str__(self):
-        return "+inf" if self.value is None else str(self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -886,18 +882,7 @@ def quotient_invariants(cycles: np.ndarray, boundaries: np.ndarray, ring: ModRin
 
 
 # ---------------------------------------------------------------------------
-# valuations and resultants
-
-
-def padic_valuation(q, p: int) -> PAdicValue:
-    """Exact v_p of a rational (Fraction or int); v_p(0) = +infinity."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    q = Fraction(q)
-    if q == 0:
-        return PAdicValue(p, None)
-    num, den = q.numerator, q.denominator
-    return PAdicValue(p, Fraction(v_int(abs(num), p) - v_int(den, p)))
+# resultants
 
 
 def resultant(f: Sequence[int], g: Sequence[int]) -> int:

@@ -1,10 +1,9 @@
 """Exact ramification arithmetic for monogenic extensions of Q_p.
 
-Different ideals through resultants, module lengths of relative
-differentials through local Smith forms of multiplication matrices, and the
-finite-level annihilator computations for the compatible system of p-power
-roots of unity.  Valuations are exact rationals with denominator dividing
-the ramification index; no p-adic floating point anywhere.
+Different ideals through resultants, and module lengths of relative
+differentials through local Smith forms of multiplication matrices.
+Valuations are exact rationals with denominator dividing the ramification
+index; no p-adic floating point anywhere.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "cyclotomic_extension",
     "different_valuation",
     "omega_invariants",
-    "fontaine_annihilator_check",
 ]
 
 
@@ -62,11 +60,7 @@ def cyclotomic_extension(p: int, r: int) -> MonogenicExtension:
 
 def different_valuation(ext: MonogenicExtension) -> PAdicValue:
     """v(f'(b)) = v_p(Res(f, f')) / [L : Q_p], exact."""
-    return _different_from_resultant(ext, resultant(list(ext.f_coeffs), ext.fprime()))
-
-
-def _different_from_resultant(ext: MonogenicExtension, res: int) -> PAdicValue:
-    """v(f'(b)) from res = Res(f, f')."""
+    res = resultant(list(ext.f_coeffs), ext.fprime())
     if res == 0:
         raise ValueError("inseparable polynomial: the different is undefined")
     val = Fraction(v_int(abs(res), ext.p), ext.degree)
@@ -93,42 +87,3 @@ def omega_invariants(ext: MonogenicExtension, precision: int):
         raise ValueError(f"precision {precision} too small: length saturates at {ext.degree * precision}")
     lengths = sorted(v_int(d, ext.p) for d in factors)
     return sum(lengths), lengths
-
-
-@dataclass
-class AnnihilatorCheck:
-    p: int
-    r: int
-    expected: Fraction
-    via_different: Fraction
-    via_uniformizer: Fraction
-    dlog_matches_d: bool
-    ok: bool
-
-
-def fontaine_annihilator_check(p: int, r: int) -> AnnihilatorCheck:
-    """The annihilator valuation of d(zeta_{p^r}) equals r - 1/(p-1).
-
-    Two independent routes: the different valuation of Q_p(zeta_{p^r}) via
-    the resultant, and v(p^r / (zeta_p - 1)) with v(zeta_p - 1) = 1/(p-1)
-    computed from the norm of zeta_p - 1.  The dlog class differs from d by
-    the unit zeta, so its annihilator agrees; checked through the shifted
-    resultant Res(f, x f'(x)).
-    """
-    ext = cyclotomic_extension(p, r)
-    expected = Fraction(r) - Fraction(1, p - 1)
-    plain = resultant(list(ext.f_coeffs), ext.fprime())
-    via_diff = _different_from_resultant(ext, plain).value
-
-    # v(zeta_p - 1) from the norm in Q_p(zeta_p): Res(Phi_p, x - 1) = Phi_p(1) = p
-    phi_p = cyclotomic_polynomial_ppower(p, 1)
-    norm = resultant(phi_p, [-1, 1])
-    v_unif = Fraction(v_int(abs(norm), p), p - 1)
-    via_unif = Fraction(r) - v_unif
-
-    # dlog vs d: multiply the annihilator generator by the unit zeta
-    shifted = resultant(list(ext.f_coeffs), [0] + ext.fprime())
-    dlog_same = v_int(abs(shifted), p) == v_int(abs(plain), p)
-
-    ok = via_diff == expected and via_unif == expected and dlog_same
-    return AnnihilatorCheck(p, r, expected, via_diff, via_unif, dlog_same, ok)

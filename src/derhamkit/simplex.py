@@ -5,8 +5,7 @@ A simplicial module stores its faces per degree and weight slice as
 store their differentials; its degeneracies are triples too, and the Kan
 transform and the diagonal build all of them when the first is read.  The
 identities are checked on the triples; dense matrices are made on request
-(``face``, ``degen``).  The action of an arbitrary monotone map is derived
-from its epi-mono factorization into generators.  The normalized complex
+(``face``, ``degen``).  The normalized complex
 takes the kernels of the first n faces of every slice in one pass: the
 face triples of all slices become one block-diagonal matrix, handed to
 ``block_left_kernels``, with differential (-1)^n d_n; the unnormalized
@@ -16,8 +15,11 @@ There is one Kan operator.  The double Kan transform of a double complex
 sums D_{p,q} over pairs of monotone surjections [m] ->> [p], [n] ->> [q];
 a face or degeneracy moves each summand to at most one summand, by the
 identity when the injective factor is trivial and by the signed
-differential when it is the last face (``kan_block``, tabulated on
-index arrays by ``_kan_table``).  Summand offsets
+differential when it is the last face (the rule ``_kan_table`` tabulates
+on index arrays).  A surjection e: [m] ->> [p] is its step set {j :
+e(j) = e(j - 1) + 1}, a p-element subset of {1, ..., m}, and its index is
+the rank of that set among the p-element subsets in lexicographic order
+(the order of ``itertools.combinations``).  Summand offsets
 are affine in the surjections' indices, so one array pass builds every
 face, or every degeneracy, of a module in one direction.  The Kan
 transform K(C) is the row q = 0 of the double Kan transform of C, and the
@@ -58,86 +60,15 @@ from .exactlin import (
 )
 
 __all__ = [
-    "MonotoneMap",
-    "epi_mono_factorize",
-    "monotone_surjections",
     "SimplicialModule",
     "BisimplicialModule",
     "normalized_complex",
     "unnormalized_complex",
     "kan_transform",
-    "kan_block",
     "diagonal",
     "double_kan",
     "shuffles",
 ]
-
-
-@dataclass(frozen=True)
-class MonotoneMap:
-    """Nondecreasing map [m] -> [n]; ``values`` has length m+1."""
-
-    source: int
-    target: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.source + 1:
-            raise ValueError("value list length must be source+1")
-        if any(v < 0 or v > self.target for v in self.values):
-            raise ValueError("values out of range")
-        if any(a > b for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("values must be nondecreasing")
-
-    def __call__(self, i: int) -> int:
-        return self.values[i]
-
-    def compose(self, other: "MonotoneMap") -> "MonotoneMap":
-        """self o other (apply ``other`` first)."""
-        if other.target != self.source:
-            raise ValueError("maps not composable")
-        return MonotoneMap(other.source, self.target, tuple(self.values[v] for v in other.values))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.source == self.target and self.values == tuple(range(self.source + 1))
-
-    @staticmethod
-    def face(n: int, i: int) -> "MonotoneMap":
-        """The injection [n-1] -> [n] whose image avoids i."""
-        if not 0 <= i <= n:
-            raise ValueError("face index out of range")
-        return MonotoneMap(n - 1, n, tuple(v for v in range(n + 1) if v != i))
-
-    @staticmethod
-    def degeneracy(n: int, i: int) -> "MonotoneMap":
-        """The surjection [n+1] -> [n] hitting i twice."""
-        if not 0 <= i <= n:
-            raise ValueError("degeneracy index out of range")
-        return MonotoneMap(n + 1, n, tuple(v if v <= i else v - 1 for v in range(n + 2)))
-
-
-def epi_mono_factorize(alpha: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:
-    """Unique factorization alpha = mono o epi."""
-    image = sorted(set(alpha.values))
-    mono = MonotoneMap(len(image) - 1, alpha.target, tuple(image))
-    lookup = {v: k for k, v in enumerate(image)}
-    epi = MonotoneMap(alpha.source, len(image) - 1, tuple(lookup[v] for v in alpha.values))
-    return epi, mono
-
-
-@lru_cache(maxsize=None)
-def monotone_surjections(n: int, p: int) -> tuple[MonotoneMap, ...]:
-    """All monotone surjections [n] ->> [p], deterministic order."""
-    if p > n or p < 0:
-        return ()
-    out = []
-    for steps in itertools.combinations(range(1, n + 1), p):
-        vals = [0]
-        for i in range(1, n + 1):
-            vals.append(vals[-1] + (1 if i in steps else 0))
-        out.append(MonotoneMap(n, p, tuple(vals)))
-    return tuple(out)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -423,28 +354,12 @@ def _face_blocks(x: SimplicialModule, slices: list) -> SparseMatrix:
 # Kan transform
 
 
-def kan_block(eta: MonotoneMap, alpha: MonotoneMap) -> tuple[tuple[int, ...], str] | None:
-    """Kan block rule for summand eta: [n] ->> [p] under a monotone alpha.
-
-    Factor eta o alpha = mono o eta'.  The block is the identity into
-    summand eta' when mono is the identity ("id"), (-1)^p d: C_p -> C_{p-1}
-    into summand eta' when mono is the last face [p-1] -> [p] ("d"), and
-    zero otherwise (None).  Returns (eta'.values, kind) or None.
-    """
-    eta2, mono = epi_mono_factorize(eta.compose(alpha))
-    if mono.is_identity:
-        return eta2.values, "id"
-    if mono.source == eta.target - 1 and mono.values == tuple(range(eta.target)):
-        return eta2.values, "d"
-    return None
-
-
 def kan_transform(c: GradedSliceComplex, d_max: int | None = None) -> SimplicialModule:
     """Quasi-inverse to the normalized complex: the row q = 0 of the double
     Kan transform of C, with the triples of C as its horizontal blocks.
 
     K(C)_n sums C_p over monotone surjections [n] ->> [p], and d_i, s_i act
-    by the rule of ``kan_block``.  C is validated as that double complex, so
+    by the rule of ``_kan_table``.  C is validated as that double complex, so
     a C with d∘d != 0 raises ValueError naming the block where it fails.
     The faces are built here in one pass, the degeneracies in one pass when
     the first of them is read.
@@ -471,13 +386,16 @@ def _simplicial(b: "BisimplicialModule", directions: str, d_max: int, dims: dict
 
 @lru_cache(maxsize=None)
 def _kan_table(top: int, face: bool) -> np.ndarray:
-    """The ``kan_block`` rules of every d_i (or s_i) on K_m, m <= top, as
-    read-only int64 rows (m, p, e, i, kind, e') sorted by (m, p, e, i): d_i
-    sends surjection e: [m] ->> [p] (its index in ``monotone_surjections``)
-    to surjection e' of [m -/+ 1] ->> [p - kind] by the identity (kind 0) or
-    the differential (kind 1).  A zero block has no row.
+    """The Kan block rules of every d_i (or s_i) on K_m, m <= top, as
+    read-only int64 rows (m, p, e, i, kind, e') sorted by (m, p, e, i).
 
-    Computed on the step sets of ``_surjection_codes``.  With e(-1) = -1
+    Factor e o d_i (or e o s_i) as mono o e'.  The block of summand e is
+    the identity into summand e' when mono is the identity (kind 0), the
+    differential (-1)^p d: C_p -> C_{p-1} into summand e' when mono is the
+    last face [p - 1] -> [p] (kind 1), and zero otherwise, with no row.
+    Here e: [m] ->> [p] and e': [m -/+ 1] ->> [p - kind] are surjection
+    indices, and the rules are computed on their step sets
+    (``_surjection_codes``).  With e(-1) = -1
     and e(m + 1) = p + 1, e o d_i misses the value e(i) exactly when both
     i and i + 1 are steps.  It misses nothing (the identity, to the steps
     of e with those after i moved one down), or it misses p, which happens
@@ -507,11 +425,11 @@ def _kan_table(top: int, face: bool) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _surjection_codes(m: int) -> tuple[np.ndarray, ...]:
-    """(steps, p, e, index) for the surjections e: [m] ->> [p] in the order
-    (p, e) of ``monotone_surjections``.  ``steps`` holds the step set {j :
-    e(j) = e(j - 1) + 1} as the bits j - 1; sets of one size list in
-    lexicographic order, which is decreasing order of the bit-reversed set.
-    ``index[steps]`` is e."""
+    """(steps, p, e, index) for the surjections e: [m] ->> [p], ordered by p
+    and then by index e.  ``steps`` holds the step set {j : e(j) = e(j - 1)
+    + 1} as the bits j - 1; e is the rank of the set among the sets of its
+    size in lexicographic order, which is decreasing order of the
+    bit-reversed set.  ``index[steps]`` is e."""
     codes = np.arange(1 << m, dtype=np.int64)
     bits = codes[:, None] >> np.arange(m) & 1
     p = bits.sum(axis=1)
@@ -559,7 +477,7 @@ class BisimplicialModule:
     """Double Kan transform of a double complex; maps are built on request.
 
     X_{m,n,w} sums D_{p,q,w} over pairs of surjections e: [m] ->> [p] and
-    r: [n] ->> [q] (indices in ``monotone_surjections``); the summand (e, r)
+    r: [n] ->> [q] (indices as in ``_surjection_codes``); the summand (e, r)
     starts at ``bases[k, m, n, p, q] + (e C(n, q) + r) terms[k, p, q]``,
     w the k-th of ``term_weights`` and ``terms[k, p, q]`` = dim D_{p,q,w}.
     A horizontal operator acts on e and a vertical one on r by the rule

@@ -492,20 +492,6 @@ def is_ring_map(wr: WittRing, images, target) -> bool:
                for pos, table in ((add_pos, add), (mul_pos, mul)))
 
 
-def brute_force_ring_isomorphism(wr: WittRing, target: QuotientRing):
-    """Search all bijections W -> target for a ring isomorphism (tiny sets)."""
-    if wr.base.size ** wr.length != target.size or target.size > 8:
-        raise ValueError("brute-force search is for matching tiny carriers")
-    tgt, code, _, _ = target.tables
-    one, zero = wr.position(wr.one), wr.position(wr.zero)
-    for perm in itertools.permutations(range(target.size)):
-        if perm[one] != code[target.one] or perm[zero] != code[target.zero]:
-            continue
-        if is_ring_map(wr, perm, target):
-            return {e.coords: tgt[t] for e, t in zip(wr.enumerate(), perm)}
-    return None
-
-
 def witt_additive_basis(wr: WittRing):
     """Teichmuller lifts of the power basis of F_q: every Witt vector is a
     unique integer combination (checked by full enumeration)."""
@@ -527,17 +513,21 @@ def witt_additive_basis(wr: WittRing):
 
 
 def generator_ring_homomorphisms(wr: WittRing, target: QuotientRing):
-    """All unital ring homomorphisms W_n(F_q) -> target, found by choosing
-    the image of the Teichmuller generator and testing the ring operations
-    on every pair (the additive extension is forced by the integer basis).
-    The images of all elements, sum_j c_j g^j for a candidate g, are
-    target codes computed by lookups in the target's tables."""
+    """All unital ring homomorphisms W_n(F_q) -> target, each once, labelled
+    by the image g of the Teichmuller generator [x].
+
+    The additive extension of [x^j] -> g^j is forced by the integer basis;
+    a candidate g is kept when it sends [x] to g (over a prime field x = 0,
+    so only g = 0 is kept) and the ring operations hold on every pair.  The
+    images of all elements, sum_j c_j g^j, are target codes computed by
+    lookups in the target's tables."""
     _, coords_of = witt_additive_basis(wr)
     elems = list(wr.enumerate())
     tgt, code, add, mul = target.tables
     # coeffs[j][e]: the coefficient of [x^j] in element e, as a target code
     scalars = np.array([code[target.scale(c, target.one)] for c in range(wr.p ** wr.length)])
     coeffs = scalars[np.array([coords_of[w.coords] for w in elems]).T]
+    x = wr.position(wr.teichmuller(wr.base.x_power(1)))
     gens = []
     for g in range(target.size):
         images = code[target.zero]
@@ -545,7 +535,7 @@ def generator_ring_homomorphisms(wr: WittRing, target: QuotientRing):
         for row in coeffs:
             images = add[images, mul[row, power]]
             power = mul[power, g]
-        if is_ring_map(wr, images, target):
+        if images[x] == g and is_ring_map(wr, images, target):
             gens.append((tgt[g], {w.coords: tgt[t] for w, t in zip(elems, images)}))
     return gens
 
@@ -714,11 +704,6 @@ class KerThetaReport:
     eps_minus_one_in_kernel: bool
     kernel_generated_by_xi: bool
     raise_frobenius_bijective: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.theta_is_ring_hom and self.theta_epsilon_is_one and self.theta_xi_zero
-                and self.eps_minus_one_in_kernel and self.kernel_generated_by_xi)
 
 
 def xi_cyclotomic(wr: WittRing, tilt: TiltRing) -> WittVector:

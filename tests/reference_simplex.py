@@ -1,5 +1,10 @@
 """Earlier ``simplex`` constructions kept as references for the library ones.
 
+``MonotoneMap``, ``epi_mono_factorize``, ``monotone_surjections`` and
+``kan_block`` are the Kan block rule as ``simplex`` derived it, by the
+epi-mono factorization of monotone maps, before it tabulated the rule on
+surjection indices (``_kan_table``); the tests require the table to hold
+the same rule on every surjection, and the references below build on it.
 ``double_kan``/``diagonal`` are the pair ``simplex`` used before its
 bisimplicial modules became rule-based: every horizontal and vertical face
 and degeneracy in the window is built up front as a dense matrix, and the
@@ -25,6 +30,7 @@ exactly when ``validate_simplicial`` does, with the same message.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -46,16 +52,93 @@ from derhamkit.exactlin import (
     mzeros,
     sparse_product,
 )
-from derhamkit.simplex import (
-    MonotoneMap,
-    NormalizedData,
-    SimplicialModule,
-    kan_block,
-    monotone_surjections,
-)
+from derhamkit.simplex import NormalizedData, SimplicialModule
 
-# these references ask for the same blocks many times over
-kan_block = lru_cache(maxsize=None)(kan_block)
+
+@dataclass(frozen=True)
+class MonotoneMap:
+    """Nondecreasing map [m] -> [n]; ``values`` has length m+1."""
+
+    source: int
+    target: int
+    values: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.values) != self.source + 1:
+            raise ValueError("value list length must be source+1")
+        if any(v < 0 or v > self.target for v in self.values):
+            raise ValueError("values out of range")
+        if any(a > b for a, b in zip(self.values, self.values[1:])):
+            raise ValueError("values must be nondecreasing")
+
+    def __call__(self, i: int) -> int:
+        return self.values[i]
+
+    def compose(self, other: "MonotoneMap") -> "MonotoneMap":
+        """self o other (apply ``other`` first)."""
+        if other.target != self.source:
+            raise ValueError("maps not composable")
+        return MonotoneMap(other.source, self.target, tuple(self.values[v] for v in other.values))
+
+    @property
+    def is_identity(self) -> bool:
+        return self.source == self.target and self.values == tuple(range(self.source + 1))
+
+    @staticmethod
+    def face(n: int, i: int) -> "MonotoneMap":
+        """The injection [n-1] -> [n] whose image avoids i."""
+        if not 0 <= i <= n:
+            raise ValueError("face index out of range")
+        return MonotoneMap(n - 1, n, tuple(v for v in range(n + 1) if v != i))
+
+    @staticmethod
+    def degeneracy(n: int, i: int) -> "MonotoneMap":
+        """The surjection [n+1] -> [n] hitting i twice."""
+        if not 0 <= i <= n:
+            raise ValueError("degeneracy index out of range")
+        return MonotoneMap(n + 1, n, tuple(v if v <= i else v - 1 for v in range(n + 2)))
+
+
+def epi_mono_factorize(alpha: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:
+    """Unique factorization alpha = mono o epi."""
+    image = sorted(set(alpha.values))
+    mono = MonotoneMap(len(image) - 1, alpha.target, tuple(image))
+    lookup = {v: k for k, v in enumerate(image)}
+    epi = MonotoneMap(alpha.source, len(image) - 1, tuple(lookup[v] for v in alpha.values))
+    return epi, mono
+
+
+@lru_cache(maxsize=None)
+def monotone_surjections(n: int, p: int) -> tuple[MonotoneMap, ...]:
+    """All monotone surjections [n] ->> [p], deterministic order."""
+    if p > n or p < 0:
+        return ()
+    out = []
+    for steps in itertools.combinations(range(1, n + 1), p):
+        vals = [0]
+        for i in range(1, n + 1):
+            vals.append(vals[-1] + (1 if i in steps else 0))
+        out.append(MonotoneMap(n, p, tuple(vals)))
+    return tuple(out)
+
+
+
+
+@lru_cache(maxsize=None)  # the references below ask for the same blocks many times over
+def kan_block(eta: MonotoneMap, alpha: MonotoneMap) -> tuple[tuple[int, ...], str] | None:
+    """Kan block rule for summand eta: [n] ->> [p] under a monotone alpha.
+
+    Factor eta o alpha = mono o eta'.  The block is the identity into
+    summand eta' when mono is the identity ("id"), (-1)^p d: C_p -> C_{p-1}
+    into summand eta' when mono is the last face [p-1] -> [p] ("d"), and
+    zero otherwise (None).  Returns (eta'.values, kind) or None.
+    """
+    eta2, mono = epi_mono_factorize(eta.compose(alpha))
+    if mono.is_identity:
+        return eta2.values, "id"
+    if mono.source == eta.target - 1 and mono.values == tuple(range(eta.target)):
+        return eta2.values, "d"
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -108,9 +108,11 @@ def theta_map(w, model, lift=None) -> tuple:
 def generator_ring_homomorphisms(wr, target):
     """``witt.generator_ring_homomorphisms`` with the images of all elements
     built one element at a time in the target's tuple arithmetic and
-    checked by the per-pair ``is_ring_map`` above."""
+    checked by the per-pair ``is_ring_map`` above; a candidate image g of
+    [x] is kept only when it is the image of [x]."""
     _, coords_of = witt_additive_basis(wr)
     elems = list(wr.enumerate())
+    x = [w.coords for w in elems].index(wr.teichmuller(wr.base.x_power(1)).coords)
     gens = []
     for img in target.enumerate():
         images = []
@@ -121,7 +123,7 @@ def generator_ring_homomorphisms(wr, target):
                 acc = target.add(acc, target.scale(c, powg))
                 powg = target.mul(powg, img)
             images.append(acc)
-        if is_ring_map(wr, images, target):
+        if images[x] == img and is_ring_map(wr, images, target):
             gens.append((img, {w.coords: t for w, t in zip(elems, images)}))
     return gens
 

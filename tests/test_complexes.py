@@ -1,4 +1,4 @@
-"""Graded slice complexes: homology, total complexes, comparison reports."""
+"""Graded slice complexes: homology, total complexes, homology reports."""
 
 import random
 import re
@@ -12,12 +12,10 @@ import reference_complexes
 
 from derhamkit.exactlin import ModRing, SparseMatrix, howell_form, v_int
 from derhamkit.complexes import (
-    CompareReport,
     DoubleComplex,
     GradedSliceComplex,
     SliceQuotient,
     WindowError,
-    compare_homology,
     homology_quotient,
     homology_report,
     slice_homology,
@@ -333,12 +331,10 @@ def test_total_complex_and_the_dense_check_agree_on_planted_entries():
     assert tried > failed > 0
 
 
-def test_compare_homology_self_and_reports():
+def test_homology_report_entries_are_the_slice_factors():
     ring = ModRing(2, 2)
     rng = random.Random(3)
     cx = random_complex(ring, rng, max_degree=3, max_rank=3)
-    rep = compare_homology(cx, cx, degrees=list(cx.degrees()))
-    assert rep.equal and all(left == right and eq for left, right, eq in rep.verdicts.values())
     hr = homology_report(cx)
     assert hr.trusted == cx.trusted and hr.entries
     for (n, w), entry in hr.entries.items():

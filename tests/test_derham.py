@@ -112,10 +112,15 @@ def test_graded_pieces():
     assert sum(len(l) for (l, _, _) in g1.verdicts.values()) == 2
 
 
+def thickening_ok(t) -> bool:
+    """Every verdict of a ``universal_thickening`` result."""
+    return t.surjection_ok and t.square_zero_ok and t.sequence_lengths_ok and t.comparison_bijective
+
+
 def test_universal_thickening_z4():
     pres = AlgebraPresentation(Z4, "quotient", "y", (0, 1))
     t = universal_thickening(pres, weight_bound=2)
-    assert t.ok
+    assert thickening_ok(t)
     # 16 elements supported in weights <= 1
     size = 1
     for w, q in t.h0.items():
@@ -176,8 +181,9 @@ def test_ideal_squares_to_zero_multiplies_and_fails_on_a_column_one_term(monkeyp
 
 
 def test_universal_thickening_needs_vanishing_differentials():
-    with pytest.raises(ValueError):
-        universal_thickening(AlgebraPresentation(F2, "free", free_rank=1), 2)
+    # F_2[x]/(x^2) over F_2: the Kaehler module is generated by dx, rank 1
+    with pytest.raises(ValueError, match="needs vanishing relative differentials"):
+        universal_thickening(AlgebraPresentation(F2, "hypersurface", "x", (0, 0, 1)), 2)
 
 
 def test_pd_envelope_x_over_z4():
@@ -456,9 +462,9 @@ def test_thickening_other_rings():
     from derhamkit.exactlin import ModRing as MR
 
     t9 = universal_thickening(AlgebraPresentation(MR(3, 2), "quotient", "y", (0, 1)), 2)
-    assert t9.ok
+    assert thickening_ok(t9)
     t4 = universal_thickening(AlgebraPresentation(Z4, "quotient", "x", (0, 0, 1)), 4)
-    assert t4.ok
+    assert thickening_ok(t4)
     # sizes: |A/(x^4)| restricted to weights <= 4 is 4^4
     size = 1
     for q in t4.h0.values():

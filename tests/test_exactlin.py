@@ -30,7 +30,6 @@ from derhamkit.exactlin import (
     minimal_generators,
     mmul,
     mzeros,
-    padic_valuation,
     quotient_invariants,
     resultant,
     smith_normal_form,
@@ -276,29 +275,6 @@ def _cycles_and_boundaries(ring):
 def test_quotient_invariants_equal_the_reference_pipeline(ring):
     for c, b in _cycles_and_boundaries(ring):
         assert quotient_invariants(c, b, ring) == reference_quotient_invariants(c, b, ring)
-
-
-def test_padic_valuation_examples():
-    assert padic_valuation(3, 3).value == 1
-    assert padic_valuation(24, 2).value == 3
-    assert padic_valuation(Fraction(7, 25), 5).value == -2
-    assert padic_valuation(0, 5).value is None
-    with pytest.raises(ValueError):
-        padic_valuation(4, 6)
-
-
-def test_padic_valuation_laws():
-    rng = random.Random(17)
-    for _ in range(100):
-        p = rng.choice([2, 3, 5])
-        a = Fraction(rng.randint(1, 400), rng.randint(1, 400))
-        b = Fraction(rng.randint(1, 400), rng.randint(1, 400))
-        va = padic_valuation(a, p).value
-        vb = padic_valuation(b, p).value
-        assert padic_valuation(a * b, p).value == va + vb
-        s = a + b
-        if s != 0:
-            assert padic_valuation(s, p).value >= min(va, vb)
 
 
 def test_resultant_examples():

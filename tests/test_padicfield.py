@@ -1,4 +1,4 @@
-"""Different valuations, differential module lengths, annihilator checks."""
+"""Different valuations and differential module lengths."""
 
 from fractions import Fraction
 
@@ -6,11 +6,9 @@ import pytest
 import reference_padicfield
 
 from derhamkit.padicfield import (
-    AnnihilatorCheck,
     MonogenicExtension,
     cyclotomic_extension,
     different_valuation,
-    fontaine_annihilator_check,
     omega_invariants,
 )
 
@@ -99,24 +97,6 @@ def test_omega_precision_at_the_modulus_limit_is_a_value_error():
     assert omega_invariants(ext, 13)[0] == 275  # 5^13 < 2^31
     with pytest.raises(ValueError, match=r"^modulus 5\^14 is not below 2\^31"):
         omega_invariants(ext, 14)
-
-
-def test_fontaine_annihilator():
-    chk = fontaine_annihilator_check(3, 2)
-    assert chk.ok and chk.expected == Fraction(3, 2)
-    chk = fontaine_annihilator_check(2, 1)
-    assert chk.ok and chk.expected == 0
-    chk = fontaine_annihilator_check(2, 2)
-    assert chk.ok and chk.expected == 1
-
-
-def test_fontaine_annihilator_agrees_with_different_valuation():
-    for p in (2, 3, 5):
-        for r in (1, 2, 3):
-            expected = Fraction(r) - Fraction(1, p - 1)
-            via_diff = different_valuation(cyclotomic_extension(p, r)).value
-            assert fontaine_annihilator_check(p, r) == \
-                AnnihilatorCheck(p, r, expected, via_diff, expected, True, True)
 
 
 def test_lengths_grow_with_level():

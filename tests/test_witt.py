@@ -17,7 +17,6 @@ from derhamkit.witt import (
     CyclotomicModel,
     QuotientRing,
     WittRing,
-    brute_force_ring_isomorphism,
     cyclotomic_polynomial_ppower,
     epsilon_root_witt,
     epsilon_witt,
@@ -93,11 +92,15 @@ def test_ghost_homomorphy_over_zp4():
             assert gs[i] == base.add(ga[i], base.neg(gb[i]))
 
 
-def test_w2_f2_isomorphic_to_z4_exhaustive():
+def test_w2_f2_has_one_ring_map_to_z4_labelled_by_the_image_of_x():
+    # over F_2, x = 0: every candidate image of [x] gives the same map, and
+    # only 0 is the image of [x]
     f2 = plain_ring(2, 1)
     w = WittRing(2, 2, f2)
     z4 = plain_ring(2, 2)
-    assert brute_force_ring_isomorphism(w, z4) is not None
+    ((label, images),) = generator_ring_homomorphisms(w, z4)
+    assert label == (0,) == images[w.teichmuller(f2.x_power(1)).coords]
+    assert sorted(images.values()) == sorted(z4.enumerate())  # an isomorphism
 
 
 def test_w2_f4_isomorphic_to_z4_adjoin_root():
@@ -107,6 +110,9 @@ def test_w2_f4_isomorphic_to_z4_adjoin_root():
     homs = generator_ring_homomorphisms(w, target)
     isos = [h for h in homs if len(set(h[1].values())) == 16]
     assert isos, "no isomorphism found by exhaustion"
+    # the two maps, each labelled by the image of [x]: the identity lift and its Frobenius twist
+    assert [label for label, _ in homs] == [(0, 1), (3, 3)]
+    assert all(images[w.teichmuller(f4.x_power(1)).coords] == label for label, images in homs)
 
 
 def test_p_filtration_layers():
@@ -239,7 +245,8 @@ def test_theta_sharp_lift_independent():
 def test_ker_theta_model():
     model = CyclotomicModel(2, 3, 2, 2)
     rep = ker_theta_report(model)
-    assert rep.ok
+    assert (rep.theta_is_ring_hom and rep.theta_epsilon_is_one and rep.theta_xi_zero
+            and rep.eps_minus_one_in_kernel and rep.kernel_generated_by_xi)
     assert rep.sizes["tilt"] == 16 and rep.sizes["witt"] == 256
     assert rep.raise_frobenius_bijective
     # theta(1 + [eps^{1/2}]) = 1 + (-1) = 0
@@ -344,7 +351,7 @@ def test_is_ring_map_rejects_an_additive_map_that_is_not_multiplicative():
     f2 = plain_ring(2, 1)
     w = WittRing(2, 2, f2)
     z4 = plain_ring(2, 2)
-    phi = brute_force_ring_isomorphism(w, z4)
+    ((_, phi),) = generator_ring_homomorphisms(w, z4)
     _, code, _, _ = z4.tables
     images = [code[phi[x.coords]] for x in w.enumerate()]
     assert is_ring_map(w, images, z4)
@@ -547,8 +554,8 @@ def test_is_ring_map_gives_the_reference_verdict_on_every_candidate(monkeypatch)
     generator_ring_homomorphisms(WittRing(2, 2, f4), QuotientRing(ModRing(2, 2), (1, 1, 1)))
     assert len(verdicts) == 16 and True in verdicts and False in verdicts
     del verdicts[:]
-    brute_force_ring_isomorphism(WittRing(2, 2, plain_ring(2, 1)), plain_ring(2, 2))
-    assert True in verdicts
+    generator_ring_homomorphisms(WittRing(2, 2, plain_ring(2, 1)), plain_ring(2, 2))
+    assert verdicts == [True]
 
 
 def test_is_ring_map_rejects_a_target_above_the_coding_bound():
