@@ -179,6 +179,12 @@ def test_the_shortcut_case_names_the_first_slice_that_differs(monkeypatch):
     assert {c.status for c in cases.values()} == {"pass"}
 
 
+def test_an_unsupported_presentation_shape_is_a_value_error():
+    for shape in ("free", "polynomial", ""):
+        with pytest.raises(ValueError, match="unsupported shape"):
+            AlgebraPresentation(F3, shape, "x", (0, 1))
+
+
 def test_cotangent_depth_guard():
     pres = AlgebraPresentation(F3, "quotient", "x", (0, 1))
     with pytest.raises(DepthError):

@@ -20,6 +20,7 @@ from reference_exactlin import resultant as reference_resultant
 from derhamkit import exactlin
 from derhamkit.exactlin import (
     ModRing,
+    PAdicValue,
     SliceQuotient,
     SparseMatrix,
     as_sparse,
@@ -35,6 +36,7 @@ from derhamkit.exactlin import (
     smith_normal_form,
     solve_in_span,
     sparse_product,
+    v_int,
 )
 from derhamkit.padicfield import cyclotomic_polynomial_ppower
 
@@ -275,6 +277,39 @@ def _cycles_and_boundaries(ring):
 def test_quotient_invariants_equal_the_reference_pipeline(ring):
     for c, b in _cycles_and_boundaries(ring):
         assert quotient_invariants(c, b, ring) == reference_quotient_invariants(c, b, ring)
+
+
+def test_v_int_examples():
+    assert v_int(3, 3) == 1
+    assert v_int(24, 2) == 3
+    assert v_int(-50, 5) == 2
+    assert v_int(7, 5) == 0
+    with pytest.raises(ValueError):
+        v_int(0, 5)
+
+
+def test_v_int_laws():
+    rng = random.Random(17)
+    for _ in range(100):
+        p = rng.choice([2, 3, 5])
+        a = rng.randint(1, 400) * rng.choice([-1, 1])
+        b = rng.randint(1, 400)
+        assert v_int(a * b, p) == v_int(a, p) + v_int(b, p)
+        if a + b != 0:
+            assert v_int(a + b, p) >= min(v_int(a, p), v_int(b, p))
+
+
+def test_padic_value_with_index_checks_the_denominator():
+    v = PAdicValue(3, Fraction(3, 2))
+    assert v.with_index(2) is v and v.with_index(4) is v
+    with pytest.raises(ValueError, match="denominator not dividing e=3"):
+        v.with_index(3)
+
+
+def test_resultant_of_cyclotomic_and_x_minus_one_is_p():
+    # Res(Phi_p, x - 1) = +-Phi_p(1) = +-p
+    for p in (2, 3, 5, 7):
+        assert abs(resultant(cyclotomic_polynomial_ppower(p, 1), [-1, 1])) == p
 
 
 def test_resultant_examples():

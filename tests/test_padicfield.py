@@ -22,6 +22,13 @@ def test_different_cyclotomic_examples():
     assert different_valuation(cyclotomic_extension(2, 1)).value == 0
 
 
+def test_different_of_a_cyclotomic_level_is_r_minus_one_over_p_minus_one():
+    for p in (2, 3, 5):
+        for r in (1, 2, 3):
+            ext = cyclotomic_extension(p, r)
+            assert different_valuation(ext).value == Fraction(r) - Fraction(1, p - 1), (p, r)
+
+
 def test_different_eisenstein():
     ext = MonogenicExtension(3, (-3, 0, 1), "eisenstein")  # x^2 - 3 over Q_3
     assert different_valuation(ext).value == Fraction(1, 2)

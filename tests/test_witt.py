@@ -103,6 +103,20 @@ def test_w2_f2_has_one_ring_map_to_z4_labelled_by_the_image_of_x():
     assert sorted(images.values()) == sorted(z4.enumerate())  # an isomorphism
 
 
+def test_the_w2_f2_case_fails_when_the_search_finds_no_bijective_map(monkeypatch):
+    found = suites.generator_ring_homomorphisms
+
+    def without_z4_maps(source, target):
+        return [] if target.size == 4 else found(source, target)
+
+    monkeypatch.setattr(suites, "generator_ring_homomorphisms", without_z4_maps)
+    report = run_suite("witt-layer")
+    cases = {c.name: c for c in report.cases}
+    case = cases.pop("W2(F2)=Z/4")
+    assert case.status == "fail" and case.computed == "none" and report.exit_code() == 1
+    assert {c.status for c in cases.values()} == {"pass"}
+
+
 def test_w2_f4_isomorphic_to_z4_adjoin_root():
     f4 = QuotientRing(ModRing(2, 1), (1, 1, 1))
     w = WittRing(2, 2, f4)
