@@ -43,8 +43,8 @@ fx = build_derham(AlgebraPresentation(Z4, "quotient", "x", (0, 1)),
                   hodge_cut=5, window=(0, 1), weight_bound=4)
 qs = {w: homology_quotient(fx.total, 0, w) for w in range(5)}
 # a basis element is its row: the wedge indices, then the exponents of x, t_1, ...
-g1 = fx.basis_vector(0, 1, 1, 1, (1, 0, 0))  # dt_1
-g2v = fx.basis_vector(0, 2, 2, 2, (1, 2, 0, 0, 0))  # dt_1 ^ dt_2
+g1 = fx.basis_vectors(0, 1, [(1, 1, (1, 0, 0))])[0]  # dt_1
+g2v = fx.basis_vectors(0, 2, [(2, 2, (1, 2, 0, 0, 0))])[0]  # dt_1 ^ dt_2
 prod = h0_shuffle_product(fx, g1, 1, g1, 1)
 print(f"  [dt_1] * [dt_1] has coordinates {qs[2].coords(prod)} against gamma_2 = {qs[2].coords(g2v)}")
 

@@ -12,9 +12,10 @@ A :class:`DoubleComplex` stores its blocks in the same way, and
 offset and signed: it concatenates the block triples and checks the result
 once for d o d = 0, which is the whole double-complex check.
 
-Homology is taken on the unit-contracted complex (:func:`reduce_complex`),
-with representatives and coordinates carried back to the original basis;
-each homology group is an ``exactlin.SliceQuotient``, re-exported here.
+Homology is taken on the unit-contracted complex (:func:`reduce_complex`).
+``homology_quotient`` carries representatives and coordinates back to the
+original basis, in an ``exactlin.SliceQuotient``, re-exported here;
+``slice_homology`` reads the invariant factors alone.
 With filtration columns on the basis the contraction cancels only within a
 column, so one contraction answers every quotient by a filtration step.
 
@@ -42,6 +43,7 @@ from .exactlin import (
     midentity,
     mzeros,
     mmul,
+    quotient_factors,
     sparse_product,
     v_int,
 )
@@ -190,6 +192,9 @@ class Contraction:
     and the differentials ``diffs[n]`` between them.  ``project`` (f: C ->
     C') and ``lift`` (g: C' -> C) are chain maps with f g = id and g f
     homotopic to id, so they are inverse isomorphisms on homology.
+    ``quotient(n)`` is H_n of what is left, with representatives and
+    coordinates; ``factors(n)`` is its invariant factors alone, which is
+    all ``slice_homology`` reads.
 
     Cancelling (b, a), with gamma the rest of column a and delta the rest
     of row b of d_n, changes d_n on the survivors to eps - gamma phi^-1
@@ -256,13 +261,27 @@ class Contraction:
         dim = self.dim(n)
         if dim == 0:
             return SliceQuotient.from_cycles_boundaries(mzeros(0, 0), mzeros(0, 0), self.ring)
-        d_here = self.diffs.get(n)
-        if d_here is None and n + 1 not in self.diffs:
+        if n not in self.diffs and n + 1 not in self.diffs:
             m = self.ring.modulus
             return SliceQuotient(self.ring, dim, midentity(dim), [m] * dim, midentity(dim),
                                  midentity(dim), [m] * dim)
-        cycles = left_kernel(d_here, self.ring) if d_here is not None else midentity(dim)
-        return SliceQuotient.from_cycles_boundaries(cycles, self.diff(n + 1), self.ring)
+        return SliceQuotient.from_cycles_boundaries(self._cycles(n), self.diff(n + 1), self.ring)
+
+    def factors(self, n: int) -> list[int]:
+        """The ``factors`` of ``quotient(n)``, with no representatives: the
+        relations among the cycles, then ``local_smith`` without a
+        transform (``exactlin.quotient_factors``)."""
+        dim = self.dim(n)
+        if dim == 0:
+            return []
+        if n not in self.diffs and n + 1 not in self.diffs:
+            return [self.ring.modulus] * dim
+        return quotient_factors(self._cycles(n), self.diff(n + 1), self.ring)
+
+    def _cycles(self, n: int) -> np.ndarray:
+        """A Howell basis of the degree-n cycles of the contracted complex."""
+        d_here = self.diffs.get(n)
+        return left_kernel(d_here, self.ring) if d_here is not None else midentity(self.dim(n))
 
 
 def reduce_complex(cx: GradedSliceComplex, weight: int) -> Contraction:
@@ -276,9 +295,11 @@ def reduce_complex(cx: GradedSliceComplex, weight: int) -> Contraction:
     Cancelling (b, a) updates each other row x with an entry at a by
     x - gamma_x phi^-1 d(b), at a cost of about |column a| x |row b|, and
     drops row b and column a of d_n, row a of d_(n-1) and column b of
-    d_(n+1).  Every row that changes is queued again, so the loop ends
-    only when no pivot is left: without columns, over F_p every contracted
-    differential is zero, over Z/p^n every entry left is divisible by p.
+    d_(n+1).  When a is the only entry of row b, as in most cancellations
+    on small slices, each row x only loses its entry at a.  Every row that
+    changes is queued again, so the loop ends only when no pivot is left:
+    without columns, over F_p every contracted differential is zero, over
+    Z/p^n every entry left is divisible by p.
     With columns, gamma has rows in columns <= col(a) and delta entries in
     columns >= col(b), so d, f, g and the homotopy keep every F^k (columns
     >= k): the filtered Gaussian elimination lemma (Mischaikow-Nanda,
@@ -286,7 +307,7 @@ def reduce_complex(cx: GradedSliceComplex, weight: int) -> Contraction:
     """
     ring = cx.ring
     m, p = ring.modulus, ring.p
-    dims = {n: cx.dim(n, weight) for n in cx.degrees() if cx.dim(n, weight)}
+    dims = {n: dim for n in cx.degrees() if (dim := cx.dim(n, weight))}
     rows: dict = {n: {} for n in dims}  # degree -> row -> {column: value}
     cols: dict = {n: {} for n in dims}  # degree -> column -> rows nonzero there
     heap = []  # (row length, degree, row), one entry per length a row has had
@@ -295,9 +316,16 @@ def reduce_complex(cx: GradedSliceComplex, weight: int) -> Contraction:
         if d is None:
             continue
         rn, cn = rows[n], cols[n]
+        last = -1
         for b, a, x in zip(d.rows.tolist(), d.cols.tolist(), d.vals.tolist()):
-            rn.setdefault(b, {})[a] = x
-            cn.setdefault(a, set()).add(b)
+            if b != last:  # d is row-major, so each row is one run of entries
+                row = rn[b] = {}
+                last = b
+            row[a] = x
+            if a in cn:
+                cn[a].add(b)
+            else:
+                cn[a] = {b}
         heap.extend((len(row), n, b) for b, row in rn.items())
     heapq.heapify(heap)
     column = {n: cx.columns[(n, weight)].tolist() for n in dims} if cx.columns else None
@@ -318,11 +346,14 @@ def reduce_complex(cx: GradedSliceComplex, weight: int) -> Contraction:
         delta = rn.get(b)  # row b, then the rest of it once a is popped
         if delta is None or len(delta) != length:
             continue
-        units = delta.items()
         if column is not None:
             here, below = column[n][b], column[n - 1]
-            units = [(c, x) for c, x in units if below[c] == here]
-        a = min((c for c, x in units if x % p), key=lambda c: (len(cn[c]), c), default=None)
+        a = None
+        for c, x in delta.items():
+            if x % p and (column is None or below[c] == here):
+                k = len(cn[c])
+                if a is None or k < fewest or (k == fewest and c < a):
+                    a, fewest = c, k
         if a is None:
             continue
         inv = pow(delta.pop(a), -1, m)
@@ -331,19 +362,23 @@ def reduce_complex(cx: GradedSliceComplex, weight: int) -> Contraction:
             cn[e].discard(b)
         gamma_rows = sorted(cn.pop(a) - {b})
         gamma = [rn[x].pop(a) for x in gamma_rows]
-        for x, gx in zip(gamma_rows, gamma):
-            row = rn[x]
-            c = gx * inv % m
-            for e, de in delta.items():
-                y = (row.get(e, 0) - c * de) % m
-                if y:
-                    if e not in row:
-                        cn[e].add(x)
-                    row[e] = y
-                elif e in row:
-                    del row[e]
-                    cn[e].discard(x)
-            touched(n, x)
+        if delta:
+            for x, gx in zip(gamma_rows, gamma):
+                row = rn[x]
+                c = gx * inv % m
+                for e, de in delta.items():
+                    y = (row.get(e, 0) - c * de) % m
+                    if y:
+                        if e not in row:
+                            cn[e].add(x)
+                        row[e] = y
+                    elif e in row:
+                        del row[e]
+                        cn[e].discard(x)
+                touched(n, x)
+        else:  # each row x only loses its entry at a
+            for x in gamma_rows:
+                touched(n, x)
         # a and b leave the neighbouring differentials with the cancelled pair
         for e in rows[n - 1].pop(a, {}):
             cols[n - 1][e].discard(a)
@@ -355,7 +390,7 @@ def reduce_complex(cx: GradedSliceComplex, weight: int) -> Contraction:
         f_steps.setdefault(n - 1, []).append((a, inv, delta))
         g_steps.setdefault(n, []).append((b, inv, gamma_rows, gamma))
 
-    keep = {n: np.array(sorted(set(range(dim)) - dropped[n]), dtype=np.int64)
+    keep = {n: np.array([i for i in range(dim) if i not in dropped[n]], dtype=np.int64)
             for n, dim in dims.items()}
     diffs = {}
     for n, rn in rows.items():
@@ -373,7 +408,7 @@ def slice_homology(cx: GradedSliceComplex, degree: int, weight: int) -> list[int
         raise WindowError(f"degree {degree} outside trust window {cx.trusted}")
     if cx.dim(degree, weight) == 0:
         return []
-    return cx.contraction(weight).quotient(degree).factors
+    return cx.contraction(weight).factors(degree)
 
 
 def homology_quotient(cx: GradedSliceComplex, degree: int, weight: int) -> SliceQuotient:

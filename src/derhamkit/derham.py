@@ -238,17 +238,36 @@ class FilteredDeRhamComplex:
         cols = self.total.columns.get((n, w), [])
         return np.eye(len(cols), dtype=np.int64)[np.searchsorted(cols, level):]
 
-    def basis_vector(self, n: int, w: int, j: int, i: int, row) -> np.ndarray:
-        """Coordinate vector, in the slice basis, of the block basis element
-        whose row (the i wedge indices, then the j + 1 exponents) is ``row``."""
+    def basis_vectors(self, n: int, w: int, elements) -> np.ndarray:
+        """Coordinate vectors, in the slice basis, of block basis elements,
+        as the rows of one matrix: each element is (j, i, row), with ``row``
+        its row in block (j, i), the i wedge indices, then the j + 1
+        exponents.
+
+        The blocks of the slice, in layout order, make one table: each row
+        is led by its block's place in the layout and padded with zeros to
+        the widest block, so its place in the table is its slice index, and
+        one ``row_positions`` call finds every element."""
         lay, total = self.layout(n, w)
-        offsets = {(jj, ii): off for jj, ii, off in lay}
-        pos, found = row_positions(self.block_basis(j, i, w), np.array([row], dtype=np.int64))
-        if (j, i) not in offsets or not found[0]:
+        place = {(j, i): k for k, (j, i, _) in enumerate(lay)}
+        blocks = [self.block_basis(j, i, w) for j, i, _ in lay]
+        width = 1 + max((b.shape[1] for b in blocks), default=0)
+        table, queries = mzeros(total, width), mzeros(len(elements), width)
+        for k, ((_, _, off), b) in enumerate(zip(lay, blocks)):
+            table[off:off + len(b), 0] = k
+            table[off:off + len(b), 1:1 + b.shape[1]] = b
+        for q, (j, i, row) in enumerate(elements):
+            if (j, i) not in place or len(row) != i + j + 1:
+                raise KeyError(f"{list(row)} is not in block ({j}, {i}) of degree {n} weight {w}")
+            queries[q, 0] = place[(j, i)]
+            queries[q, 1:1 + len(row)] = row
+        pos, found = row_positions(table, queries)
+        if not found.all():
+            j, i, row = elements[int(np.flatnonzero(~found)[0])]
             raise KeyError(f"{list(row)} is not in block ({j}, {i}) of degree {n} weight {w}")
-        v = mzeros(1, total)[0]
-        v[offsets[(j, i)] + pos[0]] = 1
-        return v
+        out = mzeros(len(elements), total)
+        out[np.arange(len(elements)), pos] = 1
+        return out
 
 
 def _resolution_depth(pres: AlgebraPresentation, hodge_cut: int, window: tuple[int, int],
@@ -635,8 +654,9 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
     filtration_verdicts = {}
     ok = True
     h0 = {w: homology_quotient(f.total, 0, w) for w in range(weight_bound + 1)}
+    gens = {w: _generator_vectors(f, w) for w in range(weight_bound + 1)}
     red = f.total.contracted
-    constants, iso_failure = _envelope_constants(f, h0)
+    constants, iso_failure = _envelope_constants(f, h0, gens)
     for w in range(weight_bound + 1):
         iso_ok = True
         q = h0[w]
@@ -648,18 +668,14 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
         ok = ok and eq
 
         # generator-matching map Phi: x^a gamma_j -> c_j [x^a dt_1 ^ .. ^ dt_j]
-        phi_rows = []
-        for (a, j) in basis:
-            row = [*range(1, j + 1), a] + [0] * j
-            phi_rows.append((constants[j] * f.basis_vector(0, w, j, j, row)) % m)
-        phi_m = np.vstack(phi_rows)
+        phi_m = np.array([constants[j] for _, j in basis], dtype=np.int64)[:, None] * gens[w] % m
         # relations map to boundaries
         for row in rel:
             vec = mmul(row, phi_m, ring)
             if q.coords(vec) is None or not q.is_zero_class(vec):
                 iso_ok = False
         # surjectivity: images of pd basis classes generate H_0 slice
-        img_coords = [q.coords(r) for r in phi_rows]
+        img_coords = [q.coords(r) for r in phi_m]
         if any(c is None for c in img_coords):
             iso_ok = False
         else:
@@ -699,7 +715,15 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
                             higher, iso_failure, ok and higher and iso_failure is None)
 
 
-def _envelope_constants(f: FilteredDeRhamComplex, h0: dict) -> tuple[dict, int | None]:
+def _generator_vectors(f: FilteredDeRhamComplex, w: int) -> np.ndarray:
+    """The slice vectors of x^a dt_1 ^ .. ^ dt_j in degree 0, weight w, with
+    a = w - j deg f, as rows j = 0 .. w // deg f: the images of the PD basis
+    x^a gamma_j of weight w up to the constants c_j."""
+    d = f.pres.degree
+    return f.basis_vectors(0, w, [(j, j, [*range(1, j + 1), w - j * d] + [0] * j) for j in range(w // d + 1)])
+
+
+def _envelope_constants(f: FilteredDeRhamComplex, h0: dict, gens: dict) -> tuple[dict, int | None]:
     """Unit constants c_j making gamma_j -> c_j [dt_1 ^ .. ^ dt_j] a map of
     algebras over A: every (t - f)-relation must land in the boundaries.
 
@@ -707,7 +731,8 @@ def _envelope_constants(f: FilteredDeRhamComplex, h0: dict) -> tuple[dict, int |
     degenerate transitions p | j+1 any unit consistent with the torsion
     part works, matching the unit ambiguity of filtered-algebra
     automorphisms that rescale the new divided-power generator; the first
-    such unit is taken.  ``h0`` holds the H_0 quotient of every weight.
+    such unit is taken.  ``h0`` holds the H_0 quotient of every weight,
+    ``gens`` its ``_generator_vectors``.
     Returns (constants, None), or, when no unit solution exists, constants
     1 and the weight of the first relation that no unit satisfies (the
     certification fails there).
@@ -722,8 +747,7 @@ def _envelope_constants(f: FilteredDeRhamComplex, h0: dict) -> tuple[dict, int |
 
     def cls(a, j):
         w = a + j * d
-        vec = f.basis_vector(0, w, j, j, [*range(1, j + 1), a] + [0] * j)
-        return h0[w].coords(vec), h0[w]
+        return h0[w].coords(gens[w][j]), h0[w]
 
     for j in range(weight_bound // d + 1):
         candidates = units

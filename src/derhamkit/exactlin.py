@@ -4,9 +4,12 @@ Everything downstream (chain complexes, homology, module invariants) reduces
 to the kernels in this module: Smith normal form over Z with unimodular
 certificates, Howell canonical forms over Z/p^n, left kernels, span
 membership, p-adic valuations of integers and resultants.  A quotient
-span(C)/span(B) of row spans is one :class:`SliceQuotient`, with its
-invariant factors, generator representatives and coordinates;
-``quotient_invariants`` is its factors.
+span(C)/span(B) of row spans starts from the relations that
+``cycle_relations`` reads off the left kernel of [C; B].  It is one
+:class:`SliceQuotient`, with its invariant factors, generator
+representatives and coordinates from ``local_smith`` with its transform;
+``quotient_factors`` and ``quotient_invariants`` are its factors alone,
+from ``local_smith`` without one.
 
 Conventions: module elements are *row* vectors; a homomorphism is a matrix
 ``M`` of shape (source dim, target dim) acting by ``v @ M``.  Matrices over
@@ -712,10 +715,17 @@ def local_smith(matrix: np.ndarray, ring: ModRing, want_transform: bool = False)
     p^n for a pivot-free column -- and V tracks the column operations
     (x -> x V is the coordinate change; rows of Vinv are the new
     generators in old coordinates).  V/Vinv are None unless requested.
+
+    Step t reads only the trailing block ``a[t:, t:]``.  The row
+    operations that clear column t below the pivot update ``a[t+1:, t+1:]``
+    and skip column t itself, which no later step reads.  Column t is then
+    zero but for the pivot, so the column operations that clear row t
+    change no entry of ``a`` outside row t, which no later step reads
+    either: they run on V and Vinv alone.
     """
     m = ring.modulus
     p = ring.p
-    a = np.asarray(matrix, dtype=np.int64).copy() % m
+    a = np.asarray(matrix, dtype=np.int64) % m  # a new array
     if a.ndim != 2:
         raise ValueError("local_smith expects a 2-d matrix")
     rows, cols = a.shape
@@ -738,28 +748,26 @@ def local_smith(matrix: np.ndarray, ring: ModRing, want_transform: bool = False)
             break
         i, j = t + int(i_off), t + int(j_off)
         if i != t:
-            a[[t, i]] = a[[i, t]]
+            a[[t, i], t:] = a[[i, t], t:]
         if j != t:
-            a[:, [t, j]] = a[:, [j, t]]
+            a[t:, [t, j]] = a[t:, [j, t]]
             if want_transform:
                 v_mat[:, [t, j]] = v_mat[:, [j, t]]
                 vinv[[t, j]] = vinv[[j, t]]
         pe = p ** val
         unit_inv = ring.unit_inverse(int(a[t, t]) // pe)
-        a[t] = (a[t] * unit_inv) % m
+        a[t, t:] = (a[t, t:] * unit_inv) % m
         # clear the column below (row ops; untracked side)
         col = a[t + 1 :, t]
         if col.any():
             q = col // pe
-            a[t + 1 :] = (a[t + 1 :] - q[:, None] * a[t]) % m
-        # clear the row to the right (column ops; tracked side)
+            a[t + 1 :, t + 1 :] = (a[t + 1 :, t + 1 :] - q[:, None] * a[t, t + 1 :]) % m
+        # clear the row to the right (column ops; tracked side, and only there)
         row = a[t, t + 1 :]
-        if row.any():
+        if want_transform and row.any():
             q = row // pe
-            a[:, t + 1 :] = (a[:, t + 1 :] - a[:, [t]] * q[None, :]) % m
-            if want_transform:
-                v_mat[:, t + 1 :] = (v_mat[:, t + 1 :] - v_mat[:, [t]] * q[None, :]) % m
-                vinv[t] = (vinv[t] + mmul(q, vinv[t + 1 :], ring)) % m
+            v_mat[:, t + 1 :] = (v_mat[:, t + 1 :] - v_mat[:, [t]] * q[None, :]) % m
+            vinv[t] = (vinv[t] + mmul(q, vinv[t + 1 :], ring)) % m
         pivot_vals.append(val)
         t += 1
     factors = [p ** v for v in pivot_vals] + [m] * (cols - len(pivot_vals))
@@ -812,18 +820,10 @@ class SliceQuotient:
         """
         hk = np.asarray(cycles, dtype=np.int64)
         u, amb = hk.shape
-        b = np.asarray(boundaries, dtype=np.int64) % ring.modulus
+        relations = cycle_relations(hk, boundaries, ring)
         if not u:
-            if b.any():
-                raise ValueError("boundaries not contained in cycles")
             return SliceQuotient(ring, amb, hk, [], hk, mzeros(0, 0), [])
-        # relation coefficients: {c : c @ hk in span(b)}
-        ker = left_kernel(np.vstack([hk, b]), ring)
-        # |span [hk; b]| |ker| = p^(n (u + r)), and span(hk) lies inside
-        # span [hk; b], so b lies in span(hk) exactly when their orders agree
-        if _span_length(ker, ring) + _span_length(hk, ring) != ring.n * ker.shape[1]:
-            raise ValueError("boundaries not contained in cycles")
-        all_factors, vmod, vinv = local_smith(ker[:, :u], ring, want_transform=True)
+        all_factors, vmod, vinv = local_smith(relations, ring, want_transform=True)
         keep = [j for j, d in enumerate(all_factors) if d > 1]
         return SliceQuotient(ring, amb, hk, [all_factors[j] for j in keep], mmul(vinv[keep], hk, ring),
                              vmod, all_factors)
@@ -874,11 +874,41 @@ def _span_length(h: np.ndarray, ring: ModRing) -> int:
     return ring.n * h.shape[0] - int(valuations.sum())
 
 
+def cycle_relations(cycles: np.ndarray, boundaries, ring: ModRing) -> np.ndarray:
+    """The relations that ``boundaries`` impose on the rows of the Howell
+    basis ``cycles``: a Howell basis of {c : c @ cycles in span(boundaries)},
+    with one column per row of ``cycles`` (0 x 0 when there are none).
+    ``boundaries`` are rows of the same width inside the span of
+    ``cycles``; ValueError otherwise."""
+    hk = np.asarray(cycles, dtype=np.int64)
+    u = hk.shape[0]
+    b = np.asarray(boundaries, dtype=np.int64) % ring.modulus
+    if not u:
+        if b.any():
+            raise ValueError("boundaries not contained in cycles")
+        return mzeros(0, 0)
+    ker = left_kernel(np.vstack([hk, b]), ring)
+    # |span [hk; b]| |ker| = p^(n (u + r)), and span(hk) lies inside
+    # span [hk; b], so b lies in span(hk) exactly when their orders agree
+    if _span_length(ker, ring) + _span_length(hk, ring) != ring.n * ker.shape[1]:
+        raise ValueError("boundaries not contained in cycles")
+    return ker[:, :u]
+
+
+def quotient_factors(cycles: np.ndarray, boundaries, ring: ModRing) -> list[int]:
+    """The ``factors`` of ``SliceQuotient.from_cycles_boundaries(cycles,
+    boundaries, ring)``, from the same ``cycle_relations`` and ``local_smith``
+    with no transform, and so with no representatives."""
+    factors, _, _ = local_smith(cycle_relations(cycles, boundaries, ring), ring)
+    return [d for d in factors if d > 1]
+
+
 def quotient_invariants(cycles: np.ndarray, boundaries: np.ndarray, ring: ModRing) -> list[int]:
     """Invariant factors of span(cycles)/span(boundaries), boundaries inside
-    cycles, ascending: the ``factors`` of their :class:`SliceQuotient`.
+    cycles, ascending: the ``quotient_factors`` of the Howell basis of the
+    cycles, which are the ``factors`` of their :class:`SliceQuotient`.
     A module R^g / span(relations) has the factors of (np.eye(g), relations)."""
-    return SliceQuotient.from_cycles_boundaries(howell_form(cycles, ring), boundaries, ring).factors
+    return quotient_factors(howell_form(cycles, ring), boundaries, ring)
 
 
 # ---------------------------------------------------------------------------

@@ -36,14 +36,14 @@ __all__ = [
 # Gamma^n and wedge^n on matrices
 
 
-def _compositions(total: int, parts: int):
+@functools.lru_cache(maxsize=None)
+def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """The ``parts``-tuples of nonnegative ints summing to ``total``, in
+    lexicographic order."""
     if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return ((),) if total == 0 else ()
+    return tuple((first,) + rest for first in range(total + 1)
+                 for rest in _compositions(total - first, parts - 1))
 
 
 def _monomial_product_coeff(e1: Sequence[int], e2: Sequence[int]) -> int:
@@ -56,7 +56,7 @@ def _monomial_product_coeff(e1: Sequence[int], e2: Sequence[int]) -> int:
 def gamma_monomials(rank: int, n: int) -> list[tuple[int, ...]]:
     """Exponent tuples of total index n over ``rank`` slots (rank of
     Gamma^n of a free module: binom(n + rank - 1, n))."""
-    return sorted(_compositions(n, rank))
+    return list(_compositions(n, rank))
 
 
 def gamma_matrix(phi: np.ndarray, n: int, ring: ModRing) -> np.ndarray:

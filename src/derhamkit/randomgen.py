@@ -19,10 +19,15 @@ __all__ = ["random_complex", "random_invertible"]
 
 
 def random_invertible(dim: int, ring: ModRing, rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
-    """Random invertible matrix over Z/p^n with its inverse."""
+    """Random invertible matrix over Z/p^n with its inverse.
+
+    3 * dim elementary operations, each a row operation on Q and the
+    inverse column operation on Q^-1.  They run on lists of Python ints,
+    Q by rows and Q^-1 by columns, and become int64 arrays once at the end.
+    """
     m = ring.modulus
-    q = np.eye(dim, dtype=np.int64)
-    qinv = np.eye(dim, dtype=np.int64)
+    q = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    qinv_t = [row[:] for row in q]  # the columns of Q^-1
     for _ in range(3 * dim):
         kind = rng.randrange(3)
         if dim < 2 and kind != 1:
@@ -30,21 +35,23 @@ def random_invertible(dim: int, ring: ModRing, rng: random.Random) -> tuple[np.n
         if kind == 0:
             i, j = rng.sample(range(dim), 2)
             c = rng.randrange(m)
-            q[i] = (q[i] + c * q[j]) % m
-            qinv[:, j] = (qinv[:, j] - c * qinv[:, i]) % m
+            q[i] = [(x + c * y) % m for x, y in zip(q[i], q[j])]
+            qinv_t[j] = [(x - c * y) % m for x, y in zip(qinv_t[j], qinv_t[i])]
         elif kind == 1:
             i = rng.randrange(dim)
             # the k-th unit in increasing order, drawn as choice() would
             # draw from the list of all m - m/p units
             k = rng.randrange(m - m // ring.p)
             u = k + k // (ring.p - 1) + 1
-            q[i] = (q[i] * u) % m
-            qinv[:, i] = (qinv[:, i] * pow(u, -1, m)) % m
+            q[i] = [x * u % m for x in q[i]]
+            u_inv = pow(u, -1, m)
+            qinv_t[i] = [x * u_inv % m for x in qinv_t[i]]
         else:
             i, j = rng.sample(range(dim), 2)
-            q[[i, j]] = q[[j, i]]
-            qinv[:, [i, j]] = qinv[:, [j, i]]
-    return q, qinv
+            q[i], q[j] = q[j], q[i]
+            qinv_t[i], qinv_t[j] = qinv_t[j], qinv_t[i]
+    return (np.array(q, dtype=np.int64).reshape(dim, dim),
+            np.array(qinv_t, dtype=np.int64).reshape(dim, dim).T.copy())
 
 
 def random_complex(ring: ModRing, rng: random.Random, max_degree: int, max_rank: int,

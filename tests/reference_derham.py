@@ -22,6 +22,10 @@ full degree-0 slice supported on the columns >= level, modulo the
 boundaries of the full degree-1 slice.  The library no longer has a
 quotient map; the tests use this one to check that the level truncations
 ``quotient_complex`` cuts are compatible.
+
+``basis_vector`` is the library's lookup of one block basis element before
+``basis_vectors`` found all the elements it is given in one table: a
+``layout`` walk and a ``row_positions`` call on one block per element.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from derhamkit.cotangent import AlgebraPresentation, FreeSimplicialResolution
 from derhamkit.derham import FilteredDeRhamComplex
 from derhamkit.exactlin import howell_form, left_kernel, mmul, mzeros, quotient_invariants
+from derhamkit.polyalg import row_positions
 
 import reference_cotangent
 from reference_polyalg import form_entries, form_rows, graded_slice_basis
@@ -204,3 +209,16 @@ def filtered_h0_factors(f: FilteredDeRhamComplex, level: int, w: int) -> list[in
     return quotient_invariants(
         np.vstack([cycles, bnd]) if bnd.size else cycles, bnd, f.ring
     ) if cycles.shape[0] or bnd.size else []
+
+
+def basis_vector(f: FilteredDeRhamComplex, n: int, w: int, j: int, i: int, row) -> np.ndarray:
+    """Coordinate vector, in the slice basis, of the block basis element
+    whose row (the i wedge indices, then the j + 1 exponents) is ``row``."""
+    lay, total = f.layout(n, w)
+    offsets = {(jj, ii): off for jj, ii, off in lay}
+    pos, found = row_positions(f.block_basis(j, i, w), np.array([row], dtype=np.int64))
+    if (j, i) not in offsets or not found[0]:
+        raise KeyError(f"{list(row)} is not in block ({j}, {i}) of degree {n} weight {w}")
+    v = mzeros(1, total)[0]
+    v[offsets[(j, i)] + pos[0]] = 1
+    return v

@@ -21,6 +21,10 @@ factors of a ``SliceQuotient``, unchanged; here its ``howell_form`` and
 its factors come from ``invariant_factors_from_relations``, the library's
 invariant factors of a presentation read off ``local_smith`` before every
 presentation became ``quotient_invariants(np.eye(g), relations, ring)``.
+``local_smith`` is the library's kernel before each clearing step was cut
+to the trailing block: its row operations ran over whole rows and its
+column operations over whole columns of the matrix.  The tests require the
+same factors, V and V^-1 as the library on every matrix they try.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from derhamkit.exactlin import ModRing, local_smith, midentity, mzeros
+from derhamkit.exactlin import ModRing, midentity, mmul, mzeros
 from derhamkit.upoly import trim
 from derhamkit.exactlin import howell_form as library_howell_form
 from derhamkit.exactlin import solve_in_span as library_solve_in_span
@@ -289,3 +293,68 @@ def quotient_invariants(cycles: np.ndarray, boundaries: np.ndarray, ring: ModRin
     ker = left_kernel(stacked, ring)
     rel = ker[:, : hk.shape[0]] if ker.shape[0] else mzeros(0, hk.shape[0])
     return invariant_factors_from_relations(rel, hk.shape[0], ring)
+
+
+def local_smith(matrix: np.ndarray, ring: ModRing, want_transform: bool = False):
+    """Diagonalization over the local ring Z/p^n by unit row/column ops.
+
+    Every matrix over Z/p^n is equivalent to diag(p^{a_1}, p^{a_2}, ...)
+    with ascending valuations (pick a minimal-valuation pivot, normalize by
+    units, clear its row and column; all cleared entries are divisible by
+    the pivot).  Returns (column factors, V, Vinv): factors[j] is the
+    cokernel order of column j -- p^{a_j} for a pivot of valuation a_j,
+    p^n for a pivot-free column -- and V tracks the column operations
+    (x -> x V is the coordinate change; rows of Vinv are the new
+    generators in old coordinates).  V/Vinv are None unless requested.
+    """
+    m = ring.modulus
+    p = ring.p
+    a = np.asarray(matrix, dtype=np.int64).copy() % m
+    if a.ndim != 2:
+        raise ValueError("local_smith expects a 2-d matrix")
+    rows, cols = a.shape
+    v_mat = np.eye(cols, dtype=np.int64) if want_transform else None
+    vinv = np.eye(cols, dtype=np.int64) if want_transform else None
+    pivot_vals: list[int] = []
+    t = 0
+    while t < min(rows, cols):
+        sub = a[t:, t:]
+        if not sub.any():
+            break
+        val = None
+        for v in range(ring.n):
+            mask = (sub % (p ** (v + 1))) != 0
+            if mask.any():
+                val = v
+                i_off, j_off = np.argwhere(mask)[0]
+                break
+        if val is None:
+            break
+        i, j = t + int(i_off), t + int(j_off)
+        if i != t:
+            a[[t, i]] = a[[i, t]]
+        if j != t:
+            a[:, [t, j]] = a[:, [j, t]]
+            if want_transform:
+                v_mat[:, [t, j]] = v_mat[:, [j, t]]
+                vinv[[t, j]] = vinv[[j, t]]
+        pe = p ** val
+        unit_inv = ring.unit_inverse(int(a[t, t]) // pe)
+        a[t] = (a[t] * unit_inv) % m
+        # clear the column below (row ops; untracked side)
+        col = a[t + 1 :, t]
+        if col.any():
+            q = col // pe
+            a[t + 1 :] = (a[t + 1 :] - q[:, None] * a[t]) % m
+        # clear the row to the right (column ops; tracked side)
+        row = a[t, t + 1 :]
+        if row.any():
+            q = row // pe
+            a[:, t + 1 :] = (a[:, t + 1 :] - a[:, [t]] * q[None, :]) % m
+            if want_transform:
+                v_mat[:, t + 1 :] = (v_mat[:, t + 1 :] - v_mat[:, [t]] * q[None, :]) % m
+                vinv[t] = (vinv[t] + mmul(q, vinv[t + 1 :], ring)) % m
+        pivot_vals.append(val)
+        t += 1
+    factors = [p ** v for v in pivot_vals] + [m] * (cols - len(pivot_vals))
+    return factors, v_mat, vinv

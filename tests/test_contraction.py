@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import reference_complexes
 import derhamkit.complexes as complexes
 import derhamkit.derham as derham
-from derhamkit.complexes import GradedSliceComplex, homology_quotient, reduce_complex
+from derhamkit.complexes import GradedSliceComplex, homology_quotient, reduce_complex, slice_homology
 from derhamkit.exactlin import ModRing, mmul, quotient_invariants
 from derhamkit.randomgen import random_complex
 from derhamkit.suites import run_suite
@@ -110,6 +110,127 @@ def _sparse_complex(ring, rng):
 @given(st.sampled_from(RINGS), st.integers(0, 2 ** 32 - 1))
 def test_contracted_homology_matches_reference_on_sparse_complexes(ring, seed):
     assert_complex_matches_reference(_sparse_complex(ring, random.Random(seed)))
+
+
+def _filtered_complex(ring, rng):
+    """A complex with columns that d never lowers: free slots and pieces
+    R --lam--> R from a column to a column at least as high, in a new basis
+    by elementary changes e_i + c e_j with col(j) >= col(i), which keep
+    every F^k (columns >= k) a subcomplex."""
+    m = ring.modulus
+    top = rng.randint(1, 4)
+    ncols = rng.randint(1, 3)
+    slots = {n: [rng.randrange(ncols) for _ in range(rng.randint(0, 2))] for n in range(top + 1)}
+    arrows = []
+    for _ in range(rng.randint(1, 7)):
+        n = rng.randint(1, top)
+        low = rng.randrange(ncols)
+        high = rng.randrange(low, ncols)
+        arrows.append((n, len(slots[n]), len(slots[n - 1]), rng.randrange(1, m)))
+        slots[n].append(low)
+        slots[n - 1].append(high)
+    # order each degree by column, as a complex with columns must be
+    order = {n: sorted(range(len(c)), key=c.__getitem__) for n, c in slots.items()}
+    place = {n: {old: new for new, old in enumerate(o)} for n, o in order.items()}
+    cols = {n: np.array(sorted(c), dtype=np.int64) for n, c in slots.items()}
+    diffs = {n: np.zeros((len(cols[n]), len(cols[n - 1])), dtype=np.int64) for n in range(1, top + 1)}
+    for n, i, j, lam in arrows:
+        diffs[n][place[n][i], place[n - 1][j]] = lam
+    for _ in range(rng.randint(0, 3 * sum(map(len, cols.values())))):
+        k = rng.randint(0, top)
+        if len(cols[k]) < 2:
+            continue
+        i, j = sorted(rng.sample(range(len(cols[k])), 2))  # col(j) >= col(i)
+        c = rng.randrange(1, m)
+        if k in diffs:
+            diffs[k][i] = (diffs[k][i] + c * diffs[k][j]) % m
+        if k + 1 in diffs:
+            diffs[k + 1][:, j] = (diffs[k + 1][:, j] - c * diffs[k + 1][:, i]) % m
+    cx = GradedSliceComplex(ring, 0, top, {(n, 0): len(c) for n, c in cols.items()},
+                            {(n, 0): d for n, d in diffs.items()},
+                            {(n, 0): c for n, c in cols.items() if len(c)})
+    cx.validate()
+    for (n, _), d in cx.diffs.items():
+        assert (cols[n][d.rows] <= cols[n - 1][d.cols]).all()
+    return cx
+
+
+def _assert_same_contraction(got, want):
+    assert got.ring == want.ring and got.dims == want.dims
+    assert got.keep.keys() == want.keep.keys()
+    for n, keep in want.keep.items():
+        assert got.keep[n].dtype == keep.dtype and np.array_equal(got.keep[n], keep)
+    assert got.diffs.keys() == want.diffs.keys()
+    assert all(got.diffs[n] == d for n, d in want.diffs.items())
+    assert got._f_steps == want._f_steps and got._g_steps == want._g_steps
+
+
+def _without_columns(cx):
+    return GradedSliceComplex(cx.ring, cx.n_min, cx.n_max, cx.dims, cx.diffs, trusted=cx.trusted)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_reduce_complex_equals_the_reference(ring):
+    """Survivors, contracted differentials and f/g steps equal those of the
+    reference contraction, on the random complexes above, and on complexes
+    with columns both with and without them."""
+    rng = random.Random(23)
+    filtered = 0
+    for k in range(40):
+        cx = (random_complex(ring, rng, 4, 5, weight_choices=(0, 1)) if k % 2
+              else _sparse_complex(ring, rng))
+        fx = _filtered_complex(ring, rng)
+        for c in (cx, fx, _without_columns(fx)):
+            for w in c.weights():
+                _assert_same_contraction(reduce_complex(c, w), reference_complexes.reduce_complex(c, w))
+        filtered += len(set(np.concatenate(list(fx.columns.values())).tolist())) > 1
+    assert filtered > 10
+
+
+@pytest.mark.parametrize("ring", [ModRing(2, 1), ModRing(3, 2)], ids=str)
+def test_reduce_complex_equals_the_reference_on_de_rham_complexes(ring):
+    from derhamkit.cotangent import AlgebraPresentation
+
+    for f_coeffs in ((0, 1), (0, 0, 1)):
+        pres = AlgebraPresentation(ring, "quotient", "x", f_coeffs)
+        cx = derham.build_derham(pres, hodge_cut=4, window=(0, 1), weight_bound=4).total
+        for c in (cx, _without_columns(cx)):
+            for w in c.weights():
+                _assert_same_contraction(reduce_complex(c, w), reference_complexes.reduce_complex(c, w))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_slice_homology_is_the_factors_of_homology_quotient(ring):
+    rng = random.Random(29)
+    for k in range(30):
+        cx = (random_complex(ring, rng, 4, 5, weight_choices=(0, 1)) if k % 2
+              else _sparse_complex(ring, rng))
+        for w in cx.weights():
+            for n in cx.degrees():
+                got = slice_homology(cx, n, w)
+                assert got == homology_quotient(cx, n, w).factors
+                assert got == reference_complexes.homology_quotient(cx, n, w).factors
+                assert all(type(d) is int for d in got)
+
+
+def test_z4_times_two_twice_has_homology_two_zero_two():
+    # 0 -> Z/4 --2--> Z/4 --2--> Z/4 -> 0: H_2 = ker 2 = 2Z/4, H_1 = 0, H_0 = Z/4 / 2
+    ring = ModRing(2, 2)
+    cx = GradedSliceComplex(ring, 0, 2, {(0, 0): 1, (1, 0): 1, (2, 0): 1}, {(1, 0): [[2]], (2, 0): [[2]]})
+    cx.validate()
+    assert [slice_homology(cx, n, 0) for n in range(3)] == [[2], [], [2]]
+    assert [homology_quotient(cx, n, 0).factors for n in range(3)] == [[2], [], [2]]
+
+
+def test_boundaries_outside_the_cycles_raise_through_slice_homology_and_quotient_invariants():
+    # Z/8 --2--> Z/8 --2--> Z/8 is no complex (d d = 4): in degree 1 the
+    # boundary 2 lies outside the cycles 4 Z/8, and no unit is contracted
+    ring = ModRing(2, 3)
+    cx = GradedSliceComplex(ring, 0, 2, {(0, 0): 1, (1, 0): 1, (2, 0): 1}, {(1, 0): [[2]], (2, 0): [[2]]})
+    with pytest.raises(ValueError, match="boundaries not contained in cycles"):
+        slice_homology(cx, 1, 0)
+    with pytest.raises(ValueError, match="boundaries not contained in cycles"):
+        quotient_invariants([[4]], [[2]], ring)
 
 
 def test_pivot_row_with_a_longer_row_below():

@@ -143,10 +143,10 @@ def test_universal_thickening_square_zero_explicit():
     pres = AlgebraPresentation(Z4, "quotient", "y", (0, 1))
     # cut 3 keeps column 2, where the product of two column-1 forms lands
     f = build_derham(pres, hodge_cut=3, window=(0, 1), weight_bound=2)
-    omega = f.basis_vector(0, 1, 1, 1, (1, 0, 0))
+    omega = f.basis_vectors(0, 1, [(1, 1, (1, 0, 0))])[0]
     prod = h0_shuffle_product(f, omega, 1, omega, 1)
     # dt_1 . dt_1 = -2 dt_1 ^ dt_2 = 2 dt_1 ^ dt_2 over Z/4
-    assert prod.tolist() == (2 * f.basis_vector(0, 2, 2, 2, (1, 2, 0, 0, 0))).tolist()
+    assert prod.tolist() == (2 * f.basis_vectors(0, 2, [(2, 2, (1, 2, 0, 0, 0))])[0]).tolist()
     _assert_square_is_zero_below_f2(f, prod)
     planted = prod.copy()
     planted[np.searchsorted(f.total.columns[(0, 2)], 1)] += 1
@@ -184,6 +184,29 @@ def test_universal_thickening_needs_vanishing_differentials():
     # F_2[x]/(x^2) over F_2: the Kaehler module is generated by dx, rank 1
     with pytest.raises(ValueError, match="needs vanishing relative differentials"):
         universal_thickening(AlgebraPresentation(F2, "hypersurface", "x", (0, 0, 1)), 2)
+
+
+@pytest.mark.parametrize("f_coeffs", [(0, 1), (0, 0, 1)], ids=["x", "x^2"])
+def test_basis_vectors_are_the_one_element_lookups(f_coeffs):
+    """Every element of every slice, looked up all at once, gives the unit
+    vector the one-element reference gives; an element not in its block,
+    a block not in the slice and a row of the wrong width are KeyErrors."""
+    f = build_derham(AlgebraPresentation(Z4, "quotient", "x", f_coeffs), hodge_cut=4, window=(0, 1),
+                     weight_bound=5)
+    for n in range(f.window[0], f.window[1] + 2):
+        for w in range(6):
+            lay, total = f.layout(n, w)
+            elements = [(j, i, row.tolist()) for j, i, _ in lay for row in f.block_basis(j, i, w)]
+            elements = elements[::-1]  # not in slice order
+            got = f.basis_vectors(n, w, elements)
+            assert got.dtype == np.int64 and got.shape == (len(elements), total)
+            for vec, (j, i, row) in zip(got, elements):
+                assert np.array_equal(vec, reference_derham.basis_vector(f, n, w, j, i, row))
+    j, i, _ = f.layout(0, 4)[0][-1]
+    row = f.block_basis(j, i, 4)[0].tolist()
+    for bad in ((j, i, [*row[:-1], row[-1] + 7]), (j + 9, i + 9, row), (j, i, row + [0])):
+        with pytest.raises(KeyError, match="is not in block"):
+            f.basis_vectors(0, 4, [(j, i, row), bad])
 
 
 def test_pd_envelope_x_over_z4():
@@ -329,7 +352,7 @@ def test_the_generation_check_rejects_a_generator_map_scaled_by_p(monkeypatch, s
     honest = derham._envelope_constants
     if scaled:
         monkeypatch.setattr(derham, "_envelope_constants",
-                            lambda f, h0: ({j: f.ring.p * c for j, c in honest(f, h0)[0].items()}, None))
+                            lambda f, *rest: ({j: f.ring.p * c for j, c in honest(f, *rest)[0].items()}, None))
     rep = pd_envelope_report(pres_x(Z4), weight_bound=4)
     assert rep.iso_certified is not scaled
     assert all(eq for _, _, eq in [*rep.slice_verdicts.values(), *rep.filtration_verdicts.values()])
@@ -341,10 +364,10 @@ def test_shuffle_ring_structure_divided_powers():
     f = build_derham(pres_x(Z4), hodge_cut=5, window=(0, 1), weight_bound=4)
     qs = {w: homology_quotient(f.total, 0, w) for w in range(5)}
     gam = {
-        0: f.basis_vector(0, 0, 0, 0, (0,)),
-        1: f.basis_vector(0, 1, 1, 1, (1, 0, 0)),
-        2: f.basis_vector(0, 2, 2, 2, (1, 2, 0, 0, 0)),
-        3: f.basis_vector(0, 3, 3, 3, (1, 2, 3, 0, 0, 0, 0)),
+        0: f.basis_vectors(0, 0, [(0, 0, (0,))])[0],
+        1: f.basis_vectors(0, 1, [(1, 1, (1, 0, 0))])[0],
+        2: f.basis_vectors(0, 2, [(2, 2, (1, 2, 0, 0, 0))])[0],
+        3: f.basis_vectors(0, 3, [(3, 3, (1, 2, 3, 0, 0, 0, 0))])[0],
     }
     # unit
     assert qs[1].coords(h0_shuffle_product(f, gam[0], 0, gam[1], 1)) == qs[1].coords(gam[1])
@@ -376,7 +399,7 @@ def test_divided_power_product_signs(ring):
 
     f = build_derham(pres_x(ring), hodge_cut=5, window=(0, 1), weight_bound=4)
     m = ring.modulus
-    g = {k: f.basis_vector(0, k, k, k, [*range(1, k + 1)] + [0] * (k + 1)) for k in range(5)}
+    g = {k: f.basis_vectors(0, k, [(k, k, [*range(1, k + 1)] + [0] * (k + 1))])[0] for k in range(5)}
     gam = {k: (-1) ** (k * (k - 1) // 2) * g[k] % m for k in range(5)}
     for a in range(5):
         for b in range(5 - a):
@@ -419,8 +442,8 @@ def test_filtration_multiplicativity():
     from derhamkit.exactlin import solve_in_span
 
     f = build_derham(pres_x(Z4), hodge_cut=5, window=(0, 1), weight_bound=4)
-    g1 = f.basis_vector(0, 1, 1, 1, (1, 0, 0))
-    g2 = f.basis_vector(0, 2, 2, 2, (1, 2, 0, 0, 0))
+    g1 = f.basis_vectors(0, 1, [(1, 1, (1, 0, 0))])[0]
+    g2 = f.basis_vectors(0, 2, [(2, 2, (1, 2, 0, 0, 0))])[0]
     prod = h0_shuffle_product(f, g1, 1, g2, 2)
     fil3 = f.filtration_coordinates(3, 0, 3)
     bnd = f.total.diff(1, 3)
@@ -686,8 +709,8 @@ def test_h0_product_raises_on_a_nondegenerate_term_outside_the_basis(monkeypatch
     from derhamkit import derham
 
     f = build_derham(pres_x(Z4), hodge_cut=2, window=(0, 1), weight_bound=2)
-    one = f.basis_vector(0, 0, 0, 0, (0,))
-    omega = f.basis_vector(0, 1, 1, 1, (1, 0, 0))
+    one = f.basis_vectors(0, 0, [(0, 0, (0,))])[0]
+    omega = f.basis_vectors(0, 1, [(1, 1, (1, 0, 0))])[0]
     assert (h0_shuffle_product(f, one, 0, omega, 1) == omega).all()
     honest = derham._shuffle_terms
 

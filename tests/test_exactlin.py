@@ -13,6 +13,7 @@ from reference_exactlin import augmented_left_kernel
 from reference_exactlin import howell_form as reference_howell_form
 from reference_exactlin import invariant_factors_from_relations as reference_invariant_factors
 from reference_exactlin import left_kernel as reference_left_kernel
+from reference_exactlin import local_smith as reference_local_smith
 from reference_exactlin import minimal_generator_indices
 from reference_exactlin import quotient_invariants as reference_quotient_invariants
 from reference_exactlin import resultant as reference_resultant
@@ -28,6 +29,7 @@ from derhamkit.exactlin import (
     express_in_basis,
     howell_form,
     left_kernel,
+    local_smith,
     minimal_generators,
     mmul,
     mzeros,
@@ -389,8 +391,6 @@ def test_howell_span_property():
 def test_local_smith_matches_integer_smith():
     # cokernel factors over Z/p^n from the local diagonalization agree with
     # the integer Smith normal form of [relations; p^n I]
-    from derhamkit.exactlin import local_smith
-
     rng = random.Random(71)
     for ring in (ModRing(2, 2), ModRing(3, 2), ModRing(2, 3)):
         m = ring.modulus
@@ -409,6 +409,44 @@ def test_local_smith_matches_integer_smith():
             factors, v, vinv = local_smith(rel if rel.size else np.zeros((0, cols), dtype=np.int64),
                                            ring, want_transform=True)
             assert ((v @ vinv) % m == np.eye(cols, dtype=np.int64)).all()
+
+
+# Z/2 ... Z/343
+SMITH_RINGS = [ModRing(2, 1), ModRing(3, 1), ModRing(2, 2), ModRing(2, 3), ModRing(3, 2), ModRing(5, 2),
+               ModRing(3, 3), ModRing(7, 3)]
+
+
+def _smith_matrices(ring):
+    """The empty shapes, a zero matrix and unreduced entries, then random
+    matrices of every density whose rows and columns are scaled by random
+    powers of p, so that pivots of every valuation occur."""
+    m = ring.modulus
+    rng = np.random.default_rng(3000 + m)
+    yield from (mzeros(0, 0), mzeros(0, 3), mzeros(3, 0), mzeros(2, 3))
+    yield np.array([[-1, m + ring.p], [-ring.p, 2 * m - 1]])
+    for _ in range(80):
+        rows, cols = (int(x) for x in rng.integers(1, 8, size=2))
+        a = rng.integers(0, m, size=(rows, cols)) * (rng.random((rows, cols)) < rng.random())
+        scale = ring.p ** rng.integers(0, ring.n + 1, size=(rows, 1)) * ring.p ** rng.integers(0, 2, size=(1, cols))
+        yield a * scale % m
+
+
+@pytest.mark.parametrize("ring", SMITH_RINGS, ids=str)
+def test_local_smith_equals_the_reference(ring):
+    """The factors, V and V^-1 of the trailing-block clearing are those of
+    the full-width reference, with and without the transform."""
+    for a in _smith_matrices(ring):
+        before = a.copy()
+        for want_transform in (False, True):
+            got = local_smith(a, ring, want_transform)
+            ref = reference_local_smith(a, ring, want_transform)
+            assert got[0] == ref[0] and all(type(d) is int for d in got[0])
+            for g, r in zip(got[1:], ref[1:]):
+                if want_transform:
+                    assert g.dtype == r.dtype and g.shape == r.shape and np.array_equal(g, r)
+                else:
+                    assert g is None and r is None
+        assert np.array_equal(a, before)
 
 
 # ---------------------------------------------------------------------------

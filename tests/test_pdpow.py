@@ -57,6 +57,17 @@ def test_gamma_rank_count():
             assert len(gamma_monomials(r, n)) == comb(n + r - 1, n)
 
 
+def test_compositions_are_every_exponent_tuple_in_lexicographic_order():
+    for parts in range(4):
+        for total in range(5):
+            want = tuple(e for e in itertools.product(range(total + 1), repeat=parts) if sum(e) == total)
+            assert pdpow._compositions(total, parts) == want
+            assert gamma_monomials(parts, total) == list(want)
+            # memoized, and each caller gets a list of its own
+            assert pdpow._compositions(total, parts) is pdpow._compositions(total, parts)
+            assert gamma_monomials(parts, total) is not gamma_monomials(parts, total)
+
+
 
 @pytest.mark.parametrize("functor", ["gamma", "wedge"])
 @pytest.mark.parametrize("ring", [Z9, F2, ModRing(3, 3)], ids=["Z9", "F2", "Z27"])

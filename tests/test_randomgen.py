@@ -41,11 +41,13 @@ def reference_random_invertible(dim, ring, rng):
                                   ModRing(3, 3), ModRing(7, 2)], ids=str)
 def test_random_invertible_consumes_the_stream_of_the_list_draw(ring):
     for seed in range(40):
-        for dim in (1, 2, 3, 5):
+        for dim in (0, 1, 2, 3, 5):
             new, old = random.Random(seed), random.Random(seed)
             q, qinv = random_invertible(dim, ring, new)
             q_ref, qinv_ref = reference_random_invertible(dim, ring, old)
-            assert (q == q_ref).all() and (qinv == qinv_ref).all()
+            for got, want in ((q, q_ref), (qinv, qinv_ref)):
+                assert got.dtype == np.int64 and got.flags.c_contiguous
+                assert got.shape == want.shape and (got == want).all()
             assert new.getstate() == old.getstate()
 
 
