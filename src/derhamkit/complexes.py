@@ -450,13 +450,11 @@ class HomologyReport:
         return sum(e["length"] for (n, _), e in self.entries.items() if n == degree)
 
 
-def homology_report(cx: GradedSliceComplex, degrees: Iterable[int] | None = None,
-                    weights: Iterable[int] | None = None) -> HomologyReport:
+def homology_report(cx: GradedSliceComplex, degrees: Iterable[int] | None = None) -> HomologyReport:
     degs = list(degrees) if degrees is not None else [n for n in cx.degrees() if cx.in_trust_window(n)]
-    ws = list(weights) if weights is not None else cx.weights()
     entries = {}
     for n in degs:
-        for w in ws:
+        for w in cx.weights():
             fac = slice_homology(cx, n, w)
             if fac:
                 entries[(n, w)] = {"factors": fac, "length": sum(v_int(d, cx.ring.p) for d in fac)}

@@ -12,6 +12,11 @@ Supported algebra presentations:
   certified through the associated-graded complex where f degenerates to
   its leading monomial.  Separable f mod p is the unramified case.
 
+The face rule of the resolution is written once, as the target array of
+``FreeSimplicialResolution.face_targets``: monomials (``face_exponents``),
+the wedge indices of the de Rham blocks and the slots of the cotangent
+complex all read their faces off it.
+
 The infinitely generated canonical resolution is never materialized; every
 computation routes through these finite resolutions.
 """
@@ -32,8 +37,6 @@ from .complexes import (
 from .exactlin import (
     ModRing,
     SparseMatrix,
-    left_kernel,
-    mzeros,
     quotient_invariants,
 )
 from .polyalg import PolyAlgebra, graded_slice_basis, row_positions
@@ -43,7 +46,6 @@ __all__ = [
     "AlgebraPresentation",
     "FreeSimplicialResolution",
     "DepthError",
-    "verify_nonzerodivisor",
     "kaehler_presentation",
     "cotangent_homology",
     "shortcut_conormal_complex",
@@ -113,10 +115,6 @@ class AlgebraPresentation:
     def is_monomial(self) -> bool:
         return all(c == 0 for c in self.f_coeffs[:-1])
 
-    def reduce_mod_f(self, coeffs: list[int]) -> list[int]:
-        """Coefficients reduced modulo f in the power basis of the quotient."""
-        return rem(coeffs, self.f_coeffs, self.ring.modulus)
-
     def fprime_coeffs(self) -> list[int]:
         return [(k * c) % self.ring.modulus for k, c in enumerate(self.f_coeffs)][1:]
 
@@ -174,7 +172,6 @@ class FreeSimplicialResolution:
         self.graded = pres.is_monomial
         self._certificate: AcyclicityCertificate | None = None
         self._alg_cache: dict[int, PolyAlgebra] = {}
-        self._ftab_cache: dict = {}
 
     # -- simplicial algebra structure
 
@@ -186,53 +183,43 @@ class FreeSimplicialResolution:
             self._alg_cache[n] = PolyAlgebra(self.ring, names, weights, base_var=self.pres.var)
         return self._alg_cache[n]
 
-    def face_variable_table(self, n: int, i: int) -> list[tuple[int, int, int] | None]:
-        """Monomial fast path (monomial f only): entry s reads (target
-        index, unit coefficient, power): the image of variable s at level n
-        under face i is coeff * (var target)^power, or None when it dies.
-        Index 0 is x; t_1 falling off the left becomes f = c x^d."""
-        if not self.graded:
-            raise ValueError("monomial face tables need monomial f")
-        key = (n, i)
-        cached = self._ftab_cache.get(key)
-        if cached is not None:
-            return cached
-        d = self.pres.degree
-        c = self.pres.f_coeffs[-1]
-        table: list[tuple[int, int, int] | None] = [(0, 1, 1)]
-        for s in range(1, n + 1):
-            if s == i == n:
-                table.append(None)
-            elif s > i:
-                table.append((0, c, d) if s == 1 else (s - 1, 1, 1))
-            else:
-                table.append((s, 1, 1))
-        self._ftab_cache[key] = table
-        return table
+    @staticmethod
+    def face_targets(n: int, i: int) -> np.ndarray:
+        """The face rule d_i: Q_n -> Q_{n-1} on the variables x, t_1..t_n,
+        as int64 targets among x, t_1..t_{n-1}: x stays x (entry 0), t_s
+        goes to t_{s - (s > i)}, where target 0 means t_1 -> f, and t_n dies
+        under d_n (-1).  Monomials, wedge indices and cotangent slots all
+        read their faces off this one array."""
+        s = np.arange(n + 1)
+        targets = s - (s > i)
+        if i == n:
+            targets[n] = -1
+        return targets
 
     def face_exponents(self, n: int, i: int, expts: np.ndarray):
         """Images of Q_n monomials (the rows of ``expts``) under face i,
-        each a single monomial because f is: (mask of the rows that
+        each a single monomial because f = c x^d is: (mask of the rows that
         survive, exponent rows in Q_{n-1}, coefficients), the last two
-        given for every row.  The exponents are ``expts`` times the face
-        variable table; a row dies when a variable sent to 0 occurs in it,
-        and its coefficient is c^k for t_1 -> c x^d occurring k times."""
-        table = self.face_variable_table(n, i)
-        m = self.ring.modulus
-        move = np.zeros((n + 1, n), dtype=np.int64)  # Q_{n-1} has x, t_1..t_{n-1}
-        dead = np.zeros(n + 1, dtype=bool)
+        given for every row.  The exponents are ``expts`` times the move
+        matrix of ``face_targets``, with t_1 -> f moving to x^d; a variable
+        sent to 0 moves to a spare last column, and a row dies when that
+        column is nonzero.  The coefficient is c^k for t_1 -> f occurring k
+        times."""
+        if not self.graded:
+            raise ValueError("monomial face images need monomial f")
+        targets = self.face_targets(n, i)
+        # x, t_1..t_{n-1} of Q_{n-1}, then the spare column that target -1 indexes
+        move = np.zeros((n + 1, n + 1), dtype=np.int64)
+        move[np.arange(n + 1), targets] = 1
         coeff = np.ones(len(expts), dtype=np.int64)
-        for s, entry in enumerate(table):
-            if entry is None:
-                dead[s] = True
-                continue
-            tgt, c, power = entry
-            move[s, tgt] = power
+        if targets[1] == 0:  # t_1 -> f = c x^d
+            move[1, 0] = self.pres.degree
+            c, m = self.pres.f_coeffs[-1], self.ring.modulus
             if c != 1:
-                k = expts[:, s]
-                powers = np.array([pow(c, e, m) for e in range(int(k.max(initial=0)) + 1)], dtype=np.int64)
-                coeff = coeff * powers[k] % m
-        return ~(expts[:, dead] > 0).any(axis=1), expts @ move, coeff
+                k = expts[:, 1]
+                coeff = np.array([pow(c, e, m) for e in range(int(k.max(initial=0)) + 1)], dtype=np.int64)[k]
+        images = expts @ move
+        return images[:, n] == 0, images[:, :n], coeff
 
     # -- slice bases of Q_n (graded flavor)
 
@@ -313,109 +300,56 @@ class FreeSimplicialResolution:
 
     # -- the cotangent complex
 
-    def cotangent_slots(self, n: int) -> list[tuple[int, int]]:
-        """Basis slots (e, s) of B (x) Omega^1(Q_n): coefficient x^e with
-        e < deg f; s = 0 encodes dx (hypersurface flavor only), s >= 1
-        encodes dt_s."""
-        d = self.pres.degree
-        srange = range(0, n + 1) if self.relative == "coefficients" else range(1, n + 1)
-        return [(e, s) for s in srange for e in range(d)]
-
-    def _face_slot_image(self, n: int, i: int, s: int):
-        """Differential-slot image under face i at level n: (slot, poly
-        multiplier coefficients) or (None, None) when it dies."""
-        if s == 0:
-            return 0, [1]
-        if s == i == n:
-            return None, None
-        s2 = s if s <= i else s - 1
-        if s2 == 0:
-            if self.relative == "base":
-                return None, None  # df = 0 relative to k[x]
-            return 0, self.pres.fprime_coeffs()  # dt -> df = f'(x) dx
-        return s2, [1]
-
-    def cotangent_face_matrix(self, n: int, i: int) -> np.ndarray:
-        src = self.cotangent_slots(n)
-        tgt = self.cotangent_slots(n - 1)
-        tindex = {t: k for k, t in enumerate(tgt)}
-        out = mzeros(len(src), len(tgt))
-        for a, (e, s) in enumerate(src):
-            slot, mult = self._face_slot_image(n, i, s)
-            if slot is None:
-                continue
-            coeffs = [0] * e + [c for c in mult]
-            red = self.pres.reduce_mod_f(coeffs)
-            for e2, c in enumerate(red):
-                if c:
-                    out[a, tindex[(e2, slot)]] = (out[a, tindex[(e2, slot)]] + c) % self.ring.modulus
-        return out
-
     def cotangent_complex(self) -> GradedSliceComplex:
-        """C(B (x) Omega^1_{Q_./rel}) as a slice complex.
+        """C(B (x) Omega^1_{Q_./rel}) as a slice complex, on the slots (e, s)
+        = x^e dt_s of each level, e < deg f (s = 0 is dx).
 
-        Graded flavor: slot (e, s >= 1) has weight e + deg f.  Hypersurface
-        flavor: everything lives in one slice (weight 0), finite over k.
+        Face i sends slot (e, s) to (e, t) for its target t =
+        ``face_targets(n, i)[s]`` >= 1 and kills it for t = -1.  Relative to
+        k[x] (graded flavor) d(f) = 0, so target 0 dies too; the slots
+        s >= 1 of one e make the slice of weight e + deg f, and every such
+        slice has the same differential.  Relative to k (hypersurface
+        flavor) all slots make one slice (weight 0), finite over k: the dx
+        slots stay, and target 0 is dt_1 -> df = f'(x) dx, which sends
+        (e, 1) to the dx slots of f'(x) x^e mod f.  In its slice, slot
+        (e, s) sits at (s - lo) * width + e, with lo the first s and width
+        the number of e per slice.
         """
         cert = self.certify()
         if not cert.ok:
             raise ValueError("resolution failed its acyclicity certificate")
         d = self.pres.degree
-        graded_weights = self.relative == "base"
-
-        def slot_weight(slot):
-            e, s = slot
-            return e + d if graded_weights else 0
-
-        dims = {}
-        diffs = {}
+        base = self.relative == "base"
+        weights, lo, width = ([a + d for a in range(d)], 1, 1) if base else ([0], 0, d)
+        if not base:  # row a: the dx slots of f'(x) x^a mod f
+            df = np.array([rem([0] * a + self.pres.fprime_coeffs(), self.pres.f_coeffs, self.ring.modulus)
+                           for a in range(d)], dtype=np.int64)
+        e = np.arange(width)
+        dims, diffs = {}, {}
         for n in range(self.d_max + 1):
-            src = self.cotangent_slots(n)
-            by_w: dict[int, list[int]] = {}
-            for idx, slot in enumerate(src):
-                by_w.setdefault(slot_weight(slot), []).append(idx)
-            for w, idxs in by_w.items():
-                dims[(n, w)] = len(idxs)
+            dims.update({(n, w): (n + 1 - lo) * width for w in weights})
             if n == 0:
                 continue
-            tgt = self.cotangent_slots(n - 1)
-            full = mzeros(len(src), len(tgt))
+            s = np.arange(lo, n + 1)
+            rows, cols, vals = [], [], []
             for i in range(n + 1):
+                t = self.face_targets(n, i)[s]
                 sign = -1 if i % 2 else 1
-                full = full + sign * self.cotangent_face_matrix(n, i)
-            full %= self.ring.modulus
-            tgt_by_w: dict[int, list[int]] = {}
-            for idx, slot in enumerate(tgt):
-                tgt_by_w.setdefault(slot_weight(slot), []).append(idx)
-            for w, idxs in by_w.items():
-                cols = tgt_by_w.get(w, [])
-                other = [k for k in range(len(tgt)) if k not in cols]
-                if other and full[np.ix_(idxs, other)].any():
-                    raise AssertionError("cotangent differential is not weight-preserving")
-                diffs[(n, w)] = full[np.ix_(idxs, cols)] if cols else mzeros(len(idxs), 0)
+                same = (t > 0) | (s == 0)  # dt_s -> dt_t and dx -> dx, x^e kept
+                rows.append((((s[same] - lo) * width)[:, None] + e).ravel())
+                cols.append((((t[same] - lo) * width)[:, None] + e).ravel())
+                vals.append(np.full(rows[-1].size, sign))
+                if not base and t[1] == 0:  # t_1 -> f: dt_1 -> f'(x) dx
+                    rows.append(np.repeat(width + e, d))
+                    cols.append(np.tile(e, d))
+                    vals.append(sign * df.ravel())
+            face_sum = SparseMatrix(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                                    ((n + 1 - lo) * width, (n - lo) * width))
+            diffs.update({(n, w): face_sum for w in weights})
         cx = GradedSliceComplex(self.ring, 0, self.d_max, dims, diffs,
                                 trusted=(0, self.d_max - 2))
         cx.validate()
         return cx
-
-
-def verify_nonzerodivisor(pres: AlgebraPresentation, weight_bound: int) -> None:
-    """Multiplication by f on k[x] must be injective up to the weight bound."""
-    d = pres.degree
-    rows = []
-    # f * x^a for a <= weight_bound - d; none when weight_bound < deg f
-    for a in range(weight_bound - d + 1):
-        row = [0] * (weight_bound + 1)
-        for k, c in enumerate(pres.f_coeffs):
-            if a + k <= weight_bound:
-                row[a + k] = c
-        rows.append(row)
-    matrix = np.array(rows, dtype=np.int64) if rows else mzeros(0, weight_bound + 1)
-    ker = left_kernel(matrix, pres.ring)
-    if ker.shape[0]:
-        raise ValueError(
-            f"f is a zero divisor up to weight {weight_bound}: kernel witness {ker[0].tolist()}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +373,7 @@ def kaehler_presentation(pres: AlgebraPresentation) -> KaehlerPresentation:
         return KaehlerPresentation(pres, 0, False, [])
     # hypersurface over k: generator dx with relation f'(x) dx, over k on the power basis
     d = pres.degree
-    rows = [pres.reduce_mod_f([0] * a + pres.fprime_coeffs()) for a in range(d)]
+    rows = [rem([0] * a + pres.fprime_coeffs(), pres.f_coeffs, ring.modulus) for a in range(d)]
     factors = quotient_invariants(np.eye(d, dtype=np.int64), np.array(rows, dtype=np.int64), ring)
     # relation vanished: free of rank 1 over B
     return KaehlerPresentation(pres, 1, factors == [ring.modulus] * d, factors)
@@ -468,7 +402,6 @@ def cotangent_homology(pres: AlgebraPresentation, window: tuple[int, int],
     depth = needed if depth is None else depth
     if depth < needed:
         raise DepthError(f"depth {depth} insufficient for window top {hi} (need >= {needed})")
-    verify_nonzerodivisor(pres, weight_bound)
     res = FreeSimplicialResolution(pres, depth, weight_bound)
     cert = res.certify()
     if not cert.ok:

@@ -3,12 +3,13 @@
 The total complex of the de Rham complexes of a free simplicial resolution
 Q_n = k[x][t_1..t_n] of B = k[x]/(f), relative to A = k[x].  The block
 Omega^i(Q_j) sits at (p, q) = (j, -i) of a double complex, in homological
-degree j - i; the horizontal differential is the alternating face sum and
-the vertical one is the relative exterior derivative, which
-``complexes.total_complex`` twists by (-1)^j when it assembles the block
-triples.  The Hodge level cut m keeps columns i < m, modelling the
-quotient by F^m; with weight(x) = 1 and weight(t) = deg f all slices are
-finite and exact.
+degree j - i; the horizontal differential is the alternating face sum,
+read off the resolution's ``face_targets`` for the exponents and the
+wedge indices alike, and the vertical one is the relative exterior
+derivative, which ``complexes.total_complex`` twists by (-1)^j when it
+assembles the block triples.  The Hodge level cut m keeps columns i < m,
+modelling the quotient by F^m; with weight(x) = 1 and weight(t) = deg f
+all slices are finite and exact.
 
 Every block is built on its nondegenerate forms only.  The degenerate forms
 (some t_s occurring neither in the exponent nor under d) span an acyclic
@@ -51,7 +52,6 @@ from .cotangent import (
     FreeSimplicialResolution,
     kaehler_presentation,
     nondegenerate_positions,
-    verify_nonzerodivisor,
 )
 from .exactlin import (
     SparseMatrix,
@@ -143,26 +143,15 @@ class FilteredDeRhamComplex:
 
     # -- differentials on blocks
 
-    @staticmethod
-    def _wedge_face(j: int, k: int) -> np.ndarray:
-        """Images of the t-variable indices 1..j under face k at level j,
-        indexed by the variable; -1 means the wedge factor dies (t -> f has
-        df = 0, or t -> 0)."""
-        images = np.full(j + 1, -1, dtype=np.int64)
-        for s in range(1, j + 1):
-            if s <= k and s != j:
-                images[s] = s
-            elif s > 1 and not s == k == j:
-                images[s] = s - 1
-        return images
-
     def horizontal_matrix(self, j: int, i: int, w: int) -> SparseMatrix:
         """Alternating face sum Omega^i(Q_j) -> Omega^i(Q_{j-1}) on slice w."""
         src = self.block_basis(j, i, w)
         tgt = self.block_basis(j - 1, i, w)
         rows, images, vals = [], [], []
         for k in range(j + 1):
-            mapped = self._wedge_face(j, k)[src[:, :i]]
+            targets = self.res.face_targets(j, k)
+            # dt_s -> dt_t for a target t > 0; t -> f has df = 0, t -> 0 dies
+            mapped = np.where(targets > 0, targets, -1)[src[:, :i]]
             alive, e2, coeff = self.res.face_exponents(j, k, src[:, i:])
             # a wedge factor that dies or repeats kills the form
             keep = alive & (mapped > 0).all(axis=1) & (np.diff(mapped, axis=1) > 0).all(axis=1)
@@ -282,7 +271,6 @@ def build_derham(pres: AlgebraPresentation, hodge_cut: int, window: tuple[int, i
     """Assemble the filtered de Rham complex for B = k[x]/(f) over k[x]."""
     if pres.shape != "quotient":
         raise ValueError("the de Rham builder expects the quotient shape")
-    verify_nonzerodivisor(pres, weight_bound)
     res = FreeSimplicialResolution(pres, _resolution_depth(pres, hodge_cut, window, weight_bound), weight_bound)
     return FilteredDeRhamComplex(res, hodge_cut, window, weight_bound)
 
@@ -388,7 +376,6 @@ def graded_piece_report(f: FilteredDeRhamComplex, level: int) -> GradedPieceRepo
 class ThickeningResult:
     pres: AlgebraPresentation
     h0: dict  # weight -> SliceQuotient
-    surjection_ok: bool
     square_zero_ok: bool
     sequence_lengths_ok: bool
     comparison_bijective: bool
@@ -458,32 +445,6 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
         else:
             comparison_ok = comparison_ok and q.size == 1
 
-    # the surjection onto B: augment the Q_0 part and reduce mod f
-    def augment(vec: np.ndarray, w: int) -> int:
-        total = 0
-        lay, _ = f.layout(0, w, 2)
-        for (j, i, off) in lay:
-            if (j, i) != (0, 0):
-                continue
-            for (e0,), c in zip(f.block_basis(j, i, w).tolist(), vec[off:].tolist()):
-                if c:
-                    red = pres.reduce_mod_f([0] * e0 + [c])
-                    if w < d:
-                        total = (total + red[w]) % m
-        return total
-
-    surj_ok = True
-    for w in range(weight_bound + 1):
-        q = h0[w]
-        for row in cx.diff(1, w):
-            if augment(row, w):
-                surj_ok = False  # augmentation must kill boundaries
-        if w < d:
-            if not any(augment(rep, w) % ring.p for rep in q.gen_reps):
-                surj_ok = False  # no generator hits a unit of the B slice
-        elif len(ideal[w]) < len(q.gen_reps):
-            surj_ok = False  # everything above the B range must come from the ideal part
-
     # square-zero: the ideal is F^1 H_0, and the product of two F^1
     # representatives lies in F^2, so it has no coordinate in the corner cx
     sq_ok = True
@@ -500,7 +461,7 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
         lh1 = ring.n if d <= w < 2 * d else 0  # conormal slice, free rank 1
         seq_ok = seq_ok and h0[w].length() == lb + lh1
 
-    return ThickeningResult(pres, h0, surj_ok, sq_ok, seq_ok, comparison_ok)
+    return ThickeningResult(pres, h0, sq_ok, seq_ok, comparison_ok)
 
 
 def _ideal_reps(f: FilteredDeRhamComplex, q: SliceQuotient, w: int) -> list[np.ndarray]:
@@ -611,8 +572,7 @@ def _t_times_gamma(j: int, m: int) -> int:
     return (j + 1) % m
 
 
-def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
-                       window_top: int = 1) -> PDEnvelopeReport:
+def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int) -> PDEnvelopeReport:
     """Compare H_0(LOmega_{B/A}) with the PD algebra quotient A<t>/(t - f).
 
     Per weight slice the invariant factors must agree, the Hodge filtration
@@ -627,7 +587,7 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
     d = pres.degree
     c_lead = pres.f_coeffs[-1]
     max_level = weight_bound // d + 1
-    f = build_derham(pres, hodge_cut=max_level, window=(0, window_top), weight_bound=weight_bound)
+    f = build_derham(pres, hodge_cut=max_level, window=(0, 1), weight_bound=weight_bound)
 
     # PD side: A<t>/(t - f) slice by slice in the basis x^a gamma_j(t);
     # its one product coefficient is the closed form of _t_times_gamma, so
@@ -663,7 +623,7 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
         basis = pd_basis(w)
         rel = pd_relation_rows(w)
         pd_facs = quotient_invariants(np.eye(len(basis), dtype=np.int64), rel, ring)
-        eq = q.factors == pd_facs or sorted(q.factors) == sorted(pd_facs)
+        eq = sorted(q.factors) == sorted(pd_facs)
         slice_verdicts[w] = (q.factors, pd_facs, eq)
         ok = ok and eq
 
@@ -671,8 +631,8 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
         phi_m = np.array([constants[j] for _, j in basis], dtype=np.int64)[:, None] * gens[w] % m
         # relations map to boundaries
         for row in rel:
-            vec = mmul(row, phi_m, ring)
-            if q.coords(vec) is None or not q.is_zero_class(vec):
+            coords = q.coords(mmul(row, phi_m, ring))
+            if coords is None or any(coords):
                 iso_ok = False
         # surjectivity: images of pd basis classes generate H_0 slice
         img_coords = [q.coords(r) for r in phi_m]
@@ -706,11 +666,7 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int,
             filtration_verdicts[(level, w)] = (hodge_facs, pd_fil_facs, eq)
             ok = ok and eq
 
-    higher = True
-    for nn in range(1, window_top + 1):
-        for w in range(weight_bound + 1):
-            if slice_homology(f.total, nn, w):
-                higher = False
+    higher = not any(slice_homology(f.total, 1, w) for w in range(weight_bound + 1))
     return PDEnvelopeReport(pres, weight_bound, slice_verdicts, filtration_verdicts,
                             higher, iso_failure, ok and higher and iso_failure is None)
 

@@ -724,29 +724,23 @@ def local_smith(matrix: np.ndarray, ring: ModRing, want_transform: bool = False)
     either: they run on V and Vinv alone.
     """
     m = ring.modulus
-    p = ring.p
     a = np.asarray(matrix, dtype=np.int64) % m  # a new array
     if a.ndim != 2:
         raise ValueError("local_smith expects a 2-d matrix")
     rows, cols = a.shape
     v_mat = np.eye(cols, dtype=np.int64) if want_transform else None
     vinv = np.eye(cols, dtype=np.int64) if want_transform else None
-    pivot_vals: list[int] = []
+    pivots: list[int] = []  # p^(valuation) of each pivot
     t = 0
     while t < min(rows, cols):
-        sub = a[t:, t:]
-        if not sub.any():
+        # gcd(entry, p^n) is p^(valuation), and p^n for a zero entry, so the
+        # first least one is the first entry of least valuation, row-major
+        g = np.gcd(a[t:, t:], m)
+        i_off, j_off = divmod(int(g.argmin()), cols - t)
+        pe = int(g[i_off, j_off])
+        if pe == m:
             break
-        val = None
-        for v in range(ring.n):
-            mask = (sub % (p ** (v + 1))) != 0
-            if mask.any():
-                val = v
-                i_off, j_off = np.argwhere(mask)[0]
-                break
-        if val is None:
-            break
-        i, j = t + int(i_off), t + int(j_off)
+        i, j = t + i_off, t + j_off
         if i != t:
             a[[t, i], t:] = a[[i, t], t:]
         if j != t:
@@ -754,7 +748,6 @@ def local_smith(matrix: np.ndarray, ring: ModRing, want_transform: bool = False)
             if want_transform:
                 v_mat[:, [t, j]] = v_mat[:, [j, t]]
                 vinv[[t, j]] = vinv[[j, t]]
-        pe = p ** val
         unit_inv = ring.unit_inverse(int(a[t, t]) // pe)
         a[t, t:] = (a[t, t:] * unit_inv) % m
         # clear the column below (row ops; untracked side)
@@ -768,10 +761,9 @@ def local_smith(matrix: np.ndarray, ring: ModRing, want_transform: bool = False)
             q = row // pe
             v_mat[:, t + 1 :] = (v_mat[:, t + 1 :] - v_mat[:, [t]] * q[None, :]) % m
             vinv[t] = (vinv[t] + mmul(q, vinv[t + 1 :], ring)) % m
-        pivot_vals.append(val)
+        pivots.append(pe)
         t += 1
-    factors = [p ** v for v in pivot_vals] + [m] * (cols - len(pivot_vals))
-    return factors, v_mat, vinv
+    return pivots + [m] * (cols - len(pivots)), v_mat, vinv
 
 
 def v_int(a: int, p: int) -> int:
@@ -857,12 +849,6 @@ class SliceQuotient:
     @cached_property
     def _solve_in_cycles(self) -> Callable[[np.ndarray], np.ndarray | None]:
         return span_solver(self.cycles, self.ring)
-
-    def is_zero_class(self, vector: np.ndarray) -> bool:
-        c = self.coords(vector)
-        if c is None:
-            raise ValueError("vector is not a cycle of this slice")
-        return all(x == 0 for x in c)
 
 
 def _span_length(h: np.ndarray, ring: ModRing) -> int:

@@ -13,6 +13,15 @@ image that is not among them only after checking that it is degenerate.
 were normalized: the same builder on every monomial of each slice, the
 degenerate ones included, so the complex is C(Q_.) and not C(Q_.)/D.
 
+``face_variable_table`` (with ``face_exponents``, the whole-slice
+monomial faces read off it), ``wedge_face`` and ``cotangent_complex`` are
+the three encodings of the face rule the library had before it wrote the rule
+once, as ``FreeSimplicialResolution.face_targets``: a table of (target,
+coefficient, power) per variable for monomials, the images of the wedge
+indices of forms, and a slot-by-slot image for the cotangent complex, whose
+dense face matrices were summed with alternating signs and cut into weight
+slices.
+
 ``poly_to_string`` prints constant-first coefficients as the polynomial
 strings ``cotangent.parse_poly_string`` reads, as the presentations'
 JSON form did.
@@ -22,8 +31,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from derhamkit.complexes import GradedSliceComplex
 from derhamkit.cotangent import FreeSimplicialResolution
 from derhamkit.exactlin import mzeros
+from derhamkit.upoly import rem
 
 from reference_polyalg import Poly, face
 
@@ -41,10 +52,66 @@ class UnnormalizedResolution(FreeSimplicialResolution):
         return self.algebra(n).monomials_of_weight(w)
 
 
+def face_variable_table(res: FreeSimplicialResolution, n: int, i: int) -> list[tuple[int, int, int] | None]:
+    """Monomial f only: entry s reads (target index, unit coefficient,
+    power): the image of variable s at level n under face i is coeff *
+    (var target)^power, or None when it dies.  Index 0 is x; t_1 falling
+    off the left becomes f = c x^d."""
+    if not res.graded:
+        raise ValueError("monomial face tables need monomial f")
+    d = res.pres.degree
+    c = res.pres.f_coeffs[-1]
+    table: list[tuple[int, int, int] | None] = [(0, 1, 1)]
+    for s in range(1, n + 1):
+        if s == i == n:
+            table.append(None)
+        elif s > i:
+            table.append((0, c, d) if s == 1 else (s - 1, 1, 1))
+        else:
+            table.append((s, 1, 1))
+    return table
+
+
+def wedge_face(j: int, k: int) -> np.ndarray:
+    """Images of the t-variable indices 1..j under face k at level j,
+    indexed by the variable; -1 means the wedge factor dies (t -> f has
+    df = 0, or t -> 0)."""
+    images = np.full(j + 1, -1, dtype=np.int64)
+    for s in range(1, j + 1):
+        if s <= k and s != j:
+            images[s] = s
+        elif s > 1 and not s == k == j:
+            images[s] = s - 1
+    return images
+
+
+def face_exponents(res: FreeSimplicialResolution, n: int, i: int, expts: np.ndarray):
+    """(mask of the surviving rows, exponent rows in Q_{n-1}, coefficients)
+    of the Q_n monomials ``expts`` under face i, from the variable table:
+    ``expts`` times a move matrix, a mask for the dying variables, and
+    c^k from a power table."""
+    table = face_variable_table(res, n, i)
+    m = res.ring.modulus
+    move = np.zeros((n + 1, n), dtype=np.int64)
+    dead = np.zeros(n + 1, dtype=bool)
+    coeff = np.ones(len(expts), dtype=np.int64)
+    for s, entry in enumerate(table):
+        if entry is None:
+            dead[s] = True
+            continue
+        tgt, c, power = entry
+        move[s, tgt] = power
+        if c != 1:
+            k = expts[:, s]
+            powers = np.array([pow(c, e, m) for e in range(int(k.max(initial=0)) + 1)], dtype=np.int64)
+            coeff = coeff * powers[k] % m
+    return ~(expts[:, dead] > 0).any(axis=1), expts @ move, coeff
+
+
 def face_monomial(res: FreeSimplicialResolution, n: int, i: int, expts: tuple[int, ...]):
     """Image of a Q_n monomial under face i: (coefficient, exponents in
     Q_{n-1}) or None; single-monomial because f is a monomial."""
-    table = res.face_variable_table(n, i)
+    table = face_variable_table(res, n, i)
     out = [0] * n  # Q_{n-1} has n variables (x, t_1..t_{n-1})
     coeff = 1
     m = res.ring.modulus
@@ -117,6 +184,89 @@ def assert_diffs_equal(cx, dims: dict, diffs: dict, degrees, weights) -> None:
             assert got.dtype == want.dtype == np.int64
             assert got.shape == want.shape, (n, w)
             assert np.array_equal(got, want), (n, w)
+
+
+def cotangent_slots(res: FreeSimplicialResolution, n: int) -> list[tuple[int, int]]:
+    """Basis slots (e, s) of B (x) Omega^1(Q_n): coefficient x^e with
+    e < deg f; s = 0 encodes dx (hypersurface flavor only), s >= 1
+    encodes dt_s."""
+    d = res.pres.degree
+    srange = range(0, n + 1) if res.relative == "coefficients" else range(1, n + 1)
+    return [(e, s) for s in srange for e in range(d)]
+
+
+def face_slot_image(res: FreeSimplicialResolution, n: int, i: int, s: int):
+    """Differential-slot image under face i at level n: (slot, poly
+    multiplier coefficients) or (None, None) when it dies."""
+    if s == 0:
+        return 0, [1]
+    if s == i == n:
+        return None, None
+    s2 = s if s <= i else s - 1
+    if s2 == 0:
+        if res.relative == "base":
+            return None, None  # df = 0 relative to k[x]
+        return 0, res.pres.fprime_coeffs()  # dt -> df = f'(x) dx
+    return s2, [1]
+
+
+def cotangent_face_matrix(res: FreeSimplicialResolution, n: int, i: int) -> np.ndarray:
+    src = cotangent_slots(res, n)
+    tgt = cotangent_slots(res, n - 1)
+    tindex = {t: k for k, t in enumerate(tgt)}
+    out = mzeros(len(src), len(tgt))
+    for a, (e, s) in enumerate(src):
+        slot, mult = face_slot_image(res, n, i, s)
+        if slot is None:
+            continue
+        coeffs = [0] * e + [c for c in mult]
+        red = rem(coeffs, res.pres.f_coeffs, res.ring.modulus)
+        for e2, c in enumerate(red):
+            if c:
+                out[a, tindex[(e2, slot)]] = (out[a, tindex[(e2, slot)]] + c) % res.ring.modulus
+    return out
+
+
+def cotangent_complex(res: FreeSimplicialResolution) -> GradedSliceComplex:
+    """C(B (x) Omega^1_{Q_./rel}) as a slice complex, from dense face
+    matrices.  Graded flavor: slot (e, s >= 1) has weight e + deg f.
+    Hypersurface flavor: everything lives in one slice (weight 0)."""
+    d = res.pres.degree
+    graded_weights = res.relative == "base"
+
+    def slot_weight(slot):
+        e, s = slot
+        return e + d if graded_weights else 0
+
+    dims = {}
+    diffs = {}
+    for n in range(res.d_max + 1):
+        src = cotangent_slots(res, n)
+        by_w: dict[int, list[int]] = {}
+        for idx, slot in enumerate(src):
+            by_w.setdefault(slot_weight(slot), []).append(idx)
+        for w, idxs in by_w.items():
+            dims[(n, w)] = len(idxs)
+        if n == 0:
+            continue
+        tgt = cotangent_slots(res, n - 1)
+        full = mzeros(len(src), len(tgt))
+        for i in range(n + 1):
+            sign = -1 if i % 2 else 1
+            full = full + sign * cotangent_face_matrix(res, n, i)
+        full %= res.ring.modulus
+        tgt_by_w: dict[int, list[int]] = {}
+        for idx, slot in enumerate(tgt):
+            tgt_by_w.setdefault(slot_weight(slot), []).append(idx)
+        for w, idxs in by_w.items():
+            cols = tgt_by_w.get(w, [])
+            other = [k for k in range(len(tgt)) if k not in cols]
+            if other and full[np.ix_(idxs, other)].any():
+                raise AssertionError("cotangent differential is not weight-preserving")
+            diffs[(n, w)] = full[np.ix_(idxs, cols)] if cols else mzeros(len(idxs), 0)
+    cx = GradedSliceComplex(res.ring, 0, res.d_max, dims, diffs, trusted=(0, res.d_max - 2))
+    cx.validate()
+    return cx
 
 
 def poly_to_string(coeffs) -> str:

@@ -16,9 +16,9 @@ from derhamkit.cotangent import (
     kaehler_presentation,
     parse_poly_string,
     shortcut_conormal_complex,
-    verify_nonzerodivisor,
 )
 from derhamkit.polyalg import graded_slice_basis
+from derhamkit.upoly import rem
 
 import reference_cotangent
 import reference_polyalg
@@ -80,20 +80,6 @@ def test_presentation_rejects_zero_divisor_and_zero_f():
         AlgebraPresentation(Z4, "quotient", "x", (0,))  # f = 0
 
 
-def test_nonzerodivisor_check_passes_units():
-    verify_nonzerodivisor(AlgebraPresentation(Z4, "quotient", "x", (0, 0, 3)), 6)
-
-
-def test_nonzerodivisor_check_below_deg_f_has_nothing_to_check():
-    # no multiple f * x^a has weight <= bound < deg f, so there is no witness
-    for bound in range(3):
-        verify_nonzerodivisor(AlgebraPresentation(Z4, "quotient", "x", (0, 0, 0, 1)), bound)
-    verify_nonzerodivisor(AlgebraPresentation(F2, "quotient", "x", (0, 1)), 0)
-    # the zero divisor 2x^2 over Z/4 is still caught once the bound reaches deg f
-    with pytest.raises(ValueError, match="zero divisor"):
-        verify_nonzerodivisor(AlgebraPresentation(Z4, "quotient", "x", (0, 0, 2)), 2)
-
-
 def test_drpd_modp_runs_at_weight_bound_below_deg_f():
     from derhamkit.suites import run_suite
 
@@ -135,7 +121,7 @@ def test_h1_of_a_hypersurface_is_the_kernel_of_the_conormal_map(ring, f):
     # kernel of delta: (f)/(f^2) -> C dx, the generator going to f'(x) dx
     pres = AlgebraPresentation(ring, "hypersurface", "x", f)
     d = pres.degree
-    delta = np.array([pres.reduce_mod_f([0] * a + pres.fprime_coeffs()) for a in range(d)],
+    delta = np.array([rem([0] * a + pres.fprime_coeffs(), pres.f_coeffs, ring.modulus) for a in range(d)],
                      dtype=np.int64) % ring.modulus
     ker = quotient_invariants(left_kernel(delta, ring), np.zeros((0, d), dtype=np.int64), ring)
     report = cotangent_homology(pres, (0, 1), 6).report
@@ -333,3 +319,68 @@ def test_a_kept_degenerate_monomial_or_a_dropped_nondegenerate_one_is_caught(mon
     # dropped from a target slice, its preimages' faces cannot be located
     with pytest.raises(AssertionError, match="nondegenerate image"):
         patched(lambda n, w, b: reference_polyalg.drop_row(b, [1, 1]))
+
+
+def _face_rule_presentations():
+    """f = x, 3x^2 and x^3 over F_2, F_3, Z/4 and Z/9, where 3 is a unit."""
+    return [AlgebraPresentation(ring, "quotient", "x", f) for ring in (F2, F3, Z4, Z9)
+            for f in ((0, 1), (0, 0, 3), (0, 0, 0, 1)) if f[-1] % ring.p]
+
+
+@pytest.mark.parametrize("pres", _face_rule_presentations(), ids=lambda p: f"{p.ring}-{p.f_coeffs}")
+def test_face_exponents_equal_the_variable_table_reference(pres):
+    res = FreeSimplicialResolution(pres, 6, 6)
+    for n in range(1, 7):
+        for w in range(7):
+            expts = res.algebra(n).monomials_of_weight(w)
+            for i in range(n + 1):
+                got = res.face_exponents(n, i, expts)
+                want = reference_cotangent.face_exponents(res, n, i, expts)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), (n, w, i)
+
+
+def test_non_monomial_f_has_no_monomial_faces():
+    res = FreeSimplicialResolution(AlgebraPresentation(F2, "hypersurface", "x", (1, 1, 1)), 2, 2)
+    with pytest.raises(ValueError, match="monomial f"):
+        res.face_exponents(1, 0, np.zeros((1, 2), dtype=np.int64))
+
+
+def test_wedge_images_of_the_face_targets_equal_the_reference():
+    for n in range(1, 9):
+        for i in range(n + 1):
+            targets = FreeSimplicialResolution.face_targets(n, i)
+            assert targets.dtype == np.int64
+            assert np.array_equal(np.where(targets > 0, targets, -1), reference_cotangent.wedge_face(n, i)), (n, i)
+
+
+def test_face_targets_satisfy_the_simplicial_identities():
+    # as substitutions on x, t_1..t_n: -1 is 0, and 0 stays x or f (faces fix x)
+    def then(first, second):
+        return np.where(first >= 0, second[first], -1)
+
+    targets = FreeSimplicialResolution.face_targets
+    for n in range(2, 7):
+        for j in range(n + 1):
+            for i in range(j):
+                lhs = then(targets(n, j), targets(n - 1, i))
+                rhs = then(targets(n, i), targets(n - 1, j - 1))
+                assert np.array_equal(lhs, rhs), (n, i, j)
+
+
+_HYPERSURFACES = [AlgebraPresentation(F2, "hypersurface", "x", (1, 1, 1)),
+                  AlgebraPresentation(Z4, "hypersurface", "x", (1, 1, 1)),
+                  AlgebraPresentation(F3, "hypersurface", "x", (0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("pres", _face_rule_presentations() + _HYPERSURFACES,
+                         ids=lambda p: f"{p.shape}-{p.ring}-{p.f_coeffs}")
+def test_cotangent_complex_equals_the_slot_reference(pres):
+    for depth in range(1, 7):
+        res = FreeSimplicialResolution(pres, depth, 4)
+        got, want = res.cotangent_complex(), reference_cotangent.cotangent_complex(res)
+        assert got.dims == want.dims and got.trusted == want.trusted
+        assert got.diffs.keys() == want.diffs.keys()
+        for key, a in got.diffs.items():
+            assert a == want.diffs[key], (depth, key)
+            assert all(x.dtype == np.int64 for x in a[:3])
