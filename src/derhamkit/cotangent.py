@@ -24,6 +24,7 @@ computation routes through these finite resolutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -184,16 +185,19 @@ class FreeSimplicialResolution:
         return self._alg_cache[n]
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def face_targets(n: int, i: int) -> np.ndarray:
         """The face rule d_i: Q_n -> Q_{n-1} on the variables x, t_1..t_n,
         as int64 targets among x, t_1..t_{n-1}: x stays x (entry 0), t_s
         goes to t_{s - (s > i)}, where target 0 means t_1 -> f, and t_n dies
         under d_n (-1).  Monomials, wedge indices and cotangent slots all
-        read their faces off this one array."""
+        read their faces off this one array, made once per (n, i) and
+        read-only, since every caller shares it."""
         s = np.arange(n + 1)
         targets = s - (s > i)
         if i == n:
             targets[n] = -1
+        targets.flags.writeable = False
         return targets
 
     def face_exponents(self, n: int, i: int, expts: np.ndarray):

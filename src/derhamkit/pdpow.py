@@ -18,9 +18,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .complexes import GradedSliceComplex, HomologyReport, homology_report, slice_homology
-from .exactlin import ModRing, canonical, mzeros, mmul
+from .exactlin import ModRing, SparseMatrix, canonical, mzeros, mmul
 from .polyalg import insert_index
-from .simplex import SimplicialModule, kan_transform, normalized_complex
+from .simplex import OnRequest, SimplicialModule, kan_transform, normalized_complex
 
 __all__ = [
     "gamma_monomials",
@@ -157,7 +157,9 @@ def apply_functor_to_module(x: SimplicialModule, functor: str, n: int) -> Simpli
 
     The functor mixes the weight slices of each degree: a gamma-monomial or
     wedge of basis slots carries the sum of the slot weights, and the
-    resulting module is re-sliced by that induced weight.
+    resulting module is re-sliced by that induced weight.  The faces are
+    built here; the degeneracies, which the normalized complex does not
+    read, are built all at once when the first of them is read.
     """
     if functor not in ("gamma", "wedge"):
         raise ValueError("functor must be 'gamma' or 'wedge'")
@@ -183,7 +185,6 @@ def apply_functor_to_module(x: SimplicialModule, functor: str, n: int) -> Simpli
 
     dims: dict = {}
     faces: dict = {}
-    degens: dict = {}
 
     # degree -> (weight, position within its weight) of each functor basis element
     placed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -230,11 +231,20 @@ def apply_functor_to_module(x: SimplicialModule, functor: str, n: int) -> Simpli
     for deg in range(1, x.d_max + 1):
         for i in range(deg + 1):
             resliced(functor_matrix(flat_matrix(x.faces, i, deg, deg - 1)), deg, deg - 1, faces, "d", i)
-    for deg in range(x.d_max):
-        for i in range(deg + 1):
-            resliced(functor_matrix(flat_matrix(x.degens, i, deg, deg + 1)), deg, deg + 1, degens, "s", i)
 
-    return SimplicialModule(ring, x.d_max, dims, faces, degens)
+    keys = [(deg, i, w) for deg in range(x.d_max) for i in range(deg + 1)
+            for w in sorted({wt for (d, wt) in dims if d == deg})]
+
+    def build_degens():
+        degens: dict = {}
+        for deg in range(x.d_max):
+            for i in range(deg + 1):
+                resliced(functor_matrix(flat_matrix(x.degens, i, deg, deg + 1)), deg, deg + 1, degens, "s", i)
+        # a degeneracy with no nonzero entry is the zero matrix
+        return {(deg, i, w): degens.get((deg, i, w)) or SparseMatrix(shape=(dims[(deg, w)], dims.get((deg + 1, w), 0)))
+                for (deg, i, w) in keys}
+
+    return SimplicialModule(ring, x.d_max, dims, faces, OnRequest(keys, build_degens))
 
 
 def derived_power(c: GradedSliceComplex, functor: str, n: int,

@@ -7,13 +7,22 @@ by its position in ``base.enumerate()`` and evaluates the structure
 polynomials and the ghost map by indexing the base ring's int32 ``tables``
 of the codes of sums and products, on single codes or on whole arrays.
 ``QuotientRing.tables`` builds those tables in numpy from the digit vectors
-of all elements; a ``TiltRing`` relabels the tables of O/p.
-``WittRing.pair_tables`` holds the position of a + b and a * b for every
-pair of Witt vectors; ``is_ring_map`` compares them with the target's
-tables at the target codes of the images.  Base rings and Witt carriers
-above 2^12 elements are rejected (ValueError).  Finite-depth tilts are
-compatible p-power sequences in O/p for O = Z[zeta_{p^m}]/(p^n); they are
-not perfect rings, and every report carries the (p, m, n, k) parameters.
+of all elements; a ``TiltRing`` relabels the tables of O/p.  Base rings
+above 2^12 elements are not coded (ValueError), and Witt carriers above
+2^16 elements are not enumerated (ValueError).
+
+``is_ring_map`` checks a map on W = W_n(R), R of characteristic p, on the
+additive generators S = {V^i[b] : i < n, b a unit digit vector of R}: it
+is additive iff theta(s + w) = theta(s) + theta(w) for every s in S and
+w in W, and then multiplicative iff theta(s t) = theta(s) theta(t) on the
+pairs of S, and unital.  The |W| sums s + w of each generator are
+evaluated on code arrays at once, once per Witt ring; their closure from
+0 must reach all of W, so that S generating W is checked on every run.  The target's arithmetic runs on digit rows (sums
+mod p^n, products by ``QuotientRing.mul_rows``), so targets need no tables.
+
+Finite-depth tilts are compatible p-power sequences in O/p for
+O = Z[zeta_{p^m}]/(p^n); they are not perfect rings, and every report
+carries the (p, m, n, k) parameters.
 theta sends (a_0..a_{n-1}) to sum p^i sharp(a_i shifted down i times),
 where sharp raises an arbitrary lift of the deepest entry to its p-power;
 the result is lift-independent for k >= n.  ``theta_digits`` evaluates it
@@ -51,9 +60,13 @@ __all__ = [
     "ker_theta_report",
 ]
 
-# Largest base ring, and largest Witt carrier, that is coded into tables:
-# the tables of N elements hold 2 N^2 int32 entries.
+# Largest ring that is coded into tables (a base ring of Witt vectors, or
+# the O/p of a tilt): the tables of N elements hold 2 N^2 int32 entries.
 MAX_CODED = 2 ** 12
+# Largest Witt carrier W that is enumerated: theta holds int64 arrays of |W|
+# entries, one per digit of O, and the ring-map check int32 arrays of |S| |W|
+# entries, for |S| = n log_p |R| additive generators.
+MAX_CARRIER = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -372,36 +385,66 @@ class WittRing:
                 out[i] = add[out[i], mul[scale, power]]
         return out
 
+    @property
+    def size(self) -> int:
+        return self.base.size ** self.length
+
+    def coordinates(self, positions) -> tuple:
+        """The base code of coordinate i of the Witt vectors at ``positions``
+        of ``enumerate()`` (the first coordinate varies slowest)."""
+        return np.unravel_index(positions, (self.base.size,) * self.length)
+
     def coordinate_codes(self) -> tuple:
-        """The base code of coordinate i of every element, in ``enumerate()``
-        order (the first coordinate varies slowest)."""
-        shape = (self.base.size,) * self.length
-        return np.unravel_index(np.arange(self.base.size ** self.length), shape)
+        """``coordinates`` of every element, in ``enumerate()`` order.
+        ValueError above 2^16 elements, before any array is made."""
+        if self.size > MAX_CARRIER:
+            raise ValueError(f"W_{self.length} carrier of {self.size} elements exceeds the "
+                             "enumeration bound 2^16")
+        return self.coordinates(np.arange(self.size))
 
     def position(self, w: "WittVector") -> int:
         """The position of ``w`` in ``enumerate()``."""
         _, code, _, _ = self.coding
         return int(np.ravel_multi_index([code[c] for c in w.coords], (self.base.size,) * self.length))
 
+    def positions(self, polys, values):
+        """Positions in ``enumerate()`` of the Witt vectors whose coordinate i
+        is ``eval_poly(polys[i], values)``: one, or an int64 array of them."""
+        out = 0
+        for s in polys:
+            out = out * self.base.size + np.asarray(self.eval_poly(s, values), dtype=np.int64)
+        return out
+
+    def additive_generators(self) -> np.ndarray:
+        """Positions of S = {V^i[b] : i < n, b a unit digit vector}: the
+        vector with b in coordinate i and 0 elsewhere.  For a base of
+        characteristic p whose digits are over F_p, S generates W_n
+        additively (V^i W_(n-i) / V^(i+1) W_(n-i-1) is the base as a group);
+        ``is_ring_map`` checks that it does."""
+        size = self.base.size
+        units = []  # the codes of the unit digit vectors, first digit first
+        while self.p ** len(units) < size:
+            units.insert(0, self.p ** len(units))
+        return np.array([u * size ** (self.length - 1 - i) for i in range(self.length) for u in units],
+                        dtype=np.int64)
+
     @cached_property
-    def pair_tables(self):
-        """(add, mul): integer arrays whose [i, j] entries are the positions in
-        ``enumerate()`` of a_i + a_j and a_i * a_j, for every pair."""
-        b = self.base.size
-        size = b ** self.length
-        if size > MAX_CODED:
-            raise ValueError(f"W_{self.length} carrier of {size} elements exceeds the "
-                             "bound 2^12 on exhaustive pair checks")
-        digits = self.coordinate_codes()
-        values = [d[:, None] for d in digits] + [d[None, :] for d in digits]
-
-        def positions(polys):
-            out = 0
-            for s in polys:
-                out = out * b + self.eval_poly(s, values)
-            return np.broadcast_to(out, (size, size))
-
-        return positions(self.table().add), positions(self.table().mul)
+    def generator_sums(self) -> tuple:
+        """(S, sums, spans): ``additive_generators()``; int32 rows of the
+        positions of s + w for each s in S and every w (below 2^16), each
+        evaluated on code arrays at once; and whether the closure of 0 under
+        these sums is all of W.  They depend on W alone, so every map that
+        ``is_ring_map`` checks on W reads the same ones."""
+        gens = self.additive_generators()
+        codes = list(self.coordinate_codes())
+        sums = np.empty((gens.size, self.size), dtype=np.int32)
+        reached = np.zeros(self.size, dtype=bool)
+        reached[self.position(self.zero)] = True
+        for row, *coords in zip(sums, *self.coordinates(gens)):
+            row[:] = self.positions(self.table().add, coords + codes)
+            while not reached[row[reached]].all():  # close under + s: the subgroup grows by <s>
+                reached[row[reached]] = True
+        return gens, sums, bool(reached.all())
 
 
 @dataclass(frozen=True)
@@ -477,39 +520,53 @@ def lift_homomorphism(phi, source: QuotientRing, witt: WittRing, target: Quotien
 
 
 # ---------------------------------------------------------------------------
-# exhaustive ring-map checks and isomorphism searches (small models)
+# ring-map checks on additive generators, and homomorphism searches
 
 
-def is_ring_map(wr: WittRing, images, target) -> bool:
+def is_ring_map(wr: WittRing, images, target: QuotientRing) -> bool:
     """Whether sending the i-th element of ``wr.enumerate()`` to the target
-    element at position images[i] of ``target.enumerate()`` respects + and *
-    on every pair of elements: the pair tables of ``wr`` are compared with
-    the target's own tables.  ValueError for a target above 2^12 elements."""
-    add_pos, mul_pos = wr.pair_tables
-    _, _, add, mul = target.tables
-    img = np.asarray(images, dtype=np.int32)  # codes below 2^12
-    return all(np.array_equal(img[pos], table[img[:, None], img[None, :]])
-               for pos, table in ((add_pos, add), (mul_pos, mul)))
+    element with digit column images[:, i] is a unital ring map, checked on
+    the additive generators S of ``wr.generator_sums``: S generates W, the
+    image of s + w is the sum of the images for every s in S and w in W,
+    the image of s t is the product of the images on every pair of S, and 1
+    goes to 1.  Sums are taken mod the target's modulus and products by
+    ``target.mul_rows``."""
+    images = np.asarray(images, dtype=np.int64)
+    gens, sums, spans = wr.generator_sums
+    if not spans or not all(np.array_equal(digit[row], (digit + digit[g]) % target.m)
+                            for g, row in zip(gens, sums) for digit in images):
+        return False
+    left, right = np.repeat(gens, gens.size), np.tile(gens, gens.size)
+    prods = wr.positions(wr.table().mul, list(wr.coordinates(left)) + list(wr.coordinates(right)))
+    return (np.array_equal(images[:, prods], target.mul_rows(images[:, left], images[:, right]))
+            and np.array_equal(images[:, wr.position(wr.one)], target.one))
 
 
 def witt_additive_basis(wr: WittRing):
-    """Teichmuller lifts of the power basis of F_q: every Witt vector is a
-    unique integer combination (checked by full enumeration)."""
+    """Teichmuller lifts [x^j] of the power basis of F_q, and the int64
+    coefficients (row j for [x^j], column e for the element at position e
+    of ``wr.enumerate()``) that write every Witt vector as their unique
+    integer combination: every combination is summed on code arrays, and
+    they must neither collide nor miss an element."""
     base: QuotientRing = wr.base
     basis = [wr.teichmuller(base.x_power(i)) for i in range(base.deg)]
     m = wr.p ** wr.length
-    seen = {}
-    for coeffs in itertools.product(range(m), repeat=len(basis)):
-        acc = wr.zero
-        for c, vec in zip(coeffs, basis):
-            for _ in range(c):
-                acc = acc + vec
-        if acc.coords in seen:
-            raise AssertionError("Teichmuller basis combinations collide")
-        seen[acc.coords] = coeffs
-    if len(seen) != base.size ** wr.length:
+    _, code, _, _ = wr.coding
+    coeffs = np.indices((m,) * len(basis)).reshape(len(basis), -1)  # the first varies slowest
+    combos = np.full(coeffs.shape[1], wr.position(wr.zero), dtype=np.int64)
+    for row, vec in zip(coeffs, basis):
+        step = [code[c] for c in vec.coords]
+        for c in range(1, m):  # add vec once more wherever its coefficient is at least c
+            more = row >= c
+            combos[more] = wr.positions(wr.table().add, list(wr.coordinates(combos[more])) + step)
+    hits = np.bincount(combos, minlength=wr.size)  # np.unique would import numpy.ma, about 2 MB
+    if hits.max() > 1:
+        raise AssertionError("Teichmuller basis combinations collide")
+    if hits.min() == 0:
         raise AssertionError("Teichmuller basis does not span")
-    return basis, seen
+    by_position = np.empty_like(coeffs)
+    by_position[:, combos] = coeffs
+    return basis, by_position
 
 
 def generator_ring_homomorphisms(wr: WittRing, target: QuotientRing):
@@ -518,25 +575,21 @@ def generator_ring_homomorphisms(wr: WittRing, target: QuotientRing):
 
     The additive extension of [x^j] -> g^j is forced by the integer basis;
     a candidate g is kept when it sends [x] to g (over a prime field x = 0,
-    so only g = 0 is kept) and the ring operations hold on every pair.  The
-    images of all elements, sum_j c_j g^j, are target codes computed by
-    lookups in the target's tables."""
-    _, coords_of = witt_additive_basis(wr)
-    elems = list(wr.enumerate())
-    tgt, code, add, mul = target.tables
-    # coeffs[j][e]: the coefficient of [x^j] in element e, as a target code
-    scalars = np.array([code[target.scale(c, target.one)] for c in range(wr.p ** wr.length)])
-    coeffs = scalars[np.array([coords_of[w.coords] for w in elems]).T]
+    so only g = 0 is kept) and ``is_ring_map`` holds.  The images of all
+    elements, sum_j c_j g^j, are digit rows of the target."""
+    _, coeffs = witt_additive_basis(wr)
+    elems = [w.coords for w in wr.enumerate()]
     x = wr.position(wr.teichmuller(wr.base.x_power(1)))
     gens = []
-    for g in range(target.size):
-        images = code[target.zero]
-        power = code[target.one]
+    for g in target.enumerate():
+        images = np.zeros((target.deg, wr.size), dtype=np.int64)
+        power = target.one
         for row in coeffs:
-            images = add[images, mul[row, power]]
-            power = mul[power, g]
-        if images[x] == g and is_ring_map(wr, images, target):
-            gens.append((tgt[g], {w.coords: tgt[t] for w, t in zip(elems, images)}))
+            images += np.multiply.outer(power, row)
+            power = target.mul(power, g)
+        images %= target.m
+        if tuple(images[:, x].tolist()) == g and is_ring_map(wr, images, target):
+            gens.append((g, dict(zip(elems, map(tuple, images.T.tolist())))))
     return gens
 
 
@@ -738,28 +791,31 @@ def epsilon_root_witt(wr: WittRing, tilt: TiltRing) -> WittVector:
 
 
 def ker_theta_report(model: CyclotomicModel) -> KerThetaReport:
-    """Enumerate W_n(tilt), check that theta respects + and * on every pair,
-    check the theta identities on the canonical elements, and verify that
-    the kernel is exactly the multiples of xi.  theta of every element is
-    one array of O codes, read at the positions of eps, xi and eps - 1."""
+    """Enumerate W_n(tilt), check that theta is a ring map on the additive
+    generators (``is_ring_map``), check the theta identities on the
+    canonical elements, and verify that the kernel is exactly the multiples
+    of xi, from the |W| products w xi.  theta of every element is one array
+    of O codes, read at the positions of eps, xi and eps - 1."""
     tilt = tilt_ring(model)
     wr = WittRing(model.p, model.n, tilt)
-    _, mul_pos = wr.pair_tables  # first, so an oversized carrier fails at once
+    codes = wr.coordinate_codes()  # first, so an oversized carrier fails at once
     o = model.ring_o()
-    thetas = o.codes(theta_digits(model, wr.coordinate_codes()))
+    digits = theta_digits(model, codes)
+    thetas = o.codes(digits)
     zero, one = o.codes(o.zero), o.codes(o.one)
     eps = epsilon_witt(wr, tilt)
-    xi = wr.position(xi_cyclotomic(wr, tilt))
+    xi = xi_cyclotomic(wr, tilt)
+    _, code, _, _ = wr.coding
     kernel = thetas == zero
     multiples = np.zeros_like(kernel)
-    multiples[mul_pos[:, xi]] = True
+    multiples[wr.positions(wr.table().mul, list(codes) + [code[c] for c in xi.coords])] = True
 
     return KerThetaReport(
         model,
         {"tilt": tilt.size, "witt": thetas.size, "kernel": int(kernel.sum()), "o_mod_p^n": o.size},
-        is_ring_map(wr, thetas, o),
+        is_ring_map(wr, digits, o),
         bool(thetas[wr.position(eps)] == one),
-        bool(thetas[xi] == zero),
+        bool(thetas[wr.position(xi)] == zero),
         bool(thetas[wr.position(eps - wr.one)] == zero),
         np.array_equal(kernel, multiples),
         tilt.raise_frobenius_bijective(),

@@ -5,8 +5,11 @@ before it coded base elements into numpy tables, unchanged apart from
 taking the base ring as an argument.  It works on base-ring elements
 directly, with the base ring's own add, mul and scale, so the tests can
 require the coded arithmetic to return exactly the same coordinates.
-``coding`` and ``is_ring_map`` are the per-pair table build and ring-map
-check that the numpy tables of the base and target rings replaced.
+``coding`` is the per-pair table build that the numpy tables of the base
+rings replaced.  ``pair_tables`` and ``is_ring_map`` are the exhaustive
+ring-map check that the check on additive generators replaced: the sum and
+product of every pair of Witt vectors, compared with the target's tables,
+and the image of 1.
 ``ghost``, ``theta_map`` and ``generator_ring_homomorphisms`` are the
 one-Witt-vector-at-a-time paths that array evaluations on code tables and
 digit rows replaced, computed with the rings' own tuple operations.
@@ -61,20 +64,31 @@ def coding(base, rows=None):
     return elems, code, add, mul
 
 
+def pair_tables(wr):
+    """(add, mul): integer arrays whose [i, j] entries are the positions in
+    ``wr.enumerate()`` of a_i + a_j and a_i * a_j, for every pair.
+    ValueError above 2^12 elements."""
+    size = wr.size
+    if size > 2 ** 12:
+        raise ValueError(f"W_{wr.length} carrier of {size} elements exceeds the "
+                         "bound 2^12 on exhaustive pair checks")
+    digits = wr.coordinate_codes()
+    values = [d[:, None] for d in digits] + [d[None, :] for d in digits]
+    return tuple(np.broadcast_to(wr.positions(polys, values), (size, size))
+                 for polys in (wr.table().add, wr.table().mul))
+
+
 def is_ring_map(wr, images, target) -> bool:
-    """``witt.is_ring_map`` as it was before targets had tables: the
-    target's add and mul run once per pair of distinct images."""
-    add_pos, mul_pos = wr.pair_tables
-    distinct = list(dict.fromkeys(images))
-    index = {t: i for i, t in enumerate(distinct)}
-    img = np.array([index[t] for t in images], dtype=np.int64)
-    for op, pos in ((target.add, add_pos), (target.mul, mul_pos)):
-        # -1 marks a result outside the images, which no element maps to
-        expected = np.array([[index.get(op(s, t), -1) for t in distinct] for s in distinct],
-                            dtype=np.int64)
-        if not np.array_equal(img[pos], expected[img[:, None], img[None, :]]):
-            return False
-    return True
+    """Whether sending the i-th element of ``wr.enumerate()`` to the target
+    element at position images[i] of ``target.enumerate()`` respects + and *
+    on every pair of elements, and sends 1 to 1: the pair tables of ``wr``
+    are compared with the target's own tables."""
+    add_pos, mul_pos = pair_tables(wr)
+    _, code, add, mul = target.tables
+    img = np.asarray(images, dtype=np.int64)
+    return (all(np.array_equal(img[pos], table[img[:, None], img[None, :]])
+                for pos, table in ((add_pos, add), (mul_pos, mul)))
+            and img[wr.position(wr.one)] == code[target.one])
 
 
 def ghost(w, base) -> tuple:
@@ -108,22 +122,23 @@ def theta_map(w, model, lift=None) -> tuple:
 def generator_ring_homomorphisms(wr, target):
     """``witt.generator_ring_homomorphisms`` with the images of all elements
     built one element at a time in the target's tuple arithmetic and
-    checked by the per-pair ``is_ring_map`` above; a candidate image g of
+    checked by the exhaustive ``is_ring_map`` above; a candidate image g of
     [x] is kept only when it is the image of [x]."""
-    _, coords_of = witt_additive_basis(wr)
+    _, coeffs = witt_additive_basis(wr)
     elems = list(wr.enumerate())
     x = [w.coords for w in elems].index(wr.teichmuller(wr.base.x_power(1)).coords)
+    _, code, _, _ = target.tables
     gens = []
     for img in target.enumerate():
         images = []
-        for w in elems:
+        for e in range(len(elems)):
             acc = target.zero
             powg = target.one
-            for c in coords_of[w.coords]:
+            for c in coeffs[:, e].tolist():
                 acc = target.add(acc, target.scale(c, powg))
                 powg = target.mul(powg, img)
             images.append(acc)
-        if images[x] == img and is_ring_map(wr, images, target):
+        if images[x] == img and is_ring_map(wr, [code[t] for t in images], target):
             gens.append((img, {w.coords: t for w, t in zip(elems, images)}))
     return gens
 

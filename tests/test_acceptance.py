@@ -120,6 +120,12 @@ def test_criterion_10_reaches_the_odd_prime_model(tmp_path):
            5, 128, digest="dfbae2c8501f2101")
 
 
+def test_criterion_10_reaches_the_2_16_element_carrier(tmp_path):
+    # W_2 of the 256-element tilt: about 0.5 s and 45 MB peak RSS when measured
+    _reach(10, ("theta-epsilon", "--p", "2", "--m", "4", "--n", "2", "--k", "2"), tmp_path / "report.json",
+           5, 64, digest="d5c49f09b3051231")
+
+
 def test_criterion_11_ramification_table():
     t0 = time.perf_counter()
     digests = {2: "b7f7016aa9b79d50", 3: "304396a6b130b8d1", 5: "58690a37b8c070bd"}

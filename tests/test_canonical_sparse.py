@@ -152,11 +152,17 @@ def _resliced(monkeypatch):
 
 def test_every_resliced_functor_image_is_canonical(monkeypatch):
     built = _resliced(monkeypatch)
+    made = []
+    honest = pdpow.apply_functor_to_module
+    monkeypatch.setattr(pdpow, "apply_functor_to_module", lambda *args: made.append(honest(*args)) or made[-1])
     assert run_suite("quillen-shift", {"power": 3}, seed=1).summary["fail"] == 0
+    for fx in made:  # the degeneracies, which the suite does not read, are built on read
+        assert all(fx.degens[key] is not None for key in fx.degens)
     assert len(built) == 216
     for c in _kan_inputs(1):  # several weights, and Gamma as well as the wedge
         for functor in ("gamma", "wedge"):
-            pdpow.apply_functor_to_module(kan_transform(c, d_max=3), functor, 2)
+            fx = honest(kan_transform(c, d_max=3), functor, 2)
+            assert all(fx.degens[key] is not None for key in fx.degens)
     assert len(built) > 300
     for out, m in built:
         assert_canonical(out, m)

@@ -152,11 +152,12 @@ def test_modulus_too_large_is_a_usage_error(capsys):
 
 
 def test_oversized_witt_carrier_is_a_usage_error(capsys):
-    # W_2 of the 256-element tilt has 2^16 elements: 2^32 pairs, never walked
+    # W_3 of the 256-element tilt has 2^24 elements: rejected before any
+    # array of that length is made
     start = time.perf_counter()
-    assert main(["verify", "theta-epsilon", "--p", "2", "--m", "4", "--n", "2", "--k", "2"]) == 2
-    assert "2^12" in capsys.readouterr().err
-    assert time.perf_counter() - start < 30
+    assert main(["verify", "theta-epsilon", "--p", "2", "--m", "4", "--n", "3", "--k", "3"]) == 2
+    assert "16777216 elements exceeds the enumeration bound 2^16" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5
 
 
 def test_dold_kan_roundtrip_at_the_largest_odd_modulus(capsys):

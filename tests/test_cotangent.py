@@ -354,6 +354,13 @@ def test_wedge_images_of_the_face_targets_equal_the_reference():
             assert np.array_equal(np.where(targets > 0, targets, -1), reference_cotangent.wedge_face(n, i)), (n, i)
 
 
+def test_face_targets_are_made_once_per_face_and_read_only():
+    targets = FreeSimplicialResolution.face_targets
+    assert targets(4, 2) is targets(4, 2) and targets(4, 2) is not targets(4, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        targets(4, 2)[0] = 1
+
+
 def test_face_targets_satisfy_the_simplicial_identities():
     # as substitutions on x, t_1..t_n: -1 is 0, and 0 stays x or f (faces fix x)
     def then(first, second):

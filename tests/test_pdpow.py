@@ -291,8 +291,23 @@ def test_a_functor_image_that_is_not_weight_preserving_names_its_map(monkeypatch
 
     monkeypatch.setattr(pdpow, "wedge_matrix", leaky)
     with pytest.raises(AssertionError, match=rf"not weight-preserving at \({where}\)"):
-        pdpow.apply_functor_to_module(x, "wedge", 1)
+        pdpow.apply_functor_to_module(x, "wedge", 1).degens[(0, 0, 0)]  # the degeneracies are built on read
     assert len(made) == call + 1
+
+
+def test_the_functor_images_of_the_degeneracies_are_built_when_one_is_read(monkeypatch):
+    from derhamkit.simplex import SimplicialModule
+
+    one = np.array([[1]])
+    x = SimplicialModule(F2, 1, {(n, 0): 1 for n in (0, 1)}, {(1, i, 0): one for i in (0, 1)}, {(0, 0, 0): one})
+    made = []
+    honest = pdpow.wedge_matrix
+    monkeypatch.setattr(pdpow, "wedge_matrix", lambda phi, n, ring: made.append(phi) or honest(phi, n, ring))
+    fx = pdpow.apply_functor_to_module(x, "wedge", 1)
+    assert len(made) == 2 and list(fx.degens) == [(0, 0, 0)]  # the two faces
+    assert (fx.degen(0, 0, 0) == one).all() and len(made) == 3
+    fx.degen(0, 0, 0)
+    assert len(made) == 3
 
 
 def test_quillen_shift_wedges_match_reference(monkeypatch):

@@ -40,6 +40,7 @@ RUNS = [
 _FALLBACK = "non-free fallback of normalized_complex, which catches invalid simplicial input"
 _TRACED = "TRACED: perfbench/workloads.py wraps it, and fails on a missing name"
 _SAFETY = "safety check: the simplicial identities, checked by the tests; no suite runs it yet"
+_DEGENERACY = "builds or reads degeneracies on request: no suite reads one, the normalized complex reads faces"
 NEVER_ENTERED = {
     "complexes._fault": "error path: names the block of a double complex where d^2 != 0",
     "exactlin.express_in_basis": _FALLBACK,
@@ -53,6 +54,9 @@ NEVER_ENTERED = {
     "simplex.SimplicialModule._degen": "the zero-filled degeneracy that validate and degen read",
     "exactlin.SparseMatrix.__eq__": "compares the sparse products of the validate methods",
     "exactlin.SparseMatrix.__ne__": "compares the sparse products of the validate methods",
+    "simplex.BisimplicialModule._operator": _DEGENERACY,
+    "simplex.OnRequest.__getitem__": _DEGENERACY,
+    "simplex.OnRequest.__contains__": _DEGENERACY,
     "simplex.OnRequest.__iter__": "an abstract method of collections.abc.Mapping, needed to instantiate it",
     "simplex.OnRequest.__len__": "an abstract method of collections.abc.Mapping, needed to instantiate it",
     "complexes.DoubleComplex.h": "dense accessor: a stored horizontal block, on request",

@@ -333,7 +333,7 @@ def _assert_matches_reference(w, index_pairs):
     t = w.table()
     base = _MemoizedBase(_reference_base(w.base))
     elems = list(w.enumerate())
-    add_pos, mul_pos = w.pair_tables
+    add_pos, mul_pos = reference_witt.pair_tables(w)
     for i, j in index_pairs:
         a, b = elems[i], elems[j]
         ref_add = reference_witt.witt_op(base, t.add, a, b)
@@ -366,10 +366,9 @@ def test_is_ring_map_rejects_an_additive_map_that_is_not_multiplicative():
     w = WittRing(2, 2, f2)
     z4 = plain_ring(2, 2)
     ((_, phi),) = generator_ring_homomorphisms(w, z4)
-    _, code, _, _ = z4.tables
-    images = [code[phi[x.coords]] for x in w.enumerate()]
+    images = np.array([phi[x.coords] for x in w.enumerate()]).T
     assert is_ring_map(w, images, z4)
-    tripled = [code[z4.scale(3, phi[x.coords])] for x in w.enumerate()]  # 3 phi(1) * 3 phi(1) = 1 != 3 phi(1)
+    tripled = 3 * images % 4  # 3 phi(1) * 3 phi(1) = 1 != 3 phi(1)
     assert not is_ring_map(w, tripled, z4)
 
 
@@ -379,9 +378,12 @@ def test_carriers_above_the_coding_bound_are_rejected():
     with pytest.raises(ValueError, match="2\\^12"):
         w.one + w.one
     z128 = plain_ring(2, 7)
+    with pytest.raises(ValueError, match="2\\^16"):
+        WittRing(2, 3, z128).coordinate_codes()  # 2^21 elements
+    assert WittRing(2, 2, z128).coordinate_codes()[0].shape == (2 ** 14,)
     with pytest.raises(ValueError, match="2\\^12"):
-        WittRing(2, 2, z128).pair_tables
-    assert WittRing(2, 1, z128).pair_tables[0].shape == (128, 128)
+        reference_witt.pair_tables(WittRing(2, 2, z128))
+    assert reference_witt.pair_tables(WittRing(2, 1, z128))[0].shape == (128, 128)
 
 
 def test_theta_epsilon_reports_a_non_homomorphism_as_a_failed_case(monkeypatch):
@@ -558,8 +560,7 @@ def test_is_ring_map_gives_the_reference_verdict_on_every_candidate(monkeypatch)
 
     def compared(wr, images, target):
         verdict = check(wr, images, target)
-        elems = target.tables[0]
-        assert verdict == reference_witt.is_ring_map(wr, [elems[t] for t in images], target)
+        assert verdict == reference_witt.is_ring_map(wr, target.codes(images), target)
         verdicts.append(verdict)
         return verdict
 
@@ -572,11 +573,17 @@ def test_is_ring_map_gives_the_reference_verdict_on_every_candidate(monkeypatch)
     assert verdicts == [True]
 
 
-def test_is_ring_map_rejects_a_target_above_the_coding_bound():
-    big = QuotientRing(ModRing(2, 1), (0,) * 13 + (1,))  # F_2[x]/(x^13), 8192 elements
+def test_is_ring_map_takes_a_target_above_the_coding_bound():
+    # the target's arithmetic runs on digit rows: F_2[x]/(x^13), 8192
+    # elements, would need 2^27 table entries
+    big = QuotientRing(ModRing(2, 1), (0,) * 13 + (1,))
     w = WittRing(2, 1, plain_ring(2, 1))
+    zero, one, x = np.array(big.zero), np.array(big.one), np.array(big.x_power(1))
+    assert is_ring_map(w, np.stack([zero, one], axis=1), big)  # F_2 -> F_2[x]/(x^13)
+    assert not is_ring_map(w, np.stack([zero, x], axis=1), big)  # 1 -> x: x^2 != x
+    assert not is_ring_map(w, np.stack([one, one], axis=1), big)  # 0 -> 1: not additive
     with pytest.raises(ValueError, match="2\\^12"):
-        is_ring_map(w, [0, 1], big)
+        big.tables
 
 
 POWER_RINGS = {"Z/4": plain_ring(2, 2), **TABLE_RINGS}
@@ -658,7 +665,7 @@ def test_generator_ring_homomorphisms_equal_the_per_element_reference(source, ta
 
 
 def test_theta_on_all_of_w2_at_2422_in_one_call():
-    # 2^16 Witt vectors, beyond the 2^12 bound on pair tables: theta itself has no bound
+    # 2^16 Witt vectors, the largest carrier enumerated: theta itself has no bound
     start = time.perf_counter()
     model = CyclotomicModel(2, 4, 2, 2)
     t = tilt_ring(model)
@@ -676,3 +683,93 @@ def test_theta_on_all_of_w2_at_2422_in_one_call():
     for e in random.Random(23).sample(range(2 ** 16), 300):
         x = w.vector((elems[e // 256], elems[e % 256]))
         assert tuple(digits[:, e].tolist()) == reference_witt.theta_map(x, model)
+
+
+def _theta_maps(model):
+    """(name, digit rows) of maps W_n(tilt) -> O: theta, and maps that fail
+    one ring-map law each: theta^2 (not additive unless O is over F_2),
+    theta with one image
+    moved, 2 theta (additive, not unital), the zero map (additive and
+    multiplicative, not unital) and the constant 1."""
+    w = WittRing(model.p, model.n, tilt_ring(model))
+    o = model.ring_o()
+    theta = witt.theta_digits(model, w.coordinate_codes())
+    moved = theta.copy()
+    moved[0, -1] = (moved[0, -1] + 1) % o.m
+    ones = np.broadcast_to(np.array(o.one)[:, None], theta.shape)
+    return w, o, {"theta": theta, "theta^2": o.mul_rows(theta, theta), "moved": moved,
+                  "2 theta": 2 * theta % o.m, "zero": np.zeros_like(theta), "one": ones}
+
+
+@pytest.mark.parametrize("model", [CyclotomicModel(2, 2, 1, 1), *THETA_MODELS], ids=str)
+def test_the_generator_check_gives_the_exhaustive_verdict_on_theta_models(model):
+    w, o, maps = _theta_maps(model)
+    verdicts = {name: is_ring_map(w, images, o) for name, images in maps.items()}
+    for name, images in maps.items():
+        assert verdicts[name] == reference_witt.is_ring_map(w, o.codes(images), o), name
+    # squaring is additive in characteristic 2: then theta^2 is a ring map too
+    assert verdicts == {name: name == "theta" or (name == "theta^2" and o.m == 2) for name in maps}
+
+
+def test_the_generators_are_the_shifted_unit_digit_vectors():
+    w = WittRing(2, 2, tilt_ring(CyclotomicModel(2, 3, 2, 2)))  # O/p = F_2[x]/((x+1)^4)
+    elems = list(w.enumerate())
+    gens = [elems[g].coords for g in w.additive_generators()]
+    sequence = reference_witt.TiltArithmetic(w.base).sequence  # deepest entry -> sequence
+    units = [sequence[tuple(int(t == j) for t in range(4))] for j in range(4)]
+    assert gens == [(u, w.base.zero) for u in units] + [(w.base.zero, u) for u in units]
+
+
+def _reference_span(w, gens):
+    """The subgroup of W generated by ``gens``, by the exhaustive pair tables."""
+    add_pos, _ = reference_witt.pair_tables(w)
+    reached = {w.position(w.zero)}
+    while True:
+        more = reached | {int(add_pos[a, g]) for a in reached for g in gens}
+        if more == reached:
+            return reached
+        reached = more
+
+
+@pytest.mark.parametrize("model", [CyclotomicModel(2, 3, 2, 2), CyclotomicModel(3, 2, 1, 1)], ids=str)
+def test_a_generating_set_with_one_element_dropped_fails_the_span_check(model, monkeypatch):
+    w, o, maps = _theta_maps(model)
+    gens = w.additive_generators()
+    assert is_ring_map(w, maps["theta"], o)
+    spans = []
+    for k in range(gens.size):
+        dropped = np.delete(gens, k)
+        monkeypatch.setattr(WittRing, "additive_generators", lambda self: dropped)
+        verdict = is_ring_map(WittRing(w.p, w.length, w.base), maps["theta"], o)  # a fresh generator_sums
+        assert verdict == (len(_reference_span(w, dropped.tolist())) == w.size), k
+        spans.append(verdict)
+    # V^0[b] generates the quotient W / V W = R, so no other generator replaces it
+    assert not any(spans[: gens.size // model.n])
+
+
+def test_theta_epsilon_fails_the_ring_map_case_when_a_generator_is_dropped(monkeypatch):
+    honest = WittRing.additive_generators
+    monkeypatch.setattr(WittRing, "additive_generators", lambda self: honest(self)[1:])
+    rep = run_suite("theta-epsilon", {"p": 2, "m": 3, "n": 2, "k": 2}, seed=1)
+    status = {case.name: case.status for case in rep.cases}
+    assert status.pop("theta-is-ring-hom") == "fail" and set(status.values()) == {"pass"}
+
+
+def test_witt_additive_basis_writes_every_vector_as_its_combination():
+    for base in (plain_ring(2, 1), QuotientRing(ModRing(2, 1), (1, 1, 1)), QuotientRing(ModRing(3, 1), (1, 0, 1))):
+        w = WittRing(base.ring.p, 2, base)
+        basis, coeffs = witt.witt_additive_basis(w)
+        assert coeffs.shape == (base.deg, w.size)
+        for e, x in enumerate(w.enumerate()):
+            acc = w.zero
+            for c, vec in zip(coeffs[:, e].tolist(), basis):
+                for _ in range(c):
+                    acc = acc + vec
+            assert acc.coords == x.coords, e
+
+
+def test_witt_additive_basis_rejects_a_basis_whose_combinations_collide():
+    # over F_2[x]/(x^2), [x] + [x] = (0, x^2) = 0 in W_2, so 2 [x] = 0 collides
+    notperf = QuotientRing(ModRing(2, 1), (0, 0, 1))
+    with pytest.raises(AssertionError, match="collide"):
+        witt.witt_additive_basis(WittRing(2, 2, notperf))
