@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -83,28 +82,22 @@ def slice_maps(maps: dict, shape: Callable[..., tuple[int, int]], m: int) -> dic
     return out
 
 
-@dataclass
 class GradedSliceComplex:
-    ring: ModRing
-    n_min: int
-    n_max: int
-    dims: dict  # (degree, weight) -> int
-    # (degree, weight) -> SparseMatrix of C_{n,w} -> C_{n-1,w}, nonzero
-    # only; the constructor also takes dense matrices and triples in any form
-    diffs: dict
-    # optional (degree, weight) -> nondecreasing int64 array, the column of
-    # each basis element; d must never lower it (see reduce_complex)
-    columns: dict = field(default_factory=dict)
-    trusted: tuple[int, int] | None = None  # degrees with honest homology
-    # weight -> Contraction, made by the first homology_quotient call there
-    _contractions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.trusted is None:
-            self.trusted = (self.n_min, self.n_max)
-        self.dims = {k: v for k, v in self.dims.items() if v}
-        self.diffs = slice_maps(self.diffs, lambda n, w: (self.dim(n, w), self.dim(n - 1, w)),
-                                 self.ring.modulus)
+    def __init__(self, ring: ModRing, n_min: int, n_max: int, dims: dict, diffs: dict,
+                 columns: dict | None = None, trusted: tuple[int, int] | None = None):
+        self.ring = ring
+        self.n_min = n_min
+        self.n_max = n_max
+        self.dims = {k: v for k, v in dims.items() if v}  # (degree, weight) -> int
+        # (degree, weight) -> SparseMatrix of C_{n,w} -> C_{n-1,w}, nonzero
+        # only; the constructor also takes dense matrices and triples in any form
+        self.diffs = slice_maps(diffs, lambda n, w: (self.dim(n, w), self.dim(n - 1, w)), ring.modulus)
+        # optional (degree, weight) -> nondecreasing int64 array, the column of
+        # each basis element; d must never lower it (see reduce_complex)
+        self.columns = {} if columns is None else columns
+        self.trusted = (n_min, n_max) if trusted is None else trusted  # degrees with honest homology
+        # weight -> Contraction, made by the first homology_quotient call there
+        self._contractions = {}
 
     def dim(self, n: int, w: int) -> int:
         return self.dims.get((n, w), 0)
@@ -181,7 +174,6 @@ class GradedSliceComplex:
 # unit-pivot contraction
 
 
-@dataclass
 class Contraction:
     """One weight of a complex with its unit pivots cancelled.
 
@@ -208,12 +200,14 @@ class Contraction:
     arrays of a step only when they apply it.
     """
 
-    ring: ModRing
-    dims: dict  # degree -> dimension of the original slice
-    keep: dict  # degree -> ascending int64 array of surviving indices
-    diffs: dict  # degree -> SparseMatrix of the contracted d_n (rows keep[n], columns keep[n-1]), nonzero only
-    _f_steps: dict
-    _g_steps: dict
+    def __init__(self, ring: ModRing, dims: dict, keep: dict, diffs: dict, _f_steps: dict, _g_steps: dict):
+        self.ring = ring
+        self.dims = dims  # degree -> dimension of the original slice
+        self.keep = keep  # degree -> ascending int64 array of surviving indices
+        # degree -> SparseMatrix of the contracted d_n (rows keep[n], columns keep[n-1]), nonzero only
+        self.diffs = diffs
+        self._f_steps = _f_steps
+        self._g_steps = _g_steps
 
     def dim(self, n: int) -> int:
         keep = self.keep.get(n)
@@ -432,12 +426,11 @@ def homology_quotient(cx: GradedSliceComplex, degree: int, weight: int) -> Slice
             return None  # not a cycle
         return red.project(degree, v)
 
-    return replace(small, ambient_dim=dim_here, gen_reps=red.lift(degree, small.gen_reps),
-                   _to_contracted=to_contracted)
+    return SliceQuotient(small.ring, dim_here, small.cycles, small.factors, red.lift(degree, small.gen_reps),
+                         small._vmat, small._all_factors, to_contracted)
 
 
-@dataclass
-class HomologyReport:
+class HomologyReport(NamedTuple):
     ring: str
     entries: dict  # (degree, weight) -> {"factors": list[int], "length": int}
     trusted: tuple[int, int]
@@ -465,7 +458,6 @@ def homology_report(cx: GradedSliceComplex, degrees: Iterable[int] | None = None
 # double and total complexes
 
 
-@dataclass
 class DoubleComplex:
     """First-quadrant-style double complex with commuting differentials.
 
@@ -477,15 +469,12 @@ class DoubleComplex:
     commute; ``validate`` checks that through :func:`total_complex`.
     """
 
-    ring: ModRing
-    terms: dict  # (p, q, weight) -> dim
-    horiz: dict
-    vert: dict
-
-    def __post_init__(self):
-        m = self.ring.modulus
-        self.horiz = slice_maps(self.horiz, lambda p, q, w: (self.dim(p, q, w), self.dim(p - 1, q, w)), m)
-        self.vert = slice_maps(self.vert, lambda p, q, w: (self.dim(p, q, w), self.dim(p, q - 1, w)), m)
+    def __init__(self, ring: ModRing, terms: dict, horiz: dict, vert: dict):
+        m = ring.modulus
+        self.ring = ring
+        self.terms = terms  # (p, q, weight) -> dim
+        self.horiz = slice_maps(horiz, lambda p, q, w: (self.dim(p, q, w), self.dim(p - 1, q, w)), m)
+        self.vert = slice_maps(vert, lambda p, q, w: (self.dim(p, q, w), self.dim(p, q - 1, w)), m)
 
     def dim(self, p, q, w):
         return self.terms.get((p, q, w), 0)

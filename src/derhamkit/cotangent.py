@@ -23,8 +23,8 @@ computation routes through these finite resolutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,34 +79,30 @@ def parse_poly_string(text: str) -> list[int]:
     return [coeffs.get(k, 0) for k in range(max(coeffs, default=0) + 1)]
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class AlgebraPresentation(NamedTuple("AlgebraPresentation", [("ring", ModRing), ("shape", str), ("var", str),
+                                                             ("f_coeffs", tuple)])):
     """Pair (base, target) in one of the supported shapes; ``f_coeffs`` is
-    constant-first."""
+    constant-first, reduced and trimmed.  A tuple, so that presentations
+    made from equal arguments are equal and hash alike."""
 
-    ring: ModRing
-    shape: str
-    var: str = "x"
-    f_coeffs: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.shape not in ("quotient", "hypersurface"):
-            raise ValueError(f"unsupported shape {self.shape!r}")
-        coeffs = trim(c % self.ring.modulus for c in self.f_coeffs)
+    def __new__(cls, ring: ModRing, shape: str, var: str = "x", f_coeffs: tuple[int, ...] = ()):
+        if shape not in ("quotient", "hypersurface"):
+            raise ValueError(f"unsupported shape {shape!r}")
+        coeffs = trim(c % ring.modulus for c in f_coeffs)
         if len(coeffs) < 2:
             raise ValueError("f must have degree >= 1 (and be nonzero)")
-        object.__setattr__(self, "f_coeffs", tuple(coeffs))
-        if self.shape == "quotient":
+        if shape == "quotient":
             if any(c for c in coeffs[:-1]):
                 raise ValueError(
                     "quotient shape needs a weight-homogeneous f = c*x^d; "
                     "use the hypersurface shape for general monic f"
                 )
-            if coeffs[-1] % self.ring.p == 0:
+            if coeffs[-1] % ring.p == 0:
                 raise ValueError("leading coefficient of f is a zero divisor")
         else:
             if coeffs[-1] != 1:
                 raise ValueError("hypersurface shape needs monic f")
+        return super().__new__(cls, ring, shape, var, tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -148,13 +144,13 @@ def nondegenerate_positions(table: np.ndarray, images: np.ndarray,
     return cols, found
 
 
-@dataclass
 class AcyclicityCertificate:
-    kind: str  # "exact-slices" or "associated-graded"
-    weight_bound: int
-    checked_degrees: tuple[int, int]
-    ok: bool
-    detail: str = ""
+    def __init__(self, kind: str, weight_bound: int, checked_degrees: tuple[int, int], ok: bool, detail: str = ""):
+        self.kind = kind  # "exact-slices" or "associated-graded"
+        self.weight_bound = weight_bound
+        self.checked_degrees = checked_degrees
+        self.ok = ok
+        self.detail = detail
 
 
 class FreeSimplicialResolution:
@@ -360,14 +356,14 @@ class FreeSimplicialResolution:
 # Kaehler presentations
 
 
-@dataclass
 class KaehlerPresentation:
     """Presentation of the relative differentials of a supported pair."""
 
-    pres: AlgebraPresentation
-    rank: int  # generators over the target algebra
-    free_over_target: bool
-    factors: list[int]  # invariant factors over k
+    def __init__(self, pres: AlgebraPresentation, rank: int, free_over_target: bool, factors: list[int]):
+        self.pres = pres
+        self.rank = rank  # generators over the target algebra
+        self.free_over_target = free_over_target
+        self.factors = factors  # invariant factors over k
 
 
 def kaehler_presentation(pres: AlgebraPresentation) -> KaehlerPresentation:
@@ -387,12 +383,13 @@ def kaehler_presentation(pres: AlgebraPresentation) -> KaehlerPresentation:
 # cotangent homology
 
 
-@dataclass
 class CotangentResult:
-    pres: AlgebraPresentation
-    complex: GradedSliceComplex
-    report: HomologyReport
-    certificate: AcyclicityCertificate
+    def __init__(self, pres: AlgebraPresentation, complex: GradedSliceComplex, report: HomologyReport,
+                 certificate: AcyclicityCertificate):
+        self.pres = pres
+        self.complex = complex
+        self.report = report
+        self.certificate = certificate
 
 
 def cotangent_homology(pres: AlgebraPresentation, window: tuple[int, int],

@@ -32,7 +32,7 @@ cycles in columns >= k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,8 +289,7 @@ def hodge_quotient_homology(f: FilteredDeRhamComplex, level: int,
 # graded pieces
 
 
-@dataclass
-class GradedPieceReport:
+class GradedPieceReport(NamedTuple):
     level: int
     verdicts: dict  # (degree, weight) -> (left factors, right factors, equal)
     comparison_route: str
@@ -372,13 +371,14 @@ def graded_piece_report(f: FilteredDeRhamComplex, level: int) -> GradedPieceRepo
 # universal first-order thickening
 
 
-@dataclass
 class ThickeningResult:
-    pres: AlgebraPresentation
-    h0: dict  # weight -> SliceQuotient
-    square_zero_ok: bool
-    sequence_lengths_ok: bool
-    comparison_bijective: bool
+    def __init__(self, pres: AlgebraPresentation, h0: dict, square_zero_ok: bool, sequence_lengths_ok: bool,
+                 comparison_bijective: bool):
+        self.pres = pres
+        self.h0 = h0  # weight -> SliceQuotient
+        self.square_zero_ok = square_zero_ok
+        self.sequence_lengths_ok = sequence_lengths_ok
+        self.comparison_bijective = comparison_bijective
 
 
 def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> ThickeningResult:
@@ -551,15 +551,16 @@ def _shuffle_terms(eu: np.ndarray, cu: np.ndarray, i1: int, ev: np.ndarray, cv: 
 # the PD-envelope comparison
 
 
-@dataclass
 class PDEnvelopeReport:
-    pres: AlgebraPresentation
-    weight_bound: int
-    slice_verdicts: dict  # weight -> (h0 factors, pd factors, equal)
-    filtration_verdicts: dict  # (level, weight) -> (hodge factors, pd factors, equal)
-    higher_vanishing: bool
-    iso_failure: int | None  # the first weight whose generator map is not certified
-    ok: bool
+    def __init__(self, pres: AlgebraPresentation, weight_bound: int, slice_verdicts: dict, filtration_verdicts: dict,
+                 higher_vanishing: bool, iso_failure: int | None, ok: bool):
+        self.pres = pres
+        self.weight_bound = weight_bound
+        self.slice_verdicts = slice_verdicts  # weight -> (h0 factors, pd factors, equal)
+        self.filtration_verdicts = filtration_verdicts  # (level, weight) -> (hodge factors, pd factors, equal)
+        self.higher_vanishing = higher_vanishing
+        self.iso_failure = iso_failure  # the first weight whose generator map is not certified
+        self.ok = ok
 
     @property
     def iso_certified(self) -> bool:

@@ -22,7 +22,6 @@ Matrices over Z are plain lists of Python ints (arbitrary precision).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -65,22 +64,22 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ModRing:
-    """The coefficient ring Z/p^n (F_p when n = 1)."""
+class ModRing(NamedTuple("ModRing", [("p", int), ("n", int)])):
+    """The coefficient ring Z/p^n (F_p when n = 1).
 
-    p: int
-    n: int
+    The tuple (p, n), so that rings made from equal arguments are equal and
+    hash alike; the subclass instance holds the cached ``modulus``."""
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus base {self.p} is not prime")
-        if self.n < 1:
+    def __new__(cls, p: int, n: int):
+        if not is_prime(p):
+            raise ValueError(f"modulus base {p} is not prime")
+        if n < 1:
             raise ValueError("exponent must be >= 1")
         # the numpy kernels multiply two residues in int64: m^2 must fit
-        if self.p ** self.n >= 2 ** 31:
-            raise ValueError(f"modulus {self.p}^{self.n} is not below 2^31, "
+        if p ** n >= 2 ** 31:
+            raise ValueError(f"modulus {p}^{n} is not below 2^31, "
                              "the largest the int64 kernels handle exactly")
+        return super().__new__(cls, p, n)
 
     @cached_property
     def modulus(self) -> int:
@@ -107,7 +106,6 @@ class ModRing:
         return f"F_{self.p}" if self.n == 1 else f"Z/{self.modulus}"
 
 
-@dataclass(frozen=True)
 class PAdicValue:
     """Exact rational valuation.
 
@@ -115,8 +113,9 @@ class PAdicValue:
     whatever extension produced the value; `with_index` asserts this.
     """
 
-    prime: int
-    value: Fraction
+    def __init__(self, prime: int, value: Fraction):
+        self.prime = prime
+        self.value = value
 
     def with_index(self, e: int) -> "PAdicValue":
         if (self.value * e).denominator != 1:
@@ -776,7 +775,6 @@ def v_int(a: int, p: int) -> int:
     return v
 
 
-@dataclass
 class SliceQuotient:
     """cycles/boundaries with invariant factors and explicit representatives.
 
@@ -791,14 +789,17 @@ class SliceQuotient:
     the original slice.
     """
 
-    ring: ModRing
-    ambient_dim: int
-    cycles: np.ndarray  # Howell basis rows
-    factors: list[int]
-    gen_reps: np.ndarray
-    _vmat: np.ndarray  # coordinate-change matrix mod p^n (u x u)
-    _all_factors: list[int]  # length u, including trivial 1s
-    _to_contracted: Callable[[np.ndarray], np.ndarray | None] | None = None
+    def __init__(self, ring: ModRing, ambient_dim: int, cycles: np.ndarray, factors: list[int],
+                 gen_reps: np.ndarray, _vmat: np.ndarray, _all_factors: list[int],
+                 _to_contracted: Callable[[np.ndarray], np.ndarray | None] | None = None):
+        self.ring = ring
+        self.ambient_dim = ambient_dim
+        self.cycles = cycles  # Howell basis rows
+        self.factors = factors
+        self.gen_reps = gen_reps
+        self._vmat = _vmat  # coordinate-change matrix mod p^n (u x u)
+        self._all_factors = _all_factors  # length u, including trivial 1s
+        self._to_contracted = _to_contracted
 
     @staticmethod
     def from_cycles_boundaries(cycles, boundaries, ring: ModRing) -> "SliceQuotient":

@@ -8,7 +8,6 @@ index; no p-adic floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import ModRing, PAdicValue, is_prime, local_smith, resultant, v_int
@@ -23,7 +22,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class MonogenicExtension:
     """O_L = Z_p[b] for b with monic minimal polynomial f (constant first).
 
@@ -32,10 +30,11 @@ class MonogenicExtension:
     last sets the ramification index to 1.
     """
 
-    p: int
-    f_coeffs: tuple
-    flavor: str
-    level: int = 0  # cyclotomic level r when flavor == "cyclotomic"
+    def __init__(self, p: int, f_coeffs: tuple, flavor: str, level: int = 0):
+        self.p = p
+        self.f_coeffs = f_coeffs
+        self.flavor = flavor
+        self.level = level  # cyclotomic level r when flavor == "cyclotomic"
 
     @property
     def degree(self) -> int:

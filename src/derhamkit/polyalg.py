@@ -15,8 +15,7 @@ matrices are reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,24 +28,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolyAlgebra:
-    ring: ModRing
-    variables: tuple[str, ...]
-    weights: tuple[int, ...]
-    base_var: str | None = None
-    # w -> monomials_of_weight(w)
-    _monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+class PolyAlgebra(NamedTuple("PolyAlgebra", [("ring", ModRing), ("variables", tuple), ("weights", tuple),
+                                             ("base_var", str | None)])):
+    """The tuple (ring, variables, weights, base_var), so that algebras made
+    from equal arguments are equal and hash alike; the subclass instance
+    holds the monomial tables."""
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
+    def __new__(cls, ring: ModRing, variables: tuple[str, ...], weights: tuple[int, ...],
+                base_var: str | None = None):
+        if len(set(variables)) != len(variables):
             raise ValueError("variable names must be distinct")
-        if len(self.weights) != len(self.variables):
+        if len(weights) != len(variables):
             raise ValueError("one weight per variable")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise ValueError("weights must be >= 1")
-        if self.base_var is not None and self.base_var not in self.variables:
-            raise ValueError(f"base variable {self.base_var!r} not among variables")
+        if base_var is not None and base_var not in variables:
+            raise ValueError(f"base variable {base_var!r} not among variables")
+        self = super().__new__(cls, ring, variables, weights, base_var)
+        self._monomials = {}  # w -> monomials_of_weight(w)
+        return self
 
     @property
     def nvars(self) -> int:

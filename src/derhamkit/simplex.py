@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -102,7 +101,6 @@ class OnRequest(Mapping):
         return len(self._keys)
 
 
-@dataclass
 class SimplicialModule:
     """Degreewise weight-graded free modules with face and degeneracy maps.
 
@@ -115,18 +113,16 @@ class SimplicialModule:
     and ``degen`` build the dense, read-only matrix on request.
     """
 
-    ring: ModRing
-    d_max: int
-    dims: dict  # (n, w) -> int
-    faces: dict  # (n, i, w) -> SparseMatrix of X_{n,w} -> X_{n-1,w}
-    degens: Mapping  # (n, i, w) -> SparseMatrix of X_{n,w} -> X_{n+1,w}
-
-    def __post_init__(self):
-        m = self.ring.modulus
-        self.dims = {k: v for k, v in self.dims.items() if v}
-        self.faces = slice_maps(self.faces, lambda n, i, w: (self.dim(n, w), self.dim(n - 1, w)), m)
-        if not isinstance(self.degens, OnRequest):
-            self.degens = slice_maps(self.degens, lambda n, i, w: (self.dim(n, w), self.dim(n + 1, w)), m)
+    def __init__(self, ring: ModRing, d_max: int, dims: dict, faces: dict, degens: Mapping):
+        m = ring.modulus
+        self.ring = ring
+        self.d_max = d_max
+        self.dims = {k: v for k, v in dims.items() if v}  # (n, w) -> int
+        # (n, i, w) -> SparseMatrix of X_{n,w} -> X_{n-1,w}
+        self.faces = slice_maps(faces, lambda n, i, w: (self.dim(n, w), self.dim(n - 1, w)), m)
+        # (n, i, w) -> SparseMatrix of X_{n,w} -> X_{n+1,w}
+        self.degens = (degens if isinstance(degens, OnRequest)
+                       else slice_maps(degens, lambda n, i, w: (self.dim(n, w), self.dim(n + 1, w)), m))
 
     def dim(self, n: int, w: int) -> int:
         return self.dims.get((n, w), 0)
@@ -212,8 +208,7 @@ def unnormalized_complex(x: SimplicialModule) -> GradedSliceComplex:
     return cx
 
 
-@dataclass
-class NormalizedData:
+class NormalizedData(NamedTuple):
     """Normalized complex plus the inclusion data into the ambient module."""
 
     complex: GradedSliceComplex
@@ -472,7 +467,6 @@ def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # bisimplicial modules
 
 
-@dataclass
 class BisimplicialModule:
     """Double Kan transform of a double complex; maps are built on request.
 
@@ -486,15 +480,17 @@ class BisimplicialModule:
     operators of one kind and direction when the first is read.
     """
 
-    dc: DoubleComplex
-    p_max: int
-    q_max: int
-    dims: dict  # (m, n, w) -> int
-    term_weights: list  # the weights of dc, ascending
-    terms: np.ndarray  # [k, p, q] -> dim D_{p,q,w}
-    bases: np.ndarray  # [k, m, n, p, q] -> offset of the first summand of D_{p,q,w} in X_{m,n,w}
-    _blocks: dict = field(init=False, default_factory=dict, repr=False)  # see _block
-    _built: dict = field(init=False, default_factory=dict, repr=False)  # see _operators
+    def __init__(self, dc: DoubleComplex, p_max: int, q_max: int, dims: dict, term_weights: list,
+                 terms: np.ndarray, bases: np.ndarray):
+        self.dc = dc
+        self.p_max = p_max
+        self.q_max = q_max
+        self.dims = dims  # (m, n, w) -> int
+        self.term_weights = term_weights  # the weights of dc, ascending
+        self.terms = terms  # [k, p, q] -> dim D_{p,q,w}
+        self.bases = bases  # [k, m, n, p, q] -> offset of the first summand of D_{p,q,w} in X_{m,n,w}
+        self._blocks = {}  # see _block
+        self._built = {}  # see _operators
 
     @property
     def ring(self) -> ModRing:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -55,29 +54,29 @@ FAIL = "fail"
 TRUNCATED = "truncated-evidence"
 
 
-@dataclass
 class SuiteCase:
-    name: str
-    expected: str
-    computed: str
-    status: str
+    def __init__(self, name: str, expected: str, computed: str, status: str):
+        self.name = name
+        self.expected = expected
+        self.computed = computed
+        self.status = status
 
 
-@dataclass(frozen=True)
 class SuiteDescriptor:
-    name: str
-    anchor: str  # the mathematical statement the suite verifies
-    params: tuple  # ((name, type, default), ...)
-    runner: object
+    def __init__(self, name: str, anchor: str, params: tuple, runner: object):
+        self.name = name
+        self.anchor = anchor  # the mathematical statement the suite verifies
+        self.params = params  # ((name, type, default), ...)
+        self.runner = runner
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    params: dict
-    seed: int
-    cases: list
-    elapsed_ms: int
+    def __init__(self, suite: str, params: dict, seed: int, cases: list, elapsed_ms: int):
+        self.suite = suite
+        self.params = params
+        self.seed = seed
+        self.cases = cases
+        self.elapsed_ms = elapsed_ms
 
     @property
     def summary(self) -> dict:
@@ -447,8 +446,8 @@ def run_theta_epsilon(params, rng):
     sizes = ", ".join(f"{k}={v}" for k, v in sorted(rep.sizes.items()))
     cases = [
         _case("model-enumerated-sizes", expected, sizes),
-        _case("theta-is-ring-hom", "all enumerated pairs", "ok" if rep.theta_is_ring_hom else "violated",
-              ok=rep.theta_is_ring_hom),
+        _case("theta-is-ring-hom", "sums s + w (s in the additive generators, w in W), products of generator pairs",
+              "ok" if rep.theta_is_ring_hom else "violated", ok=rep.theta_is_ring_hom),
         _case("theta-epsilon", "1", "1" if rep.theta_epsilon_is_one else "other",
               ok=rep.theta_epsilon_is_one),
         _case("theta-xi", "0", "0" if rep.theta_xi_zero else "other", ok=rep.theta_xi_zero),

@@ -35,7 +35,6 @@ bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -119,15 +118,15 @@ def _ghost(coords, p, i):
     return out
 
 
-@dataclass(frozen=True)
 class StructurePolynomialTable:
     """Integral addition/multiplication/negation polynomials for W_n."""
 
-    p: int
-    n: int
-    add: tuple  # S_0..S_{n-1} in x_0..x_{n-1}, y_0..y_{n-1}
-    mul: tuple  # P_0..P_{n-1}
-    neg: tuple  # N_0..N_{n-1} in x_0..x_{n-1}
+    def __init__(self, p: int, n: int, add: tuple, mul: tuple, neg: tuple):
+        self.p = p
+        self.n = n
+        self.add = add  # S_0..S_{n-1} in x_0..x_{n-1}, y_0..y_{n-1}
+        self.mul = mul  # P_0..P_{n-1}
+        self.neg = neg  # N_0..N_{n-1} in x_0..x_{n-1}
 
 
 @lru_cache(maxsize=None)
@@ -319,14 +318,15 @@ class QuotientRing:
 # Witt vectors over a base ring
 
 
-@dataclass(frozen=True)
 class WittRing:
-    p: int
-    length: int
-    base: object  # QuotientRing or TiltRing
+    def __init__(self, p: int, length: int, base: object):
+        self.p = p
+        self.length = length
+        self.base = base  # QuotientRing or TiltRing
+        structure_polynomials(p, length)
 
-    def __post_init__(self):
-        structure_polynomials(self.p, self.length)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, WittRing) and (self.p, self.length, self.base) == (other.p, other.length, other.base)
 
     def table(self) -> StructurePolynomialTable:
         return structure_polynomials(self.p, self.length)
@@ -447,10 +447,10 @@ class WittRing:
         return gens, sums, bool(reached.all())
 
 
-@dataclass(frozen=True)
 class WittVector:
-    ring: WittRing
-    coords: tuple
+    def __init__(self, ring: WittRing, coords: tuple):
+        self.ring = ring
+        self.coords = coords
 
     def _apply(self, polys, *operands):
         elems, code, _, _ = self.ring.coding
@@ -606,23 +606,21 @@ def cyclotomic_polynomial_ppower(p: int, m: int) -> list[int]:
     return coeffs
 
 
-@dataclass(frozen=True)
 class CyclotomicModel:
     """O = Z[zeta_{p^m}]/(p^n) with tilt depth k: k <= m-1 (enough p-power
     roots of unity for epsilon) and k >= n (theta precision)."""
 
-    p: int
-    m: int
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
+    def __init__(self, p: int, m: int, n: int, k: int):
+        if not is_prime(p):
             raise ValueError("p must be prime")
-        if self.k > self.m - 1:
+        if k > m - 1:
             raise ValueError("depth k needs k <= m - 1 (epsilon needs p-power roots)")
-        if self.k < self.n:
+        if k < n:
             raise ValueError("theta precision needs k >= n")
+        self.p = p
+        self.m = m
+        self.n = n
+        self.k = k
 
     @cached_property
     def _rings(self) -> tuple[QuotientRing, QuotientRing]:
@@ -747,16 +745,18 @@ def theta_map(w: WittVector, model: CyclotomicModel, lift=None) -> tuple:
     return tuple(theta_digits(model, [omodp.codes(c[model.k]) for c in w.coords], lift).tolist())
 
 
-@dataclass
 class KerThetaReport:
-    model: CyclotomicModel
-    sizes: dict
-    theta_is_ring_hom: bool
-    theta_epsilon_is_one: bool
-    theta_xi_zero: bool
-    eps_minus_one_in_kernel: bool
-    kernel_generated_by_xi: bool
-    raise_frobenius_bijective: bool
+    def __init__(self, model: CyclotomicModel, sizes: dict, theta_is_ring_hom: bool, theta_epsilon_is_one: bool,
+                 theta_xi_zero: bool, eps_minus_one_in_kernel: bool, kernel_generated_by_xi: bool,
+                 raise_frobenius_bijective: bool):
+        self.model = model
+        self.sizes = sizes
+        self.theta_is_ring_hom = theta_is_ring_hom
+        self.theta_epsilon_is_one = theta_epsilon_is_one
+        self.theta_xi_zero = theta_xi_zero
+        self.eps_minus_one_in_kernel = eps_minus_one_in_kernel
+        self.kernel_generated_by_xi = kernel_generated_by_xi
+        self.raise_frobenius_bijective = raise_frobenius_bijective
 
 
 def xi_cyclotomic(wr: WittRing, tilt: TiltRing) -> WittVector:

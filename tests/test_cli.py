@@ -99,6 +99,15 @@ def test_console_script_entry():
     assert "pass" in proc.stdout
 
 
+def test_import_builds_the_classes_without_dataclasses():
+    # a cold ``derhamkit verify`` pays for every class the package builds
+    code = "import json, sys, derhamkit; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout)
+    assert "derhamkit.suites" in modules and "dataclasses" not in modules
+
+
 def test_truncated_evidence_exit_semantics():
     from derhamkit.suites import SuiteCase, SuiteReport
 

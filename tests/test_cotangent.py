@@ -165,6 +165,18 @@ def test_the_shortcut_case_names_the_first_slice_that_differs(monkeypatch):
     assert {c.status for c in cases.values()} == {"pass"}
 
 
+def test_equal_presentations_compare_and_hash_alike_after_reduction():
+    pres = AlgebraPresentation(Z4, "hypersurface", "x", (1, 1, 1))
+    for same in (AlgebraPresentation(Z4, "hypersurface", "x", (5, -3, 1, 0)),
+                 AlgebraPresentation(ring=ModRing(2, 2), shape="hypersurface", f_coeffs=[1, 1, 1])):
+        assert same == pres and hash(same) == hash(pres) and same.f_coeffs == (1, 1, 1)
+    assert pres != AlgebraPresentation(Z4, "hypersurface", "y", (1, 1, 1))
+    with pytest.raises(ValueError, match="needs monic f"):
+        AlgebraPresentation(Z4, "hypersurface", "x", (1, 1, 3))
+    with pytest.raises(ValueError, match="weight-homogeneous"):
+        AlgebraPresentation(Z4, "quotient", "x", (1, 0, 1))
+
+
 def test_an_unsupported_presentation_shape_is_a_value_error():
     for shape in ("free", "polynomial", ""):
         with pytest.raises(ValueError, match="unsupported shape"):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -134,6 +135,15 @@ def test_howell_certificates_and_span():
 def test_a_composite_modulus_is_rejected():
     with pytest.raises(ValueError, match="not prime"):
         ModRing(6, 1)
+
+
+def test_modring_prints_and_rejects_its_arguments_as_before():
+    assert [str(ModRing(p, n)) for p, n in ((2, 1), (7, 1), (2, 2), (3, 3))] == ["F_2", "F_7", "Z/4", "Z/27"]
+    for (p, n), message in (((6, 1), "modulus base 6 is not prime"), ((1, 3), "modulus base 1 is not prime"),
+                            ((3, 0), "exponent must be >= 1"), ((5, -1), "exponent must be >= 1"),
+                            ((2, 31), "modulus 2^31 is not below 2^31")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModRing(p, n)
 
 
 def test_left_kernel():
@@ -413,13 +423,14 @@ def test_local_smith_matches_integer_smith():
 
 # Z/2 ... Z/343
 SMITH_RINGS = [ModRing(2, 1), ModRing(3, 1), ModRing(2, 2), ModRing(2, 3), ModRing(3, 2), ModRing(5, 2),
-               ModRing(3, 3), ModRing(7, 3)]
+               ModRing(3, 3), ModRing(7, 3), ModRing(5, 5)]
 
 
 def _smith_matrices(ring):
     """The empty shapes, a zero matrix and unreduced entries, then random
     matrices of every density whose rows and columns are scaled by random
-    powers of p, so that pivots of every valuation occur."""
+    powers of p, so that pivots of every valuation occur, and last a
+    unit-heavy 100 x 100 matrix with uniform entries."""
     m = ring.modulus
     rng = np.random.default_rng(3000 + m)
     yield from (mzeros(0, 0), mzeros(0, 3), mzeros(3, 0), mzeros(2, 3))
@@ -429,6 +440,7 @@ def _smith_matrices(ring):
         a = rng.integers(0, m, size=(rows, cols)) * (rng.random((rows, cols)) < rng.random())
         scale = ring.p ** rng.integers(0, ring.n + 1, size=(rows, 1)) * ring.p ** rng.integers(0, 2, size=(1, cols))
         yield a * scale % m
+    yield rng.integers(0, m, size=(100, 100))
 
 
 @pytest.mark.parametrize("ring", SMITH_RINGS, ids=str)

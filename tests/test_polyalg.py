@@ -159,6 +159,20 @@ def test_algebra_json_roundtrip():
     assert again == alg
 
 
+def test_equal_algebras_compare_and_hash_alike_whatever_their_tables_hold():
+    alg = PolyAlgebra(Z4, ("x", "t"), (1, 2), base_var="x")
+    alg.monomials_of_weight(4)
+    fresh = PolyAlgebra(Z4, ("x", "t"), (1, 2), "x")
+    assert fresh == alg and hash(fresh) == hash(alg)
+    for other in (PolyAlgebra(Z4, ("x", "t"), (1, 2)), PolyAlgebra(F5, ("x", "t"), (1, 2), "x"),
+                  PolyAlgebra(Z4, ("x", "t"), (1, 1), "x")):
+        assert other != alg
+    for args, message in (((("x", "x"), (1, 1)), "distinct"), ((("x", "t"), (1,)), "one weight per variable"),
+                          ((("x",), (1,), "t"), "not among variables")):
+        with pytest.raises(ValueError, match=message):
+            PolyAlgebra(Z4, *args)
+
+
 def test_weight_zero_variable_rejected():
     with pytest.raises(ValueError):
         PolyAlgebra(F5, ("x",), (0,))

@@ -8,7 +8,8 @@ table at p = 2, 3 and 5, each report written as text and as JSON, and
 entered.  A fresh child, so that no cache another test filled hides a
 function.  The functions are those written at module level or in the body
 of a module-level class of ``src/derhamkit``, found with ``ast``: the
-methods that ``dataclass`` generates are not written there and do not count.
+methods a class inherits, such as the comparisons and hash a ``NamedTuple``
+takes from ``tuple``, are not written there and do not count.
 """
 
 import ast
