@@ -7,7 +7,6 @@ from derhamkit import (
     AlgebraPresentation,
     ModRing,
     build_derham,
-    graded_piece_report,
     h0_shuffle_product,
     hodge_quotient_homology,
     pd_envelope_report,
@@ -25,10 +24,6 @@ for i in (1, 2, 3, 4):
     rep = hodge_quotient_homology(f, i, degrees=[0])
     dim = sum(len(e["factors"]) for (n, _), e in rep.entries.items() if n == 0)
     print(f"  dim H_0(quotient by F^{i}) = {dim}")
-
-print("\nGraded pieces match shifted derived exterior powers")
-g2 = graded_piece_report(f, 2)
-print(f"  gr^2: {g2.verdicts} via {g2.comparison_route}")
 
 print("\nThe universal square-zero thickening of B = A/(y) for A = Z/4[y]")
 t = universal_thickening(AlgebraPresentation(Z4, "quotient", "y", (0, 1)), weight_bound=2)

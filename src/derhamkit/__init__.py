@@ -25,7 +25,7 @@ from .cotangent import (
     cotangent_homology,
 )
 from .pdpow import gamma_monomials, derived_power, koszul_gamma_complex
-from .derham import build_derham, hodge_quotient_homology, graded_piece_report, universal_thickening, pd_envelope_report, h0_shuffle_product
+from .derham import build_derham, hodge_quotient_homology, universal_thickening, pd_envelope_report, h0_shuffle_product
 from .witt import (
     structure_polynomials,
     QuotientRing,

@@ -14,8 +14,11 @@ Supported algebra presentations:
 
 The face rule of the resolution is written once, as the target array of
 ``FreeSimplicialResolution.face_targets``: monomials (``face_exponents``),
-the wedge indices of the de Rham blocks and the slots of the cotangent
-complex all read their faces off it.
+the wedge indices of forms and the slots of the cotangent complex all read
+their faces off it.  The resolution owns its forms relative to k[x]: the
+nondegenerate bases (``form_basis``), the alternating face sum
+(``face_sum``) and the exterior derivative (``exterior_derivative``).  Its
+chain complex is the 0-form column, and the de Rham blocks are all of them.
 
 The infinitely generated canonical resolution is never materialized; every
 computation routes through these finite resolutions.
@@ -38,10 +41,11 @@ from .complexes import (
 from .exactlin import (
     ModRing,
     SparseMatrix,
-    quotient_invariants,
+    as_sparse,
+    local_smith,
 )
 from .polyalg import PolyAlgebra, graded_slice_basis, row_positions
-from .upoly import rem, trim
+from .upoly import multiplication_rows, trim
 
 __all__ = [
     "AlgebraPresentation",
@@ -131,17 +135,22 @@ def degenerate_rows(expts: np.ndarray, wedges: np.ndarray | None = None) -> np.n
     return missing.any(axis=1)
 
 
-def nondegenerate_positions(table: np.ndarray, images: np.ndarray,
-                            form_degree: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """``row_positions`` of images among the rows of a nondegenerate basis
-    (the ``form_degree`` wedge indices, then the exponents).  An image that
-    is not found must be degenerate, and is zero in C/D; a nondegenerate
-    one raises, so that a missing basis element cannot pass as the quotient."""
+def nondegenerate_matrix(rows: list, images: list, vals: list, shape: tuple[int, int], table: np.ndarray,
+                         form_degree: int, m: int) -> SparseMatrix:
+    """The matrix of ``shape`` mod m from per-term source rows, image rows
+    and values: each image is located among the rows of the nondegenerate
+    basis ``table`` (the ``form_degree`` wedge indices, then the exponents)
+    and repeats are summed.  An image that is not found must be degenerate,
+    and is zero in C/D; a nondegenerate one raises, so that a missing basis
+    element cannot pass as the quotient."""
+    if not rows:
+        return SparseMatrix(shape=shape)
+    images = np.concatenate(images)
     cols, found = row_positions(table, images)
     lost = images[~found]
     if not degenerate_rows(lost[:, form_degree:], lost[:, :form_degree]).all():
         raise AssertionError("a nondegenerate image is missing from the target basis")
-    return cols, found
+    return as_sparse(SparseMatrix(np.concatenate(rows)[found], cols[found], np.concatenate(vals)[found], shape), m)
 
 
 class AcyclicityCertificate:
@@ -169,6 +178,7 @@ class FreeSimplicialResolution:
         self.graded = pres.is_monomial
         self._certificate: AcyclicityCertificate | None = None
         self._alg_cache: dict[int, PolyAlgebra] = {}
+        self._forms: dict = {}  # (n, i, w) -> form_basis(n, i, w)
 
     # -- simplicial algebra structure
 
@@ -221,22 +231,71 @@ class FreeSimplicialResolution:
         images = expts @ move
         return images[:, n] == 0, images[:, :n], coeff
 
-    # -- slice bases of Q_n (graded flavor)
+    # -- the forms of Q_n relative to k[x] (graded flavor)
 
-    def q_slice(self, n: int, w: int) -> np.ndarray:
-        """Nondegenerate monomial basis of the weight-w slice of Q_n, as
-        exponent rows: t_1...t_n times each monomial of weight w - n deg f."""
-        return graded_slice_basis(self.algebra(n), 0, w, occurring=range(1, n + 1))
+    def form_basis(self, n: int, i: int, w: int) -> np.ndarray:
+        """Nondegenerate basis of the weight-w slice of Omega^i(Q_n) relative
+        to k[x], as int64 rows: the i wedge indices, then the n + 1
+        exponents; made once per (n, i, w) and read-only, since every
+        caller shares it.  Every t_s occurs in the exponent or under d, so
+        the 0-forms are t_1...t_n times each monomial of weight
+        w - n deg f, and the slice is empty when n deg f > w."""
+        key = (n, i, w)
+        if key not in self._forms:
+            if n * self.pres.degree > w:
+                basis = np.zeros((0, i + n + 1), dtype=np.int64)
+            else:
+                t_vars = range(1, n + 1)
+                basis = graded_slice_basis(self.algebra(n), i, w, wedge_vars=t_vars, occurring=t_vars)
+            basis.flags.writeable = False
+            self._forms[key] = basis
+        return self._forms[key]
+
+    def face_sum(self, n: int, i: int, w: int) -> SparseMatrix:
+        """The alternating face sum Omega^i(Q_n) -> Omega^i(Q_{n-1}) on the
+        weight-w slices of ``form_basis``.  The exponents move by
+        ``face_exponents`` and the wedge indices by ``face_targets``: dt_s
+        goes to dt_t for a target t > 0, and dies for t_1 -> f (df = 0
+        relative to k[x]) and for t_n -> 0, as does a form whose wedge
+        factors repeat."""
+        src = self.form_basis(n, i, w)
+        rows, images, vals = [], [], []
+        for k in range(n + 1):
+            targets = self.face_targets(n, k)
+            mapped = np.where(targets > 0, targets, -1)[src[:, :i]]
+            alive, e2, coeff = self.face_exponents(n, k, src[:, i:])
+            keep = alive & (mapped > 0).all(axis=1) & (np.diff(mapped, axis=1) > 0).all(axis=1)
+            rows.append(np.flatnonzero(keep))
+            images.append(np.hstack([mapped[keep], e2[keep]]))
+            vals.append(-coeff[keep] if k % 2 else coeff[keep])
+        tgt = self.form_basis(n - 1, i, w)
+        return nondegenerate_matrix(rows, images, vals, (len(src), len(tgt)), tgt, i, self.ring.modulus)
+
+    def exterior_derivative(self, n: int, i: int, w: int) -> SparseMatrix:
+        """The exterior derivative Omega^i(Q_n) -> Omega^{i+1}(Q_n) relative
+        to k[x] on the weight-w slices of ``form_basis``."""
+        src = self.form_basis(n, i, w)
+        wdg, e = src[:, :i], src[:, i:]
+        rows, images, vals = [], [], []
+        for s in range(1, n + 1):
+            keep = np.flatnonzero((e[:, s] > 0) & ~(wdg == s).any(axis=1))
+            # d(t_s) moves past the wedge factors below s
+            sign = 1 - 2 * ((wdg[keep] < s).sum(axis=1) % 2)
+            e2 = e[keep]
+            e2[:, s] -= 1
+            wdg2 = np.sort(np.hstack([wdg[keep], np.full((len(keep), 1), s)]), axis=1)
+            rows.append(keep)
+            images.append(np.hstack([wdg2, e2]))
+            vals.append(sign * e[keep, s])
+        tgt = self.form_basis(n, i + 1, w)
+        return nondegenerate_matrix(rows, images, vals, (len(src), len(tgt)), tgt, i + 1, self.ring.modulus)
 
     def chain_complex(self, weight_bound: int | None = None) -> GradedSliceComplex:
-        """N(Q_.) = C(Q_.)/D per weight slice; graded flavor only (slices
-        are exact).
+        """N(Q_.) = C(Q_.)/D per weight slice: the 0-forms of ``form_basis``
+        with ``face_sum``; graded flavor only (slices are exact).
 
         The degenerate monomials D span an acyclic subcomplex, so the
-        quotient has the homology of C(Q_.) (Dold-Kan normalization).  Each
-        differential is one triple: the signed face images of a whole slice,
-        located among the nondegenerate monomials of the target slice; an
-        image that is not found is degenerate and dropped."""
+        quotient has the homology of C(Q_.) (Dold-Kan normalization)."""
         if not self.graded:
             raise ValueError("slice chain complex needs the weight-graded flavor")
         wb = self.weight_bound if weight_bound is None else weight_bound
@@ -244,23 +303,13 @@ class FreeSimplicialResolution:
         diffs = {}
         for w in range(wb + 1):
             # nondegenerate slices vanish above simplicial degree w / deg f
-            exps = []
             for n in range(self.d_max + 1):
-                e = self.q_slice(n, w)
-                if not len(e):
+                size = len(self.form_basis(n, 0, w))
+                if not size:
                     break
-                exps.append(e)
-                dims[(n, w)] = len(e)
-            for n in range(1, len(exps)):
-                rows, images, vals = [], [], []
-                for i in range(n + 1):
-                    alive, img, coeff = self.face_exponents(n, i, exps[n])
-                    rows.append(np.flatnonzero(alive))
-                    images.append(img[alive])
-                    vals.append(-coeff[alive] if i % 2 else coeff[alive])
-                cols, found = nondegenerate_positions(exps[n - 1], np.concatenate(images))
-                diffs[(n, w)] = SparseMatrix(np.concatenate(rows)[found], cols[found], np.concatenate(vals)[found],
-                                             (len(exps[n]), len(exps[n - 1])))
+                dims[(n, w)] = size
+                if n:
+                    diffs[(n, w)] = self.face_sum(n, 0, w)
         cx = GradedSliceComplex(self.ring, 0, self.d_max, dims, diffs,
                                 trusted=(0, self.d_max - 1))
         cx.validate()
@@ -322,8 +371,8 @@ class FreeSimplicialResolution:
         base = self.relative == "base"
         weights, lo, width = ([a + d for a in range(d)], 1, 1) if base else ([0], 0, d)
         if not base:  # row a: the dx slots of f'(x) x^a mod f
-            df = np.array([rem([0] * a + self.pres.fprime_coeffs(), self.pres.f_coeffs, self.ring.modulus)
-                           for a in range(d)], dtype=np.int64)
+            df = np.array(multiplication_rows(self.pres.fprime_coeffs(), self.pres.f_coeffs, self.ring.modulus),
+                          dtype=np.int64)
         e = np.arange(width)
         dims, diffs = {}, {}
         for n in range(self.d_max + 1):
@@ -372,11 +421,10 @@ def kaehler_presentation(pres: AlgebraPresentation) -> KaehlerPresentation:
         # relative to A = k[x]: d kills every image, the module vanishes
         return KaehlerPresentation(pres, 0, False, [])
     # hypersurface over k: generator dx with relation f'(x) dx, over k on the power basis
-    d = pres.degree
-    rows = [rem([0] * a + pres.fprime_coeffs(), pres.f_coeffs, ring.modulus) for a in range(d)]
-    factors = quotient_invariants(np.eye(d, dtype=np.int64), np.array(rows, dtype=np.int64), ring)
+    rows = multiplication_rows(pres.fprime_coeffs(), pres.f_coeffs, ring.modulus)
+    factors = [c for c in local_smith(rows, ring)[0] if c > 1]
     # relation vanished: free of rank 1 over B
-    return KaehlerPresentation(pres, 1, factors == [ring.modulus] * d, factors)
+    return KaehlerPresentation(pres, 1, factors == [ring.modulus] * pres.degree, factors)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,11 @@ The total complex of the de Rham complexes of a free simplicial resolution
 Q_n = k[x][t_1..t_n] of B = k[x]/(f), relative to A = k[x].  The block
 Omega^i(Q_j) sits at (p, q) = (j, -i) of a double complex, in homological
 degree j - i; the horizontal differential is the alternating face sum,
-read off the resolution's ``face_targets`` for the exponents and the
-wedge indices alike, and the vertical one is the relative exterior
-derivative, which ``complexes.total_complex`` twists by (-1)^j when it
-assembles the block triples.  The Hodge level cut m keeps columns i < m,
-modelling the quotient by F^m; with weight(x) = 1 and weight(t) = deg f
-all slices are finite and exact.
+and the vertical one is the relative exterior derivative, which
+``complexes.total_complex`` twists by (-1)^j when it assembles the block
+triples.  The Hodge level cut m keeps columns i < m, modelling the
+quotient by F^m; with weight(x) = 1 and weight(t) = deg f all slices are
+finite and exact.
 
 Every block is built on its nondegenerate forms only.  The degenerate forms
 (some t_s occurring neither in the exponent nor under d) span an acyclic
@@ -18,9 +17,9 @@ computes the same homology (Dold-Kan normalization; Weibel, An Introduction
 to Homological Algebra, 8.3.7-8.3.8), and a weight-w slice has no blocks
 above simplicial degree w / deg f.
 
-Each block basis is held once, as the int64 rows ``block_basis`` caches
-(``polyalg.graded_slice_basis``), and no block map is kept: ``_assemble``
-lays each into the total complex, which holds the only copy.
+The resolution owns the forms: each block basis is its ``form_basis``,
+held once, and each block map its ``face_sum`` or ``exterior_derivative``,
+which ``_assemble`` lays into the total complex, the only copy kept.
 
 The Hodge-completed object is only ever handled as the family of its
 finite levels, never as an inverse limit.  Each basis
@@ -31,8 +30,6 @@ cycles in columns >= k.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,19 +48,16 @@ from .cotangent import (
     DepthError,
     FreeSimplicialResolution,
     kaehler_presentation,
-    nondegenerate_positions,
 )
 from .exactlin import (
-    SparseMatrix,
-    as_sparse,
     left_kernel,
+    local_smith,
     mmul,
     mzeros,
     quotient_invariants,
     span_solver,
 )
-from .pdpow import derived_power
-from .polyalg import graded_slice_basis, row_positions
+from .polyalg import row_positions
 from .simplex import shuffles
 from .upoly import mul, rem
 
@@ -72,7 +66,6 @@ __all__ = [
     "ThickeningResult",
     "build_derham",
     "hodge_quotient_homology",
-    "graded_piece_report",
     "universal_thickening",
     "pd_envelope_report",
     "h0_shuffle_product",
@@ -102,7 +95,6 @@ class FilteredDeRhamComplex:
         if not cert.ok:
             raise ValueError("resolution failed its acyclicity certificate")
         self.certificate = cert
-        self._block_cache: dict = {}  # (j, i, w) -> block_basis(j, i, w)
         self.total = self._assemble()
 
     # -- block bases
@@ -116,79 +108,16 @@ class FilteredDeRhamComplex:
                 out.append((j, i))
         return out
 
-    def block_basis(self, j: int, i: int, w: int) -> np.ndarray:
-        """Nondegenerate basis of the weight-w slice of Omega^i(Q_j), as int64
-        rows: the i wedge indices, then the j + 1 exponents.  Every t_s
-        occurs in the exponent or under d, so it is empty when j deg f > w."""
-        key = (j, i, w)
-        if key not in self._block_cache:
-            if j * self.pres.degree > w:
-                self._block_cache[key] = np.zeros((0, i + j + 1), dtype=np.int64)
-            else:
-                t_vars = range(1, j + 1)
-                self._block_cache[key] = graded_slice_basis(self.res.algebra(j), i, w,
-                                                            wedge_vars=t_vars, occurring=t_vars)
-        return self._block_cache[key]
-
     def layout(self, n: int, w: int, cut: int | None = None):
         """[(j, i, offset)] plus the total dimension of the slice."""
         out = []
         off = 0
         for (j, i) in self.blocks(n, cut):
-            size = len(self.block_basis(j, i, w))
+            size = len(self.res.form_basis(j, i, w))
             if size:
                 out.append((j, i, off))
                 off += size
         return out, off
-
-    # -- differentials on blocks
-
-    def horizontal_matrix(self, j: int, i: int, w: int) -> SparseMatrix:
-        """Alternating face sum Omega^i(Q_j) -> Omega^i(Q_{j-1}) on slice w."""
-        src = self.block_basis(j, i, w)
-        tgt = self.block_basis(j - 1, i, w)
-        rows, images, vals = [], [], []
-        for k in range(j + 1):
-            targets = self.res.face_targets(j, k)
-            # dt_s -> dt_t for a target t > 0; t -> f has df = 0, t -> 0 dies
-            mapped = np.where(targets > 0, targets, -1)[src[:, :i]]
-            alive, e2, coeff = self.res.face_exponents(j, k, src[:, i:])
-            # a wedge factor that dies or repeats kills the form
-            keep = alive & (mapped > 0).all(axis=1) & (np.diff(mapped, axis=1) > 0).all(axis=1)
-            rows.append(np.flatnonzero(keep))
-            images.append(np.hstack([mapped[keep], e2[keep]]))
-            vals.append(-coeff[keep] if k % 2 else coeff[keep])
-        return self._locate(rows, images, vals, (len(src), len(tgt)), tgt, i)
-
-    def vertical_matrix(self, j: int, i: int, w: int) -> SparseMatrix:
-        """Relative exterior derivative Omega^i(Q_j) -> Omega^{i+1}(Q_j)."""
-        src = self.block_basis(j, i, w)
-        tgt = self.block_basis(j, i + 1, w)
-        wdg, e = src[:, :i], src[:, i:]
-        rows, images, vals = [], [], []
-        for s in range(1, j + 1):
-            keep = np.flatnonzero((e[:, s] > 0) & ~(wdg == s).any(axis=1))
-            # d(t_s) moves past the wedge factors below s
-            sign = 1 - 2 * ((wdg[keep] < s).sum(axis=1) % 2)
-            e2 = e[keep]
-            e2[:, s] -= 1
-            wdg2 = np.sort(np.hstack([wdg[keep], np.full((len(keep), 1), s)]), axis=1)
-            rows.append(keep)
-            images.append(np.hstack([wdg2, e2]))
-            vals.append(sign * e[keep, s])
-        return self._locate(rows, images, vals, (len(src), len(tgt)), tgt, i + 1)
-
-    def _locate(self, rows: list, images: list, vals: list, shape: tuple[int, int], tgt: np.ndarray,
-                form_degree: int) -> SparseMatrix:
-        """The matrix of ``shape`` from per-term source rows, image rows and
-        values: images are found among the rows of ``tgt`` and repeats
-        summed.  An image not found is degenerate, zero in the normalized
-        complex."""
-        if not rows:
-            return SparseMatrix(shape=shape)
-        cols, found = nondegenerate_positions(tgt, np.concatenate(images), form_degree)
-        return as_sparse(SparseMatrix(np.concatenate(rows)[found], cols[found], np.concatenate(vals)[found],
-                                      shape), self.ring.modulus)
 
     # -- total complexes
 
@@ -203,11 +132,12 @@ class FilteredDeRhamComplex:
         a basis element is the i of its block."""
         cut = self.hodge_cut
         n_min, n_max = self._n_min(cut), self.window[1] + 1
-        terms = {(j, -i, w): len(self.block_basis(j, i, w))
+        res = self.res
+        terms = {(j, -i, w): len(res.form_basis(j, i, w))
                  for w in range(self.weight_bound + 1) for n in range(n_min, n_max + 1)
                  for (j, i, _) in self.layout(n, w, cut)[0]}
-        horiz = {(j, q, w): self.horizontal_matrix(j, -q, w) for (j, q, w) in terms if (j - 1, q, w) in terms}
-        vert = {(j, q, w): self.vertical_matrix(j, -q, w) for (j, q, w) in terms if (j, q - 1, w) in terms}
+        horiz = {(j, q, w): res.face_sum(j, -q, w) for (j, q, w) in terms if (j - 1, q, w) in terms}
+        vert = {(j, q, w): res.exterior_derivative(j, -q, w) for (j, q, w) in terms if (j, q - 1, w) in terms}
         cx = total_complex(DoubleComplex(self.ring, terms, horiz, vert))
         cx.n_min, cx.n_max, cx.trusted = n_min, n_max, self.window
         for (n, w), size in cx.dims.items():
@@ -239,7 +169,7 @@ class FilteredDeRhamComplex:
         one ``row_positions`` call finds every element."""
         lay, total = self.layout(n, w)
         place = {(j, i): k for k, (j, i, _) in enumerate(lay)}
-        blocks = [self.block_basis(j, i, w) for j, i, _ in lay]
+        blocks = [self.res.form_basis(j, i, w) for j, i, _ in lay]
         width = 1 + max((b.shape[1] for b in blocks), default=0)
         table, queries = mzeros(total, width), mzeros(len(elements), width)
         for k, ((_, _, off), b) in enumerate(zip(lay, blocks)):
@@ -286,88 +216,6 @@ def hodge_quotient_homology(f: FilteredDeRhamComplex, level: int,
 
 
 # ---------------------------------------------------------------------------
-# graded pieces
-
-
-class GradedPieceReport(NamedTuple):
-    level: int
-    verdicts: dict  # (degree, weight) -> (left factors, right factors, equal)
-    comparison_route: str
-    ok: bool
-
-
-def graded_piece_report(f: FilteredDeRhamComplex, level: int) -> GradedPieceReport:
-    """Compare gr^level of the Hodge filtration with the shifted derived
-    exterior power of the cotangent complex.
-
-    The graded piece is the column-``level`` complex with its simplicial
-    differential.  The comparison side: for deg f = 1 the cotangent complex
-    is a complex of k-modules and the derived exterior power is computed
-    directly; for deg f > 1 the conormal route Gamma^level of the rank-one
-    conormal module placed in degree ``level`` supplies the expected values.
-    """
-    if level >= f.hodge_cut and level != 0:
-        raise ValueError("level must be below the Hodge cut")
-    lo, hi = f.window
-    d = f.pres.degree
-    ring = f.ring
-    # left side: column complex, degrees j - level
-    dims = {}
-    diffs = {}
-    for w in range(f.weight_bound + 1):
-        for j in range(level, f.res.d_max + 1):
-            b = len(f.block_basis(j, level, w))
-            if b:
-                dims[(j - level, w)] = b
-        for j in range(level + 1, f.res.d_max + 1):
-            if dims.get((j - level, w)) and dims.get((j - level - 1, w)):
-                diffs[(j - level, w)] = f.horizontal_matrix(j, level, w)
-    column = GradedSliceComplex(ring, 0, f.res.d_max - level, dims, diffs,
-                                trusted=(0, f.res.d_max - level - 1))
-    column.validate()
-
-    verdicts = {}
-    ok = True
-    degs = [n for n in range(lo, hi + 1) if column.in_trust_window(n)]
-    if d == 1:
-        route = "derived-power"
-        from .cotangent import shortcut_conormal_complex
-
-        if level == 0:
-            # gr^0 is the resolution itself: H_0 = B, comparison trivial
-            rhs_entries = {(0, ww): [ring.modulus] for ww in range(min(d, f.weight_bound + 1))}
-        else:
-            # derived wedge of the conormal shortcut (q-iso to the cotangent
-            # complex; the equivalence itself is verified in the cotangent
-            # test battery, keeping this route independent of the column)
-            small = shortcut_conormal_complex(f.pres, hi + level)
-            rep = derived_power(small, "wedge", level, degrees=range(0, hi + level + 1))
-            rhs_entries = {(n - level, w): e["factors"] for (n, w), e in rep.entries.items()}
-    else:
-        route = "conormal-gamma-oracle"
-        rhs_entries = {}
-        if level == 0:
-            for ww in range(min(d, f.weight_bound + 1)):
-                rhs_entries[(0, ww)] = [ring.modulus]
-        else:
-            # Gamma^level of the free rank-1 conormal (weight d): after the
-            # [-level] shift of the graded piece this sits in total degree 0
-            for e in range(d):
-                w = level * d + e
-                if w <= f.weight_bound:
-                    rhs_entries[(0, w)] = [ring.modulus]
-    for n in degs:
-        for w in range(f.weight_bound + 1):
-            lhs = slice_homology(column, n, w)
-            rhs = rhs_entries.get((n, w), [])
-            eq = lhs == rhs
-            ok = ok and eq
-            if lhs or rhs:
-                verdicts[(n, w)] = (lhs, rhs, eq)
-    return GradedPieceReport(level, verdicts, route, ok)
-
-
-# ---------------------------------------------------------------------------
 # universal first-order thickening
 
 
@@ -410,7 +258,7 @@ def universal_thickening(pres: AlgebraPresentation, weight_bound: int) -> Thicke
         out = mzeros(1, 1)[0] if w < 2 * d else mzeros(1, 0)[0]
         lay, _ = f.layout(0, w, 2)
         for (j, i, off) in lay:
-            for e, c in zip(f.block_basis(j, i, w)[:, i:].tolist(), n0_vec[off:].tolist()):
+            for e, c in zip(f.res.form_basis(j, i, w)[:, i:].tolist(), n0_vec[off:].tolist()):
                 if not c:
                     continue
                 if (j, i) == (0, 0):
@@ -510,7 +358,7 @@ def h0_shuffle_product(f: FilteredDeRhamComplex, u: np.ndarray, wu: int,
             if col >= f.hodge_cut:
                 continue
             rows, coeffs = _shuffle_terms(eu, cu, i1, ev, cv, i2, m)
-            pos, found = row_positions(f.block_basis(col, col, w)[:, col:], rows)
+            pos, found = row_positions(f.res.form_basis(col, col, w)[:, col:], rows)
             if not found.all():
                 raise AssertionError(f"shuffle product term {rows[~found][0].tolist()} "
                                      f"is nondegenerate but not in the basis")
@@ -523,7 +371,7 @@ def _degree0_blocks(f: FilteredDeRhamComplex, vec: np.ndarray, w: int):
     degree-0 slice vector, per block Omega^i(Q_i)."""
     vec = np.asarray(vec, dtype=np.int64) % f.ring.modulus
     for _, i, off in f.layout(0, w)[0]:
-        rows = f.block_basis(i, i, w)
+        rows = f.res.form_basis(i, i, w)
         nz = np.flatnonzero(vec[off:off + len(rows)])
         if nz.size:
             yield i, rows[nz, i:], vec[off + nz]
@@ -623,7 +471,7 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int) -> PDEnvelo
         q = h0[w]
         basis = pd_basis(w)
         rel = pd_relation_rows(w)
-        pd_facs = quotient_invariants(np.eye(len(basis), dtype=np.int64), rel, ring)
+        pd_facs = [c for c in local_smith(rel, ring)[0] if c > 1]
         eq = sorted(q.factors) == sorted(pd_facs)
         slice_verdicts[w] = (q.factors, pd_facs, eq)
         ok = ok and eq
@@ -646,8 +494,7 @@ def pd_envelope_report(pres: AlgebraPresentation, weight_bound: int) -> PDEnvelo
                 pd_size *= fac
             if q.size != pd_size:
                 iso_ok = False
-            elif quotient_invariants(np.eye(len(q.factors), dtype=np.int64),
-                                     np.vstack([gen_m, np.diag(q.factors)]), ring):
+            elif any(c > 1 for c in local_smith(np.vstack([gen_m, np.diag(q.factors)]), ring)[0]):
                 iso_ok = False  # the coordinates of the images do not span the quotient
         if not iso_ok and (iso_failure is None or w < iso_failure):
             iso_failure = w

@@ -154,12 +154,6 @@ def mmul(a: np.ndarray, b: np.ndarray, ring: ModRing) -> np.ndarray:
 # Smith normal form over Z
 
 
-def _int_matrix(a) -> list[list[int]]:
-    if isinstance(a, np.ndarray):
-        return [[int(x) for x in row] for row in a]
-    return [[int(x) for x in row] for row in a]
-
-
 def smith_normal_form(matrix, want_vinv: bool = False):
     """Smith normal form over Z: returns (S, U, V) with U*A*V = S.
 
@@ -168,7 +162,7 @@ def smith_normal_form(matrix, want_vinv: bool = False):
     as a fourth value.  Pure Python integers throughout, so
     cyclotomic-sized entries are exact.
     """
-    a = _int_matrix(matrix)
+    a = [[int(x) for x in row] for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]

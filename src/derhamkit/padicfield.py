@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactlin import ModRing, PAdicValue, is_prime, local_smith, resultant, v_int
-from .upoly import rem
+from .upoly import multiplication_rows
 from .witt import cyclotomic_polynomial_ppower
 
 __all__ = [
@@ -78,7 +78,7 @@ def omega_invariants(ext: MonogenicExtension, precision: int):
     """
     ring = ModRing(ext.p, precision)
     # multiplication-by-f'(x) matrix on the power basis (rows = images), mod p^precision
-    rows = [rem([0] * a + ext.fprime(), ext.f_coeffs, ring.modulus) for a in range(ext.degree)]
+    rows = multiplication_rows(ext.fprime(), ext.f_coeffs, ring.modulus)
     factors, _, _ = local_smith(rows, ring)
     if ring.modulus in factors:
         if resultant(list(ext.f_coeffs), ext.fprime()) == 0:

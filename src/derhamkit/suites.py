@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .complexes import slice_homology, total_complex
+from .complexes import DoubleComplex, GradedSliceComplex, slice_homology, total_complex
 from .cotangent import AlgebraPresentation, cotangent_homology, parse_poly_string, shortcut_conormal_complex
 from .derham import (
     build_derham,
@@ -187,8 +187,6 @@ def run_eilenberg_zilber(params, rng):
         if not (c1.dims and c2.dims):
             continue
         made += 1
-        from .complexes import DoubleComplex
-
         u = c1.weights()[0] if c1.weights() else 0
         v = c2.weights()[0] if c2.weights() else 0
         w = u + v
@@ -249,8 +247,6 @@ def run_quillen_shift(params, rng):
     ranks = [params["rank"]] if params["rank"] else [1, 2]
     for ring in rings:
         for rank in ranks:
-            from .complexes import GradedSliceComplex
-
             e_shift = GradedSliceComplex(ring, 0, 1, {(1, 0): rank}, {})
             powers = [params["power"]] if params["p"] or params["rank"] else range(1, params["power"] + 1)
             for power in powers:

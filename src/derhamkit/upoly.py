@@ -6,7 +6,7 @@ exact integer arithmetic; otherwise results are reduced into ``[0, m)``.
 
 from __future__ import annotations
 
-__all__ = ["trim", "mul", "rem"]
+__all__ = ["trim", "mul", "rem", "multiplication_rows"]
 
 
 def trim(a) -> list[int]:
@@ -50,3 +50,9 @@ def rem(a, f, m: int | None = None) -> list[int]:
                 out[k - d + j] -= q * f[j]
     out = out[:d] + [0] * (d - len(out))
     return out if m is None else [c % m for c in out]
+
+
+def multiplication_rows(g, f, m: int) -> list[list[int]]:
+    """The matrix of multiplication by g on the power basis of Z/m[x]/(f),
+    rows as images: row a is x^a g mod f, for a < deg f."""
+    return [rem([0] * a + list(g), f, m) for a in range(len(f) - 1)]

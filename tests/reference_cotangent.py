@@ -9,9 +9,11 @@ the library's complex to equal such matrices in shape, dtype and every
 entry.  It runs on the library's nondegenerate bases, and drops a face
 image that is not among them only after checking that it is degenerate.
 
-``UnnormalizedResolution`` is the resolution as it was before its slices
-were normalized: the same builder on every monomial of each slice, the
-degenerate ones included, so the complex is C(Q_.) and not C(Q_.)/D.
+``UnnormalizedResolution`` is the resolution as it was before its forms
+were normalized: the same builders on every form of each slice, listed by
+the tuple slice basis of ``reference_polyalg``, the degenerate ones
+included, so the chain complex is C(Q_.) and not C(Q_.)/D, and the de Rham
+blocks are the whole of Omega^i(Q_j).
 
 ``face_variable_table`` (with ``face_exponents``, the whole-slice
 monomial faces read off it), ``wedge_face`` and ``cotangent_complex`` are
@@ -36,7 +38,7 @@ from derhamkit.cotangent import FreeSimplicialResolution
 from derhamkit.exactlin import mzeros
 from derhamkit.upoly import rem
 
-from reference_polyalg import Poly, face
+from reference_polyalg import Poly, face, form_rows, graded_slice_basis
 
 
 def is_degenerate(expts: tuple[int, ...], wedge: tuple[int, ...] = ()) -> bool:
@@ -46,10 +48,14 @@ def is_degenerate(expts: tuple[int, ...], wedge: tuple[int, ...] = ()) -> bool:
 
 
 class UnnormalizedResolution(FreeSimplicialResolution):
-    """C(Q_.) with every monomial of each slice, degenerate ones included."""
+    """The forms of Q_n, degenerate ones included."""
 
-    def q_slice(self, n: int, w: int):
-        return self.algebra(n).monomials_of_weight(w)
+    def form_basis(self, n: int, i: int, w: int) -> np.ndarray:
+        key = (n, i, w)
+        if key not in self._forms:
+            self._forms[key] = form_rows(graded_slice_basis(self.algebra(n), i, w, wedge_vars=range(1, n + 1)),
+                                         i, n + 1)
+        return self._forms[key]
 
 
 def face_variable_table(res: FreeSimplicialResolution, n: int, i: int) -> list[tuple[int, int, int] | None]:
@@ -129,8 +135,8 @@ def face_monomial(res: FreeSimplicialResolution, n: int, i: int, expts: tuple[in
 
 
 def q_face_matrix(res: FreeSimplicialResolution, n: int, i: int, w: int) -> np.ndarray:
-    src = [tuple(e) for e in res.q_slice(n, w).tolist()]
-    tgt = [tuple(e) for e in res.q_slice(n - 1, w).tolist()]
+    src = [tuple(e) for e in res.form_basis(n, 0, w).tolist()]
+    tgt = [tuple(e) for e in res.form_basis(n - 1, 0, w).tolist()]
     tindex = {e: k for k, e in enumerate(tgt)}
     out = mzeros(len(src), len(tgt))
     if res.graded:
@@ -161,7 +167,7 @@ def chain_complex(res: FreeSimplicialResolution, weight_bound: int | None = None
     diffs = {}
     for w in range(wb + 1):
         for n in range(res.d_max + 1):
-            dims[(n, w)] = len(res.q_slice(n, w))
+            dims[(n, w)] = len(res.form_basis(n, 0, w))
         for n in range(1, res.d_max + 1):
             d = mzeros(dims[(n, w)], dims[(n - 1, w)])
             for i in range(n + 1):

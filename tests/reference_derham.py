@@ -10,9 +10,9 @@ blocks added at their offsets.  ``assemble`` returns the dense ``dims`` and
 library's nondegenerate block bases, and drops an image that is not among
 them only after checking that it is degenerate.
 
-``UnnormalizedDeRham`` is the builder as it was before its blocks were
+``build_unnormalized`` is the builder as it was before its blocks were
 normalized: the same assembly on every form of each block, degenerate ones
-included, listed by the tuple slice basis of ``reference_polyalg``.
+included, those of ``reference_cotangent.UnnormalizedResolution``.
 
 ``quotient_map``, ``filtration_coordinates`` and ``filtered_h0_factors`` are
 the dense filtration path ``pd_envelope_report`` and the quotient maps took
@@ -23,6 +23,14 @@ boundaries of the full degree-1 slice.  The library no longer has a
 quotient map; the tests use this one to check that the level truncations
 ``quotient_complex`` cuts are compatible.
 
+``graded_piece_report`` is the comparison the library made before it was
+dropped: gr^level of the Hodge filtration, the column complex
+Omega^level(Q_.) with the face sum, against the derived exterior power of
+the conormal shortcut for deg f = 1, and against Gamma^level of the
+rank-one conormal module, written out by hand, for deg f > 1.  The
+derived power does not serve for deg f > 1: it takes Gamma over k of the
+rank-d k-module, not Gamma over B.
+
 ``basis_vector`` is the library's lookup of one block basis element before
 ``basis_vectors`` found all the elements it is given in one table: a
 ``layout`` walk and a ``row_positions`` call on one block per element.
@@ -30,35 +38,27 @@ quotient map; the tests use this one to check that the level truncations
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from derhamkit.cotangent import AlgebraPresentation, FreeSimplicialResolution
+from derhamkit.complexes import GradedSliceComplex, slice_homology
+from derhamkit.cotangent import AlgebraPresentation, shortcut_conormal_complex
 from derhamkit.derham import FilteredDeRhamComplex
 from derhamkit.exactlin import howell_form, left_kernel, mmul, mzeros, quotient_invariants
+from derhamkit.pdpow import derived_power
 from derhamkit.polyalg import row_positions
 
 import reference_cotangent
-from reference_polyalg import form_entries, form_rows, graded_slice_basis
-
-
-class UnnormalizedDeRham(FilteredDeRhamComplex):
-    """The total complex with every form of each block, degenerate ones
-    included."""
-
-    def block_basis(self, j: int, i: int, w: int) -> np.ndarray:
-        key = (j, i, w)
-        if key not in self._block_cache:
-            basis = graded_slice_basis(self.res.algebra(j), i, w, wedge_vars=range(1, j + 1))
-            self._block_cache[key] = form_rows(basis, i, j + 1)
-        return self._block_cache[key]
+from reference_polyalg import form_entries
 
 
 def build_unnormalized(pres: AlgebraPresentation, hodge_cut: int, window: tuple[int, int],
-                       weight_bound: int) -> UnnormalizedDeRham:
+                       weight_bound: int) -> FilteredDeRhamComplex:
     """``derham.build_derham`` with unnormalized blocks, at the same depth."""
     depth = window[1] + 1 + min(hodge_cut - 1, weight_bound // pres.degree)
-    res = FreeSimplicialResolution(pres, depth, weight_bound)
-    return UnnormalizedDeRham(res, hodge_cut, window, weight_bound)
+    res = reference_cotangent.UnnormalizedResolution(pres, depth, weight_bound)
+    return FilteredDeRhamComplex(res, hodge_cut, window, weight_bound)
 
 
 def face_images(j: int, k: int) -> dict:
@@ -77,8 +77,8 @@ def face_images(j: int, k: int) -> dict:
 
 def horizontal_matrix(f: FilteredDeRhamComplex, j: int, i: int, w: int) -> np.ndarray:
     """Alternating face sum Omega^i(Q_j) -> Omega^i(Q_{j-1}) on slice w."""
-    src = form_entries(f.block_basis(j, i, w), i)
-    tgt = form_entries(f.block_basis(j - 1, i, w), i)
+    src = form_entries(f.res.form_basis(j, i, w), i)
+    tgt = form_entries(f.res.form_basis(j - 1, i, w), i)
     tindex = {t: a for a, t in enumerate(tgt)}
     out = mzeros(len(src), len(tgt))
     for k in range(j + 1):
@@ -104,8 +104,8 @@ def horizontal_matrix(f: FilteredDeRhamComplex, j: int, i: int, w: int) -> np.nd
 
 def vertical_matrix(f: FilteredDeRhamComplex, j: int, i: int, w: int) -> np.ndarray:
     """Relative exterior derivative Omega^i(Q_j) -> Omega^{i+1}(Q_j)."""
-    src = form_entries(f.block_basis(j, i, w), i)
-    tgt = form_entries(f.block_basis(j, i + 1, w), i + 1)
+    src = form_entries(f.res.form_basis(j, i, w), i)
+    tgt = form_entries(f.res.form_basis(j, i + 1, w), i + 1)
     tindex = {t: a for a, t in enumerate(tgt)}
     out = mzeros(len(src), len(tgt))
     for a, (e, wdg) in enumerate(src):
@@ -145,7 +145,7 @@ def assemble(f: FilteredDeRhamComplex, cut: int | None = None):
             tgt_off = {(j, i): off for (j, i, off) in lay[n - 1]}
             dmat = mzeros(src_total, tgt_total)
             for (j, i, off) in lay[n]:
-                rows = len(f.block_basis(j, i, w))
+                rows = len(f.res.form_basis(j, i, w))
                 if (j - 1, i) in tgt_off:
                     h = horizontal_matrix(f, j, i, w)
                     o2 = tgt_off[(j - 1, i)]
@@ -167,7 +167,7 @@ def quotient_map(f: FilteredDeRhamComplex, level_hi: int, level_lo: int, n: int,
     out = mzeros(total_hi, total_lo)
     for (j, i, off) in lay_hi:
         if (j, i) in lo_off:
-            size = len(f.block_basis(j, i, w))
+            size = len(f.res.form_basis(j, i, w))
             o2 = lo_off[(j, i)]
             out[off : off + size, o2 : o2 + size] = np.eye(size, dtype=np.int64)
     return out
@@ -179,7 +179,7 @@ def filtration_coordinates(f: FilteredDeRhamComplex, level: int, n: int, w: int)
     rows = []
     for (j, i, off) in lay:
         if i >= level:
-            size = len(f.block_basis(j, i, w))
+            size = len(f.res.form_basis(j, i, w))
             block = mzeros(size, total)
             block[:, off : off + size] = np.eye(size, dtype=np.int64)
             rows.append(block)
@@ -216,9 +216,75 @@ def basis_vector(f: FilteredDeRhamComplex, n: int, w: int, j: int, i: int, row) 
     whose row (the i wedge indices, then the j + 1 exponents) is ``row``."""
     lay, total = f.layout(n, w)
     offsets = {(jj, ii): off for jj, ii, off in lay}
-    pos, found = row_positions(f.block_basis(j, i, w), np.array([row], dtype=np.int64))
+    pos, found = row_positions(f.res.form_basis(j, i, w), np.array([row], dtype=np.int64))
     if (j, i) not in offsets or not found[0]:
         raise KeyError(f"{list(row)} is not in block ({j}, {i}) of degree {n} weight {w}")
     v = mzeros(1, total)[0]
     v[offsets[(j, i)] + pos[0]] = 1
     return v
+
+
+class GradedPieceReport(NamedTuple):
+    level: int
+    verdicts: dict  # (degree, weight) -> (left factors, right factors, equal)
+    comparison_route: str
+    ok: bool
+
+
+def column_complex(f: FilteredDeRhamComplex, level: int) -> GradedSliceComplex:
+    """gr^level of the Hodge filtration of ``f``: the forms
+    Omega^level(Q_j) of its resolution in degrees j - level, with the face
+    sum."""
+    res = f.res
+    dims = {}
+    diffs = {}
+    for w in range(f.weight_bound + 1):
+        for j in range(level, res.d_max + 1):
+            b = len(res.form_basis(j, level, w))
+            if b:
+                dims[(j - level, w)] = b
+        for j in range(level + 1, res.d_max + 1):
+            if dims.get((j - level, w)) and dims.get((j - level - 1, w)):
+                diffs[(j - level, w)] = res.face_sum(j, level, w)
+    column = GradedSliceComplex(f.ring, 0, res.d_max - level, dims, diffs,
+                                trusted=(0, res.d_max - level - 1))
+    column.validate()
+    return column
+
+
+def graded_piece_report(f: FilteredDeRhamComplex, level: int) -> GradedPieceReport:
+    """Compare gr^level of the Hodge filtration with the shifted derived
+    exterior power of the cotangent complex.
+
+    The comparison side: for deg f = 1 the derived exterior power of the
+    conormal shortcut (quasi-isomorphic to the cotangent complex); for
+    deg f > 1, Gamma^level of the rank-one conormal module placed in degree
+    ``level`` gives the expected values."""
+    if level >= f.hodge_cut and level != 0:
+        raise ValueError("level must be below the Hodge cut")
+    lo, hi = f.window
+    d = f.pres.degree
+    m = f.ring.modulus
+    column = column_complex(f, level)
+    if level == 0:
+        # gr^0 is the resolution itself: H_0 = B
+        route = "derived-power" if d == 1 else "conormal-gamma-oracle"
+        rhs_entries = {(0, w): [m] for w in range(min(d, f.weight_bound + 1))}
+    elif d == 1:
+        route = "derived-power"
+        small = shortcut_conormal_complex(f.pres, hi + level)
+        rep = derived_power(small, "wedge", level, degrees=range(0, hi + level + 1))
+        rhs_entries = {(n - level, w): e["factors"] for (n, w), e in rep.entries.items()}
+    else:
+        # Gamma^level of the free rank-1 conormal (weight d): after the
+        # [-level] shift of the graded piece this sits in total degree 0
+        route = "conormal-gamma-oracle"
+        rhs_entries = {(0, level * d + e): [m] for e in range(d) if level * d + e <= f.weight_bound}
+    verdicts = {}
+    for n in [n for n in range(lo, hi + 1) if column.in_trust_window(n)]:
+        for w in range(f.weight_bound + 1):
+            lhs = slice_homology(column, n, w)
+            rhs = rhs_entries.get((n, w), [])
+            if lhs or rhs:
+                verdicts[(n, w)] = (lhs, rhs, lhs == rhs)
+    return GradedPieceReport(level, verdicts, route, all(eq for _, _, eq in verdicts.values()))

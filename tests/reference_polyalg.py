@@ -456,7 +456,7 @@ class H0Multiplier:
         blocks: dict[int, DifferentialForm] = {}
         for (j, i, off) in self.f.layout(0, w)[0]:
             terms = {}
-            for pos, (e, wdg) in enumerate(form_entries(self.f.block_basis(j, i, w), i)):
+            for pos, (e, wdg) in enumerate(form_entries(self.f.res.form_basis(j, i, w), i)):
                 c = int(vec[off + pos])
                 if c:
                     terms[(e, wdg)] = c
@@ -478,7 +478,7 @@ class H0Multiplier:
         out = mzeros(1, total)[0]
         index = {}
         for (j, i, off) in lay:
-            for pos, entry in enumerate(form_entries(self.f.block_basis(j, i, w), i)):
+            for pos, entry in enumerate(form_entries(self.f.res.form_basis(j, i, w), i)):
                 index[(j, i, entry)] = off + pos
         m = self.f.ring.modulus
         for i1, form1 in bu.items():

@@ -265,14 +265,15 @@ Z9 = ModRing(3, 2)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
-def test_q_slice_is_the_nondegenerate_part_of_the_full_slice(degree):
+def test_zero_form_basis_is_the_nondegenerate_part_of_the_full_slice(degree):
     res = FreeSimplicialResolution(AlgebraPresentation(F2, "quotient", "x", (0,) * degree + (1,)), 7, 9)
     for n in range(8):
         for w in range(10):
             full = res.algebra(n).monomials_of_weight(w).tolist()
             want = [e for e in full if not reference_cotangent.is_degenerate(e)]
-            got = res.q_slice(n, w)
+            got = res.form_basis(n, 0, w)
             assert got.shape == (len(want), n + 1) and got.tolist() == want, (n, w)
+            assert res.form_basis(n, 0, w) is got and not got.flags.writeable
             assert (len(want) > 0) == (n * degree <= w)
 
 
@@ -311,12 +312,12 @@ def test_normalized_resolution_has_the_slice_homology_of_the_unnormalized_refere
 def test_a_kept_degenerate_monomial_or_a_dropped_nondegenerate_one_is_caught(monkeypatch):
     pres = AlgebraPresentation(F3, "quotient", "x", (0, 1))
     ref = reference_cotangent.UnnormalizedResolution(pres, 5, 4).chain_complex()
-    honest = FreeSimplicialResolution.q_slice
+    honest = FreeSimplicialResolution.form_basis
 
     def patched(change):
-        def q_slice(self, n, w):
-            return change(n, w, honest(self, n, w))
-        monkeypatch.setattr(FreeSimplicialResolution, "q_slice", q_slice)
+        def form_basis(self, n, i, w):
+            return change(n, w, honest(self, n, i, w))
+        monkeypatch.setattr(FreeSimplicialResolution, "form_basis", form_basis)
         return FreeSimplicialResolution(pres, 5, 4).chain_complex()
 
     assert _slice_mismatches(patched(lambda n, w, b: b), ref, range(4), range(5)) == []

@@ -1,17 +1,18 @@
 """Filtered de Rham complexes: Hodge quotients, graded pieces, thickenings,
 divided-power envelope comparisons, and the shuffle ring structure."""
 
+import collections
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from derhamkit import complexes
+from derhamkit import complexes, polyalg
 from derhamkit.complexes import homology_quotient, homology_report, slice_homology
 from derhamkit.cotangent import AlgebraPresentation, DepthError
 from derhamkit.derham import (
     build_derham,
-    graded_piece_report,
     h0_shuffle_product,
     hodge_quotient_homology,
     pd_envelope_report,
@@ -100,14 +101,14 @@ def test_hodge_additivity_against_derived_power():
 
 def test_graded_pieces():
     f = build_derham(pres_x(F3), hodge_cut=3, window=(0, 2), weight_bound=3)
-    g0 = graded_piece_report(f, 0)
+    g0 = reference_derham.graded_piece_report(f, 0)
     assert g0.ok
-    g2 = graded_piece_report(f, 2)
+    g2 = reference_derham.graded_piece_report(f, 2)
     assert g2.ok and g2.verdicts.get((0, 2)) == ([3], [3], True)
     # B = F_2[x]/(x^2): gr^1 is a rank-two (= rank-p) module
     fx2 = build_derham(AlgebraPresentation(F2, "quotient", "x", (0, 0, 1)),
                        hodge_cut=2, window=(0, 2), weight_bound=6)
-    g1 = graded_piece_report(fx2, 1)
+    g1 = reference_derham.graded_piece_report(fx2, 1)
     assert g1.ok
     assert sum(len(l) for (l, _, _) in g1.verdicts.values()) == 2
 
@@ -197,14 +198,14 @@ def test_basis_vectors_are_the_one_element_lookups(f_coeffs):
     for n in range(f.window[0], f.window[1] + 2):
         for w in range(6):
             lay, total = f.layout(n, w)
-            elements = [(j, i, row.tolist()) for j, i, _ in lay for row in f.block_basis(j, i, w)]
+            elements = [(j, i, row.tolist()) for j, i, _ in lay for row in f.res.form_basis(j, i, w)]
             elements = elements[::-1]  # not in slice order
             got = f.basis_vectors(n, w, elements)
             assert got.dtype == np.int64 and got.shape == (len(elements), total)
             for vec, (j, i, row) in zip(got, elements):
                 assert np.array_equal(vec, reference_derham.basis_vector(f, n, w, j, i, row))
     j, i, _ = f.layout(0, 4)[0][-1]
-    row = f.block_basis(j, i, 4)[0].tolist()
+    row = f.res.form_basis(j, i, 4)[0].tolist()
     for bad in ((j, i, [*row[:-1], row[-1] + 7]), (j + 9, i + 9, row), (j, i, row + [0])):
         with pytest.raises(KeyError, match="is not in block"):
             f.basis_vectors(0, 4, [(j, i, row), bad])
@@ -456,7 +457,7 @@ def test_frobenius_splitting_dimension_audit():
     # over F_p with B = F_p over F_p[x]: per weight, the sum over columns of
     # graded-piece homology dimensions equals the dimension of H_j(LOmega)
     f = build_derham(pres_x(F2), hodge_cut=4, window=(0, 1), weight_bound=3)
-    reports = [graded_piece_report(f, level) for level in range(4)]
+    reports = [reference_derham.graded_piece_report(f, level) for level in range(4)]
     for j in (0, 1):
         for w in range(4):
             total = len(slice_homology(f.total, j, w))
@@ -569,8 +570,12 @@ def _double_complex_blocks(f) -> list[tuple[str, int, int, int]]:
     (vertical)."""
     terms = {(j, i, w) for w in range(f.weight_bound + 1)
              for n in range(f._n_min(f.hodge_cut), f.window[1] + 2) for j, i, _ in f.layout(n, w)[0]}
-    return ([("horizontal_matrix", j, i, w) for j, i, w in terms if (j - 1, i, w) in terms]
-            + [("vertical_matrix", j, i, w) for j, i, w in terms if (j, i + 1, w) in terms])
+    return ([("face_sum", j, i, w) for j, i, w in terms if (j - 1, i, w) in terms]
+            + [("exterior_derivative", j, i, w) for j, i, w in terms if (j, i + 1, w) in terms])
+
+
+_DENSE_BLOCKS = {"face_sum": reference_derham.horizontal_matrix,
+                 "exterior_derivative": reference_derham.vertical_matrix}
 
 
 @pytest.mark.parametrize("ring", [F2, F3, Z4, ModRing(3, 2)], ids=str)
@@ -586,8 +591,8 @@ def test_derham_triples_equal_the_dense_reference(ring, f_coeffs):
             reference_cotangent.assert_diffs_equal(cx, dims, diffs, range(cx.n_min - 1, cx.n_max + 2),
                                                    range(wb + 2))
         for name, j, i, w in _double_complex_blocks(f):
-            want = getattr(reference_derham, name)(f, j, i, w)
-            coo = getattr(f, name)(j, i, w)
+            want = _DENSE_BLOCKS[name](f, j, i, w)
+            coo = getattr(f.res, name)(j, i, w)
             got = mzeros(*want.shape)
             got[coo.rows, coo.cols] = coo.vals
             assert np.array_equal(got, want), (name, j, i, w)
@@ -612,6 +617,26 @@ def test_build_derham_weight_bound_10_holds_one_copy_of_each_basis_and_map():
     # rows, and each block map once, in the total complex
     run = traced_peak(lambda: build_derham(pres_x(F2), hodge_cut=11, window=(0, 2), weight_bound=10))
     assert run.held < 16 * 2**20, f"held {run.held / 2**20:.1f} MiB"
+
+
+def test_drpd_modp_build_makes_each_form_basis_once(monkeypatch):
+    # drpd-modp's build at weight bound 4: the certificate of the resolution
+    # and the de Rham blocks read one basis of each slice of forms
+    honest = polyalg.graded_slice_basis
+    calls = collections.Counter()
+
+    def counting(algebra, form_degree, weight, **kwargs):
+        calls[(algebra.nvars - 1, form_degree, weight)] += 1
+        return honest(algebra, form_degree, weight, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("derhamkit") and getattr(module, "graded_slice_basis", None) is honest:
+            monkeypatch.setattr(module, "graded_slice_basis", counting)
+    for p in (2, 3):
+        calls.clear()
+        build_derham(pres_x(ModRing(p, 1)), hodge_cut=5, window=(0, 2), weight_bound=4)
+        assert {i for _, i, _ in calls} == set(range(5))
+        assert [key for key, count in calls.items() if count > 1] == [], p
 
 
 def test_drpd_modp_failure_names_its_slice(monkeypatch):
@@ -639,16 +664,16 @@ Z9 = ModRing(3, 2)
 
 
 @pytest.mark.parametrize("f_coeffs", [(0, 1), (0, 0, 1)], ids=["x", "x^2"])
-def test_block_basis_is_the_nondegenerate_part_of_the_full_block(f_coeffs):
+def test_form_basis_is_the_nondegenerate_part_of_the_full_block(f_coeffs):
     pres = AlgebraPresentation(F2, "quotient", "x", f_coeffs)
     f = build_derham(pres, hodge_cut=7, window=(0, 1), weight_bound=6)
     ref = reference_derham.build_unnormalized(pres, hodge_cut=7, window=(0, 1), weight_bound=6)
     for j in range(f.res.d_max + 1):
         for i in range(j + 1):
             for w in range(7):
-                full = reference_polyalg.form_entries(ref.block_basis(j, i, w), i)
+                full = reference_polyalg.form_entries(ref.res.form_basis(j, i, w), i)
                 want = [b for b in full if not reference_cotangent.is_degenerate(*b)]
-                got = f.block_basis(j, i, w)
+                got = f.res.form_basis(j, i, w)
                 assert got.shape == (len(want), i + j + 1), (j, i, w)
                 assert reference_polyalg.form_entries(got, i) == want, (j, i, w)
                 assert (len(want) > 0) == (j * pres.degree <= w)
@@ -679,29 +704,36 @@ def test_hodge_quotients_have_the_slice_homology_of_the_unnormalized_reference(r
 
 
 def test_a_kept_degenerate_form_or_a_dropped_nondegenerate_one_is_caught(monkeypatch):
-    from derhamkit.derham import FilteredDeRhamComplex
+    from derhamkit.cotangent import FreeSimplicialResolution
 
     pres = pres_x(F3)
     ref = reference_derham.build_unnormalized(pres, hodge_cut=5, window=(0, 1), weight_bound=4)
-    honest = FilteredDeRhamComplex.block_basis
+    honest = FreeSimplicialResolution.form_basis
 
     def patched(change):
-        def block_basis(self, j, i, w):
+        def form_basis(self, j, i, w):
             return change(j, i, w, honest(self, j, i, w))
-        monkeypatch.setattr(FilteredDeRhamComplex, "block_basis", block_basis)
+        monkeypatch.setattr(FreeSimplicialResolution, "form_basis", form_basis)
         return build_derham(pres, hodge_cut=5, window=(0, 1), weight_bound=4)
 
     assert _hodge_mismatches(patched(lambda j, i, w, b: b), ref, range(5)) == []
-    every_level = [(level, 1, 2) for level in range(1, 6)]
-    # x^2 in Q_1 is degenerate: kept, it is a degree-1 cycle nothing bounds
-    kept = patched(lambda j, i, w, b: np.vstack([b, [(2, 0)]]) if (j, i, w) == (1, 0, 2) else b)
-    assert _hodge_mismatches(kept, ref, range(5)) == every_level
-    # t_1 t_2 in Q_2 sits in the top degree; dropped, it bounds nothing
-    dropped = patched(lambda j, i, w, b: reference_polyalg.drop_row(b, (0, 1, 1)))
-    assert _hodge_mismatches(dropped, ref, range(5)) == every_level
-    # x t_1 in Q_1 is a face image of t_1 t_2: dropped, the image is lost
+    # x dt_1 in Omega^1(Q_2) is degenerate (no t_2): kept, degree 1 gains
+    # homology at weight 2 in every quotient that has its column
+    kept = patched(lambda j, i, w, b: np.vstack([b, [(1, 1, 0, 0)]]) if (j, i, w) == (2, 1, 2) else b)
+    assert _hodge_mismatches(kept, ref, range(5)) == [(level, 1, 2) for level in range(2, 6)]
+    # dt_1 ^ dt_2 in Omega^2(Q_2) is the degree-0 form of gamma_2(t);
+    # dropped, H_0 at weight 2 changes in every quotient that has its column
+    dropped = patched(lambda j, i, w, b: reference_polyalg.drop_row(b, (1, 2, 0, 0, 0)))
+    assert _hodge_mismatches(dropped, ref, range(5)) == [(level, 0, 2) for level in range(3, 6)]
+    # x t_2 dt_1 in Omega^1(Q_2) is a face image: dropped, the image is lost
     with pytest.raises(AssertionError, match="nondegenerate image"):
-        patched(lambda j, i, w, b: reference_polyalg.drop_row(b, (1, 1)))
+        patched(lambda j, i, w, b: reference_polyalg.drop_row(b, (1, 1, 0, 1)))
+    # the 0-forms are also the slices of the resolution's chain complex, so
+    # there its certificate fails first: x^2 in Q_1 kept, t_1 t_2 in Q_2 dropped
+    with pytest.raises(ValueError, match="acyclicity certificate"):
+        patched(lambda j, i, w, b: np.vstack([b, [(2, 0)]]) if (j, i, w) == (1, 0, 2) else b)
+    with pytest.raises(ValueError, match="acyclicity certificate"):
+        patched(lambda j, i, w, b: reference_polyalg.drop_row(b, (0, 1, 1)))
 
 
 def test_h0_product_raises_on_a_nondegenerate_term_outside_the_basis(monkeypatch):

@@ -291,6 +291,20 @@ def test_quotient_invariants_equal_the_reference_pipeline(ring):
         assert quotient_invariants(c, b, ring) == reference_quotient_invariants(c, b, ring)
 
 
+@pytest.mark.parametrize("ring", [ModRing(p, a) for p in (2, 3, 5) for a in range(1, 5) if p ** a < 2 ** 31],
+                         ids=str)
+def test_cokernel_invariants_read_off_local_smith(ring):
+    # the module R^g / span(relations): the factors of the relation matrix
+    # itself, less the units, are those of (np.eye(g), relations), in order
+    rng = np.random.default_rng(ring.modulus)
+    for _ in range(200):
+        g = int(rng.integers(1, 6))
+        rel = rng.integers(0, ring.modulus, size=(int(rng.integers(0, 7)), g))
+        rel = rel * ring.p ** rng.integers(0, ring.n + 1, size=(len(rel), 1)) % ring.modulus
+        want = quotient_invariants(np.eye(g, dtype=np.int64), rel, ring)
+        assert [c for c in local_smith(rel, ring)[0] if c > 1] == want
+
+
 def test_v_int_examples():
     assert v_int(3, 3) == 1
     assert v_int(24, 2) == 3

@@ -47,7 +47,6 @@ NEVER_ENTERED = {
     "exactlin.express_in_basis": _FALLBACK,
     "exactlin.minimal_generators": _FALLBACK,
     "exactlin.smith_normal_form": _TRACED,
-    "exactlin._int_matrix": _TRACED + " (the input conversion of smith_normal_form)",
     "exactlin.solve_in_span": _TRACED,
     "simplex.SimplicialModule.validate": _TRACED + "; " + _SAFETY,
     "simplex.BisimplicialModule.validate": _SAFETY,
@@ -68,7 +67,6 @@ NEVER_ENTERED = {
     "witt.WittVector.ghost": "test oracle: the ghost components of one Witt vector",
     "witt.QuotientRing.neg": "test oracle: negation in the tuple arithmetic",
     "cotangent.AlgebraPresentation.fprime_coeffs": "planned: the hypersurface shape, for the absolute de Rham complex",
-    "derham.graded_piece_report": "planned: the graded pieces of the Hodge filtration, to become a suite",
 }
 
 # Runs the code of argv[2] under sys.setprofile and prints, as its last

@@ -1,10 +1,11 @@
-"""Univariate polynomial helpers: products and remainders over Z/p^n and Z."""
+"""Univariate polynomial helpers: products, remainders and multiplication
+matrices over Z/p^n and Z."""
 
 import random
 
 import pytest
 
-from derhamkit.upoly import mul, rem, trim
+from derhamkit.upoly import mul, multiplication_rows, rem, trim
 
 
 def _add(a, b):
@@ -53,6 +54,21 @@ def test_rem_zero_pads_short_input():
     assert rem([3], [1, 0, 0, 1], 4) == [3, 0, 0]
     assert rem([], [5, 1], 7) == [0]
     assert rem([-1, 2], [0, 0, 0, 1]) == [-1, 2, 0]
+
+
+@pytest.mark.parametrize("m", [4, 9, 25])
+def test_multiplication_rows_multiply_in_the_quotient(m):
+    # h g mod f is the coefficient row of h mod f times the matrix
+    rng = random.Random(m)
+    for _ in range(100):
+        d = rng.randint(1, 4)
+        f = [rng.randrange(m) for _ in range(d)] + [1]
+        g = [rng.randrange(m) for _ in range(rng.randint(1, 6))]
+        h = [rng.randrange(m) for _ in range(d)]
+        rows = multiplication_rows(g, f, m)
+        assert len(rows) == d and all(len(row) == d for row in rows)
+        product = [sum(c * row[k] for c, row in zip(h, rows)) % m for k in range(d)]
+        assert product == rem(mul(h, g, m), f, m)
 
 
 def test_trim():
