@@ -16,9 +16,9 @@ The face rule of the resolution is written once, as the target array of
 ``FreeSimplicialResolution.face_targets``: monomials (``face_exponents``),
 the wedge indices of forms and the slots of the cotangent complex all read
 their faces off it.  The resolution owns its forms relative to k[x]: the
-nondegenerate bases (``form_basis``), the alternating face sum
-(``face_sum``) and the exterior derivative (``exterior_derivative``).  Its
-chain complex is the 0-form column, and the de Rham blocks are all of them.
+nondegenerate bases (``form_basis``), the face sums (``face_sums``) and
+the exterior derivatives (``exterior_derivatives``), one pass per call.
+Its chain complex is the 0-form column, the de Rham blocks all of them.
 
 The infinitely generated canonical resolution is never materialized; every
 computation routes through these finite resolutions.
@@ -42,6 +42,7 @@ from .exactlin import (
     ModRing,
     SparseMatrix,
     as_sparse,
+    canonical,
     local_smith,
 )
 from .polyalg import PolyAlgebra, graded_slice_basis, row_positions
@@ -124,33 +125,14 @@ class AlgebraPresentation(NamedTuple("AlgebraPresentation", [("ring", ModRing), 
 # the resolution
 
 
-def degenerate_rows(expts: np.ndarray, wedges: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the degenerate basis elements x^a t^b dt_I of Q_n, given as
-    exponent rows (x first, then t_1..t_n) and, for forms, rows of wedge
-    indices I: those in which some t_s, 1 <= s <= n, occurs neither in the
-    exponent nor under d.  These span the images of the degeneracies."""
+def degenerate_rows(expts: np.ndarray, wedges: np.ndarray) -> np.ndarray:
+    """Mask of the degenerate elements x^a t^b dt_I of Q_n, given as exponent
+    rows (x first, then t_1..t_n) and rows of wedge indices I (no columns
+    for 0-forms): those in which some t_s, 1 <= s <= n, occurs neither in
+    the exponent nor under d.  These span the images of the degeneracies."""
     missing = expts[:, 1:] == 0
-    if wedges is not None and wedges.size:
-        missing[np.arange(len(wedges))[:, None], wedges - 1] = False
+    missing[np.arange(len(wedges))[:, None], wedges - 1] = False
     return missing.any(axis=1)
-
-
-def nondegenerate_matrix(rows: list, images: list, vals: list, shape: tuple[int, int], table: np.ndarray,
-                         form_degree: int, m: int) -> SparseMatrix:
-    """The matrix of ``shape`` mod m from per-term source rows, image rows
-    and values: each image is located among the rows of the nondegenerate
-    basis ``table`` (the ``form_degree`` wedge indices, then the exponents)
-    and repeats are summed.  An image that is not found must be degenerate,
-    and is zero in C/D; a nondegenerate one raises, so that a missing basis
-    element cannot pass as the quotient."""
-    if not rows:
-        return SparseMatrix(shape=shape)
-    images = np.concatenate(images)
-    cols, found = row_positions(table, images)
-    lost = images[~found]
-    if not degenerate_rows(lost[:, form_degree:], lost[:, :form_degree]).all():
-        raise AssertionError("a nondegenerate image is missing from the target basis")
-    return as_sparse(SparseMatrix(np.concatenate(rows)[found], cols[found], np.concatenate(vals)[found], shape), m)
 
 
 class AcyclicityCertificate:
@@ -192,44 +174,39 @@ class FreeSimplicialResolution:
 
     @staticmethod
     @lru_cache(maxsize=None)
-    def face_targets(n: int, i: int) -> np.ndarray:
-        """The face rule d_i: Q_n -> Q_{n-1} on the variables x, t_1..t_n,
-        as int64 targets among x, t_1..t_{n-1}: x stays x (entry 0), t_s
-        goes to t_{s - (s > i)}, where target 0 means t_1 -> f, and t_n dies
-        under d_n (-1).  Monomials, wedge indices and cotangent slots all
-        read their faces off this one array, made once per (n, i) and
-        read-only, since every caller shares it."""
+    def face_targets(n: int) -> np.ndarray:
+        """The face rule of Q_n, row i for d_i: Q_n -> Q_{n-1}: the int64
+        targets of x, t_1..t_n among x, t_1..t_{n-1}.  x stays x, t_s goes to
+        t_{s - (s > i)}, where 0 means t_1 -> f, and t_n dies under d_n (-1).
+        Monomials, wedge indices and cotangent slots all read their faces
+        off this one array, made once per n and read-only."""
         s = np.arange(n + 1)
-        targets = s - (s > i)
-        if i == n:
-            targets[n] = -1
+        targets = s - (s > s[:, None])
+        targets[n, n] = -1
         targets.flags.writeable = False
         return targets
 
-    def face_exponents(self, n: int, i: int, expts: np.ndarray):
-        """Images of Q_n monomials (the rows of ``expts``) under face i,
-        each a single monomial because f = c x^d is: (mask of the rows that
-        survive, exponent rows in Q_{n-1}, coefficients), the last two
-        given for every row.  The exponents are ``expts`` times the move
-        matrix of ``face_targets``, with t_1 -> f moving to x^d; a variable
-        sent to 0 moves to a spare last column, and a row dies when that
-        column is nonzero.  The coefficient is c^k for t_1 -> f occurring k
-        times."""
+    def face_exponents(self, n: int, expts: np.ndarray):
+        """Images of the Q_n monomials ``expts`` under the faces i = 0..n,
+        each a single monomial because f = c x^d is: (mask of the survivors,
+        exponent rows in Q_{n-1}, coefficients), indexed by face, then row.
+        The exponents are ``expts`` times the move matrices of
+        ``face_targets``, with t_1 -> f moving to x^d; a variable sent to 0
+        moves to a spare last column, and a row dies when that column is
+        nonzero.  The coefficient is c^k for t_1 -> f occurring k times."""
         if not self.graded:
             raise ValueError("monomial face images need monomial f")
-        targets = self.face_targets(n, i)
-        # x, t_1..t_{n-1} of Q_{n-1}, then the spare column that target -1 indexes
-        move = np.zeros((n + 1, n + 1), dtype=np.int64)
-        move[np.arange(n + 1), targets] = 1
-        coeff = np.ones(len(expts), dtype=np.int64)
-        if targets[1] == 0:  # t_1 -> f = c x^d
-            move[1, 0] = self.pres.degree
-            c, m = self.pres.f_coeffs[-1], self.ring.modulus
-            if c != 1:
-                k = expts[:, 1]
-                coeff = np.array([pow(c, e, m) for e in range(int(k.max(initial=0)) + 1)], dtype=np.int64)[k]
+        targets = self.face_targets(n)
+        # x, t_1..t_{n-1} of Q_{n-1}, then the spare column n that target -1 indexes
+        move = (targets[:, :, None] % (n + 1) == np.arange(n + 1)).astype(np.int64)
+        to_f = targets[:, 1] == 0  # t_1 -> f = c x^d
+        move[to_f, 1, 0] = self.pres.degree
+        coeff = np.ones((n + 1, len(expts)), dtype=np.int64)
+        c, m, k = self.pres.f_coeffs[-1], self.ring.modulus, expts[:, 1]
+        if c != 1:
+            coeff[to_f] = np.array([pow(c, e, m) for e in range(int(k.max(initial=0)) + 1)], dtype=np.int64)[k]
         images = expts @ move
-        return images[:, n] == 0, images[:, :n], coeff
+        return images[:, :, n] == 0, images[:, :, :n], coeff
 
     # -- the forms of Q_n relative to k[x] (graded flavor)
 
@@ -251,48 +228,76 @@ class FreeSimplicialResolution:
             self._forms[key] = basis
         return self._forms[key]
 
-    def face_sum(self, n: int, i: int, w: int) -> SparseMatrix:
-        """The alternating face sum Omega^i(Q_n) -> Omega^i(Q_{n-1}) on the
-        weight-w slices of ``form_basis``.  The exponents move by
-        ``face_exponents`` and the wedge indices by ``face_targets``: dt_s
-        goes to dt_t for a target t > 0, and dies for t_1 -> f (df = 0
-        relative to k[x]) and for t_n -> 0, as does a form whose wedge
-        factors repeat."""
-        src = self.form_basis(n, i, w)
-        rows, images, vals = [], [], []
-        for k in range(n + 1):
-            targets = self.face_targets(n, k)
-            mapped = np.where(targets > 0, targets, -1)[src[:, :i]]
-            alive, e2, coeff = self.face_exponents(n, k, src[:, i:])
-            keep = alive & (mapped > 0).all(axis=1) & (np.diff(mapped, axis=1) > 0).all(axis=1)
-            rows.append(np.flatnonzero(keep))
-            images.append(np.hstack([mapped[keep], e2[keep]]))
-            vals.append(-coeff[keep] if k % 2 else coeff[keep])
-        tgt = self.form_basis(n - 1, i, w)
-        return nondegenerate_matrix(rows, images, vals, (len(src), len(tgt)), tgt, i, self.ring.modulus)
+    def face_sums(self, keys) -> dict:
+        """{(n, i, w): the alternating face sum Omega^i(Q_n) -> Omega^i(Q_{n-1})
+        on weight w} for the requested keys, in one pass (``_block_maps``).
+        dt_s goes to dt_t for a target t > 0 and dies for t_1 -> f (df = 0
+        relative to k[x]) and t_n -> 0, as do forms whose wedge factors repeat."""
+        def terms(n, i, src):  # every face of every row at once
+            targets = self.face_targets(n)
+            mapped = np.where(targets > 0, targets, -1)[:, src[:, :i]]
+            alive, e2, coeff = self.face_exponents(n, src[:, i:])
+            alive &= (mapped[..., :1] > 0).all(axis=2) & (mapped[..., 1:] > mapped[..., :-1]).all(axis=2)
+            face, rows = np.nonzero(alive)
+            coeff = coeff[face, rows]
+            return rows, np.concatenate([mapped[face, rows], e2[face, rows]], axis=1), np.where(face % 2, -coeff, coeff)
+        return self._block_maps(list(keys), -1, 0, terms)
 
-    def exterior_derivative(self, n: int, i: int, w: int) -> SparseMatrix:
-        """The exterior derivative Omega^i(Q_n) -> Omega^{i+1}(Q_n) relative
-        to k[x] on the weight-w slices of ``form_basis``."""
-        src = self.form_basis(n, i, w)
-        wdg, e = src[:, :i], src[:, i:]
-        rows, images, vals = [], [], []
-        for s in range(1, n + 1):
-            keep = np.flatnonzero((e[:, s] > 0) & ~(wdg == s).any(axis=1))
-            # d(t_s) moves past the wedge factors below s
-            sign = 1 - 2 * ((wdg[keep] < s).sum(axis=1) % 2)
-            e2 = e[keep]
-            e2[:, s] -= 1
-            wdg2 = np.sort(np.hstack([wdg[keep], np.full((len(keep), 1), s)]), axis=1)
-            rows.append(keep)
-            images.append(np.hstack([wdg2, e2]))
-            vals.append(sign * e[keep, s])
-        tgt = self.form_basis(n, i + 1, w)
-        return nondegenerate_matrix(rows, images, vals, (len(src), len(tgt)), tgt, i + 1, self.ring.modulus)
+    def exterior_derivatives(self, keys) -> dict:
+        """{(n, i, w): the exterior derivative Omega^i(Q_n) -> Omega^{i+1}(Q_n)
+        relative to k[x] on the weight-w slices of ``form_basis``} for the
+        requested keys, in one pass (``_block_maps``)."""
+        def terms(n, i, src):  # every d(t_s) of every row at once
+            wdg, e = src[:, :i], src[:, i:]
+            under = np.zeros((len(src), n + 1), dtype=bool)  # dt_s is a wedge factor
+            under[np.arange(len(src))[:, None], wdg] = True
+            rows, s = np.nonzero((e[:, 1:] > 0) & ~under[:, 1:])
+            s += 1
+            sign = 1 - 2 * (under.cumsum(axis=1)[rows, s] % 2)  # d(t_s) moves past the factors below s
+            e2 = e[rows]
+            e2[np.arange(len(rows)), s] -= 1
+            wdg2 = np.sort(np.concatenate([wdg[rows], s[:, None]], axis=1), axis=1)
+            return rows, np.concatenate([wdg2, e2], axis=1), sign * e[rows, s]
+        return self._block_maps(list(keys), 0, 1, terms)
+
+    def _block_maps(self, keys, dn: int, di: int, terms) -> dict:
+        """{(n, i, w): the map Omega^i(Q_n) -> Omega^{i+di}(Q_{n+dn}) on weight
+        w} from the (source row, image row, value) of each term that
+        ``terms(n, i, rows)`` gives.  Each column (n, i) runs all its weights
+        through ``terms`` and one ``row_positions`` call; an image not found
+        must be degenerate (zero in C/D), or a basis element is missing.  One
+        ``as_sparse`` call sums the whole call (``simplex.unnormalized_complex``)."""
+        shapes = [(len(self.form_basis(n, i, w)), len(self.form_basis(n + dn, i + di, w))) for n, i, w in keys]
+        nrows, ncols = np.array(shapes, dtype=np.int64).reshape(-1, 2).T
+        bases = (nrows * ncols).cumsum() - nrows * ncols
+        columns = {}
+        for b, (n, i, _) in enumerate(keys):
+            columns.setdefault((n, i), []).append(b)
+        # bases + row * ncols + col, less what the column's earlier blocks add to row and col
+        entry_at, entries, vals = bases.copy(), [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for (n, i), bs in columns.items():
+            entry_at[bs] -= (nrows[bs].cumsum() - nrows[bs]) * ncols[bs] + ncols[bs].cumsum() - ncols[bs]
+            rows, images, v = terms(n, i, np.concatenate([self.form_basis(n, i, keys[b][2]) for b in bs]))
+            cols, found = row_positions(np.concatenate([self.form_basis(n + dn, i + di, keys[b][2]) for b in bs]),
+                                        images)
+            lost = images[~found]
+            if not degenerate_rows(lost[:, i + di:], lost[:, :i + di]).all():
+                raise AssertionError("a nondegenerate image is missing from the target basis")
+            at = np.repeat(bs, nrows[bs])[rows[found]]
+            entries.append(entry_at[at] + rows[found] * ncols[at] + cols[found])
+            vals.append(v[found])
+        entries, vals = np.concatenate(entries), np.concatenate(vals)  # frees the lists before the sum
+        summed = as_sparse(SparseMatrix(np.zeros_like(entries), entries, vals, (1, int((nrows * ncols).sum()))),
+                           self.ring.modulus)
+        at = bases.searchsorted(summed.cols, side="right") - 1
+        rows, cols = np.divmod(summed.cols - bases[at], ncols[at])
+        cuts = summed.cols.searchsorted(bases).tolist() + [summed.vals.size]
+        return {key: canonical(rows[lo:hi], cols[lo:hi], summed.vals[lo:hi], shape, self.ring.modulus)
+                for key, shape, lo, hi in zip(keys, shapes, cuts, cuts[1:])}
 
     def chain_complex(self, weight_bound: int | None = None) -> GradedSliceComplex:
         """N(Q_.) = C(Q_.)/D per weight slice: the 0-forms of ``form_basis``
-        with ``face_sum``; graded flavor only (slices are exact).
+        with ``face_sums``; graded flavor only (slices are exact).
 
         The degenerate monomials D span an acyclic subcomplex, so the
         quotient has the homology of C(Q_.) (Dold-Kan normalization)."""
@@ -300,7 +305,6 @@ class FreeSimplicialResolution:
             raise ValueError("slice chain complex needs the weight-graded flavor")
         wb = self.weight_bound if weight_bound is None else weight_bound
         dims = {}
-        diffs = {}
         for w in range(wb + 1):
             # nondegenerate slices vanish above simplicial degree w / deg f
             for n in range(self.d_max + 1):
@@ -308,8 +312,7 @@ class FreeSimplicialResolution:
                 if not size:
                     break
                 dims[(n, w)] = size
-                if n:
-                    diffs[(n, w)] = self.face_sum(n, 0, w)
+        diffs = {(n, w): d for (n, _, w), d in self.face_sums((n, 0, w) for n, w in dims if n).items()}
         cx = GradedSliceComplex(self.ring, 0, self.d_max, dims, diffs,
                                 trusted=(0, self.d_max - 1))
         cx.validate()
@@ -354,7 +357,7 @@ class FreeSimplicialResolution:
         = x^e dt_s of each level, e < deg f (s = 0 is dx).
 
         Face i sends slot (e, s) to (e, t) for its target t =
-        ``face_targets(n, i)[s]`` >= 1 and kills it for t = -1.  Relative to
+        ``face_targets(n)[i, s]`` >= 1 and kills it for t = -1.  Relative to
         k[x] (graded flavor) d(f) = 0, so target 0 dies too; the slots
         s >= 1 of one e make the slice of weight e + deg f, and every such
         slice has the same differential.  Relative to k (hypersurface
@@ -380,18 +383,13 @@ class FreeSimplicialResolution:
             if n == 0:
                 continue
             s = np.arange(lo, n + 1)
-            rows, cols, vals = [], [], []
-            for i in range(n + 1):
-                t = self.face_targets(n, i)[s]
-                sign = -1 if i % 2 else 1
-                same = (t > 0) | (s == 0)  # dt_s -> dt_t and dx -> dx, x^e kept
-                rows.append((((s[same] - lo) * width)[:, None] + e).ravel())
-                cols.append((((t[same] - lo) * width)[:, None] + e).ravel())
-                vals.append(np.full(rows[-1].size, sign))
-                if not base and t[1] == 0:  # t_1 -> f: dt_1 -> f'(x) dx
-                    rows.append(np.repeat(width + e, d))
-                    cols.append(np.tile(e, d))
-                    vals.append(sign * df.ravel())
+            t = self.face_targets(n)[:, s]  # every face at once
+            face, k = np.nonzero((t > 0) | (s == 0))  # dt_s -> dt_t and dx -> dx, x^e kept
+            rows = [(((s[k] - lo) * width)[:, None] + e).ravel()]
+            cols = [(((t[face, k] - lo) * width)[:, None] + e).ravel()]
+            vals = [np.repeat(1 - 2 * (face % 2), width)]
+            if not base:  # face 0 sends t_1 -> f: dt_1 -> f'(x) dx
+                rows, cols, vals = rows + [np.repeat(width + e, d)], cols + [np.tile(e, d)], vals + [df.ravel()]
             face_sum = SparseMatrix(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
                                     ((n + 1 - lo) * width, (n - lo) * width))
             diffs.update({(n, w): face_sum for w in weights})

@@ -18,8 +18,8 @@ to Homological Algebra, 8.3.7-8.3.8), and a weight-w slice has no blocks
 above simplicial degree w / deg f.
 
 The resolution owns the forms: each block basis is its ``form_basis``,
-held once, and each block map its ``face_sum`` or ``exterior_derivative``,
-which ``_assemble`` lays into the total complex, the only copy kept.
+held once, and the block maps come from one ``face_sums`` and one
+``exterior_derivatives`` call; ``_assemble`` keeps them in the total complex.
 
 The Hodge-completed object is only ever handled as the family of its
 finite levels, never as an inverse limit.  Each basis
@@ -136,8 +136,10 @@ class FilteredDeRhamComplex:
         terms = {(j, -i, w): len(res.form_basis(j, i, w))
                  for w in range(self.weight_bound + 1) for n in range(n_min, n_max + 1)
                  for (j, i, _) in self.layout(n, w, cut)[0]}
-        horiz = {(j, q, w): res.face_sum(j, -q, w) for (j, q, w) in terms if (j - 1, q, w) in terms}
-        vert = {(j, q, w): res.exterior_derivative(j, -q, w) for (j, q, w) in terms if (j, q - 1, w) in terms}
+        horiz = {(j, -i, w): d for (j, i, w), d in
+                 res.face_sums((j, -q, w) for (j, q, w) in terms if (j - 1, q, w) in terms).items()}
+        vert = {(j, -i, w): d for (j, i, w), d in
+                res.exterior_derivatives((j, -q, w) for (j, q, w) in terms if (j, q - 1, w) in terms).items()}
         cx = total_complex(DoubleComplex(self.ring, terms, horiz, vert))
         cx.n_min, cx.n_max, cx.trusted = n_min, n_max, self.window
         for (n, w), size in cx.dims.items():

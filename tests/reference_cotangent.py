@@ -24,6 +24,13 @@ indices of forms, and a slot-by-slot image for the cotangent complex, whose
 dense face matrices were summed with alternating signs and cut into weight
 slices.
 
+``face_sum`` and ``exterior_derivative`` are the block maps as the
+resolution made them before ``face_sums`` and ``exterior_derivatives``
+made every requested block in one pass: one block per call, a loop over
+the faces (with the per-face ``face_exponents`` above) or over the d t_s,
+and a ``row_positions`` lookup in that block's target basis
+(``nondegenerate_matrix``).
+
 ``poly_to_string`` prints constant-first coefficients as the polynomial
 strings ``cotangent.parse_poly_string`` reads, as the presentations'
 JSON form did.
@@ -34,8 +41,9 @@ from __future__ import annotations
 import numpy as np
 
 from derhamkit.complexes import GradedSliceComplex
-from derhamkit.cotangent import FreeSimplicialResolution
-from derhamkit.exactlin import mzeros
+from derhamkit.cotangent import FreeSimplicialResolution, degenerate_rows
+from derhamkit.exactlin import SparseMatrix, as_sparse, mzeros
+from derhamkit.polyalg import row_positions
 from derhamkit.upoly import rem
 
 from reference_polyalg import Poly, face, form_rows, graded_slice_basis
@@ -112,6 +120,62 @@ def face_exponents(res: FreeSimplicialResolution, n: int, i: int, expts: np.ndar
             powers = np.array([pow(c, e, m) for e in range(int(k.max(initial=0)) + 1)], dtype=np.int64)
             coeff = coeff * powers[k] % m
     return ~(expts[:, dead] > 0).any(axis=1), expts @ move, coeff
+
+
+def nondegenerate_matrix(rows: list, images: list, vals: list, shape: tuple[int, int], table: np.ndarray,
+                         form_degree: int, m: int) -> SparseMatrix:
+    """The matrix of ``shape`` mod m from per-term source rows, image rows
+    and values: each image is located among the rows of the nondegenerate
+    basis ``table`` (the ``form_degree`` wedge indices, then the exponents)
+    and repeats are summed.  An image that is not found must be degenerate,
+    and is zero in C/D; a nondegenerate one raises, so that a missing basis
+    element cannot pass as the quotient."""
+    if not rows:
+        return SparseMatrix(shape=shape)
+    images = np.concatenate(images)
+    cols, found = row_positions(table, images)
+    lost = images[~found]
+    if not degenerate_rows(lost[:, form_degree:], lost[:, :form_degree]).all():
+        raise AssertionError("a nondegenerate image is missing from the target basis")
+    return as_sparse(SparseMatrix(np.concatenate(rows)[found], cols[found], np.concatenate(vals)[found], shape), m)
+
+
+def face_sum(res: FreeSimplicialResolution, n: int, i: int, w: int) -> SparseMatrix:
+    """The alternating face sum Omega^i(Q_n) -> Omega^i(Q_{n-1}) on the
+    weight-w slices of ``form_basis``, one face at a time: the exponents
+    move by ``face_exponents`` and the wedge indices by ``face_targets``."""
+    src = res.form_basis(n, i, w)
+    rows, images, vals = [], [], []
+    for k in range(n + 1):
+        targets = res.face_targets(n)[k]
+        mapped = np.where(targets > 0, targets, -1)[src[:, :i]]
+        alive, e2, coeff = face_exponents(res, n, k, src[:, i:])
+        keep = alive & (mapped > 0).all(axis=1) & (np.diff(mapped, axis=1) > 0).all(axis=1)
+        rows.append(np.flatnonzero(keep))
+        images.append(np.hstack([mapped[keep], e2[keep]]))
+        vals.append(-coeff[keep] if k % 2 else coeff[keep])
+    tgt = res.form_basis(n - 1, i, w)
+    return nondegenerate_matrix(rows, images, vals, (len(src), len(tgt)), tgt, i, res.ring.modulus)
+
+
+def exterior_derivative(res: FreeSimplicialResolution, n: int, i: int, w: int) -> SparseMatrix:
+    """The exterior derivative Omega^i(Q_n) -> Omega^{i+1}(Q_n) relative to
+    k[x] on the weight-w slices of ``form_basis``, one d t_s at a time."""
+    src = res.form_basis(n, i, w)
+    wdg, e = src[:, :i], src[:, i:]
+    rows, images, vals = [], [], []
+    for s in range(1, n + 1):
+        keep = np.flatnonzero((e[:, s] > 0) & ~(wdg == s).any(axis=1))
+        # d(t_s) moves past the wedge factors below s
+        sign = 1 - 2 * ((wdg[keep] < s).sum(axis=1) % 2)
+        e2 = e[keep]
+        e2[:, s] -= 1
+        wdg2 = np.sort(np.hstack([wdg[keep], np.full((len(keep), 1), s)]), axis=1)
+        rows.append(keep)
+        images.append(np.hstack([wdg2, e2]))
+        vals.append(sign * e[keep, s])
+    tgt = res.form_basis(n, i + 1, w)
+    return nondegenerate_matrix(rows, images, vals, (len(src), len(tgt)), tgt, i + 1, res.ring.modulus)
 
 
 def face_monomial(res: FreeSimplicialResolution, n: int, i: int, expts: tuple[int, ...]):

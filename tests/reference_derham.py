@@ -237,15 +237,13 @@ def column_complex(f: FilteredDeRhamComplex, level: int) -> GradedSliceComplex:
     sum."""
     res = f.res
     dims = {}
-    diffs = {}
     for w in range(f.weight_bound + 1):
         for j in range(level, res.d_max + 1):
             b = len(res.form_basis(j, level, w))
             if b:
                 dims[(j - level, w)] = b
-        for j in range(level + 1, res.d_max + 1):
-            if dims.get((j - level, w)) and dims.get((j - level - 1, w)):
-                diffs[(j - level, w)] = res.face_sum(j, level, w)
+    sums = res.face_sums((n + level, level, w) for n, w in dims if (n - 1, w) in dims)
+    diffs = {(j - level, w): d for (j, _, w), d in sums.items()}
     column = GradedSliceComplex(f.ring, 0, res.d_max - level, dims, diffs,
                                 trusted=(0, res.d_max - level - 1))
     column.validate()

@@ -1,5 +1,6 @@
 """Resolutions, Kaehler presentations and cotangent homology."""
 
+import collections
 import random
 
 import numpy as np
@@ -17,6 +18,7 @@ from derhamkit.cotangent import (
     parse_poly_string,
     shortcut_conormal_complex,
 )
+from derhamkit.derham import build_derham
 from derhamkit.polyalg import graded_slice_basis
 from derhamkit.upoly import rem
 
@@ -334,6 +336,28 @@ def test_a_kept_degenerate_monomial_or_a_dropped_nondegenerate_one_is_caught(mon
         patched(lambda n, w, b: reference_polyalg.drop_row(b, [1, 1]))
 
 
+def test_a_nondegenerate_image_dropped_below_the_deeper_blocks_of_its_call_is_caught(monkeypatch):
+    # each call below also makes blocks of Q_2..Q_4, with wider rows than
+    # the dropped one: it must still be read on its own level's width, where
+    # it has every t_s, and not as a row missing the deeper t_s
+    honest = FreeSimplicialResolution.form_basis
+    dropped = {(1, 0, 2): [1, 1], (1, 1, 2): [1, 0, 1]}  # x t_1 and t_1 dt_1
+
+    def form_basis(self, n, i, w):
+        basis = honest(self, n, i, w)
+        return reference_polyalg.drop_row(basis, dropped[(n, i, w)]) if (n, i, w) in dropped else basis
+
+    monkeypatch.setattr(FreeSimplicialResolution, "form_basis", form_basis)
+    res = FreeSimplicialResolution(AlgebraPresentation(F3, "quotient", "x", (0, 1)), 5, 4)
+    deeper = [(n, i, w) for n in range(2, 5) for i in range(n) for w in (3, 4)]
+    assert res.face_sums(deeper) and res.exterior_derivatives(deeper)
+    # x t_1 is the face d_0 of t_1 t_2, and t_1 dt_1 is d(t_1^2) / 2
+    with pytest.raises(AssertionError, match="nondegenerate image"):
+        res.face_sums([(2, 0, 2)] + deeper)
+    with pytest.raises(AssertionError, match="nondegenerate image"):
+        res.exterior_derivatives([(1, 0, 2)] + deeper)
+
+
 def _face_rule_presentations():
     """f = x, 3x^2 and x^3 over F_2, F_3, Z/4 and Z/9, where 3 is a unit."""
     return [AlgebraPresentation(ring, "quotient", "x", f) for ring in (F2, F3, Z4, Z9)
@@ -346,32 +370,61 @@ def test_face_exponents_equal_the_variable_table_reference(pres):
     for n in range(1, 7):
         for w in range(7):
             expts = res.algebra(n).monomials_of_weight(w)
+            got = res.face_exponents(n, expts)
+            assert [len(a) for a in got] == [n + 1] * 3
             for i in range(n + 1):
-                got = res.face_exponents(n, i, expts)
                 want = reference_cotangent.face_exponents(res, n, i, expts)
                 for a, b in zip(got, want):
-                    assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), (n, w, i)
+                    assert a[i].dtype == b.dtype and a[i].shape == b.shape and np.array_equal(a[i], b), (n, w, i)
+
+
+_PER_BLOCK = {"face_sums": reference_cotangent.face_sum,
+              "exterior_derivatives": reference_cotangent.exterior_derivative}
+
+
+@pytest.mark.parametrize("pres", _face_rule_presentations(), ids=lambda p: f"{p.ring}-{p.f_coeffs}")
+def test_every_block_map_of_every_build_equals_the_per_block_reference(pres, monkeypatch):
+    # the maps each one-pass call of the builds at weight bounds 0..6 makes,
+    # the certificate's chain complexes included, block by block
+    made = []
+    for name in _PER_BLOCK:
+        def recording(self, keys, honest=getattr(FreeSimplicialResolution, name), name=name):
+            out = honest(self, keys)
+            made.append((name, self, out))
+            return out
+        monkeypatch.setattr(FreeSimplicialResolution, name, recording)
+    for wb in range(7):
+        build_derham(pres, hodge_cut=wb + 1, window=(0, 1), weight_bound=wb)
+    compared = collections.Counter()
+    for name, res, blocks in made:
+        for (n, i, w), got in blocks.items():
+            want = _PER_BLOCK[name](res, n, i, w)
+            assert got.shape == want.shape and got == want, (name, n, i, w)
+            assert all(a.dtype == np.int64 for a in got[:3]), (name, n, i, w)
+            compared[name] += got.vals.size > 0
+    assert compared["face_sums"] and compared["exterior_derivatives"], compared
 
 
 def test_non_monomial_f_has_no_monomial_faces():
     res = FreeSimplicialResolution(AlgebraPresentation(F2, "hypersurface", "x", (1, 1, 1)), 2, 2)
     with pytest.raises(ValueError, match="monomial f"):
-        res.face_exponents(1, 0, np.zeros((1, 2), dtype=np.int64))
+        res.face_exponents(1, np.zeros((1, 2), dtype=np.int64))
 
 
 def test_wedge_images_of_the_face_targets_equal_the_reference():
     for n in range(1, 9):
+        assert FreeSimplicialResolution.face_targets(n).shape == (n + 1, n + 1)
         for i in range(n + 1):
-            targets = FreeSimplicialResolution.face_targets(n, i)
+            targets = FreeSimplicialResolution.face_targets(n)[i]
             assert targets.dtype == np.int64
             assert np.array_equal(np.where(targets > 0, targets, -1), reference_cotangent.wedge_face(n, i)), (n, i)
 
 
-def test_face_targets_are_made_once_per_face_and_read_only():
+def test_face_targets_are_made_once_per_level_and_read_only():
     targets = FreeSimplicialResolution.face_targets
-    assert targets(4, 2) is targets(4, 2) and targets(4, 2) is not targets(4, 3)
+    assert targets(4) is targets(4) and targets(4) is not targets(5)
     with pytest.raises(ValueError, match="read-only"):
-        targets(4, 2)[0] = 1
+        targets(4)[2, 0] = 1
 
 
 def test_face_targets_satisfy_the_simplicial_identities():
@@ -383,8 +436,8 @@ def test_face_targets_satisfy_the_simplicial_identities():
     for n in range(2, 7):
         for j in range(n + 1):
             for i in range(j):
-                lhs = then(targets(n, j), targets(n - 1, i))
-                rhs = then(targets(n, i), targets(n - 1, j - 1))
+                lhs = then(targets(n)[j], targets(n - 1)[i])
+                rhs = then(targets(n)[i], targets(n - 1)[j - 1])
                 assert np.array_equal(lhs, rhs), (n, i, j)
 
 

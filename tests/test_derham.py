@@ -2,7 +2,9 @@
 divided-power envelope comparisons, and the shuffle ring structure."""
 
 import collections
+import hashlib
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -570,12 +572,12 @@ def _double_complex_blocks(f) -> list[tuple[str, int, int, int]]:
     (vertical)."""
     terms = {(j, i, w) for w in range(f.weight_bound + 1)
              for n in range(f._n_min(f.hodge_cut), f.window[1] + 2) for j, i, _ in f.layout(n, w)[0]}
-    return ([("face_sum", j, i, w) for j, i, w in terms if (j - 1, i, w) in terms]
-            + [("exterior_derivative", j, i, w) for j, i, w in terms if (j, i + 1, w) in terms])
+    return ([("face_sums", j, i, w) for j, i, w in terms if (j - 1, i, w) in terms]
+            + [("exterior_derivatives", j, i, w) for j, i, w in terms if (j, i + 1, w) in terms])
 
 
-_DENSE_BLOCKS = {"face_sum": reference_derham.horizontal_matrix,
-                 "exterior_derivative": reference_derham.vertical_matrix}
+_DENSE_BLOCKS = {"face_sums": reference_derham.horizontal_matrix,
+                 "exterior_derivatives": reference_derham.vertical_matrix}
 
 
 @pytest.mark.parametrize("ring", [F2, F3, Z4, ModRing(3, 2)], ids=str)
@@ -590,15 +592,63 @@ def test_derham_triples_equal_the_dense_reference(ring, f_coeffs):
             dims, diffs = reference_derham.assemble(f, level)
             reference_cotangent.assert_diffs_equal(cx, dims, diffs, range(cx.n_min - 1, cx.n_max + 2),
                                                    range(wb + 2))
-        for name, j, i, w in _double_complex_blocks(f):
+        blocks = _double_complex_blocks(f)
+        made = {name: getattr(f.res, name)([(j, i, w) for kind, j, i, w in blocks if kind == name])
+                for name in _DENSE_BLOCKS}
+        for name, j, i, w in blocks:
             want = _DENSE_BLOCKS[name](f, j, i, w)
-            coo = getattr(f.res, name)(j, i, w)
+            coo = made[name][(j, i, w)]
             got = mzeros(*want.shape)
             got[coo.rows, coo.cols] = coo.vals
             assert np.array_equal(got, want), (name, j, i, w)
             compared += 1
     # every block map of the builds at weight bounds 0..5, each compared once
     assert compared == {1: 110, 2: 32, 3: 12}[len(f_coeffs) - 1]
+
+
+def _total_digest(pres) -> str:
+    """SHA-256 of the total complexes of the builds at weight bounds 0..5
+    (Hodge cut one past the bound, window (0, 1)): degrees, trusted window
+    and dims, then the triples of every differential and the Hodge column
+    of every basis element, slice by slice."""
+    digest = hashlib.sha256()
+    for wb in range(6):
+        cx = build_derham(pres, hodge_cut=wb + 1, window=(0, 1), weight_bound=wb).total
+        digest.update(repr((wb, cx.n_min, cx.n_max, cx.trusted, sorted(cx.dims.items()))).encode())
+        for key, d in sorted(cx.diffs.items()):
+            digest.update(repr((key, d.shape)).encode())
+            for part in d[:3]:
+                digest.update(np.asarray(part, dtype=np.int64).tobytes())
+        for key, columns in sorted(cx.columns.items()):
+            digest.update(repr(key).encode())
+            digest.update(np.asarray(columns, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+# pinned before the block maps were made in one pass per call; a rewrite of
+# the de Rham build must leave every total complex byte-identical
+_TOTAL_DIGESTS = {
+    ("F_2", (0, 1)): "b2cbd17b8d8ac3f39d104db5aeffc9d8d8bdf2466a90b9cd2a2391b4be4b1b7f",
+    ("F_2", (0, 0, 1)): "e37ab911af6ce03629f0ca6b697e1c5aee179e6851195a61f8e423865ea265a1",
+    ("F_2", (0, 0, 0, 1)): "797c45005591949923a789597bcbc2a83cdb79e0cd09fe51e82af60f4a4d0b6e",
+    ("F_3", (0, 1)): "96818b43a6886e34d7ab46f28bebcd3994f8ac898277bd2e4a75ffebe98658e4",
+    ("F_3", (0, 0, 1)): "4447aa62a2454de8a17fcbbc8d73068d80ba9b40d7ef4e54ecd4ae00686348dd",
+    ("F_3", (0, 0, 0, 1)): "569300825f994955be523c5afa4041660108bb2e7239953272c853e66bffde4c",
+    ("Z/4", (0, 1)): "224a97625bef0b2c2a25f23d503b3472f9cf6815247e6dc5c135754092344c14",
+    ("Z/4", (0, 0, 1)): "8af3bc375d3172178bf945cce0aede3f998399b954ad32ddf70d860b264b5445",
+    ("Z/4", (0, 0, 0, 1)): "3e327870ecd11479cf0f1de478d737290099cd64088bd71186fb4a28d94e9211",
+    ("Z/9", (0, 1)): "53826696b3aabb750b39f54bcf6e6739436234cb8c9da00dd247732c31b41e1f",
+    ("Z/9", (0, 0, 1)): "68307a6005ea84d05b29fb4c29ba7018b6f887a4dab19f17317040638e09bdb7",
+    ("Z/9", (0, 0, 0, 1)): "f04307dc58b2418cfa9fff4310897152b54e3019c56ce6779795c4ef32d008a9",
+}
+
+
+def test_derham_total_complexes_keep_their_pinned_digests():
+    start = time.perf_counter()
+    got = {(str(ring), f): _total_digest(AlgebraPresentation(ring, "quotient", "x", f))
+           for ring in (F2, F3, Z4, ModRing(3, 2)) for f in ((0, 1), (0, 0, 1), (0, 0, 0, 1))}
+    assert got == _TOTAL_DIGESTS
+    assert time.perf_counter() - start < 5
 
 
 def test_build_derham_weight_bound_6_peak_memory():
