@@ -7,9 +7,13 @@ from derhamkit import (
     AlgebraPresentation,
     FreeSimplicialResolution,
     ModRing,
+    Monogenic,
     cotangent_homology,
+    kaehler_factors,
     kaehler_presentation,
 )
+from derhamkit.padicfield import cyclotomic_extension, omega_invariants
+from derhamkit.upoly import cyclotomic_polynomial_ppower
 
 F3 = ModRing(3, 1)
 F2 = ModRing(2, 1)
@@ -27,6 +31,15 @@ kp = kaehler_presentation(AlgebraPresentation(F3, "hypersurface", "x", (0, 0, 0,
 print(f"  F_3[x]/(x^3) over F_3: rank {kp.rank}, free: {kp.free_over_target}, invariants {kp.factors}")
 kp = kaehler_presentation(AlgebraPresentation(F2, "hypersurface", "x", (1, 1, 1)))
 print(f"  F_4 over F_2: invariants {kp.factors} (separable: the module vanishes)")
+
+print("\nOne algebra for Phi_9: a presentation's target, a ring, an extension of Q_3")
+phi9 = cyclotomic_polynomial_ppower(3, 2)
+o = Monogenic(ModRing(3, 2), phi9)  # Z/9[x]/(Phi_9)
+pres = AlgebraPresentation(ModRing(3, 2), "hypersurface", "x", phi9)
+print(f"  the presentation's target is Z/9[x]/(Phi_9): {pres.target == o}, of degree {o.degree}")
+print(f"  Omega^1 over Z/9: invariants {[c for c in kaehler_factors(o) if c > 1]}"
+      f" = Kaehler presentation {kaehler_presentation(pres).factors}")
+print(f"  over Z_3, from the same f over Z: length {omega_invariants(cyclotomic_extension(3, 2), precision=6)[0]}")
 
 print("\nRegular quotients: the cotangent complex is the shifted conormal module")
 for ring, f, label in ((F3, (0, 1), "F_3[x]/(x)"), (F2, (0, 0, 1), "F_2[x]/(x^2)"), (Z4, (0, 1), "Z/4[x]/(x)")):

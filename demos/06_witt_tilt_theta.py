@@ -6,7 +6,7 @@ Run with: python3 demos/06_witt_tilt_theta.py
 from derhamkit import (
     CyclotomicModel,
     ModRing,
-    QuotientRing,
+    Monogenic,
     WittRing,
     ker_theta_report,
     structure_polynomials,
@@ -22,7 +22,7 @@ print(f"  S_1 = {t.add[1]}")
 print(f"  P_1 = {t.mul[1]}")
 
 print("\nW_2(F_2) realizes Z/4: the carry in 1 + 1")
-f2 = QuotientRing(ModRing(2, 1), (0, 1))
+f2 = Monogenic(ModRing(2, 1), (0, 1))
 w = WittRing(2, 2, f2)
 one = w.teichmuller(f2.one)
 print(f"  (1,0) + (1,0) = {(one + one).coords}")

@@ -6,6 +6,7 @@ backed by finite exact linear algebra over Z, Z/p^n and F_p.
 """
 
 from .exactlin import ModRing, PAdicValue, smith_normal_form, howell_form, quotient_invariants, resultant
+from .upoly import Monogenic
 from .polyalg import PolyAlgebra, graded_slice_basis
 from .complexes import GradedSliceComplex, DoubleComplex, HomologyReport, slice_homology, total_complex, homology_report
 from .simplex import (
@@ -21,6 +22,7 @@ from .simplex import (
 from .cotangent import (
     AlgebraPresentation,
     FreeSimplicialResolution,
+    kaehler_factors,
     kaehler_presentation,
     cotangent_homology,
 )
@@ -28,7 +30,6 @@ from .pdpow import gamma_monomials, derived_power, koszul_gamma_complex
 from .derham import build_derham, hodge_quotient_homology, universal_thickening, pd_envelope_report, h0_shuffle_product
 from .witt import (
     structure_polynomials,
-    QuotientRing,
     WittRing,
     WittVector,
     lift_homomorphism,
@@ -38,7 +39,6 @@ from .witt import (
     ker_theta_report,
 )
 from .padicfield import (
-    MonogenicExtension,
     cyclotomic_extension,
     different_valuation,
     omega_invariants,

@@ -12,6 +12,11 @@ Supported algebra presentations:
   certified through the associated-graded complex where f degenerates to
   its leading monomial.  Separable f mod p is the unramified case.
 
+A presentation's target B = k[x]/(f) is a ``upoly.Monogenic``, whose
+degree, f' and monomial test the resolution reads.  ``kaehler_factors`` is
+the one computation of Omega^1 of B over k, the cokernel of multiplication
+by f': the Kaehler presentation and ``padicfield.omega_invariants`` read it.
+
 The face rule of the resolution is written once, as the target array of
 ``FreeSimplicialResolution.face_targets``: monomials (``face_exponents``),
 the wedge indices of forms and the slots of the cotangent complex all read
@@ -46,12 +51,13 @@ from .exactlin import (
     local_smith,
 )
 from .polyalg import PolyAlgebra, graded_slice_basis, row_positions
-from .upoly import multiplication_rows, trim
+from .upoly import Monogenic, trim
 
 __all__ = [
     "AlgebraPresentation",
     "FreeSimplicialResolution",
     "DepthError",
+    "kaehler_factors",
     "kaehler_presentation",
     "cotangent_homology",
     "shortcut_conormal_complex",
@@ -62,33 +68,11 @@ class DepthError(ValueError):
     pass
 
 
-def parse_poly_string(text: str) -> list[int]:
-    """Sums of integer monomials in one variable, e.g. '2*x^3 - x + 1';
-    returns constant-first coefficients."""
-    s = text.replace(" ", "").replace("-", "+-")
-    coeffs: dict[int, int] = {}
-    for chunk in s.split("+"):
-        if not chunk:
-            continue
-        neg = chunk.startswith("-")
-        if neg:
-            chunk = chunk[1:]
-        if "x" in chunk:
-            head, _, tail = chunk.partition("x")
-            c = int(head.rstrip("*")) if head.rstrip("*") else 1
-            k = int(tail[1:]) if tail.startswith("^") else 1
-        else:
-            c = int(chunk)
-            k = 0
-        coeffs[k] = coeffs.get(k, 0) + (-c if neg else c)
-    return [coeffs.get(k, 0) for k in range(max(coeffs, default=0) + 1)]
-
-
-class AlgebraPresentation(NamedTuple("AlgebraPresentation", [("ring", ModRing), ("shape", str), ("var", str),
-                                                             ("f_coeffs", tuple)])):
-    """Pair (base, target) in one of the supported shapes; ``f_coeffs`` is
-    constant-first, reduced and trimmed.  A tuple, so that presentations
-    made from equal arguments are equal and hash alike."""
+class AlgebraPresentation(NamedTuple("AlgebraPresentation", [("target", Monogenic), ("shape", str), ("var", str)])):
+    """Pair (base, target) in one of the supported shapes: the target is
+    B = k[x]/(f) as a ``Monogenic``, with f reduced and trimmed, and ``var``
+    names x.  A tuple, so that presentations made from equal arguments are
+    equal and hash alike."""
 
     def __new__(cls, ring: ModRing, shape: str, var: str = "x", f_coeffs: tuple[int, ...] = ()):
         if shape not in ("quotient", "hypersurface"):
@@ -107,18 +91,19 @@ class AlgebraPresentation(NamedTuple("AlgebraPresentation", [("ring", ModRing), 
         else:
             if coeffs[-1] != 1:
                 raise ValueError("hypersurface shape needs monic f")
-        return super().__new__(cls, ring, shape, var, tuple(coeffs))
+        return super().__new__(cls, Monogenic(ring, coeffs), shape, var)
+
+    @property
+    def ring(self) -> ModRing:
+        return self.target.ring
+
+    @property
+    def f_coeffs(self) -> tuple:
+        return self.target.f_coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.f_coeffs) - 1
-
-    @property
-    def is_monomial(self) -> bool:
-        return all(c == 0 for c in self.f_coeffs[:-1])
-
-    def fprime_coeffs(self) -> list[int]:
-        return [(k * c) % self.ring.modulus for k, c in enumerate(self.f_coeffs)][1:]
+        return self.target.degree
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +142,7 @@ class FreeSimplicialResolution:
         self.d_max = d_max
         self.weight_bound = weight_bound
         self.relative = "base" if pres.shape == "quotient" else "coefficients"
-        self.graded = pres.is_monomial
+        self.graded = pres.target.is_monomial
         self._certificate: AcyclicityCertificate | None = None
         self._alg_cache: dict[int, PolyAlgebra] = {}
         self._forms: dict = {}  # (n, i, w) -> form_basis(n, i, w)
@@ -374,8 +359,7 @@ class FreeSimplicialResolution:
         base = self.relative == "base"
         weights, lo, width = ([a + d for a in range(d)], 1, 1) if base else ([0], 0, d)
         if not base:  # row a: the dx slots of f'(x) x^a mod f
-            df = np.array(multiplication_rows(self.pres.fprime_coeffs(), self.pres.f_coeffs, self.ring.modulus),
-                          dtype=np.int64)
+            df = np.array(self.pres.target.multiplication_rows(self.pres.target.fprime()), dtype=np.int64)
         e = np.arange(width)
         dims, diffs = {}, {}
         for n in range(self.d_max + 1):
@@ -413,14 +397,21 @@ class KaehlerPresentation:
         self.factors = factors  # invariant factors over k
 
 
+def kaehler_factors(alg: Monogenic) -> list[int]:
+    """The invariant factors over Z/p^n, units included, of Omega^1 of
+    Z/p^n[x]/(f) over Z/p^n: the generator dx with the relation f'(x) dx,
+    that is the cokernel of multiplication by f' on the power basis, read
+    by ``local_smith``."""
+    return local_smith(alg.multiplication_rows(alg.fprime()), alg.ring)[0]
+
+
 def kaehler_presentation(pres: AlgebraPresentation) -> KaehlerPresentation:
     ring = pres.ring
     if pres.shape == "quotient":
         # relative to A = k[x]: d kills every image, the module vanishes
         return KaehlerPresentation(pres, 0, False, [])
-    # hypersurface over k: generator dx with relation f'(x) dx, over k on the power basis
-    rows = multiplication_rows(pres.fprime_coeffs(), pres.f_coeffs, ring.modulus)
-    factors = [c for c in local_smith(rows, ring)[0] if c > 1]
+    # hypersurface over k: generator dx with relation f'(x) dx
+    factors = [c for c in kaehler_factors(pres.target) if c > 1]
     # relation vanished: free of rank 1 over B
     return KaehlerPresentation(pres, 1, factors == [ring.modulus] * pres.degree, factors)
 

@@ -107,20 +107,11 @@ class ModRing(NamedTuple("ModRing", [("p", int), ("n", int)])):
 
 
 class PAdicValue:
-    """Exact rational valuation.
-
-    The denominator is expected to divide the declared ramification index of
-    whatever extension produced the value; `with_index` asserts this.
-    """
+    """Exact rational valuation at ``prime``."""
 
     def __init__(self, prime: int, value: Fraction):
         self.prime = prime
         self.value = value
-
-    def with_index(self, e: int) -> "PAdicValue":
-        if (self.value * e).denominator != 1:
-            raise ValueError(f"valuation {self.value} has denominator not dividing e={e}")
-        return self
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ import json
 import random
 import time
 from fractions import Fraction
-from functools import partial
 from math import comb
 
 import numpy as np
 
 from .complexes import DoubleComplex, GradedSliceComplex, slice_homology, total_complex
-from .cotangent import AlgebraPresentation, cotangent_homology, parse_poly_string, shortcut_conormal_complex
+from .cotangent import AlgebraPresentation, cotangent_homology, shortcut_conormal_complex
 from .derham import (
     build_derham,
     hodge_quotient_homology,
@@ -38,9 +37,9 @@ from .simplex import (
     normalized_complex,
     unnormalized_complex,
 )
+from .upoly import Monogenic, parse_poly_string
 from .witt import (
     CyclotomicModel,
-    QuotientRing,
     WittRing,
     generator_ring_homomorphisms,
     ker_theta_report,
@@ -131,6 +130,23 @@ def _case(name, expected, computed, ok=None, truncated=False):
     return SuiteCase(name, str(expected), str(computed), status)
 
 
+def _first_failure(checks, names=("degree", "weight"), say="expected {}, computed {}".format) -> str | None:
+    """The first failing check of ``checks``, named with both sides; None if
+    all pass.  Each check is (key, (want, got)), which fails when want !=
+    got, or (key, (want, got, ok)), which fails when ok is false, as the
+    items of a ``pd_envelope_report`` verdict table are.  A key (a, b)
+    prints as '(<names[0]> a, <names[1]> b)' and a key w as '<names[1]> w';
+    ``say(want, got)`` names the two sides of the failing check only."""
+    for key, (want, got, *ok) in checks:
+        if not (ok[0] if ok else want == got):
+            where = f"({names[0]} {key[0]}, {names[1]} {key[1]})" if isinstance(key, tuple) else f"{names[1]} {key}"
+            return f"at {where}: " + say(want, got)
+    return None
+
+
+_VERDICTS = ("level", "weight"), "de Rham {}, PD envelope {}".format
+
+
 # ---------------------------------------------------------------------------
 # suite runners
 
@@ -151,30 +167,22 @@ def run_dold_kan(params, rng):
                                weight_choices=(0, 1))
             x = kan_transform(c, d_max=c.n_max + 1)
             n = normalized_complex(x)
-            bad = _first_differing_slice(n, c)
+            # the dim, then the differential, of each slice up to the top degree of C
+            keys = sorted(k for k in set(n.dims) | set(c.dims) if k[0] <= c.n_max)
+            bad = _first_failure(
+                ((k, check) for k in keys for want, got in [(c.diff(*k), n.diff(*k))]
+                 for check in ((c.dim(*k), n.dim(*k)), (want, got, np.array_equal(want, got)))),
+                say=lambda want, got: (f"expected dim {want}, computed dim {got}" if np.ndim(want) == 0
+                                       else f"expected differential {want.tolist()}, computed {got.tolist()}"))
             u = unnormalized_complex(x)
             weights = sorted(set(n.weights()) | set(u.weights()))
-            keys = [(deg, w) for deg in range(c.n_max + 1) for w in weights]
-            bad_h = _first_mismatch(partial(slice_homology, n),
-                                    [(k, slice_homology(u, *k)) for k in keys])
+            bad_h = _first_failure(((deg, w), (slice_homology(u, deg, w), slice_homology(n, deg, w)))
+                                   for deg in range(c.n_max + 1) for w in weights)
             cases.append(_case(f"{ring}-case{t:02d}-roundtrip", "N(K(C)) = C",
                                "equal" if bad is None else "mismatch " + bad, ok=bad is None))
             cases.append(_case(f"{ring}-case{t:02d}-homology", "H(N) = H(C)",
                                "equal" if bad_h is None else "mismatch " + bad_h, ok=bad_h is None))
     return cases
-
-
-def _first_differing_slice(got, want) -> str | None:
-    """The first (degree, weight) up to the top degree of ``want`` where the
-    complex ``got`` has another dimension or differential, named with both;
-    None if they agree there."""
-    for (n, w) in sorted(k for k in set(got.dims) | set(want.dims) if k[0] <= want.n_max):
-        if got.dim(n, w) != want.dim(n, w):
-            return f"at (degree {n}, weight {w}): expected dim {want.dim(n, w)}, computed dim {got.dim(n, w)}"
-        a, b = got.diff(n, w), want.diff(n, w)
-        if not np.array_equal(a, b):
-            return f"at (degree {n}, weight {w}): expected differential {b.tolist()}, computed {a.tolist()}"
-    return None
 
 
 def run_eilenberg_zilber(params, rng):
@@ -207,9 +215,8 @@ def run_eilenberg_zilber(params, rng):
         diag = diagonal(x)
         ncx = normalized_complex(diag)
         tot = total_complex(dc)
-        bad = _first_mismatch(partial(slice_homology, ncx),
-                              [((deg, w), slice_homology(tot, deg, w) if tot.n_min <= deg <= tot.n_max else [])
-                               for deg in range(5)])
+        bad = _first_failure(((deg, w), (slice_homology(tot, deg, w) if tot.n_min <= deg <= tot.n_max else [],
+                                          slice_homology(ncx, deg, w))) for deg in range(5))
         cases.append(_case(f"bisimplicial-{made:02d}", "pi_n(diag) = H_n(Tot), n <= 4",
                            "equal" if bad is None else "mismatch " + bad, ok=bad is None))
     return cases
@@ -232,8 +239,8 @@ def run_cotangent_regular(params, rng):
         )
         short = shortcut_conormal_complex(pres, 2)
         weights = sorted(set(result.complex.weights()) | set(short.weights()))
-        bad = _first_mismatch(partial(slice_homology, result.complex),
-                              [((n, w), slice_homology(short, n, w)) for n in range(3) for w in weights])
+        bad = _first_failure(((n, w), (slice_homology(short, n, w), slice_homology(result.complex, n, w)))
+                             for n in range(3) for w in weights)
         cases.append(_case(f"{label}-H0", "0", "0" if h0_zero else "nonzero", ok=h0_zero))
         cases.append(_case(f"{label}-H1", "B per weight", "match" if h1_ok else "mismatch", ok=h1_ok))
         cases.append(_case(f"{label}-shortcut", "I/I^2[1] equal",
@@ -316,61 +323,41 @@ def _drpd_modp_cases(p: int, wb: int, top: int) -> list:
         dim = sum(len(e["factors"]) for (deg, _), e in rep.entries.items() if deg == 0)
         cases.append(_case(f"p{p}-dim-H0-mod-F{i}", str(i), str(dim)))
     full = hodge_quotient_homology(f, wb + 1, degrees=range(top + 1))
-    bad = _first_mismatch(full.factors, [((0, w), [p]) for w in range(wb + 1)])
+    bad = _first_failure(((0, w), ([p], full.factors(0, w))) for w in range(wb + 1))
     cases.append(_case(f"p{p}-weight-slices", "one-dimensional for w <= " + str(wb),
                        "ok" if bad is None else "mismatch " + bad, ok=bad is None))
-    bad = _first_mismatch(full.factors, [((n, w), []) for n in range(1, top + 1) for w in range(wb + 1)])
+    bad = _first_failure(((n, w), ([], full.factors(n, w))) for n in range(1, top + 1) for w in range(wb + 1))
     cases.append(_case(f"p{p}-higher-vanishing", f"H_1..H_{top} = 0 in window",
                        "ok" if bad is None else "nonzero " + bad, ok=bad is None))
     return cases
 
 
-def _first_mismatch(factors, expected) -> str | None:
-    """The first ((degree, weight), factors) in ``expected`` that
-    ``factors(degree, weight)`` does not match, named with both factor
-    lists; None if all match."""
-    for (n, w), want in expected:
-        got = factors(n, w)
-        if got != want:
-            return f"at (degree {n}, weight {w}): expected {want}, computed {got}"
-    return None
-
-
 def run_drpd_envelope(params, rng):
     cases = []
     z4 = ModRing(2, 2)
+    fstr = params["f"]
+    fco = tuple(parse_poly_string(fstr))  # first, so that a bad f fails before any work
     rep = pd_envelope_report(AlgebraPresentation(z4, "quotient", "x", (0, 1)),
                              weight_bound=params["weight_bound"])
-    bad = _first_failing_verdict(rep.slice_verdicts, lambda a, b, eq: eq and a == [4])
+    bad = _first_failure(((key, (a, b, eq and a == [4])) for key, (a, b, eq) in sorted(rep.slice_verdicts.items())),
+                         *_VERDICTS)
     cases.append(_case("Z4-x-slices", "(4) per weight", "ok" if bad is None else "mismatch " + bad,
                        ok=bad is None))
-    bad = _first_failing_verdict(rep.filtration_verdicts)
+    bad = _first_failure(sorted(rep.filtration_verdicts.items()), *_VERDICTS)
     cases.append(_case("Z4-x-filtration", "Hodge = PD filtration",
                        "ok" if bad is None else "mismatch " + bad, ok=bad is None))
     cases.append(_case("Z4-x-iso-certified", "certified generator map",
                        "ok" if rep.iso_certified else f"failed at weight {rep.iso_failure}", ok=rep.iso_certified))
-    fstr = params["f"]
-    fco = tuple(parse_poly_string(fstr))
     rep2 = pd_envelope_report(AlgebraPresentation(z4, "quotient", "x", fco),
                               weight_bound=params["weight_bound"])
-    bad = (_first_failing_verdict(rep2.slice_verdicts) or _first_failing_verdict(rep2.filtration_verdicts)
+    bad = (_first_failure(sorted(rep2.slice_verdicts.items()), *_VERDICTS)
+           or _first_failure(sorted(rep2.filtration_verdicts.items()), *_VERDICTS)
            or (None if rep2.higher_vanishing else "in higher homology: H_n != 0 for some n >= 1")
            or (None if rep2.iso_certified
                else f"in the generator map: not a certified isomorphism at weight {rep2.iso_failure}"))
     cases.append(_case(f"Z4-f-{fstr.replace(' ', '')}-slices", f"A<t>/(t - ({fstr})) slice match",
                        "ok" if bad is None else "mismatch " + bad, ok=bad is None))
     return cases
-
-
-def _first_failing_verdict(verdicts, ok=lambda a, b, eq: eq) -> str | None:
-    """The first weight, or (level, weight), of a ``pd_envelope_report``
-    verdict table whose (de Rham factors, PD factors, equal) fails ``ok``,
-    named with both factor lists; None if all pass."""
-    for key, (a, b, eq) in sorted(verdicts.items()):
-        if not ok(a, b, eq):
-            where = f"(level {key[0]}, weight {key[1]})" if isinstance(key, tuple) else f"weight {key}"
-            return f"at {where}: de Rham {a}, PD envelope {b}"
-    return None
 
 
 def run_universal_thickening(params, rng):
@@ -392,21 +379,21 @@ def run_universal_thickening(params, rng):
 
 def run_witt_layer(params, rng):
     cases = []
-    f2 = QuotientRing(ModRing(2, 1), (0, 1))
+    f2 = Monogenic(ModRing(2, 1), (0, 1))
     w2 = WittRing(2, 2, f2)
-    z4 = QuotientRing(ModRing(2, 2), (0, 1))
+    z4 = Monogenic(ModRing(2, 2), (0, 1))
     isos = [h for h in generator_ring_homomorphisms(w2, z4) if len(set(h[1].values())) == z4.size]
     cases.append(_case("W2(F2)=Z/4", "isomorphism found", "found" if isos else "none", ok=bool(isos)))
 
-    f4 = QuotientRing(ModRing(2, 1), (1, 1, 1))
+    f4 = Monogenic(ModRing(2, 1), (1, 1, 1))
     w4 = WittRing(2, 2, f4)
-    target = QuotientRing(ModRing(2, 2), (1, 1, 1))
+    target = Monogenic(ModRing(2, 2), (1, 1, 1))
     homs = generator_ring_homomorphisms(w4, target)
     isos = [h for h in homs if len(set(h[1].values())) == 16]
     cases.append(_case("W2(F4)=Z/4[x]/(x^2+x+1)", "isomorphism found",
                        f"{len(isos)} found", ok=bool(isos)))
 
-    base = QuotientRing(ModRing(2, 3), (0, 1))
+    base = Monogenic(ModRing(2, 3), (0, 1))
     w8 = WittRing(2, 3, base)
     _, code, add, mul = w8.coding
     # the coordinate codes a_0, a_1, a_2, b_0, b_1, b_2 of every pair, one array each

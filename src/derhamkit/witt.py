@@ -6,8 +6,9 @@ ghost-compatible symbolically.  Witt arithmetic codes each base element
 by its position in ``base.enumerate()`` and evaluates the structure
 polynomials and the ghost map by indexing the base ring's int32 ``tables``
 of the codes of sums and products, on single codes or on whole arrays.
-``QuotientRing.tables`` builds those tables in numpy from the digit vectors
-of all elements; a ``TiltRing`` relabels the tables of O/p.  Base rings
+The base rings and targets are ``upoly.Monogenic`` algebras (plain Z/p^n,
+F_q, O and O/p), whose ``tables`` are built in numpy from the digit
+vectors of all elements; a ``TiltRing`` relabels the tables of O/p.  Base rings
 above 2^12 elements are not coded (ValueError), and Witt carriers above
 2^16 elements are not enumerated (ValueError).
 
@@ -17,8 +18,9 @@ is additive iff theta(s + w) = theta(s) + theta(w) for every s in S and
 w in W, and then multiplicative iff theta(s t) = theta(s) theta(t) on the
 pairs of S, and unital.  The |W| sums s + w of each generator are
 evaluated on code arrays at once, once per Witt ring; their closure from
-0 must reach all of W, so that S generating W is checked on every run.  The target's arithmetic runs on digit rows (sums
-mod p^n, products by ``QuotientRing.mul_rows``), so targets need no tables.
+0 must reach all of W, so that S generating W is checked on every run.
+The target's arithmetic runs on digit rows (sums mod p^n, products by
+``Monogenic.mul_rows``), so targets need no tables.
 
 Finite-depth tilts are compatible p-power sequences in O/p for
 O = Z[zeta_{p^m}]/(p^n); they are not perfect rings, and every report
@@ -28,7 +30,7 @@ where sharp raises an arbitrary lift of the deepest entry to its p-power;
 the result is lift-independent for k >= n.  ``theta_digits`` evaluates it
 on whole arrays of Witt vectors: the term of each coordinate is computed
 once for every element of O/p, as digit rows of O multiplied by
-``QuotientRing.mul_rows``, so O needs no tables and theta has no size
+``Monogenic.mul_rows``, so O needs no tables and theta has no size
 bound.
 """
 
@@ -40,13 +42,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import upoly
 from .exactlin import ModRing, is_prime
+from .upoly import MAX_CODED, Monogenic, cyclotomic_polynomial_ppower
 
 __all__ = [
     "StructurePolynomialTable",
     "structure_polynomials",
-    "QuotientRing",
     "WittRing",
     "WittVector",
     "lift_homomorphism",
@@ -59,9 +60,6 @@ __all__ = [
     "ker_theta_report",
 ]
 
-# Largest ring that is coded into tables (a base ring of Witt vectors, or
-# the O/p of a tilt): the tables of N elements hold 2 N^2 int32 entries.
-MAX_CODED = 2 ** 12
 # Largest Witt carrier W that is enumerated: theta holds int64 arrays of |W|
 # entries, one per digit of O, and the ring-map check int32 arrays of |S| |W|
 # entries, for |S| = n log_p |R| additive generators.
@@ -174,147 +172,6 @@ def structure_polynomials(p: int, n: int) -> StructurePolynomialTable:
 
 
 # ---------------------------------------------------------------------------
-# finite quotient rings Z[x]/(g, p^n) and the base-ring protocol
-
-
-class QuotientRing:
-    """Z[x]/(g(x), p^n) with elements as coefficient tuples (length deg g).
-
-    Also serves plain Z/p^n (deg g = 1 via g = x) and F_q (n = 1, g
-    irreducible).
-    """
-
-    def __init__(self, ring: ModRing, g_coeffs):
-        self.ring = ring
-        self.m = ring.modulus
-        g = upoly.trim(c % self.m for c in g_coeffs)
-        if not g or g[-1] != 1:
-            raise ValueError("modulus polynomial must be monic")
-        self.g = tuple(g)
-        self.deg = len(g) - 1
-        self.zero = (0,) * self.deg
-        one = [0] * self.deg
-        one[0] = 1 % self.m
-        self.one = tuple(one)
-        # x^k mod g for deg <= k <= 2 deg - 2: the rows that fold the high
-        # half of a product of two elements back below x^deg
-        self._fold = [self.x_power(k) for k in range(self.deg, 2 * self.deg - 1)]
-
-    @property
-    def size(self) -> int:
-        return self.m ** self.deg
-
-    def element(self, coeffs) -> tuple:
-        return tuple(upoly.rem(coeffs, self.g, self.m))
-
-    def x_power(self, k: int) -> tuple:
-        return self.element([0] * k + [1])
-
-    def add(self, a, b):
-        return tuple((x + y) % self.m for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.m for x in a)
-
-    def scale(self, c, a):
-        c %= self.m
-        return tuple((c * x) % self.m for x in a)
-
-    def mul(self, a, b):
-        prod = upoly.mul(a, b, self.m)
-        for k, row in enumerate(self._fold, self.deg):
-            c = prod[k]
-            if c:
-                for t, r in enumerate(row):
-                    prod[t] += c * r
-        return tuple([x % self.m for x in prod[: self.deg]])
-
-    def power(self, a, k: int):
-        out = self.one
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return out
-
-    def enumerate(self):
-        for coeffs in itertools.product(range(self.m), repeat=self.deg):
-            yield tuple(coeffs)
-
-    def digits(self, codes) -> np.ndarray:
-        """Digit rows of the elements at positions ``codes`` of ``enumerate()``:
-        int64 row t holds coefficient t of each (the first digit varies
-        slowest)."""
-        return np.stack(np.unravel_index(codes, (self.m,) * self.deg))
-
-    def codes(self, rows):
-        """Positions in ``enumerate()`` of the elements whose coefficient t is
-        rows[t]: one element (a tuple) or digit rows of many."""
-        return np.ravel_multi_index(tuple(rows), (self.m,) * self.deg)
-
-    def mul_rows(self, a, b) -> np.ndarray:
-        """Digit rows of the products of the elements with digit rows ``a`` and
-        ``b``, elementwise: the array form of ``mul``, folded by the same rows."""
-        deg = self.deg
-        prod = np.zeros((2 * deg - 1,) + np.shape(a)[1:], dtype=np.int64)
-        for s in range(deg):
-            prod[s : s + deg] += a[s] * b
-        prod %= self.m
-        for k, row in enumerate(self._fold, deg):
-            prod[:deg] += np.multiply.outer(row, prod[k])
-        return prod[:deg] % self.m
-
-    @cached_property
-    def tables(self):
-        """(elements, code, add, mul): the elements in ``enumerate()`` order,
-        the position of each, and int32 tables of the positions of their
-        sums and products, built in numpy from the digit vectors of all
-        elements.  ValueError above 2^12 elements."""
-        if self.size > MAX_CODED:
-            raise ValueError(f"base ring of {self.size} elements exceeds the coding bound 2^12")
-        m, deg, size = self.m, self.deg, self.size
-        weight = [m ** (deg - 1 - t) for t in range(deg)]  # the first digit varies slowest
-        digits = self.digits(np.arange(size)).astype(np.int32)
-        # rows[j][t] is digit t of a * x^j for every a: shift, then fold x^deg
-        top = np.array([-c % m for c in self.g[:deg]], dtype=np.int32)[:, None]
-        rows = [digits]
-        for _ in range(deg - 1):
-            shifted = np.zeros_like(digits)
-            shifted[1:] = rows[-1][:-1]
-            rows.append((shifted + rows[-1][-1] * top) % m)
-        # every entry below is at most deg (m - 1)^2 or a code: below 2^31
-        add = np.zeros((size, size), dtype=np.int32)
-        mul = np.zeros((size, size), dtype=np.int32)
-        term = np.empty((size, size), dtype=np.int32)
-        acc = np.empty((size, size), dtype=np.int32)
-        for t, w in enumerate(weight):
-            np.add(digits[t][:, None], digits[t][None, :], out=term)
-            term %= m
-            term *= w
-            add += term
-            # digit t of a * b is sum_j (a * x^j)_t b_j
-            acc.fill(0)
-            for j in range(deg):
-                np.multiply(rows[j][t][:, None], digits[j][None, :], out=term)
-                acc += term
-            acc %= m
-            acc *= w
-            mul += acc
-        elems = list(self.enumerate())
-        return elems, {e: i for i, e in enumerate(elems)}, add, mul
-
-    def frobenius_inverse_table(self) -> dict:
-        """{a^p: a} over all elements; ValueError unless a -> a^p is a bijection."""
-        table = {self.power(a, self.ring.p): a for a in self.enumerate()}
-        if len(table) != self.size:
-            raise ValueError("Frobenius is not bijective on this ring")
-        return table
-
-
-# ---------------------------------------------------------------------------
 # Witt vectors over a base ring
 
 
@@ -322,11 +179,12 @@ class WittRing:
     def __init__(self, p: int, length: int, base: object):
         self.p = p
         self.length = length
-        self.base = base  # QuotientRing or TiltRing
+        self.base = base  # Monogenic or TiltRing
         structure_polynomials(p, length)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WittRing) and (self.p, self.length, self.base) == (other.p, other.length, other.base)
+        """The same p and length over the very same base object."""
+        return isinstance(other, WittRing) and (self.p, self.length) == (other.p, other.length) and self.base is other.base
 
     def table(self) -> StructurePolynomialTable:
         return structure_polynomials(self.p, self.length)
@@ -480,7 +338,7 @@ class WittVector:
         return tuple(elems[g] for g in self.ring.ghost([code[c] for c in self.coords]))
 
 
-def lift_homomorphism(phi, source: QuotientRing, witt: WittRing, target: QuotientRing,
+def lift_homomorphism(phi, source: Monogenic, witt: WittRing, target: Monogenic,
                       reduction, lifts=None):
     """Lift phi: R -> S/p to the homomorphism W_n(R) -> S for perfect R.
 
@@ -502,7 +360,7 @@ def lift_homomorphism(phi, source: QuotientRing, witt: WittRing, target: Quotien
         return a
 
     def default_lift(rbar):
-        return tuple(rbar) + (0,) * (target.deg - len(rbar))
+        return tuple(rbar) + (0,) * (target.degree - len(rbar))
 
     lift = lifts or default_lift
 
@@ -523,7 +381,7 @@ def lift_homomorphism(phi, source: QuotientRing, witt: WittRing, target: Quotien
 # ring-map checks on additive generators, and homomorphism searches
 
 
-def is_ring_map(wr: WittRing, images, target: QuotientRing) -> bool:
+def is_ring_map(wr: WittRing, images, target: Monogenic) -> bool:
     """Whether sending the i-th element of ``wr.enumerate()`` to the target
     element with digit column images[:, i] is a unital ring map, checked on
     the additive generators S of ``wr.generator_sums``: S generates W, the
@@ -548,8 +406,8 @@ def witt_additive_basis(wr: WittRing):
     of ``wr.enumerate()``) that write every Witt vector as their unique
     integer combination: every combination is summed on code arrays, and
     they must neither collide nor miss an element."""
-    base: QuotientRing = wr.base
-    basis = [wr.teichmuller(base.x_power(i)) for i in range(base.deg)]
+    base: Monogenic = wr.base
+    basis = [wr.teichmuller(base.x_power(i)) for i in range(base.degree)]
     m = wr.p ** wr.length
     _, code, _, _ = wr.coding
     coeffs = np.indices((m,) * len(basis)).reshape(len(basis), -1)  # the first varies slowest
@@ -569,7 +427,7 @@ def witt_additive_basis(wr: WittRing):
     return basis, by_position
 
 
-def generator_ring_homomorphisms(wr: WittRing, target: QuotientRing):
+def generator_ring_homomorphisms(wr: WittRing, target: Monogenic):
     """All unital ring homomorphisms W_n(F_q) -> target, each once, labelled
     by the image g of the Teichmuller generator [x].
 
@@ -582,7 +440,7 @@ def generator_ring_homomorphisms(wr: WittRing, target: QuotientRing):
     x = wr.position(wr.teichmuller(wr.base.x_power(1)))
     gens = []
     for g in target.enumerate():
-        images = np.zeros((target.deg, wr.size), dtype=np.int64)
+        images = np.zeros((target.degree, wr.size), dtype=np.int64)
         power = target.one
         for row in coeffs:
             images += np.multiply.outer(power, row)
@@ -595,15 +453,6 @@ def generator_ring_homomorphisms(wr: WittRing, target: QuotientRing):
 
 # ---------------------------------------------------------------------------
 # cyclotomic models, tilts, theta
-
-
-def cyclotomic_polynomial_ppower(p: int, m: int) -> list[int]:
-    """Phi_{p^m}(x) = sum_{k<p} x^(k p^(m-1)), constant-first coefficients."""
-    d = (p - 1) * p ** (m - 1)
-    coeffs = [0] * (d + 1)
-    for k in range(p):
-        coeffs[k * p ** (m - 1)] = 1
-    return coeffs
 
 
 class CyclotomicModel:
@@ -623,17 +472,17 @@ class CyclotomicModel:
         self.k = k
 
     @cached_property
-    def _rings(self) -> tuple[QuotientRing, QuotientRing]:
+    def _rings(self) -> tuple[Monogenic, Monogenic]:
         g = cyclotomic_polynomial_ppower(self.p, self.m)
-        return QuotientRing(ModRing(self.p, self.n), g), QuotientRing(ModRing(self.p, 1), g)
+        return Monogenic(ModRing(self.p, self.n), g), Monogenic(ModRing(self.p, 1), g)
 
-    def ring_o(self) -> QuotientRing:
+    def ring_o(self) -> Monogenic:
         return self._rings[0]
 
-    def ring_o_mod_p(self) -> QuotientRing:
+    def ring_o_mod_p(self) -> Monogenic:
         return self._rings[1]
 
-    def zeta(self, level: int, ring: QuotientRing) -> tuple:
+    def zeta(self, level: int, ring: Monogenic) -> tuple:
         """zeta_{p^level} = x^(p^(m-level)) in the chosen quotient ring."""
         if level > self.m:
             raise ValueError("not enough roots of unity in the model")

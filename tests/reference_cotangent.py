@@ -10,10 +10,12 @@ entry.  It runs on the library's nondegenerate bases, and drops a face
 image that is not among them only after checking that it is degenerate.
 
 ``UnnormalizedResolution`` is the resolution as it was before its forms
-were normalized: the same builders on every form of each slice, listed by
-the tuple slice basis of ``reference_polyalg``, the degenerate ones
-included, so the chain complex is C(Q_.) and not C(Q_.)/D, and the de Rham
-blocks are the whole of Omega^i(Q_j).
+were normalized: every form of each slice, listed by the tuple slice basis
+of ``reference_polyalg``, the degenerate ones included, so the chain
+complex is C(Q_.) and not C(Q_.)/D, and the de Rham blocks are the whole
+of Omega^i(Q_j).  Its chain complex is its own: a loop over every slice up
+to the depth, with the per-block ``face_sum`` below, so that it shares
+neither the library's slice loop nor its one-pass face sums.
 
 ``face_variable_table`` (with ``face_exponents``, the whole-slice
 monomial faces read off it), ``wedge_face`` and ``cotangent_complex`` are
@@ -32,8 +34,11 @@ and a ``row_positions`` lookup in that block's target basis
 (``nondegenerate_matrix``).
 
 ``poly_to_string`` prints constant-first coefficients as the polynomial
-strings ``cotangent.parse_poly_string`` reads, as the presentations'
-JSON form did.
+strings ``upoly.parse_poly_string`` reads, as the presentations'
+JSON form did.  ``parse_poly_string`` is the reader the command line had
+before each term was matched whole: it splits at the signs and takes the
+digits around the first x, so it misreads some malformed strings ('x*x'
+as x), and it is the reference only on well-formed ones.
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ def is_degenerate(expts: tuple[int, ...], wedge: tuple[int, ...] = ()) -> bool:
 
 
 class UnnormalizedResolution(FreeSimplicialResolution):
-    """The forms of Q_n, degenerate ones included."""
+    """The forms of Q_n, degenerate ones included, and a chain complex of
+    its own."""
 
     def form_basis(self, n: int, i: int, w: int) -> np.ndarray:
         key = (n, i, w)
@@ -64,6 +70,18 @@ class UnnormalizedResolution(FreeSimplicialResolution):
             self._forms[key] = form_rows(graded_slice_basis(self.algebra(n), i, w, wedge_vars=range(1, n + 1)),
                                          i, n + 1)
         return self._forms[key]
+
+    def chain_complex(self, weight_bound: int | None = None) -> GradedSliceComplex:
+        """C(Q_.) per weight slice: every n <= d_max of every weight, with no
+        stop at an empty slice, and the per-block ``face_sum`` of each."""
+        wb = self.weight_bound if weight_bound is None else weight_bound
+        keys = [(n, w) for w in range(wb + 1) for n in range(self.d_max + 1)]
+        dims = {(n, w): len(self.form_basis(n, 0, w)) for n, w in keys}
+        diffs = {(n, w): face_sum(self, n, 0, w) for n, w in keys if n}
+        cx = GradedSliceComplex(self.ring, 0, self.d_max, {k: d for k, d in dims.items() if d}, diffs,
+                                trusted=(0, self.d_max - 1))
+        cx.validate()
+        return cx
 
 
 def face_variable_table(res: FreeSimplicialResolution, n: int, i: int) -> list[tuple[int, int, int] | None]:
@@ -276,7 +294,7 @@ def face_slot_image(res: FreeSimplicialResolution, n: int, i: int, s: int):
     if s2 == 0:
         if res.relative == "base":
             return None, None  # df = 0 relative to k[x]
-        return 0, res.pres.fprime_coeffs()  # dt -> df = f'(x) dx
+        return 0, res.pres.target.fprime()  # dt -> df = f'(x) dx
     return s2, [1]
 
 
@@ -351,3 +369,25 @@ def poly_to_string(coeffs) -> str:
         else:
             bits.append(f"x^{k}" if c == 1 else f"{c}*x^{k}")
     return " + ".join(bits) if bits else "0"
+
+
+def parse_poly_string(text: str) -> list[int]:
+    """Sums of integer monomials in one variable, e.g. '2*x^3 - x + 1';
+    returns constant-first coefficients."""
+    s = text.replace(" ", "").replace("-", "+-")
+    coeffs: dict[int, int] = {}
+    for chunk in s.split("+"):
+        if not chunk:
+            continue
+        neg = chunk.startswith("-")
+        if neg:
+            chunk = chunk[1:]
+        if "x" in chunk:
+            head, _, tail = chunk.partition("x")
+            c = int(head.rstrip("*")) if head.rstrip("*") else 1
+            k = int(tail[1:]) if tail.startswith("^") else 1
+        else:
+            c = int(chunk)
+            k = 0
+        coeffs[k] = coeffs.get(k, 0) + (-c if neg else c)
+    return [coeffs.get(k, 0) for k in range(max(coeffs, default=0) + 1)]

@@ -23,7 +23,7 @@ def omega_invariants(ext, precision: int):
         entry = s[i][i]
         if entry == 0:
             raise ValueError("inseparable: multiplication matrix is singular")
-        v = v_int(abs(entry), ext.p)
+        v = v_int(abs(entry), ext.ring.p)
         if v >= precision:
             raise ValueError(f"precision {precision} too small: length saturates at {ext.degree * precision}")
         lengths.append(v)

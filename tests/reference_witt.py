@@ -13,12 +13,20 @@ and the image of 1.
 ``ghost``, ``theta_map`` and ``generator_ring_homomorphisms`` are the
 one-Witt-vector-at-a-time paths that array evaluations on code tables and
 digit rows replaced, computed with the rings' own tuple operations.
+``QuotientRing`` is the base-ring class of the Witt layer before
+``upoly.Monogenic`` took over its arithmetic, unchanged: Z[x]/(g, p^n) for
+a monic g, reduced mod p^n.
 """
 
 from __future__ import annotations
 
+import itertools
+from functools import cached_property
+
 import numpy as np
 
+from derhamkit import upoly
+from derhamkit.exactlin import ModRing
 from derhamkit.witt import witt_additive_basis
 
 
@@ -110,7 +118,7 @@ def theta_map(w, model, lift=None) -> tuple:
     o = model.ring_o()
     p = model.p
     acc = o.zero
-    deflift = lambda rbar: tuple(rbar) + (0,) * (o.deg - len(rbar))
+    deflift = lambda rbar: tuple(rbar) + (0,) * (o.degree - len(rbar))
     lf = lift or deflift
     for i in range(w.ring.length):
         deepest = w.coords[i][model.k]
@@ -167,3 +175,140 @@ class TiltArithmetic:
 
     def power(self, a, k: int):
         return self.sequence[self.omodp.power(a[-1], k)]
+
+
+class QuotientRing:
+    """Z[x]/(g(x), p^n) with elements as coefficient tuples (length deg g).
+
+    Also serves plain Z/p^n (deg g = 1 via g = x) and F_q (n = 1, g
+    irreducible).
+    """
+
+    def __init__(self, ring: ModRing, g_coeffs):
+        self.ring = ring
+        self.m = ring.modulus
+        g = upoly.trim(c % self.m for c in g_coeffs)
+        if not g or g[-1] != 1:
+            raise ValueError("modulus polynomial must be monic")
+        self.g = tuple(g)
+        self.deg = len(g) - 1
+        self.zero = (0,) * self.deg
+        one = [0] * self.deg
+        one[0] = 1 % self.m
+        self.one = tuple(one)
+        # x^k mod g for deg <= k <= 2 deg - 2: the rows that fold the high
+        # half of a product of two elements back below x^deg
+        self._fold = [self.x_power(k) for k in range(self.deg, 2 * self.deg - 1)]
+
+    @property
+    def size(self) -> int:
+        return self.m ** self.deg
+
+    def element(self, coeffs) -> tuple:
+        return tuple(upoly.rem(coeffs, self.g, self.m))
+
+    def x_power(self, k: int) -> tuple:
+        return self.element([0] * k + [1])
+
+    def add(self, a, b):
+        return tuple((x + y) % self.m for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple((-x) % self.m for x in a)
+
+    def scale(self, c, a):
+        c %= self.m
+        return tuple((c * x) % self.m for x in a)
+
+    def mul(self, a, b):
+        prod = upoly.mul(a, b, self.m)
+        for k, row in enumerate(self._fold, self.deg):
+            c = prod[k]
+            if c:
+                for t, r in enumerate(row):
+                    prod[t] += c * r
+        return tuple([x % self.m for x in prod[: self.deg]])
+
+    def power(self, a, k: int):
+        out = self.one
+        base = a
+        while k:
+            if k & 1:
+                out = self.mul(out, base)
+            k >>= 1
+            if k:
+                base = self.mul(base, base)
+        return out
+
+    def enumerate(self):
+        for coeffs in itertools.product(range(self.m), repeat=self.deg):
+            yield tuple(coeffs)
+
+    def digits(self, codes) -> np.ndarray:
+        """Digit rows of the elements at positions ``codes`` of ``enumerate()``:
+        int64 row t holds coefficient t of each (the first digit varies
+        slowest)."""
+        return np.stack(np.unravel_index(codes, (self.m,) * self.deg))
+
+    def codes(self, rows):
+        """Positions in ``enumerate()`` of the elements whose coefficient t is
+        rows[t]: one element (a tuple) or digit rows of many."""
+        return np.ravel_multi_index(tuple(rows), (self.m,) * self.deg)
+
+    def mul_rows(self, a, b) -> np.ndarray:
+        """Digit rows of the products of the elements with digit rows ``a`` and
+        ``b``, elementwise: the array form of ``mul``, folded by the same rows."""
+        deg = self.deg
+        prod = np.zeros((2 * deg - 1,) + np.shape(a)[1:], dtype=np.int64)
+        for s in range(deg):
+            prod[s : s + deg] += a[s] * b
+        prod %= self.m
+        for k, row in enumerate(self._fold, deg):
+            prod[:deg] += np.multiply.outer(row, prod[k])
+        return prod[:deg] % self.m
+
+    @cached_property
+    def tables(self):
+        """(elements, code, add, mul): the elements in ``enumerate()`` order,
+        the position of each, and int32 tables of the positions of their
+        sums and products, built in numpy from the digit vectors of all
+        elements.  ValueError above 2^12 elements."""
+        if self.size > upoly.MAX_CODED:
+            raise ValueError(f"base ring of {self.size} elements exceeds the coding bound 2^12")
+        m, deg, size = self.m, self.deg, self.size
+        weight = [m ** (deg - 1 - t) for t in range(deg)]  # the first digit varies slowest
+        digits = self.digits(np.arange(size)).astype(np.int32)
+        # rows[j][t] is digit t of a * x^j for every a: shift, then fold x^deg
+        top = np.array([-c % m for c in self.g[:deg]], dtype=np.int32)[:, None]
+        rows = [digits]
+        for _ in range(deg - 1):
+            shifted = np.zeros_like(digits)
+            shifted[1:] = rows[-1][:-1]
+            rows.append((shifted + rows[-1][-1] * top) % m)
+        # every entry below is at most deg (m - 1)^2 or a code: below 2^31
+        add = np.zeros((size, size), dtype=np.int32)
+        mul = np.zeros((size, size), dtype=np.int32)
+        term = np.empty((size, size), dtype=np.int32)
+        acc = np.empty((size, size), dtype=np.int32)
+        for t, w in enumerate(weight):
+            np.add(digits[t][:, None], digits[t][None, :], out=term)
+            term %= m
+            term *= w
+            add += term
+            # digit t of a * b is sum_j (a * x^j)_t b_j
+            acc.fill(0)
+            for j in range(deg):
+                np.multiply(rows[j][t][:, None], digits[j][None, :], out=term)
+                acc += term
+            acc %= m
+            acc *= w
+            mul += acc
+        elems = list(self.enumerate())
+        return elems, {e: i for i, e in enumerate(elems)}, add, mul
+
+    def frobenius_inverse_table(self) -> dict:
+        """{a^p: a} over all elements; ValueError unless a -> a^p is a bijection."""
+        table = {self.power(a, self.ring.p): a for a in self.enumerate()}
+        if len(table) != self.size:
+            raise ValueError("Frobenius is not bijective on this ring")
+        return table

@@ -172,3 +172,10 @@ def test_oversized_witt_carrier_is_a_usage_error(capsys):
 def test_dold_kan_roundtrip_at_the_largest_odd_modulus(capsys):
     assert main(["verify", "dold-kan-roundtrip", "--p", "3", "--n", "19", "--cases", "3"]) == 0
     assert "6 pass, 0 fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("f, term", [("x*x", "x*x"), ("x^2+", "+"), ("x^", "x^")])
+def test_a_malformed_f_is_a_usage_error_that_names_its_term(f, term, capsys):
+    assert main(["verify", "drpd-envelope", "--f", f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"cannot read the term {term!r} of the polynomial {f!r}" in captured.err

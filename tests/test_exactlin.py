@@ -22,7 +22,6 @@ from reference_exactlin import resultant as reference_resultant
 from derhamkit import exactlin
 from derhamkit.exactlin import (
     ModRing,
-    PAdicValue,
     SliceQuotient,
     SparseMatrix,
     as_sparse,
@@ -41,7 +40,7 @@ from derhamkit.exactlin import (
     sparse_product,
     v_int,
 )
-from derhamkit.padicfield import cyclotomic_polynomial_ppower
+from derhamkit.upoly import cyclotomic_polynomial_ppower
 
 
 def gcd_reduction_diagonal(matrix):
@@ -323,13 +322,6 @@ def test_v_int_laws():
         assert v_int(a * b, p) == v_int(a, p) + v_int(b, p)
         if a + b != 0:
             assert v_int(a + b, p) >= min(v_int(a, p), v_int(b, p))
-
-
-def test_padic_value_with_index_checks_the_denominator():
-    v = PAdicValue(3, Fraction(3, 2))
-    assert v.with_index(2) is v and v.with_index(4) is v
-    with pytest.raises(ValueError, match="denominator not dividing e=3"):
-        v.with_index(3)
 
 
 def test_resultant_of_cyclotomic_and_x_minus_one_is_p():

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 import reference_padicfield
 
+from derhamkit.exactlin import ModRing
+from derhamkit.upoly import Monogenic
 from derhamkit.padicfield import (
-    MonogenicExtension,
     cyclotomic_extension,
     different_valuation,
     omega_invariants,
@@ -30,13 +31,12 @@ def test_different_of_a_cyclotomic_level_is_r_minus_one_over_p_minus_one():
 
 
 def test_different_eisenstein():
-    ext = MonogenicExtension(3, (-3, 0, 1), "eisenstein")  # x^2 - 3 over Q_3
+    ext = Monogenic(ModRing(3, 1), (-3, 0, 1))  # x^2 - 3 over Q_3
     assert different_valuation(ext).value == Fraction(1, 2)
 
 
 def test_different_unramified_is_zero():
-    ext = MonogenicExtension(2, (1, 1, 1), "unramified")
-    assert ext.ram_index == 1
+    ext = Monogenic(ModRing(2, 1), (1, 1, 1))
     assert different_valuation(ext).value == 0
 
 
@@ -52,7 +52,7 @@ def test_omega_lengths():
     total, layers = omega_invariants(cyclotomic_extension(3, 2), precision=6)
     assert total == 9
     # unramified lift of F_4: unit derivative, trivial module
-    total, _ = omega_invariants(MonogenicExtension(2, (1, 1, 1), "unramified"), precision=4)
+    total, _ = omega_invariants(Monogenic(ModRing(2, 1), (1, 1, 1)), precision=4)
     assert total == 0
     # Phi_2: trivial extension
     total, _ = omega_invariants(cyclotomic_extension(2, 1), precision=4)
@@ -74,8 +74,8 @@ def test_omega_precision_guard():
 
 
 _OMEGA_CASES = ([(cyclotomic_extension(p, r), f"cyclotomic-{p}-{r}") for p in (2, 3, 5) for r in (1, 2, 3)]
-                + [(MonogenicExtension(2, (1, 1, 1), "unramified"), "unramified-2-111"),
-                   (MonogenicExtension(3, (-3, 0, 0, 1), "eisenstein"), "eisenstein-3-x3-3")])
+                + [(Monogenic(ModRing(2, 1), (1, 1, 1)), "unramified-2-111"),
+                   (Monogenic(ModRing(3, 1), (-3, 0, 0, 1)), "eisenstein-3-x3-3")])
 
 
 @pytest.mark.parametrize("ext", [ext for ext, _ in _OMEGA_CASES], ids=[name for _, name in _OMEGA_CASES])
@@ -93,7 +93,7 @@ def test_omega_lengths_equal_the_integer_smith_form_route(ext):
 
 
 def test_omega_of_a_singular_multiplication_matrix_is_inseparable():
-    ext = MonogenicExtension(3, (0, 0, 1), "eisenstein")  # x^2: f' = 2x kills x
+    ext = Monogenic(ModRing(3, 1), (0, 0, 1))  # x^2: f' = 2x kills x
     for precision in (1, 3, 19):
         with pytest.raises(ValueError, match="^inseparable: multiplication matrix is singular$"):
             omega_invariants(ext, precision)

@@ -65,8 +65,7 @@ NEVER_ENTERED = {
     "simplex.SimplicialModule.degen": "dense accessor: a stored degeneracy, on request",
     "witt.theta_map": "test oracle: theta of one Witt vector, against the whole-array theta_digits",
     "witt.WittVector.ghost": "test oracle: the ghost components of one Witt vector",
-    "witt.QuotientRing.neg": "test oracle: negation in the tuple arithmetic",
-    "cotangent.AlgebraPresentation.fprime_coeffs": "planned: the hypersurface shape, for the absolute de Rham complex",
+    "upoly.Monogenic.neg": "test oracle: negation in the tuple arithmetic",
 }
 
 # Runs the code of argv[2] under sys.setprofile and prints, as its last

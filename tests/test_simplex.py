@@ -996,6 +996,27 @@ def test_dold_kan_roundtrip_failure_names_the_differing_differential(monkeypatch
                              f"expected differential {want}, computed {got}")
 
 
+def test_dold_kan_roundtrip_failure_names_the_differing_dim(monkeypatch):
+    from derhamkit import suites
+
+    honest = suites.normalized_complex
+    dropped = []
+
+    def perturbed(x):  # the top slice of N(K(C)) goes missing
+        n = honest(x)
+        key = max(n.dims)
+        dropped.append((key, n.dim(*key)))
+        return GradedSliceComplex(n.ring, n.n_min, n.n_max, {k: v for k, v in n.dims.items() if k != key},
+                                  {k: d for k, d in n.diffs.items() if k not in (key, (key[0] + 1, key[1]))})
+
+    monkeypatch.setattr(suites, "normalized_complex", perturbed)
+    report = suites.run_suite("dold-kan-roundtrip", {"cases": 1, "max_degree": 3, "p": 3, "n": 1}, seed=1)
+    ((deg, w), dim), = dropped
+    case = next(c for c in report.cases if c.name == "F_3-case00-roundtrip")
+    assert case.status == "fail"
+    assert case.computed == f"mismatch at (degree {deg}, weight {w}): expected dim {dim}, computed dim 0"
+
+
 def test_eilenberg_zilber_failure_names_its_slice(monkeypatch):
     from derhamkit.suites import run_suite
 

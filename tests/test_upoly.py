@@ -1,11 +1,14 @@
 """Univariate polynomial helpers: products, remainders and multiplication
-matrices over Z/p^n and Z."""
+matrices over Z/p^n and Z, and the strict reader of polynomial strings."""
 
 import random
+import re
 
 import pytest
+import reference_cotangent
 
-from derhamkit.upoly import mul, multiplication_rows, rem, trim
+from derhamkit.exactlin import ModRing
+from derhamkit.upoly import Monogenic, mul, parse_poly_string, rem, trim
 
 
 def _add(a, b):
@@ -65,7 +68,7 @@ def test_multiplication_rows_multiply_in_the_quotient(m):
         f = [rng.randrange(m) for _ in range(d)] + [1]
         g = [rng.randrange(m) for _ in range(rng.randint(1, 6))]
         h = [rng.randrange(m) for _ in range(d)]
-        rows = multiplication_rows(g, f, m)
+        rows = Monogenic(ModRing({4: 2, 9: 3, 25: 5}[m], 2), f).multiplication_rows(g)
         assert len(rows) == d and all(len(row) == d for row in rows)
         product = [sum(c * row[k] for c, row in zip(h, rows)) % m for k in range(d)]
         assert product == rem(mul(h, g, m), f, m)
@@ -75,3 +78,24 @@ def test_trim():
     assert trim([1, 0, 2, 0, 0]) == [1, 0, 2]
     assert trim([0, 0]) == []
     assert trim(iter([3])) == [3]
+
+
+@pytest.mark.parametrize("text, term", [("x*x", "x*x"), ("x^2+", "+"), ("x^", "x^"), ("2*3*x", "2*3*x"),
+                                        ("x^2--x", "-"), ("", ""), ("x^2 + 3y", "+3y"), ("2*", "2*")])
+def test_a_malformed_polynomial_string_names_its_bad_term(text, term):
+    with pytest.raises(ValueError, match="^" + re.escape(f"cannot read the term {term!r} of the polynomial {text!r}") + "$"):
+        parse_poly_string(text)
+
+
+def test_well_formed_polynomial_strings_parse_as_the_earlier_reader_did():
+    rng = random.Random(11)
+    for _ in range(300):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            c, k = rng.randint(0, 12), rng.randint(0, 5)
+            body = rng.choice([f"{c}*x^{k}", f"{c}x^{k}", f"{c} * x ^ {k}", "x^%d" % k, f"{c}*x", "x", str(c)])
+            terms.append(rng.choice(["+", "-", " + ", " - "]) + body)
+        text = "".join(terms).lstrip(" +")
+        assert parse_poly_string(text) == reference_cotangent.parse_poly_string(text), text
+    assert parse_poly_string("2*x^3 - x + 1") == [1, -1, 0, 2]
+    assert parse_poly_string("-x^2") == [0, 0, -1] and parse_poly_string("x+x") == [0, 2]

@@ -12,11 +12,10 @@ import reference_witt
 from derhamkit import suites, upoly, witt
 from derhamkit.exactlin import ModRing
 from derhamkit.suites import run_suite
+from derhamkit.upoly import Monogenic, cyclotomic_polynomial_ppower
 from derhamkit.witt import (
     CyclotomicModel,
-    QuotientRing,
     WittRing,
-    cyclotomic_polynomial_ppower,
     epsilon_root_witt,
     epsilon_witt,
     generator_ring_homomorphisms,
@@ -31,7 +30,7 @@ from derhamkit.witt import (
 
 
 def plain_ring(p, n):
-    return QuotientRing(ModRing(p, n), (0, 1))
+    return Monogenic(ModRing(p, n), (0, 1))
 
 
 def _model_id(model):
@@ -66,7 +65,7 @@ def test_w2_f2_addition_matches_z4():
 
 
 def test_teichmuller_multiplicative_and_unit():
-    f9 = QuotientRing(ModRing(3, 1), (1, 0, 1))  # F_9 = F_3[x]/(x^2+1)
+    f9 = Monogenic(ModRing(3, 1), (1, 0, 1))  # F_9 = F_3[x]/(x^2+1)
     w = WittRing(3, 2, f9)
     rng = random.Random(1)
     elems = list(f9.enumerate())
@@ -131,9 +130,9 @@ def test_the_w2_f2_case_fails_when_the_search_finds_no_bijective_map(monkeypatch
 
 
 def test_w2_f4_isomorphic_to_z4_adjoin_root():
-    f4 = QuotientRing(ModRing(2, 1), (1, 1, 1))
+    f4 = Monogenic(ModRing(2, 1), (1, 1, 1))
     w = WittRing(2, 2, f4)
-    target = QuotientRing(ModRing(2, 2), (1, 1, 1))  # Z/4[x]/(x^2+x+1)
+    target = Monogenic(ModRing(2, 2), (1, 1, 1))  # Z/4[x]/(x^2+x+1)
     homs = generator_ring_homomorphisms(w, target)
     isos = [h for h in homs if len(set(h[1].values())) == 16]
     assert isos, "no isomorphism found by exhaustion"
@@ -145,7 +144,7 @@ def test_w2_f4_isomorphic_to_z4_adjoin_root():
 def test_p_filtration_layers():
     # p^i W_n(F_q) / p^(i+1) W_n(F_q) has q elements, realized by r -> p^i [r]
     for gpoly, q in (((0, 1), 2), ((1, 1, 1), 4)):
-        fq = QuotientRing(ModRing(2, 1), gpoly)
+        fq = Monogenic(ModRing(2, 1), gpoly)
         w = WittRing(2, 2, fq)
         p_w = {(x + x).coords for x in w.enumerate()}  # 2 * W
         assert len(p_w) == q
@@ -163,9 +162,9 @@ def test_p_filtration_layers():
 
 
 def test_lift_homomorphism_identity_and_frobenius():
-    f4 = QuotientRing(ModRing(2, 1), (1, 1, 1))
+    f4 = Monogenic(ModRing(2, 1), (1, 1, 1))
     w = WittRing(2, 2, f4)
-    s = QuotientRing(ModRing(2, 2), (1, 1, 1))
+    s = Monogenic(ModRing(2, 2), (1, 1, 1))
 
     def reduction(a):
         return tuple(c % 2 for c in a)
@@ -191,9 +190,9 @@ def test_lift_homomorphism_identity_and_frobenius():
 
 
 def test_lift_homomorphism_lift_independent():
-    f4 = QuotientRing(ModRing(2, 1), (1, 1, 1))
+    f4 = Monogenic(ModRing(2, 1), (1, 1, 1))
     w = WittRing(2, 2, f4)
-    s = QuotientRing(ModRing(2, 2), (1, 1, 1))
+    s = Monogenic(ModRing(2, 2), (1, 1, 1))
     reduction = lambda a: tuple(c % 2 for c in a)
     twisted = lambda rbar: tuple((c + 2) % 4 for c in rbar)  # lift shifted by p
     l1 = lift_homomorphism(lambda r: r, f4, w, s, reduction)
@@ -203,9 +202,9 @@ def test_lift_homomorphism_lift_independent():
 
 
 def test_lift_homomorphism_requires_perfect():
-    notperf = QuotientRing(ModRing(2, 1), (0, 0, 1))  # F_2[x]/(x^2): Frobenius kills x
+    notperf = Monogenic(ModRing(2, 1), (0, 0, 1))  # F_2[x]/(x^2): Frobenius kills x
     w = WittRing(2, 2, notperf)
-    s = QuotientRing(ModRing(2, 2), (0, 0, 1))
+    s = Monogenic(ModRing(2, 2), (0, 0, 1))
     with pytest.raises(ValueError):
         lift_homomorphism(lambda r: r, notperf, w, s, lambda a: tuple(c % 2 for c in a))
 
@@ -358,7 +357,7 @@ def _assert_matches_reference(w, index_pairs):
 
 
 def test_coded_arithmetic_matches_reference_on_every_pair_of_w2_f4():
-    f4 = QuotientRing(ModRing(2, 1), (1, 1, 1))
+    f4 = Monogenic(ModRing(2, 1), (1, 1, 1))
     w = WittRing(2, 2, f4)
     _assert_matches_reference(w, list(itertools.product(range(16), repeat=2)))
 
@@ -386,7 +385,7 @@ def test_is_ring_map_rejects_an_additive_map_that_is_not_multiplicative():
 
 
 def test_carriers_above_the_coding_bound_are_rejected():
-    big = QuotientRing(ModRing(2, 1), (0,) * 13 + (1,))  # F_2[x]/(x^13), 8192 elements
+    big = Monogenic(ModRing(2, 1), (0,) * 13 + (1,))  # F_2[x]/(x^13), 8192 elements
     w = WittRing(2, 1, big)
     with pytest.raises(ValueError, match="2\\^12"):
         w.one + w.one
@@ -467,18 +466,18 @@ def test_theta_epsilon_checks_the_enumerated_sizes_against_closed_forms(monkeypa
 
 
 def test_non_perfect_source_raises_once_frobenius_is_tabulated():
-    notperf = QuotientRing(ModRing(2, 1), (0, 0, 1))  # F_2[x]/(x^2): Frobenius kills x
+    notperf = Monogenic(ModRing(2, 1), (0, 0, 1))  # F_2[x]/(x^2): Frobenius kills x
     with pytest.raises(ValueError, match="not bijective"):
         notperf.frobenius_inverse_table()
-    assert len(QuotientRing(ModRing(2, 1), (1, 1, 1)).frobenius_inverse_table()) == 4
+    assert len(Monogenic(ModRing(2, 1), (1, 1, 1)).frobenius_inverse_table()) == 4
 
 
 def test_lift_homomorphism_computes_the_source_frobenius_once(monkeypatch):
-    f4 = QuotientRing(ModRing(2, 1), (1, 1, 1))
-    s = QuotientRing(ModRing(2, 2), (1, 1, 1))
+    f4 = Monogenic(ModRing(2, 1), (1, 1, 1))
+    s = Monogenic(ModRing(2, 2), (1, 1, 1))
     calls = []
-    power = QuotientRing.power
-    monkeypatch.setattr(QuotientRing, "power", lambda self, a, k: calls.append(self) or power(self, a, k))
+    power = Monogenic.power
+    monkeypatch.setattr(Monogenic, "power", lambda self, a, k: calls.append(self) or power(self, a, k))
     lift_homomorphism(lambda r: r, f4, WittRing(2, 2, f4), s, lambda a: tuple(c % 2 for c in a))
     assert sum(ring is f4 for ring in calls) == f4.size
 
@@ -518,9 +517,9 @@ def test_tilt_operations_match_componentwise_on_seeded_pairs_of_odd_tilt():
 TABLE_RINGS = {
     "F_2": plain_ring(2, 1),
     "Z/8": plain_ring(2, 3),
-    "F_4": QuotientRing(ModRing(2, 1), (1, 1, 1)),
-    "Z/4[x]/(x^2+x+1)": QuotientRing(ModRing(2, 2), (1, 1, 1)),
-    "F_5[x]/(x^2+2)": QuotientRing(ModRing(5, 1), (2, 0, 1)),
+    "F_4": Monogenic(ModRing(2, 1), (1, 1, 1)),
+    "Z/4[x]/(x^2+x+1)": Monogenic(ModRing(2, 2), (1, 1, 1)),
+    "F_5[x]/(x^2+2)": Monogenic(ModRing(5, 1), (2, 0, 1)),
     "O(2,3,2,2)": CyclotomicModel(2, 3, 2, 2).ring_o(),
     "O/p(2,3,2,2)": CyclotomicModel(2, 3, 2, 2).ring_o_mod_p(),
     "O(3,2,1,1)": CyclotomicModel(3, 2, 1, 1).ring_o(),
@@ -554,6 +553,79 @@ def test_quotient_ring_tables_and_folded_product_equal_the_per_pair_reference(na
             assert ring.mul(elems[i], b) == tuple(upoly.rem(upoly.mul(elems[i], b, ring.m), ring.g, ring.m))
 
 
+# Every base ring the suites build: the Witt layer's rings, then O and O/p
+# of theta-epsilon at its three pinned models, which are only multiplied.
+_SUITE_BASES = {
+    "F_2": Monogenic(ModRing(2, 1), (0, 1)),
+    "Z/4": Monogenic(ModRing(2, 2), (0, 1)),
+    "Z/8": Monogenic(ModRing(2, 3), (0, 1)),
+    "F_4": Monogenic(ModRing(2, 1), (1, 1, 1)),
+    "Z/4[x]/(x^2+x+1)": Monogenic(ModRing(2, 2), (1, 1, 1)),
+}
+_SUITE_PRODUCT_RINGS = {
+    **_SUITE_BASES,
+    **{f"{name}({p},{m},{n},{k})": ring for p, m, n, k in ((2, 3, 2, 2), (3, 2, 1, 1), (2, 4, 2, 2))
+       for name, ring in (("O", CyclotomicModel(p, m, n, k).ring_o()),
+                          ("O/p", CyclotomicModel(p, m, n, k).ring_o_mod_p()))},
+}
+
+
+def _assert_products_equal_the_reference(ring, ref):
+    """``mul_rows`` on every pair (a seeded 2^14 of them past 256 elements)
+    and ``power`` on every element (a seeded 64 past 256) equal the
+    reference exactly."""
+    rng = np.random.default_rng(ring.size)
+    if ring.size <= 256:
+        left, right = np.repeat(np.arange(ring.size), ring.size), np.tile(np.arange(ring.size), ring.size)
+        sample = list(ring.enumerate())
+    else:
+        left, right = rng.integers(0, ring.size, size=(2, 2 ** 14))
+        sample = [tuple(c) for c in ring.digits(rng.integers(0, ring.size, size=64)).T.tolist()]
+    a, b = ring.digits(left), ring.digits(right)
+    got, want = ring.mul_rows(a, b), ref.mul_rows(a, b)
+    assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    for k in (0, 1, 2, 3, ring.ring.p, ring.ring.p ** 2 + 1, 12):
+        assert [ring.power(x, k) for x in sample] == [ref.power(x, k) for x in sample], k
+
+
+@pytest.mark.parametrize("name", list(_SUITE_PRODUCT_RINGS))
+def test_monogenic_arithmetic_equals_the_quotient_ring_reference_on_every_suite_ring(name):
+    ring = _SUITE_PRODUCT_RINGS[name]
+    ref = reference_witt.QuotientRing(ring.ring, ring.f_coeffs)
+    assert (ring.degree, ring.zero, ring.one, list(ring.enumerate())) == (ref.deg, ref.zero, ref.one,
+                                                                         list(ref.enumerate()))
+    _assert_products_equal_the_reference(ring, ref)
+    if name not in _SUITE_BASES:
+        return
+    (elems, code, add, mul), (ref_elems, ref_code, ref_add, ref_mul) = ring.tables, ref.tables
+    assert elems == ref_elems and code == ref_code
+    assert add.dtype == mul.dtype == ref_add.dtype == np.int32
+    assert np.array_equal(add, ref_add) and np.array_equal(mul, ref_mul)
+    try:
+        want = ref.frobenius_inverse_table()
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{err}$"):
+            ring.frobenius_inverse_table()
+    else:
+        assert ring.frobenius_inverse_table() == want
+
+
+def test_a_monogenic_algebra_runs_on_the_monic_associate_and_keeps_f_over_z():
+    # 2x^2 - 4 over Z/9: c = 2, c^-1 = 5, monic associate x^2 + 7
+    alg = Monogenic(ModRing(3, 2), (-4, 0, 2, 0))
+    assert alg.f_coeffs == (-4, 0, 2) and alg.g == (7, 0, 1) and alg.degree == 2
+    assert alg.fprime() == [0, 4] and not alg.is_monomial
+    assert Monogenic(ModRing(3, 1), (-3, 0, 2)).is_monomial  # 2x^2 mod 3
+    ref = reference_witt.QuotientRing(ModRing(3, 2), alg.g)
+    _assert_products_equal_the_reference(alg, ref)
+    assert alg.multiplication_rows([0, 1]) == [[0, 1], [2, 0]]  # x * x = -7 = 2
+    same = Monogenic(ModRing(3, 2), [-4, 0, 2])
+    assert same == alg and hash(same) == hash(alg)
+    for f in ((1, 3), (5,), ()):
+        with pytest.raises(ValueError, match="^f needs degree >= 1 and a leading coefficient prime to p$"):
+            Monogenic(ModRing(3, 2), f)
+
+
 @pytest.mark.parametrize("model", [CyclotomicModel(2, 3, 2, 2), CyclotomicModel(3, 2, 1, 1)], ids=_model_id)
 def test_tilt_tables_and_witt_coding_equal_the_per_pair_reference(model):
     t = tilt_ring(model)
@@ -578,8 +650,8 @@ def test_is_ring_map_gives_the_reference_verdict_on_every_candidate(monkeypatch)
         return verdict
 
     monkeypatch.setattr(witt, "is_ring_map", compared)
-    f4 = QuotientRing(ModRing(2, 1), (1, 1, 1))
-    generator_ring_homomorphisms(WittRing(2, 2, f4), QuotientRing(ModRing(2, 2), (1, 1, 1)))
+    f4 = Monogenic(ModRing(2, 1), (1, 1, 1))
+    generator_ring_homomorphisms(WittRing(2, 2, f4), Monogenic(ModRing(2, 2), (1, 1, 1)))
     assert len(verdicts) == 16 and True in verdicts and False in verdicts
     del verdicts[:]
     generator_ring_homomorphisms(WittRing(2, 2, plain_ring(2, 1)), plain_ring(2, 2))
@@ -589,7 +661,7 @@ def test_is_ring_map_gives_the_reference_verdict_on_every_candidate(monkeypatch)
 def test_is_ring_map_takes_a_target_above_the_coding_bound():
     # the target's arithmetic runs on digit rows: F_2[x]/(x^13), 8192
     # elements, would need 2^27 table entries
-    big = QuotientRing(ModRing(2, 1), (0,) * 13 + (1,))
+    big = Monogenic(ModRing(2, 1), (0,) * 13 + (1,))
     w = WittRing(2, 1, plain_ring(2, 1))
     zero, one, x = np.array(big.zero), np.array(big.one), np.array(big.x_power(1))
     assert is_ring_map(w, np.stack([zero, one], axis=1), big)  # F_2 -> F_2[x]/(x^13)
@@ -637,7 +709,7 @@ def test_theta_on_every_element_equals_the_per_element_reference(model, twisted)
     lift = _twisted_lift(model) if twisted else None
     digits = witt.theta_digits(model, w.coordinate_codes(), lift)
     elems = list(w.enumerate())
-    assert digits.shape == (model.ring_o().deg, len(elems))
+    assert digits.shape == (model.ring_o().degree, len(elems))
     # theta_map calls a given lift on every element of O/p: check it on a sample
     one_by_one = set(random.Random(7).sample(range(len(elems)), 40)) if twisted else range(len(elems))
     for e, x in enumerate(elems):
@@ -649,7 +721,7 @@ def test_theta_on_every_element_equals_the_per_element_reference(model, twisted)
 
 GHOST_RINGS = {
     "W_3(Z/8)": WittRing(2, 3, plain_ring(2, 3)),
-    "W_2(F_4)": WittRing(2, 2, QuotientRing(ModRing(2, 1), (1, 1, 1))),
+    "W_2(F_4)": WittRing(2, 2, Monogenic(ModRing(2, 1), (1, 1, 1))),
     "W_2(tilt(2,3,2,2))": WittRing(2, 2, tilt_ring(CyclotomicModel(2, 3, 2, 2))),
 }
 
@@ -667,7 +739,7 @@ def test_ghost_on_every_element_equals_the_per_element_reference(name):
 
 
 @pytest.mark.parametrize("source, target", [
-    (QuotientRing(ModRing(2, 1), (1, 1, 1)), QuotientRing(ModRing(2, 2), (1, 1, 1))),
+    (Monogenic(ModRing(2, 1), (1, 1, 1)), Monogenic(ModRing(2, 2), (1, 1, 1))),
     (plain_ring(2, 1), plain_ring(2, 2)),
 ], ids=["W_2(F_4)->Z/4[x]/(x^2+x+1)", "W_2(F_2)->Z/4"])
 def test_generator_ring_homomorphisms_equal_the_per_element_reference(source, target):
@@ -769,10 +841,10 @@ def test_theta_epsilon_fails_the_ring_map_case_when_a_generator_is_dropped(monke
 
 
 def test_witt_additive_basis_writes_every_vector_as_its_combination():
-    for base in (plain_ring(2, 1), QuotientRing(ModRing(2, 1), (1, 1, 1)), QuotientRing(ModRing(3, 1), (1, 0, 1))):
+    for base in (plain_ring(2, 1), Monogenic(ModRing(2, 1), (1, 1, 1)), Monogenic(ModRing(3, 1), (1, 0, 1))):
         w = WittRing(base.ring.p, 2, base)
         basis, coeffs = witt.witt_additive_basis(w)
-        assert coeffs.shape == (base.deg, w.size)
+        assert coeffs.shape == (base.degree, w.size)
         for e, x in enumerate(w.enumerate()):
             acc = w.zero
             for c, vec in zip(coeffs[:, e].tolist(), basis):
@@ -783,6 +855,6 @@ def test_witt_additive_basis_writes_every_vector_as_its_combination():
 
 def test_witt_additive_basis_rejects_a_basis_whose_combinations_collide():
     # over F_2[x]/(x^2), [x] + [x] = (0, x^2) = 0 in W_2, so 2 [x] = 0 collides
-    notperf = QuotientRing(ModRing(2, 1), (0, 0, 1))
+    notperf = Monogenic(ModRing(2, 1), (0, 0, 1))
     with pytest.raises(AssertionError, match="collide"):
         witt.witt_additive_basis(WittRing(2, 2, notperf))
